@@ -30,15 +30,12 @@ from .errors import (
     ZeroBiasError,
 )
 from .field import (
-    FieldVec,
     Subspace,
     annihilator,
     echelonize,
     enumerate_vectors,
     subspace_contains,
     subspace_points,
-    vec_add,
-    vec_scale,
 )
 from .forms import (
     AnalyticRank,
@@ -50,7 +47,6 @@ from .forms import (
     bias,
     ceil_log,
     eval_form,
-    eval_map,
     matricization_rank_bound,
     partition_rank_bilinear,
     partition_rank_search,

@@ -12,12 +12,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ from .jsonio import (
     map_to_obj,
     variety_from_obj,
 )
-from .variety import Variety, conv_fill_check, density, variety_bitmap
+from .variety import Variety, bad_set_cap, conv_fill_check, density, variety_bitmap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -202,9 +202,7 @@ def cmd_conv_check(args) -> int:
     v = variety_from_obj(load_json(args.input))
     rng = random.Random(args.seed)
     mask = variety_bitmap(v)
-    k = v.shape.k
-    r = v.codim
-    cap = Fraction(v.shape.total_points, 2 ** (2 * k) * v.shape.p ** (k * r))
+    cap = bad_set_cap(v.shape, v.codim)
     allowed = min(int(cap), int(np.count_nonzero(mask)))
     count = allowed if args.bad_count is None else args.bad_count
     bad = random_point_subset(rng, v.shape, mask, count)
@@ -235,13 +233,11 @@ def cmd_approx(args) -> int:
     lines = [
         f"functionals: {args.s}",
         f"error_count: {result.error_count} (cap {result.error_cap})",
-        f"containment: {result.containment_checked}",
     ]
     obj = {
         "s": args.s,
         "error_count": result.error_count,
         "error_cap": frac_to_str(result.error_cap),
-        "containment": result.containment_checked,
         "survivors_per_step": list(result.survivors_per_step),
         "phi": map_to_obj(result.phi),
     }
@@ -334,7 +330,7 @@ def cmd_sweep(args) -> int:
         budget=budget.point_budget(),
     )
     header_comment = "# mlvariety-sweep format=" + FORMAT_VERSION + " config=" + json.dumps(
-        config.to_obj(), sort_keys=True, separators=(",", ":")
+        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
     )
     lines = [header_comment, ",".join(SWEEP_COLUMNS)]
     for row in _sweep_rows(config):
@@ -357,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic calculus of multilinear forms and varieties over F_p",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=None, help="point budget override")
+    common.add_argument("--budget", type=int, default=None,
+                        help="point budget override for this call")
     common.add_argument("--format", choices=["text", "json", "csv"], default="text")
     common.add_argument("--output", default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -409,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_budget = budget.point_budget()
     if args.budget is not None:
+        if args.budget < 1:
+            parser.error(f"--budget must be a positive integer, got {args.budget}")
         budget.set_point_budget(args.budget)
     try:
         return args.func(args)
@@ -425,6 +425,8 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    finally:
+        budget.set_point_budget(saved_budget)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,9 @@ from .field import all_vectors, vector_from_index
 from .forms import MultilinearForm, MultilinearMap, ceil_log, eval_grid
 from .variety import (
     Variety,
-    _witness_from_masks,
+    _fill_scan,
+    _point_from_index,
+    bad_set_cap,
     density,
     slice_variety,
     variety_bitmap,
@@ -94,10 +96,6 @@ def codim_budget(arity: int, p: int, c: Fraction) -> int:
     return slope * ceil_log(p, 1 / c) + intercept
 
 
-def ceil_frac(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
-
-
 # ---------------------------------------------------------------------------
 # External approximation
 # ---------------------------------------------------------------------------
@@ -109,7 +107,6 @@ class ApproxResult:
     phi: MultilinearMap
     error_count: int
     error_cap: Fraction
-    containment_checked: bool
     survivors_per_step: tuple[int, ...]
 
 
@@ -169,8 +166,7 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
         phi_zero = (phi_values == 0).all(axis=0)
     else:
         phi_zero = np.ones(support_total, dtype=bool)
-    containment = not bool(np.any(source_zero & ~phi_zero))
-    if not containment:
+    if bool(np.any(source_zero & ~phi_zero)):
         raise ConstructionError("containment of the source zero set failed")
     error_count = int(np.count_nonzero(phi_zero & ~source_zero)) * outside_mult
     cap = Fraction(shape.total_points, p**s)
@@ -178,7 +174,7 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
         raise ConstructionError(
             f"approximation error {error_count} exceeds the guaranteed {cap}"
         )
-    return ApproxResult(phi, error_count, cap, True, tuple(per_step))
+    return ApproxResult(phi, error_count, cap, tuple(per_step))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def dense_columns(
     p = shape.p
     vmask = variety_bitmap(v)
     vcount = int(np.count_nonzero(vmask))
-    if v.is_empty or vcount == 0:
+    if vcount == 0:
         raise EmptyVarietyError("dense fiber extraction needs a nonempty variety")
     total = shape.total_points
     c = Fraction(vcount, total)
@@ -280,24 +276,19 @@ def dense_columns(
     r_base = base.codim
     bad_mask = u_mask & fiber_sparse
     bad_in_base = int(np.count_nonzero(bad_mask & base_mask))
-    cap = Fraction(other_total, 2 ** (2 * lower) * p ** (lower * r_base))
+    cap = bad_set_cap(base.shape, r_base)
     if bad_in_base > cap:
         raise ConstructionError(
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
-    reduced = base.shape
     allowed = base_mask & ~bad_mask
-    budget.charge(int(np.count_nonzero(base_mask)) * max(lower, 1), "fiber filling")
-    for idx in np.argwhere(base_mask):
-        pt = tuple(
-            vector_from_index(p, reduced.dims[i], int(x)) for i, x in enumerate(idx)
-        )
-        if _witness_from_masks(reduced, allowed, pt) is None:
+    for pt, witness in _fill_scan(base.shape, base_mask, allowed, "fiber filling"):
+        if witness is None:
             raise ConstructionError(f"no filling witness at base point {pt}")
     fiber_floor = c_prime ** (2**lower)
     floor_points = fiber_floor * direction_size
     clamped = floor_points < 1
-    fiber_floor_count = max(1, ceil_frac(floor_points))
+    fiber_floor_count = max(1, math.ceil(floor_points))
     min_fiber_count = int(fiber_counts[base_mask].min())
     if min_fiber_count < fiber_floor_count:
         raise ConstructionError(
@@ -333,7 +324,6 @@ class SubvarietyCertificate:
     output_codim: int
     budget: int
     ledger: tuple[dict, ...]
-    containment_verified: bool
 
 
 def _ledger_record(path: str, arity: int, c: Fraction, **extra) -> dict:
@@ -377,8 +367,6 @@ def find_subvariety(
     """
     shape = v.shape
     p = shape.p
-    if v.is_empty:
-        raise EmptyVarietyError("the subvariety finder needs a nonempty variety")
     vmask = variety_bitmap(v)
     vcount = int(np.count_nonzero(vmask))
     if vcount == 0:
@@ -400,7 +388,7 @@ def find_subvariety(
         ledger = (
             _ledger_record("", 1, c, codim_contribution=codim),
         )
-        return SubvarietyCertificate(c, canon, codim, bud, ledger, True)
+        return SubvarietyCertificate(c, canon, codim, bud, ledger)
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
     r_max = max(res.base.codim for res in results)
@@ -450,10 +438,7 @@ def find_subvariety(
     extra = candidate_mask & ~target_mask
     extra_count = int(np.count_nonzero(extra))
     if extra_count:
-        first = np.argwhere(extra)[0]
-        point = tuple(
-            vector_from_index(p, shape.dims[i], int(t)) for i, t in enumerate(first)
-        )
+        point = _point_from_index(shape, np.argwhere(extra)[0])
         raise ApproxMismatchError(
             f"approximation strictly exceeds its target at {point} "
             f"({extra_count} extra points)",
@@ -493,7 +478,7 @@ def find_subvariety(
             child = dict(record)
             child["path"] = f"{i}" if not record["path"] else f"{i}/{record['path']}"
             ledger.append(child)
-    return SubvarietyCertificate(c, candidate, codim, bud, tuple(ledger), True)
+    return SubvarietyCertificate(c, candidate, codim, bud, tuple(ledger))
 
 
 # ---------------------------------------------------------------------------

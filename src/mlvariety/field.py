@@ -1,10 +1,12 @@
-"""Prime-field substrate: residue vectors, echelon-form subspaces, and fast
-lexicographic enumeration of F_p^n at desk scale.
+"""Prime-field substrate: vectors as plain tuples of residues, echelon-form
+subspaces, and fast lexicographic enumeration of F_p^n at desk scale.
 
 Enumeration order is part of the contract: vectors stream in lexicographic
 order with the last coordinate varying fastest, and every "first point found"
 tie-break downstream relies on it.  All values are immutable after
-construction and all operations are pure functions.
+construction, but the enumerating functions read the process-global point
+budget and add to the work counter of the ``budget`` module, so they are
+not pure and not safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -35,71 +37,9 @@ def validate_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FieldVec:
-    """A vector over F_p; coordinates are reduced mod p at construction."""
-
-    p: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        validate_prime(self.p)
-        object.__setattr__(
-            self, "coords", tuple(int(c) % self.p for c in self.coords)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
-def zero_vec(p: int, dim: int) -> FieldVec:
-    return FieldVec(p, (0,) * dim)
-
-
-def _check_pair(a: FieldVec, b: FieldVec) -> None:
-    if a.p != b.p:
-        raise PreconditionError(f"modulus mismatch: {a.p} vs {b.p}")
-    if a.dim != b.dim:
-        raise PreconditionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def vec_add(a: FieldVec, b: FieldVec) -> FieldVec:
-    """Coordinate-wise sum mod p."""
-    _check_pair(a, b)
-    return FieldVec(a.p, tuple((x + y) % a.p for x, y in zip(a.coords, b.coords)))
-
-
-def vec_neg(a: FieldVec) -> FieldVec:
-    return FieldVec(a.p, tuple((-x) % a.p for x in a.coords))
-
-
-def vec_scale(a: FieldVec, s: int) -> FieldVec:
-    return FieldVec(a.p, tuple((s * x) % a.p for x in a.coords))
-
-
-def vec_dot(a: FieldVec, b: FieldVec) -> int:
-    _check_pair(a, b)
-    return sum(x * y for x, y in zip(a.coords, b.coords)) % a.p
-
-
 def as_coords(v, p: int, dim: int) -> tuple[int, ...]:
-    """Coerce a FieldVec or plain coordinate sequence to reduced coordinates."""
-    if isinstance(v, FieldVec):
-        if v.p != p:
-            raise PreconditionError(f"modulus mismatch: {v.p} vs {p}")
-        coords = v.coords
-    else:
-        coords = tuple(int(c) % p for c in v)
+    """Coerce a coordinate sequence to a tuple of residues mod p."""
+    coords = tuple(int(c) % p for c in v)
     if len(coords) != dim:
         raise PreconditionError(f"dimension mismatch: {len(coords)} vs {dim}")
     return coords
@@ -109,14 +49,13 @@ def as_coords(v, p: int, dim: int) -> tuple[int, ...]:
 # Enumeration and index arithmetic
 # ---------------------------------------------------------------------------
 
-def enumerate_vectors(p: int, dim: int) -> Iterator[FieldVec]:
+def enumerate_vectors(p: int, dim: int) -> Iterator[tuple[int, ...]]:
     """Yield all p**dim vectors once, lexicographically, last coordinate fastest."""
     validate_prime(p)
     if dim < 0:
         raise PreconditionError("dimension must be non-negative")
     budget.charge(p**dim, "vector enumeration")
-    for coords in itertools.product(range(p), repeat=dim):
-        yield FieldVec(p, coords)
+    yield from itertools.product(range(p), repeat=dim)
 
 
 def vector_index(p: int, coords: Sequence[int]) -> int:
@@ -204,23 +143,23 @@ class Subspace:
 
     p: int
     ambient_dim: int
-    basis: tuple[FieldVec, ...]
+    basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         validate_prime(self.p)
+        basis = tuple(as_coords(row, self.p, self.ambient_dim) for row in self.basis)
+        object.__setattr__(self, "basis", basis)
         pivots = []
-        for row in self.basis:
-            if row.p != self.p or row.dim != self.ambient_dim:
-                raise PreconditionError("basis rows do not match the subspace")
-            pivot = next((i for i, c in enumerate(row.coords) if c), None)
+        for row in basis:
+            pivot = next((i for i, c in enumerate(row) if c), None)
             if pivot is None or (pivots and pivot <= pivots[-1]):
                 raise PreconditionError("basis is not in reduced echelon form")
-            if row.coords[pivot] != 1:
+            if row[pivot] != 1:
                 raise PreconditionError("pivot entries must be 1")
             pivots.append(pivot)
-        for r, row in enumerate(self.basis):
+        for r, row in enumerate(basis):
             for rr, col in enumerate(pivots):
-                if rr != r and row.coords[col] != 0:
+                if rr != r and row[col] != 0:
                     raise PreconditionError("pivot columns must be cleared")
 
     @property
@@ -232,38 +171,18 @@ class Subspace:
         return self.ambient_dim - self.rank
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(
-            next(i for i, c in enumerate(row.coords) if c) for row in self.basis
-        )
+        return tuple(next(i for i, c in enumerate(row) if c) for row in self.basis)
 
     def matrix(self) -> np.ndarray:
-        return np.array([row.coords for row in self.basis], dtype=np.uint8).reshape(
-            self.rank, self.ambient_dim
-        )
+        return np.array(self.basis, dtype=np.uint8).reshape(self.rank, self.ambient_dim)
 
 
-def echelonize(vectors: Iterable, *, p: int | None = None, ambient_dim: int | None = None) -> Subspace:
-    """Span of the given vectors, as a reduced-echelon Subspace.
-
-    p and ambient_dim are only required for an empty input.
-    """
-    vecs = list(vectors)
-    if vecs:
-        first = vecs[0]
-        if isinstance(first, FieldVec):
-            p = first.p if p is None else p
-            ambient_dim = first.dim if ambient_dim is None else ambient_dim
-        if p is None or ambient_dim is None:
-            raise PreconditionError("p and ambient_dim are required for raw rows")
-        rows = [as_coords(v, p, ambient_dim) for v in vecs]
-    else:
-        if p is None or ambient_dim is None:
-            raise PreconditionError("empty input needs explicit p and ambient_dim")
-        rows = []
+def echelonize(vectors: Iterable, p: int, ambient_dim: int) -> Subspace:
+    """Span of the given coordinate rows in F_p^ambient_dim, as a
+    reduced-echelon Subspace."""
     validate_prime(p)
-    reduced = rref(rows, p, width=ambient_dim)
-    basis = tuple(FieldVec(p, tuple(int(c) for c in row)) for row in reduced)
-    return Subspace(p, ambient_dim, basis)
+    rows = [as_coords(v, p, ambient_dim) for v in vectors]
+    return Subspace(p, ambient_dim, tuple(rref(rows, p, width=ambient_dim)))
 
 
 def subspace_contains(s: Subspace, v) -> bool:
@@ -272,21 +191,21 @@ def subspace_contains(s: Subspace, v) -> bool:
     for row, pivot in zip(s.basis, s.pivots()):
         coeff = coords[pivot]
         if coeff:
-            for i, c in enumerate(row.coords):
+            for i, c in enumerate(row):
                 coords[i] = (coords[i] - coeff * c) % s.p
     return not any(coords)
 
 
-def subspace_points(s: Subspace) -> Iterator[FieldVec]:
+def subspace_points(s: Subspace) -> Iterator[tuple[int, ...]]:
     """All p**rank points of the subspace, in combination-lexicographic order."""
     budget.charge(s.p**s.rank, "subspace enumeration")
     for combo in itertools.product(range(s.p), repeat=s.rank):
         acc = [0] * s.ambient_dim
         for coeff, row in zip(combo, s.basis):
             if coeff:
-                for i, c in enumerate(row.coords):
+                for i, c in enumerate(row):
                     acc[i] = (acc[i] + coeff * c) % s.p
-        yield FieldVec(s.p, tuple(acc))
+        yield tuple(acc)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError, ZeroBiasError
-from .field import all_vectors, as_coords, rref, validate_prime
+from .field import all_vectors, as_coords, rref, validate_prime, vector_from_index
 
 
 @dataclass(frozen=True)
@@ -192,20 +192,13 @@ def eval_form(form: MultilinearForm, point) -> int:
     return int(t)
 
 
-def eval_map(m: MultilinearMap, point) -> tuple[int, ...]:
-    return tuple(eval_form(f, point) for f in m.components)
-
-
 def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
     """Values over the product of the given factors, one axis per factor.
 
     Axis t has size p**axis_dims[t] and is indexed by vector rank in
     enumeration order.
     """
-    total = 1
-    for n in axis_dims:
-        total *= p**n
-    budget.charge(total, "evaluation grid")
+    budget.charge(math.prod(p**n for n in axis_dims), "evaluation grid")
     t = np.asarray(coeffs, dtype=np.int64) % p
     for n in axis_dims:
         table = all_vectors(p, n).astype(np.int64)
@@ -384,49 +377,44 @@ def matricization_rank_bound(form: MultilinearForm) -> int:
     return int(best)
 
 
+def _splits(support: tuple[int, ...]):
+    """Yield the splits (left, right) of the support into two nonempty parts,
+    left holding the first support factor: swapping the parts only swaps the
+    two factors of a product."""
+    others = support[1:]
+    for mask in range(2 ** len(others)):
+        left = (support[0],) + tuple(j for t, j in enumerate(others) if mask >> t & 1)
+        right = tuple(j for j in support if j not in left)
+        if right:
+            yield left, right
+
+
 def _factorizable_tensors(shape: Shape, support: tuple[int, ...]) -> np.ndarray:
     """All distinct nonzero product tensors on the support, as flat digit rows.
 
-    Symmetry reductions: the split I ranges over subsets containing the first
-    support factor (swapping I with its complement swaps the two factors of
-    the product), and beta's first nonzero coefficient is pinned to 1 (other
-    scalars are absorbed into gamma).
+    Symmetry reductions: the split runs over _splits, and beta's first
+    nonzero coefficient is pinned to 1 (other scalars are absorbed into
+    gamma).
     """
     p = shape.p
-    dims = {j: shape.dims[j] for j in support}
     seen = set()
     rows = []
-    others = support[1:]
-    for mask in range(2 ** len(others)):
-        left = (support[0],) + tuple(
-            j for t, j in enumerate(others) if mask >> t & 1
-        )
-        right = tuple(j for j in support if j not in left)
-        if not right:
-            continue
-        ldim = math.prod(dims[j] for j in left)
-        rdim = math.prod(dims[j] for j in right)
+    for left, right in _splits(support):
+        ldim = math.prod(shape.dims[j] for j in left)
+        rdim = math.prod(shape.dims[j] for j in right)
         for bcode in range(1, p**ldim):
-            beta = vector_digits(p, ldim, bcode)
+            beta = vector_from_index(p, ldim, bcode)
             first = next(c for c in beta if c)
             if first != 1:
                 continue
             for gcode in range(1, p**rdim):
-                gamma = vector_digits(p, rdim, gcode)
+                gamma = vector_from_index(p, rdim, gcode)
                 f = product_form(shape, left, beta, right, gamma)
                 key = f.coeffs.tobytes()
                 if key not in seen:
                     seen.add(key)
                     rows.append(f.coeffs.reshape(-1))
     return np.array(rows, dtype=np.int64)
-
-
-def vector_digits(p: int, length: int, code: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(code % p)
-        code //= p
-    return list(reversed(out))
 
 
 def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
@@ -447,7 +435,13 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
     p = form.shape.p
     entry_count = math.prod(form.shape.dims[j] for j in support)
     space = p**entry_count
-    gen_estimate = _generator_count_estimate(form.shape, support)
+    # generator count before the beta/gamma dedup, one term per split
+    gen_estimate = sum(
+        (p ** math.prod(form.shape.dims[j] for j in left) - 1)
+        * (p ** math.prod(form.shape.dims[j] for j in right) - 1)
+        // (p - 1)
+        for left, right in _splits(support)
+    )
     if space * max(gen_estimate, 1) > budget.point_budget():
         return (prank_lower_bound(form), matricization_rank_bound(form))
     gens = _factorizable_tensors(form.shape, support)
@@ -479,17 +473,3 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
         visited[fresh] = True
         frontier = fresh
 
-
-def _generator_count_estimate(shape: Shape, support: tuple[int, ...]) -> int:
-    p = shape.p
-    total = 0
-    others = support[1:]
-    for mask in range(2 ** len(others)):
-        left = [support[0]] + [j for t, j in enumerate(others) if mask >> t & 1]
-        right = [j for j in support if j not in left]
-        if not right:
-            continue
-        ldim = math.prod(shape.dims[j] for j in left)
-        rdim = math.prod(shape.dims[j] for j in right)
-        total += (p**ldim - 1) * (p**rdim - 1) // (p - 1)
-    return total

@@ -37,18 +37,6 @@ class RunConfig:
     budget: int = 0
     rng: str = RNG_ID
 
-    def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "p": self.p,
-            "k": self.k,
-            "dims": list(self.dims),
-            "generator": self.generator,
-            "params": self.params,
-            "budget": self.budget,
-            "rng": self.rng,
-        }
-
 
 def random_form(rng: random.Random, shape: Shape, support=None) -> MultilinearForm:
     """Uniform coefficient tensor on the given support (full by default)."""
@@ -112,7 +100,7 @@ def planted_product_variety(
             raise PreconditionError(f"codimension {r} out of range for factor {i}")
         cutting = random_subspace(rng, shape.p, shape.dims[i], r)
         for row in cutting.basis:
-            forms.append(MultilinearForm(shape, (i,), np.array(row.coords)))
+            forms.append(MultilinearForm(shape, (i,), np.array(row)))
     return Variety(shape, forms), Fraction(1, shape.p ** sum(codims))
 
 

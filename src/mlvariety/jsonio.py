@@ -3,6 +3,11 @@
 Round trips are bit exact: coefficients are flat integer arrays in
 lexicographic order with the first support factor outermost, support indices
 are 1-based on the wire, and rationals are "numerator/denominator" strings.
+
+Readers accept only JSON integers where the format has integers: a float,
+bool or string there raises TypeError instead of being truncated or coerced.
+Format version "2" dropped an always-true flag from certificates; version "1"
+certificates still read, the flag ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
 from .variety import Variety
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def frac_to_str(fr: Fraction) -> str:
@@ -33,18 +38,26 @@ def shape_to_obj(shape: Shape) -> dict:
     return {"p": shape.p, "k": shape.k, "dims": list(shape.dims)}
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> list[int]:
+    return [_int(x, what) for x in values]
+
+
 def shape_from_obj(obj) -> Shape:
-    shape = Shape(int(obj["p"]), tuple(int(n) for n in obj["dims"]))
-    if "k" in obj and int(obj["k"]) != shape.k:
+    shape = Shape(_int(obj["p"], "p"), tuple(_ints(obj["dims"], "dims")))
+    if "k" in obj and _int(obj["k"], "k") != shape.k:
         raise PreconditionError(f"k={obj['k']} does not match {len(obj['dims'])} dims")
     return shape
 
 
 def form_to_obj(form: MultilinearForm) -> dict:
     return {
-        "p": form.shape.p,
-        "k": form.shape.k,
-        "dims": list(form.shape.dims),
+        **shape_to_obj(form.shape),
         "support": [j + 1 for j in form.support],
         "coeffs": [int(c) for c in form.coeffs.reshape(-1)],
     }
@@ -54,17 +67,20 @@ def form_from_obj(obj, shape: Shape | None = None) -> MultilinearForm:
     found = shape_from_obj(obj)
     if shape is not None and found != shape:
         raise PreconditionError("form shape does not match the enclosing shape")
-    support = tuple(int(j) - 1 for j in obj["support"])
+    support = tuple(j - 1 for j in _ints(obj["support"], "support"))
     if any(j < 0 for j in support):
         raise PreconditionError("support indices are 1-based")
-    return MultilinearForm(found, support, np.array(obj["coeffs"], dtype=np.int64))
+    return MultilinearForm(found, support, _coeff_array(obj["coeffs"], found.p))
+
+
+def _coeff_array(values, p: int) -> np.ndarray:
+    # reduced before the int64 conversion, so huge integers cannot overflow it
+    return np.array([c % p for c in _ints(values, "coeffs")], dtype=np.int64)
 
 
 def map_to_obj(m: MultilinearMap) -> dict:
     return {
-        "p": m.shape.p,
-        "k": m.shape.k,
-        "dims": list(m.shape.dims),
+        **shape_to_obj(m.shape),
         "support": [j + 1 for j in m.support],
         "codomain_dim": m.codomain_dim,
         "components": [[int(c) for c in f.coeffs.reshape(-1)] for f in m.components],
@@ -73,12 +89,12 @@ def map_to_obj(m: MultilinearMap) -> dict:
 
 def map_from_obj(obj) -> MultilinearMap:
     shape = shape_from_obj(obj)
-    support = tuple(int(j) - 1 for j in obj["support"])
+    support = tuple(j - 1 for j in _ints(obj["support"], "support"))
     comps = [
-        MultilinearForm(shape, support, np.array(row, dtype=np.int64))
+        MultilinearForm(shape, support, _coeff_array(row, shape.p))
         for row in obj["components"]
     ]
-    if "codomain_dim" in obj and int(obj["codomain_dim"]) != len(comps):
+    if "codomain_dim" in obj and _int(obj["codomain_dim"], "codomain_dim") != len(comps):
         raise PreconditionError("codomain_dim does not match the component count")
     return MultilinearMap(shape, support, comps)
 
@@ -104,36 +120,17 @@ def variety_from_obj(obj) -> Variety:
     return Variety(shape, forms)
 
 
-def _ledger_record_to_obj(record: dict) -> dict:
-    out = {}
-    for key, value in record.items():
-        if isinstance(value, Fraction):
-            out[key] = frac_to_str(value)
-        elif key == "directions" and value is not None:
-            out[key] = [
-                {
-                    **d,
-                    "min_fiber_density": frac_to_str(d["min_fiber_density"]),
-                }
-                for d in value
-            ]
-        else:
-            out[key] = value
-    return out
-
-
-def _ledger_record_from_obj(obj: dict) -> dict:
-    out = {}
-    for key, value in obj.items():
-        if key in ("c", "c_prime", "c_double_prime", "epsilon") and value is not None:
-            out[key] = frac_from_str(value)
-        elif key == "directions" and value is not None:
-            out[key] = [
-                {**d, "min_fiber_density": frac_from_str(d["min_fiber_density"])}
-                for d in value
-            ]
-        else:
-            out[key] = value
+def _convert_ledger_record(record: dict, convert) -> dict:
+    """Copy of a ledger record with convert applied to each rational in it."""
+    out = dict(record)
+    for key in ("c", "c_prime", "c_double_prime", "epsilon"):
+        if out.get(key) is not None:
+            out[key] = convert(out[key])
+    if out.get("directions") is not None:
+        out["directions"] = [
+            {**d, "min_fiber_density": convert(d["min_fiber_density"])}
+            for d in out["directions"]
+        ]
     return out
 
 
@@ -143,9 +140,8 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
         "input_density": frac_to_str(cert.input_density),
         "output_codim": cert.output_codim,
         "budget": cert.budget,
-        "containment_verified": cert.containment_verified,
         "output": variety_to_obj(cert.output),
-        "ledger": [_ledger_record_to_obj(r) for r in cert.ledger],
+        "ledger": [_convert_ledger_record(r, frac_to_str) for r in cert.ledger],
     }
     if config is not None:
         out["config"] = config
@@ -156,10 +152,9 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
     return SubvarietyCertificate(
         input_density=frac_from_str(obj["input_density"]),
         output=variety_from_obj(obj["output"]),
-        output_codim=int(obj["output_codim"]),
-        budget=int(obj["budget"]),
-        ledger=tuple(_ledger_record_from_obj(r) for r in obj["ledger"]),
-        containment_verified=bool(obj["containment_verified"]),
+        output_codim=_int(obj["output_codim"], "output_codim"),
+        budget=_int(obj["budget"], "budget"),
+        ledger=tuple(_convert_ledger_record(r, frac_from_str) for r in obj["ledger"]),
     )
 
 

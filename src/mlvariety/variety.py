@@ -132,12 +132,7 @@ def variety_points(v: Variety) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Points of the variety in enumeration order."""
     if v.is_empty:
         return
-    mask = variety_bitmap(v)
-    p = v.shape.p
-    for idx in np.argwhere(mask):
-        yield tuple(
-            vector_from_index(p, v.shape.dims[i], int(t)) for i, t in enumerate(idx)
-        )
+    yield from _mask_points(v.shape, variety_bitmap(v))
 
 
 def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
@@ -230,12 +225,20 @@ class PointSet:
         return bool(self.mask[_point_index(self.shape, point)])
 
     def points(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        p = self.shape.p
-        for idx in np.argwhere(self.mask):
-            yield tuple(
-                vector_from_index(p, self.shape.dims[i], int(t))
-                for i, t in enumerate(idx)
-            )
+        return _mask_points(self.shape, self.mask)
+
+
+def _mask_points(shape: Shape, mask: np.ndarray) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The points set in a membership bitmap, in enumeration order."""
+    for idx in np.argwhere(mask):
+        yield _point_from_index(shape, idx)
+
+
+def _point_from_index(shape: Shape, idx) -> tuple[tuple[int, ...], ...]:
+    """Inverse of _point_index: one vector per factor from its rank."""
+    return tuple(
+        vector_from_index(shape.p, n, int(t)) for n, t in zip(shape.dims, idx)
+    )
 
 
 def _point_index(shape: Shape, point) -> tuple[int, ...]:
@@ -322,13 +325,19 @@ def iterated_conv_witness(v: Variety, bad: PointSet, point) -> Parallelepiped | 
     outermost) is returned; equivalently, the offset tuple minimizing the
     reversed lexicographic order over the surviving offset mask.
     """
-    shape = v.shape
-    if bad.shape != shape:
+    _, allowed = _masks_minus_bad(v, bad)
+    return _witness_from_masks(v.shape, allowed, point)
+
+
+def _masks_minus_bad(v: Variety, bad: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The variety's bitmap, and that bitmap with the bad set removed, after
+    checking that the bad set lies inside the variety."""
+    if bad.shape != v.shape:
         raise PreconditionError("bad set must live on the variety's shape")
     wmask = variety_bitmap(v)
     if bool(np.any(bad.mask & ~wmask)):
         raise PreconditionError("bad set must be a subset of the variety")
-    return _witness_from_masks(shape, wmask & ~bad.mask, point)
+    return wmask, wmask & ~bad.mask
 
 
 def _witness_from_masks(shape: Shape, allowed: np.ndarray, point) -> Parallelepiped | None:
@@ -339,11 +348,21 @@ def _witness_from_masks(shape: Shape, allowed: np.ndarray, point) -> Parallelepi
     reversed_axes = tuple(reversed(range(shape.k)))
     flat = int(np.argmax(np.transpose(offsets, reversed_axes)))
     rev_idx = np.unravel_index(flat, tuple(offsets.shape[i] for i in reversed_axes))
-    idx = tuple(reversed(rev_idx))
-    off = tuple(
-        vector_from_index(shape.p, shape.dims[i], int(t)) for i, t in enumerate(idx)
-    )
-    return Parallelepiped(shape, pt, off)
+    return Parallelepiped(shape, pt, _point_from_index(shape, reversed(rev_idx)))
+
+
+def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
+    """Witness search at every point of the `points` bitmap, in enumeration
+    order: yields (point, parallelepiped inside `allowed`, or None)."""
+    budget.charge(int(np.count_nonzero(points)) * shape.k, what)
+    for pt in _mask_points(shape, points):
+        yield pt, _witness_from_masks(shape, allowed, pt)
+
+
+def bad_set_cap(shape: Shape, codim: int) -> Fraction:
+    """Largest bad set the filling argument tolerates on a variety of the
+    given codimension: 2**(-2k) p**(-k r) |G|."""
+    return Fraction(shape.total_points, 2 ** (2 * shape.k) * shape.p ** (shape.k * codim))
 
 
 @dataclass(frozen=True)
@@ -363,36 +382,24 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     """Demand a parallelepiped witness at every point of the variety.
 
     Preconditions (rejected with a diagnostic when violated): the bad set
-    lies inside the variety and |bad| <= 2**(-2k) p**(-k r) |G| where r is
-    the representation codimension.  Each witness's corners are re-checked
-    against the bad set before it counts.
+    lies inside the variety and within bad_set_cap of the representation
+    codimension.  Each witness's corners are re-checked against the bad set
+    before it counts.
     """
     shape = v.shape
-    if bad.shape != shape:
-        raise PreconditionError("bad set must live on the variety's shape")
-    wmask = variety_bitmap(v)
-    if bool(np.any(bad.mask & ~wmask)):
-        raise PreconditionError("bad set must be a subset of the variety")
-    k = shape.k
+    wmask, allowed = _masks_minus_bad(v, bad)
     r = v.codim
-    cap = Fraction(shape.total_points, 2 ** (2 * k) * shape.p ** (k * r))
+    cap = bad_set_cap(shape, r)
     if bad.size > cap:
         raise PreconditionError(
             f"bad set of size {bad.size} exceeds the allowed {cap} "
-            f"(k={k}, codim={r}, |G|={shape.total_points})"
+            f"(k={shape.k}, codim={r}, |G|={shape.total_points})"
         )
-    allowed = wmask & ~bad.mask
-    p = shape.p
     failures = []
     checked = 0
     corners_checked = 0
-    budget.charge(int(np.count_nonzero(wmask)) * k, "filling check")
-    for idx in np.argwhere(wmask):
-        pt = tuple(
-            vector_from_index(p, shape.dims[i], int(t)) for i, t in enumerate(idx)
-        )
+    for pt, witness in _fill_scan(shape, wmask, allowed, "filling check"):
         checked += 1
-        witness = _witness_from_masks(shape, allowed, pt)
         if witness is None:
             failures.append(pt)
             continue

@@ -84,10 +84,24 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "verified=True" in summary
     obj = json.loads(cert_path.read_text())
-    assert obj["containment_verified"] is True
+    assert obj["format_version"] == "2"
+    assert "containment_verified" not in obj
     assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
     assert obj["config"]["command"] == "find-sub"
 
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_OK
+
+
+def test_verify_reads_format_1_certificate(dot_files, tmp_path):
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    obj["format_version"] = "1"
+    obj["containment_verified"] = True
+    cert_path.write_text(json.dumps(obj))
     assert main([
         "verify", "--input", str(var_path), "--certificate", str(cert_path),
     ]) == EXIT_OK
@@ -196,6 +210,53 @@ def test_rank_infinite_analytic_rank(tmp_path, capsys):
 def test_budget_flag_produces_budget_exit(dot_files):
     form_path, _ = dot_files
     assert main(["rank", "--input", str(form_path), "--budget", "2"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_flag_rejects_nonpositive(dot_files, value):
+    form_path, _ = dot_files
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--input", str(form_path), "--budget", value])
+    assert exc.value.code == EXIT_PARSE
+
+
+def test_budget_flag_is_scoped_to_its_call(dot_files):
+    form_path, _ = dot_files
+    assert main(["rank", "--input", str(form_path), "--budget", "2"]) == EXIT_BUDGET
+    assert main(["rank", "--input", str(form_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", ["a", 0, 0, 1]),
+    ("coeffs", [1.7, 0, 0, 1]),
+    ("coeffs", [True, 0, 0, 1]),
+    ("support", [1.0, 2]),
+    ("support", ["1", 2]),
+    ("p", 2.0),
+    ("p", "2"),
+    ("dims", [2, 2.5]),
+    ("dims", [True, 2]),
+])
+def test_non_integer_input_is_an_input_error(tmp_path, capsys, field, value):
+    form = dict(DOT_FORM, **{field: value})
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(form))
+    var_path = tmp_path / "variety.json"
+    shape = {"p": 2, "k": 2, "dims": [2, 2]}
+    if field in ("p", "dims"):
+        shape[field] = value
+    var_path.write_text(json.dumps(dict(DOT_VARIETY, shape=shape, forms=[form])))
+    assert main(["rank", "--input", str(form_path)]) == EXIT_PARSE
+    assert main(["density", "--input", str(var_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 2
+
+
+def test_huge_coefficients_reduce_mod_p(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(dict(DOT_FORM, coeffs=[2**80 + 1, 0, 2**70, 1])))
+    assert main(["rank", "--input", str(path)]) == EXIT_OK
+    assert "bias: 1/4" in capsys.readouterr().out
 
 
 def test_find_sub_artifact_is_reproducible(dot_files, tmp_path):

@@ -7,7 +7,6 @@ from mlvariety import budget
 from mlvariety.budget import BudgetExceededError
 from mlvariety.errors import PreconditionError
 from mlvariety.field import (
-    FieldVec,
     Subspace,
     all_vectors,
     annihilator,
@@ -17,7 +16,6 @@ from mlvariety.field import (
     subspace_contains,
     subspace_points,
     validate_prime,
-    vec_add,
     vector_from_index,
     vector_index,
 )
@@ -36,42 +34,20 @@ def test_validate_prime_rejects(bad):
         validate_prime(bad)
 
 
-def test_vec_add_mod2():
-    a = FieldVec(2, (1, 1))
-    b = FieldVec(2, (1, 0))
-    assert vec_add(a, b) == FieldVec(2, (0, 1))
-
-
-def test_vec_add_identity():
-    v = FieldVec(3, (2, 0, 1))
-    assert vec_add(v, FieldVec(3, (0, 0, 0))) == v
-
-
-def test_vec_add_mod3():
-    assert vec_add(FieldVec(3, (2, 1)), FieldVec(3, (2, 2))) == FieldVec(3, (1, 0))
-
-
-def test_vec_add_mismatches():
-    with pytest.raises(PreconditionError):
-        vec_add(FieldVec(2, (1,)), FieldVec(3, (1,)))
-    with pytest.raises(PreconditionError):
-        vec_add(FieldVec(2, (1,)), FieldVec(2, (1, 0)))
-
-
 def test_enumerate_vectors_p2_dim1():
-    assert [v.coords for v in enumerate_vectors(2, 1)] == [(0,), (1,)]
+    assert list(enumerate_vectors(2, 1)) == [(0,), (1,)]
 
 
 def test_enumerate_vectors_p2_dim2_lex_order():
-    got = [v.coords for v in enumerate_vectors(2, 2)]
+    got = list(enumerate_vectors(2, 2))
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_vectors_p3_dim2_endpoints():
     got = list(enumerate_vectors(3, 2))
     assert len(got) == 9
-    assert got[0].coords == (0, 0)
-    assert got[-1].coords == (2, 2)
+    assert got[0] == (0, 0)
+    assert got[-1] == (2, 2)
 
 
 @given(st.integers(2, 3), st.integers(0, 4))
@@ -79,7 +55,7 @@ def test_enumerate_vectors_p3_dim2_endpoints():
 def test_enumerate_vectors_distinct(p, dim):
     if p == 3 and dim > 3:
         dim = 3
-    seen = {v.coords for v in enumerate_vectors(p, dim)}
+    seen = set(enumerate_vectors(p, dim))
     assert len(seen) == p**dim
 
 
@@ -92,13 +68,13 @@ def test_enumerate_vectors_refuses_over_budget():
 def test_vector_index_roundtrip():
     for p, dim in [(2, 3), (3, 2), (5, 1)]:
         for i, v in enumerate(enumerate_vectors(p, dim)):
-            assert vector_index(p, v.coords) == i
-            assert vector_from_index(p, dim, i) == v.coords
+            assert vector_index(p, v) == i
+            assert vector_from_index(p, dim, i) == v
 
 
 def test_all_vectors_matches_enumeration():
     table = all_vectors(3, 2)
-    listed = [v.coords for v in enumerate_vectors(3, 2)]
+    listed = list(enumerate_vectors(3, 2))
     assert [tuple(int(c) for c in row) for row in table] == listed
 
 
@@ -107,14 +83,14 @@ def test_shift_permutation_is_translation():
     shift = (1, 2)
     perm = shift_permutation(p, n, shift)
     for idx, v in enumerate(enumerate_vectors(p, n)):
-        moved = tuple((c + s) % p for c, s in zip(v.coords, shift))
+        moved = tuple((c + s) % p for c, s in zip(v, shift))
         assert perm[idx] == vector_index(p, moved)
 
 
 def test_echelonize_duplicate_rows():
-    s = echelonize([FieldVec(2, (1, 1)), FieldVec(2, (1, 1))])
+    s = echelonize([(1, 1), (1, 1)], 2, 2)
     assert s.rank == 1
-    assert s.basis[0].coords == (1, 1)
+    assert s.basis[0] == (1, 1)
 
 
 def test_echelonize_empty():
@@ -123,8 +99,8 @@ def test_echelonize_empty():
 
 
 def test_echelonize_dependent_triple():
-    vecs = [FieldVec(2, (1, 0, 1)), FieldVec(2, (0, 1, 1)), FieldVec(2, (1, 1, 0))]
-    assert echelonize(vecs).rank == 2
+    vecs = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
+    assert echelonize(vecs, 2, 3).rank == 2
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -141,10 +117,10 @@ def test_echelonize_idempotent_and_rank_oracle(seed):
 
 
 def test_subspace_contains_examples():
-    s = echelonize([FieldVec(2, (1, 1))])
+    s = echelonize([(1, 1)], 2, 2)
     assert subspace_contains(s, (0, 0))
     assert not subspace_contains(s, (1, 0))
-    full = echelonize([FieldVec(2, (1, 0)), FieldVec(2, (0, 1))])
+    full = echelonize([(1, 0), (0, 1)], 2, 2)
     assert subspace_contains(full, (1, 1))
 
 
@@ -158,7 +134,7 @@ def test_subspace_point_count_matches_rank(seed):
     s = echelonize(rows, p=p, ambient_dim=n)
     by_scan = sum(1 for v in enumerate_vectors(p, n) if subspace_contains(s, v))
     assert by_scan == p**s.rank
-    listed = {v.coords for v in subspace_points(s)}
+    listed = set(subspace_points(s))
     assert len(listed) == p**s.rank
     assert all(subspace_contains(s, v) for v in listed)
 
@@ -175,13 +151,13 @@ def test_annihilator_orthogonal_and_complementary(seed):
     assert a.rank == n - s.rank
     for w in a.basis:
         for v in s.basis:
-            assert sum(x * y for x, y in zip(w.coords, v.coords)) % p == 0
+            assert sum(x * y for x, y in zip(w, v)) % p == 0
 
 
 def test_subspace_rejects_non_echelon_basis():
     with pytest.raises(PreconditionError):
-        Subspace(2, 2, (FieldVec(2, (0, 1)), FieldVec(2, (1, 0))))
+        Subspace(2, 2, ((0, 1), (1, 0)))
     with pytest.raises(PreconditionError):
-        Subspace(3, 2, (FieldVec(3, (2, 1)),))  # pivot not normalized
+        Subspace(3, 2, ((2, 1),))  # pivot not normalized
     with pytest.raises(PreconditionError):
-        Subspace(2, 2, (FieldVec(2, (1, 1)), FieldVec(2, (0, 1))))  # column not cleared
+        Subspace(2, 2, ((1, 1), (0, 1)))  # column not cleared

@@ -12,6 +12,8 @@ from mlvariety.variety import (
     Parallelepiped,
     PointSet,
     Variety,
+    _point_from_index,
+    _point_index,
     conv_fill_check,
     density,
     directional_convolution,
@@ -76,6 +78,15 @@ def test_variety_points_in_lex_order():
     v = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
     pts = list(variety_points(v))
     assert pts == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
+
+
+def test_point_from_index_inverts_point_index():
+    sh = Shape(3, (1, 2, 1))
+    sizes = sh.group_sizes
+    for rank, point in enumerate(enumerate_points(sh)):
+        idx = np.unravel_index(rank, sizes)
+        assert _point_index(sh, point) == idx
+        assert _point_from_index(sh, idx) == point
 
 
 # ---------------------------------------------------------------------------
