@@ -26,6 +26,7 @@ from .errors import (
     ApproxMismatchError,
     ConstructionError,
     EmptyVarietyError,
+    InputFormatError,
     PreconditionError,
     ZeroBiasError,
 )

@@ -30,7 +30,7 @@ from .construct import (
     find_subvariety,
     verify_certificate,
 )
-from .errors import PreconditionError, ZeroBiasError
+from .errors import InputFormatError, PreconditionError, ZeroBiasError
 from .forms import (
     Shape,
     analytic_rank,
@@ -406,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "bad_count", None) is not None and args.bad_count < 0:
+        parser.error(f"--bad-count must be a non-negative integer, got {args.bad_count}")
     saved_budget = budget.point_budget()
     if args.budget is not None:
         if args.budget < 1:
@@ -413,7 +415,7 @@ def main(argv=None) -> int:
         budget.set_point_budget(args.budget)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
+    except (json.JSONDecodeError, InputFormatError, KeyError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .field import all_vectors, vector_from_index
-from .forms import MultilinearForm, MultilinearMap, ceil_log, eval_grid
+from .forms import MultilinearForm, MultilinearMap, _grid_scope, ceil_log, eval_grid
 from .variety import (
     Variety,
     _fill_scan,
@@ -110,6 +110,7 @@ class ApproxResult:
     survivors_per_step: tuple[int, ...]
 
 
+@_grid_scope()
 def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     """Approximate {source = 0} externally by s functionals of the codomain.
 
@@ -121,6 +122,10 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     value, exactly a 1/p fraction of functionals vanish on it), so after s
     steps at most p**-s |G| survivors remain; those are exactly the
     approximation error, which is counted and returned.
+
+    Containment is checked on the value grids of the phi components
+    themselves, each distinct one evaluated once in a grid scope, never on
+    values derived from the chosen functionals.
     """
     if s < 0:
         raise PreconditionError("the number of functionals must be non-negative")
@@ -136,14 +141,21 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     else:
         values = np.zeros((0, support_total), dtype=np.int64)
     functionals = all_vectors(p, m).astype(np.int64)
-    survivors = (values != 0).any(axis=0)
+    source_zero = ~(values != 0).any(axis=0)
+    survivors = ~source_zero
+    # Where each functional kills the source value: the same at every step,
+    # so it is built once, one functional at a time.
+    zero_table = None
     chosen = []
     per_step = []
     for _ in range(s):
         if survivors.any():
             budget.charge(p**m * support_total, "functional scan")
-            zero_table = (functionals @ values) % p == 0
-            counts = (zero_table & survivors[None, :]).sum(axis=1)
+            if zero_table is None:
+                zero_table = np.empty((len(functionals), support_total), dtype=bool)
+                for row, psi in zip(zero_table, functionals):
+                    np.equal((psi @ values) % p, 0, out=row)
+            counts = np.count_nonzero(zero_table & survivors, axis=1)
             best = int(np.argmin(counts))
             survivors = survivors & zero_table[best]
         else:
@@ -160,12 +172,9 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
         blank = np.zeros(tuple(shape.dims[j] for j in source.support), dtype=np.uint8)
         components = [MultilinearForm(shape, source.support, blank) for _ in chosen]
     phi = MultilinearMap(shape, source.support, components)
-    source_zero = ~(values != 0).any(axis=0)
-    if components:
-        phi_values = np.stack([eval_grid(f).reshape(-1) for f in components])
-        phi_zero = (phi_values == 0).all(axis=0)
-    else:
-        phi_zero = np.ones(support_total, dtype=bool)
+    phi_zero = np.ones(support_total, dtype=bool)
+    for f in components:
+        phi_zero &= eval_grid(f).reshape(-1) == 0
     if bool(np.any(source_zero & ~phi_zero)):
         raise ConstructionError("containment of the source zero set failed")
     error_count = int(np.count_nonzero(phi_zero & ~source_zero)) * outside_mult
@@ -345,6 +354,7 @@ def _ledger_record(path: str, arity: int, c: Fraction, **extra) -> dict:
     return record
 
 
+@_grid_scope()
 def find_subvariety(
     v: Variety, *, epsilon_override: Fraction | None = None
 ) -> SubvarietyCertificate:
@@ -364,6 +374,9 @@ def find_subvariety(
     above the safe value can produce a strictly larger approximation, which
     raises ApproxMismatchError carrying the overshoot count (a negative
     control; the count is never below c''**arity * |G| when it happens).
+
+    The whole extraction, recursion included, runs in one grid scope, so
+    each distinct form is evaluated once; the scope closes on return.
     """
     shape = v.shape
     p = shape.p
@@ -506,7 +519,8 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
     Flags: (a) the output is contained in the input pointwise, (b) the
     output is nonempty, (c) the claimed codimension matches the output's
     deduplicated form count and fits the budget for the input's density.
-    Failures are flags, not exceptions.
+    Failures are flags, not exceptions.  It opens no grid scope, so called
+    after find_subvariety it evaluates every form afresh.
     """
     bud = codim_budget(v.shape.k, v.shape.p, _nonzero_density(v))
     if cert.output.shape != v.shape:

@@ -11,6 +11,10 @@ class EmptyVarietyError(PreconditionError):
     """The operation requires a nonempty variety."""
 
 
+class InputFormatError(ValueError):
+    """A value read from an input file is malformed."""
+
+
 class ZeroBiasError(ArithmeticError):
     """Bias is zero, so the analytic rank is infinite.
 

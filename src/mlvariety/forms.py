@@ -9,6 +9,8 @@ analytic rank, never in a decision.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,10 +208,50 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
     return t.astype(np.uint8)
 
 
+# Value grids already computed in the open grid scope, keyed by
+# (shape, form key); None when no scope is open.
+_GRIDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "mlvariety_grids", default=None
+)
+
+
+@contextlib.contextmanager
+def _grid_scope():
+    """Memoize eval_grid for the duration of the block.
+
+    Opens a scope only when none is open in this context, so nested calls
+    share the outermost one; the memo is dropped when that scope closes.
+    """
+    if _GRIDS.get() is not None:
+        yield
+        return
+    token = _GRIDS.set({})
+    try:
+        yield
+    finally:
+        _GRIDS.reset(token)
+
+
 def eval_grid(form: MultilinearForm) -> np.ndarray:
-    """Values of the form at every point of its support product group."""
+    """Values of the form at every point of its support product group.
+
+    Inside a grid scope each distinct form is evaluated once and later calls
+    return the same read-only array.  A hit charges the budget exactly like
+    an evaluation, so work_points() and every budget refusal do not depend
+    on the memo.
+    """
     dims = [form.shape.dims[j] for j in form.support]
-    return _value_grid(form.shape.p, dims, form.coeffs)
+    grids = _GRIDS.get()
+    if grids is None:
+        return _value_grid(form.shape.p, dims, form.coeffs)
+    key = (form.shape, form.key())
+    grid = grids.get(key)
+    if grid is None:
+        grid = grids[key] = _value_grid(form.shape.p, dims, form.coeffs)
+        grid.setflags(write=False)
+    else:
+        budget.charge(grid.size, "evaluation grid")
+    return grid
 
 
 def slice_form(form: MultilinearForm, factors: Iterable[int], coords) -> MultilinearForm:

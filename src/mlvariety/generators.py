@@ -149,6 +149,8 @@ def random_point_subset(
     rng: random.Random, shape: Shape, mask: np.ndarray, count: int
 ) -> PointSet:
     """count distinct points sampled from the masked set."""
+    if count < 0:
+        raise PreconditionError(f"cannot sample a negative number of points ({count})")
     pool = np.argwhere(np.asarray(mask, dtype=bool))
     if count > len(pool):
         raise PreconditionError(f"cannot sample {count} points from {len(pool)}")

@@ -6,6 +6,8 @@ are 1-based on the wire, and rationals are "numerator/denominator" strings.
 
 Readers accept only JSON integers where the format has integers: a float,
 bool or string there raises TypeError instead of being truncated or coerced.
+A rational that is not such a string, or has a zero denominator, raises
+InputFormatError.
 Format version "2" dropped an always-true flag from certificates; version "1"
 certificates still read, the flag ignored.
 """
@@ -13,13 +15,14 @@ certificates still read, the flag ignored.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .construct import SubvarietyCertificate
-from .errors import PreconditionError
+from .errors import InputFormatError, PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
 from .variety import Variety
 
@@ -30,8 +33,20 @@ def frac_to_str(fr: Fraction) -> str:
     return str(Fraction(fr))
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def frac_from_str(s) -> Fraction:
-    return Fraction(str(s))
+    """Read a "numerator/denominator" (or integer) string; anything else,
+    a zero denominator included, raises InputFormatError."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise InputFormatError(f"expected a rational string like '1/4', got {s!r:.60}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise InputFormatError(f"rational {s!r:.60} has a zero denominator") from None
+    except ValueError as exc:  # over the int-from-str digit limit
+        raise InputFormatError(f"rational {s!r:.60} is too long: {exc}") from None
 
 
 def shape_to_obj(shape: Shape) -> dict:

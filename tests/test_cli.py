@@ -158,6 +158,39 @@ def test_conv_check_success_and_rejection(dot_files, tmp_path):
     ]) == EXIT_PRECONDITION
 
 
+def test_conv_check_rejects_negative_bad_count(dot_files):
+    _, var_path = dot_files
+    with pytest.raises(SystemExit) as exc:
+        main(["conv-check", "--input", str(var_path), "--bad-count", "-3"])
+    assert exc.value.code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("path, value", [
+    (["input_density"], "abc"),
+    (["input_density"], "1/0"),
+    (["input_density"], 0.25),
+    (["ledger", 0, "c_prime"], "1/2/3"),
+    (["ledger", 0, "directions", 0, "min_fiber_density"], "3/0"),
+])
+def test_malformed_rational_in_certificate_is_an_input_error(
+    dot_files, tmp_path, capsys, path, value
+):
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cert_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    assert "input error:" in capsys.readouterr().err
+
+
 def test_approx_harness(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({

@@ -1,11 +1,15 @@
+import collections
 import dataclasses
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlvariety import forms
 from mlvariety.construct import (
     arity_constant,
     budget_line,
@@ -32,6 +36,23 @@ from mlvariety.jsonio import certificate_to_obj
 from mlvariety.variety import Variety, density, membership, variety_bitmap, variety_points
 
 from helpers import brute_eval, enumerate_points, small_dims
+
+
+def count_grid_evaluations(monkeypatch):
+    """Counter of (shape, form key) over every evaluation that reaches
+    forms._value_grid from eval_grid."""
+    seen = collections.Counter()
+    original = forms._value_grid
+
+    def counting(p, axis_dims, coeffs):
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "eval_grid"
+        form = caller.f_locals["form"]
+        seen[(form.shape, form.key())] += 1
+        return original(p, axis_dims, coeffs)
+
+    monkeypatch.setattr(forms, "_value_grid", counting)
+    return seen
 
 
 def dot_variety(p, n):
@@ -168,6 +189,45 @@ def test_approx_deterministic():
     r1 = external_approx(source, 2)
     r2 = external_approx(source, 2)
     assert r1.phi == r2.phi
+
+
+@pytest.mark.parametrize(
+    "p, m, dims", [(2, 2, (2, 2)), (2, 3, (1, 3)), (3, 2, (2, 1)), (3, 2, (1, 1, 2))]
+)
+def test_approx_greedy_picks_first_minimizer(p, m, dims):
+    """Brute-force oracle for the greedy step: every survivor count is
+    recomputed per functional in enumeration order, and the chosen functional
+    must be the first minimizer."""
+    ties = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        sh = Shape(p, dims)
+        source = random_map(rng, sh, m)
+        s = 4
+        res = external_approx(source, s)
+        points = list(enumerate_points(sh))
+        values = [[brute_eval(f, pt) for pt in points] for f in source.components]
+        survivors = [any(col) for col in zip(*values)]
+        functionals = list(itertools.product(range(p), repeat=m))
+
+        def kills(psi, i):
+            return sum(a * v[i] for a, v in zip(psi, values)) % p == 0
+
+        for step in range(s):
+            counts = [
+                sum(alive and kills(psi, i) for i, alive in enumerate(survivors))
+                for psi in functionals
+            ]
+            best = counts.index(min(counts)) if any(survivors) else 0
+            ties += any(survivors) and counts.count(min(counts)) > 1
+            psi = functionals[best]
+            expected = sum(
+                a * f.coeffs.astype(np.int64) for a, f in zip(psi, source.components)
+            ) % p
+            assert np.array_equal(res.phi.components[step].coeffs, expected)
+            survivors = [alive and kills(psi, i) for i, alive in enumerate(survivors)]
+            assert res.survivors_per_step[step] == sum(survivors)
+    assert ties > 0
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +451,25 @@ def test_forced_epsilon_overshoot_diagnostic():
     assert err.extra_count == 6  # |G| - |V| = 16 - 10
     assert err.extra_count >= err.extra_floor
     assert err.point is not None
+
+
+@pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
+def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
+    v = random_variety(random.Random(21), Shape(p, dims), 2, full_support_only=full)
+    seen = count_grid_evaluations(monkeypatch)
+    cert = find_subvariety(v)
+    assert seen and max(seen.values()) == 1
+    assert forms._GRIDS.get() is None
+    # the verifier runs outside the scope: every form it needs is evaluated again
+    seen.clear()
+    assert verify_certificate(v, cert).all_ok
+    assert set(seen) == {(f.shape, f.key()) for f in v.forms + cert.output.forms}
+
+
+def test_grid_scope_closes_when_the_finder_raises():
+    with pytest.raises(ApproxMismatchError):
+        find_subvariety(dot_variety(2, 2), epsilon_override=Fraction(1))
+    assert forms._GRIDS.get() is None
 
 
 def test_base_case_random_subspaces():

@@ -74,3 +74,5 @@ def test_random_point_subset_counts_and_containment():
     assert not np.any(got.mask & ~mask)
     with pytest.raises(PreconditionError):
         random_point_subset(rng, sh, mask, int(np.count_nonzero(mask)) + 1)
+    with pytest.raises(PreconditionError):
+        random_point_subset(rng, sh, mask, -1)
