@@ -308,12 +308,12 @@ def _sweep_rows(config: RunConfig):
 def cmd_sweep(args) -> int:
     if args.format == "json":
         raise PreconditionError("sweep output is csv")
-    dims = tuple(int(x) for x in args.dims.split(","))
+    dims = tuple(args.dims)
     params = {}
     if args.gen == "product":
         if not args.logdensities:
             raise PreconditionError("product sweeps need --logdensities")
-        params["logdensities"] = [int(x) for x in args.logdensities.split(",")]
+        params["logdensities"] = args.logdensities
     elif args.gen == "low-prank":
         params["count"] = args.count
         params["terms"] = args.terms
@@ -346,6 +346,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser and dispatch
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; a malformed entry is a usage error."""
+    return [int(x) for x in text.split(",")] if text else []
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -390,10 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common], help="deterministic instance sweep CSV")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--p", type=int, default=2)
-    p_sweep.add_argument("--dims", required=True, help="comma-separated factor dimensions")
+    p_sweep.add_argument("--dims", type=_int_list, required=True,
+                         help="comma-separated factor dimensions")
     p_sweep.add_argument("--gen", choices=["product", "random-forms", "low-prank"],
                          default="product")
-    p_sweep.add_argument("--logdensities", default=None,
+    p_sweep.add_argument("--logdensities", type=_int_list, default=None,
                          help="comma-separated planted log_p(1/density) values")
     p_sweep.add_argument("--count", type=int, default=0, help="rows for random generators")
     p_sweep.add_argument("--forms", type=int, default=2, help="forms per random variety")
@@ -406,8 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "bad_count", None) is not None and args.bad_count < 0:
-        parser.error(f"--bad-count must be a non-negative integer, got {args.bad_count}")
+    for name in ("bad_count", "count", "forms", "terms"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"{flag} must be a non-negative integer, got {value}")
+    if any(t < 0 for t in getattr(args, "logdensities", None) or ()):
+        parser.error(f"--logdensities must be non-negative integers, got {args.logdensities}")
     saved_budget = budget.point_budget()
     if args.budget is not None:
         if args.budget < 1:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .variety import (
     _fill_scan,
     _point_from_index,
     bad_set_cap,
-    density,
     slice_variety,
     variety_bitmap,
 )
@@ -132,14 +130,12 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     shape = source.shape
     p = shape.p
     m = source.codomain_dim
-    support_total = math.prod(p ** shape.dims[j] for j in source.support)
+    support_dims = tuple(shape.dims[j] for j in source.support)
+    support_total = p ** sum(support_dims)
     outside_mult = shape.total_points // support_total
-    if m:
-        values = np.stack(
-            [eval_grid(f).reshape(-1).astype(np.int64) for f in source.components]
-        )
-    else:
-        values = np.zeros((0, support_total), dtype=np.int64)
+    values = np.array(
+        [eval_grid(f).reshape(-1) for f in source.components], dtype=np.int64
+    ).reshape(m, support_total)
     functionals = all_vectors(p, m).astype(np.int64)
     source_zero = ~(values != 0).any(axis=0)
     survivors = ~source_zero
@@ -162,15 +158,13 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
             best = 0
         chosen.append(functionals[best])
         per_step.append(int(np.count_nonzero(survivors)))
-    components = []
-    if m:
-        stacked = np.stack([f.coeffs.astype(np.int64) for f in source.components])
-        for psi in chosen:
-            combo = np.tensordot(psi, stacked, axes=([0], [0])) % p
-            components.append(MultilinearForm(shape, source.support, combo))
-    else:
-        blank = np.zeros(tuple(shape.dims[j] for j in source.support), dtype=np.uint8)
-        components = [MultilinearForm(shape, source.support, blank) for _ in chosen]
+    stacked = np.array(
+        [f.coeffs for f in source.components], dtype=np.int64
+    ).reshape(m, *support_dims)
+    components = [
+        MultilinearForm(shape, source.support, np.tensordot(psi, stacked, axes=([0], [0])))
+        for psi in chosen
+    ]
     phi = MultilinearMap(shape, source.support, components)
     phi_zero = np.ones(support_total, dtype=bool)
     for f in components:
@@ -215,12 +209,7 @@ class DenseColumnsResult:
     clamped: bool
 
 
-def dense_columns(
-    v: Variety,
-    direction: int | None = None,
-    *,
-    finder: Optional[Callable[[Variety], "SubvarietyCertificate"]] = None,
-) -> DenseColumnsResult:
+def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResult:
     """Find a low-codimension base variety with uniformly dense fibers.
 
     Scans the chosen direction lexicographically for the first slice that is
@@ -277,7 +266,7 @@ def dense_columns(
     t, u_mask, u_count, b_count = chosen
     slice_point = vector_from_index(p, shape.dims[direction], t)
     u_var = slice_variety(v, [direction], [slice_point])
-    sub_cert = (finder or find_subvariety)(u_var)
+    sub_cert = find_subvariety(u_var)
     base = sub_cert.output
     base_mask = variety_bitmap(base)
     if bool(np.any(base_mask & ~u_mask)):
@@ -437,7 +426,7 @@ def find_subvariety(
     s = ceil_log(p, 1 / eps)
 
     full_support = tuple(range(shape.k))
-    full_forms = [f for f in v.canonical().forms if f.support == full_support]
+    full_forms = [f for f in target.forms if f.support == full_support]
     source = MultilinearMap(shape, full_support, full_forms)
     approx = external_approx(source, s)
 
@@ -522,10 +511,11 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
     Failures are flags, not exceptions.  It opens no grid scope, so called
     after find_subvariety it evaluates every form afresh.
     """
-    bud = codim_budget(v.shape.k, v.shape.p, _nonzero_density(v))
+    vmask = variety_bitmap(v)
+    c = Fraction(max(int(np.count_nonzero(vmask)), 1), v.shape.total_points)
+    bud = codim_budget(v.shape.k, v.shape.p, c)
     if cert.output.shape != v.shape:
         return CertificateCheck(False, False, False, bud, None)
-    vmask = variety_bitmap(v)
     omask = variety_bitmap(cert.output)
     containment = not bool(np.any(omask & ~vmask))
     nonempty = bool(omask.any())
@@ -536,8 +526,3 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
         recomputed = len(cert.output.canonical().forms)
         codim_ok = cert.output_codim == recomputed and cert.output_codim <= bud
     return CertificateCheck(containment, nonempty, codim_ok, bud, recomputed)
-
-
-def _nonzero_density(v: Variety) -> Fraction:
-    c = density(v)
-    return c if c > 0 else Fraction(1, v.shape.total_points)

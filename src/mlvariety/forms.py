@@ -59,6 +59,7 @@ def coerce_point(shape: Shape, point) -> tuple[tuple[int, ...], ...]:
     return tuple(as_coords(x, shape.p, n) for x, n in zip(pt, shape.dims))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class MultilinearForm:
     """A coefficient tensor with one axis per support factor.
 
@@ -67,14 +68,16 @@ class MultilinearForm:
     convention.
     """
 
-    __slots__ = ("shape", "support", "coeffs")
+    shape: Shape
+    support: tuple[int, ...]
+    coeffs: np.ndarray
 
-    def __init__(self, shape: Shape, support: Iterable[int], coeffs):
-        support = tuple(sorted({int(j) for j in support}))
-        if any(j < 0 or j >= shape.k for j in support):
-            raise PreconditionError(f"support {support} outside factors of {shape}")
-        expected = tuple(shape.dims[j] for j in support)
-        arr = np.asarray(coeffs, dtype=np.int64)
+    def __post_init__(self):
+        support = tuple(sorted({int(j) for j in self.support}))
+        if any(j < 0 or j >= self.shape.k for j in support):
+            raise PreconditionError(f"support {support} outside factors of {self.shape}")
+        expected = tuple(self.shape.dims[j] for j in support)
+        arr = np.asarray(self.coeffs, dtype=np.int64)
         if arr.shape != expected:
             if arr.size != math.prod(expected):
                 raise PreconditionError(
@@ -82,16 +85,12 @@ class MultilinearForm:
                     f"{math.prod(expected)} for support {support}"
                 )
             arr = arr.reshape(expected)
-        arr = (arr % shape.p).astype(np.uint8)
+        arr = (arr % self.shape.p).astype(np.uint8)
         if not support and arr.any():
             raise PreconditionError("empty-support forms must be identically zero")
         arr.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultilinearForm is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -146,38 +145,26 @@ def product_form(
     return MultilinearForm(shape, sorted(combined), np.transpose(outer, order))
 
 
+@dataclass(frozen=True, slots=True)
 class MultilinearMap:
     """A stack of forms sharing shape and support; codomain F_p^m."""
 
-    __slots__ = ("shape", "support", "components")
+    shape: Shape
+    support: tuple[int, ...]
+    components: tuple[MultilinearForm, ...]
 
-    def __init__(self, shape: Shape, support: Iterable[int], components):
-        support = tuple(sorted({int(j) for j in support}))
-        components = tuple(components)
+    def __post_init__(self):
+        support = tuple(sorted({int(j) for j in self.support}))
+        components = tuple(self.components)
         for f in components:
-            if f.shape != shape or f.support != support:
+            if f.shape != self.shape or f.support != support:
                 raise PreconditionError("map components must share shape and support")
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultilinearMap is immutable")
 
     @property
     def codomain_dim(self) -> int:
         return len(self.components)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearMap)
-            and self.shape == other.shape
-            and self.support == other.support
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.support, self.components))
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,7 @@ def variety_to_obj(v: Variety) -> dict:
     }
     if v.is_empty:
         out["empty"] = True
-        out["forms"] = []
-    else:
-        out["forms"] = [form_to_obj(f) for f in v.forms]
+    out["forms"] = [form_to_obj(f) for f in v.forms]
     return out
 
 

@@ -12,7 +12,7 @@ representable empty set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -20,28 +20,27 @@ import numpy as np
 
 from . import budget
 from .errors import PreconditionError
-from .field import rref, shift_permutation, vector_from_index
+from .field import rref, shift_permutation, vector_from_index, vector_index
 from .forms import MultilinearForm, Shape, coerce_point, eval_form, eval_grid, slice_form
 
 
+@dataclass(frozen=True, slots=True)
 class Variety:
     """Common zero set of support-annotated multilinear forms."""
 
-    __slots__ = ("shape", "forms", "is_empty")
+    shape: Shape
+    forms: tuple[MultilinearForm, ...] = ()
+    is_empty: bool = field(default=False, kw_only=True)
 
-    def __init__(self, shape: Shape, forms: Iterable[MultilinearForm] = (), *, is_empty: bool = False):
-        forms = tuple(forms)
+    def __post_init__(self):
+        forms = tuple(self.forms)
         for f in forms:
-            if f.shape != shape:
+            if f.shape != self.shape:
                 raise PreconditionError("all defining forms must share the shape")
-        if is_empty and forms:
+        if self.is_empty and forms:
             raise PreconditionError("the canonical empty variety carries no forms")
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "is_empty", bool(is_empty))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Variety is immutable")
+        object.__setattr__(self, "is_empty", bool(self.is_empty))
 
     @classmethod
     def full(cls, shape: Shape) -> "Variety":
@@ -77,17 +76,6 @@ class Variety:
         if self.is_empty:
             raise PreconditionError("the empty variety has no representation codimension")
         return len(self.canonical().forms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Variety)
-            and self.shape == other.shape
-            and self.is_empty == other.is_empty
-            and self.forms == other.forms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.is_empty, self.forms))
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -187,24 +175,21 @@ def intersect(v1: Variety, v2: Variety) -> Variety:
 # Point sets
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PointSet:
     """Explicit membership bitmap over the full product group."""
 
-    __slots__ = ("shape", "mask")
+    shape: Shape
+    mask: np.ndarray
 
-    def __init__(self, shape: Shape, mask: np.ndarray):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != shape.group_sizes:
+    def __post_init__(self):
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != self.shape.group_sizes:
             raise PreconditionError(
-                f"bitmap shape {mask.shape} does not match group sizes {shape.group_sizes}"
+                f"bitmap shape {mask.shape} does not match group sizes {self.shape.group_sizes}"
             )
-        mask = mask.copy()
         mask.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet is immutable")
 
     @classmethod
     def empty(cls, shape: Shape) -> "PointSet":
@@ -242,14 +227,7 @@ def _point_from_index(shape: Shape, idx) -> tuple[tuple[int, ...], ...]:
 
 
 def _point_index(shape: Shape, point) -> tuple[int, ...]:
-    pt = coerce_point(shape, point)
-    idx = []
-    for x in pt:
-        r = 0
-        for c in x:
-            r = r * shape.p + c
-        idx.append(r)
-    return tuple(idx)
+    return tuple(vector_index(shape.p, x) for x in coerce_point(shape, point))
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,42 @@ def test_approx_harness(tmp_path, capsys):
     assert len(saved["phi"]["components"]) == 2
 
 
+def test_approx_empty_codomain_output(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({
+        "p": 3, "k": 2, "dims": [1, 1], "support": [2],
+        "codomain_dim": 0, "components": [],
+    }))
+    assert main(["approx", "--input", str(path), "--s", "2", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "s": 2,
+        "error_count": 0,
+        "error_cap": "1",
+        "survivors_per_step": [0, 0],
+        "phi": {
+            "p": 3, "k": 2, "dims": [1, 1], "support": [2],
+            "codomain_dim": 2, "components": [[0], [0]],
+        },
+    }
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gen", "random-forms", "--count", "2", "--forms", "-3"], "non-negative"),
+    (["--gen", "low-prank", "--count", "2", "--terms", "-1"], "non-negative"),
+    (["--gen", "product", "--logdensities=-2,1"], "non-negative"),
+    (["--gen", "random-forms", "--count", "-4"], "non-negative"),
+    (["--gen", "product", "--logdensities", "1,x"], "--logdensities"),
+    (["--gen", "random-forms", "--count", "1", "--dims", "2,x"], "--dims"),
+])
+def test_sweep_rejects_negative_or_malformed_values(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--p", "2", "--dims", "2,2", "--output", str(out)] + flags)
+    assert exc.value.code == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_zero_instances_header_only(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main([

@@ -128,6 +128,18 @@ def test_approx_s_zero_vacuous():
     assert res.error_cap == 4
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_approx_empty_codomain(p, s):
+    sh = Shape(p, (1, 2, 1))
+    res = external_approx(MultilinearMap(sh, (0, 1), ()), s)
+    assert res.phi.support == (0, 1) and res.phi.codomain_dim == s
+    assert all(f.support == (0, 1) and f.is_zero() for f in res.phi.components)
+    assert res.error_count == 0
+    assert res.survivors_per_step == (0,) * s
+    assert res.error_cap == Fraction(sh.total_points, p**s)
+
+
 def test_approx_pair_of_products():
     sh = Shape(2, (2, 2))
     a = np.zeros((2, 2), dtype=int)
@@ -464,6 +476,17 @@ def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     seen.clear()
     assert verify_certificate(v, cert).all_ok
     assert set(seen) == {(f.shape, f.key()) for f in v.forms + cert.output.forms}
+
+
+@pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
+def test_verifier_evaluates_each_form_once_per_occurrence(monkeypatch, p, dims, full):
+    v = random_variety(random.Random(22), Shape(p, dims), 2, full_support_only=full)
+    cert = find_subvariety(v)
+    seen = count_grid_evaluations(monkeypatch)
+    assert verify_certificate(v, cert).all_ok
+    assert seen == collections.Counter(
+        (f.shape, f.key()) for f in v.forms + cert.output.forms
+    )
 
 
 def test_grid_scope_closes_when_the_finder_raises():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlvariety.errors import PreconditionError
-from mlvariety.forms import MultilinearForm, Shape, zero_form
+from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
 from mlvariety.generators import random_point_subset, random_variety
 from mlvariety.variety import (
     Parallelepiped,
@@ -37,6 +38,77 @@ from helpers import (
 def dot_form(p, n1, n2):
     sh = Shape(p, (n1, n2))
     return MultilinearForm(sh, (0, 1), np.eye(n1, n2, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+def _form_value():
+    sh = Shape(3, (2, 2))
+    f = MultilinearForm(sh, [1, 0, 1], [[4, -1], [3, 5]])
+    assert f.support == (0, 1)
+    assert f.coeffs.dtype == np.uint8 and f.coeffs.tolist() == [[1, 2], [0, 2]]
+    assert not f.coeffs.flags.writeable
+    same = MultilinearForm(sh, (0, 1), np.array([[1, 2], [0, 2]], dtype=np.int16))
+    assert f == same and len({f, same}) == 1
+    assert f != MultilinearForm(sh, (0, 1), [[1, 2], [0, 1]])
+    assert repr(f) == "MultilinearForm(p=3, dims=(2, 2), support=(0, 1), coeffs=[[1, 2], [0, 2]])"
+    return f
+
+
+def _map_value():
+    sh = Shape(2, (1, 2))
+    rows = [[1, 0], [1, 1]]
+    m = MultilinearMap(sh, [1, 0], [MultilinearForm(sh, (0, 1), [r]) for r in rows])
+    assert m.support == (0, 1) and isinstance(m.components, tuple)
+    again = MultilinearMap(sh, (0, 1), (MultilinearForm(sh, (0, 1), [r]) for r in rows))
+    assert m == again and len({m, again}) == 1
+    assert m != MultilinearMap(sh, (0, 1), m.components[:1])
+    return m
+
+
+def _variety_value():
+    sh = Shape(2, (1, 1))
+    v = Variety(sh, [MultilinearForm(sh, (0, 1), [[1]])])
+    assert isinstance(v.forms, tuple)
+    again = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
+    assert v == again and len({v, again, Variety.full(sh)}) == 2
+    assert Variety(sh, is_empty=1) == Variety.empty(sh) != Variety.full(sh)
+    assert Variety(sh, is_empty=1).is_empty is True
+    assert repr(Variety.empty(sh)) == "Variety.empty(p=2, dims=(1, 1))"
+    assert repr(v) == "Variety(p=2, dims=(1, 1), forms=1)"
+    with pytest.raises(TypeError):
+        Variety(sh, (), True)
+    return v
+
+
+def _point_set_value():
+    sh = Shape(2, (1, 1))
+    mask = np.zeros(sh.group_sizes, dtype=int)
+    mask[1, 0] = 1
+    s = PointSet(sh, mask)
+    mask[0, 0] = 1
+    assert s.mask.dtype == bool and s.mask.tolist() == [[False, False], [True, False]]
+    assert not s.mask.flags.writeable
+    twin = PointSet(sh, s.mask)
+    assert s == s and s != twin and len({s, twin}) == 2
+    return s
+
+
+@pytest.mark.parametrize("build", [_form_value, _map_value, _variety_value, _point_set_value])
+def test_value_types_are_frozen_normalized_dataclasses(build):
+    value = build()
+    assert dataclasses.is_dataclass(value) and not hasattr(value, "__dict__")
+    for fld in dataclasses.fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, fld.name, getattr(value, fld.name))
+        with pytest.raises(AttributeError):
+            delattr(value, fld.name)
+    # a name that is not a field fails too; CPython 3.11 reports it as a
+    # TypeError from the slotted class rebuild, later versions as AttributeError
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
 
 
 # ---------------------------------------------------------------------------
