@@ -33,6 +33,7 @@ from .construct import (
 from .errors import InputFormatError, PreconditionError, ZeroBiasError
 from .forms import (
     Shape,
+    _grid_scope,
     analytic_rank,
     bias,
     partition_rank_bilinear,
@@ -198,6 +199,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if check.all_ok else EXIT_VERIFY
 
 
+@_grid_scope()
 def cmd_conv_check(args) -> int:
     v = variety_from_obj(load_json(args.input))
     rng = random.Random(args.seed)

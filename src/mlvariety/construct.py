@@ -271,7 +271,7 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     base_mask = variety_bitmap(base)
     if bool(np.any(base_mask & ~u_mask)):
         raise ConstructionError("base variety escaped its slice")
-    r_base = base.codim
+    r_base = sub_cert.output_codim
     bad_mask = u_mask & fiber_sparse
     bad_in_base = int(np.count_nonzero(bad_mask & base_mask))
     cap = bad_set_cap(base.shape, r_base)
@@ -280,9 +280,10 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
     allowed = base_mask & ~bad_mask
-    for pt, witness in _fill_scan(base.shape, base_mask, allowed, "fiber filling"):
-        if witness is None:
-            raise ConstructionError(f"no filling witness at base point {pt}")
+    for idx, offsets in _fill_scan(base.shape, base_mask, allowed, "fiber filling"):
+        if offsets is None:
+            point = _point_from_index(base.shape, idx)
+            raise ConstructionError(f"no filling witness at base point {point}")
     fiber_floor = c_prime ** (2**lower)
     floor_points = fiber_floor * direction_size
     clamped = floor_points < 1
@@ -393,7 +394,7 @@ def find_subvariety(
         return SubvarietyCertificate(c, canon, codim, bud, ledger)
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
-    r_max = max(res.base.codim for res in results)
+    r_max = max(res.base_certificate.output_codim for res in results)
 
     embedded: list[MultilinearForm] = []
     direction_info = []
@@ -406,7 +407,7 @@ def find_subvariety(
             {
                 "direction": i,
                 "slice_point": list(res.slice_point),
-                "base_codim": res.base.codim,
+                "base_codim": res.base_certificate.output_codim,
                 "min_fiber_density": res.min_fiber_density,
                 "clamped": res.clamped,
             }

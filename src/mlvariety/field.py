@@ -91,10 +91,11 @@ def all_vectors(p: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def shift_permutation(p: int, n: int, shift: tuple[int, ...]) -> np.ndarray:
-    """Index permutation of F_p^n realizing v -> v + shift."""
+def shift_permutation(p: int, n: int, shift: int) -> np.ndarray:
+    """Index permutation of F_p^n realizing v -> v + u, where u is the
+    vector of rank `shift`: entry t is the rank of (vector t) + u."""
     table = all_vectors(p, n).astype(np.int64)
-    moved = (table + np.asarray(shift, dtype=np.int64)) % p
+    moved = (table + table[shift]) % p
     powers = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
     perm = moved @ powers if n else np.zeros(1, dtype=np.int64)
     perm.setflags(write=False)

@@ -238,33 +238,36 @@ def directional_convolution(s: PointSet, direction: int, point) -> Fraction:
     """Exact value of the direction-i convolution of the set indicator:
     the fraction of y in that factor with both translated points inside."""
     shape = s.shape
-    pt = coerce_point(shape, point)
+    idx = _point_index(shape, point)
     if not 0 <= direction < shape.k:
         raise PreconditionError("direction outside the shape")
     n = shape.dims[direction]
-    perm = shift_permutation(shape.p, n, pt[direction])
+    perm = shift_permutation(shape.p, n, idx[direction])
     budget.charge(shape.total_points, "directional convolution")
     both = s.mask & np.take(s.mask, perm, axis=direction)
-    idx = _point_index(shape, pt)
     sel = tuple(
         slice(None) if i == direction else idx[i] for i in range(shape.k)
     )
     return Fraction(int(np.count_nonzero(both[sel])), shape.p**n)
 
 
-def _box_offset_mask(shape: Shape, mask: np.ndarray, point) -> np.ndarray:
-    """Offsets y whose full parallelepiped at the given base lies in the set.
+def _first_offsets(shape: Shape, allowed: np.ndarray, idx) -> tuple[int, ...] | None:
+    """Offset ranks of the first parallelepiped at the base of per-factor
+    ranks `idx` with every corner in `allowed` (iterated_conv_witness's
+    order: the first True of the axis-reversed mask), or None.
 
     One shift-and-intersect round per direction: after processing direction
     i the surviving offsets have both the plain and the shifted corner in
     the set for every combination of processed directions.
     """
-    pt = coerce_point(shape, point)
-    out = mask
-    for i in range(shape.k):
-        perm = shift_permutation(shape.p, shape.dims[i], pt[i])
+    out = allowed
+    for i, t in enumerate(idx):
+        perm = shift_permutation(shape.p, shape.dims[i], t)
         out = out & np.take(out, perm, axis=i)
-    return out
+    if not out.any():
+        return None
+    rev_idx = np.unravel_index(int(np.argmax(out.T)), out.T.shape)
+    return tuple(int(t) for t in reversed(rev_idx))
 
 
 @dataclass(frozen=True)
@@ -281,18 +284,13 @@ class Parallelepiped:
         """All 2**k corners, listed by the subset bitmask (bit i set means
         direction i is shifted)."""
         p = self.shape.p
-        out = []
-        for mask in range(2**self.shape.k):
-            corner = []
-            for i in range(self.shape.k):
-                if mask >> i & 1:
-                    corner.append(
-                        tuple((a + b) % p for a, b in zip(self.offsets[i], self.base[i]))
-                    )
-                else:
-                    corner.append(self.offsets[i])
-            out.append(tuple(corner))
-        return out
+        shifted = [
+            tuple((a + b) % p for a, b in zip(y, x)) for y, x in zip(self.offsets, self.base)
+        ]
+        return [
+            tuple(shifted[i] if mask >> i & 1 else y for i, y in enumerate(self.offsets))
+            for mask in range(2**self.shape.k)
+        ]
 
 
 def iterated_conv_witness(v: Variety, bad: PointSet, point) -> Parallelepiped | None:
@@ -304,7 +302,13 @@ def iterated_conv_witness(v: Variety, bad: PointSet, point) -> Parallelepiped | 
     reversed lexicographic order over the surviving offset mask.
     """
     _, allowed = _masks_minus_bad(v, bad)
-    return _witness_from_masks(v.shape, allowed, point)
+    idx = _point_index(v.shape, point)
+    offsets = _first_offsets(v.shape, allowed, idx)
+    if offsets is None:
+        return None
+    return Parallelepiped(
+        v.shape, _point_from_index(v.shape, idx), _point_from_index(v.shape, offsets)
+    )
 
 
 def _masks_minus_bad(v: Variety, bad: PointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -318,23 +322,12 @@ def _masks_minus_bad(v: Variety, bad: PointSet) -> tuple[np.ndarray, np.ndarray]
     return wmask, wmask & ~bad.mask
 
 
-def _witness_from_masks(shape: Shape, allowed: np.ndarray, point) -> Parallelepiped | None:
-    pt = coerce_point(shape, point)
-    offsets = _box_offset_mask(shape, allowed, pt)
-    if not offsets.any():
-        return None
-    reversed_axes = tuple(reversed(range(shape.k)))
-    flat = int(np.argmax(np.transpose(offsets, reversed_axes)))
-    rev_idx = np.unravel_index(flat, tuple(offsets.shape[i] for i in reversed_axes))
-    return Parallelepiped(shape, pt, _point_from_index(shape, reversed(rev_idx)))
-
-
 def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
     """Witness search at every point of the `points` bitmap, in enumeration
-    order: yields (point, parallelepiped inside `allowed`, or None)."""
+    order: yields (base ranks, _first_offsets(shape, allowed, base ranks))."""
     budget.charge(int(np.count_nonzero(points)) * shape.k, what)
-    for pt in _mask_points(shape, points):
-        yield pt, _witness_from_masks(shape, allowed, pt)
+    for idx in np.argwhere(points).tolist():
+        yield idx, _first_offsets(shape, allowed, idx)
 
 
 def bad_set_cap(shape: Shape, codim: int) -> Fraction:
@@ -362,7 +355,8 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     Preconditions (rejected with a diagnostic when violated): the bad set
     lies inside the variety and within bad_set_cap of the representation
     codimension.  Each witness's corners are re-checked against the bad set
-    before it counts.
+    before it counts, by coordinate arithmetic (Parallelepiped.corners),
+    independent of the shift tables the search uses.
     """
     shape = v.shape
     wmask, allowed = _masks_minus_bad(v, bad)
@@ -376,13 +370,15 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     failures = []
     checked = 0
     corners_checked = 0
-    for pt, witness in _fill_scan(shape, wmask, allowed, "filling check"):
+    for idx, offsets in _fill_scan(shape, wmask, allowed, "filling check"):
         checked += 1
-        if witness is None:
-            failures.append(pt)
+        base = _point_from_index(shape, idx)
+        if offsets is None:
+            failures.append(base)
             continue
-        for corner in witness.corners():
-            if not allowed[_point_index(shape, corner)]:
+        box = Parallelepiped(shape, base, _point_from_index(shape, offsets))
+        for corner in box.corners():
+            if not allowed[tuple(vector_index(shape.p, x) for x in corner)]:
                 raise PreconditionError("witness corner escaped the allowed set")
             corners_checked += 1
     return ConvFillReport(

@@ -4,13 +4,18 @@ Everything here is deliberately written from scratch against the defining
 formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, and brute-force witness
-search.  Tests compare library results against these.
+search.  Tests compare library results against these.  One helper counts
+the library's own value-grid evaluations, for the grid-cache tests.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import sys
 from fractions import Fraction
+
+from mlvariety import forms
 
 
 def enumerate_points(shape):
@@ -88,9 +93,12 @@ def brute_rank_mod(rows, p: int) -> int:
     return rank
 
 
-def brute_witness_exists(shape, allowed, base) -> bool:
-    """Brute-force search over all offset tuples for a full parallelepiped."""
+def brute_first_witness(shape, allowed, base):
+    """Brute-force search over all offset tuples for a full parallelepiped:
+    the offsets minimal in reversed lexicographic order (last direction
+    compared first), or None when there is none."""
     p = shape.p
+    found = []
     for offsets in enumerate_points(shape):
         good = True
         for mask in range(2**shape.k):
@@ -105,8 +113,8 @@ def brute_witness_exists(shape, allowed, base) -> bool:
                 good = False
                 break
         if good:
-            return True
-    return False
+            found.append(offsets)
+    return min(found, key=lambda offsets: offsets[::-1], default=None)
 
 
 def small_dims(rng, k: int, total: int) -> tuple[int, ...]:
@@ -119,3 +127,20 @@ def small_dims(rng, k: int, total: int) -> tuple[int, ...]:
         dims.append(n)
         left -= n
     return tuple(dims)
+
+
+def count_grid_evaluations(monkeypatch):
+    """Counter of (shape, form key) over every evaluation that reaches
+    forms._value_grid from eval_grid."""
+    seen = collections.Counter()
+    original = forms._value_grid
+
+    def counting(p, axis_dims, coeffs):
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "eval_grid"
+        form = caller.f_locals["form"]
+        seen[(form.shape, form.key())] += 1
+        return original(p, axis_dims, coeffs)
+
+    monkeypatch.setattr(forms, "_value_grid", counting)
+    return seen

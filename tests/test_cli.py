@@ -11,6 +11,8 @@ from mlvariety.cli import (
     main,
 )
 
+from helpers import count_grid_evaluations
+
 DOT_FORM = {"p": 2, "k": 2, "dims": [2, 2], "support": [1, 2], "coeffs": [1, 0, 0, 1]}
 DOT_VARIETY = {
     "format_version": "1",
@@ -156,6 +158,15 @@ def test_conv_check_success_and_rejection(dot_files, tmp_path):
     assert main([
         "conv-check", "--input", str(var_path), "--seed", "1", "--bad-count", "9",
     ]) == EXIT_PRECONDITION
+
+
+def test_conv_check_evaluates_each_form_once(tmp_path, monkeypatch):
+    second = {"p": 2, "k": 2, "dims": [2, 2], "support": [2], "coeffs": [1, 1]}
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps({**DOT_VARIETY, "forms": [DOT_FORM, second]}))
+    seen = count_grid_evaluations(monkeypatch)
+    assert main(["conv-check", "--input", str(path)]) == EXIT_OK
+    assert len(seen) == 2 and set(seen.values()) == {1}
 
 
 def test_conv_check_rejects_negative_bad_count(dot_files):

@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -35,24 +34,7 @@ from mlvariety.generators import (
 from mlvariety.jsonio import certificate_to_obj
 from mlvariety.variety import Variety, density, membership, variety_bitmap, variety_points
 
-from helpers import brute_eval, enumerate_points, small_dims
-
-
-def count_grid_evaluations(monkeypatch):
-    """Counter of (shape, form key) over every evaluation that reaches
-    forms._value_grid from eval_grid."""
-    seen = collections.Counter()
-    original = forms._value_grid
-
-    def counting(p, axis_dims, coeffs):
-        caller = sys._getframe(1)
-        assert caller.f_code.co_name == "eval_grid"
-        form = caller.f_locals["form"]
-        seen[(form.shape, form.key())] += 1
-        return original(p, axis_dims, coeffs)
-
-    monkeypatch.setattr(forms, "_value_grid", counting)
-    return seen
+from helpers import brute_eval, count_grid_evaluations, enumerate_points, small_dims
 
 
 def dot_variety(p, n):
@@ -487,6 +469,19 @@ def test_verifier_evaluates_each_form_once_per_occurrence(monkeypatch, p, dims, 
     assert seen == collections.Counter(
         (f.shape, f.key()) for f in v.forms + cert.output.forms
     )
+
+
+@pytest.mark.parametrize("p, dims", [(2, (4, 4)), (3, (2, 2, 1))])
+def test_finder_reads_base_codims_from_certificates(monkeypatch, p, dims):
+    v = random_variety(random.Random(23), Shape(p, dims), 2)
+
+    def no_codim(self):
+        raise AssertionError("a base variety was canonicalized again")
+
+    # every base codimension is already in its certificate's output_codim
+    monkeypatch.setattr(Variety, "codim", property(no_codim))
+    cert = find_subvariety(v)
+    assert verify_certificate(v, cert).all_ok
 
 
 def test_grid_scope_closes_when_the_finder_raises():

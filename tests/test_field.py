@@ -81,7 +81,7 @@ def test_all_vectors_matches_enumeration():
 def test_shift_permutation_is_translation():
     p, n = 3, 2
     shift = (1, 2)
-    perm = shift_permutation(p, n, shift)
+    perm = shift_permutation(p, n, vector_index(p, shift))
     for idx, v in enumerate(enumerate_vectors(p, n)):
         moved = tuple((c + s) % p for c, s in zip(v, shift))
         assert perm[idx] == vector_index(p, moved)

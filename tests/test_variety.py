@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlvariety import variety
 from mlvariety.errors import PreconditionError
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
 from mlvariety.generators import random_point_subset, random_variety
@@ -29,7 +30,7 @@ from mlvariety.variety import (
 from helpers import (
     brute_density,
     brute_eval,
-    brute_witness_exists,
+    brute_first_witness,
     enumerate_points,
     small_dims,
 )
@@ -360,6 +361,18 @@ def test_conv_fill_rejects_oversized_bad_set():
         conv_fill_check(w, bad)
 
 
+def test_conv_fill_corner_recheck_is_independent_of_shift_tables(monkeypatch):
+    sh = Shape(2, (3,))
+    w = Variety.full(sh)
+    bad = PointSet.from_points(sh, [((0, 0, 1),), ((1, 1, 1),)])
+    assert conv_fill_check(w, bad).success
+    # a search whose translations are all the identity accepts the offset
+    # (0,0,0) at base (0,0,1), whose shifted corner (0,0,1) is bad
+    monkeypatch.setattr(variety, "shift_permutation", lambda p, n, t: np.arange(p**n))
+    with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
+        conv_fill_check(w, bad)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_conv_fill_property_on_seeded_instances(seed):
@@ -388,7 +401,7 @@ def test_conv_fill_property_on_seeded_instances(seed):
 def test_witness_existence_matches_bruteforce(seed):
     rng = random.Random(seed)
     p = rng.choice([2, 3])
-    k = rng.randrange(1, 3)
+    k = rng.randrange(1, 4)
     sh = Shape(p, small_dims(rng, k, 4))
     w = random_variety(rng, sh, rng.randrange(2))
     mask = variety_bitmap(w)
@@ -401,7 +414,7 @@ def test_witness_existence_matches_bruteforce(seed):
     }
     base = tuple(tuple(rng.randrange(p) for _ in range(n)) for n in sh.dims)
     got = iterated_conv_witness(w, bad, base)
-    assert (got is not None) == brute_witness_exists(sh, allowed, base)
+    assert (None if got is None else got.offsets) == brute_first_witness(sh, allowed, base)
     if got is not None:
         assert all(corner in allowed for corner in got.corners())
 
