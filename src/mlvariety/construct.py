@@ -35,7 +35,7 @@ from .field import all_vectors, vector_from_index
 from .forms import MultilinearForm, MultilinearMap, _grid_scope, ceil_log, eval_grid
 from .variety import (
     Variety,
-    _fill_scan,
+    _first_unfilled,
     _point_from_index,
     bad_set_cap,
     slice_variety,
@@ -280,10 +280,10 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
     allowed = base_mask & ~bad_mask
-    for idx, offsets in _fill_scan(base.shape, base_mask, allowed, "fiber filling"):
-        if offsets is None:
-            point = _point_from_index(base.shape, idx)
-            raise ConstructionError(f"no filling witness at base point {point}")
+    missing = _first_unfilled(base.shape, base_mask, allowed, "fiber filling")
+    if missing is not None:
+        point = _point_from_index(base.shape, missing)
+        raise ConstructionError(f"no filling witness at base point {point}")
     fiber_floor = c_prime ** (2**lower)
     floor_points = fiber_floor * direction_size
     clamped = floor_points < 1

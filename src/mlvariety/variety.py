@@ -20,7 +20,7 @@ import numpy as np
 
 from . import budget
 from .errors import PreconditionError
-from .field import rref, shift_permutation, vector_from_index, vector_index
+from .field import all_vectors, rref, shift_permutation, vector_from_index, vector_index
 from .forms import MultilinearForm, Shape, coerce_point, eval_form, eval_grid, slice_form
 
 
@@ -251,23 +251,41 @@ def directional_convolution(s: PointSet, direction: int, point) -> Fraction:
     return Fraction(int(np.count_nonzero(both[sel])), shape.p**n)
 
 
+def _shift_rounds(shape: Shape, out: np.ndarray, ranks) -> np.ndarray:
+    """Shift-and-intersect rounds for directions 0, 1, ..., one per shift
+    rank: after the round for direction i the surviving offsets have both
+    the plain and the shifted corner in the set for every combination of
+    the directions processed so far."""
+    for i, t in enumerate(ranks):
+        perm = shift_permutation(shape.p, shape.dims[i], t)
+        out = out & np.take(out, perm, axis=i)
+    return out
+
+
+def _first_true(out: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True of `out` in reversed lexicographic order
+    (last axis compared first), or None when there is none.
+
+    Works down from the last axis: `any` over the leading axes, the first
+    True along the rest, then that index is fixed and the next axis is
+    reduced the same way, so no axis-reversed copy is made.
+    """
+    found = []
+    while out.ndim:
+        hits = out.any(axis=tuple(range(out.ndim - 1)))
+        t = int(hits.argmax())
+        if not hits[t]:
+            return None
+        found.append(t)
+        out = out[..., t]
+    return tuple(reversed(found))
+
+
 def _first_offsets(shape: Shape, allowed: np.ndarray, idx) -> tuple[int, ...] | None:
     """Offset ranks of the first parallelepiped at the base of per-factor
     ranks `idx` with every corner in `allowed` (iterated_conv_witness's
-    order: the first True of the axis-reversed mask), or None.
-
-    One shift-and-intersect round per direction: after processing direction
-    i the surviving offsets have both the plain and the shifted corner in
-    the set for every combination of processed directions.
-    """
-    out = allowed
-    for i, t in enumerate(idx):
-        perm = shift_permutation(shape.p, shape.dims[i], t)
-        out = out & np.take(out, perm, axis=i)
-    if not out.any():
-        return None
-    rev_idx = np.unravel_index(int(np.argmax(out.T)), out.T.shape)
-    return tuple(int(t) for t in reversed(rev_idx))
+    order: reversed lexicographic), or None."""
+    return _first_true(_shift_rounds(shape, allowed, idx))
 
 
 @dataclass(frozen=True)
@@ -322,12 +340,59 @@ def _masks_minus_bad(v: Variety, bad: PointSet) -> tuple[np.ndarray, np.ndarray]
     return wmask, wmask & ~bad.mask
 
 
-def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
-    """Witness search at every point of the `points` bitmap, in enumeration
-    order: yields (base ranks, _first_offsets(shape, allowed, base ranks))."""
+def _scan_bases(shape: Shape, points: np.ndarray, what: str) -> np.ndarray:
+    """The points of a bitmap as an (N, k) array of per-factor ranks in
+    enumeration order, charged N*k (one round per base and direction)."""
     budget.charge(int(np.count_nonzero(points)) * shape.k, what)
-    for idx in np.argwhere(points).tolist():
-        yield idx, _first_offsets(shape, allowed, idx)
+    return np.argwhere(points).astype(np.int64, copy=False)
+
+
+def _offset_masks(shape: Shape, bases: np.ndarray, allowed: np.ndarray):
+    """Yield (row, surviving offset mask) for every row of `bases`.
+
+    Rows sharing the prefix of their first k-1 ranks are adjacent in
+    enumeration order, so the rounds for directions 0..k-2 run once per
+    prefix and only the last direction's round runs once per base.  That
+    round works on a copy with the last axis first, where a shift gathers
+    whole rows; each yielded mask is a view back in the original axis order.
+    """
+    last = shape.k - 1
+    order = (*range(1, shape.k), 0)
+    new_prefix = np.ones(len(bases), dtype=bool)
+    new_prefix[1:] = (bases[1:, :last] != bases[:-1, :last]).any(axis=1)
+    starts = np.flatnonzero(new_prefix).tolist()
+    for start, end in zip(starts, [*starts[1:], len(bases)]):
+        prefix = _shift_rounds(shape, allowed, bases[start, :last].tolist())
+        shared = np.moveaxis(prefix, last, 0).copy()
+        for row, t in enumerate(bases[start:end, last].tolist(), start):
+            perm = shift_permutation(shape.p, shape.dims[last], t)
+            yield row, (shared & shared[perm]).transpose(order)
+
+
+def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
+    """Witness search at every point of the `points` bitmap.
+
+    Returns (bases, offsets), two (N, k) int64 arrays in enumeration order:
+    row j of offsets is _first_offsets(shape, allowed, bases[j]), or -1
+    throughout where no witness exists.
+    """
+    bases = _scan_bases(shape, points, what)
+    offsets = np.full(bases.shape, -1, dtype=np.int64)
+    for j, out in _offset_masks(shape, bases, allowed):
+        found = _first_true(out)
+        if found is not None:
+            offsets[j] = found
+    return bases, offsets
+
+
+def _first_unfilled(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
+    """Ranks of the first point of the `points` bitmap with no witness in
+    `allowed`, or None; tests existence only, charged as _fill_scan."""
+    bases = _scan_bases(shape, points, what)
+    for j, out in _offset_masks(shape, bases, allowed):
+        if not out.any():
+            return bases[j]
+    return None
 
 
 def bad_set_cap(shape: Shape, codim: int) -> Fraction:
@@ -354,9 +419,11 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
 
     Preconditions (rejected with a diagnostic when violated): the bad set
     lies inside the variety and within bad_set_cap of the representation
-    codimension.  Each witness's corners are re-checked against the bad set
-    before it counts, by coordinate arithmetic (Parallelepiped.corners),
-    independent of the shift tables the search uses.
+    codimension.  Every witness's corners are re-checked against the bad
+    set before it counts, in one vectorized pass over all witnessed bases:
+    ranks are decoded through the vector table, each base is added to its
+    offsets mod p, and the sums are ranked again, so the re-check does not
+    depend on the shift tables the search uses.
     """
     shape = v.shape
     wmask, allowed = _masks_minus_bad(v, bad)
@@ -367,26 +434,34 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
             f"bad set of size {bad.size} exceeds the allowed {cap} "
             f"(k={shape.k}, codim={r}, |G|={shape.total_points})"
         )
-    failures = []
-    checked = 0
-    corners_checked = 0
-    for idx, offsets in _fill_scan(shape, wmask, allowed, "filling check"):
-        checked += 1
-        base = _point_from_index(shape, idx)
-        if offsets is None:
-            failures.append(base)
-            continue
-        box = Parallelepiped(shape, base, _point_from_index(shape, offsets))
-        for corner in box.corners():
-            if not allowed[tuple(vector_index(shape.p, x) for x in corner)]:
-                raise PreconditionError("witness corner escaped the allowed set")
-            corners_checked += 1
+    bases, offsets = _fill_scan(shape, wmask, allowed, "filling check")
+    checked = len(bases)
+    witnessed = offsets[:, 0] >= 0
+    failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())
+    bases, offsets = bases[witnessed], offsets[witnessed]
+    moved = []
+    for i, n in enumerate(shape.dims):
+        table = all_vectors(shape.p, n)
+        coords = table[bases[:, i]]
+        coords += table[offsets[:, i]]
+        coords %= shape.p
+        rank = np.zeros(len(coords), dtype=np.int64)
+        for c in range(n):
+            rank *= shape.p
+            rank += coords[:, c]
+        moved.append(rank)
+    for subset in range(2**shape.k):
+        corner = tuple(
+            moved[i] if subset >> i & 1 else offsets[:, i] for i in range(shape.k)
+        )
+        if not allowed[corner].all():
+            raise PreconditionError("witness corner escaped the allowed set")
     return ConvFillReport(
         codim=r,
         bad_size=bad.size,
         bad_cap=cap,
         checked=checked,
-        corners_checked=corners_checked,
-        failures=tuple(failures),
+        corners_checked=len(offsets) * 2**shape.k,
+        failures=failures,
         success=not failures,
     )

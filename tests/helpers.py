@@ -5,7 +5,8 @@ formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, and brute-force witness
 search.  Tests compare library results against these.  One helper counts
-the library's own value-grid evaluations, for the grid-cache tests.
+the library's own value-grid evaluations, for the grid-cache tests, and one
+replaces the witness search's translation tables, for the failure paths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import itertools
 import sys
 from fractions import Fraction
 
-from mlvariety import forms
+import numpy as np
+
+from mlvariety import forms, variety
 
 
 def enumerate_points(shape):
@@ -144,3 +147,11 @@ def count_grid_evaluations(monkeypatch):
 
     monkeypatch.setattr(forms, "_value_grid", counting)
     return seen
+
+
+def constant_shift_tables(monkeypatch, rank):
+    """Make every translation the witness search uses land on the vector of
+    the given rank, so a set missing that rank leaves no witness anywhere."""
+    monkeypatch.setattr(
+        variety, "shift_permutation", lambda p, n, t: np.full(p**n, rank, dtype=np.int64)
+    )

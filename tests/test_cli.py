@@ -11,7 +11,7 @@ from mlvariety.cli import (
     main,
 )
 
-from helpers import count_grid_evaluations
+from helpers import constant_shift_tables, count_grid_evaluations
 
 DOT_FORM = {"p": 2, "k": 2, "dims": [2, 2], "support": [1, 2], "coeffs": [1, 0, 0, 1]}
 DOT_VARIETY = {
@@ -158,6 +158,23 @@ def test_conv_check_success_and_rejection(dot_files, tmp_path):
     assert main([
         "conv-check", "--input", str(var_path), "--seed", "1", "--bad-count", "9",
     ]) == EXIT_PRECONDITION
+
+
+def test_conv_check_lists_every_point_without_a_witness(tmp_path, monkeypatch, capsys):
+    # x_0[1] = 0, and every translation the search uses lands on the factor-0
+    # vector of rank 1, outside the variety: no point has a witness
+    form = {"p": 2, "k": 2, "dims": [2, 2], "support": [1], "coeffs": [0, 1]}
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps({**DOT_VARIETY, "forms": [form]}))
+    constant_shift_tables(monkeypatch, 1)
+    assert main(["conv-check", "--input", str(path), "--format", "json"]) == EXIT_VERIFY
+    report = json.loads(capsys.readouterr().out)
+    assert report["success"] is False
+    assert report["points_checked"] == 8
+    assert report["corners_checked"] == 0
+    assert report["failures"] == [
+        str(((a, 0), (b, c))) for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    ]
 
 
 def test_conv_check_evaluates_each_form_once(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from mlvariety.construct import (
 )
 from mlvariety.errors import (
     ApproxMismatchError,
+    ConstructionError,
     EmptyVarietyError,
     PreconditionError,
 )
@@ -34,7 +35,13 @@ from mlvariety.generators import (
 from mlvariety.jsonio import certificate_to_obj
 from mlvariety.variety import Variety, density, membership, variety_bitmap, variety_points
 
-from helpers import brute_eval, count_grid_evaluations, enumerate_points, small_dims
+from helpers import (
+    brute_eval,
+    constant_shift_tables,
+    count_grid_evaluations,
+    enumerate_points,
+    small_dims,
+)
 
 
 def dot_variety(p, n):
@@ -260,6 +267,16 @@ def test_dense_columns_needs_nonempty():
     sh = Shape(2, (1, 1))
     with pytest.raises(EmptyVarietyError):
         dense_columns(Variety.empty(sh))
+
+
+def test_dense_columns_names_the_first_base_point_without_a_witness(monkeypatch):
+    # x_0[1] = 0; the base inside the slice is {x_0[1] = 0}, ranks 0 and 2,
+    # and every translation the search uses lands on rank 1, outside it
+    sh = Shape(2, (2, 2))
+    v = Variety(sh, (MultilinearForm(sh, (0,), [0, 1]),))
+    constant_shift_tables(monkeypatch, 1)
+    with pytest.raises(ConstructionError, match=r"no filling witness at base point \(\(0, 0\),\)$"):
+        dense_columns(v, direction=1)
 
 
 def test_dense_columns_deterministic():

@@ -14,6 +14,8 @@ from mlvariety.variety import (
     Parallelepiped,
     PointSet,
     Variety,
+    _fill_scan,
+    _first_offsets,
     _point_from_index,
     _point_index,
     conv_fill_check,
@@ -31,6 +33,7 @@ from helpers import (
     brute_density,
     brute_eval,
     brute_first_witness,
+    constant_shift_tables,
     enumerate_points,
     small_dims,
 )
@@ -371,6 +374,64 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables(monkeypatch):
     monkeypatch.setattr(variety, "shift_permutation", lambda p, n, t: np.arange(p**n))
     with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad)
+
+
+def test_conv_fill_corner_recheck_is_independent_of_shift_tables_p3_k2(monkeypatch):
+    sh = Shape(3, (2, 2))
+    w = Variety.full(sh)
+    bad = PointSet.from_points(sh, [((0, 0), (2, 2)), ((2, 2), (0, 0))])
+    report = conv_fill_check(w, bad)
+    assert report.success
+    assert report.corners_checked == sh.total_points * 4
+    # with identity translations the search accepts the zero offsets at the
+    # base ((0,0),(2,2)), whose corner shifted in direction 1 is bad; the
+    # re-check must rank that corner in base 3 to see it
+    monkeypatch.setattr(variety, "shift_permutation", lambda p, n, t: np.arange(p**n))
+    with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
+        conv_fill_check(w, bad)
+
+
+def test_conv_fill_reports_every_point_without_a_witness(monkeypatch):
+    # x_0[1] = 0: factor-0 vectors of rank 1 lie outside the variety
+    sh = Shape(2, (2, 2))
+    w = Variety(sh, (MultilinearForm(sh, (0,), [0, 1]),))
+    constant_shift_tables(monkeypatch, 1)
+    report = conv_fill_check(w, PointSet.empty(sh))
+    assert not report.success
+    assert report.failures == tuple(variety_points(w))
+    assert report.checked == len(report.failures) == 8
+    assert report.corners_checked == 0
+
+
+@pytest.mark.parametrize("p, dims", [
+    (2, (4,)), (3, (2,)), (2, (2, 2)), (3, (1, 2)), (2, (1, 2, 1)), (3, (1, 1, 1)),
+])
+def test_fill_scan_rows_match_first_offsets_and_bruteforce(p, dims):
+    sh = Shape(p, dims)
+    rng = random.Random(f"{p}{dims}")
+    outcomes = set()
+    for fill in (0.1, 0.3, 0.6, 0.9):
+        points = np.array([rng.random() < 0.7 for _ in range(sh.total_points)])
+        allowed = np.array([rng.random() < fill for _ in range(sh.total_points)])
+        points = points.reshape(sh.group_sizes)
+        allowed = allowed.reshape(sh.group_sizes)
+        allowed_points = {
+            _point_from_index(sh, idx) for idx in np.argwhere(allowed).tolist()
+        }
+        bases, offsets = _fill_scan(sh, points, allowed, "test scan")
+        assert bases.dtype == offsets.dtype == np.int64
+        assert bases.tolist() == np.argwhere(points).tolist()
+        assert offsets.shape == bases.shape
+        for idx, offs in zip(bases.tolist(), offsets.tolist()):
+            expected = _first_offsets(sh, allowed, idx)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert offs == [-1] * sh.k
+            else:
+                assert tuple(offs) == expected
+            brute = brute_first_witness(sh, allowed_points, _point_from_index(sh, idx))
+            assert brute == (None if expected is None else _point_from_index(sh, expected))
+    assert outcomes == {True, False}
 
 
 @given(st.integers(0, 2**32 - 1))
