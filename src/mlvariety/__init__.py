@@ -34,7 +34,6 @@ from .field import (
     Subspace,
     annihilator,
     echelonize,
-    enumerate_vectors,
     subspace_contains,
     subspace_points,
 )

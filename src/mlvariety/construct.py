@@ -121,6 +121,11 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     steps at most p**-s |G| survivors remain; those are exactly the
     approximation error, which is counted and returned.
 
+    Survival depends only on a point's value vector, so the greedy runs on
+    a histogram of vector ranks, with kills tabulated per occupied rank.
+    Each live step still charges the p**m * |G_S| "functional scan" of a
+    per-point table until the sweep-format accounting bump.
+
     Containment is checked on the value grids of the phi components
     themselves, each distinct one evaluated once in a grid scope, never on
     values derived from the chosen functionals.
@@ -133,31 +138,28 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     support_dims = tuple(shape.dims[j] for j in source.support)
     support_total = p ** sum(support_dims)
     outside_mult = shape.total_points // support_total
-    values = np.array(
-        [eval_grid(f).reshape(-1) for f in source.components], dtype=np.int64
-    ).reshape(m, support_total)
+    codes = np.zeros(support_total, dtype=np.int64)
+    for f in source.components:
+        codes *= p
+        codes += eval_grid(f).reshape(-1)
+    source_zero = codes == 0
     functionals = all_vectors(p, m).astype(np.int64)
-    source_zero = ~(values != 0).any(axis=0)
-    survivors = ~source_zero
-    # Where each functional kills the source value: the same at every step,
-    # so it is built once, one functional at a time.
-    zero_table = None
+    hist = np.bincount(codes)
+    occupied = np.flatnonzero(hist)
+    hist = hist[occupied]
+    kills = (functionals @ functionals[occupied].T) % p == 0
+    alive = occupied != 0
     chosen = []
     per_step = []
     for _ in range(s):
-        if survivors.any():
+        if alive.any():
             budget.charge(p**m * support_total, "functional scan")
-            if zero_table is None:
-                zero_table = np.empty((len(functionals), support_total), dtype=bool)
-                for row, psi in zip(zero_table, functionals):
-                    np.equal((psi @ values) % p, 0, out=row)
-            counts = np.count_nonzero(zero_table & survivors, axis=1)
-            best = int(np.argmin(counts))
-            survivors = survivors & zero_table[best]
+            best = int(np.argmin((kills & alive) @ hist))
+            alive &= kills[best]
         else:
             best = 0
         chosen.append(functionals[best])
-        per_step.append(int(np.count_nonzero(survivors)))
+        per_step.append(int(hist[alive].sum()))
     stacked = np.array(
         [f.coeffs for f in source.components], dtype=np.int64
     ).reshape(m, *support_dims)
@@ -450,8 +452,6 @@ def find_subvariety(
             extra_floor=c_dd**shape.k * total,
         )
 
-    if not bool(candidate_mask.any()):
-        raise ConstructionError("the extracted subvariety is empty")
     if bool(np.any(candidate_mask & ~vmask)):
         raise ConstructionError("the extracted subvariety escaped the input")
     codim = len(candidate.forms)

@@ -1,7 +1,7 @@
 """Prime-field substrate: vectors as plain tuples of residues, echelon-form
 subspaces, and fast lexicographic enumeration of F_p^n at desk scale.
 
-Enumeration order is part of the contract: vectors stream in lexicographic
+Enumeration order is part of the contract: vectors are listed in lexicographic
 order with the last coordinate varying fastest, and every "first point found"
 tie-break downstream relies on it.  All values are immutable after
 construction, but the enumerating functions read the process-global point
@@ -48,15 +48,6 @@ def as_coords(v, p: int, dim: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Enumeration and index arithmetic
 # ---------------------------------------------------------------------------
-
-def enumerate_vectors(p: int, dim: int) -> Iterator[tuple[int, ...]]:
-    """Yield all p**dim vectors once, lexicographically, last coordinate fastest."""
-    validate_prime(p)
-    if dim < 0:
-        raise PreconditionError("dimension must be non-negative")
-    budget.charge(p**dim, "vector enumeration")
-    yield from itertools.product(range(p), repeat=dim)
-
 
 def vector_index(p: int, coords: Sequence[int]) -> int:
     """Rank of a vector in enumeration order."""

@@ -152,6 +152,45 @@ def test_verify_tampered_codim(dot_files, tmp_path):
     ]) == EXIT_VERIFY
 
 
+def test_verify_empty_input_keeps_the_density_floor(dot_files, tmp_path, capsys):
+    """An empty-marker input has no points; the verifier still prices its
+    budget at one point (density 1/16 here) and reports the flags, rather
+    than rejecting the zero density as a precondition failure."""
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    capsys.readouterr()
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "format_version": "1",
+        "shape": {"p": 2, "k": 2, "dims": [2, 2]},
+        "empty": True,
+        "forms": [],
+    }))
+    assert main([
+        "verify", "--input", str(empty), "--certificate", str(cert_path),
+        "--format", "json",
+    ]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out) == {
+        "containment": False, "nonempty": True, "codim": True, "budget": 93,
+    }
+
+
+def test_huge_shape_is_a_budget_exit(tmp_path, capsys):
+    """|G| = 2**20001 has more digits than Python converts to str; the
+    refusal names a power-of-two bound instead of raising."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "format_version": "1",
+        "shape": {"p": 2, "k": 2, "dims": [20000, 1]},
+        "forms": [],
+    }))
+    for command in ("density", "find-sub", "conv-check"):
+        assert main([command, "--input", str(path)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.count("needs at least 2^20001 points, over the budget of 16777216") == 3
+
+
 def test_conv_check_success_and_rejection(dot_files, tmp_path):
     _, var_path = dot_files
     assert main(["conv-check", "--input", str(var_path), "--seed", "1"]) == EXIT_OK

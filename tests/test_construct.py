@@ -192,13 +192,10 @@ def test_approx_deterministic():
     assert r1.phi == r2.phi
 
 
-@pytest.mark.parametrize(
-    "p, m, dims", [(2, 2, (2, 2)), (2, 3, (1, 3)), (3, 2, (2, 1)), (3, 2, (1, 1, 2))]
-)
-def test_approx_greedy_picks_first_minimizer(p, m, dims):
+def _greedy_oracle_ties(p, m, dims):
     """Brute-force oracle for the greedy step: every survivor count is
     recomputed per functional in enumeration order, and the chosen functional
-    must be the first minimizer."""
+    must be the first minimizer.  Returns how many live steps had a tie."""
     ties = 0
     for seed in range(6):
         rng = random.Random(seed)
@@ -208,7 +205,7 @@ def test_approx_greedy_picks_first_minimizer(p, m, dims):
         res = external_approx(source, s)
         points = list(enumerate_points(sh))
         values = [[brute_eval(f, pt) for pt in points] for f in source.components]
-        survivors = [any(col) for col in zip(*values)]
+        survivors = [any(v[i] for v in values) for i in range(len(points))]
         functionals = list(itertools.product(range(p), repeat=m))
 
         def kills(psi, i):
@@ -223,12 +220,32 @@ def test_approx_greedy_picks_first_minimizer(p, m, dims):
             ties += any(survivors) and counts.count(min(counts)) > 1
             psi = functionals[best]
             expected = sum(
-                a * f.coeffs.astype(np.int64) for a, f in zip(psi, source.components)
+                (a * f.coeffs.astype(np.int64) for a, f in zip(psi, source.components)),
+                np.zeros(dims, dtype=np.int64),
             ) % p
             assert np.array_equal(res.phi.components[step].coeffs, expected)
             survivors = [alive and kills(psi, i) for i, alive in enumerate(survivors)]
             assert res.survivors_per_step[step] == sum(survivors)
-    assert ties > 0
+    return ties
+
+
+@pytest.mark.parametrize(
+    "p, m, dims", [(2, 2, (2, 2)), (2, 3, (1, 3)), (3, 2, (2, 1)), (3, 2, (1, 1, 2))]
+)
+def test_approx_greedy_picks_first_minimizer(p, m, dims):
+    assert _greedy_oracle_ties(p, m, dims) > 0
+
+
+@pytest.mark.parametrize(
+    "p, m, dims",
+    [
+        (2, 0, (2, 2)), (3, 0, (1, 2)), (2, 1, (2, 2)), (3, 1, (1, 2)),
+        # p**m above |G_S|: most value codes never occur
+        (2, 4, (1, 1)), (3, 3, (1, 1)),
+    ],
+)
+def test_approx_greedy_oracle_small_and_oversized_codomains(p, m, dims):
+    _greedy_oracle_ties(p, m, dims)
 
 
 # ---------------------------------------------------------------------------

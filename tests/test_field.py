@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from mlvariety.field import (
     all_vectors,
     annihilator,
     echelonize,
-    enumerate_vectors,
     shift_permutation,
     subspace_contains,
     subspace_points,
@@ -34,47 +34,47 @@ def test_validate_prime_rejects(bad):
         validate_prime(bad)
 
 
-def test_enumerate_vectors_p2_dim1():
-    assert list(enumerate_vectors(2, 1)) == [(0,), (1,)]
+def test_all_vectors_p2_dim1():
+    assert all_vectors(2, 1).tolist() == [[0], [1]]
 
 
-def test_enumerate_vectors_p2_dim2_lex_order():
-    got = list(enumerate_vectors(2, 2))
-    assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def test_all_vectors_p2_dim2_lex_order():
+    assert all_vectors(2, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
-def test_enumerate_vectors_p3_dim2_endpoints():
-    got = list(enumerate_vectors(3, 2))
+def test_all_vectors_p3_dim2_endpoints():
+    got = all_vectors(3, 2).tolist()
     assert len(got) == 9
-    assert got[0] == (0, 0)
-    assert got[-1] == (2, 2)
+    assert got[0] == [0, 0]
+    assert got[-1] == [2, 2]
 
 
 @given(st.integers(2, 3), st.integers(0, 4))
 @settings(max_examples=20, deadline=None)
-def test_enumerate_vectors_distinct(p, dim):
+def test_all_vectors_distinct(p, dim):
     if p == 3 and dim > 3:
         dim = 3
-    seen = set(enumerate_vectors(p, dim))
+    seen = {tuple(row) for row in all_vectors(p, dim).tolist()}
     assert len(seen) == p**dim
 
 
-def test_enumerate_vectors_refuses_over_budget():
+def test_all_vectors_refuses_over_budget():
+    all_vectors.cache_clear()  # a memoized table would skip the guard
     budget.set_point_budget(100)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_vectors(2, 10))
+        all_vectors(2, 10)
 
 
 def test_vector_index_roundtrip():
     for p, dim in [(2, 3), (3, 2), (5, 1)]:
-        for i, v in enumerate(enumerate_vectors(p, dim)):
+        for i, v in enumerate(itertools.product(range(p), repeat=dim)):
             assert vector_index(p, v) == i
             assert vector_from_index(p, dim, i) == v
 
 
 def test_all_vectors_matches_enumeration():
     table = all_vectors(3, 2)
-    listed = list(enumerate_vectors(3, 2))
+    listed = list(itertools.product(range(3), repeat=2))
     assert [tuple(int(c) for c in row) for row in table] == listed
 
 
@@ -82,7 +82,7 @@ def test_shift_permutation_is_translation():
     p, n = 3, 2
     shift = (1, 2)
     perm = shift_permutation(p, n, vector_index(p, shift))
-    for idx, v in enumerate(enumerate_vectors(p, n)):
+    for idx, v in enumerate(itertools.product(range(p), repeat=n)):
         moved = tuple((c + s) % p for c, s in zip(v, shift))
         assert perm[idx] == vector_index(p, moved)
 
@@ -132,7 +132,7 @@ def test_subspace_point_count_matches_rank(seed):
     n = rng.randrange(1, 5)
     rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randrange(4))]
     s = echelonize(rows, p=p, ambient_dim=n)
-    by_scan = sum(1 for v in enumerate_vectors(p, n) if subspace_contains(s, v))
+    by_scan = sum(1 for v in itertools.product(range(p), repeat=n) if subspace_contains(s, v))
     assert by_scan == p**s.rank
     listed = set(subspace_points(s))
     assert len(listed) == p**s.rank
