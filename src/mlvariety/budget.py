@@ -29,19 +29,16 @@ def set_point_budget(n: int) -> None:
     _point_budget = int(n)
 
 
-def _count_text(n: int) -> str:
-    """n in decimal, or a power-of-two bound past Python's int-to-str limit."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2^{n.bit_length() - 1}"
-
-
 def ensure(points: int, what: str = "enumeration") -> None:
     """Refuse rather than thrash: raise if a single pass needs too many points."""
     if points > _point_budget:
-        need, cap = _count_text(points), _count_text(_point_budget)
-        raise BudgetExceededError(f"{what} needs {need} points, over the budget of {cap}")
+        try:
+            need = str(points)
+        except ValueError:  # past Python's int-to-str digit limit
+            need = f"at least 2^{points.bit_length() - 1}"
+        raise BudgetExceededError(
+            f"{what} needs {need} points, over the budget of {_point_budget}"
+        )
 
 
 def charge(points: int, what: str = "enumeration") -> None:

@@ -121,10 +121,10 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     steps at most p**-s |G| survivors remain; those are exactly the
     approximation error, which is counted and returned.
 
-    Survival depends only on a point's value vector, so the greedy runs on
-    a histogram of vector ranks, with kills tabulated per occupied rank.
-    Each live step still charges the p**m * |G_S| "functional scan" of a
-    per-point table until the sweep-format accounting bump.
+    Survival depends only on a point's value vector, so the greedy runs on a
+    histogram of vector ranks, with kills tabulated per occupied rank after
+    the budget admits the p**m * |G_S| "functional scan" each live step still
+    charges (the per-point price, kept until the sweep-format accounting bump).
 
     Containment is checked on the value grids of the phi components
     themselves, each distinct one evaluated once in a grid scope, never on
@@ -143,12 +143,16 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
         codes *= p
         codes += eval_grid(f).reshape(-1)
     source_zero = codes == 0
-    functionals = all_vectors(p, m).astype(np.int64)
+    # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
+    functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2))
     hist = np.bincount(codes)
     occupied = np.flatnonzero(hist)
     hist = hist[occupied]
-    kills = (functionals @ functionals[occupied].T) % p == 0
     alive = occupied != 0
+    if s and alive.any():
+        budget.ensure(p**m * support_total, "functional scan")
+    kills = functionals @ functionals[occupied].T
+    kills = np.remainder(kills, p, out=kills) == 0
     chosen = []
     per_step = []
     for _ in range(s):
