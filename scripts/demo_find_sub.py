@@ -3,6 +3,8 @@
 
 Prints the input density, the achieved codimension against its budget, the
 per-level ledger constants, and the outcome of independent re-verification.
+Epsilon is printed in its exact monomial form coef * p^p_exp * (c)^c_exp, c
+the level density; the last walk is at arity 4.
 """
 
 import random
@@ -33,7 +35,7 @@ def show(v):
         else:
             print(f"  [{where}] arity {record['arity']}, c={frac_to_str(record['c'])}, "
                   f"r={record['r']}, s={record['s']}, "
-                  f"eps={frac_to_str(record['epsilon'])}")
+                  f"eps={record['epsilon']}")
     print(f"verified: containment={check.containment_ok} "
           f"nonempty={check.nonempty_ok} codim={check.codim_ok}")
     print()
@@ -43,3 +45,4 @@ if __name__ == "__main__":
     rng = random.Random(SEED)
     show(random_variety(rng, Shape(2, (3, 3)), 2))
     show(random_variety(rng, Shape(2, (2, 2, 2)), 2))
+    show(random_variety(rng, Shape(2, (2, 2, 2, 2)), 2))

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .field import all_vectors, vector_from_index
 from .forms import MultilinearForm, MultilinearMap, _grid_scope, ceil_log, eval_grid
+from .monomial import Monomial
 from .variety import (
     Variety,
     _first_unfilled,
@@ -196,9 +197,10 @@ class DenseColumnsResult:
 
     base lives on the factors other than `direction`; every point of it has
     at least fiber_floor_count points of the input variety in its fiber.
-    min_fiber_count is the exhaustively measured minimum.  clamped records
-    the desk-scale regime where the rational floor fell below one point and
-    nonemptiness is the operative guarantee.
+    min_fiber_count is the exhaustively measured minimum.  c_prime and
+    fiber_floor = c_prime ** 2**k are exact monomials in the input density.
+    clamped records the desk-scale regime where the floor fell below one
+    point and nonemptiness is the operative guarantee.
     """
 
     direction: int
@@ -207,8 +209,8 @@ class DenseColumnsResult:
     base: Variety
     base_certificate: "SubvarietyCertificate"
     bad_count: int
-    c_prime: Fraction
-    fiber_floor: Fraction
+    c_prime: Monomial
+    fiber_floor: Monomial
     fiber_floor_count: int
     min_fiber_count: int
     min_fiber_density: Fraction
@@ -244,15 +246,17 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     c = Fraction(vcount, total)
     lower = shape.k - 1
     big_k = arity_constant(lower)
-    c_prime = (
-        Fraction(1, 2 ** (2 * lower + 1) * p ** (2 * lower * big_k))
-        * c ** (lower * big_k + 1)
+    c_prime = Monomial(
+        Fraction(1, 2 ** (2 * lower + 1)), p, c,
+        p_exp=-2 * lower * big_k, c_exp=lower * big_k + 1,
     )
     direction_size = shape.group_sizes[direction]
     other_total = total // direction_size
     fiber_counts = vmask.sum(axis=direction)
     sparse_threshold = math.floor(c_prime * direction_size)
     fiber_sparse = fiber_counts <= sparse_threshold
+    # b / other_total > 2 c' / c exactly when the integer b exceeds this floor
+    bad_limit = math.floor(c_prime * Monomial(Fraction(2), p, c, c_exp=-1) * other_total)
 
     chosen = None
     for t in range(direction_size):
@@ -261,7 +265,7 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
         if Fraction(u_count, other_total) < c / 2:
             continue
         b_count = int(np.count_nonzero(u_mask & fiber_sparse))
-        if Fraction(b_count, other_total) > 2 * c_prime / c:
+        if b_count > bad_limit:
             continue
         chosen = (t, u_mask, u_count, b_count)
         break
@@ -366,10 +370,11 @@ def find_subvariety(
     cylinder-constrained target; verify the resulting variety equals the
     target point by point and is contained in the input.
 
-    epsilon_override replaces the approximation error threshold.  Raising it
-    above the safe value can produce a strictly larger approximation, which
-    raises ApproxMismatchError carrying the overshoot count (a negative
-    control; the count is never below c''**arity * |G| when it happens).
+    epsilon_override, a positive rational, replaces the approximation error
+    threshold.  Raising it above the safe value can produce a strictly larger
+    approximation, which raises ApproxMismatchError carrying the overshoot
+    count (a negative control; the count is never below the monomial
+    c''**arity * |G| when it happens).
 
     The whole extraction, recursion included, runs in one grid scope, so
     each distinct form is evaluated once; the scope closes on return.
@@ -423,14 +428,17 @@ def find_subvariety(
     target_mask = variety_bitmap(target)
 
     fiber_floor = min(res.fiber_floor for res in results)
-    c_dd = fiber_floor * Fraction(1, p ** ((shape.k - 1) * shape.k * r_max))
-    one_point = Fraction(1, max(shape.group_sizes))
+    c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(shape.k - 1) * shape.k * r_max)
+    one_point = Monomial(Fraction(1), p, c, p_exp=-max(shape.dims))
     clamped = c_dd < one_point
-    c_dd = max(c_dd, one_point)
-    eps = c_dd**shape.k / 2
+    if clamped:
+        c_dd = one_point
+    eps = c_dd**shape.k * Fraction(1, 2)
     if epsilon_override is not None:
-        eps = Fraction(epsilon_override)
-    s = ceil_log(p, 1 / eps)
+        if not Fraction(epsilon_override) > 0:
+            raise PreconditionError("epsilon_override must be positive")
+        eps = Monomial(Fraction(epsilon_override), p, c)
+    s = eps.ceil_log_inverse()
 
     full_support = tuple(range(shape.k))
     full_forms = [f for f in target.forms if f.support == full_support]

@@ -66,11 +66,20 @@ def vector_from_index(p: int, dim: int, idx: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@lru_cache(maxsize=None)
 def all_vectors(p: int, n: int) -> np.ndarray:
-    """(p**n, n) table of all vectors of F_p^n, rows in enumeration order."""
+    """(p**n, n) table of all vectors of F_p^n, rows in enumeration order.
+
+    The table is memoized, but the prime and the point budget are checked
+    on every call, so a cached table is refused exactly when a fresh one
+    would be.  cache_info and cache_clear are the memo's.
+    """
     validate_prime(p)
     budget.ensure(p**n, "vector table")
+    return _vector_table(p, n)
+
+
+@lru_cache(maxsize=None)
+def _vector_table(p: int, n: int) -> np.ndarray:
     if n == 0:
         arr = np.zeros((1, 0), dtype=np.uint8)
     else:
@@ -79,6 +88,10 @@ def all_vectors(p: int, n: int) -> np.ndarray:
         arr = np.stack(cols, axis=1).astype(np.uint8)
     arr.setflags(write=False)
     return arr
+
+
+all_vectors.cache_info = _vector_table.cache_info
+all_vectors.cache_clear = _vector_table.cache_clear
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,15 @@ Readers accept only JSON integers where the format has integers: a float,
 bool or string there raises TypeError instead of being truncated or coerced.
 A rational that is not such a string, or has a zero denominator, raises
 InputFormatError.
-Format version "2" dropped an always-true flag from certificates; version "1"
-certificates still read, the flag ignored.
+
+Format version "3" writes the ledger constants c_prime, c_double_prime and
+epsilon as exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
+q * p**a * c**e with c the record's own "c" and p the output's field; the
+coef must be a positive rational string.  Versions "1" and "2" wrote them as
+rational strings and still read, each as a monomial with that coef and zero
+exponents.  Version "2" dropped an always-true flag from certificates;
+version "1" certificates still read, the flag ignored.  FORMAT_VERSION is
+shared: variety files and the sweep CSV header carry it too.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ import numpy as np
 from .construct import SubvarietyCertificate
 from .errors import InputFormatError, PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
+from .monomial import Monomial
 from .variety import Variety
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
+_READABLE_VERSIONS = ("1", "2", "3")
 
 
 def frac_to_str(fr: Fraction) -> str:
@@ -133,15 +142,37 @@ def variety_from_obj(obj) -> Variety:
     return Variety(shape, forms)
 
 
-def _convert_ledger_record(record: dict, convert) -> dict:
-    """Copy of a ledger record with convert applied to each rational in it."""
+def _monomial_to_obj(m: Monomial, c: Fraction) -> dict:
+    """The wire object of m; c is not written, the record carries it."""
+    return {"coef": frac_to_str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
+
+
+def _positive(text) -> Fraction:
+    value = frac_from_str(text)
+    if value <= 0:
+        raise InputFormatError(f"a ledger constant must be positive, got {text!r:.60}")
+    return value
+
+
+def _monomial_from_obj(obj, p: int, c: Fraction) -> Monomial:
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"expected a monomial object, got {obj!r:.60}")
+    return Monomial(
+        _positive(obj["coef"]), p, c, _int(obj["p_exp"], "p_exp"), _int(obj["c_exp"], "c_exp")
+    )
+
+
+def _convert_ledger_record(record: dict, rational, monomial) -> dict:
+    """Copy of a ledger record with rational applied to c and the fiber
+    densities, and monomial(value, converted c) to the ledger constants."""
     out = dict(record)
-    for key in ("c", "c_prime", "c_double_prime", "epsilon"):
+    out["c"] = rational(record["c"])
+    for key in ("c_prime", "c_double_prime", "epsilon"):
         if out.get(key) is not None:
-            out[key] = convert(out[key])
+            out[key] = monomial(out[key], out["c"])
     if out.get("directions") is not None:
         out["directions"] = [
-            {**d, "min_fiber_density": convert(d["min_fiber_density"])}
+            {**d, "min_fiber_density": rational(d["min_fiber_density"])}
             for d in out["directions"]
         ]
     return out
@@ -154,7 +185,9 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
         "output_codim": cert.output_codim,
         "budget": cert.budget,
         "output": variety_to_obj(cert.output),
-        "ledger": [_convert_ledger_record(r, frac_to_str) for r in cert.ledger],
+        "ledger": [
+            _convert_ledger_record(r, frac_to_str, _monomial_to_obj) for r in cert.ledger
+        ],
     }
     if config is not None:
         out["config"] = config
@@ -162,12 +195,25 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
 
 
 def certificate_from_obj(obj) -> SubvarietyCertificate:
+    version = obj["format_version"]
+    if version not in _READABLE_VERSIONS:
+        raise InputFormatError(f"unknown certificate format_version {version!r:.60}")
+    output = variety_from_obj(obj["output"])
+    p = output.shape.p
+    if version == FORMAT_VERSION:
+        def monomial(value, c):
+            return _monomial_from_obj(value, p, c)
+    else:
+        def monomial(value, c):
+            return Monomial(_positive(value), p, c)
     return SubvarietyCertificate(
         input_density=frac_from_str(obj["input_density"]),
-        output=variety_from_obj(obj["output"]),
+        output=output,
         output_codim=_int(obj["output_codim"], "output_codim"),
         budget=_int(obj["budget"], "budget"),
-        ledger=tuple(_convert_ledger_record(r, frac_from_str) for r in obj["ledger"]),
+        ledger=tuple(
+            _convert_ledger_record(r, frac_from_str, monomial) for r in obj["ledger"]
+        ),
     )
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the defining
 formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, and brute-force witness
-search.  Tests compare library results against these.  One helper counts
+search, and ledger monomials written out as rationals.  Tests compare
+library results against these.  One helper counts
 the library's own value-grid evaluations, for the grid-cache tests, and one
 replaces the witness search's translation tables, for the failure paths.
 """
@@ -58,6 +59,12 @@ def brute_bias(form) -> Fraction:
     nonzero = counts[1:]
     assert all(c == nonzero[0] for c in nonzero), "nonzero values must be equidistributed"
     return Fraction(counts[0] - (nonzero[0] if nonzero else 0), total)
+
+
+def monomial_value(m) -> Fraction:
+    """The exact rational coef * p**p_exp * c**c_exp of a ledger monomial;
+    only for the small exponents of low arities."""
+    return m.coef * Fraction(m.p) ** m.p_exp * m.c**m.c_exp
 
 
 def brute_density(variety) -> Fraction:

@@ -14,7 +14,11 @@ from mlvariety.cli import (
     main,
 )
 
-from helpers import constant_shift_tables, count_grid_evaluations
+from mlvariety.forms import Shape
+from mlvariety.generators import random_variety
+from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, variety_to_obj
+
+from helpers import constant_shift_tables, count_grid_evaluations, monomial_value
 
 DOT_FORM = {"p": 2, "k": 2, "dims": [2, 2], "support": [1, 2], "coeffs": [1, 0, 0, 1]}
 DOT_VARIETY = {
@@ -89,7 +93,7 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "verified=True" in summary
     obj = json.loads(cert_path.read_text())
-    assert obj["format_version"] == "2"
+    assert obj["format_version"] == "3"
     assert "containment_verified" not in obj
     assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
     assert obj["config"]["command"] == "find-sub"
@@ -99,17 +103,37 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     ]) == EXIT_OK
 
 
+def _as_legacy_certificate(obj, version):
+    """A format-1 or format-2 copy of a certificate object: every ledger
+    monomial written as the rational string it equals."""
+    legacy = json.loads(json.dumps(obj))
+    legacy["format_version"] = version
+    if version == "1":
+        legacy["containment_verified"] = True
+    ledger = certificate_from_obj(obj).ledger
+    for record, read in zip(legacy["ledger"], ledger):
+        for key in ("c_prime", "c_double_prime", "epsilon"):
+            if record[key] is not None:
+                record[key] = str(monomial_value(read[key]))
+    return legacy
+
+
 def test_verify_reads_format_1_certificate(dot_files, tmp_path):
     _, var_path = dot_files
     cert_path = tmp_path / "cert.json"
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
     obj = json.loads(cert_path.read_text())
-    obj["format_version"] = "1"
-    obj["containment_verified"] = True
-    cert_path.write_text(json.dumps(obj))
-    assert main([
-        "verify", "--input", str(var_path), "--certificate", str(cert_path),
-    ]) == EXIT_OK
+    for version in ("1", "2"):
+        legacy = _as_legacy_certificate(obj, version)
+        assert legacy["ledger"][0]["c_prime"] == "25/2048"
+        cert_path.write_text(json.dumps(legacy))
+        assert main([
+            "verify", "--input", str(var_path), "--certificate", str(cert_path),
+        ]) == EXIT_OK
+        read = certificate_from_obj(legacy)
+        assert certificate_to_obj(read)["ledger"][0]["c_prime"] == {
+            "coef": "25/2048", "p_exp": 0, "c_exp": 0,
+        }
 
 
 def test_find_sub_empty_variety_distinct_exit(tmp_path):
@@ -261,6 +285,89 @@ def test_malformed_rational_in_certificate_is_an_input_error(
         "verify", "--input", str(var_path), "--certificate", str(cert_path),
     ]) == EXIT_PARSE
     assert "input error:" in capsys.readouterr().err
+
+
+def _arity_4_files(tmp_path):
+    v = random_variety(random.Random(4), Shape(3, (2, 2, 2, 2)), 2, full_support_only=True)
+    var_path = tmp_path / "variety.json"
+    var_path.write_text(json.dumps(variety_to_obj(v)))
+    return var_path, tmp_path / "cert.json"
+
+
+def test_arity_4_certificate_round_trip(tmp_path, capsys):
+    var_path, cert_path = _arity_4_files(tmp_path)
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    assert obj["format_version"] == "3"
+    assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
+    root = obj["ledger"][0]
+    assert root["arity"] == 4
+    for key in ("c_prime", "c_double_prime", "epsilon"):
+        assert set(root[key]) == {"coef", "p_exp", "c_exp"}
+        assert type(root[key]["p_exp"]) is int and type(root[key]["c_exp"]) is int
+    # c' = c**(3K + 1) / (2**7 p**(6K)) with K = K(3) = 4960
+    assert root["c_prime"] == {"coef": "1/128", "p_exp": -6 * 4960, "c_exp": 3 * 4960 + 1}
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path), "--format", "json",
+    ]) == EXIT_OK
+    flags = json.loads(capsys.readouterr().out)
+    assert flags["containment"] and flags["nonempty"] and flags["codim"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_exp", 1.0),
+    ("p_exp", "-4"),
+    ("c_exp", 2.5),
+    ("c_exp", True),
+    ("coef", "abc"),
+    ("coef", "1/0"),
+    ("coef", "0"),
+    ("coef", "-1/8"),
+    ("coef", 0.125),
+    (None, "1/8"),
+])
+def test_malformed_monomial_in_certificate_is_an_input_error(dot_files, tmp_path, capsys, key, value):
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    if key is None:
+        obj["ledger"][0]["epsilon"] = value
+    else:
+        obj["ledger"][0]["epsilon"][key] = value
+    cert_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [None, "4", 3])
+def test_unknown_certificate_version_is_an_input_error(dot_files, tmp_path, capsys, version):
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    obj["format_version"] = version
+    cert_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    assert "format_version" in capsys.readouterr().err
+
+
+def test_rank_on_a_huge_zero_form_is_a_budget_exit(tmp_path, capsys):
+    """The zero-fiber identity counts over an outer group of 2**20000 points;
+    it is refused like the enumeration density makes on this shape."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [20000, 1], "support": [1, 2], "coeffs": [0] * 20000,
+    }))
+    assert main(["rank", "--input", str(path)]) == EXIT_BUDGET
+    assert "zero-fiber count needs" in capsys.readouterr().err
 
 
 def test_approx_harness(tmp_path, capsys):
@@ -459,3 +566,19 @@ def test_sweep_low_prank_generator(tmp_path):
         # one factorizable term keeps the zero set at density >= 1/p
         num, _, den = cols[4].partition("/")
         assert 2 * int(num) >= int(den or 1)
+
+
+def test_sweep_at_arity_5(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["sweep", "--p", "2", "--dims", "2,2,2,2,2", "--gen", "random-forms",
+            "--count", "3", "--seed", "1"]
+    assert main(args + ["--output", str(a)]) == EXIT_OK
+    assert main(args + ["--output", str(b)]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    lines = a.read_text().splitlines()
+    assert lines[0].startswith("# mlvariety-sweep format=3 ")
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 3
+    for cols in rows:
+        assert cols[2] == "5" and cols[8] == "ok"
+        assert int(cols[6]) <= int(cols[7])

@@ -26,6 +26,7 @@ from mlvariety.errors import (
 )
 from mlvariety.field import annihilator, echelonize
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, ceil_log
+from mlvariety.monomial import Monomial
 from mlvariety.generators import (
     planted_product_variety,
     random_map,
@@ -40,6 +41,7 @@ from helpers import (
     constant_shift_tables,
     count_grid_evaluations,
     enumerate_points,
+    monomial_value,
     small_dims,
 )
 
@@ -356,7 +358,7 @@ def test_ledger_records_levels():
     root = cert.ledger[0]
     assert root["arity"] == 2
     assert root["c"] == Fraction(5, 8)
-    assert root["c_prime"] == Fraction(25, 2048)
+    assert monomial_value(root["c_prime"]) == Fraction(25, 2048)
     assert root["epsilon"] is not None
     child_paths = {r["path"] for r in cert.ledger[1:]}
     assert child_paths == {"0", "1"}
@@ -375,6 +377,21 @@ def test_finder_invariants_random_k2(seed):
         assert membership(v, point)
 
 
+@pytest.mark.parametrize("p, dims", [(3, (2, 2, 2, 2)), (2, (2, 2, 2, 2, 2))])
+def test_finder_at_arity_4_and_5(p, dims):
+    v = random_variety(random.Random(5), Shape(p, dims), 2, full_support_only=True)
+    cert = find_subvariety(v)
+    assert verify_certificate(v, cert).all_ok
+    root = cert.ledger[0]
+    k = len(dims) - 1
+    big_k = arity_constant(k)
+    assert (root["c_prime"].p_exp, root["c_prime"].c_exp) == (-2 * k * big_k, k * big_k + 1)
+    # at desk scale c'' is clamped to one point of the largest factor
+    assert root["clamped"]
+    assert root["c_double_prime"] == Monomial(Fraction(1), p, root["c"], p_exp=-max(dims))
+    assert root["s"] == ceil_log(p, 2 * p ** (max(dims) * len(dims)))
+
+
 def test_ledger_constants_satisfy_their_relations():
     rng = random.Random(31)
     sh = Shape(2, (3, 2))
@@ -388,9 +405,10 @@ def test_ledger_constants_satisfy_their_relations():
         Fraction(1, 2 ** (2 * k_lower + 1) * sh.p ** (2 * k_lower * big_k))
         * c ** (k_lower * big_k + 1)
     )
-    assert root["c_prime"] == expected_cp
-    assert root["epsilon"] == root["c_double_prime"] ** root["arity"] / 2
-    assert root["s"] == ceil_log(sh.p, 1 / root["epsilon"])
+    assert monomial_value(root["c_prime"]) == expected_cp
+    eps = monomial_value(root["epsilon"])
+    assert eps == monomial_value(root["c_double_prime"]) ** root["arity"] / 2
+    assert root["s"] == ceil_log(sh.p, 1 / eps)
     assert root["codim_contribution"] == cert.output_codim
 
 
@@ -408,13 +426,14 @@ def test_dense_columns_picks_first_qualifying_slice():
     other = sh.total_points // pd
     import math as _math
 
-    sparse = fibers <= _math.floor(res.c_prime * pd)
+    c_prime = monomial_value(res.c_prime)
+    sparse = fibers <= _math.floor(c_prime * pd)
     first = None
     for t in range(pd):
         u = mask[:, t]
         if Fraction(int(u.sum()), other) < c / 2:
             continue
-        if Fraction(int((u & sparse).sum()), other) > 2 * res.c_prime / c:
+        if Fraction(int((u & sparse).sum()), other) > 2 * c_prime / c:
             continue
         first = t
         break
@@ -479,6 +498,12 @@ def test_forced_epsilon_overshoot_diagnostic():
     assert err.extra_count == 6  # |G| - |V| = 16 - 10
     assert err.extra_count >= err.extra_floor
     assert err.point is not None
+
+
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 4)])
+def test_epsilon_override_must_be_positive(bad):
+    with pytest.raises(PreconditionError, match="epsilon_override must be positive"):
+        find_subvariety(dot_variety(2, 2), epsilon_override=bad)
 
 
 @pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])

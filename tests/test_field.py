@@ -59,10 +59,14 @@ def test_all_vectors_distinct(p, dim):
 
 
 def test_all_vectors_refuses_over_budget():
-    all_vectors.cache_clear()  # a memoized table would skip the guard
+    # a memoized table is refused too, not only a fresh one
+    all_vectors(2, 10)
+    hits = all_vectors.cache_info().hits
     budget.set_point_budget(100)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="vector table needs 1024 points"):
         all_vectors(2, 10)
+    assert all_vectors.cache_info().hits == hits
+    assert all_vectors(2, 6).shape == (64, 6)
 
 
 def test_vector_index_roundtrip():

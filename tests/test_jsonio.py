@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mlvariety.jsonio import (
 )
 from mlvariety.variety import Variety
 
-from helpers import small_dims
+from helpers import monomial_value, small_dims
 
 
 def test_form_roundtrip_bit_exact():
@@ -77,6 +78,10 @@ def test_certificate_roundtrip():
     again = certificate_from_obj(json.loads(json.dumps(obj)))
     assert again == cert
     assert certificate_to_obj(again) == obj
+    # c' = c**2 / (2**3 p**2) at arity 2, written as a monomial in c = 5/8
+    assert obj["format_version"] == "3"
+    assert obj["ledger"][0]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
+    assert monomial_value(again.ledger[0]["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
 
 
 def test_form_shape_mismatch_detected():
