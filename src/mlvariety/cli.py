@@ -140,14 +140,21 @@ def cmd_rank(args) -> int:
         lines.append("partition_rank: n/a (single-factor support)")
     if form.shape.k >= 2:
         zf = zero_fiber_identity_check(form)
+        try:
+            count, expected = str(zf.zero_fiber_count), frac_to_str(zf.expected)
+        except ValueError:  # past Python's int-to-str digit limit
+            raise BudgetExceededError(
+                f"zero-fiber count over at least 2^{zf.outer_points.bit_length() - 1} "
+                "outer points is too long to write"
+            ) from None
         report["zero_fiber_identity"] = {
             "holds": zf.holds,
             "count": zf.zero_fiber_count,
-            "expected": frac_to_str(zf.expected),
+            "expected": expected,
         }
         lines.append(
             f"zero_fiber_identity: {'holds' if zf.holds else 'FAILS'} "
-            f"(count={zf.zero_fiber_count}, expected={frac_to_str(zf.expected)})"
+            f"(count={count}, expected={expected})"
         )
     _emit(args, lines, report)
     return EXIT_OK

@@ -352,18 +352,17 @@ def zero_fiber_identity_check(form: MultilinearForm) -> ZeroFiberReport:
     factor.  The left side is counted from the full value grid (a fiber is
     zero iff the form vanishes at every point of that factor), the right
     side comes from the kernel-counting bias; exact equality is required.
-    Both sides count points of the outer group, so an outer group over the
-    point budget is refused like an enumeration of it.
     """
     if form.shape.k < 2:
         raise PreconditionError("the identity needs at least two factors")
     p = form.shape.p
     sizes = form.shape.group_sizes
-    j = form.support[-1] if not form.is_zero() else form.shape.k - 1
-    outer = math.prod(sizes[l] for l in range(form.shape.k) if l != j)
-    budget.ensure(outer, "zero-fiber count")
     if form.is_zero():
+        j = form.shape.k - 1
+        outer = math.prod(sizes[:j] + sizes[j + 1 :])
         return ZeroFiberReport(j, outer, outer, Fraction(outer), True)
+    j = form.support[-1]
+    outer = math.prod(sizes[l] for l in range(form.shape.k) if l != j)
     grid = eval_grid(form)
     fiber_zero = (grid == 0).all(axis=len(form.support) - 1)
     support_outer = math.prod(p ** form.shape.dims[l] for l in form.support[:-1])

@@ -142,8 +142,11 @@ def variety_from_obj(obj) -> Variety:
     return Variety(shape, forms)
 
 
-def _monomial_to_obj(m: Monomial, c: Fraction) -> dict:
-    """The wire object of m; c is not written, the record carries it."""
+def _monomial_to_obj(m: Monomial, p: int, c: str) -> dict:
+    """The wire object of m.  Its level is not written: the reader takes p
+    from the output and c from the record, so m must be at that level."""
+    if (m.p, frac_to_str(m.c)) != (p, c):
+        raise ValueError(f"a monomial at level ({m.p}, {m.c}) in a record at level ({p}, {c})")
     return {"coef": frac_to_str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
 
 
@@ -179,6 +182,11 @@ def _convert_ledger_record(record: dict, rational, monomial) -> dict:
 
 
 def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) -> dict:
+    p = cert.output.shape.p
+
+    def monomial(m, c):
+        return _monomial_to_obj(m, p, c)
+
     out = {
         "format_version": FORMAT_VERSION,
         "input_density": frac_to_str(cert.input_density),
@@ -186,7 +194,7 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
         "budget": cert.budget,
         "output": variety_to_obj(cert.output),
         "ledger": [
-            _convert_ledger_record(r, frac_to_str, _monomial_to_obj) for r in cert.ledger
+            _convert_ledger_record(r, frac_to_str, monomial) for r in cert.ledger
         ],
     }
     if config is not None:

@@ -9,12 +9,11 @@ decides every comparison exactly without forming those powers:
 * a ratio of two monomials, or of a monomial and a positive rational, is a
   product of integer powers; it is rewritten over pairwise coprime odd bases
   and a power of two, where it equals 1 exactly when every exponent is zero;
-* otherwise it is not 1; a short product is compared as exact integers,
-  and for a long one, for j = 2**i, i = 0, 1, 2, 4, 8, ..., log2 of each odd base b
-  is bracketed strictly between (L - 1)/j and L/j, L the bit length of b**j,
-  until the brackets fix the sign.  b**j is exact while it is short and is
-  kept to its leading bits, rounded down and up, once it is long, so the
-  cost grows with log j, not with j or with the exponents.
+* otherwise it is not 1, and for j = 2**i, i = 0, 1, 2, 4, 8, ..., log2 of
+  each odd base b is bracketed strictly between (L - 1)/j and L/j, L the
+  bit length of b**j, until the brackets fix the sign.  b**j is exact while
+  it is short and is kept to its leading bits, rounded down and up, once it
+  is long, so the cost grows with log j, not with j or with the exponents.
 
 No float enters a decision.
 """
@@ -28,29 +27,16 @@ from fractions import Fraction
 from .errors import PreconditionError
 
 
-# Products of powers up to this many bits are compared as exact integers:
-# cheaper than bracketing when they are close to a tie.
-_EXACT_BITS = 1 << 12
-
-
-def _split_powers(powers, p: int) -> tuple[int, dict[int, int]]:
+def _split_powers(powers) -> tuple[int, dict[int, int]]:
     """Rewrite prod b**x over integers b >= 1 as 2**two * prod d**y with the
-    d odd, pairwise coprime and above 1, and every y nonzero.
-
-    Factors 2 and the prime p, which densities and point counts are full
-    of, are divided out first; the gcd splitting handles the rest.
-    """
+    d odd, pairwise coprime and above 1, and every y nonzero."""
     two, basis, pending = 0, {}, []
-    p_exp = 0
     for b, x in powers:
         if x == 0 or b == 1:
             continue
         t = (b & -b).bit_length() - 1
         two += t * x
         b >>= t
-        while p != 2 and b % p == 0:
-            b //= p
-            p_exp += x
         if b != 1:
             pending.append((b, x))
     while pending:
@@ -64,8 +50,6 @@ def _split_powers(powers, p: int) -> tuple[int, dict[int, int]]:
                 break
         else:
             basis[b] = x
-    if p_exp:
-        basis[p] = p_exp
     return two, basis
 
 
@@ -87,23 +71,13 @@ def _log2_bracket(b: int, i: int) -> tuple[int, int]:
     return low.bit_length() - 1 + shift, high.bit_length() + shift
 
 
-def _log_sign(powers, p: int) -> int:
-    """Sign of log(prod b**x) for (b, x) pairs with integers b >= 1; p is a
-    prime that is divided out of every b first."""
-    two, basis = _split_powers(powers, p)
+def _log_sign(powers) -> int:
+    """Sign of log(prod b**x) for (b, x) pairs with integers b >= 1."""
+    two, basis = _split_powers(powers)
     if not basis:
         return (two > 0) - (two < 0)
     # Pairwise coprime odd bases above 1 are multiplicatively independent, so
-    # the product is not 1 from here on.
-    if sum(abs(x) * b.bit_length() for b, x in basis.items()) <= _EXACT_BITS:
-        num, den = 1 << max(two, 0), 1 << max(-two, 0)
-        for b, x in basis.items():
-            if x > 0:
-                num *= b**x
-            else:
-                den *= b**-x
-        return 1 if num > den else -1
-    # The brackets have width O(2**-i), so they settle the nonzero log.
+    # the product is not 1 and the brackets, of width O(2**-i), settle its log.
     i = 0
     while True:
         lo = hi = two << i
@@ -166,7 +140,7 @@ class Monomial:
             (self.coef.numerator, 1), (self.coef.denominator, -1),
             (r.numerator, -1), (r.denominator, 1), (self.p, a),
             (self.c.numerator, e), (self.c.denominator, -e),
-        ], self.p)
+        ])
 
     def __lt__(self, other):
         return self._cmp(other) < 0

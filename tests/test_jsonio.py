@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -82,6 +83,18 @@ def test_certificate_roundtrip():
     assert obj["format_version"] == "3"
     assert obj["ledger"][0]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
     assert monomial_value(again.ledger[0]["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
+
+
+def test_certificate_refuses_a_monomial_off_its_record_level():
+    # the wire object leaves the level out, so writing c' at another c would
+    # change its value
+    sh = Shape(2, (2, 2))
+    v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
+    cert = find_subvariety(v)
+    root = dict(cert.ledger[0])
+    root["c_prime"] = dataclasses.replace(root["c_prime"], c=Fraction(1, 2))
+    with pytest.raises(ValueError, match="level"):
+        certificate_to_obj(dataclasses.replace(cert, ledger=(root,) + cert.ledger[1:]))
 
 
 def test_form_shape_mismatch_detected():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from mlvariety import monomial
 from mlvariety.errors import PreconditionError
 from mlvariety.forms import ceil_log
 from mlvariety.monomial import Monomial
@@ -39,16 +38,8 @@ def _random_rational(rng, p, value):
     return rng.choice(choices)
 
 
-@pytest.fixture(params=["exact", "brackets"])
-def decide(request, monkeypatch):
-    """Run a test once as shipped and once with every product bracketed."""
-    if request.param == "brackets":
-        monkeypatch.setattr(monomial, "_EXACT_BITS", 0)
-    return request.param
-
-
 @pytest.mark.parametrize("p", [2, 3])
-def test_comparisons_match_exact_fractions(p, decide):
+def test_comparisons_match_exact_fractions(p):
     rng = random.Random(100 + p)
     for _ in range(600):
         c = _random_level(rng, p)
@@ -66,7 +57,7 @@ def test_comparisons_match_exact_fractions(p, decide):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_floor_ceil_and_least_t_match_exact_fractions(p, decide):
+def test_floor_ceil_and_least_t_match_exact_fractions(p):
     rng = random.Random(200 + p)
     for _ in range(400):
         c = _random_level(rng, p)
@@ -82,9 +73,8 @@ def test_floor_ceil_and_least_t_match_exact_fractions(p, decide):
 
 
 def test_near_ties_at_long_products_match_exact_fractions():
-    # c**e with e in the hundreds is past the exact-integer size, so these
-    # are decided by brackets, against the rationals a millionth apart that
-    # enclose them
+    # c**e with e in the hundreds, against the rationals a millionth apart
+    # that enclose it: the brackets must get past several hundred bits
     rng = random.Random(7)
     for _ in range(40):
         p = rng.choice([2, 3])
@@ -104,7 +94,7 @@ def test_near_ties_at_long_products_match_exact_fractions():
         assert m.ceil_log_inverse() == ceil_log(p, 1 / value)
 
 
-def test_constructed_ties_are_exact(decide):
+def test_constructed_ties_are_exact():
     # (4/9)**e * 3**(2e) * 2**(-2e) = 1 and (1/9)**e * 3**(2e) = 1 at any e
     for e in (1, 7, 10**6):
         assert Monomial(Fraction(1, 4**e), 3, Fraction(4, 9), 2 * e, e) <= 1
