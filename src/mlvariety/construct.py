@@ -36,7 +36,7 @@ from .forms import MultilinearForm, MultilinearMap, _grid_scope, ceil_log, eval_
 from .monomial import Monomial
 from .variety import (
     Variety,
-    _first_unfilled,
+    _fill_scan,
     _point_from_index,
     bad_set_cap,
     slice_variety,
@@ -228,6 +228,8 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     transfers fiber density from the slice to the whole base: the fiber over
     the base point contains the intersection of the 2**k corner fibers, each
     a subspace of density above c', so its density is at least c' ** 2**k.
+    The witnesses come from the same search conv_fill_check runs, over every
+    base point; the first base point without one is named in the error.
     All of this is verified exhaustively before returning.
     """
     shape = v.shape
@@ -290,9 +292,10 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
     allowed = base_mask & ~bad_mask
-    missing = _first_unfilled(base.shape, base_mask, allowed, "fiber filling")
-    if missing is not None:
-        point = _point_from_index(base.shape, missing)
+    bases, offsets = _fill_scan(base.shape, base_mask, allowed, "fiber filling")
+    unfilled = bases[offsets[:, 0] < 0]
+    if len(unfilled):
+        point = _point_from_index(base.shape, unfilled[0])
         raise ConstructionError(f"no filling witness at base point {point}")
     fiber_floor = c_prime ** (2**lower)
     floor_points = fiber_floor * direction_size

@@ -94,16 +94,29 @@ all_vectors.cache_info = _vector_table.cache_info
 all_vectors.cache_clear = _vector_table.cache_clear
 
 
-@lru_cache(maxsize=None)
 def shift_permutation(p: int, n: int, shift: int) -> np.ndarray:
     """Index permutation of F_p^n realizing v -> v + u, where u is the
-    vector of rank `shift`: entry t is the rank of (vector t) + u."""
+    vector of rank `shift`: entry t is the rank of (vector t) + u.
+
+    Memoized like all_vectors, with the point budget checked on every call;
+    cache_info and cache_clear are the memo's.
+    """
+    budget.ensure(p**n, "translation table")
+    return _shift_table(p, n, shift)
+
+
+@lru_cache(maxsize=None)
+def _shift_table(p: int, n: int, shift: int) -> np.ndarray:
     table = all_vectors(p, n).astype(np.int64)
     moved = (table + table[shift]) % p
     powers = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
     perm = moved @ powers if n else np.zeros(1, dtype=np.int64)
     perm.setflags(write=False)
     return perm
+
+
+shift_permutation.cache_info = _shift_table.cache_info
+shift_permutation.cache_clear = _shift_table.cache_clear
 
 
 # ---------------------------------------------------------------------------

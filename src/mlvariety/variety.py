@@ -251,43 +251,6 @@ def directional_convolution(s: PointSet, direction: int, point) -> Fraction:
     return Fraction(int(np.count_nonzero(both[sel])), shape.p**n)
 
 
-def _shift_rounds(shape: Shape, out: np.ndarray, ranks) -> np.ndarray:
-    """Shift-and-intersect rounds for directions 0, 1, ..., one per shift
-    rank: after the round for direction i the surviving offsets have both
-    the plain and the shifted corner in the set for every combination of
-    the directions processed so far."""
-    for i, t in enumerate(ranks):
-        perm = shift_permutation(shape.p, shape.dims[i], t)
-        out = out & np.take(out, perm, axis=i)
-    return out
-
-
-def _first_true(out: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True of `out` in reversed lexicographic order
-    (last axis compared first), or None when there is none.
-
-    Works down from the last axis: `any` over the leading axes, the first
-    True along the rest, then that index is fixed and the next axis is
-    reduced the same way, so no axis-reversed copy is made.
-    """
-    found = []
-    while out.ndim:
-        hits = out.any(axis=tuple(range(out.ndim - 1)))
-        t = int(hits.argmax())
-        if not hits[t]:
-            return None
-        found.append(t)
-        out = out[..., t]
-    return tuple(reversed(found))
-
-
-def _first_offsets(shape: Shape, allowed: np.ndarray, idx) -> tuple[int, ...] | None:
-    """Offset ranks of the first parallelepiped at the base of per-factor
-    ranks `idx` with every corner in `allowed` (iterated_conv_witness's
-    order: reversed lexicographic), or None."""
-    return _first_true(_shift_rounds(shape, allowed, idx))
-
-
 @dataclass(frozen=True)
 class Parallelepiped:
     """Base point plus one offset per direction; the corner for a subset T
@@ -321,8 +284,8 @@ def iterated_conv_witness(v: Variety, bad: PointSet, point) -> Parallelepiped | 
     """
     _, allowed = _masks_minus_bad(v, bad)
     idx = _point_index(v.shape, point)
-    offsets = _first_offsets(v.shape, allowed, idx)
-    if offsets is None:
+    offsets = _witness_offsets(v.shape, np.array([idx], dtype=np.int64), allowed)[0]
+    if offsets[0] < 0:
         return None
     return Parallelepiped(
         v.shape, _point_from_index(v.shape, idx), _point_from_index(v.shape, offsets)
@@ -340,59 +303,55 @@ def _masks_minus_bad(v: Variety, bad: PointSet) -> tuple[np.ndarray, np.ndarray]
     return wmask, wmask & ~bad.mask
 
 
-def _scan_bases(shape: Shape, points: np.ndarray, what: str) -> np.ndarray:
-    """The points of a bitmap as an (N, k) array of per-factor ranks in
-    enumeration order, charged N*k (one round per base and direction)."""
-    budget.charge(int(np.count_nonzero(points)) * shape.k, what)
-    return np.argwhere(points).astype(np.int64, copy=False)
+def _witness_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Offset ranks of the first parallelepiped with every corner in
+    `allowed` at each row of `bases` (per-factor ranks in enumeration
+    order), as an (N, k) int64 array, -1 throughout where there is none.
 
-
-def _offset_masks(shape: Shape, bases: np.ndarray, allowed: np.ndarray):
-    """Yield (row, surviving offset mask) for every row of `bases`.
-
-    Rows sharing the prefix of their first k-1 ranks are adjacent in
-    enumeration order, so the rounds for directions 0..k-2 run once per
-    prefix and only the last direction's round runs once per base.  That
-    round works on a copy with the last axis first, where a shift gathers
-    whole rows; each yielded mask is a view back in the original axis order.
+    "First" is iterated_conv_witness's order: reversed lexicographic, last
+    direction compared first.  The search runs on one copy of `allowed`
+    with its axes reversed, where that order is C order, so the first
+    witness is one argmax over the flattened offset mask, and a shift in the
+    last direction (axis 0) gathers whole rows.  After the round for a
+    direction, the surviving offsets have both the plain and the shifted
+    corner in the set for every combination of the directions processed so
+    far.  Rows sharing their first k-1 ranks are adjacent, so the rounds for
+    directions 0..k-2 run once per prefix and only the last direction's
+    round runs once per base.
     """
-    last = shape.k - 1
-    order = (*range(1, shape.k), 0)
+    k = shape.k
+    rev = allowed.T.copy()
+    flat = np.full(len(bases), -1, dtype=np.int64)
     new_prefix = np.ones(len(bases), dtype=bool)
-    new_prefix[1:] = (bases[1:, :last] != bases[:-1, :last]).any(axis=1)
+    new_prefix[1:] = (bases[1:, :-1] != bases[:-1, :-1]).any(axis=1)
     starts = np.flatnonzero(new_prefix).tolist()
     for start, end in zip(starts, [*starts[1:], len(bases)]):
-        prefix = _shift_rounds(shape, allowed, bases[start, :last].tolist())
-        shared = np.moveaxis(prefix, last, 0).copy()
-        for row, t in enumerate(bases[start:end, last].tolist(), start):
-            perm = shift_permutation(shape.p, shape.dims[last], t)
-            yield row, (shared & shared[perm]).transpose(order)
+        shared = rev
+        for i, t in enumerate(bases[start, :-1].tolist()):
+            perm = shift_permutation(shape.p, shape.dims[i], t)
+            shared = shared & np.take(shared, perm, axis=k - 1 - i)
+        for row, t in enumerate(bases[start:end, -1].tolist(), start):
+            perm = shift_permutation(shape.p, shape.dims[-1], t)
+            out = (shared & shared[perm]).reshape(-1)
+            first = int(out.argmax())
+            if out[first]:
+                flat[row] = first
+    found = flat >= 0
+    offsets = np.full(bases.shape, -1, dtype=np.int64)
+    offsets[found] = np.stack(np.unravel_index(flat[found], rev.shape)[::-1], axis=1)
+    return offsets
 
 
 def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
-    """Witness search at every point of the `points` bitmap.
+    """Witness search at every point of the `points` bitmap, charged N*k
+    (one round per base and direction).
 
-    Returns (bases, offsets), two (N, k) int64 arrays in enumeration order:
-    row j of offsets is _first_offsets(shape, allowed, bases[j]), or -1
-    throughout where no witness exists.
+    Returns (bases, offsets), two (N, k) int64 arrays in enumeration order,
+    offsets as _witness_offsets gives them.
     """
-    bases = _scan_bases(shape, points, what)
-    offsets = np.full(bases.shape, -1, dtype=np.int64)
-    for j, out in _offset_masks(shape, bases, allowed):
-        found = _first_true(out)
-        if found is not None:
-            offsets[j] = found
-    return bases, offsets
-
-
-def _first_unfilled(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
-    """Ranks of the first point of the `points` bitmap with no witness in
-    `allowed`, or None; tests existence only, charged as _fill_scan."""
-    bases = _scan_bases(shape, points, what)
-    for j, out in _offset_masks(shape, bases, allowed):
-        if not out.any():
-            return bases[j]
-    return None
+    budget.charge(int(np.count_nonzero(points)) * shape.k, what)
+    bases = np.argwhere(points).astype(np.int64, copy=False)
+    return bases, _witness_offsets(shape, bases, allowed)
 
 
 def bad_set_cap(shape: Shape, codim: int) -> Fraction:
@@ -419,11 +378,12 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
 
     Preconditions (rejected with a diagnostic when violated): the bad set
     lies inside the variety and within bad_set_cap of the representation
-    codimension.  Every witness's corners are re-checked against the bad
-    set before it counts, in one vectorized pass over all witnessed bases:
-    ranks are decoded through the vector table, each base is added to its
-    offsets mod p, and the sums are ranked again, so the re-check does not
-    depend on the shift tables the search uses.
+    codimension.  The witnesses at all points come from one search, which
+    dense_columns shares (_fill_scan).  Every witness's corners are
+    re-checked against the bad set before it counts, in one vectorized pass
+    over all witnessed bases: ranks are decoded through the vector table,
+    each base is added to its offsets mod p, and the sums are ranked again,
+    so the re-check does not depend on the shift tables the search uses.
     """
     shape = v.shape
     wmask, allowed = _masks_minus_bad(v, bad)

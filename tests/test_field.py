@@ -69,6 +69,17 @@ def test_all_vectors_refuses_over_budget():
     assert all_vectors(2, 6).shape == (64, 6)
 
 
+def test_shift_permutation_refuses_over_budget():
+    # a memoized table is refused too, not only a fresh one
+    shift_permutation(2, 12, 5)
+    hits = shift_permutation.cache_info().hits
+    budget.set_point_budget(100)
+    with pytest.raises(BudgetExceededError, match="translation table needs 4096 points"):
+        shift_permutation(2, 12, 5)
+    assert shift_permutation.cache_info().hits == hits
+    assert shift_permutation(2, 6, 5).shape == (64,)
+
+
 def test_vector_index_roundtrip():
     for p, dim in [(2, 3), (3, 2), (5, 1)]:
         for i, v in enumerate(itertools.product(range(p), repeat=dim)):

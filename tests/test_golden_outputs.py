@@ -1,0 +1,111 @@
+"""One digest over a fixed list of small in-process CLI runs.
+
+Each run contributes its argv, exit code, stdout, stderr, the bytes of the
+file it wrote (if any) and the work counter.  The runs cover find-sub then
+verify, conv-check, approx, rank, density and one sweep per generator, over
+p in {2, 3, 5} and arity 1 to 5, with exits 2, 3, 4 and 5 among them.  A
+refactor that keeps every output byte-identical keeps GOLDEN_SHA256; a
+change meant to alter an output re-pins it from the failure message.
+"""
+
+import hashlib
+import json
+import random
+
+from mlvariety import budget
+from mlvariety.cli import main
+from mlvariety.forms import Shape
+from mlvariety.generators import random_form, random_map, random_variety
+from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
+from mlvariety.variety import Variety
+
+GOLDEN_SHA256 = "77db8040c2a4f4a3f88057b456357e95bc4a2784403f4f12d4425fc61261bee8"
+
+# (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
+VARIETIES = [
+    ("p2_k1", 2, (4,), 1, 11),
+    ("p2_k2", 2, (3, 3), 2, 12),
+    ("p3_k2", 3, (2, 2), 1, 13),
+    ("p5_k2", 5, (1, 2), 1, 14),
+    ("p2_k3", 2, (2, 2, 2), 2, 15),
+    ("p3_k3", 3, (1, 1, 2), 1, 16),
+    ("p2_k4", 2, (1, 2, 1, 2), 1, 17),
+    ("p2_k5", 2, (1, 1, 1, 1, 1), 1, 18),
+]
+
+
+def _write_inputs(root):
+    def put(name, obj):
+        (root / name).write_text(json.dumps(obj))
+
+    for stem, p, dims, forms, seed in VARIETIES:
+        v = random_variety(random.Random(seed), Shape(p, dims), forms)
+        put(f"{stem}.json", variety_to_obj(v))
+    put("full_p2_33.json", variety_to_obj(Variety.full(Shape(2, (3, 3)))))
+    put("full_p3_22.json", variety_to_obj(Variety.full(Shape(3, (2, 2)))))
+    put("full_p2_222.json", variety_to_obj(Variety.full(Shape(2, (2, 2, 2)))))
+    codim1 = random_variety(random.Random(31), Shape(2, (4, 4)), 1, full_support_only=True)
+    put("codim1_p2_44.json", variety_to_obj(codim1))
+    put("empty.json", variety_to_obj(Variety.empty(Shape(2, (1, 1)))))
+    put("form_p2.json", form_to_obj(random_form(random.Random(41), Shape(2, (2, 2)))))
+    put("form_p3.json", form_to_obj(random_form(random.Random(42), Shape(3, (1, 1, 2)))))
+    put("form_p5.json", form_to_obj(random_form(random.Random(43), Shape(5, (1, 2)))))
+    put("map_p2.json", map_to_obj(random_map(random.Random(51), Shape(2, (2, 2)), 2)))
+    put("map_p3.json", map_to_obj(random_map(random.Random(52), Shape(3, (1, 2)), 2)))
+    (root / "broken.json").write_text("{not json")
+
+
+def _runs():
+    for stem, *_ in VARIETIES:
+        cert = f"cert_{stem}.json"
+        yield ["find-sub", "--input", f"{stem}.json", "--format", "json", "--output", cert]
+        yield ["verify", "--input", f"{stem}.json", "--certificate", cert]
+    yield ["verify", "--input", "p2_k2.json", "--certificate", "cert_p2_k1.json"]
+    yield ["verify", "--input", "full_p2_33.json", "--certificate", "cert_p2_k2.json"]
+    yield ["conv-check", "--input", "p2_k2.json", "--format", "json"]
+    yield ["conv-check", "--input", "full_p2_33.json", "--seed", "3", "--format", "json"]
+    yield ["conv-check", "--input", "full_p3_22.json", "--seed", "4"]
+    yield ["conv-check", "--input", "full_p2_222.json", "--bad-count", "1"]
+    yield ["conv-check", "--input", "codim1_p2_44.json", "--seed", "5", "--format", "json"]
+    yield ["conv-check", "--input", "p5_k2.json", "--bad-count", "0"]
+    yield ["conv-check", "--input", "p2_k4.json"]
+    yield ["conv-check", "--input", "full_p2_33.json", "--bad-count", "5"]
+    yield ["approx", "--input", "map_p2.json", "--s", "2", "--output", "approx_p2.json"]
+    yield ["approx", "--input", "map_p3.json", "--s", "1", "--format", "json"]
+    yield ["rank", "--input", "form_p2.json"]
+    yield ["rank", "--input", "form_p3.json", "--format", "json"]
+    yield ["rank", "--input", "form_p5.json"]
+    yield ["density", "--input", "p3_k3.json"]
+    yield ["density", "--input", "p2_k5.json", "--format", "json"]
+    yield ["sweep", "--p", "2", "--dims", "2,2", "--gen", "product", "--logdensities", "0,1,2"]
+    yield ["sweep", "--seed", "7", "--p", "3", "--dims", "1,2", "--gen", "random-forms",
+           "--count", "2", "--forms", "1"]
+    yield ["sweep", "--seed", "9", "--p", "2", "--dims", "2,1,1", "--gen", "low-prank",
+           "--count", "2", "--output", "sweep_lowprank.csv"]
+    yield ["find-sub", "--input", "empty.json"]
+    yield ["find-sub", "--input", "p2_k2.json", "--budget", "10"]
+    yield ["density", "--input", "broken.json"]
+
+
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in _runs():
+        budget.reset_work()
+        code = main(argv)
+        codes.add(code)
+        out, err = capsys.readouterr()
+        record = {
+            "argv": argv,
+            "exit": code,
+            "stdout": out,
+            "stderr": err,
+            "work_points": budget.work_points(),
+        }
+        if "--output" in argv:
+            record["file"] = (tmp_path / argv[argv.index("--output") + 1]).read_text()
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert codes == {0, 2, 3, 4, 5}
+    assert digest.hexdigest() == GOLDEN_SHA256

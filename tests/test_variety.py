@@ -15,7 +15,6 @@ from mlvariety.variety import (
     PointSet,
     Variety,
     _fill_scan,
-    _first_offsets,
     _point_from_index,
     _point_index,
     conv_fill_check,
@@ -403,35 +402,39 @@ def test_conv_fill_reports_every_point_without_a_witness(monkeypatch):
     assert report.corners_checked == 0
 
 
-@pytest.mark.parametrize("p, dims", [
-    (2, (4,)), (3, (2,)), (2, (2, 2)), (3, (1, 2)), (2, (1, 2, 1)), (3, (1, 1, 1)),
+@pytest.mark.parametrize("p, dims, point_share", [
+    (2, (4,), 0.7), (3, (2,), 0.7), (2, (2, 2), 0.7), (3, (1, 2), 0.7),
+    (2, (1, 2, 1), 0.7), (3, (1, 1, 1), 0.7), (2, (1, 1, 1, 1), 0.7), (5, (1, 1), 0.7),
+    (2, (2, 2), 0.0),
 ])
-def test_fill_scan_rows_match_first_offsets_and_bruteforce(p, dims):
+def test_fill_scan_rows_match_bruteforce_and_iterated_conv_witness(p, dims, point_share):
     sh = Shape(p, dims)
     rng = random.Random(f"{p}{dims}")
     outcomes = set()
     for fill in (0.1, 0.3, 0.6, 0.9):
-        points = np.array([rng.random() < 0.7 for _ in range(sh.total_points)])
+        points = np.array([rng.random() < point_share for _ in range(sh.total_points)])
         allowed = np.array([rng.random() < fill for _ in range(sh.total_points)])
         points = points.reshape(sh.group_sizes)
         allowed = allowed.reshape(sh.group_sizes)
         allowed_points = {
             _point_from_index(sh, idx) for idx in np.argwhere(allowed).tolist()
         }
+        bad = PointSet(sh, ~allowed)
         bases, offsets = _fill_scan(sh, points, allowed, "test scan")
         assert bases.dtype == offsets.dtype == np.int64
         assert bases.tolist() == np.argwhere(points).tolist()
         assert offsets.shape == bases.shape
         for idx, offs in zip(bases.tolist(), offsets.tolist()):
-            expected = _first_offsets(sh, allowed, idx)
-            outcomes.add(expected is None)
-            if expected is None:
+            base = _point_from_index(sh, idx)
+            brute = brute_first_witness(sh, allowed_points, base)
+            outcomes.add(brute is None)
+            if brute is None:
                 assert offs == [-1] * sh.k
             else:
-                assert tuple(offs) == expected
-            brute = brute_first_witness(sh, allowed_points, _point_from_index(sh, idx))
-            assert brute == (None if expected is None else _point_from_index(sh, expected))
-    assert outcomes == {True, False}
+                assert _point_from_index(sh, offs) == brute
+            witness = iterated_conv_witness(Variety.full(sh), bad, base)
+            assert (None if witness is None else witness.offsets) == brute
+    assert outcomes == ({True, False} if point_share else set())
 
 
 @given(st.integers(0, 2**32 - 1))
