@@ -30,13 +30,7 @@ from .errors import (
     PreconditionError,
     ZeroBiasError,
 )
-from .field import (
-    Subspace,
-    annihilator,
-    echelonize,
-    subspace_contains,
-    subspace_points,
-)
+from .field import Subspace, echelonize
 from .forms import (
     AnalyticRank,
     MultilinearForm,

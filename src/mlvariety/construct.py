@@ -128,8 +128,9 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     charges (the per-point price, kept until the sweep-format accounting bump).
 
     Containment is checked on the value grids of the phi components
-    themselves, each distinct one evaluated once in a grid scope, never on
-    values derived from the chosen functionals.
+    themselves, each distinct one evaluated once in a grid scope and folded
+    into the common zero mask once, never on values derived from the chosen
+    functionals.
     """
     if s < 0:
         raise PreconditionError("the number of functionals must be non-negative")
@@ -174,8 +175,12 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     ]
     phi = MultilinearMap(shape, source.support, components)
     phi_zero = np.ones(support_total, dtype=bool)
+    folded = set()
     for f in components:
-        phi_zero &= eval_grid(f).reshape(-1) == 0
+        grid = eval_grid(f)  # charged per component, folded once per form
+        if f.key() not in folded:
+            folded.add(f.key())
+            phi_zero &= grid.reshape(-1) == 0
     if bool(np.any(source_zero & ~phi_zero)):
         raise ConstructionError("containment of the source zero set failed")
     error_count = int(np.count_nonzero(phi_zero & ~source_zero)) * outside_mult

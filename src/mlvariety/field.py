@@ -11,11 +11,10 @@ not pure and not safe to call from several threads at once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,10 +106,14 @@ def shift_permutation(p: int, n: int, shift: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _shift_table(p: int, n: int, shift: int) -> np.ndarray:
-    table = all_vectors(p, n).astype(np.int64)
-    moved = (table + table[shift]) % p
-    powers = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
-    perm = moved @ powers if n else np.zeros(1, dtype=np.int64)
+    if p == 2:
+        # adding u over F_2 flips the bits of the rank where u has ones
+        perm = np.arange(2**n, dtype=np.int64) ^ shift
+    else:
+        table = all_vectors(p, n).astype(np.int64)
+        moved = (table + table[shift]) % p
+        powers = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
+        perm = moved @ powers if n else np.zeros(1, dtype=np.int64)
     perm.setflags(write=False)
     return perm
 
@@ -184,16 +187,6 @@ class Subspace:
     def rank(self) -> int:
         return len(self.basis)
 
-    @property
-    def codim(self) -> int:
-        return self.ambient_dim - self.rank
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, c in enumerate(row) if c) for row in self.basis)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.basis, dtype=np.uint8).reshape(self.rank, self.ambient_dim)
-
 
 def echelonize(vectors: Iterable, p: int, ambient_dim: int) -> Subspace:
     """Span of the given coordinate rows in F_p^ambient_dim, as a
@@ -201,44 +194,3 @@ def echelonize(vectors: Iterable, p: int, ambient_dim: int) -> Subspace:
     validate_prime(p)
     rows = [as_coords(v, p, ambient_dim) for v in vectors]
     return Subspace(p, ambient_dim, tuple(rref(rows, p, width=ambient_dim)))
-
-
-def subspace_contains(s: Subspace, v) -> bool:
-    """True iff v reduces to zero against the echelon basis."""
-    coords = list(as_coords(v, s.p, s.ambient_dim))
-    for row, pivot in zip(s.basis, s.pivots()):
-        coeff = coords[pivot]
-        if coeff:
-            for i, c in enumerate(row):
-                coords[i] = (coords[i] - coeff * c) % s.p
-    return not any(coords)
-
-
-def subspace_points(s: Subspace) -> Iterator[tuple[int, ...]]:
-    """All p**rank points of the subspace, in combination-lexicographic order."""
-    budget.charge(s.p**s.rank, "subspace enumeration")
-    for combo in itertools.product(range(s.p), repeat=s.rank):
-        acc = [0] * s.ambient_dim
-        for coeff, row in zip(combo, s.basis):
-            if coeff:
-                for i, c in enumerate(row):
-                    acc[i] = (acc[i] + coeff * c) % s.p
-        yield tuple(acc)
-
-
-def annihilator(s: Subspace) -> Subspace:
-    """Vectors w with w . v = 0 for every v in s; rank = ambient_dim - rank(s)."""
-    n, p = s.ambient_dim, s.p
-    piv = set(s.pivots())
-    rows = s.matrix().astype(np.int64)
-    out = []
-    pivot_list = s.pivots()
-    for free in range(n):
-        if free in piv:
-            continue
-        w = [0] * n
-        w[free] = 1
-        for r, pcol in enumerate(pivot_list):
-            w[pcol] = (-int(rows[r, free])) % p
-        out.append(w)
-    return echelonize(out, p=p, ambient_dim=n)

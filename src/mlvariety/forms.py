@@ -20,7 +20,7 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError, ZeroBiasError
-from .field import all_vectors, as_coords, rref, validate_prime, vector_from_index
+from .field import as_coords, rref, validate_prime, vector_from_index
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,31 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
 
     Axis t has size p**axis_dims[t] and is indexed by vector rank in
     enumeration order.
+
+    Each factor is expanded by additive extension: its coefficient axis is
+    moved last and replaced by a value axis that starts at size 1; for each
+    coordinate i, from the last down to the first, the axis grows into p
+    copies, copy a holding the previous copy plus c_i.  So coordinate i
+    varies slower than those already placed, the last coordinate fastest.
+    Sums of n terms below p stay exact and unreduced in the narrowest
+    unsigned type holding n (p-1)**2, and each factor is reduced mod p once.
     """
     budget.charge(math.prod(p**n for n in axis_dims), "evaluation grid")
     t = np.asarray(coeffs, dtype=np.int64) % p
     for n in axis_dims:
-        table = all_vectors(p, n).astype(np.int64)
-        t = np.tensordot(t, table, axes=([0], [1])) % p
-    return t.astype(np.uint8)
+        acc = np.min_scalar_type(n * (p - 1) ** 2)
+        c = np.moveaxis(t, 0, -1).astype(acc)
+        t = np.zeros(c.shape[:-1] + (p**n,), dtype=acc)
+        size = 1
+        for i in range(n - 1, -1, -1):
+            for a in range(1, p):
+                np.add(t[..., (a - 1) * size : a * size], c[..., i : i + 1],
+                       out=t[..., a * size : (a + 1) * size])
+            size *= p
+        q = t // p
+        q *= p
+        t -= q
+    return t.astype(np.uint8, copy=False)
 
 
 # Value grids already computed in the open grid scope, keyed by

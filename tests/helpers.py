@@ -3,11 +3,12 @@
 Everything here is deliberately written from scratch against the defining
 formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
-membership, row reduction in a different style, and brute-force witness
-search, and ledger monomials written out as rationals.  Tests compare
-library results against these.  One helper counts
-the library's own value-grid evaluations, for the grid-cache tests, and one
-replaces the witness search's translation tables, for the failure paths.
+membership, row reduction in a different style, brute-force witness search,
+ledger monomials written out as rationals, and subspace membership, points
+and annihilators for the tests that plant subspaces.  Tests compare library
+results against these.  One helper counts the library's own value-grid
+evaluations, for the grid-cache tests, and one replaces the witness search's
+translation tables, for the failure paths.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from mlvariety import forms, variety
+from mlvariety.field import echelonize
 
 
 def enumerate_points(shape):
@@ -101,6 +103,45 @@ def brute_rank_mod(rows, p: int) -> int:
                     work[r][cc] = (work[r][cc] - factor * work[rank][cc]) % p
         rank += 1
     return rank
+
+
+def _pivots(s):
+    return [next(i for i, c in enumerate(row) if c) for row in s.basis]
+
+
+def subspace_contains(s, v) -> bool:
+    """True iff v reduces to zero against the echelon basis of s."""
+    coords = [int(c) % s.p for c in v]
+    for row, pivot in zip(s.basis, _pivots(s)):
+        coeff = coords[pivot]
+        if coeff:
+            coords = [(x - coeff * c) % s.p for x, c in zip(coords, row)]
+    return not any(coords)
+
+
+def subspace_points(s):
+    """All p**rank points of s, one per combination of its basis rows."""
+    for combo in itertools.product(range(s.p), repeat=s.rank):
+        yield tuple(
+            sum(a * row[i] for a, row in zip(combo, s.basis)) % s.p
+            for i in range(s.ambient_dim)
+        )
+
+
+def annihilator(s):
+    """Vectors w with w . v = 0 for every v in s; rank = ambient_dim - rank(s)."""
+    n, p = s.ambient_dim, s.p
+    pivots = _pivots(s)
+    rows = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        w = [0] * n
+        w[free] = 1
+        for row, pcol in zip(s.basis, pivots):
+            w[pcol] = -row[free] % p
+        rows.append(w)
+    return echelonize(rows, p=p, ambient_dim=n)
 
 
 def brute_first_witness(shape, allowed, base):

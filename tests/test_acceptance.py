@@ -19,7 +19,6 @@ from mlvariety.construct import (
     verify_certificate,
 )
 from mlvariety.errors import ApproxMismatchError, PreconditionError
-from mlvariety.field import annihilator
 from mlvariety.forms import (
     MultilinearForm,
     Shape,
@@ -48,7 +47,7 @@ from mlvariety.variety import (
     variety_bitmap,
 )
 
-from helpers import small_dims
+from helpers import annihilator, small_dims
 
 
 def _report(name: str, count: int, started: float) -> None:

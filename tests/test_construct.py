@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import forms
+from mlvariety import budget, construct, forms
 from mlvariety.construct import (
     arity_constant,
     budget_line,
@@ -24,7 +24,7 @@ from mlvariety.errors import (
     EmptyVarietyError,
     PreconditionError,
 )
-from mlvariety.field import annihilator, echelonize
+from mlvariety.field import echelonize
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, ceil_log
 from mlvariety.monomial import Monomial
 from mlvariety.generators import (
@@ -37,6 +37,7 @@ from mlvariety.jsonio import certificate_to_obj
 from mlvariety.variety import Variety, density, membership, variety_bitmap, variety_points
 
 from helpers import (
+    annihilator,
     brute_eval,
     constant_shift_tables,
     count_grid_evaluations,
@@ -129,6 +130,38 @@ def test_approx_empty_codomain(p, s):
     assert res.error_count == 0
     assert res.survivors_per_step == (0,) * s
     assert res.error_cap == Fraction(sh.total_points, p**s)
+
+
+@pytest.mark.parametrize("p, dims", [(2, (3, 3)), (3, (2, 1, 1))])
+def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkeypatch):
+    """Once no survivor is left the greedy repeats the zero functional.  Each
+    repeat is still evaluated and charged as a grid, and the error count is
+    the brute-force count of points where phi vanishes and the source does
+    not."""
+    sh = Shape(p, dims)
+    source = random_map(random.Random(18), sh, 2)
+    calls = []
+
+    def counting(f):
+        calls.append(f.key())
+        return forms.eval_grid(f)
+
+    monkeypatch.setattr(construct, "eval_grid", counting)
+    s = 6
+    budget.reset_work()
+    res = external_approx(source, s)
+    assert len(calls) == source.codomain_dim + s
+    assert len(set(calls[source.codomain_dim :])) < s
+    live = 1 + sum(1 for n in res.survivors_per_step[:-1] if n)
+    scan = p**source.codomain_dim * sh.total_points
+    assert budget.work_points() == len(calls) * sh.total_points + live * scan
+    expected = sum(
+        1
+        for point in enumerate_points(sh)
+        if all(brute_eval(f, point) == 0 for f in res.phi.components)
+        and any(brute_eval(f, point) for f in source.components)
+    )
+    assert res.error_count == expected
 
 
 def test_approx_pair_of_products():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,17 +11,14 @@ from mlvariety.errors import PreconditionError
 from mlvariety.field import (
     Subspace,
     all_vectors,
-    annihilator,
     echelonize,
     shift_permutation,
-    subspace_contains,
-    subspace_points,
     validate_prime,
     vector_from_index,
     vector_index,
 )
 
-from helpers import brute_rank_mod
+from helpers import annihilator, brute_rank_mod, subspace_contains, subspace_points
 
 
 def test_validate_prime_accepts_small_primes():
@@ -100,6 +98,17 @@ def test_shift_permutation_is_translation():
     for idx, v in enumerate(itertools.product(range(p), repeat=n)):
         moved = tuple((c + s) % p for c, s in zip(v, shift))
         assert perm[idx] == vector_index(p, moved)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_shift_permutation_p2_matches_the_generic_formula(n):
+    """The p = 2 tables against (table + table[t]) % p ranked back, every t."""
+    table = all_vectors(2, n).astype(np.int64)
+    powers = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for t in range(2**n):
+        perm = shift_permutation(2, n, t)
+        assert not perm.flags.writeable
+        assert perm.tolist() == (((table + table[t]) % 2) @ powers).tolist()
 
 
 def test_echelonize_duplicate_rows():

@@ -1,5 +1,7 @@
+import itertools
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -100,16 +102,65 @@ def test_multilinearity_in_each_slot(seed):
     assert at(scaled) == (lam * at(a)) % sh.p
 
 
+# (p, dims, support): p in {2, 3, 5, 7, 17}, arity 1-4, proper-subset
+# supports, a factor of dimension 0, and p = 17 where sums of two terms
+# need more than eight bits.
+GRID_CASES = [
+    (2, (2, 2), (0, 1)),
+    (2, (5,), (0,)),
+    (2, (2, 1, 2), (0, 2)),
+    (2, (1, 2, 1, 2), (0, 1, 2, 3)),
+    (3, (2, 0, 2), (0, 1, 2)),
+    (3, (1, 1, 1, 1), (0, 1, 2, 3)),
+    (3, (2, 2, 1), (1, 2)),
+    (5, (2, 2), (0, 1)),
+    (5, (1, 1, 1), (0, 1, 2)),
+    (7, (1, 2), (0, 1)),
+    (17, (2,), (0,)),
+    (17, (2, 1), (0, 1)),
+    (17, (1, 3, 1), (1,)),
+]
+
+
 def test_eval_grid_matches_pointwise():
+    """The grid kernel against eval_form's independent contraction at every
+    point, the points decoded from ranks in itertools order; each case runs
+    with random coefficients and with every coefficient p - 1, the largest
+    unreduced sums."""
     rng = random.Random(11)
-    sh = Shape(2, (2, 2))
-    f = random_form(rng, sh)
-    grid = eval_grid(f)
-    for point in enumerate_points(sh):
-        idx = tuple(
-            sum(c * sh.p**(len(x) - 1 - t) for t, c in enumerate(x)) for x in point
-        )
-        assert int(grid[idx]) == brute_eval(f, point)
+    for p, dims, support in GRID_CASES:
+        sh = Shape(p, dims)
+        random_coeffs = random_form(rng, sh, support).coeffs
+        for coeffs in (random_coeffs, np.full(random_coeffs.shape, p - 1)):
+            f = MultilinearForm(sh, support, coeffs)
+            grid = eval_grid(f)
+            assert grid.dtype == np.uint8
+            assert grid.shape == tuple(p ** dims[j] for j in support)
+            vectors = [list(itertools.product(range(p), repeat=n)) for n in dims]
+            for idx in np.ndindex(grid.shape):
+                point = [rng.choice(vecs) for vecs in vectors]
+                for j, rank in zip(support, idx):
+                    point[j] = vectors[j][rank]
+                assert int(grid[idx]) == eval_form(f, point), (f, point)
+
+
+def test_eval_grid_of_the_zero_form_is_one_zero():
+    grid = eval_grid(zero_form(Shape(3, (2, 1))))
+    assert grid.shape == () and grid.dtype == np.uint8 and int(grid) == 0
+
+
+def test_value_grid_peak_memory_stays_near_the_grid():
+    """At (2,(11,11)) the grid is 4 MiB of uint8; the kernel may hold a few
+    grid-sized buffers at once but not int64 temporaries of the grid."""
+    f = random_form(random.Random(15), Shape(2, (11, 11)))
+    tracemalloc.start()
+    try:
+        grid = forms._value_grid(2, [11, 11], f.coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes == 2**22
+    assert peak < 4 * grid.nbytes
 
 
 def test_grid_scope_returns_one_read_only_grid_per_form():
@@ -239,6 +290,13 @@ def test_bias_matches_value_distribution(seed):
     b = bias(f)
     assert 0 <= b <= 1
     assert b == brute_bias(f)
+
+
+@pytest.mark.parametrize("dims, support", [((1, 1), (0, 1)), ((2, 1), (0, 1)),
+                                            ((1, 2, 1), (0, 2))])
+def test_bias_matches_value_distribution_p17(dims, support):
+    f = random_form(random.Random(16), Shape(17, dims), support)
+    assert bias(f) == brute_bias(f)
 
 
 def test_analytic_rank_examples():
