@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -361,7 +362,11 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")] if text else []
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every `main` call
+    shares it, so nothing may mutate it after it is built (parsing does
+    not)."""
     parser = argparse.ArgumentParser(
         prog="mlvariety",
         description="Exact-arithmetic calculus of multilinear forms and varieties over F_p",

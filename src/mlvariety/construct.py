@@ -234,7 +234,9 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     the base point contains the intersection of the 2**k corner fibers, each
     a subspace of density above c', so its density is at least c' ** 2**k.
     The witnesses come from the same search conv_fill_check runs, over every
-    base point; the first base point without one is named in the error.
+    base point: the zero offset settles most base points in one vectorized
+    pre-check, and only the rest are scanned.  The first base point without
+    a witness is named in the error.
     All of this is verified exhaustively before returning.
     """
     shape = v.shape

@@ -280,7 +280,10 @@ def iterated_conv_witness(v: Variety, bad: PointSet, point) -> Parallelepiped | 
 
     The first witness in depth-first order over offsets (last direction
     outermost) is returned; equivalently, the offset tuple minimizing the
-    reversed lexicographic order over the surviving offset mask.
+    reversed lexicographic order over the surviving offset mask.  Each call
+    builds the variety's bitmap again and charges it (|G| points plus one
+    evaluation grid per form), so a caller asking at many points pays that
+    per point; conv_fill_check searches every point on one bitmap.
     """
     _, allowed = _masks_minus_bad(v, bad)
     idx = _point_index(v.shape, point)
@@ -309,15 +312,43 @@ def _witness_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np
     order), as an (N, k) int64 array, -1 throughout where there is none.
 
     "First" is iterated_conv_witness's order: reversed lexicographic, last
-    direction compared first.  The search runs on one copy of `allowed`
-    with its axes reversed, where that order is C order, so the first
-    witness is one argmax over the flattened offset mask, and a shift in the
-    last direction (axis 0) gathers whole rows.  After the round for a
-    direction, the surviving offsets have both the plain and the shifted
-    corner in the set for every combination of the directions processed so
-    far.  Rows sharing their first k-1 ranks are adjacent, so the rounds for
-    directions 0..k-2 run once per prefix and only the last direction's
-    round runs once per base.
+    direction compared first.  The all-zero offset tuple is the minimum of
+    that order, so a pre-check settles every row it passes with offsets 0
+    (_zero_offset_hits, 2**k gathers for all rows at once), and only the
+    rows it fails go to the quadratic scan (_scan_offsets).
+    """
+    offsets = np.zeros(bases.shape, dtype=np.int64)
+    rest = ~_zero_offset_hits(shape, bases, allowed)
+    if rest.any():
+        offsets[rest] = _scan_offsets(shape, bases[rest], allowed)
+    return offsets
+
+
+def _zero_offset_hits(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """(N,) bool: True where the all-zero offset tuple is a witness at that
+    row of `bases`.  Its corner for a subset T of directions is the base
+    with the coordinates outside T set to rank 0, so one gather per subset
+    checks that corner at every row."""
+    hits = np.ones(len(bases), dtype=bool)
+    for subset in range(2**shape.k):
+        hits &= allowed[
+            tuple(bases[:, i] if subset >> i & 1 else 0 for i in range(shape.k))
+        ]
+    return hits
+
+
+def _scan_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """_witness_offsets by a full search over the offset tuples, quadratic
+    in |allowed|.
+
+    The search runs on one copy of `allowed` with its axes reversed, where
+    the tie-break order is C order, so the first witness is one argmax over
+    the flattened offset mask, and a shift in the last direction (axis 0)
+    gathers whole rows.  After the round for a direction, the surviving
+    offsets have both the plain and the shifted corner in the set for every
+    combination of the directions processed so far.  Rows sharing their
+    first k-1 ranks are adjacent, so the rounds for directions 0..k-2 run
+    once per prefix and only the last direction's round runs once per base.
     """
     k = shape.k
     rev = allowed.T.copy()
@@ -344,7 +375,8 @@ def _witness_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np
 
 def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
     """Witness search at every point of the `points` bitmap, charged N*k
-    (one round per base and direction).
+    (one round per base and direction, though bases that the zero-offset
+    pre-check settles run no round).
 
     Returns (bases, offsets), two (N, k) int64 arrays in enumeration order,
     offsets as _witness_offsets gives them.
@@ -379,7 +411,9 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     Preconditions (rejected with a diagnostic when violated): the bad set
     lies inside the variety and within bad_set_cap of the representation
     codimension.  The witnesses at all points come from one search, which
-    dense_columns shares (_fill_scan).  Every witness's corners are
+    dense_columns shares (_fill_scan): a pre-check accepts the zero offset
+    wherever all its corners are allowed, and only the other points go to
+    the full scan.  Every witness's corners are
     re-checked against the bad set before it counts, in one vectorized pass
     over all witnessed bases: ranks are decoded through the vector table,
     each base is added to its offsets mod p, and the sums are ranked again,

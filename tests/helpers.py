@@ -7,8 +7,9 @@ membership, row reduction in a different style, brute-force witness search,
 ledger monomials written out as rationals, and subspace membership, points
 and annihilators for the tests that plant subspaces.  Tests compare library
 results against these.  One helper counts the library's own value-grid
-evaluations, for the grid-cache tests, and one replaces the witness search's
-translation tables, for the failure paths.
+evaluations, for the grid-cache tests, one switches off the witness
+search's zero-offset pre-check, and one replaces its translation tables,
+for the failure paths.
 """
 
 from __future__ import annotations
@@ -197,9 +198,21 @@ def count_grid_evaluations(monkeypatch):
     return seen
 
 
+def skip_zero_offset_precheck(monkeypatch):
+    """Make the witness search's zero-offset pre-check accept no base, so
+    every base goes to the full scan."""
+    monkeypatch.setattr(
+        variety, "_zero_offset_hits",
+        lambda shape, bases, allowed: np.zeros(len(bases), dtype=bool),
+    )
+
+
 def constant_shift_tables(monkeypatch, rank):
     """Make every translation the witness search uses land on the vector of
-    the given rank, so a set missing that rank leaves no witness anywhere."""
+    the given rank, so a set missing that rank leaves no witness anywhere.
+    The zero-offset pre-check uses no translation table and would still
+    find real witnesses, so it is made to accept no base."""
+    skip_zero_offset_precheck(monkeypatch)
     monkeypatch.setattr(
         variety, "shift_permutation", lambda p, n, t: np.full(p**n, rank, dtype=np.int64)
     )

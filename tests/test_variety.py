@@ -34,6 +34,7 @@ from helpers import (
     brute_first_witness,
     constant_shift_tables,
     enumerate_points,
+    skip_zero_offset_precheck,
     small_dims,
 )
 
@@ -435,6 +436,58 @@ def test_fill_scan_rows_match_bruteforce_and_iterated_conv_witness(p, dims, poin
             witness = iterated_conv_witness(Variety.full(sh), bad, base)
             assert (None if witness is None else witness.offsets) == brute
     assert outcomes == ({True, False} if point_share else set())
+
+
+@pytest.mark.parametrize("p, dims", [
+    (2, (4,)), (3, (2,)), (5, (2,)), (2, (2, 2)), (3, (1, 2)), (5, (1, 1)),
+    (2, (1, 2, 1)), (3, (1, 1, 1)), (2, (1, 1, 1, 1)),
+])
+def test_zero_offset_precheck_is_only_a_shortcut(monkeypatch, p, dims):
+    # the pre-check accepts exactly the rows whose first witness is the
+    # zero offset, and switching it off changes no row
+    sh = Shape(p, dims)
+    rng = random.Random(f"precheck {p}{dims}")
+    zero = tuple((0,) * n for n in dims)
+    kinds = set()
+    for fill in (0.1, 0.3, 0.5, 0.7, 0.9):
+        points = np.array([rng.random() < 0.7 for _ in range(sh.total_points)])
+        allowed = np.array([rng.random() < fill for _ in range(sh.total_points)])
+        points = points.reshape(sh.group_sizes)
+        allowed = allowed.reshape(sh.group_sizes)
+        allowed_points = {
+            _point_from_index(sh, idx) for idx in np.argwhere(allowed).tolist()
+        }
+        bases = np.argwhere(points).astype(np.int64)
+        hits = variety._zero_offset_hits(sh, bases, allowed)
+        with_precheck = variety._witness_offsets(sh, bases, allowed)
+        with monkeypatch.context() as m:
+            skip_zero_offset_precheck(m)
+            without = variety._witness_offsets(sh, bases, allowed)
+        assert with_precheck.dtype == without.dtype == np.int64
+        assert np.array_equal(with_precheck, without)
+        for idx, hit, offs in zip(bases.tolist(), hits.tolist(), with_precheck.tolist()):
+            brute = brute_first_witness(sh, allowed_points, _point_from_index(sh, idx))
+            assert hit == (brute == zero)
+            if brute is None:
+                assert offs == [-1] * sh.k
+            else:
+                assert _point_from_index(sh, offs) == brute
+            kinds.add("hit" if hit else "no witness" if brute is None else "scanned")
+    assert kinds == {"hit", "scanned", "no witness"}
+
+
+@pytest.mark.parametrize("p, dims", [(2, (3, 3)), (3, (2, 1, 1)), (5, (1, 1))])
+def test_full_variety_takes_the_zero_offset_without_a_scan(monkeypatch, p, dims):
+    sh = Shape(p, dims)
+    scanned = []
+    monkeypatch.setattr(variety, "_scan_offsets", lambda *args: scanned.append(args))
+    mask = np.ones(sh.group_sizes, dtype=bool)
+    bases, offsets = _fill_scan(sh, mask, mask, "test scan")
+    assert len(bases) == sh.total_points and not offsets.any()
+    report = conv_fill_check(Variety.full(sh), PointSet.empty(sh))
+    assert report.success and report.checked == sh.total_points
+    assert report.corners_checked == sh.total_points * 2**sh.k
+    assert scanned == []
 
 
 @given(st.integers(0, 2**32 - 1))
