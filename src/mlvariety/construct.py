@@ -210,7 +210,6 @@ class DenseColumnsResult:
 
     direction: int
     slice_point: tuple[int, ...]
-    slice_density: Fraction
     base: Variety
     base_certificate: "SubvarietyCertificate"
     bad_count: int
@@ -248,11 +247,10 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
         raise PreconditionError("direction outside the shape")
     p = shape.p
     vmask = variety_bitmap(v)
-    vcount = int(np.count_nonzero(vmask))
-    if vcount == 0:
+    if v.is_empty:
         raise EmptyVarietyError("dense fiber extraction needs a nonempty variety")
     total = shape.total_points
-    c = Fraction(vcount, total)
+    c = Fraction(int(np.count_nonzero(vmask)), total)
     lower = shape.k - 1
     big_k = arity_constant(lower)
     c_prime = Monomial(
@@ -267,22 +265,17 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     # b / other_total > 2 c' / c exactly when the integer b exceeds this floor
     bad_limit = math.floor(c_prime * Monomial(Fraction(2), p, c, c_exp=-1) * other_total)
 
-    chosen = None
     for t in range(direction_size):
         u_mask = np.take(vmask, t, axis=direction)
-        u_count = int(np.count_nonzero(u_mask))
-        if Fraction(u_count, other_total) < c / 2:
+        if Fraction(int(np.count_nonzero(u_mask)), other_total) < c / 2:
             continue
         b_count = int(np.count_nonzero(u_mask & fiber_sparse))
-        if b_count > bad_limit:
-            continue
-        chosen = (t, u_mask, u_count, b_count)
-        break
-    if chosen is None:
+        if b_count <= bad_limit:
+            break
+    else:
         raise ConstructionError(
             "no qualifying slice found; the averaging identity forbids this"
         )
-    t, u_mask, u_count, b_count = chosen
     slice_point = vector_from_index(p, shape.dims[direction], t)
     u_var = slice_variety(v, [direction], [slice_point])
     sub_cert = find_subvariety(u_var)
@@ -299,7 +292,8 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
     allowed = base_mask & ~bad_mask
-    bases, offsets = _fill_scan(base.shape, base_mask, allowed, "fiber filling")
+    bases = np.argwhere(base_mask)
+    offsets = _fill_scan(base.shape, bases, allowed, "fiber filling")
     unfilled = bases[offsets[:, 0] < 0]
     if len(unfilled):
         point = _point_from_index(base.shape, unfilled[0])
@@ -317,7 +311,6 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     return DenseColumnsResult(
         direction=direction,
         slice_point=slice_point,
-        slice_density=Fraction(u_count, other_total),
         base=base,
         base_certificate=sub_cert,
         bad_count=b_count,
@@ -392,11 +385,10 @@ def find_subvariety(
     shape = v.shape
     p = shape.p
     vmask = variety_bitmap(v)
-    vcount = int(np.count_nonzero(vmask))
-    if vcount == 0:
+    if v.is_empty:
         raise EmptyVarietyError("the subvariety finder needs a nonempty variety")
     total = shape.total_points
-    c = Fraction(vcount, total)
+    c = Fraction(int(np.count_nonzero(vmask)), total)
     bud = codim_budget(shape.k, p, c)
 
     if shape.k == 1:
@@ -437,7 +429,7 @@ def find_subvariety(
     target = Variety(shape, v.forms + cylinders.forms).canonical()
     target_mask = variety_bitmap(target)
 
-    fiber_floor = min(res.fiber_floor for res in results)
+    fiber_floor = results[0].fiber_floor
     c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(shape.k - 1) * shape.k * r_max)
     one_point = Monomial(Fraction(1), p, c, p_exp=-max(shape.dims))
     clamped = c_dd < one_point
@@ -518,7 +510,6 @@ class CertificateCheck:
     nonempty_ok: bool
     codim_ok: bool
     budget: int
-    recomputed_codim: int | None
 
     @property
     def all_ok(self) -> bool:
@@ -538,14 +529,13 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
     c = Fraction(max(int(np.count_nonzero(vmask)), 1), v.shape.total_points)
     bud = codim_budget(v.shape.k, v.shape.p, c)
     if cert.output.shape != v.shape:
-        return CertificateCheck(False, False, False, bud, None)
+        return CertificateCheck(False, False, False, bud)
     omask = variety_bitmap(cert.output)
     containment = not bool(np.any(omask & ~vmask))
     nonempty = bool(omask.any())
-    if cert.output.is_empty:
-        recomputed = None
-        codim_ok = False
-    else:
-        recomputed = len(cert.output.canonical().forms)
-        codim_ok = cert.output_codim == recomputed and cert.output_codim <= bud
-    return CertificateCheck(containment, nonempty, codim_ok, bud, recomputed)
+    codim_ok = (
+        not cert.output.is_empty
+        and cert.output_codim == len(cert.output.canonical().forms)
+        and cert.output_codim <= bud
+    )
+    return CertificateCheck(containment, nonempty, codim_ok, bud)

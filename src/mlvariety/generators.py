@@ -104,13 +104,10 @@ def planted_product_variety(
     return Variety(shape, forms), Fraction(1, shape.p ** sum(codims))
 
 
-def planted_low_prank_form(
-    rng: random.Random, shape: Shape, r: int, support=None
-) -> MultilinearForm:
-    """A sum of r random factorizable terms; partition rank at most r."""
-    if support is None:
-        support = tuple(range(shape.k))
-    support = tuple(sorted({int(j) for j in support}))
+def planted_low_prank_form(rng: random.Random, shape: Shape, r: int) -> MultilinearForm:
+    """A full-support sum of r random factorizable terms; partition rank at
+    most r."""
+    support = tuple(range(shape.k))
     if len(support) < 2:
         raise PreconditionError("planted factorizable terms need two support factors")
     acc = np.zeros(tuple(shape.dims[j] for j in support), dtype=np.int64)

@@ -92,6 +92,20 @@ def _log_sign(powers) -> int:
         i = 2 * i or 1
 
 
+def _least(holds) -> int:
+    """Least integer t >= 0 with holds(t), for a predicate false below some
+    t and true from there on, by doubling and then bisection."""
+    if holds(0):
+        return 0
+    lo, hi = 0, 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
 @dataclass(frozen=True)
 class Monomial:
     """The positive number coef * p**p_exp * c**c_exp, c the level density.
@@ -155,35 +169,16 @@ class Monomial:
         return self._cmp(other) >= 0
 
     def __floor__(self) -> int:
-        if self < 1:
-            return 0
-        lo, hi = 1, 2
-        while self >= hi:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if self >= mid else (lo, mid)
-        return lo
+        return _least(lambda t: self < t + 1)
 
     def __ceil__(self) -> int:
-        n = math.floor(self)
-        return n if self <= n else n + 1
+        return _least(lambda t: self <= t)
 
     def ceil_log_inverse(self) -> int:
         """Least t >= 0 with p**t >= 1/self, that is self * p**t >= 1."""
-
-        def covers(t: int) -> bool:
-            return Monomial(self.coef, self.p, self.c, self.p_exp + t, self.c_exp) >= 1
-
-        if covers(0):
-            return 0
-        lo, hi = 0, 1
-        while not covers(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if covers(mid) else (mid, hi)
-        return hi
+        return _least(
+            lambda t: Monomial(self.coef, self.p, self.c, self.p_exp + t, self.c_exp) >= 1
+        )
 
     def __str__(self) -> str:
         return f"{self.coef} * {self.p}^{self.p_exp} * ({self.c})^{self.c_exp}"

@@ -274,54 +274,24 @@ class Parallelepiped:
         ]
 
 
-def iterated_conv_witness(v: Variety, bad: PointSet, point) -> Parallelepiped | None:
+def iterated_conv_witness(allowed: PointSet, point) -> Parallelepiped | None:
     """Search for a parallelepiped based at the point with every corner in
-    the variety and outside the bad set.
+    the allowed set.
 
     The first witness in depth-first order over offsets (last direction
     outermost) is returned; equivalently, the offset tuple minimizing the
-    reversed lexicographic order over the surviving offset mask.  Each call
-    builds the variety's bitmap again and charges it (|G| points plus one
-    evaluation grid per form), so a caller asking at many points pays that
-    per point; conv_fill_check searches every point on one bitmap.
+    reversed lexicographic order over the surviving offset mask.  This is
+    the search conv_fill_check and dense_columns run (_fill_scan) at a
+    single base, charged k points.
     """
-    _, allowed = _masks_minus_bad(v, bad)
-    idx = _point_index(v.shape, point)
-    offsets = _witness_offsets(v.shape, np.array([idx], dtype=np.int64), allowed)[0]
+    shape = allowed.shape
+    idx = _point_index(shape, point)
+    offsets = _fill_scan(shape, np.array([idx]), allowed.mask, "witness search")[0]
     if offsets[0] < 0:
         return None
     return Parallelepiped(
-        v.shape, _point_from_index(v.shape, idx), _point_from_index(v.shape, offsets)
+        shape, _point_from_index(shape, idx), _point_from_index(shape, offsets)
     )
-
-
-def _masks_minus_bad(v: Variety, bad: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """The variety's bitmap, and that bitmap with the bad set removed, after
-    checking that the bad set lies inside the variety."""
-    if bad.shape != v.shape:
-        raise PreconditionError("bad set must live on the variety's shape")
-    wmask = variety_bitmap(v)
-    if bool(np.any(bad.mask & ~wmask)):
-        raise PreconditionError("bad set must be a subset of the variety")
-    return wmask, wmask & ~bad.mask
-
-
-def _witness_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Offset ranks of the first parallelepiped with every corner in
-    `allowed` at each row of `bases` (per-factor ranks in enumeration
-    order), as an (N, k) int64 array, -1 throughout where there is none.
-
-    "First" is iterated_conv_witness's order: reversed lexicographic, last
-    direction compared first.  The all-zero offset tuple is the minimum of
-    that order, so a pre-check settles every row it passes with offsets 0
-    (_zero_offset_hits, 2**k gathers for all rows at once), and only the
-    rows it fails go to the quadratic scan (_scan_offsets).
-    """
-    offsets = np.zeros(bases.shape, dtype=np.int64)
-    rest = ~_zero_offset_hits(shape, bases, allowed)
-    if rest.any():
-        offsets[rest] = _scan_offsets(shape, bases[rest], allowed)
-    return offsets
 
 
 def _zero_offset_hits(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -338,8 +308,8 @@ def _zero_offset_hits(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> n
 
 
 def _scan_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """_witness_offsets by a full search over the offset tuples, quadratic
-    in |allowed|.
+    """_fill_scan's offsets by a full search over the offset tuples,
+    quadratic in |allowed|.
 
     The search runs on one copy of `allowed` with its axes reversed, where
     the tie-break order is C order, so the first witness is one argmax over
@@ -373,17 +343,25 @@ def _scan_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.nd
     return offsets
 
 
-def _fill_scan(shape: Shape, points: np.ndarray, allowed: np.ndarray, what: str):
-    """Witness search at every point of the `points` bitmap, charged N*k
-    (one round per base and direction, though bases that the zero-offset
-    pre-check settles run no round).
+def _fill_scan(shape: Shape, bases: np.ndarray, allowed: np.ndarray, what: str):
+    """Offset ranks of the first parallelepiped with every corner in
+    `allowed` at each row of `bases` (per-factor ranks in enumeration
+    order), as an (N, k) int64 array, -1 throughout where there is none;
+    charged N*k, one round per base and direction, though the bases the
+    zero-offset pre-check settles run none.
 
-    Returns (bases, offsets), two (N, k) int64 arrays in enumeration order,
-    offsets as _witness_offsets gives them.
+    "First" is reversed lexicographic order, last direction compared first.
+    Its minimum is the all-zero offset tuple, so the pre-check
+    (_zero_offset_hits, 2**k gathers for all rows at once) settles every
+    row it passes, and only the rows it fails go to the quadratic scan
+    (_scan_offsets).
     """
-    budget.charge(int(np.count_nonzero(points)) * shape.k, what)
-    bases = np.argwhere(points).astype(np.int64, copy=False)
-    return bases, _witness_offsets(shape, bases, allowed)
+    budget.charge(len(bases) * shape.k, what)
+    offsets = np.zeros(bases.shape, dtype=np.int64)
+    rest = ~_zero_offset_hits(shape, bases, allowed)
+    if rest.any():
+        offsets[rest] = _scan_offsets(shape, bases[rest], allowed)
+    return offsets
 
 
 def bad_set_cap(shape: Shape, codim: int) -> Fraction:
@@ -420,7 +398,12 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     so the re-check does not depend on the shift tables the search uses.
     """
     shape = v.shape
-    wmask, allowed = _masks_minus_bad(v, bad)
+    if bad.shape != shape:
+        raise PreconditionError("bad set must live on the variety's shape")
+    wmask = variety_bitmap(v)
+    if bool(np.any(bad.mask & ~wmask)):
+        raise PreconditionError("bad set must be a subset of the variety")
+    allowed = wmask & ~bad.mask
     r = v.codim
     cap = bad_set_cap(shape, r)
     if bad.size > cap:
@@ -428,7 +411,8 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
             f"bad set of size {bad.size} exceeds the allowed {cap} "
             f"(k={shape.k}, codim={r}, |G|={shape.total_points})"
         )
-    bases, offsets = _fill_scan(shape, wmask, allowed, "filling check")
+    bases = np.argwhere(wmask)
+    offsets = _fill_scan(shape, bases, allowed, "filling check")
     checked = len(bases)
     witnessed = offsets[:, 0] >= 0
     failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())

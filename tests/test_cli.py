@@ -79,6 +79,24 @@ def test_rank_rejects_csv_format(dot_files):
     assert main(["rank", "--input", str(form_path), "--format", "csv"]) == EXIT_PRECONDITION
 
 
+def test_rank_reports_a_partition_rank_interval(tmp_path, capsys):
+    # a full-support (2,(3,3,3)) form whose exact search only brackets the
+    # partition rank
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({
+        "p": 2, "k": 3, "dims": [3, 3, 3], "support": [1, 2, 3],
+        "coeffs": [1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0,
+                   0, 1, 1, 0, 1, 1, 1, 0, 1],
+    }))
+    assert main(["rank", "--input", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "partition_rank: in [2, 3]" in out
+    assert main(["rank", "--input", str(path), "--format", "json"]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["partition_rank_interval"] == [2, 3]
+    assert "partition_rank" not in obj
+
+
 def test_density_command(dot_files, capsys):
     _, var_path = dot_files
     assert main(["density", "--input", str(var_path)]) == EXIT_OK
@@ -179,6 +197,24 @@ def test_verify_tampered_codim(dot_files, tmp_path):
     ]) == EXIT_VERIFY
 
 
+def test_verify_empty_output_certificate(dot_files, tmp_path, capsys):
+    """A certificate whose output is the empty marker is contained in any
+    input but is neither nonempty nor priced at a codimension."""
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    capsys.readouterr()
+    obj = json.loads(cert_path.read_text())
+    obj["output"] = {**DOT_VARIETY, "empty": True, "forms": []}
+    cert_path.write_text(json.dumps(obj))
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_VERIFY
+    assert capsys.readouterr().out.splitlines() == [
+        "containment: True", "nonempty: False", "codim_within_budget: False",
+    ]
+
+
 def test_verify_empty_input_keeps_the_density_floor(dot_files, tmp_path, capsys):
     """An empty-marker input has no points; the verifier still prices its
     budget at one point (density 1/16 here) and reports the flags, rather
@@ -243,6 +279,21 @@ def test_conv_check_lists_every_point_without_a_witness(tmp_path, monkeypatch, c
     assert report["failures"] == [
         str(((a, 0), (b, c))) for a in (0, 1) for b in (0, 1) for c in (0, 1)
     ]
+
+
+def test_find_sub_without_a_filling_witness_is_a_verify_exit(tmp_path, monkeypatch, capsys):
+    # the variety of the test above: dense_columns finds no witness at the
+    # first base point, and find-sub reports it as a construction failure
+    form = {"p": 2, "k": 2, "dims": [2, 2], "support": [1], "coeffs": [0, 1]}
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps({**DOT_VARIETY, "forms": [form]}))
+    constant_shift_tables(monkeypatch, 1)
+    assert main(["find-sub", "--input", str(path)]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failure: no filling witness at base point ((0, 0),)\n"
+    )
 
 
 def test_conv_check_evaluates_each_form_once(tmp_path, monkeypatch):
@@ -568,6 +619,22 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
         cols = row.split(",")
         assert cols[8] == "ok"
         assert int(cols[6]) <= int(cols[7])
+
+
+def test_sweep_row_over_the_budget(tmp_path):
+    # each 6x6 variety's bitmap alone is 4,096 points, over a 3,000 budget:
+    # the rows record the refusal and the sweep itself succeeds
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--p", "2", "--dims", "6,6", "--gen", "random-forms",
+        "--count", "2", "--budget", "3000", "--output", str(out),
+    ]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert '"budget":3000' in lines[0]
+    assert lines[2:] == [
+        "0,2,2,6x6,,,,,budget_exceeded,0",
+        "1,2,2,6x6,,,,,budget_exceeded,0",
+    ]
 
 
 def test_sweep_low_prank_generator(tmp_path):

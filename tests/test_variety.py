@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import variety
+from mlvariety import budget, variety
 from mlvariety.errors import PreconditionError
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
 from mlvariety.generators import random_point_subset, random_variety
@@ -300,9 +300,8 @@ def test_directional_conv_subspace_line():
 
 def test_witness_full_space_zero_offsets():
     sh = Shape(2, (1, 1))
-    w = Variety.full(sh)
-    bad = PointSet.empty(sh)
-    got = iterated_conv_witness(w, bad, ((1,), (1,)))
+    full = PointSet(sh, np.ones(sh.group_sizes, dtype=bool))
+    got = iterated_conv_witness(full, ((1,), (1,)))
     assert got is not None
     assert got.offsets == ((0,), (0,))
     assert len(got.corners()) == 4
@@ -311,20 +310,24 @@ def test_witness_full_space_zero_offsets():
 def test_witness_k1_subspace():
     sh = Shape(2, (3,))
     w = Variety(sh, (MultilinearForm(sh, (0,), [1, 1, 1]),))
-    bad = PointSet.empty(sh)
     x = ((1, 1, 0),)
-    got = iterated_conv_witness(w, bad, x)
+    got = iterated_conv_witness(PointSet(sh, variety_bitmap(w)), x)
     assert got is not None
     for corner in got.corners():
         assert membership(w, corner)
 
 
 def test_witness_requires_bad_inside():
+    # the filling check searches the variety minus the bad set, so it
+    # rejects a bad set off the variety's shape or outside the variety
     sh = Shape(2, (1, 1))
     w = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
     outside = PointSet.from_points(sh, [((1,), (1,))])
-    with pytest.raises(PreconditionError):
-        iterated_conv_witness(w, outside, ((0,), (0,)))
+    with pytest.raises(PreconditionError, match="bad set must be a subset of the variety"):
+        conv_fill_check(w, outside)
+    other_shape = PointSet.empty(Shape(2, (1, 2)))
+    with pytest.raises(PreconditionError, match="bad set must live on the variety's shape"):
+        conv_fill_check(w, other_shape)
 
 
 def test_witness_every_point_dot_variety():
@@ -332,8 +335,9 @@ def test_witness_every_point_dot_variety():
     w = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(3, dtype=int)),))
     mask = variety_bitmap(w)
     bad = random_point_subset(random.Random(5), sh, mask, 1)
+    allowed = PointSet(sh, mask & ~bad.mask)
     for point in variety_points(w):
-        got = iterated_conv_witness(w, bad, point)
+        got = iterated_conv_witness(allowed, point)
         assert got is not None
         for corner in got.corners():
             assert membership(w, corner)
@@ -420,10 +424,11 @@ def test_fill_scan_rows_match_bruteforce_and_iterated_conv_witness(p, dims, poin
         allowed_points = {
             _point_from_index(sh, idx) for idx in np.argwhere(allowed).tolist()
         }
-        bad = PointSet(sh, ~allowed)
-        bases, offsets = _fill_scan(sh, points, allowed, "test scan")
-        assert bases.dtype == offsets.dtype == np.int64
-        assert bases.tolist() == np.argwhere(points).tolist()
+        bases = np.argwhere(points)
+        before = budget.work_points()
+        offsets = _fill_scan(sh, bases, allowed, "test scan")
+        assert budget.work_points() - before == len(bases) * sh.k
+        assert offsets.dtype == np.int64
         assert offsets.shape == bases.shape
         for idx, offs in zip(bases.tolist(), offsets.tolist()):
             base = _point_from_index(sh, idx)
@@ -433,8 +438,15 @@ def test_fill_scan_rows_match_bruteforce_and_iterated_conv_witness(p, dims, poin
                 assert offs == [-1] * sh.k
             else:
                 assert _point_from_index(sh, offs) == brute
-            witness = iterated_conv_witness(Variety.full(sh), bad, base)
-            assert (None if witness is None else witness.offsets) == brute
+            # one base of the same search, charged k points, no bitmap built
+            before = budget.work_points()
+            witness = iterated_conv_witness(PointSet(sh, allowed), base)
+            assert budget.work_points() - before == sh.k
+            if brute is None:
+                assert witness is None
+            else:
+                assert witness.base == base and witness.offsets == brute
+                assert all(corner in allowed_points for corner in witness.corners())
     assert outcomes == ({True, False} if point_share else set())
 
 
@@ -459,10 +471,10 @@ def test_zero_offset_precheck_is_only_a_shortcut(monkeypatch, p, dims):
         }
         bases = np.argwhere(points).astype(np.int64)
         hits = variety._zero_offset_hits(sh, bases, allowed)
-        with_precheck = variety._witness_offsets(sh, bases, allowed)
+        with_precheck = _fill_scan(sh, bases, allowed, "test scan")
         with monkeypatch.context() as m:
             skip_zero_offset_precheck(m)
-            without = variety._witness_offsets(sh, bases, allowed)
+            without = _fill_scan(sh, bases, allowed, "test scan")
         assert with_precheck.dtype == without.dtype == np.int64
         assert np.array_equal(with_precheck, without)
         for idx, hit, offs in zip(bases.tolist(), hits.tolist(), with_precheck.tolist()):
@@ -482,8 +494,8 @@ def test_full_variety_takes_the_zero_offset_without_a_scan(monkeypatch, p, dims)
     scanned = []
     monkeypatch.setattr(variety, "_scan_offsets", lambda *args: scanned.append(args))
     mask = np.ones(sh.group_sizes, dtype=bool)
-    bases, offsets = _fill_scan(sh, mask, mask, "test scan")
-    assert len(bases) == sh.total_points and not offsets.any()
+    offsets = _fill_scan(sh, np.argwhere(mask), mask, "test scan")
+    assert len(offsets) == sh.total_points and not offsets.any()
     report = conv_fill_check(Variety.full(sh), PointSet.empty(sh))
     assert report.success and report.checked == sh.total_points
     assert report.corners_checked == sh.total_points * 2**sh.k
@@ -530,7 +542,7 @@ def test_witness_existence_matches_bruteforce(seed):
         if membership(w, pt) and not bad.contains(pt)
     }
     base = tuple(tuple(rng.randrange(p) for _ in range(n)) for n in sh.dims)
-    got = iterated_conv_witness(w, bad, base)
+    got = iterated_conv_witness(PointSet(sh, mask & ~bad.mask), base)
     assert (None if got is None else got.offsets) == brute_first_witness(sh, allowed, base)
     if got is not None:
         assert all(corner in allowed for corner in got.corners())
@@ -540,10 +552,9 @@ def test_witness_tie_break_is_depth_first_lex():
     # several witnesses exist; the reported one must be minimal in
     # (last direction, ..., first direction) lexicographic order
     sh = Shape(2, (1, 2))
-    w = Variety.full(sh)
     bad = PointSet.from_points(sh, [((0,), (0, 0))])
     base = ((0,), (0, 0))
-    got = iterated_conv_witness(w, bad, base)
+    got = iterated_conv_witness(PointSet(sh, ~bad.mask), base)
     assert got is not None
     p = sh.p
     valid = []
