@@ -12,7 +12,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -43,7 +42,7 @@ from .forms import (
     zero_fiber_identity_check,
 )
 from .generators import (
-    RunConfig,
+    RNG_ID,
     planted_low_prank_form,
     planted_product_variety,
     random_point_subset,
@@ -84,14 +83,19 @@ SWEEP_COLUMNS = (
 
 
 def _emit(args, human_lines, obj):
-    fmt = getattr(args, "format", "text")
-    if fmt == "csv":
-        raise PreconditionError("csv output applies to the sweep command only")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(obj, indent=2))
     else:
         for line in human_lines:
             print(line)
+
+
+def _verified(check) -> dict:
+    return {
+        "containment": check.containment_ok,
+        "nonempty": check.nonempty_ok,
+        "codim": check.codim_ok,
+    }
 
 
 def _file_config(command: str, path: str) -> dict:
@@ -173,11 +177,7 @@ def cmd_find_sub(args) -> int:
     cert = find_subvariety(v)
     check = verify_certificate(v, cert)
     obj = certificate_to_obj(cert, config=_file_config("find-sub", args.input))
-    obj["verified"] = {
-        "containment": check.containment_ok,
-        "nonempty": check.nonempty_ok,
-        "codim": check.codim_ok,
-    }
+    obj["verified"] = _verified(check)
     if args.output:
         dump_json(obj, args.output)
     summary = (
@@ -197,12 +197,7 @@ def cmd_verify(args) -> int:
         f"nonempty: {check.nonempty_ok}",
         f"codim_within_budget: {check.codim_ok}",
     ]
-    obj = {
-        "containment": check.containment_ok,
-        "nonempty": check.nonempty_ok,
-        "codim": check.codim_ok,
-        "budget": check.budget,
-    }
+    obj = {**_verified(check), "budget": check.budget}
     _emit(args, lines, obj)
     return EXIT_OK if check.all_ok else EXIT_VERIFY
 
@@ -274,76 +269,57 @@ def _split_codim(rng: random.Random, dims, total: int) -> list[int]:
     return out
 
 
-def _sweep_rows(config: RunConfig):
-    dims = config.dims
-    shape = Shape(config.p, dims)
-    if config.generator == "product":
-        plan = [("product", t) for t in config.params["logdensities"]]
-    elif config.generator == "random-forms":
-        plan = [("random-forms", config.params["forms"]) for _ in range(config.params["count"])]
-    elif config.generator == "low-prank":
-        plan = [("low-prank", config.params["terms"]) for _ in range(config.params["count"])]
+def _sweep_variety(gen: str, rng: random.Random, shape: Shape, param: int) -> Variety:
+    if gen == "product":
+        return planted_product_variety(rng, shape, _split_codim(rng, shape.dims, param))[0]
+    if gen == "low-prank":
+        return Variety(shape, (planted_low_prank_form(rng, shape, param),))
+    return random_variety(rng, shape, param)
+
+
+def cmd_sweep(args) -> int:
+    if args.gen == "product":
+        if not args.logdensities:
+            raise PreconditionError("product sweeps need --logdensities")
+        params = {"logdensities": args.logdensities}
+        plan = args.logdensities
     else:
-        raise PreconditionError(f"unknown sweep generator {config.generator!r}")
-    for index, (kind, param) in enumerate(plan):
-        rng = random.Random(config.seed + index)
-        row = {
-            "seed": config.seed + index,
-            "p": config.p,
-            "k": config.k,
-            "dims": "x".join(str(n) for n in dims),
-        }
+        key = "terms" if args.gen == "low-prank" else "forms"
+        params = {"count": args.count, key: getattr(args, key)}
+        plan = [params[key]] * args.count
+    shape = Shape(args.p, tuple(args.dims))
+    config = {
+        "seed": args.seed,
+        "p": args.p,
+        "k": shape.k,
+        "dims": shape.dims,
+        "generator": args.gen,
+        "params": params,
+        "budget": budget.point_budget(),
+        "rng": RNG_ID,
+    }
+    header_comment = "# mlvariety-sweep format=" + FORMAT_VERSION + " config=" + json.dumps(
+        config, sort_keys=True, separators=(",", ":")
+    )
+    lines = [header_comment, ",".join(SWEEP_COLUMNS)]
+    dims = "x".join(str(n) for n in shape.dims)
+    for index, param in enumerate(plan):
+        seed = args.seed + index
+        row = {"seed": seed, "p": args.p, "k": shape.k, "dims": dims}
         budget.reset_work()
         try:
-            if kind == "product":
-                v, _ = planted_product_variety(rng, shape, _split_codim(rng, dims, param))
-            elif kind == "low-prank":
-                v = Variety(shape, (planted_low_prank_form(rng, shape, param),))
-            else:
-                v = random_variety(rng, shape, param)
+            v = _sweep_variety(args.gen, random.Random(seed), shape, param)
             c = density(v)
             cert = find_subvariety(v)
             check = verify_certificate(v, cert)
             row["density"] = frac_to_str(c)
-            row["arank"] = repr(float(math.log(c.denominator / c.numerator, config.p)))
+            row["arank"] = repr(float(math.log(c.denominator / c.numerator, args.p)))
             row["achieved_codim"] = cert.output_codim
             row["budget"] = cert.budget
             row["status"] = "ok" if check.all_ok else "verify_failed"
         except BudgetExceededError:
             row["status"] = "budget_exceeded"
         row["cost_points"] = budget.work_points()
-        yield row
-
-
-def cmd_sweep(args) -> int:
-    if args.format == "json":
-        raise PreconditionError("sweep output is csv")
-    dims = tuple(args.dims)
-    params = {}
-    if args.gen == "product":
-        if not args.logdensities:
-            raise PreconditionError("product sweeps need --logdensities")
-        params["logdensities"] = args.logdensities
-    elif args.gen == "low-prank":
-        params["count"] = args.count
-        params["terms"] = args.terms
-    else:
-        params["count"] = args.count
-        params["forms"] = args.forms
-    config = RunConfig(
-        seed=args.seed,
-        p=args.p,
-        k=len(dims),
-        dims=dims,
-        generator=args.gen,
-        params=params,
-        budget=budget.point_budget(),
-    )
-    header_comment = "# mlvariety-sweep format=" + FORMAT_VERSION + " config=" + json.dumps(
-        dataclasses.asdict(config), sort_keys=True, separators=(",", ":")
-    )
-    lines = [header_comment, ",".join(SWEEP_COLUMNS)]
-    for row in _sweep_rows(config):
         lines.append(",".join(str(row.get(col, "")) for col in SWEEP_COLUMNS))
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -439,6 +415,11 @@ def main(argv=None) -> int:
             parser.error(f"--budget must be a positive integer, got {args.budget}")
         budget.set_point_budget(args.budget)
     try:
+        sweep = args.func is cmd_sweep
+        if args.format == ("json" if sweep else "csv"):
+            raise PreconditionError(
+                "sweep output is csv" if sweep else "csv output applies to the sweep command only"
+            )
         return args.func(args)
     except (json.JSONDecodeError, InputFormatError, KeyError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

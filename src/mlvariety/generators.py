@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,30 +23,13 @@ from .variety import PointSet, Variety
 RNG_ID = "python-random-mt19937"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; serialized into output artifacts."""
-
-    seed: int
-    p: int
-    k: int
-    dims: tuple[int, ...]
-    generator: str
-    params: dict = field(default_factory=dict)
-    budget: int = 0
-    rng: str = RNG_ID
-
-
 def random_form(rng: random.Random, shape: Shape, support=None) -> MultilinearForm:
     """Uniform coefficient tensor on the given support (full by default)."""
     if support is None:
-        support = tuple(range(shape.k))
-    support = tuple(sorted({int(j) for j in support}))
-    size = math.prod(shape.dims[j] for j in support)
+        support = range(shape.k)
+    size = math.prod(shape.dims[j] for j in {int(j) for j in support})
     coeffs = [rng.randrange(shape.p) for _ in range(size)]
-    return MultilinearForm(shape, support, np.array(coeffs, dtype=np.int64).reshape(
-        tuple(shape.dims[j] for j in support)
-    ))
+    return MultilinearForm(shape, support, coeffs)
 
 
 def random_support(rng: random.Random, k: int) -> tuple[int, ...]:
@@ -62,8 +44,7 @@ def random_map(
     rng: random.Random, shape: Shape, codomain_dim: int, support=None
 ) -> MultilinearMap:
     if support is None:
-        support = tuple(range(shape.k))
-    support = tuple(sorted({int(j) for j in support}))
+        support = range(shape.k)
     comps = [random_form(rng, shape, support) for _ in range(codomain_dim)]
     return MultilinearMap(shape, support, comps)
 

@@ -120,7 +120,8 @@ def variety_points(v: Variety) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Points of the variety in enumeration order."""
     if v.is_empty:
         return
-    yield from _mask_points(v.shape, variety_bitmap(v))
+    for idx in np.argwhere(variety_bitmap(v)):
+        yield _point_from_index(v.shape, idx)
 
 
 def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
@@ -208,15 +209,6 @@ class PointSet:
 
     def contains(self, point) -> bool:
         return bool(self.mask[_point_index(self.shape, point)])
-
-    def points(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        return _mask_points(self.shape, self.mask)
-
-
-def _mask_points(shape: Shape, mask: np.ndarray) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The points set in a membership bitmap, in enumeration order."""
-    for idx in np.argwhere(mask):
-        yield _point_from_index(shape, idx)
 
 
 def _point_from_index(shape: Shape, idx) -> tuple[tuple[int, ...], ...]:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from mlvariety import budget
 from mlvariety.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -77,6 +78,34 @@ def test_rank_json_format(dot_files, capsys):
 def test_rank_rejects_csv_format(dot_files):
     form_path, _ = dot_files
     assert main(["rank", "--input", str(form_path), "--format", "csv"]) == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("command, flags, file", [
+    ("find-sub", [], "variety"),
+    ("approx", ["--s", "1"], "map"),
+])
+def test_report_command_rejects_csv_before_running(
+    dot_files, tmp_path, capsys, command, flags, file
+):
+    # the refusal comes before the command reads its input: nothing is
+    # computed, charged or written
+    _, var_path = dot_files
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [2, 2], "support": [1, 2],
+        "codomain_dim": 1, "components": [[1, 0, 0, 1]],
+    }))
+    out = tmp_path / "out.json"
+    budget.reset_work()
+    assert main([
+        command, "--input", str(var_path if file == "variety" else map_path),
+        "--format", "csv", "--output", str(out), *flags,
+    ]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition violated: csv output applies to the sweep command only\n"
+    assert not out.exists()
+    assert budget.work_points() == 0
 
 
 def test_rank_reports_a_partition_rank_interval(tmp_path, capsys):
@@ -514,6 +543,22 @@ def test_sweep_rejects_negative_or_malformed_values(tmp_path, capsys, flags, mes
         main(["sweep", "--p", "2", "--dims", "2,2", "--output", str(out)] + flags)
     assert exc.value.code == EXIT_PARSE
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gen", "product", "--logdensities", "1", "--format", "json"], "sweep output is csv"),
+    (["--gen", "product"], "product sweeps need --logdensities"),
+    (["--gen", "product", "--logdensities", "5"], "total codimension 5 exceeds 4"),
+])
+def test_sweep_refusals_are_precondition_exits(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep.csv"
+    assert main(
+        ["sweep", "--p", "2", "--dims", "2,2", "--output", str(out)] + flags
+    ) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition violated: {message}\n"
     assert not out.exists()
 
 

@@ -118,6 +118,8 @@ def test_approx_s_zero_vacuous():
     assert res.phi.codomain_dim == 0
     assert res.error_count == 1  # |G| - |{f = 0}| = 4 - 3
     assert res.error_cap == 4
+    with pytest.raises(PreconditionError, match="non-negative"):
+        external_approx(MultilinearMap(sh, (0, 1), (f,)), -1)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -313,6 +315,16 @@ def test_dense_columns_direction_zero():
     res = dense_columns(v, direction=0)
     assert res.direction == 0
     assert res.base.shape.dims == (2,)
+
+
+@pytest.mark.parametrize("dims, direction, message", [
+    ((2,), None, "at least two factors"),
+    ((1, 1), 2, "direction outside the shape"),
+    ((1, 1), -1, "direction outside the shape"),
+])
+def test_dense_columns_rejects_arity_1_and_outside_directions(dims, direction, message):
+    with pytest.raises(PreconditionError, match=message):
+        dense_columns(Variety.full(Shape(2, dims)), direction)
 
 
 def test_dense_columns_needs_nonempty():

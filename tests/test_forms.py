@@ -388,6 +388,8 @@ def test_search_rank_examples():
 
 def test_search_rank_zero():
     assert partition_rank_search(zero_form(Shape(2, (1, 1, 1)))) == 0
+    zero = MultilinearForm(Shape(3, (2, 1, 2)), (0, 1, 2), np.zeros((2, 1, 2), dtype=int))
+    assert matricization_rank_bound(zero) == 0
 
 
 @given(st.integers(0, 2**32 - 1))

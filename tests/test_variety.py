@@ -154,6 +154,7 @@ def test_variety_points_in_lex_order():
     v = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
     pts = list(variety_points(v))
     assert pts == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
+    assert list(variety_points(Variety.empty(sh))) == []
 
 
 def test_point_from_index_inverts_point_index():
@@ -188,6 +189,9 @@ def test_slice_constant_obstruction_gives_empty():
     got = slice_variety(v, (0,), ((1,),))
     assert got.is_empty
     assert density(got) == 0
+    # the empty marker slices to the empty marker on the reduced shape
+    got = slice_variety(Variety.empty(Shape(3, (1, 2))), (0,), ((2,),))
+    assert got.is_empty and got.shape == Shape(3, (2,))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -234,6 +238,15 @@ def test_intersect_with_full_keeps_set():
     assert np.array_equal(variety_bitmap(got), variety_bitmap(v))
 
 
+def test_intersect_with_the_empty_marker_and_a_shape_mismatch():
+    sh = Shape(2, (1, 1))
+    v = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
+    assert intersect(v, Variety.empty(sh)).is_empty
+    assert intersect(Variety.empty(sh), v).is_empty
+    with pytest.raises(PreconditionError, match="common shape"):
+        intersect(v, Variety.full(Shape(2, (1, 2))))
+
+
 def test_intersect_dedups_repeated_form():
     sh = Shape(2, (1, 1))
     f = MultilinearForm(sh, (0, 1), [[1]])
@@ -275,6 +288,8 @@ def test_canonical_drops_zero_forms():
     sh = Shape(2, (1, 1))
     v = Variety(sh, (zero_form(sh), MultilinearForm(sh, (0, 1), [[1]])))
     assert v.codim == 1
+    empty = Variety.empty(sh)
+    assert empty.canonical() is empty
 
 
 # ---------------------------------------------------------------------------
