@@ -29,7 +29,7 @@ def set_point_budget(n: int) -> None:
     _point_budget = int(n)
 
 
-def ensure(points: int, what: str = "enumeration") -> None:
+def ensure(points: int, what: str) -> None:
     """Refuse rather than thrash: raise if a single pass needs too many points."""
     if points > _point_budget:
         try:
@@ -41,7 +41,7 @@ def ensure(points: int, what: str = "enumeration") -> None:
         )
 
 
-def charge(points: int, what: str = "enumeration") -> None:
+def charge(points: int, what: str) -> None:
     """Like ensure(), but also record the points in the work counter."""
     global _work_points
     ensure(points, what)

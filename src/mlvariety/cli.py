@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help="point budget override for this call")
     common.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    common.add_argument("--output", default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rank = sub.add_parser("rank", parents=[common], help="bias and rank report for a form")
@@ -364,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_find = sub.add_parser("find-sub", parents=[common], help="extract a certified subvariety")
     p_find.add_argument("--input", required=True)
+    p_find.add_argument("--output", help="certificate file path")
     p_find.set_defaults(func=cmd_find_sub)
 
     p_verify = sub.add_parser("verify", parents=[common], help="re-check a certificate")
@@ -380,10 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx = sub.add_parser("approx", parents=[common], help="external approximation harness")
     p_approx.add_argument("--input", required=True, help="multilinear map file")
     p_approx.add_argument("--s", type=int, required=True, help="number of functionals")
+    p_approx.add_argument("--output", help="approximation file path")
     p_approx.set_defaults(func=cmd_approx)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="deterministic instance sweep CSV")
     p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--output", help="CSV file path (stdout when absent)")
     p_sweep.add_argument("--p", type=int, default=2)
     p_sweep.add_argument("--dims", type=_int_list, required=True,
                          help="comma-separated factor dimensions")

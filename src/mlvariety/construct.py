@@ -301,7 +301,7 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     fiber_floor = c_prime ** (2**lower)
     floor_points = fiber_floor * direction_size
     clamped = floor_points < 1
-    fiber_floor_count = max(1, math.ceil(floor_points))
+    fiber_floor_count = math.ceil(floor_points)
     min_fiber_count = int(fiber_counts[base_mask].min())
     if min_fiber_count < fiber_floor_count:
         raise ConstructionError(
@@ -358,9 +358,7 @@ def _ledger_record(path: str, arity: int, c: Fraction, **extra) -> dict:
 
 
 @_grid_scope()
-def find_subvariety(
-    v: Variety, *, epsilon_override: Fraction | None = None
-) -> SubvarietyCertificate:
+def find_subvariety(v: Variety) -> SubvarietyCertificate:
     """Extract a nonempty subvariety whose codimension fits the budget line.
 
     Arity 1: the input is a subspace; its echelonized defining forms are the
@@ -372,12 +370,6 @@ def find_subvariety(
     enough functionals that the approximation cannot strictly exceed the
     cylinder-constrained target; verify the resulting variety equals the
     target point by point and is contained in the input.
-
-    epsilon_override, a positive rational, replaces the approximation error
-    threshold.  Raising it above the safe value can produce a strictly larger
-    approximation, which raises ApproxMismatchError carrying the overshoot
-    count (a negative control; the count is never below the monomial
-    c''**arity * |G| when it happens).
 
     The whole extraction, recursion included, runs in one grid scope, so
     each distinct form is evaluated once; the scope closes on return.
@@ -436,10 +428,6 @@ def find_subvariety(
     if clamped:
         c_dd = one_point
     eps = c_dd**shape.k * Fraction(1, 2)
-    if epsilon_override is not None:
-        if not Fraction(epsilon_override) > 0:
-            raise PreconditionError("epsilon_override must be positive")
-        eps = Monomial(Fraction(epsilon_override), p, c)
     s = eps.ceil_log_inverse()
 
     full_support = tuple(range(shape.k))

@@ -38,8 +38,8 @@ class ApproxMismatchError(ConstructionError):
 
     Carries the first offending point, the exact number of extra points and
     the lower bound that number must satisfy whenever a mismatch occurs.
-    Reachable only when the approximation error threshold is overridden
-    above its safe value (a negative control used in tests).
+    Unreachable for correct code; the tests reach it by fault injection,
+    running the external approximation with no functionals.
     """
 
     def __init__(self, message, point, extra_count, extra_floor):

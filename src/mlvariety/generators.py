@@ -40,13 +40,10 @@ def random_support(rng: random.Random, k: int) -> tuple[int, ...]:
             return s
 
 
-def random_map(
-    rng: random.Random, shape: Shape, codomain_dim: int, support=None
-) -> MultilinearMap:
-    if support is None:
-        support = range(shape.k)
-    comps = [random_form(rng, shape, support) for _ in range(codomain_dim)]
-    return MultilinearMap(shape, support, comps)
+def random_map(rng: random.Random, shape: Shape, codomain_dim: int) -> MultilinearMap:
+    """codomain_dim uniform full-support forms as one map."""
+    comps = [random_form(rng, shape) for _ in range(codomain_dim)]
+    return MultilinearMap(shape, range(shape.k), comps)
 
 
 def random_subspace(rng: random.Random, p: int, n: int, dim: int) -> Subspace:

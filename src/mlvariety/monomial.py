@@ -110,11 +110,11 @@ def _least(holds) -> int:
 class Monomial:
     """The positive number coef * p**p_exp * c**c_exp, c the level density.
 
-    coef holds the powers of 2 and any epsilon override.  Monomials multiply
-    with rationals and with monomials of the same level (same p and c), take
-    integer powers, compare exactly with rationals and same-level monomials,
-    and support math.floor and math.ceil.  Equality (==) is structural, as
-    for the other records; value comparisons use <, <=, > and >=.
+    coef holds the powers of 2.  Monomials multiply with rationals and with
+    monomials of the same level (same p and c), take integer powers, compare
+    exactly with rationals and same-level monomials, and support math.floor
+    and math.ceil.  Equality (==) is structural, as for the other records;
+    value comparisons use <, <=, > and >=.
     """
 
     coef: Fraction

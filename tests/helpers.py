@@ -8,8 +8,9 @@ ledger monomials written out as rationals, and subspace membership, points
 and annihilators for the tests that plant subspaces.  Tests compare library
 results against these.  One helper counts the library's own value-grid
 evaluations, for the grid-cache tests, one switches off the witness
-search's zero-offset pre-check, and one replaces its translation tables,
-for the failure paths.
+search's zero-offset pre-check, one replaces its translation tables, and
+one starves the finder's external approximation of functionals, for the
+failure paths.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from mlvariety import forms, variety
+from mlvariety import construct, forms, variety
 from mlvariety.field import echelonize
 
 
@@ -216,3 +217,11 @@ def constant_shift_tables(monkeypatch, rank):
     monkeypatch.setattr(
         variety, "shift_permutation", lambda p, n, t: np.full(p**n, rank, dtype=np.int64)
     )
+
+
+def approximate_with_no_functionals(monkeypatch):
+    """Make the finder run its external approximation with s = 0, so the
+    candidate keeps only the cylinder constraints and strictly exceeds a
+    target cut out by a full-support form."""
+    original = construct.external_approx
+    monkeypatch.setattr(construct, "external_approx", lambda source, s: original(source, 0))

@@ -47,7 +47,7 @@ from mlvariety.variety import (
     variety_bitmap,
 )
 
-from helpers import annihilator, small_dims
+from helpers import annihilator, approximate_with_no_functionals, small_dims
 
 
 def _report(name: str, count: int, started: float) -> None:
@@ -217,7 +217,7 @@ def test_acceptance_linear_shape_sweep(tmp_path):
     _report("linear-shape sweep", 5, started)
 
 
-def test_acceptance_negative_controls():
+def test_acceptance_negative_controls(monkeypatch):
     started = time.perf_counter()
     sh = Shape(2, (2, 2))
     v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
@@ -236,8 +236,9 @@ def test_acceptance_negative_controls():
     with pytest.raises(PreconditionError):
         conv_fill_check(full, oversized)
 
+    approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError) as excinfo:
-        find_subvariety(v, epsilon_override=Fraction(1))
+        find_subvariety(v)
     err = excinfo.value
     assert err.extra_count >= err.extra_floor
     assert err.point is not None

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import sys
@@ -12,6 +13,7 @@ from mlvariety.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 
@@ -347,6 +349,7 @@ def test_conv_check_rejects_negative_bad_count(dot_files):
     (["input_density"], 0.25),
     (["ledger", 0, "c_prime", "coef"], "1/2/3"),
     (["ledger", 0, "directions", 0, "min_fiber_density"], "3/0"),
+    pytest.param(["input_density"], "1" * 5000, id="input_density-over-the-digit-limit"),
 ])
 def test_malformed_rational_in_certificate_is_an_input_error(
     dot_files, tmp_path, capsys, path, value
@@ -610,6 +613,46 @@ def test_budget_flag_is_scoped_to_its_call(dot_files):
     form_path, _ = dot_files
     assert main(["rank", "--input", str(form_path), "--budget", "2"]) == EXIT_BUDGET
     assert main(["rank", "--input", str(form_path)]) == EXIT_OK
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: sorted(a.option_strings[-1] for a in p._actions if a.dest != "help")
+        for name, p in sub.choices.items()
+    }
+    common = ["--budget", "--format"]
+    assert flags == {
+        "rank": sorted(common + ["--input"]),
+        "density": sorted(common + ["--input"]),
+        "find-sub": sorted(common + ["--input", "--output"]),
+        "verify": sorted(common + ["--input", "--certificate"]),
+        "conv-check": sorted(common + ["--input", "--seed", "--bad-count"]),
+        "approx": sorted(common + ["--input", "--s", "--output"]),
+        "sweep": sorted(common + [
+            "--seed", "--p", "--dims", "--gen", "--logdensities", "--count",
+            "--forms", "--terms", "--output",
+        ]),
+    }
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("rank", ["--input", "form.json"]),
+    ("density", ["--input", "variety.json"]),
+    ("verify", ["--input", "variety.json", "--certificate", "cert.json"]),
+    ("conv-check", ["--input", "variety.json"]),
+])
+def test_output_flag_is_a_usage_error_where_nothing_is_written(
+    dot_files, tmp_path, capsys, command, flags
+):
+    # the input files exist (cert.json need not: the parser refuses first)
+    args = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--output", str(out)])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --output" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [

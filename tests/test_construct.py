@@ -38,6 +38,7 @@ from mlvariety.variety import Variety, density, membership, variety_bitmap, vari
 
 from helpers import (
     annihilator,
+    approximate_with_no_functionals,
     brute_eval,
     constant_shift_tables,
     count_grid_evaluations,
@@ -68,6 +69,8 @@ def subspace_variety(sub):
 def test_budget_line_base():
     assert budget_line(1) == (1, 0)
     assert arity_constant(1) == 1
+    with pytest.raises(PreconditionError, match="arity must be at least 1"):
+        budget_line(0)
 
 
 def test_budget_line_arity_two_frozen():
@@ -535,20 +538,15 @@ def test_verify_wrong_shape_all_false():
     assert not (check.containment_ok or check.nonempty_ok or check.codim_ok)
 
 
-def test_forced_epsilon_overshoot_diagnostic():
+def test_forced_epsilon_overshoot_diagnostic(monkeypatch):
     v = dot_variety(2, 2)
+    approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError) as exc:
-        find_subvariety(v, epsilon_override=Fraction(1))
+        find_subvariety(v)
     err = exc.value
     assert err.extra_count == 6  # |G| - |V| = 16 - 10
     assert err.extra_count >= err.extra_floor
     assert err.point is not None
-
-
-@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1, 4)])
-def test_epsilon_override_must_be_positive(bad):
-    with pytest.raises(PreconditionError, match="epsilon_override must be positive"):
-        find_subvariety(dot_variety(2, 2), epsilon_override=bad)
 
 
 @pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
@@ -588,9 +586,10 @@ def test_finder_reads_base_codims_from_certificates(monkeypatch, p, dims):
     assert verify_certificate(v, cert).all_ok
 
 
-def test_grid_scope_closes_when_the_finder_raises():
+def test_grid_scope_closes_when_the_finder_raises(monkeypatch):
+    approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError):
-        find_subvariety(dot_variety(2, 2), epsilon_override=Fraction(1))
+        find_subvariety(dot_variety(2, 2))
     assert forms._GRIDS.get() is None
 
 

@@ -11,7 +11,9 @@ from mlvariety.errors import PreconditionError
 from mlvariety.field import (
     Subspace,
     all_vectors,
+    as_coords,
     echelonize,
+    rref,
     shift_permutation,
     validate_prime,
     vector_from_index,
@@ -26,10 +28,27 @@ def test_validate_prime_accepts_small_primes():
         validate_prime(p)
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 19, -3])
+@pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 19, -3, 2.0, True])
 def test_validate_prime_rejects(bad):
     with pytest.raises(PreconditionError):
         validate_prime(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_coords((1, 0, 1), 2, 2), "dimension mismatch: 3 vs 2"),
+    (lambda: rref([[1, 0, 1]], 2, width=2), "row width mismatch: 3 vs 2"),
+])
+def test_coordinate_lengths_must_match(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_point_budget_must_be_positive(n):
+    before = budget.point_budget()
+    with pytest.raises(ValueError, match="point budget must be positive"):
+        budget.set_point_budget(n)
+    assert budget.point_budget() == before
 
 
 def test_all_vectors_p2_dim1():

@@ -16,6 +16,7 @@ from mlvariety.forms import (
     Shape,
     analytic_rank,
     bias,
+    coerce_point,
     eval_form,
     eval_grid,
     matricization_rank_bound,
@@ -47,6 +48,37 @@ def test_empty_support_must_be_zero():
     assert zero_form(sh).is_zero()
     with pytest.raises(PreconditionError):
         MultilinearForm(sh, (), np.ones(()))
+
+
+_SH = Shape(2, (1, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Shape(2, ()), "at least one factor", id="shape-no-factors"),
+    pytest.param(lambda: Shape(2, (1, -1)), "non-negative", id="shape-negative-dim"),
+    pytest.param(lambda: coerce_point(_SH, ((1,),)), "point has 1 factors, shape has 2",
+                 id="point-factor-count"),
+    pytest.param(lambda: MultilinearForm(_SH, (0, 2), [[1]]), "outside factors",
+                 id="form-support-outside"),
+    pytest.param(lambda: MultilinearForm(Shape(2, (2, 2)), (0, 1), [1, 0, 1]),
+                 "3 entries, expected 4", id="form-coefficient-count"),
+    pytest.param(lambda: product_form(_SH, (0,), [1], (0, 1), [[1]]), "disjoint",
+                 id="product-overlapping-sides"),
+    pytest.param(lambda: product_form(_SH, (), [], (0, 1), [[1]]), "need variables",
+                 id="product-empty-side"),
+    pytest.param(lambda: slice_form(MultilinearForm(_SH, (0, 1), [[1]]), (0,), ()),
+                 "one coordinate vector per sliced factor", id="slice-coordinate-count"),
+    pytest.param(lambda: zero_fiber_identity_check(MultilinearForm(Shape(2, (2,)), (0,), [1, 0])),
+                 "at least two factors", id="zero-fiber-arity-1"),
+    pytest.param(lambda: partition_rank_bilinear(
+        MultilinearForm(Shape(2, (1, 1, 1)), (0, 1, 2), [[[1]]])),
+        "exactly two variables", id="bilinear-three-variables"),
+    pytest.param(lambda: partition_rank_search(MultilinearForm(_SH, (1,), [1])),
+                 "at least two support factors", id="search-one-factor"),
+])
+def test_forms_refuse_inputs_outside_their_contract(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
 
 
 def test_eval_zero_form_anywhere():
@@ -279,6 +311,8 @@ def test_bias_single_factor_support_can_vanish():
     assert bias(f) == 0
     with pytest.raises(ZeroBiasError):
         analytic_rank(f)
+    with pytest.raises(ZeroBiasError):
+        prank_lower_bound(f)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -76,3 +76,20 @@ def test_random_point_subset_counts_and_containment():
         random_point_subset(rng, sh, mask, int(np.count_nonzero(mask)) + 1)
     with pytest.raises(PreconditionError):
         random_point_subset(rng, sh, mask, -1)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda rng: random_subspace(rng, 2, 2, 3), "subspace dimension out of range",
+                 id="subspace-over-ambient"),
+    pytest.param(lambda rng: random_subspace(rng, 2, 2, -1), "subspace dimension out of range",
+                 id="subspace-negative"),
+    pytest.param(lambda rng: planted_product_variety(rng, Shape(2, (2, 2)), (1,)),
+                 "one codimension per factor", id="product-codim-count"),
+    pytest.param(lambda rng: planted_product_variety(rng, Shape(2, (2, 2)), (1, 3)),
+                 "codimension 3 out of range for factor 1", id="product-codim-over-dim"),
+    pytest.param(lambda rng: planted_low_prank_form(rng, Shape(2, (3,)), 1),
+                 "two support factors", id="low-prank-arity-1"),
+])
+def test_generators_refuse_impossible_plants(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call(random.Random(0))

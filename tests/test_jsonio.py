@@ -102,3 +102,15 @@ def test_form_shape_mismatch_detected():
     obj = {"p": 2, "k": 2, "dims": [1, 2], "support": [1, 2], "coeffs": [1, 0]}
     with pytest.raises(PreconditionError):
         form_from_obj(obj, sh)
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (form_from_obj, {"p": 2, "k": 3, "dims": [1, 1], "support": [1], "coeffs": [1]},
+     "k=3 does not match 2 dims"),
+    (map_from_obj, {"p": 2, "k": 2, "dims": [1, 1], "support": [1, 2],
+                    "codomain_dim": 2, "components": [[1]]},
+     "codomain_dim does not match the component count"),
+])
+def test_wire_counts_must_agree_with_their_lists(read, obj, message):
+    with pytest.raises(PreconditionError, match=message):
+        read(obj)

@@ -119,6 +119,33 @@ def test_value_types_are_frozen_normalized_dataclasses(build):
 # Membership and density
 # ---------------------------------------------------------------------------
 
+_SH = Shape(2, (1, 1))
+_XY = MultilinearForm(_SH, (0, 1), [[1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Variety(_SH, (MultilinearForm(Shape(2, (1, 2)), (0,), [1]),)),
+                 "share the shape", id="variety-form-of-another-shape"),
+    pytest.param(lambda: Variety(_SH, (_XY,), is_empty=True), "carries no forms",
+                 id="empty-marker-with-forms"),
+    pytest.param(lambda: Variety.empty(_SH).codim, "no representation codimension",
+                 id="empty-marker-codim"),
+    pytest.param(lambda: slice_variety(Variety(_SH, (_XY,)), (0,), ()),
+                 "one coordinate vector per sliced factor", id="slice-coordinate-count"),
+    pytest.param(lambda: slice_variety(Variety(_SH, (_XY,)), (2,), ((1,),)),
+                 "outside the shape", id="slice-factor-outside"),
+    pytest.param(lambda: slice_variety(Variety(_SH, (_XY,)), (0, 1), ((1,), (1,))),
+                 "slicing away every factor", id="slice-every-factor"),
+    pytest.param(lambda: PointSet(_SH, np.zeros((2,), dtype=bool)), "bitmap shape",
+                 id="point-set-mask-shape"),
+    pytest.param(lambda: directional_convolution(PointSet.empty(_SH), 2, ((0,), (0,))),
+                 "direction outside the shape", id="convolution-direction-outside"),
+])
+def test_variety_refuses_inputs_outside_its_contract(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
 def test_membership_examples():
     sh = Shape(2, (1, 1))
     assert membership(Variety.full(sh), ((1,), (0,)))
