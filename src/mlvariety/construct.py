@@ -17,6 +17,7 @@ an achieved codimension above the budget line is a bug, never bad luck.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,14 @@ from .errors import (
     PreconditionError,
 )
 from .field import all_vectors, vector_from_index
-from .forms import MultilinearForm, MultilinearMap, _grid_scope, ceil_log, eval_grid
+from .forms import (
+    MultilinearForm,
+    MultilinearMap,
+    _grid_scope,
+    _scoped_cache,
+    ceil_log,
+    eval_grid,
+)
 from .monomial import Monomial
 from .variety import (
     Variety,
@@ -357,6 +365,19 @@ def _ledger_record(path: str, arity: int, c: Fraction, **extra) -> dict:
     return record
 
 
+# Sub-problems solved in the open finder scope: subproblem key ->
+# (certificate, work points its solve charged); None when no scope is open.
+_SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "mlvariety_solved", default=None
+)
+
+
+def _subproblem_key(v: Variety) -> tuple:
+    # The raw defining list, not canonical(): variety_bitmap charges each raw
+    # form, so varieties equal after canonical() can charge different points.
+    return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
+
+
 @_grid_scope()
 def find_subvariety(v: Variety) -> SubvarietyCertificate:
     """Extract a nonempty subvariety whose codimension fits the budget line.
@@ -372,8 +393,29 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     target point by point and is contained in the input.
 
     The whole extraction, recursion included, runs in one grid scope, so
-    each distinct form is evaluated once; the scope closes on return.
+    each distinct form is evaluated once, and in one memo scope, so each
+    distinct sub-problem (shape and raw defining list) is solved once: the
+    recursion slices the same sub-variety along many paths.  A memo hit
+    returns the stored certificate and adds the work points its solve
+    charged to the counter without checking the budget again, since every
+    one of those charges passed under the same budget.  So the certificate,
+    work_points() and every refusal are those of a solve without the memo.
+    Both scopes close on return or on a raise.
     """
+    with _scoped_cache(_SOLVED):
+        solved = _SOLVED.get()
+        key = _subproblem_key(v)
+        if key in solved:
+            cert, points = solved[key]
+            budget.replay(points)
+            return cert
+        start = budget.work_points()
+        cert = _solve(v)
+        solved[key] = (cert, budget.work_points() - start)
+        return cert
+
+
+def _solve(v: Variety) -> SubvarietyCertificate:
     shape = v.shape
     p = shape.p
     vmask = variety_bitmap(v)

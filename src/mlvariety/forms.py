@@ -221,20 +221,25 @@ _GRIDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 
 @contextlib.contextmanager
-def _grid_scope():
-    """Memoize eval_grid for the duration of the block.
+def _scoped_cache(var: contextvars.ContextVar):
+    """Give the context variable an empty dict for the duration of the block.
 
     Opens a scope only when none is open in this context, so nested calls
-    share the outermost one; the memo is dropped when that scope closes.
+    share the outermost one; the dict is dropped when that scope closes.
     """
-    if _GRIDS.get() is not None:
+    if var.get() is not None:
         yield
         return
-    token = _GRIDS.set({})
+    token = var.set({})
     try:
         yield
     finally:
-        _GRIDS.reset(token)
+        var.reset(token)
+
+
+def _grid_scope():
+    """Memoize eval_grid for the duration of the block."""
+    return _scoped_cache(_GRIDS)
 
 
 def eval_grid(form: MultilinearForm) -> np.ndarray:

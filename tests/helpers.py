@@ -7,10 +7,11 @@ membership, row reduction in a different style, brute-force witness search,
 ledger monomials written out as rationals, and subspace membership, points
 and annihilators for the tests that plant subspaces.  Tests compare library
 results against these.  One helper counts the library's own value-grid
-evaluations, for the grid-cache tests, one switches off the witness
-search's zero-offset pre-check, one replaces its translation tables, and
-one starves the finder's external approximation of functionals, for the
-failure paths.
+evaluations, for the grid-cache tests, one makes every lookup in the
+finder's sub-problem memo miss, for the memo oracle, one switches off the
+witness search's zero-offset pre-check, one replaces its translation
+tables, and one starves the finder's external approximation of
+functionals, for the failure paths.
 """
 
 from __future__ import annotations
@@ -197,6 +198,12 @@ def count_grid_evaluations(monkeypatch):
 
     monkeypatch.setattr(forms, "_value_grid", counting)
     return seen
+
+
+def miss_every_memo_lookup(monkeypatch):
+    """Give every finder call a sub-problem key no other call shares, so the
+    memo never hits and every sub-problem is solved afresh."""
+    monkeypatch.setattr(construct, "_subproblem_key", lambda v: object())
 
 
 def skip_zero_offset_precheck(monkeypatch):

@@ -33,7 +33,7 @@ from mlvariety.generators import (
     random_subspace,
     random_variety,
 )
-from mlvariety.jsonio import certificate_to_obj
+from mlvariety.jsonio import certificate_from_obj, certificate_to_obj
 from mlvariety.variety import Variety, density, membership, variety_bitmap, variety_points
 
 from helpers import (
@@ -43,6 +43,7 @@ from helpers import (
     constant_shift_tables,
     count_grid_evaluations,
     enumerate_points,
+    miss_every_memo_lookup,
     monomial_value,
     small_dims,
 )
@@ -591,6 +592,110 @@ def test_grid_scope_closes_when_the_finder_raises(monkeypatch):
     with pytest.raises(ApproxMismatchError):
         find_subvariety(dot_variety(2, 2))
     assert forms._GRIDS.get() is None
+
+
+def test_memo_scope_closes_on_return_and_on_raise(monkeypatch):
+    find_subvariety(dot_variety(2, 2))
+    assert construct._SOLVED.get() is None
+    approximate_with_no_functionals(monkeypatch)
+    with pytest.raises(ApproxMismatchError):
+        find_subvariety(dot_variety(2, 2))
+    assert construct._SOLVED.get() is None
+
+
+def test_back_to_back_finder_calls_charge_alike():
+    v = random_variety(random.Random(24), Shape(2, (2, 1, 2)), 2)
+    budget.reset_work()
+    first = find_subvariety(v)
+    once = budget.work_points()
+    assert find_subvariety(v) == first
+    assert budget.work_points() == 2 * once
+
+
+def test_memo_does_not_outlive_the_call(monkeypatch):
+    v = random_variety(random.Random(25), Shape(3, (2, 1, 1)), 2)
+    passes = []
+    original = budget.ensure
+
+    def recording(points, what):
+        passes.append(points)
+        original(points, what)
+
+    monkeypatch.setattr(budget, "ensure", recording)
+    find_subvariety(v)
+    budget.set_point_budget(max(passes) - 1)
+    with pytest.raises(budget.BudgetExceededError):
+        find_subvariety(v)
+
+
+def _finder_outcome(v):
+    budget.reset_work()
+    cert = find_subvariety(v)
+    return cert.output, certificate_to_obj(cert), budget.work_points()
+
+
+def _memo_oracle_inputs():
+    rng = random.Random(26)
+    for k in range(2, 6):
+        for p in (2, 3):
+            for _ in range(2):
+                dims = small_dims(rng, k, k + 2 if p == 2 else k + 1)
+                yield random_variety(rng, Shape(p, dims), rng.randrange(1, 4))
+    # the form on factor 2 alone slices to a zero constant and is dropped
+    sh = Shape(3, (2, 1, 1))
+    yield Variety(sh, (
+        MultilinearForm(sh, (0, 1, 2), np.ones((2, 1, 1), dtype=int)),
+        MultilinearForm(sh, (2,), np.array([1])),
+    ))
+
+
+def test_memo_matches_a_finder_without_it(monkeypatch):
+    inputs = list(_memo_oracle_inputs())
+    dropped = []
+    slicer = construct.slice_variety
+
+    def spying(v, factors, coords):
+        out = slicer(v, factors, coords)
+        dropped.append(len(out.forms) < len(v.forms))
+        return out
+
+    replays = []
+    replay = budget.replay
+
+    def recording(points):
+        replays.append(points)
+        replay(points)
+
+    monkeypatch.setattr(construct, "slice_variety", spying)
+    monkeypatch.setattr(budget, "replay", recording)
+    memoized = [_finder_outcome(v) for v in inputs]
+    assert any(dropped) and replays
+    monkeypatch.undo()
+    miss_every_memo_lookup(monkeypatch)
+    for v, (output, obj, points) in zip(inputs, memoized):
+        again_output, again_obj, again_points = _finder_outcome(v)
+        assert again_output == output
+        assert again_obj == obj
+        assert again_points == points
+
+
+def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
+    v = random_variety(random.Random(0), Shape(2, (1,) * 7), 1, full_support_only=True)
+    counts = collections.Counter()
+    for name in ("_solve", "dense_columns"):
+        original = getattr(construct, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(construct, name, counting)
+    cert = find_subvariety(v)
+    assert counts == {"_solve": 7, "dense_columns": 27}
+    assert len(cert.ledger) == 8660
+    again = certificate_from_obj(certificate_to_obj(cert))
+    assert again.ledger == cert.ledger
+    assert verify_certificate(v, again).all_ok
 
 
 def test_base_case_random_subspaces():
