@@ -134,6 +134,9 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     histogram of vector ranks, with kills tabulated per occupied rank after
     the budget admits the p**m * |G_S| "functional scan" each live step still
     charges (the per-point price, kept until the sweep-format accounting bump).
+    The functional table is built, and its budget checked, before any pass
+    over G_S, and the ranks are held in the narrowest unsigned type holding
+    p**m - 1 (one byte while p**m <= 256).
 
     Containment is checked on the value grids of the phi components
     themselves, each distinct one evaluated once in a grid scope and folded
@@ -148,13 +151,13 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     support_dims = tuple(shape.dims[j] for j in source.support)
     support_total = p ** sum(support_dims)
     outside_mult = shape.total_points // support_total
-    codes = np.zeros(support_total, dtype=np.int64)
+    # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
+    functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2))
+    codes = np.zeros(support_total, dtype=np.min_scalar_type(p**m - 1))
     for f in source.components:
         codes *= p
         codes += eval_grid(f).reshape(-1)
     source_zero = codes == 0
-    # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
-    functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2))
     hist = np.bincount(codes)
     occupied = np.flatnonzero(hist)
     hist = hist[occupied]

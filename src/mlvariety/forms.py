@@ -192,10 +192,14 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
     coordinate i, from the last down to the first, the axis grows into p
     copies, copy a holding the previous copy plus c_i.  So coordinate i
     varies slower than those already placed, the last coordinate fastest.
-    Sums of n terms below p stay exact and unreduced in the narrowest
-    unsigned type holding n (p-1)**2, and each factor is reduced mod p once.
+    For p > 2, sums of n terms below p stay exact and unreduced in the
+    narrowest unsigned type holding n (p-1)**2, and each factor is reduced
+    mod p once.  At p = 2 the copies are grown by XOR, which is addition
+    mod 2 on {0, 1}, so values never leave {0, 1}: there is no reduction
+    pass, and the peak memory is about one uint8 grid.
     """
     budget.charge(math.prod(p**n for n in axis_dims), "evaluation grid")
+    grow = np.bitwise_xor if p == 2 else np.add
     t = np.asarray(coeffs, dtype=np.int64) % p
     for n in axis_dims:
         acc = np.min_scalar_type(n * (p - 1) ** 2)
@@ -204,12 +208,13 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
         size = 1
         for i in range(n - 1, -1, -1):
             for a in range(1, p):
-                np.add(t[..., (a - 1) * size : a * size], c[..., i : i + 1],
-                       out=t[..., a * size : (a + 1) * size])
+                grow(t[..., (a - 1) * size : a * size], c[..., i : i + 1],
+                     out=t[..., a * size : (a + 1) * size])
             size *= p
-        q = t // p
-        q *= p
-        t -= q
+        if p > 2:
+            q = t // p
+            q *= p
+            t -= q
     return t.astype(np.uint8, copy=False)
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch against the defining
 formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, brute-force witness search,
-ledger monomials written out as rationals, and subspace membership, points
-and annihilators for the tests that plant subspaces.  Tests compare library
+ledger monomials written out as rationals, the external-approximation
+greedy on a value-vector histogram counted point by point, and subspace
+membership, points and annihilators for the tests that plant subspaces.  Tests compare library
 results against these.  One helper counts the library's own value-grid
 evaluations, for the grid-cache tests, one makes every lookup in the
 finder's sub-problem memo miss, for the memo oracle, one switches off the
@@ -25,6 +26,7 @@ import numpy as np
 
 from mlvariety import construct, forms, variety
 from mlvariety.field import echelonize
+from mlvariety.forms import MultilinearForm, eval_form
 
 
 def enumerate_points(shape):
@@ -82,6 +84,41 @@ def brute_density(variety) -> Fraction:
         if all(brute_eval(f, point) == 0 for f in variety.forms):
             hits += 1
     return Fraction(hits, total)
+
+
+def brute_external_approx(source, s):
+    """(survivors_per_step, error_count, phi component keys) of the external
+    approximation greedy, on a histogram of value vectors built point by
+    point over the whole group with eval_form.  Each step scans the
+    functionals in itertools order and takes the first that leaves the
+    fewest survivors; once none is left, the zero functional repeats."""
+    shape, p = source.shape, source.shape.p
+    support_total = p ** sum(shape.dims[j] for j in source.support)
+    outside_mult = shape.total_points // support_total
+    hist = collections.Counter(
+        tuple(eval_form(f, point) for f in source.components)
+        for point in enumerate_points(shape)
+    )
+    alive = {v: n for v, n in hist.items() if any(v)}
+    functionals = list(itertools.product(range(p), repeat=source.codomain_dim))
+
+    def kills(psi, v):
+        return sum(a * x for a, x in zip(psi, v)) % p == 0
+
+    per_step, keys = [], []
+    for _ in range(s):
+        psi = functionals[0]
+        if alive:
+            left = [sum(n for v, n in alive.items() if kills(f, v)) for f in functionals]
+            psi = functionals[left.index(min(left))]
+            alive = {v: n for v, n in alive.items() if kills(psi, v)}
+        per_step.append(sum(alive.values()) // outside_mult)
+        coeffs = sum(
+            (a * f.coeffs.astype(np.int64) for a, f in zip(psi, source.components)),
+            np.zeros([shape.dims[j] for j in source.support], dtype=np.int64),
+        )
+        keys.append(MultilinearForm(shape, source.support, coeffs).key())
+    return tuple(per_step), sum(alive.values()), keys
 
 
 def brute_rank_mod(rows, p: int) -> int:

@@ -29,6 +29,7 @@ from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, ceil_log
 from mlvariety.monomial import Monomial
 from mlvariety.generators import (
     planted_product_variety,
+    random_form,
     random_map,
     random_subspace,
     random_variety,
@@ -40,6 +41,7 @@ from helpers import (
     annihilator,
     approximate_with_no_functionals,
     brute_eval,
+    brute_external_approx,
     constant_shift_tables,
     count_grid_evaluations,
     enumerate_points,
@@ -287,6 +289,57 @@ def test_approx_greedy_picks_first_minimizer(p, m, dims):
 )
 def test_approx_greedy_oracle_small_and_oversized_codomains(p, m, dims):
     _greedy_oracle_ties(p, m, dims)
+
+
+@pytest.mark.parametrize(
+    "p, m, dims, support, s, live",
+    [
+        # Value codes go from one byte to two between p**m = 256 and 512,
+        # and between 243 and 729.  The first `live` components are random
+        # and the rest zero, so with live = 1 only the most significant
+        # digit of each code is nonzero.
+        (2, 8, (3, 3), (0, 1), 2, 8),
+        (2, 9, (3, 3), (0, 1), 2, 9),
+        (2, 9, (3, 1, 3), (0, 2), 2, 9),
+        (2, 9, (3, 3), (0, 1), 2, 1),
+        (3, 5, (2, 2), (0, 1), 1, 5),
+        (3, 6, (2, 2), (0, 1), 1, 6),
+        (3, 6, (1, 2, 2), (1, 2), 1, 6),
+    ],
+)
+def test_approx_matches_the_pointwise_histogram_where_codes_widen(
+    p, m, dims, support, s, live
+):
+    sh = Shape(p, dims)
+    rng = random.Random(31)
+    components = [random_form(rng, sh, support) for _ in range(live)]
+    components += [MultilinearForm(sh, support, np.zeros([dims[j] for j in support]))] * (
+        m - live
+    )
+    source = MultilinearMap(sh, support, components)
+    res = external_approx(source, s)
+    per_step, error_count, keys = brute_external_approx(source, s)
+    assert res.survivors_per_step == per_step
+    assert res.error_count == error_count
+    assert [f.key() for f in res.phi.components] == keys
+
+
+def test_approx_refuses_the_functional_table_before_any_grid(monkeypatch):
+    """A codomain whose p**m vectors are over the budget is refused before
+    a single value grid is evaluated, however small the grids are."""
+    sh = Shape(2, (1, 1))
+    source = random_map(random.Random(32), sh, 7)
+    calls = []
+
+    def counting(f):
+        calls.append(f.key())
+        return forms.eval_grid(f)
+
+    monkeypatch.setattr(construct, "eval_grid", counting)
+    budget.set_point_budget(2**7 - 1)
+    with pytest.raises(budget.BudgetExceededError, match="vector table"):
+        external_approx(source, 1)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
