@@ -8,10 +8,10 @@ fiber floors, and the final set equality between the approximating variety
 and its target.  Certificates carry a ledger of the exact constants used at
 each recursion level so an auditor can replay the accounting.
 
-Budget tracking note.  The codimension budget is an affine function of
-L = ceil(log_p 1/density) for fixed arity and p.  The recursion that produces
-the slope and intercept mirrors the construction step by step with every
-quantity over-approximated by integers (log_p 2 <= 1, L(c/2) <= L(c) + 1), so
+Budget tracking note.  The codimension budget is affine in
+L = ceil(log_p 1/density) for fixed arity and p.  budget_line evaluates the
+construction's own ledger formulas (_level_constants) at p = 2, c = 2**-L and
+over-approximates the rest by integers (log_p 2 <= 1, L(c/2) <= L(c) + 1), so
 an achieved codimension above the budget line is a bug, never bad luck.
 """
 
@@ -56,36 +56,66 @@ from .variety import (
 # Codimension budget
 # ---------------------------------------------------------------------------
 
+def _fiber_constants(p: int, c: Fraction, arity: int) -> tuple[Monomial, Monomial]:
+    """(c', fiber floor) of a level, by the formulas of _level_constants."""
+    k = arity - 1
+    big_k = arity_constant(k)
+    c_prime = Monomial(Fraction(1, 2 ** (2 * k + 1)), p, c, -2 * k * big_k, k * big_k + 1)
+    return c_prime, c_prime ** (2**k)
+
+
+def _level_constants(p: int, c: Fraction, arity: int, r: int, max_dim: int | None) -> dict:
+    """The ledger constants of a level of density c over F_p, keyed by their
+    ledger names: the one specification dense_columns, the finder and
+    budget_line read.  With k = arity - 1, K = K(k) and r the largest base
+    codimension:
+
+      c_prime        = c ** (kK+1) / (2 ** (2k+1) * p ** (2kK))
+      fiber floor    = c_prime ** 2**k
+      c_double_prime = fiber floor * p ** -(k(k+1) r), raised to the one-point
+                       density p ** -max_dim when below it (clamped); max_dim
+                       None never clamps
+      epsilon        = c_double_prime ** arity / 2
+      s              = ceil(log_p 1/epsilon)
+    """
+    c_prime, fiber_floor = _fiber_constants(p, c, arity)
+    c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(arity - 1) * arity * r)
+    clamped = False
+    if max_dim is not None:
+        one_point = Monomial(Fraction(1), p, c, p_exp=-max_dim)
+        clamped = c_dd < one_point
+        if clamped:
+            c_dd = one_point
+    eps = c_dd**arity * Fraction(1, 2)
+    return {"c_prime": c_prime, "c_double_prime": c_dd, "epsilon": eps,
+            "s": eps.ceil_log_inverse(), "clamped": clamped}
+
+
 @lru_cache(maxsize=None)
 def budget_line(arity: int) -> tuple[int, int]:
     """(slope, intercept) of the codimension budget in L = ceil(log_p 1/c).
 
     Arity 1 is exact: a subspace of density c has codimension exactly
-    log_p 1/c.  Each higher arity unwinds one construction step:
-
-      r          <= slope*(L+1) + intercept     (base codim on a half-dense slice)
-      log 1/c'    = (2k+1) log_p 2 + 2kK + (kK+1) log 1/c
-      fiber floor = c' ** 2^k
-      log 1/c''   = 2^k log 1/c' + k(k+1) r
-      eps         = c'' ** (k+1) / 2
-      final codim = ceil(log 1/eps) + (k+1)^2 r
-
-    with k the lower arity and K = slope + intercept its single constant.
+    log_p 1/c.  A higher arity's final codimension is s + arity**2 * r, with
+    s from _level_constants and r bounded by the lower arity's line on a
+    half-dense slice, r <= slope*(L+1) + intercept.  At p = 2, c = 2**-L and
+    no clamp every constant is a power of 2 whose exponent is affine in L, so
+    that codimension is affine in L and two evaluations give the line.  It
+    bounds every p, since log_p 2 <= 1.
     """
     if arity < 1:
         raise PreconditionError("arity must be at least 1")
     if arity == 1:
         return (1, 0)
     slope, intercept = budget_line(arity - 1)
-    k = arity - 1
-    big_k = slope + intercept
-    r_a, r_b = slope, slope + intercept
-    cp_a, cp_b = k * big_k + 1, 2 * k + 1 + 2 * k * big_k
-    fib_a, fib_b = 2**k * cp_a, 2**k * cp_b
-    cdd_a = fib_a + k * (k + 1) * r_a
-    cdd_b = fib_b + k * (k + 1) * r_b
-    s_a, s_b = (k + 1) * cdd_a, (k + 1) * cdd_b + 1
-    return (s_a + (k + 1) ** 2 * r_a, s_b + (k + 1) ** 2 * r_b)
+
+    def final_codim(log_inv_c: int) -> int:
+        r = slope * (log_inv_c + 1) + intercept
+        s = _level_constants(2, Fraction(1, 2**log_inv_c), arity, r, None)["s"]
+        return s + arity**2 * r
+
+    at_zero = final_codim(0)
+    return (final_codim(1) - at_zero, at_zero)
 
 
 def arity_constant(arity: int) -> int:
@@ -212,11 +242,11 @@ class DenseColumnsResult:
     """A base variety all of whose fibers in one direction are dense.
 
     base lives on the factors other than `direction`; every point of it has
-    at least fiber_floor_count points of the input variety in its fiber.
-    min_fiber_count is the exhaustively measured minimum.  c_prime and
-    fiber_floor = c_prime ** 2**k are exact monomials in the input density.
-    clamped records the desk-scale regime where the floor fell below one
-    point and nonemptiness is the operative guarantee.
+    at least fiber_floor_count points of the input variety in its fiber, the
+    level's fiber floor (_fiber_constants) times the fiber size, rounded up.
+    min_fiber_count is the exhaustively measured minimum.  clamped records
+    the desk-scale regime where the floor fell below one point and
+    nonemptiness is the operative guarantee.
     """
 
     direction: int
@@ -224,15 +254,13 @@ class DenseColumnsResult:
     base: Variety
     base_certificate: "SubvarietyCertificate"
     bad_count: int
-    c_prime: Monomial
-    fiber_floor: Monomial
     fiber_floor_count: int
     min_fiber_count: int
     min_fiber_density: Fraction
     clamped: bool
 
 
-def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResult:
+def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     """Find a low-codimension base variety with uniformly dense fibers.
 
     Scans the chosen direction lexicographically for the first slice that is
@@ -252,8 +280,6 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     shape = v.shape
     if shape.k < 2:
         raise PreconditionError("dense fiber extraction needs at least two factors")
-    if direction is None:
-        direction = shape.k - 1
     if not 0 <= direction < shape.k:
         raise PreconditionError("direction outside the shape")
     p = shape.p
@@ -262,19 +288,13 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
         raise EmptyVarietyError("dense fiber extraction needs a nonempty variety")
     total = shape.total_points
     c = Fraction(int(np.count_nonzero(vmask)), total)
-    lower = shape.k - 1
-    big_k = arity_constant(lower)
-    c_prime = Monomial(
-        Fraction(1, 2 ** (2 * lower + 1)), p, c,
-        p_exp=-2 * lower * big_k, c_exp=lower * big_k + 1,
-    )
+    c_prime, fiber_floor = _fiber_constants(p, c, shape.k)
     direction_size = shape.group_sizes[direction]
     other_total = total // direction_size
     fiber_counts = vmask.sum(axis=direction)
-    sparse_threshold = math.floor(c_prime * direction_size)
-    fiber_sparse = fiber_counts <= sparse_threshold
+    fiber_sparse = fiber_counts <= math.floor(c_prime * direction_size)
     # b / other_total > 2 c' / c exactly when the integer b exceeds this floor
-    bad_limit = math.floor(c_prime * Monomial(Fraction(2), p, c, c_exp=-1) * other_total)
+    bad_limit = math.floor(c_prime * (2 * other_total / c))
 
     for t in range(direction_size):
         u_mask = np.take(vmask, t, axis=direction)
@@ -309,7 +329,6 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
     if len(unfilled):
         point = _point_from_index(base.shape, unfilled[0])
         raise ConstructionError(f"no filling witness at base point {point}")
-    fiber_floor = c_prime ** (2**lower)
     floor_points = fiber_floor * direction_size
     clamped = floor_points < 1
     fiber_floor_count = math.ceil(floor_points)
@@ -325,8 +344,6 @@ def dense_columns(v: Variety, direction: int | None = None) -> DenseColumnsResul
         base=base,
         base_certificate=sub_cert,
         bad_count=b_count,
-        c_prime=c_prime,
-        fiber_floor=fiber_floor,
         fiber_floor_count=fiber_floor_count,
         min_fiber_count=min_fiber_count,
         min_fiber_density=Fraction(min_fiber_count, direction_size),
@@ -349,22 +366,12 @@ class SubvarietyCertificate:
     ledger: tuple[dict, ...]
 
 
-def _ledger_record(path: str, arity: int, c: Fraction, **extra) -> dict:
-    record = {
-        "path": path,
-        "arity": arity,
-        "c": c,
-        "r": None,
-        "c_prime": None,
-        "c_double_prime": None,
-        "epsilon": None,
-        "s": None,
-        "cylinder_forms": None,
-        "codim_contribution": None,
-        "clamped": None,
-        "directions": None,
-    }
-    record.update(extra)
+def _ledger_record(arity: int, c: Fraction, **extra) -> dict:
+    record = dict.fromkeys((
+        "path", "arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
+        "cylinder_forms", "codim_contribution", "clamped", "directions",
+    ))
+    record.update(path="", arity=arity, c=c, **extra)
     return record
 
 
@@ -438,9 +445,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             raise ConstructionError(
                 f"subspace density {c} does not match codimension {codim}"
             )
-        ledger = (
-            _ledger_record("", 1, c, codim_contribution=codim),
-        )
+        ledger = (_ledger_record(1, c, codim_contribution=codim),)
         return SubvarietyCertificate(c, canon, codim, bud, ledger)
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
@@ -466,19 +471,12 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     target = Variety(shape, v.forms + cylinders.forms).canonical()
     target_mask = variety_bitmap(target)
 
-    fiber_floor = results[0].fiber_floor
-    c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(shape.k - 1) * shape.k * r_max)
-    one_point = Monomial(Fraction(1), p, c, p_exp=-max(shape.dims))
-    clamped = c_dd < one_point
-    if clamped:
-        c_dd = one_point
-    eps = c_dd**shape.k * Fraction(1, 2)
-    s = eps.ceil_log_inverse()
+    level = _level_constants(p, c, shape.k, r_max, max(shape.dims))
 
     full_support = tuple(range(shape.k))
     full_forms = [f for f in target.forms if f.support == full_support]
     source = MultilinearMap(shape, full_support, full_forms)
-    approx = external_approx(source, s)
+    approx = external_approx(source, level["s"])
 
     candidate = Variety(
         shape, tuple(approx.phi.components) + cylinders.forms
@@ -496,7 +494,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             f"({extra_count} extra points)",
             point=point,
             extra_count=extra_count,
-            extra_floor=c_dd**shape.k * total,
+            extra_floor=level["c_double_prime"]**shape.k * total,
         )
 
     if bool(np.any(candidate_mask & ~vmask)):
@@ -509,25 +507,19 @@ def _solve(v: Variety) -> SubvarietyCertificate:
 
     ledger = [
         _ledger_record(
-            "",
             shape.k,
             c,
             r=r_max,
-            c_prime=results[0].c_prime,
-            c_double_prime=c_dd,
-            epsilon=eps,
-            s=s,
+            **level,
             cylinder_forms=len(cylinders.forms),
             codim_contribution=codim,
-            clamped=clamped,
             directions=direction_info,
         )
     ]
     for i, res in enumerate(results):
         for record in res.base_certificate.ledger:
-            child = dict(record)
-            child["path"] = f"{i}" if not record["path"] else f"{i}/{record['path']}"
-            ledger.append(child)
+            path = f"{i}/{record['path']}" if record["path"] else f"{i}"
+            ledger.append({**record, "path": path})
     return SubvarietyCertificate(c, candidate, codim, bud, tuple(ledger))
 
 

@@ -4,10 +4,11 @@ Round trips are bit exact: coefficients are flat integer arrays in
 lexicographic order with the first support factor outermost, support indices
 are 1-based on the wire, and rationals are "numerator/denominator" strings.
 
-Readers accept only JSON integers where the format has integers: a float,
-bool or string there raises TypeError instead of being truncated or coerced.
-A rational that is not such a string, or has a zero denominator, raises
-InputFormatError.
+Readers accept only JSON integers where the format has integers, and only
+true or false for a variety's optional "empty" flag: anything else there
+raises TypeError instead of being truncated or coerced.  A rational that is
+not such a string, or has a zero denominator, raises InputFormatError, and so
+does a certificate ledger that is not an array of objects.
 
 Format version "3" writes the ledger constants c_prime, c_double_prime and
 epsilon as exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
@@ -136,7 +137,10 @@ def variety_to_obj(v: Variety) -> dict:
 
 def variety_from_obj(obj) -> Variety:
     shape = shape_from_obj(obj["shape"])
-    if obj.get("empty"):
+    empty = obj.get("empty", False)
+    if type(empty) is not bool:
+        raise TypeError(f"empty must be a JSON boolean, got {empty!r:.60}")
+    if empty:
         return Variety.empty(shape)
     forms = [form_from_obj(f, shape) for f in obj.get("forms", [])]
     return Variety(shape, forms)
@@ -207,6 +211,9 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
     if version not in _READABLE_VERSIONS:
         raise InputFormatError(f"unknown certificate format_version {version!r:.60}")
     output = variety_from_obj(obj["output"])
+    ledger = obj["ledger"]
+    if not isinstance(ledger, list) or not all(isinstance(r, dict) for r in ledger):
+        raise InputFormatError(f"ledger must be a JSON array of objects, got {ledger!r:.60}")
     p = output.shape.p
     if version == FORMAT_VERSION:
         def monomial(value, c):
@@ -220,7 +227,7 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
         output_codim=_int(obj["output_codim"], "output_codim"),
         budget=_int(obj["budget"], "budget"),
         ledger=tuple(
-            _convert_ledger_record(r, frac_from_str, monomial) for r in obj["ledger"]
+            _convert_ledger_record(r, frac_from_str, monomial) for r in ledger
         ),
     )
 

@@ -246,6 +246,29 @@ def test_verify_empty_output_certificate(dot_files, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_non_boolean_empty_flag_is_an_input_error(dot_files, tmp_path, capsys, value):
+    """Only true, false or no key say whether a variety is the empty marker,
+    in a variety file and in a certificate's output alike."""
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    obj["output"]["empty"] = value
+    cert_path.write_text(json.dumps(obj))
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps({**DOT_VARIETY, "empty": value}))
+    capsys.readouterr()
+    assert main(["density", "--input", str(flagged)]) == EXIT_PARSE
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    assert capsys.readouterr().err.count("input error: empty must be a JSON boolean") == 2
+    flagged.write_text(json.dumps({**DOT_VARIETY, "empty": False}))
+    assert main(["density", "--input", str(flagged)]) == EXIT_OK
+    assert capsys.readouterr().out == "density: 5/8\n"
+
+
 def test_verify_empty_input_keeps_the_density_floor(dot_files, tmp_path, capsys):
     """An empty-marker input has no points; the verifier still prices its
     budget at one point (density 1/16 here) and reports the flags, rather
@@ -349,6 +372,9 @@ def test_conv_check_rejects_negative_bad_count(dot_files):
     (["input_density"], 0.25),
     (["ledger", 0, "c_prime", "coef"], "1/2/3"),
     (["ledger", 0, "directions", 0, "min_fiber_density"], "3/0"),
+    (["ledger"], ["ab"]),
+    (["ledger"], {"ab": 1}),
+    (["ledger"], "xy"),
     pytest.param(["input_density"], "1" * 5000, id="input_density-over-the-digit-limit"),
 ])
 def test_malformed_rational_in_certificate_is_an_input_error(

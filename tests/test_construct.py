@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, construct, forms
 from mlvariety.construct import (
+    _level_constants,
     arity_constant,
     budget_line,
     codim_budget,
@@ -77,9 +78,29 @@ def test_budget_line_base():
 
 
 def test_budget_line_arity_two_frozen():
-    # unwinding the tracked recursion by hand for arity 2 gives 16 L + 29
+    # frozen from an independent derivation, the recursion's exponents
+    # unwound by hand; arity 2 is 16 L + 29
     assert budget_line(2) == (16, 29)
     assert arity_constant(2) == 45
+    assert budget_line(3) == (1524, 3436)
+    assert budget_line(4) == (573728, 1269985)
+    assert budget_line(5) == (661704240, 1410441166)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_level_constants_stay_under_the_budget_line(p, arity):
+    # the line was read off at p = 2 and c = 2**-L; at every p and density
+    # c = a/p**n, with r up to the lower arity's budget on a half-dense
+    # slice, clamped or not, s plus the cylinder forms must stay under it
+    for n in range(3):
+        for a in sorted({1, 2, p**n // 2 + 1, p**n - 1, p**n} & set(range(1, p**n + 1))):
+            c = Fraction(a, p**n)
+            top = codim_budget(arity - 1, p, c / 2)
+            for r in sorted({0, 1, top // 2, top}):
+                for max_dim in (None, 1, 3):
+                    s = _level_constants(p, c, arity, r, max_dim)["s"]
+                    assert s + arity**2 * r <= codim_budget(arity, p, c)
 
 
 def test_codim_budget_arity_one_is_exact_log():
@@ -348,7 +369,7 @@ def test_approx_refuses_the_functional_table_before_any_grid(monkeypatch):
 
 def test_dense_columns_full_space():
     sh = Shape(2, (2, 2))
-    res = dense_columns(Variety.full(sh))
+    res = dense_columns(Variety.full(sh), direction=1)
     assert res.slice_point == (0, 0)
     assert res.base.codim == 0
     assert res.min_fiber_density == 1
@@ -357,7 +378,7 @@ def test_dense_columns_full_space():
 
 def test_dense_columns_dot_variety():
     v = dot_variety(2, 2)
-    res = dense_columns(v)
+    res = dense_columns(v, direction=1)
     # every base point's fiber meets the certified floor, re-measured here
     mask = variety_bitmap(v)
     fibers = mask.sum(axis=res.direction)
@@ -387,7 +408,7 @@ def test_dense_columns_rejects_arity_1_and_outside_directions(dims, direction, m
 def test_dense_columns_needs_nonempty():
     sh = Shape(2, (1, 1))
     with pytest.raises(EmptyVarietyError):
-        dense_columns(Variety.empty(sh))
+        dense_columns(Variety.empty(sh), direction=1)
 
 
 def test_dense_columns_names_the_first_base_point_without_a_witness(monkeypatch):
@@ -402,7 +423,7 @@ def test_dense_columns_names_the_first_base_point_without_a_witness(monkeypatch)
 
 def test_dense_columns_deterministic():
     v = dot_variety(2, 2)
-    assert dense_columns(v) == dense_columns(v)
+    assert dense_columns(v, direction=1) == dense_columns(v, direction=1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +549,8 @@ def test_dense_columns_picks_first_qualifying_slice():
     other = sh.total_points // pd
     import math as _math
 
-    c_prime = monomial_value(res.c_prime)
+    big_k = arity_constant(1)
+    c_prime = Fraction(1, 2**3 * sh.p ** (2 * big_k)) * c ** (big_k + 1)
     sparse = fibers <= _math.floor(c_prime * pd)
     first = None
     for t in range(pd):
