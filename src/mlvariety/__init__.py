@@ -32,7 +32,6 @@ from .errors import (
 )
 from .field import Subspace, echelonize
 from .forms import (
-    AnalyticRank,
     MultilinearForm,
     MultilinearMap,
     Shape,

@@ -2,12 +2,9 @@
 
 Every operation whose cost grows with the size of a product group checks the
 global point budget before enumerating.  Points actually touched accumulate
-in a work counter; sweep CSVs report that counter as ``cost_points`` because
-it is a deterministic function of the inputs, unlike wall-clock time.
-
-The one exception is a hit in find_subvariety's sub-problem memo: it
-enumerates nothing and adds, through replay(), the points its first solve
-charged, each of which already passed the same budget in the same call.
+in a work counter, each pass counted once when it runs; a cache hit runs no
+pass and counts nothing.  Sweep CSVs report that counter as ``cost_points``
+because it is a deterministic function of the inputs, unlike wall-clock time.
 """
 
 from __future__ import annotations
@@ -49,12 +46,6 @@ def charge(points: int, what: str) -> None:
     """Like ensure(), but also record the points in the work counter."""
     global _work_points
     ensure(points, what)
-    _work_points += points
-
-
-def replay(points: int) -> None:
-    """Record points already admitted under the current budget, unchecked."""
-    global _work_points
     _work_points += points
 
 

@@ -118,10 +118,9 @@ def cmd_rank(args) -> int:
     report = {"bias": frac_to_str(b)}
     lines = [f"bias: {frac_to_str(b)}"]
     try:
-        ar = analytic_rank(form)
-        report["analytic_rank"] = ar.value
-        lines.append(f"analytic_rank: {ar.value!r}")
-        report["prank_lower_bound"] = prank_lower_bound(form)
+        report["analytic_rank"] = analytic_rank(b, form.shape.p)
+        lines.append(f"analytic_rank: {report['analytic_rank']!r}")
+        report["prank_lower_bound"] = prank_lower_bound(b, form.shape.p)
         lines.append(f"prank_lower_bound: {report['prank_lower_bound']}")
     except ZeroBiasError:
         report["analytic_rank"] = "inf"
@@ -144,7 +143,7 @@ def cmd_rank(args) -> int:
         report["partition_rank"] = None
         lines.append("partition_rank: n/a (single-factor support)")
     if form.shape.k >= 2:
-        zf = zero_fiber_identity_check(form)
+        zf = zero_fiber_identity_check(form, b)
         try:
             count, expected = str(zf.zero_fiber_count), frac_to_str(zf.expected)
         except ValueError:  # past Python's int-to-str digit limit

@@ -163,15 +163,15 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     Survival depends only on a point's value vector, so the greedy runs on a
     histogram of vector ranks, with kills tabulated per occupied rank after
     the budget admits the p**m * |G_S| "functional scan" each live step still
-    charges (the per-point price, kept until the sweep-format accounting bump).
+    charges (the per-point price, kept until the transform of ROADMAP item 8a
+    sets what a step touches).
     The functional table is built, and its budget checked, before any pass
     over G_S, and the ranks are held in the narrowest unsigned type holding
     p**m - 1 (one byte while p**m <= 256).
 
-    Containment is checked on the value grids of the phi components
-    themselves, each distinct one evaluated once in a grid scope and folded
-    into the common zero mask once, never on values derived from the chosen
-    functionals.
+    Containment is checked on the value grids of the distinct phi components
+    themselves, each folded into the common zero mask once, never on values
+    derived from the chosen functionals.
     """
     if s < 0:
         raise PreconditionError("the number of functionals must be non-negative")
@@ -216,12 +216,8 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     ]
     phi = MultilinearMap(shape, source.support, components)
     phi_zero = np.ones(support_total, dtype=bool)
-    folded = set()
-    for f in components:
-        grid = eval_grid(f)  # charged per component, folded once per form
-        if f.key() not in folded:
-            folded.add(f.key())
-            phi_zero &= grid.reshape(-1) == 0
+    for f in dict.fromkeys(components):
+        phi_zero &= eval_grid(f).reshape(-1) == 0
     if bool(np.any(source_zero & ~phi_zero)):
         raise ConstructionError("containment of the source zero set failed")
     error_count = int(np.count_nonzero(phi_zero & ~source_zero)) * outside_mult
@@ -376,15 +372,15 @@ def _ledger_record(arity: int, c: Fraction, **extra) -> dict:
 
 
 # Sub-problems solved in the open finder scope: subproblem key ->
-# (certificate, work points its solve charged); None when no scope is open.
+# certificate; None when no scope is open.
 _SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "mlvariety_solved", default=None
 )
 
 
 def _subproblem_key(v: Variety) -> tuple:
-    # The raw defining list, not canonical(): variety_bitmap charges each raw
-    # form, so varieties equal after canonical() can charge different points.
+    # The raw defining list, not canonical(): _solve reads the raw list, and
+    # lists with one canonical form are not known to give one certificate.
     return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
 
 
@@ -406,23 +402,17 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     each distinct form is evaluated once, and in one memo scope, so each
     distinct sub-problem (shape and raw defining list) is solved once: the
     recursion slices the same sub-variety along many paths.  A memo hit
-    returns the stored certificate and adds the work points its solve
-    charged to the counter without checking the budget again, since every
-    one of those charges passed under the same budget.  So the certificate,
-    work_points() and every refusal are those of a solve without the memo.
-    Both scopes close on return or on a raise.
+    returns the stored certificate and charges nothing: its passes already
+    ran once under the same budget, so the certificate and every refusal
+    are those of a solve without the memo.  Both scopes close on return or
+    on a raise.
     """
     with _scoped_cache(_SOLVED):
         solved = _SOLVED.get()
         key = _subproblem_key(v)
-        if key in solved:
-            cert, points = solved[key]
-            budget.replay(points)
-            return cert
-        start = budget.work_points()
-        cert = _solve(v)
-        solved[key] = (cert, budget.work_points() - start)
-        return cert
+        if key not in solved:
+            solved[key] = _solve(v)
+        return solved[key]
 
 
 def _solve(v: Variety) -> SubvarietyCertificate:

@@ -4,9 +4,10 @@ subspaces, and fast lexicographic enumeration of F_p^n at desk scale.
 Enumeration order is part of the contract: vectors are listed in lexicographic
 order with the last coordinate varying fastest, and every "first point found"
 tie-break downstream relies on it.  All values are immutable after
-construction, but the enumerating functions read the process-global point
-budget and add to the work counter of the ``budget`` module, so they are
-not pure and not safe to call from several threads at once.
+construction, but the enumerating functions check their tables against the
+process-global point budget of the ``budget`` module (they add nothing to
+its work counter), so they are not pure and not safe to call from several
+threads at once.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -251,9 +251,8 @@ def eval_grid(form: MultilinearForm) -> np.ndarray:
     """Values of the form at every point of its support product group.
 
     Inside a grid scope each distinct form is evaluated once and later calls
-    return the same read-only array.  A hit charges the budget exactly like
-    an evaluation, so work_points() and every budget refusal do not depend
-    on the memo.
+    return the same read-only array.  A hit evaluates nothing and charges
+    nothing; the budget it would check already admitted the same grid.
     """
     dims = [form.shape.dims[j] for j in form.support]
     grids = _GRIDS.get()
@@ -264,8 +263,6 @@ def eval_grid(form: MultilinearForm) -> np.ndarray:
     if grid is None:
         grid = grids[key] = _value_grid(form.shape.p, dims, form.coeffs)
         grid.setflags(write=False)
-    else:
-        budget.charge(grid.size, "evaluation grid")
     return grid
 
 
@@ -326,21 +323,14 @@ def bias(form: MultilinearForm) -> Fraction:
     return Fraction(count, outer_total)
 
 
-class AnalyticRank(NamedTuple):
-    value: float
-    bias: Fraction
-
-
-def analytic_rank(form: MultilinearForm) -> AnalyticRank:
-    """log_p of the reciprocal bias, carrying the exact bias alongside."""
-    b = bias(form)
+def analytic_rank(b: Fraction, p: int) -> float:
+    """log_p of the reciprocal of a form's bias b over F_p."""
     if b == 0:
         raise ZeroBiasError(
             "bias is zero (support is a single factor and the form is nonzero); "
             "the analytic rank is infinite"
         )
-    value = (math.log(b.denominator) - math.log(b.numerator)) / math.log(form.shape.p)
-    return AnalyticRank(value, b)
+    return (math.log(b.denominator) - math.log(b.numerator)) / math.log(p)
 
 
 def ceil_log(p: int, value: Fraction | int) -> int:
@@ -353,13 +343,13 @@ def ceil_log(p: int, value: Fraction | int) -> int:
     return t
 
 
-def prank_lower_bound(form: MultilinearForm) -> int:
-    """ceil(log_p 1/bias): no decomposition into fewer factorizable summands
-    can exist, because r summands force bias >= p**-r."""
-    b = bias(form)
+def prank_lower_bound(b: Fraction, p: int) -> int:
+    """ceil(log_p 1/b) for a form of bias b over F_p: no decomposition into
+    fewer factorizable summands can exist, because r summands force
+    bias >= p**-r."""
     if b == 0:
         raise ZeroBiasError("bias is zero; no finite partition rank bound applies")
-    return ceil_log(form.shape.p, 1 / b)
+    return ceil_log(p, 1 / b)
 
 
 @dataclass(frozen=True)
@@ -373,13 +363,14 @@ class ZeroFiberReport:
     holds: bool
 
 
-def zero_fiber_identity_check(form: MultilinearForm) -> ZeroFiberReport:
-    """Check |{x : induced linear form at x is 0}| == bias * |outer group|.
+def zero_fiber_identity_check(form: MultilinearForm, b: Fraction) -> ZeroFiberReport:
+    """Check |{x : induced linear form at x is 0}| == b * |outer group|.
 
     The outer group is the product of all factors except the last support
     factor.  The left side is counted from the full value grid (a fiber is
-    zero iff the form vanishes at every point of that factor), the right
-    side comes from the kernel-counting bias; exact equality is required.
+    zero iff the form vanishes at every point of that factor); b is the
+    form's bias as the kernel count bias(form) gives it, and exact equality
+    is required.
     """
     if form.shape.k < 2:
         raise PreconditionError("the identity needs at least two factors")
@@ -395,7 +386,7 @@ def zero_fiber_identity_check(form: MultilinearForm) -> ZeroFiberReport:
     fiber_zero = (grid == 0).all(axis=len(form.support) - 1)
     support_outer = math.prod(p ** form.shape.dims[l] for l in form.support[:-1])
     count = int(np.count_nonzero(fiber_zero)) * (outer // support_outer)
-    expected = bias(form) * outer
+    expected = b * outer
     return ZeroFiberReport(j, count, outer, expected, expected == count)
 
 
@@ -500,7 +491,7 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
         for left, right in _splits(support)
     )
     if space * max(gen_estimate, 1) > budget.point_budget():
-        return (prank_lower_bound(form), matricization_rank_bound(form))
+        return (prank_lower_bound(bias(form), p), matricization_rank_bound(form))
     gens = _factorizable_tensors(form.shape, support)
     budget.charge(space * max(len(gens), 1), "partition rank search")
     powers = np.array([p ** (entry_count - 1 - t) for t in range(entry_count)],

@@ -10,14 +10,17 @@ raises TypeError instead of being truncated or coerced.  A rational that is
 not such a string, or has a zero denominator, raises InputFormatError, and so
 does a certificate ledger that is not an array of objects.
 
-Format version "3" writes the ledger constants c_prime, c_double_prime and
-epsilon as exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
+Since format version "3" the ledger constants c_prime, c_double_prime and
+epsilon are exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
 q * p**a * c**e with c the record's own "c" and p the output's field; the
 coef must be a positive rational string.  Versions "1" and "2" wrote them as
 rational strings and still read, each as a monomial with that coef and zero
 exponents.  Version "2" dropped an always-true flag from certificates;
 version "1" certificates still read, the flag ignored.  FORMAT_VERSION is
-shared: variety files and the sweep CSV header carry it too.
+shared: variety files and the sweep CSV header carry it too.  Version "4"
+keeps the layout of "3" and marks the sweep's cost_points, which from "4"
+on count each enumerating pass once, when it runs, and nothing for a cache
+hit.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .forms import MultilinearForm, MultilinearMap, Shape
 from .monomial import Monomial
 from .variety import Variety
 
-FORMAT_VERSION = "3"
-_READABLE_VERSIONS = ("1", "2", "3")
+FORMAT_VERSION = "4"
+_READABLE_VERSIONS = ("1", "2", "3", "4")
 
 
 def frac_to_str(fr: Fraction) -> str:
@@ -215,12 +218,12 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
     if not isinstance(ledger, list) or not all(isinstance(r, dict) for r in ledger):
         raise InputFormatError(f"ledger must be a JSON array of objects, got {ledger!r:.60}")
     p = output.shape.p
-    if version == FORMAT_VERSION:
-        def monomial(value, c):
-            return _monomial_from_obj(value, p, c)
-    else:
+    if version in ("1", "2"):
         def monomial(value, c):
             return Monomial(_positive(value), p, c)
+    else:
+        def monomial(value, c):
+            return _monomial_from_obj(value, p, c)
     return SubvarietyCertificate(
         input_density=frac_from_str(obj["input_density"]),
         output=output,

@@ -63,7 +63,7 @@ def test_acceptance_zero_fiber_identity():
         sh = Shape(p, small_dims(rng, k, 8))
         support = tuple(range(k)) if rng.randrange(2) else random_support(rng, k)
         form = random_form(rng, sh, support)
-        report = zero_fiber_identity_check(form)
+        report = zero_fiber_identity_check(form, bias(form))
         assert report.holds, (form, report)
         assert report.expected == report.zero_fiber_count
     _report("bias/zero-fiber identity", 500, started)
@@ -79,7 +79,7 @@ def test_acceptance_prank_bias_inequality():
         planted = 1 + rng.randrange(3)
         form = planted_low_prank_form(rng, sh, planted)
         assert bias(form) >= Fraction(1, p**planted)
-        assert prank_lower_bound(form) <= planted
+        assert prank_lower_bound(bias(form), form.shape.p) <= planted
     _report("prank/bias inequality", 200, started)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from mlvariety import budget
+from mlvariety import budget, cli, forms
 from mlvariety.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -110,15 +110,18 @@ def test_report_command_rejects_csv_before_running(
     assert budget.work_points() == 0
 
 
+# a full-support (2,(3,3,3)) form whose exact search only brackets the
+# partition rank
+INTERVAL_FORM = {
+    "p": 2, "k": 3, "dims": [3, 3, 3], "support": [1, 2, 3],
+    "coeffs": [1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0,
+               0, 1, 1, 0, 1, 1, 1, 0, 1],
+}
+
+
 def test_rank_reports_a_partition_rank_interval(tmp_path, capsys):
-    # a full-support (2,(3,3,3)) form whose exact search only brackets the
-    # partition rank
     path = tmp_path / "form.json"
-    path.write_text(json.dumps({
-        "p": 2, "k": 3, "dims": [3, 3, 3], "support": [1, 2, 3],
-        "coeffs": [1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0,
-                   0, 1, 1, 0, 1, 1, 1, 0, 1],
-    }))
+    path.write_text(json.dumps(INTERVAL_FORM))
     assert main(["rank", "--input", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "partition_rank: in [2, 3]" in out
@@ -126,6 +129,32 @@ def test_rank_reports_a_partition_rank_interval(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["partition_rank_interval"] == [2, 3]
     assert "partition_rank" not in obj
+
+
+@pytest.mark.parametrize("form, computed", [
+    (DOT_FORM, 1),
+    ({"p": 2, "k": 3, "dims": [2, 2, 2], "support": [1, 2, 3],
+      "coeffs": [1, 0, 0, 0, 0, 0, 0, 1]}, 1),
+    (INTERVAL_FORM, 2),
+])
+def test_rank_computes_the_bias_once_unless_the_search_falls_back(
+    tmp_path, monkeypatch, form, computed
+):
+    # the report, the analytic rank, the lower bound and the zero-fiber
+    # identity share one bias; only the search's interval counts its own
+    calls = []
+    original = forms.bias
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(cli, "bias", counting)
+    monkeypatch.setattr(forms, "bias", counting)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form))
+    assert main(["rank", "--input", str(path)]) == EXIT_OK
+    assert len(calls) == computed
 
 
 def test_density_command(dot_files, capsys):
@@ -142,7 +171,7 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "verified=True" in summary
     obj = json.loads(cert_path.read_text())
-    assert obj["format_version"] == "3"
+    assert obj["format_version"] == "4"
     assert "containment_verified" not in obj
     assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
     assert obj["config"]["command"] == "find-sub"
@@ -183,6 +212,20 @@ def test_verify_reads_format_1_certificate(dot_files, tmp_path):
         assert certificate_to_obj(read)["ledger"][0]["c_prime"] == {
             "coef": "25/2048", "p_exp": 0, "c_exp": 0,
         }
+
+
+def test_verify_reads_format_3_certificate(dot_files, tmp_path):
+    # "4" changed what cost_points counts, not the certificate layout
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    relabeled = {**obj, "format_version": "3"}
+    assert certificate_from_obj(relabeled) == certificate_from_obj(obj)
+    cert_path.write_text(json.dumps(relabeled))
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_OK
 
 
 def test_find_sub_empty_variety_distinct_exit(tmp_path):
@@ -407,7 +450,7 @@ def test_arity_4_certificate_round_trip(tmp_path, capsys):
     var_path, cert_path = _arity_4_files(tmp_path)
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
     obj = json.loads(cert_path.read_text())
-    assert obj["format_version"] == "3"
+    assert obj["format_version"] == "4"
     assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
     root = obj["ledger"][0]
     assert root["arity"] == 4
@@ -453,7 +496,7 @@ def test_malformed_monomial_in_certificate_is_an_input_error(dot_files, tmp_path
     assert "input error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [None, "4", 3])
+@pytest.mark.parametrize("version", [None, "5", 3])
 def test_unknown_certificate_version_is_an_input_error(dot_files, tmp_path, capsys, version):
     _, var_path = dot_files
     cert_path = tmp_path / "cert.json"
@@ -774,7 +817,7 @@ def test_sweep_at_arity_5(tmp_path):
     assert main(args + ["--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
-    assert lines[0].startswith("# mlvariety-sweep format=3 ")
+    assert lines[0].startswith("# mlvariety-sweep format=4 ")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 3
     for cols in rows:

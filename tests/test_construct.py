@@ -163,9 +163,10 @@ def test_approx_empty_codomain(p, s):
 
 @pytest.mark.parametrize("p, dims", [(2, (3, 3)), (3, (2, 1, 1))])
 def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkeypatch):
-    """Once no survivor is left the greedy repeats the zero functional.  Each
-    repeat is still evaluated and charged as a grid, and the error count is
-    the brute-force count of points where phi vanishes and the source does
+    """Once no survivor is left the greedy repeats the zero functional.  The
+    containment check evaluates each distinct component once, a grid equal
+    to a source grid charges nothing, and the error count is the
+    brute-force count of points where phi vanishes and the source does
     not."""
     sh = Shape(p, dims)
     source = random_map(random.Random(18), sh, 2)
@@ -179,11 +180,12 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     s = 6
     budget.reset_work()
     res = external_approx(source, s)
-    assert len(calls) == source.codomain_dim + s
-    assert len(set(calls[source.codomain_dim :])) < s
+    folded = calls[source.codomain_dim :]
+    assert len(folded) == len(set(folded)) < s
+    assert set(folded) == {f.key() for f in res.phi.components}
     live = 1 + sum(1 for n in res.survivors_per_step[:-1] if n)
     scan = p**source.codomain_dim * sh.total_points
-    assert budget.work_points() == len(calls) * sh.total_points + live * scan
+    assert budget.work_points() == len(set(calls)) * sh.total_points + live * scan
     expected = sum(
         1
         for point in enumerate_points(sh)
@@ -705,8 +707,21 @@ def test_memo_does_not_outlive_the_call(monkeypatch):
 
 def _finder_outcome(v):
     budget.reset_work()
-    cert = find_subvariety(v)
+    cert = construct.find_subvariety(v)
     return cert.output, certificate_to_obj(cert), budget.work_points()
+
+
+def _count_calls(monkeypatch, *names):
+    counts = collections.Counter()
+    for name in names:
+        original = getattr(construct, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(construct, name, counting)
+    return counts
 
 
 def _memo_oracle_inputs():
@@ -734,39 +749,53 @@ def test_memo_matches_a_finder_without_it(monkeypatch):
         dropped.append(len(out.forms) < len(v.forms))
         return out
 
-    replays = []
-    replay = budget.replay
-
-    def recording(points):
-        replays.append(points)
-        replay(points)
-
     monkeypatch.setattr(construct, "slice_variety", spying)
-    monkeypatch.setattr(budget, "replay", recording)
-    memoized = [_finder_outcome(v) for v in inputs]
-    assert any(dropped) and replays
+    counts = _count_calls(monkeypatch, "find_subvariety", "_solve")
+    memoized = []
+    for v in inputs:
+        counts.clear()
+        memoized.append((_finder_outcome(v), counts["_solve"] < counts["find_subvariety"]))
+    assert any(dropped) and any(hit for _, hit in memoized)
     monkeypatch.undo()
     miss_every_memo_lookup(monkeypatch)
-    for v, (output, obj, points) in zip(inputs, memoized):
+    for v, ((output, obj, points), hit) in zip(inputs, memoized):
         again_output, again_obj, again_points = _finder_outcome(v)
         assert again_output == output
         assert again_obj == obj
-        assert again_points == points
+        assert points < again_points if hit else points == again_points
+
+
+def test_memo_keeps_the_largest_pass(monkeypatch):
+    # a hit runs no pass, and every pass it skips already ran once, so a
+    # finder with and without the memo refuse at exactly the same budgets
+    largest = []
+    original = budget.ensure
+
+    def recording(points, what):
+        largest[-1] = max(largest[-1], points)
+        original(points, what)
+
+    monkeypatch.setattr(budget, "ensure", recording)
+    inputs = list(_memo_oracle_inputs())
+    for v in inputs:
+        largest.append(0)
+        find_subvariety(v)
+    memoized = list(largest)
+    largest.clear()
+    miss_every_memo_lookup(monkeypatch)
+    for v in inputs:
+        largest.append(0)
+        find_subvariety(v)
+    assert largest == memoized
 
 
 def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     v = random_variety(random.Random(0), Shape(2, (1,) * 7), 1, full_support_only=True)
-    counts = collections.Counter()
-    for name in ("_solve", "dense_columns"):
-        original = getattr(construct, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(construct, name, counting)
+    counts = _count_calls(monkeypatch, "_solve", "dense_columns")
+    budget.reset_work()
     cert = find_subvariety(v)
     assert counts == {"_solve": 7, "dense_columns": 27}
+    assert budget.work_points() == 7794
     assert len(cert.ledger) == 8660
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger

@@ -50,7 +50,7 @@ def test_planted_low_prank_respects_bias_bound():
         f = planted_low_prank_form(rng, sh, r)
         assert bias(f) >= Fraction(1, p**r)
         if not f.is_zero():
-            assert prank_lower_bound(f) <= r
+            assert prank_lower_bound(bias(f), f.shape.p) <= r
 
 
 def test_streams_are_reproducible():

@@ -19,7 +19,7 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "77db8040c2a4f4a3f88057b456357e95bc4a2784403f4f12d4425fc61261bee8"
+GOLDEN_SHA256 = "447562b388f6c14887aa34f23633aaa003270c26d728a7872b1bdd1d7f899d29"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

@@ -80,7 +80,7 @@ def test_certificate_roundtrip():
     assert again == cert
     assert certificate_to_obj(again) == obj
     # c' = c**2 / (2**3 p**2) at arity 2, written as a monomial in c = 5/8
-    assert obj["format_version"] == "3"
+    assert obj["format_version"] == "4"
     assert obj["ledger"][0]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
     assert monomial_value(again.ledger[0]["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
 
