@@ -41,7 +41,6 @@ from .forms import (
     ceil_log,
     eval_form,
     matricization_rank_bound,
-    partition_rank_bilinear,
     partition_rank_search,
     prank_lower_bound,
     product_form,

@@ -36,7 +36,6 @@ from .forms import (
     _grid_scope,
     analytic_rank,
     bias,
-    partition_rank_bilinear,
     partition_rank_search,
     prank_lower_bound,
     zero_fiber_identity_check,
@@ -125,14 +124,8 @@ def cmd_rank(args) -> int:
     except ZeroBiasError:
         report["analytic_rank"] = "inf"
         lines.append("analytic_rank: inf (bias 0; single-factor support)")
-    if form.is_zero():
-        report["partition_rank"] = 0
-        lines.append("partition_rank: 0")
-    elif len(form.support) == 2:
-        report["partition_rank"] = partition_rank_bilinear(form)
-        lines.append(f"partition_rank: {report['partition_rank']}")
-    elif len(form.support) > 2:
-        result = partition_rank_search(form)
+    if form.is_zero() or len(form.support) >= 2:
+        result = partition_rank_search(form, b)
         if isinstance(result, tuple):
             report["partition_rank_interval"] = list(result)
             lines.append(f"partition_rank: in [{result[0]}, {result[1]}]")

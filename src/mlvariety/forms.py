@@ -20,7 +20,7 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError, ZeroBiasError
-from .field import as_coords, rref, validate_prime, vector_from_index
+from .field import all_vectors, as_coords, rref, validate_prime
 
 
 @dataclass(frozen=True)
@@ -394,25 +394,13 @@ def zero_fiber_identity_check(form: MultilinearForm, b: Fraction) -> ZeroFiberRe
 # Partition rank
 # ---------------------------------------------------------------------------
 
-def partition_rank_bilinear(form: MultilinearForm) -> int:
-    """Exact partition rank of a form in two variables: its matrix rank.
-
-    Every factorizable summand of a two-variable form is a rank-one matrix,
-    and any rank-r matrix splits into r rank-one terms, so the two notions
-    coincide.
-    """
-    if form.is_zero():
-        return 0
-    if len(form.support) != 2:
-        raise PreconditionError("matrix-rank partition rank needs exactly two variables")
-    return rref(form.coeffs.tolist(), form.shape.p).shape[0]
-
-
 def matricization_rank_bound(form: MultilinearForm) -> int:
     """Upper bound: min over support factors of the flattening matrix rank.
 
     Expanding along the factor achieving the minimum writes the form as that
-    many factorizable summands.
+    many factorizable summands.  For a form in two variables it is exact:
+    every factorizable summand is then a rank-one matrix, so the partition
+    rank is the matrix rank (and the bias is exactly p**-rank).
     """
     if form.is_zero():
         return 0
@@ -438,42 +426,41 @@ def _splits(support: tuple[int, ...]):
 
 
 def _factorizable_tensors(shape: Shape, support: tuple[int, ...]) -> np.ndarray:
-    """All distinct nonzero product tensors on the support, as flat digit rows.
+    """All distinct nonzero product tensors on the support, as flat digit rows
+    in sorted order.
 
-    Symmetry reductions: the split runs over _splits, and beta's first
-    nonzero coefficient is pinned to 1 (other scalars are absorbed into
-    gamma).
+    Each split from _splits gives one outer product of the two sides' vector
+    tables.  beta's first nonzero coefficient is pinned to 1 (other scalars
+    are absorbed into gamma), and np.unique drops the products that several
+    splits share.
     """
     p = shape.p
-    seen = set()
-    rows = []
+    blocks = []
     for left, right in _splits(support):
-        ldim = math.prod(shape.dims[j] for j in left)
-        rdim = math.prod(shape.dims[j] for j in right)
-        for bcode in range(1, p**ldim):
-            beta = vector_from_index(p, ldim, bcode)
-            first = next(c for c in beta if c)
-            if first != 1:
-                continue
-            for gcode in range(1, p**rdim):
-                gamma = vector_from_index(p, rdim, gcode)
-                f = product_form(shape, left, beta, right, gamma)
-                key = f.coeffs.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(f.coeffs.reshape(-1))
-    return np.array(rows, dtype=np.int64)
+        betas = all_vectors(p, math.prod(shape.dims[j] for j in left))[1:].astype(np.int64)
+        betas = betas[betas[np.arange(len(betas)), (betas != 0).argmax(axis=1)] == 1]
+        gammas = all_vectors(p, math.prod(shape.dims[j] for j in right))[1:]
+        outer = (betas[:, None, :, None] * gammas[None, :, None, :]) % p
+        outer = outer.reshape((-1,) + tuple(shape.dims[j] for j in left + right))
+        order = np.argsort(left + right, kind="stable")
+        blocks.append(np.transpose(outer, (0, *(order + 1))).reshape(len(outer), -1))
+    return np.unique(np.concatenate(blocks), axis=0)
 
 
-def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
-    """Least number of factorizable summands equal to the form.
+def partition_rank_search(form: MultilinearForm, b: Fraction) -> int | tuple[int, int]:
+    """Least number of factorizable summands equal to the form of bias b.
 
-    Breadth-first search over the whole coefficient-tensor space: sums of r
+    b is the form's bias as the kernel count bias(form) gives it.  The rank
+    lies between the bias lower bound prank_lower_bound(b, p) and the
+    flattening rank matricization_rank_bound(form); when the two meet, that
+    value is returned and nothing is searched.  Otherwise a breadth-first
+    search runs over the whole coefficient-tensor space: sums of r
     factorizable tensors are exactly the points at distance r from zero in
     the Cayley graph generated by the factorizable tensors, so the graph
-    distance of the target is its partition rank.  Exhaustive and exact on
-    tiny shapes; when the space exceeds the point budget, returns the honest
-    interval (bias lower bound, flattening-rank upper bound) instead.
+    distance of the target is its partition rank.  Layers are expanded only
+    for distances below the upper bound, which is returned if the target has
+    not appeared by then.  When the space times the generator count exceeds
+    the point budget, the interval (lower, upper) is returned instead.
     """
     if form.is_zero():
         return 0
@@ -481,6 +468,9 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
     if len(support) < 2:
         raise PreconditionError("partition rank needs at least two support factors")
     p = form.shape.p
+    lower, upper = prank_lower_bound(b, p), matricization_rank_bound(form)
+    if lower == upper:
+        return lower
     entry_count = math.prod(form.shape.dims[j] for j in support)
     space = p**entry_count
     # generator count before the beta/gamma dedup, one term per split
@@ -491,7 +481,7 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
         for left, right in _splits(support)
     )
     if space * max(gen_estimate, 1) > budget.point_budget():
-        return (prank_lower_bound(bias(form), p), matricization_rank_bound(form))
+        return (lower, upper)
     gens = _factorizable_tensors(form.shape, support)
     budget.charge(space * max(len(gens), 1), "partition rank search")
     powers = np.array([p ** (entry_count - 1 - t) for t in range(entry_count)],
@@ -501,9 +491,7 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
     visited = np.zeros(space, dtype=bool)
     visited[0] = True
     frontier = np.array([0], dtype=np.int64)
-    dist = 0
-    while True:
-        dist += 1
+    for dist in range(1, upper):
         if p == 2:
             images = frontier[:, None] ^ gen_codes[None, :]
         else:
@@ -520,4 +508,4 @@ def partition_rank_search(form: MultilinearForm) -> int | tuple[int, int]:
             raise ConstructionError("factorizable generators failed to span the space")
         visited[fresh] = True
         frontier = fresh
-
+    return upper

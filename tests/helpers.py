@@ -6,12 +6,14 @@ evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, brute-force witness search,
 ledger monomials written out as rationals, the external-approximation
 greedy on a value-vector histogram counted point by point, and subspace
-membership, points and annihilators for the tests that plant subspaces.  Tests compare library
-results against these.  One helper counts the library's own value-grid
-evaluations, for the grid-cache tests, one makes every lookup in the
-finder's sub-problem memo miss, for the memo oracle, one switches off the
-witness search's zero-offset pre-check, one replaces its translation
-tables, and one starves the finder's external approximation of
+membership, points and annihilators for the tests that plant subspaces, and
+the partition-rank generators built one product form at a time.  Tests
+compare library results against these.  One helper runs the partition-rank
+search with both of its bounds moved out of the way, one counts the
+library's own value-grid evaluations, for the grid-cache tests, one makes
+every lookup in the finder's sub-problem memo miss, for the memo oracle, one
+switches off the witness search's zero-offset pre-check, one replaces its
+translation tables, and one starves the finder's external approximation of
 functionals, for the failure paths.
 """
 
@@ -20,11 +22,12 @@ from __future__ import annotations
 import collections
 import itertools
 import sys
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
 
-from mlvariety import construct, forms, variety
+from mlvariety import budget, construct, forms, variety
 from mlvariety.field import echelonize
 from mlvariety.forms import MultilinearForm, eval_form
 
@@ -143,6 +146,44 @@ def brute_rank_mod(rows, p: int) -> int:
                     work[r][cc] = (work[r][cc] - factor * work[rank][cc]) % p
         rank += 1
     return rank
+
+
+def factorizable_tensors_by_products(shape, support):
+    """The distinct nonzero product tensors on the support as flat digit rows,
+    built one product_form at a time over every split of the support (left
+    side holding the first factor) and every pair (beta, gamma) with beta's
+    first nonzero coefficient 1, in first-seen order."""
+    p = shape.p
+    seen, rows = set(), []
+    for left, right in forms._splits(support):
+        ldim = int(np.prod([shape.dims[j] for j in left]))
+        rdim = int(np.prod([shape.dims[j] for j in right]))
+        for beta in itertools.product(range(p), repeat=ldim):
+            if next((c for c in beta if c), None) != 1:
+                continue
+            for gamma in itertools.product(range(p), repeat=rdim):
+                if not any(gamma):
+                    continue
+                f = forms.product_form(shape, left, beta, right, gamma)
+                key = f.coeffs.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(f.coeffs.reshape(-1))
+    return np.array(rows, dtype=np.int64)
+
+
+def searched_rank(form):
+    """(rank, points charged) of partition_rank_search with its bias bound
+    forced to 0 (bias 1) and its flattening bound raised by one, so on any
+    nonzero form the breadth-first search runs and must reach the target
+    itself instead of returning the upper bound."""
+    flattening = forms.matricization_rank_bound
+    with unittest.mock.patch.object(
+        forms, "matricization_rank_bound", lambda f: flattening(f) + 1
+    ):
+        budget.reset_work()
+        rank = forms.partition_rank_search(form, Fraction(1))
+    return rank, budget.work_points()
 
 
 def _pivots(s):

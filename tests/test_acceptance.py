@@ -24,8 +24,6 @@ from mlvariety.forms import (
     Shape,
     bias,
     ceil_log,
-    partition_rank_bilinear,
-    partition_rank_search,
     prank_lower_bound,
     zero_fiber_identity_check,
 )
@@ -47,7 +45,13 @@ from mlvariety.variety import (
     variety_bitmap,
 )
 
-from helpers import annihilator, approximate_with_no_functionals, small_dims
+from helpers import (
+    annihilator,
+    approximate_with_no_functionals,
+    brute_rank_mod,
+    searched_rank,
+    small_dims,
+)
 
 
 def _report(name: str, count: int, started: float) -> None:
@@ -90,9 +94,10 @@ def test_acceptance_bilinear_prank_oracle():
         rng = random.Random(0xCAFE + i)
         sh = Shape(2, shapes[rng.randrange(len(shapes))])
         form = random_form(rng, sh)
-        exhaustive = partition_rank_search(form)
+        exhaustive, points = searched_rank(form)
+        assert (points > 0) == (not form.is_zero())
         assert isinstance(exhaustive, int)
-        assert partition_rank_bilinear(form) == exhaustive
+        assert brute_rank_mod(form.coeffs.tolist(), 2) == exhaustive
     _report("bilinear prank oracle", 100, started)
 
 

@@ -18,8 +18,8 @@ from mlvariety.cli import (
 )
 
 from mlvariety.forms import Shape
-from mlvariety.generators import random_variety
-from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, variety_to_obj
+from mlvariety.generators import planted_low_prank_form, random_variety
+from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, form_to_obj, variety_to_obj
 
 from helpers import constant_shift_tables, count_grid_evaluations, monomial_value
 
@@ -131,17 +131,31 @@ def test_rank_reports_a_partition_rank_interval(tmp_path, capsys):
     assert "partition_rank" not in obj
 
 
-@pytest.mark.parametrize("form, computed", [
-    (DOT_FORM, 1),
-    ({"p": 2, "k": 3, "dims": [2, 2, 2], "support": [1, 2, 3],
-      "coeffs": [1, 0, 0, 0, 0, 0, 0, 1]}, 1),
-    (INTERVAL_FORM, 2),
+def test_rank_reports_an_exact_rank_where_the_bounds_meet(tmp_path, capsys):
+    # the space is past the search's reach, but the bias bound and the
+    # flattening rank are both 2
+    form = planted_low_prank_form(random.Random(1), Shape(2, (3, 3, 3)), 2)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_obj(form)))
+    assert main(["rank", "--input", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "prank_lower_bound: 2" in out
+    assert "partition_rank: 2" in out
+    assert main(["rank", "--input", str(path), "--format", "json"]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["partition_rank"] == 2
+    assert "partition_rank_interval" not in obj
+
+
+@pytest.mark.parametrize("form", [
+    pytest.param(DOT_FORM, id="bilinear"),
+    pytest.param({"p": 2, "k": 3, "dims": [2, 2, 2], "support": [1, 2, 3],
+                  "coeffs": [1, 0, 0, 0, 0, 0, 0, 1]}, id="diagonal"),
+    pytest.param(INTERVAL_FORM, id="interval"),
 ])
-def test_rank_computes_the_bias_once_unless_the_search_falls_back(
-    tmp_path, monkeypatch, form, computed
-):
-    # the report, the analytic rank, the lower bound and the zero-fiber
-    # identity share one bias; only the search's interval counts its own
+def test_rank_computes_the_bias_once(tmp_path, monkeypatch, form):
+    # the report, the analytic rank, the search's lower bound, its interval
+    # and the zero-fiber identity share one bias
     calls = []
     original = forms.bias
 
@@ -154,7 +168,7 @@ def test_rank_computes_the_bias_once_unless_the_search_falls_back(
     path = tmp_path / "form.json"
     path.write_text(json.dumps(form))
     assert main(["rank", "--input", str(path)]) == EXIT_OK
-    assert len(calls) == computed
+    assert len(calls) == 1
 
 
 def test_density_command(dot_files, capsys):

@@ -20,7 +20,6 @@ from mlvariety.forms import (
     eval_form,
     eval_grid,
     matricization_rank_bound,
-    partition_rank_bilinear,
     partition_rank_search,
     prank_lower_bound,
     product_form,
@@ -30,7 +29,15 @@ from mlvariety.forms import (
 )
 from mlvariety.generators import planted_low_prank_form, random_form, random_support
 
-from helpers import brute_bias, brute_eval, brute_rank_mod, enumerate_points, small_dims
+from helpers import (
+    brute_bias,
+    brute_eval,
+    brute_rank_mod,
+    enumerate_points,
+    factorizable_tensors_by_products,
+    searched_rank,
+    small_dims,
+)
 
 
 def rand_shape(rng, max_k=3, max_total=6) -> Shape:
@@ -71,10 +78,7 @@ _SH = Shape(2, (1, 1))
     pytest.param(lambda: zero_fiber_identity_check(
         MultilinearForm(Shape(2, (2,)), (0,), [1, 0]), Fraction(0)),
         "at least two factors", id="zero-fiber-arity-1"),
-    pytest.param(lambda: partition_rank_bilinear(
-        MultilinearForm(Shape(2, (1, 1, 1)), (0, 1, 2), [[[1]]])),
-        "exactly two variables", id="bilinear-three-variables"),
-    pytest.param(lambda: partition_rank_search(MultilinearForm(_SH, (1,), [1])),
+    pytest.param(lambda: partition_rank_search(MultilinearForm(_SH, (1,), [1]), Fraction(0)),
                  "at least two support factors", id="search-one-factor"),
 ])
 def test_forms_refuse_inputs_outside_their_contract(call, message):
@@ -391,10 +395,10 @@ def test_prank_lower_bound_examples():
 
 def test_bilinear_rank_examples():
     sh = Shape(2, (2, 2))
-    assert partition_rank_bilinear(MultilinearForm(sh, (0, 1), np.zeros((2, 2)))) == 0
-    assert partition_rank_bilinear(MultilinearForm(sh, (0, 1), np.eye(2, dtype=int))) == 2
+    assert matricization_rank_bound(MultilinearForm(sh, (0, 1), np.zeros((2, 2)))) == 0
+    assert matricization_rank_bound(MultilinearForm(sh, (0, 1), np.eye(2, dtype=int))) == 2
     outer = np.outer([1, 1], [1, 0])
-    assert partition_rank_bilinear(MultilinearForm(sh, (0, 1), outer)) == 1
+    assert matricization_rank_bound(MultilinearForm(sh, (0, 1), outer)) == 1
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -405,24 +409,24 @@ def test_bilinear_rank_matches_elimination_oracle(seed):
     n1, n2 = rng.randrange(1, 4), rng.randrange(1, 4)
     sh = Shape(p, (n1, n2))
     f = random_form(rng, sh)
-    assert partition_rank_bilinear(f) == brute_rank_mod(f.coeffs.tolist(), p)
+    assert matricization_rank_bound(f) == brute_rank_mod(f.coeffs.tolist(), p)
 
 
 def test_search_rank_examples():
     sh = Shape(2, (1, 1, 1))
     single = MultilinearForm(sh, (0, 1, 2), [1])
-    assert partition_rank_search(single) == 1
+    assert partition_rank_search(single, bias(single)) == 1
     sh2 = Shape(2, (2, 2, 2))
     t = np.zeros((2, 2, 2), dtype=int)
     t[0, 0, 0] = 1
     t[1, 1, 1] = 1
     diag = MultilinearForm(sh2, (0, 1, 2), t)
-    assert partition_rank_search(diag) == 2
+    assert partition_rank_search(diag, bias(diag)) == 2
     assert prank_lower_bound(bias(diag), diag.shape.p) <= 2
 
 
 def test_search_rank_zero():
-    assert partition_rank_search(zero_form(Shape(2, (1, 1, 1)))) == 0
+    assert partition_rank_search(zero_form(Shape(2, (1, 1, 1))), Fraction(1)) == 0
     zero = MultilinearForm(Shape(3, (2, 1, 2)), (0, 1, 2), np.zeros((2, 1, 2), dtype=int))
     assert matricization_rank_bound(zero) == 0
 
@@ -433,9 +437,9 @@ def test_search_agrees_with_matrix_rank_on_bilinear(seed):
     rng = random.Random(seed)
     sh = Shape(2, (rng.randrange(1, 3), rng.randrange(1, 3)))
     f = random_form(rng, sh)
-    if f.is_zero():
-        return
-    assert partition_rank_search(f) == partition_rank_bilinear(f)
+    rank, points = searched_rank(f)
+    assert (points > 0) == (not f.is_zero())
+    assert rank == matricization_rank_bound(f)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -445,20 +449,73 @@ def test_search_agrees_with_matrix_rank_mod3(seed):
     rng = random.Random(seed)
     sh = Shape(3, (rng.randrange(1, 3), rng.randrange(1, 3)))
     f = random_form(rng, sh)
-    assert partition_rank_search(f) == partition_rank_bilinear(f)
+    rank, points = searched_rank(f)
+    assert (points > 0) == (not f.is_zero())
+    assert rank == brute_rank_mod(f.coeffs.tolist(), 3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_search_agrees_with_matrix_rank_on_every_2x2_form(p):
+    # reaches distance 2 through the digit arithmetic on every form
+    for coeffs in itertools.product(range(p), repeat=4):
+        f = MultilinearForm(Shape(p, (2, 2)), (0, 1), coeffs)
+        assert searched_rank(f)[0] == brute_rank_mod(f.coeffs.tolist(), p)
 
 
 def test_search_rank_interval_over_budget():
-    budget.set_point_budget(64)
-    sh = Shape(2, (2, 2, 2))
+    # e000 + e111: bias 5/8 bounds the rank below by 1, the flattenings by 2
     t = np.zeros((2, 2, 2), dtype=int)
-    t[0, 0, 0] = 1
-    f = MultilinearForm(sh, (0, 1, 2), t)
-    got = partition_rank_search(f)
-    assert isinstance(got, tuple)
-    lo, hi = got
-    assert lo <= hi
-    assert hi == matricization_rank_bound(f) == 1
+    t[0, 0, 0] = t[1, 1, 1] = 1
+    f = MultilinearForm(Shape(2, (2, 2, 2)), (0, 1, 2), t)
+    b = bias(f)
+    assert (prank_lower_bound(b, 2), matricization_rank_bound(f)) == (1, 2)
+    assert partition_rank_search(f, b) == 2
+    budget.set_point_budget(64)
+    assert partition_rank_search(f, b) == (1, 2)
+
+
+def test_search_finds_a_rank_below_the_flattening_bound():
+    # (x0 y0 + x1 y1)(z0 w0 + z1 w1): one product over the split {0,1}|{2,3},
+    # while every single-factor flattening has rank 2
+    t = np.einsum("ij,kl->ijkl", np.eye(2, dtype=int), np.eye(2, dtype=int))
+    f = MultilinearForm(Shape(2, (2, 2, 2, 2)), (0, 1, 2, 3), t)
+    b = bias(f)
+    assert (prank_lower_bound(b, 2), matricization_rank_bound(f)) == (1, 2)
+    assert partition_rank_search(f, b) == (1, 2)
+    budget.set_point_budget(2**28)
+    assert partition_rank_search(f, b) == 1
+
+
+def test_search_stops_where_the_bounds_meet():
+    # one planted factorizable term at (3,(2,2,2)): both bounds are 1, so no
+    # generator is built and no point is charged
+    f = planted_low_prank_form(random.Random(3), Shape(3, (2, 2, 2)), 1)
+    b = bias(f)
+    assert prank_lower_bound(b, 3) == matricization_rank_bound(f) == 1
+    budget.reset_work()
+    assert partition_rank_search(f, b) == 1
+    assert budget.work_points() == 0
+
+
+@pytest.mark.parametrize("p, dims, support", [
+    (2, (2, 3), (0, 1)),
+    (2, (2, 2, 2), (0, 1, 2)),
+    (2, (1, 2, 1, 2), (0, 1, 2, 3)),
+    (2, (2, 1, 2), (0, 2)),
+    (3, (2, 2), (0, 1)),
+    (3, (1, 2, 2), (0, 1, 2)),
+    (3, (1, 1, 1, 2), (0, 1, 2, 3)),
+    (3, (2, 1, 1, 2), (1, 2, 3)),
+    (5, (1, 2), (0, 1)),
+    (5, (1, 1, 2), (0, 1, 2)),
+    (5, (1, 1, 1, 1), (0, 1, 2, 3)),
+])
+def test_factorizable_tensors_match_the_per_product_builder(p, dims, support):
+    shape = Shape(p, dims)
+    got = forms._factorizable_tensors(shape, support)
+    want = factorizable_tensors_by_products(shape, support)
+    assert got.shape == want.shape
+    assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -482,7 +539,7 @@ def test_bias_respects_exact_prank(seed):
     f = random_form(rng, sh)
     if f.is_zero():
         return
-    r = partition_rank_bilinear(f)
+    r = matricization_rank_bound(f)
     assert bias(f) >= Fraction(1, 2**r)
     assert prank_lower_bound(bias(f), f.shape.p) <= r
 

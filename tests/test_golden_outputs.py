@@ -6,11 +6,22 @@ verify, conv-check, approx, rank, density and one sweep per generator, over
 p in {2, 3, 5} and arity 1 to 5, with exits 2, 3, 4 and 5 among them.  A
 refactor that keeps every output byte-identical keeps GOLDEN_SHA256; a
 change meant to alter an output re-pins it from the failure message.
+
+    PYTHONPATH=src python tests/test_golden_outputs.py DIR
+
+writes the inputs into DIR, runs there, and prints each run's record as one
+JSON line, the exact bytes the digest takes in.  Running it on two source
+trees and diffing the two outputs shows which runs a re-pin moves.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import sys
+from pathlib import Path
 
 from mlvariety import budget
 from mlvariety.cli import main
@@ -19,7 +30,7 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "447562b388f6c14887aa34f23633aaa003270c26d728a7872b1bdd1d7f899d29"
+GOLDEN_SHA256 = "c5b6bac5e4c1593bb372f92b442a632c3fc4b0d02c6f9b79746238a1fd04e1a6"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
@@ -34,9 +45,9 @@ VARIETIES = [
 ]
 
 
-def _write_inputs(root):
+def _write_inputs():
     def put(name, obj):
-        (root / name).write_text(json.dumps(obj))
+        Path(name).write_text(json.dumps(obj))
 
     for stem, p, dims, forms, seed in VARIETIES:
         v = random_variety(random.Random(seed), Shape(p, dims), forms)
@@ -52,7 +63,7 @@ def _write_inputs(root):
     put("form_p5.json", form_to_obj(random_form(random.Random(43), Shape(5, (1, 2)))))
     put("map_p2.json", map_to_obj(random_map(random.Random(51), Shape(2, (2, 2)), 2)))
     put("map_p3.json", map_to_obj(random_map(random.Random(52), Shape(3, (1, 2)), 2)))
-    (root / "broken.json").write_text("{not json")
+    Path("broken.json").write_text("{not json")
 
 
 def _runs():
@@ -87,25 +98,41 @@ def _runs():
     yield ["density", "--input", "broken.json"]
 
 
-def test_golden_outputs(tmp_path, monkeypatch, capsys):
-    _write_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    digest = hashlib.sha256()
-    codes = set()
+def golden_records():
+    """Write the inputs into the working directory, run every argv there and
+    yield each run's record as the JSON line the digest takes in."""
+    _write_inputs()
     for argv in _runs():
         budget.reset_work()
-        code = main(argv)
-        codes.add(code)
-        out, err = capsys.readouterr()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
         record = {
             "argv": argv,
             "exit": code,
-            "stdout": out,
-            "stderr": err,
+            "stdout": out.getvalue(),
+            "stderr": err.getvalue(),
             "work_points": budget.work_points(),
         }
         if "--output" in argv:
-            record["file"] = (tmp_path / argv[argv.index("--output") + 1]).read_text()
-        digest.update(json.dumps(record, sort_keys=True).encode())
+            record["file"] = Path(argv[argv.index("--output") + 1]).read_text()
+        yield json.dumps(record, sort_keys=True)
+
+
+def test_golden_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    codes = set()
+    for line in golden_records():
+        codes.add(json.loads(line)["exit"])
+        digest.update(line.encode())
     assert codes == {0, 2, 3, 4, 5}
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+if __name__ == "__main__":
+    root = Path(sys.argv[1])
+    root.mkdir(parents=True, exist_ok=True)
+    os.chdir(root)
+    for line in golden_records():
+        print(line)
