@@ -46,6 +46,7 @@ from .variety import (
     Variety,
     _fill_scan,
     _point_from_index,
+    _variety_key,
     bad_set_cap,
     slice_variety,
     variety_bitmap,
@@ -169,9 +170,12 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     over G_S, and the ranks are held in the narrowest unsigned type holding
     p**m - 1 (one byte while p**m <= 256).
 
-    Containment is checked on the value grids of the distinct phi components
-    themselves, each folded into the common zero mask once, never on values
-    derived from the chosen functionals.
+    Each distinct chosen functional gives one form, which phi repeats where
+    the greedy chose it again (once no survivor is left it keeps choosing the
+    zero functional).  Containment is checked on the value grids of the
+    distinct nonzero phi components themselves, each folded into the common
+    zero mask once, never on values derived from the chosen functionals; a
+    zero component vanishes everywhere, so it needs no grid.
     """
     if s < 0:
         raise PreconditionError("the number of functionals must be non-negative")
@@ -205,19 +209,23 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
             alive &= kills[best]
         else:
             best = 0
-        chosen.append(functionals[best])
+        chosen.append(best)
         per_step.append(int(hist[alive].sum()))
     stacked = np.array(
         [f.coeffs for f in source.components], dtype=np.int64
     ).reshape(m, *support_dims)
-    components = [
-        MultilinearForm(shape, source.support, np.tensordot(psi, stacked, axes=([0], [0])))
-        for psi in chosen
-    ]
-    phi = MultilinearMap(shape, source.support, components)
+    built = {
+        best: MultilinearForm(
+            shape, source.support,
+            np.tensordot(functionals[best], stacked, axes=([0], [0])),
+        )
+        for best in dict.fromkeys(chosen)
+    }
+    phi = MultilinearMap(shape, source.support, [built[best] for best in chosen])
     phi_zero = np.ones(support_total, dtype=bool)
-    for f in dict.fromkeys(components):
-        phi_zero &= eval_grid(f).reshape(-1) == 0
+    for f in dict.fromkeys(built.values()):
+        if not f.is_zero():
+            phi_zero &= eval_grid(f).reshape(-1) == 0
     if bool(np.any(source_zero & ~phi_zero)):
         raise ConstructionError("containment of the source zero set failed")
     error_count = int(np.count_nonzero(phi_zero & ~source_zero)) * outside_mult
@@ -271,7 +279,9 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     base point: the zero offset settles most base points in one vectorized
     pre-check, and only the rest are scanned.  The first base point without
     a witness is named in the error.
-    All of this is verified exhaustively before returning.
+    All of this is verified exhaustively before returning.  Called from the
+    finder, it reads the input's bitmap from the grid scope, where _solve
+    built it, so one bitmap serves a sub-problem and all its directions.
     """
     shape = v.shape
     if shape.k < 2:
@@ -287,7 +297,11 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     c_prime, fiber_floor = _fiber_constants(p, c, shape.k)
     direction_size = shape.group_sizes[direction]
     other_total = total // direction_size
-    fiber_counts = vmask.sum(axis=direction)
+    # A fiber count is at most direction_size, exact in the narrowest type
+    # holding it.
+    fiber_counts = vmask.view(np.uint8).sum(
+        axis=direction, dtype=np.min_scalar_type(direction_size)
+    )
     fiber_sparse = fiber_counts <= math.floor(c_prime * direction_size)
     # b / other_total > 2 c' / c exactly when the integer b exceeds this floor
     bad_limit = math.floor(c_prime * (2 * other_total / c))
@@ -378,12 +392,6 @@ _SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 )
 
 
-def _subproblem_key(v: Variety) -> tuple:
-    # The raw defining list, not canonical(): _solve reads the raw list, and
-    # lists with one canonical form are not known to give one certificate.
-    return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
-
-
 @_grid_scope()
 def find_subvariety(v: Variety) -> SubvarietyCertificate:
     """Extract a nonempty subvariety whose codimension fits the budget line.
@@ -399,17 +407,19 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     target point by point and is contained in the input.
 
     The whole extraction, recursion included, runs in one grid scope, so
-    each distinct form is evaluated once, and in one memo scope, so each
-    distinct sub-problem (shape and raw defining list) is solved once: the
-    recursion slices the same sub-variety along many paths.  A memo hit
-    returns the stored certificate and charges nothing: its passes already
-    ran once under the same budget, so the certificate and every refusal
-    are those of a solve without the memo.  Both scopes close on return or
-    on a raise.
+    each distinct form is evaluated once and each distinct variety's bitmap
+    is built once (the input's serves _solve and every direction, and a
+    candidate whose canonical forms equal its target's reuses the target's),
+    and in one memo scope, so each distinct sub-problem (shape and raw
+    defining list) is solved once: the recursion slices the same sub-variety
+    along many paths.  A hit returns the stored grid, bitmap or certificate
+    and charges nothing: its passes already ran once under the same budget,
+    so the certificate and every refusal are those of a solve without
+    either cache.  Both scopes close on return or on a raise.
     """
     with _scoped_cache(_SOLVED):
         solved = _SOLVED.get()
-        key = _subproblem_key(v)
+        key = _variety_key(v)
         if key not in solved:
             solved[key] = _solve(v)
         return solved[key]

@@ -218,8 +218,9 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
     return t.astype(np.uint8, copy=False)
 
 
-# Value grids already computed in the open grid scope, keyed by
-# (shape, form key); None when no scope is open.
+# Arrays already computed in the open grid scope: value grids keyed by
+# (shape, form key), and variety bitmaps (variety.variety_bitmap) keyed by
+# (shape, empty marker, raw form keys); None when no scope is open.
 _GRIDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "mlvariety_grids", default=None
 )
@@ -243,7 +244,8 @@ def _scoped_cache(var: contextvars.ContextVar):
 
 
 def _grid_scope():
-    """Memoize eval_grid for the duration of the block."""
+    """Memoize eval_grid and variety.variety_bitmap for the duration of the
+    block."""
     return _scoped_cache(_GRIDS)
 
 
@@ -252,7 +254,9 @@ def eval_grid(form: MultilinearForm) -> np.ndarray:
 
     Inside a grid scope each distinct form is evaluated once and later calls
     return the same read-only array.  A hit evaluates nothing and charges
-    nothing; the budget it would check already admitted the same grid.
+    nothing; the budget it would check already admitted the same grid.  The
+    scope also holds the variety bitmaps built from these grids, so a
+    repeated bitmap reaches no grid at all.
     """
     dims = [form.shape.dims[j] for j in form.support]
     grids = _GRIDS.get()

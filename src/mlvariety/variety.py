@@ -21,7 +21,15 @@ import numpy as np
 from . import budget
 from .errors import PreconditionError
 from .field import all_vectors, rref, shift_permutation, vector_from_index, vector_index
-from .forms import MultilinearForm, Shape, coerce_point, eval_form, eval_grid, slice_form
+from .forms import (
+    _GRIDS,
+    MultilinearForm,
+    Shape,
+    coerce_point,
+    eval_form,
+    eval_grid,
+    slice_form,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,20 +99,42 @@ def membership(v: Variety, point) -> bool:
     return all(eval_form(f, pt) == 0 for f in v.forms)
 
 
+def _variety_key(v: Variety) -> tuple:
+    # Key of a variety in the open scopes: of its bitmap here, of its
+    # certificate in the finder's sub-problem memo.  The raw defining list,
+    # not canonical(): the finder reads the raw list, and lists with one
+    # canonical form are not known to give one certificate.  Three fields,
+    # so never equal to a two-field value-grid key in the same scope dict.
+    return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
+
+
 def variety_bitmap(v: Variety) -> np.ndarray:
     """Boolean membership array with one axis per factor, indexed by vector
-    rank in enumeration order."""
-    sizes = v.shape.group_sizes
+    rank in enumeration order.
+
+    Inside a grid scope (forms._grid_scope) each distinct variety (shape,
+    empty marker and raw defining list) is built once and later calls
+    return the same read-only array.  A hit builds nothing and charges
+    nothing; its first build already passed the same budget in the same
+    scope.  Outside a scope every call builds and charges afresh, which is
+    how verify_certificate, opening none, rebuilds every bitmap it reads.
+    """
+    memo = _GRIDS.get()
+    key = _variety_key(v)
+    if memo is not None and key in memo:
+        return memo[key]
     budget.charge(v.shape.total_points, "variety bitmap")
-    if v.is_empty:
-        return np.zeros(sizes, dtype=bool)
-    out = np.ones(sizes, dtype=bool)
+    # the empty marker carries no forms
+    out = np.full(v.shape.group_sizes, not v.is_empty)
     for f in v.forms:
         g = eval_grid(f) == 0
         grown = [1] * v.shape.k
         for pos, j in enumerate(f.support):
             grown[j] = g.shape[pos]
         out &= g.reshape(grown)
+    if memo is not None:
+        out.setflags(write=False)
+        memo[key] = out
     return out
 
 

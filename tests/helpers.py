@@ -10,11 +10,11 @@ membership, points and annihilators for the tests that plant subspaces, and
 the partition-rank generators built one product form at a time.  Tests
 compare library results against these.  One helper runs the partition-rank
 search with both of its bounds moved out of the way, one counts the
-library's own value-grid evaluations, for the grid-cache tests, one makes
-every lookup in the finder's sub-problem memo miss, for the memo oracle, one
-switches off the witness search's zero-offset pre-check, one replaces its
-translation tables, and one starves the finder's external approximation of
-functionals, for the failure paths.
+library's own value-grid evaluations and one its bitmap passes, for the
+grid-cache tests, one makes every lookup in the finder's sub-problem memo
+miss, for the memo oracle, one switches off the witness search's zero-offset
+pre-check, one replaces its translation tables, and one starves the finder's
+external approximation of functionals, for the failure paths.
 """
 
 from __future__ import annotations
@@ -278,10 +278,25 @@ def count_grid_evaluations(monkeypatch):
     return seen
 
 
+def count_bitmap_passes(monkeypatch):
+    """List of the points charged by every variety bitmap that is built,
+    in order; a bitmap served from the grid scope adds nothing."""
+    passes = []
+    original = budget.charge
+
+    def recording(points, what):
+        if what == "variety bitmap":
+            passes.append(points)
+        original(points, what)
+
+    monkeypatch.setattr(budget, "charge", recording)
+    return passes
+
+
 def miss_every_memo_lookup(monkeypatch):
     """Give every finder call a sub-problem key no other call shares, so the
     memo never hits and every sub-problem is solved afresh."""
-    monkeypatch.setattr(construct, "_subproblem_key", lambda v: object())
+    monkeypatch.setattr(construct, "_variety_key", lambda v: object())
 
 
 def skip_zero_offset_precheck(monkeypatch):

@@ -21,7 +21,12 @@ from mlvariety.forms import Shape
 from mlvariety.generators import planted_low_prank_form, random_variety
 from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, form_to_obj, variety_to_obj
 
-from helpers import constant_shift_tables, count_grid_evaluations, monomial_value
+from helpers import (
+    constant_shift_tables,
+    count_bitmap_passes,
+    count_grid_evaluations,
+    monomial_value,
+)
 
 DOT_FORM = {"p": 2, "k": 2, "dims": [2, 2], "support": [1, 2], "coeffs": [1, 0, 0, 1]}
 DOT_VARIETY = {
@@ -414,6 +419,16 @@ def test_conv_check_evaluates_each_form_once(tmp_path, monkeypatch):
     seen = count_grid_evaluations(monkeypatch)
     assert main(["conv-check", "--input", str(path)]) == EXIT_OK
     assert len(seen) == 2 and set(seen.values()) == {1}
+
+
+def test_conv_check_builds_one_bitmap(tmp_path, monkeypatch):
+    # the bitmap that draws the bad set is the one conv_fill_check checks
+    second = {"p": 2, "k": 2, "dims": [2, 2], "support": [2], "coeffs": [1, 1]}
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps({**DOT_VARIETY, "forms": [DOT_FORM, second]}))
+    passes = count_bitmap_passes(monkeypatch)
+    assert main(["conv-check", "--input", str(path)]) == EXIT_OK
+    assert passes == [16]
 
 
 def test_conv_check_rejects_negative_bad_count(dot_files):

@@ -30,7 +30,7 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "c5b6bac5e4c1593bb372f92b442a632c3fc4b0d02c6f9b79746238a1fd04e1a6"
+GOLDEN_SHA256 = "63d2076bd57c976e23ef2622f88154d88c9d4c59f8888d43a285f4617635447c"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

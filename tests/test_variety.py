@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, variety
 from mlvariety.errors import PreconditionError
-from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
+from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, _grid_scope, zero_form
 from mlvariety.generators import random_point_subset, random_variety
 from mlvariety.variety import (
     Parallelepiped,
@@ -174,6 +174,27 @@ def test_density_matches_bruteforce(seed):
     sh = Shape(p, small_dims(rng, k, 5))
     v = random_variety(rng, sh, rng.randrange(3))
     assert density(v) == brute_density(v)
+
+
+def test_bitmap_is_built_once_per_grid_scope():
+    sh = Shape(3, (2, 1, 2))
+
+    def varieties():
+        # new but equal objects on every call
+        return [random_variety(random.Random(61), sh, 2), Variety.full(sh), Variety.empty(sh)]
+
+    fresh = [variety_bitmap(v) for v in varieties()]
+    budget.reset_work()
+    with _grid_scope():
+        first = [variety_bitmap(v) for v in varieties()]
+        charged = budget.work_points()
+        again = [variety_bitmap(v) for v in varieties()]
+        assert budget.work_points() == charged > 0
+    for a, b, want in zip(first, again, fresh):
+        assert b is a and np.array_equal(a, want)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = True
+    assert fresh[0].flags.writeable
 
 
 def test_variety_points_in_lex_order():
