@@ -277,8 +277,9 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     a subspace of density above c', so its density is at least c' ** 2**k.
     The witnesses come from the same search conv_fill_check runs, over every
     base point: the zero offset settles most base points in one vectorized
-    pre-check, and only the rest are scanned.  The first base point without
-    a witness is named in the error.
+    pre-check, the offsets with last offset 0 most of the rest in a
+    vectorized first-row pass, and only what is left is scanned in full.
+    The first base point without a witness is named in the error.
     All of this is verified exhaustively before returning.  Called from the
     finder, it reads the input's bitmap from the grid scope, where _solve
     built it, so one bitmap serves a sub-problem and all its directions.

@@ -13,8 +13,9 @@ search with both of its bounds moved out of the way, one counts the
 library's own value-grid evaluations and one its bitmap passes, for the
 grid-cache tests, one makes every lookup in the finder's sub-problem memo
 miss, for the memo oracle, one switches off the witness search's zero-offset
-pre-check, one replaces its translation tables, and one starves the finder's
-external approximation of functionals, for the failure paths.
+pre-check and one its first-row pass, one replaces its translation tables,
+and one starves the finder's external approximation of functionals, for the
+failure paths.
 """
 
 from __future__ import annotations
@@ -308,11 +309,22 @@ def skip_zero_offset_precheck(monkeypatch):
     )
 
 
+def skip_first_row_pass(monkeypatch):
+    """Make the witness search's first-row pass settle no base, so every
+    base the zero-offset pre-check rejects goes to the full scan."""
+    monkeypatch.setattr(
+        variety, "_first_row_offsets",
+        lambda shape, bases, allowed: np.full(bases.shape, -1, dtype=np.int64),
+    )
+
+
 def constant_shift_tables(monkeypatch, rank):
     """Make every translation the witness search uses land on the vector of
     the given rank, so a set missing that rank leaves no witness anywhere.
-    The zero-offset pre-check uses no translation table and would still
-    find real witnesses, so it is made to accept no base."""
+    The first-row pass and the full scan both take their translations from
+    these tables, the last direction's 0 + x_last included.  The zero-offset
+    pre-check uses no translation table and would still find real
+    witnesses, so it is made to accept no base."""
     skip_zero_offset_precheck(monkeypatch)
     monkeypatch.setattr(
         variety, "shift_permutation", lambda p, n, t: np.full(p**n, rank, dtype=np.int64)

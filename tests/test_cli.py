@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from mlvariety import budget, cli, forms
+from mlvariety import budget, cli, forms, variety
 from mlvariety.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -26,6 +26,7 @@ from helpers import (
     count_bitmap_passes,
     count_grid_evaluations,
     monomial_value,
+    skip_first_row_pass,
 )
 
 DOT_FORM = {"p": 2, "k": 2, "dims": [2, 2], "support": [1, 2], "coeffs": [1, 0, 0, 1]}
@@ -429,6 +430,34 @@ def test_conv_check_builds_one_bitmap(tmp_path, monkeypatch):
     passes = count_bitmap_passes(monkeypatch)
     assert main(["conv-check", "--input", str(path)]) == EXIT_OK
     assert passes == [16]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conv_check_at_the_benchmark_shape_needs_no_full_scan(tmp_path, monkeypatch, capsys, seed):
+    # 2 full-support forms at (2,(7,7)) with the default 64-point bad set:
+    # the first-row pass settles every base the zero-offset pre-check
+    # rejects, and the report is the one the full scan gives
+    v = random_variety(random.Random(seed), Shape(2, (7, 7)), 2, full_support_only=True)
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    argv = ["conv-check", "--input", str(path), "--seed", str(seed), "--format", "json"]
+    passed, scanned = [], []
+
+    def recording(original, seen):
+        def tier(shape, bases, allowed):
+            seen.append(len(bases))
+            return original(shape, bases, allowed)
+        return tier
+
+    with monkeypatch.context() as m:
+        m.setattr(variety, "_first_row_offsets", recording(variety._first_row_offsets, passed))
+        m.setattr(variety, "_scan_offsets", recording(variety._scan_offsets, scanned))
+        assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["bad_size"] == 64 and sum(passed) > 0 and scanned == []
+    skip_first_row_pass(monkeypatch)
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_conv_check_rejects_negative_bad_count(dot_files):

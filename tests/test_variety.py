@@ -34,6 +34,7 @@ from helpers import (
     brute_first_witness,
     constant_shift_tables,
     enumerate_points,
+    skip_first_row_pass,
     skip_zero_offset_precheck,
     small_dims,
 )
@@ -549,6 +550,67 @@ def test_zero_offset_precheck_is_only_a_shortcut(monkeypatch, p, dims):
                 assert _point_from_index(sh, offs) == brute
             kinds.add("hit" if hit else "no witness" if brute is None else "scanned")
     assert kinds == {"hit", "scanned", "no witness"}
+
+
+@pytest.mark.parametrize("p, dims", [
+    (2, (4,)), (3, (2,)), (5, (2,)), (2, (2, 2)), (3, (1, 2)), (5, (1, 1)),
+    (2, (1, 2, 1)), (3, (1, 1, 1)), (2, (1, 1, 1, 1)),
+])
+def test_first_row_pass_is_only_a_shortcut(monkeypatch, p, dims):
+    # the pass finds exactly the first witnesses whose last offset is 0, and
+    # switching it off changes no row
+    sh = Shape(p, dims)
+    rng = random.Random(f"first row {p}{dims}")
+    zero = tuple((0,) * n for n in dims)
+    kinds = set()
+    for fill in (0.1, 0.3, 0.5, 0.7, 0.9) * 2:
+        points = np.array([rng.random() < 0.7 for _ in range(sh.total_points)])
+        allowed = np.array([rng.random() < fill for _ in range(sh.total_points)])
+        points = points.reshape(sh.group_sizes)
+        allowed = allowed.reshape(sh.group_sizes)
+        allowed_points = {
+            _point_from_index(sh, idx) for idx in np.argwhere(allowed).tolist()
+        }
+        bases = np.argwhere(points).astype(np.int64)
+        first_row = variety._first_row_offsets(sh, bases, allowed)
+        with_pass = _fill_scan(sh, bases, allowed, "test scan")
+        with monkeypatch.context() as m:
+            skip_first_row_pass(m)
+            without = _fill_scan(sh, bases, allowed, "test scan")
+        assert with_pass.dtype == without.dtype == np.int64
+        assert np.array_equal(with_pass, without)
+        for idx, row, offs in zip(bases.tolist(), first_row.tolist(), with_pass.tolist()):
+            brute = brute_first_witness(sh, allowed_points, _point_from_index(sh, idx))
+            if brute is not None and not any(brute[-1]):
+                assert _point_from_index(sh, row) == brute
+            else:
+                assert row == [-1] * sh.k
+            if brute is None:
+                assert offs == [-1] * sh.k
+            else:
+                assert _point_from_index(sh, offs) == brute
+            kinds.add(
+                "no witness" if brute is None else "zero offset" if brute == zero
+                else "first row" if not any(brute[-1]) else "full scan"
+            )
+    # at arity 1 the only offset with last offset 0 is the zero offset
+    assert kinds == {"zero offset", "first row", "full scan", "no witness"} - (
+        {"first row"} if sh.k == 1 else set()
+    )
+
+
+@pytest.mark.parametrize("p, dims", [(2, (6, 6)), (3, (3, 3)), (2, (2, 2, 2, 2))])
+def test_no_witness_flood_matches_the_full_scan(p, dims):
+    # sets with at most a tenth of the points allowed: almost no base has a
+    # witness, so most bases pass through every tier
+    sh = Shape(p, dims)
+    rng = np.random.default_rng(sh.total_points)
+    for share in (0.01, 0.05, 0.1):
+        allowed = rng.random(sh.group_sizes) < share
+        bases = np.argwhere(rng.random(sh.group_sizes) < 0.5)
+        offsets = _fill_scan(sh, bases, allowed, "test scan")
+        assert np.array_equal(offsets, variety._scan_offsets(sh, bases, allowed))
+        assert np.count_nonzero(offsets[:, 0] < 0) > len(bases) // 2
 
 
 @pytest.mark.parametrize("p, dims", [(2, (3, 3)), (3, (2, 1, 1)), (5, (1, 1))])
