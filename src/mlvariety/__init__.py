@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
     ZeroBiasError,
 )
+from .fibers import density
 from .field import Subspace, echelonize
 from .forms import (
     MultilinearForm,
@@ -54,7 +55,6 @@ from .variety import (
     PointSet,
     Variety,
     conv_fill_check,
-    density,
     directional_convolution,
     intersect,
     iterated_conv_witness,

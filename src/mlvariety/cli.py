@@ -59,7 +59,8 @@ from .jsonio import (
     map_to_obj,
     variety_from_obj,
 )
-from .variety import Variety, bad_set_cap, conv_fill_check, density, variety_bitmap
+from .fibers import density
+from .variety import Variety, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0
 EXIT_PARSE = 2

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import budget
+from . import budget, fibers
 from .errors import (
     ApproxMismatchError,
     ConstructionError,
@@ -530,7 +530,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    """Three-flag report from re-enumerating a certificate against its input."""
+    """Three-flag report from re-checking a certificate against its input."""
 
     containment_ok: bool
     nonempty_ok: bool
@@ -543,25 +543,30 @@ class CertificateCheck:
 
 
 def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCheck:
-    """Re-check a certificate by enumeration, independent of how it was built.
+    """Re-check a certificate, independent of how it was built.
 
     Flags: (a) the output is contained in the input pointwise, (b) the
     output is nonempty, (c) the claimed codimension matches the output's
-    deduplicated form count and fits the budget for the input's density.
-    Failures are flags, not exceptions.  It opens no grid scope, so called
-    after find_subvariety it evaluates every form afresh.
+    deduplicated form count and fits the budget for the input's density,
+    priced at one point when the input has none.  Failures are flags, not
+    exceptions; a shape mismatch fails all three and still reports the
+    input's budget.  The point count and the containment come from the
+    fiber ranks of ``fibers``, which builds no value grid or bitmap, so the
+    check shares no evaluation kernel with the finder and also runs on
+    shapes whose |G| is past the point budget.
     """
-    vmask = variety_bitmap(v)
-    c = Fraction(max(int(np.count_nonzero(vmask)), 1), v.shape.total_points)
-    bud = codim_budget(v.shape.k, v.shape.p, c)
-    if cert.output.shape != v.shape:
+    out = cert.output
+    same_shape = out.shape == v.shape
+    if same_shape:
+        count, contained = fibers.count_and_contains(v, out)
+    else:
+        count, contained = fibers.point_count(v), False
+    bud = codim_budget(v.shape.k, v.shape.p, Fraction(max(count, 1), v.shape.total_points))
+    if not same_shape:
         return CertificateCheck(False, False, False, bud)
-    omask = variety_bitmap(cert.output)
-    containment = not bool(np.any(omask & ~vmask))
-    nonempty = bool(omask.any())
     codim_ok = (
-        not cert.output.is_empty
-        and cert.output_codim == len(cert.output.canonical().forms)
+        not out.is_empty
+        and cert.output_codim == len(out.canonical().forms)
         and cert.output_codim <= bud
     )
-    return CertificateCheck(containment, nonempty, codim_ok, bud)
+    return CertificateCheck(contained, not out.is_empty, codim_ok, bud)

@@ -1,0 +1,180 @@
+"""Point counts and containment of varieties from fiber ranks.
+
+Fix the largest factor j (the first among ties) and let x run over the
+B = |G| / |G_j| points of the other factors, in enumeration order.  Every
+form is linear in factor j, so over x the fiber of a variety is the kernel
+of a matrix M(x): its rows are the forms whose support contains j, with the
+other factors fixed at x.  The other forms are constants at x, and the
+fiber is empty wherever one of them is nonzero.  Hence
+
+    |V| = sum over the x where the constants vanish of p ** (n_j - rank M(x)),
+
+the identity behind analytic rank, bias = E_x p ** -rank (Lovett 2019, "The
+analytic rank of tensors and its applications").  V' lies inside V exactly
+when, at every x where the constants of V' vanish, those of V vanish too and
+every row of M_V(x) reduces to zero against a basis of the rows of M_V'(x).
+The empty marker has no points and lies inside every variety; every other
+variety contains the origin.
+
+This is the verifier's evaluation kernel.  It builds no value grid and no
+bitmap, and it imports no evaluation code from ``forms``, ``variety`` or
+``construct``: rows are contractions of the coefficient tensors against the
+vector tables of ``field``, and ranks come from one Gaussian elimination
+vectorized over x.  A certificate is thus checked by a computation that
+shares nothing with the one that built it but the data types and those
+tables.  Building the rows of a form charges its B * n_j entries (B for a
+form without j) to the work counter; the budget admits B and the total
+before anything is built.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from . import budget
+from .field import all_vectors
+from .variety import Variety
+
+
+def _contract(t: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Contract axis 1 of t, of length n, against the vector table of F_p^n,
+    whose p**n vectors become a new last axis, in enumeration order.
+
+    A vector is its first n//2 coordinates followed by the rest, so its
+    contraction is the sum of the two halves' contractions against their
+    own, much smaller tables: two small products and one broadcast sum.
+    """
+    h = n // 2
+    t = np.moveaxis(t, 1, -1).astype(np.int64)
+    head = (t[..., :h] @ all_vectors(p, h).T % p).astype(np.uint8)
+    tail = (t[..., h:] @ all_vectors(p, n - h).T % p).astype(np.uint8)
+    out = (head[..., :, None] + tail[..., None, :]) % p
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def _stack_values(shape, support: tuple[int, ...], coeffs: np.ndarray, j: int,
+                  others: list[int]) -> np.ndarray:
+    """Forms of one support over the points x of the factors other than j,
+    from their stacked coefficient tensors (F, *support dims): shape
+    (F, B, n_j), the rows of M(x), when the support contains j, else (F, B),
+    the constants.
+
+    The support factors other than j are contracted in order, and factors
+    outside the support are broadcast.
+    """
+    p, dims = shape.p, shape.dims
+    rest = [l for l in support if l != j]
+    t = coeffs
+    if j in support:
+        t = np.moveaxis(t, 1 + support.index(j), -1)
+    for l in rest:
+        t = _contract(t, p, dims[l])
+    tail = []
+    if j in support:
+        # the j axis was left in front of the vector axes
+        t = np.moveaxis(t, 1, -1)
+        tail = [dims[j]]
+    grown = [p ** dims[l] if l in rest else 1 for l in others]
+    full = [p ** dims[l] for l in others]
+    t = np.broadcast_to(t.reshape([len(t)] + grown + tail), [len(t)] + full + tail)
+    return t.reshape([len(t), math.prod(full)] + tail)
+
+
+def _systems(varieties: list[Variety]) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """(alive, rows) of each variety, none of them the empty marker: alive[x]
+    when its constants vanish at x, rows its M(x) as (B, n_j) arrays.  The
+    forms of all the varieties that share a support are contracted as one
+    stack."""
+    shape = varieties[0].shape
+    p, dims = shape.p, shape.dims
+    j = dims.index(max(dims))
+    others = [l for l in range(shape.k) if l != j]
+    b = math.prod(p ** dims[l] for l in others)
+    budget.ensure(b, "fiber enumeration")
+    owned = [(i, f) for i, v in enumerate(varieties) for f in v.forms if not f.is_zero()]
+    budget.charge(
+        sum(b * (dims[j] if j in f.support else 1) for _, f in owned), "fiber rows"
+    )
+    groups: dict[tuple[int, ...], list] = {}
+    for i, f in owned:
+        groups.setdefault(f.support, []).append((i, f))
+    out = [(np.ones(b, dtype=bool), []) for _ in varieties]
+    for support, members in groups.items():
+        stack = np.stack([f.coeffs for _, f in members])
+        for (i, _), values in zip(members, _stack_values(shape, support, stack, j, others)):
+            alive, rows = out[i]
+            if values.ndim == 2:
+                rows.append(values)
+            else:
+                alive &= values == 0
+    return out
+
+
+def _reduce(row: np.ndarray, basis: list, p: int) -> np.ndarray:
+    """The row at every x minus its multiples of the basis rows, in order."""
+    at = np.arange(len(row))
+    for pivot, brow in basis:
+        coef = row[at, pivot]
+        if p == 2:
+            row = row ^ (brow & coef[:, None])
+        else:
+            step = (p - coef).astype(np.uint16)[:, None] * brow
+            row = ((row + step) % p).astype(np.uint8)
+    return row
+
+
+def _echelon(rows: list[np.ndarray], p: int) -> list:
+    """A basis of the rows' span at every x: (pivot, row) pairs, the row
+    reduced against those before it and scaled to a 1 in its pivot column,
+    or zero where it was dependent.  So _reduce clears every pivot."""
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint16)
+    basis = []
+    for row in rows:
+        row = _reduce(row, basis, p)
+        pivot = (row != 0).argmax(axis=1)
+        if p > 2:
+            lead = inverse[row[np.arange(len(row)), pivot]]
+            row = (row * lead[:, None] % p).astype(np.uint8)
+        basis.append((pivot, row))
+    return basis
+
+
+def _count(alive: np.ndarray, rows: list[np.ndarray], p: int, n: int) -> int:
+    basis = _echelon(rows, p)
+    rank = np.zeros(len(alive), dtype=np.int64)
+    for pivot, row in basis:
+        rank += row[np.arange(len(row)), pivot] != 0
+    per_rank = np.bincount(rank[alive], minlength=len(rows) + 1)
+    return sum(m * p ** (n - r) for r, m in enumerate(per_rank.tolist()) if m)
+
+
+def point_count(v: Variety) -> int:
+    """|V|, exactly."""
+    if v.is_empty:
+        return 0
+    ((alive, rows),) = _systems([v])
+    return _count(alive, rows, v.shape.p, max(v.shape.dims))
+
+
+def density(v: Variety) -> Fraction:
+    """|V| / |G|, exactly."""
+    return Fraction(point_count(v), v.shape.total_points)
+
+
+def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
+    """(|V|, whether sub lies inside V), from one build of both varieties'
+    rows.  The varieties must share their shape."""
+    if sub.is_empty:
+        return point_count(v), True
+    if v.is_empty:
+        return 0, False
+    p = v.shape.p
+    (alive, rows), (sub_alive, sub_rows) = _systems([v, sub])
+    sub_basis = _echelon(sub_rows, p)
+    escaped = sub_alive & ~alive
+    for row in rows:
+        escaped |= sub_alive & _reduce(row, sub_basis, p).any(axis=1)
+    return _count(alive, rows, p, max(v.shape.dims)), not escaped.any()

@@ -117,8 +117,7 @@ def variety_bitmap(v: Variety) -> np.ndarray:
     empty marker and raw defining list) is built once and later calls
     return the same read-only array.  A hit builds nothing and charges
     nothing; its first build already passed the same budget in the same
-    scope.  Outside a scope every call builds and charges afresh, which is
-    how verify_certificate, opening none, rebuilds every bitmap it reads.
+    scope.  Outside a scope every call builds and charges afresh.
     """
     memo = _GRIDS.get()
     key = _variety_key(v)
@@ -137,14 +136,6 @@ def variety_bitmap(v: Variety) -> np.ndarray:
         out.setflags(write=False)
         memo[key] = out
     return out
-
-
-def density(v: Variety) -> Fraction:
-    """|V| / |G| by full enumeration, exactly."""
-    if v.is_empty:
-        return Fraction(0)
-    count = int(np.count_nonzero(variety_bitmap(v)))
-    return Fraction(count, v.shape.total_points)
 
 
 def variety_points(v: Variety) -> Iterator[tuple[tuple[int, ...], ...]]:

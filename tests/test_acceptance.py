@@ -27,6 +27,7 @@ from mlvariety.forms import (
     prank_lower_bound,
     zero_fiber_identity_check,
 )
+from mlvariety.fibers import density
 from mlvariety.generators import (
     planted_low_prank_form,
     planted_product_variety,
@@ -41,7 +42,6 @@ from mlvariety.variety import (
     PointSet,
     Variety,
     conv_fill_check,
-    density,
     variety_bitmap,
 )
 

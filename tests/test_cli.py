@@ -1,9 +1,13 @@
 import argparse
+import dataclasses
 import json
 import random
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mlvariety import budget, cli, forms, variety
@@ -17,11 +21,27 @@ from mlvariety.cli import (
     main,
 )
 
-from mlvariety.forms import Shape
-from mlvariety.generators import planted_low_prank_form, random_variety
-from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, form_to_obj, variety_to_obj
+from mlvariety.construct import codim_budget, find_subvariety
+from mlvariety.field import echelonize
+from mlvariety.forms import MultilinearForm, Shape, product_form
+from mlvariety.generators import (
+    planted_low_prank_form,
+    random_form,
+    random_subspace,
+    random_variety,
+)
+from mlvariety.jsonio import (
+    certificate_from_obj,
+    certificate_to_obj,
+    form_to_obj,
+    frac_to_str,
+    variety_to_obj,
+)
+from mlvariety.variety import Variety, _point_from_index, variety_bitmap
 
 from helpers import (
+    annihilator,
+    brute_eval,
     constant_shift_tables,
     count_bitmap_passes,
     count_grid_evaluations,
@@ -358,19 +378,117 @@ def test_verify_empty_input_keeps_the_density_floor(dot_files, tmp_path, capsys)
 
 def test_huge_shape_is_a_budget_exit(tmp_path, capsys):
     """|G| = 2**20001 has more digits than Python converts to str; the
-    refusal names a power-of-two bound instead of raising."""
+    refusals name a power-of-two bound instead of raising.  density counts
+    by fiber ranks over the B = 2 points of the small factor, so it answers."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({
         "format_version": "1",
         "shape": {"p": 2, "k": 2, "dims": [20000, 1]},
         "forms": [],
     }))
-    for command in ("density", "find-sub", "conv-check"):
+    for command in ("find-sub", "conv-check"):
         assert main([command, "--input", str(path)]) == EXIT_BUDGET
     err = capsys.readouterr().err
-    assert err.count("points, over the budget of 16777216") == 3
+    assert err.count("points, over the budget of 16777216") == 2
     if hasattr(sys, "get_int_max_str_digits"):
-        assert err.count("needs at least 2^20001 points") == 3
+        assert err.count("needs at least 2^20001 points") == 2
+    assert main(["density", "--input", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "density: 1\n"
+
+
+def test_density_over_a_fiber_enumeration_past_the_budget(tmp_path, capsys):
+    # B = 2**25 points of the other factor, over the default 2**24 budget
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "format_version": "4",
+        "shape": {"p": 2, "k": 2, "dims": [25, 25]},
+        "forms": [],
+    }))
+    assert main(["density", "--input", str(path)]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: fiber enumeration needs 33554432 points, "
+        "over the budget of 16777216\n"
+    )
+
+
+def _planted_products(p, dims):
+    """Two product forms l_i(x) m_i(y) with l_1, l_2 independent and m_1, m_2
+    independent: the zero set is {l_1 = 0 or m_1 = 0} and {l_2 = 0 or m_2 =
+    0}, four independent events of probability 1/p, so its density is
+    ((2p - 1) / p**2) ** 2 at every dims."""
+    shape = Shape(p, dims)
+    rng = random.Random(f"planted/{p}/{dims}")
+    ls = random_subspace(rng, p, dims[0], 2).basis
+    ms = random_subspace(rng, p, dims[1], 2).basis
+    v = Variety(shape, [product_form(shape, (0,), l, (1,), m) for l, m in zip(ls, ms)])
+    return v, Fraction(2 * p - 1, p**2) ** 2
+
+
+@pytest.mark.parametrize("p, dims", [(2, (14, 14)), (2, (16, 16)), (3, (10, 10))])
+def test_verify_and_density_past_the_point_budget(tmp_path, capsys, p, dims):
+    v, c = _planted_products(p, dims)
+    assert v.shape.total_points > budget.point_budget()
+    var_path = tmp_path / "variety.json"
+    var_path.write_text(json.dumps(variety_to_obj(v)))
+    out = v.canonical()
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({
+        "format_version": "4",
+        "input_density": frac_to_str(c),
+        "output_codim": len(out.forms),
+        "budget": 0,
+        "output": variety_to_obj(out),
+        "ledger": [],
+    }))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+        "--format", "json",
+    ]) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    flags = json.loads(capsys.readouterr().out)
+    assert flags == {"containment": True, "nonempty": True, "codim": True,
+                     "budget": codim_budget(2, p, c)}
+    start = time.perf_counter()
+    assert main(["density", "--input", str(var_path)]) == EXIT_OK
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == f"density: {frac_to_str(c)}\n"
+
+
+@pytest.mark.parametrize("dims", [(4,), (3, 3), (2, 2, 2), (1, 2, 2, 1)])
+def test_certificate_escaping_at_one_point_is_a_verify_exit(tmp_path, capsys, dims):
+    """The output is the product of the lines spanned by a_i, one per factor,
+    and the input a full-support form with f(a) = 1.  Over F_2 every point
+    of the output but a itself has a zero coordinate, where f vanishes, so
+    the output leaves the input at exactly one point."""
+    shape = Shape(2, dims)
+    rng = random.Random(f"escape/{dims}")
+    a = tuple(tuple([1] + [rng.randrange(2) for _ in range(n - 1)]) for n in dims)
+    f = random_form(rng, shape)
+    while brute_eval(f, a) != 1:
+        f = random_form(rng, shape)
+    v = Variety(shape, (f,))
+    lines = Variety(shape, [
+        MultilinearForm(shape, (i,), row)
+        for i, ai in enumerate(a)
+        for row in annihilator(echelonize([ai], 2, len(ai))).basis
+    ])
+    escaped = np.argwhere(variety_bitmap(lines) & ~variety_bitmap(v))
+    assert [tuple(_point_from_index(shape, t)) for t in escaped] == [a]
+    cert = dataclasses.replace(
+        find_subvariety(v), output=lines, output_codim=len(lines.canonical().forms)
+    )
+    var_path = tmp_path / "variety.json"
+    var_path.write_text(json.dumps(variety_to_obj(v)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(certificate_to_obj(cert)))
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+        "--format", "json",
+    ]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["containment"] is False
 
 
 def test_conv_check_success_and_rejection(dot_files, tmp_path):
@@ -838,7 +956,9 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
 
 def test_sweep_row_over_the_budget(tmp_path):
     # each 6x6 variety's bitmap alone is 4,096 points, over a 3,000 budget:
-    # the rows record the refusal and the sweep itself succeeds
+    # the rows record the refusal and the sweep itself succeeds.  The
+    # density column, counted by fiber ranks at 64 entries per form and
+    # fiber coordinate, fits the budget, and its points stay on the row
     out = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--p", "2", "--dims", "6,6", "--gen", "random-forms",
@@ -847,8 +967,8 @@ def test_sweep_row_over_the_budget(tmp_path):
     lines = out.read_text().splitlines()
     assert '"budget":3000' in lines[0]
     assert lines[2:] == [
-        "0,2,2,6x6,,,,,budget_exceeded,0",
-        "1,2,2,6x6,,,,,budget_exceeded,0",
+        "0,2,2,6x6,,,,,budget_exceeded,768",
+        "1,2,2,6x6,,,,,budget_exceeded,448",
     ]
 
 

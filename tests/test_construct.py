@@ -27,6 +27,7 @@ from mlvariety.errors import (
     EmptyVarietyError,
     PreconditionError,
 )
+from mlvariety.fibers import density
 from mlvariety.field import echelonize, vector_from_index
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, ceil_log
 from mlvariety.monomial import Monomial
@@ -38,7 +39,7 @@ from mlvariety.generators import (
     random_variety,
 )
 from mlvariety.jsonio import certificate_from_obj, certificate_to_obj
-from mlvariety.variety import Variety, density, membership, variety_bitmap, variety_points
+from mlvariety.variety import Variety, membership, variety_bitmap, variety_points
 
 from helpers import (
     annihilator,
@@ -637,24 +638,9 @@ def test_forced_epsilon_overshoot_diagnostic(monkeypatch):
 def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     v = random_variety(random.Random(21), Shape(p, dims), 2, full_support_only=full)
     seen = count_grid_evaluations(monkeypatch)
-    cert = find_subvariety(v)
+    find_subvariety(v)
     assert seen and max(seen.values()) == 1
     assert forms._GRIDS.get() is None
-    # the verifier runs outside the scope: every form it needs is evaluated again
-    seen.clear()
-    assert verify_certificate(v, cert).all_ok
-    assert set(seen) == {(f.shape, f.key()) for f in v.forms + cert.output.forms}
-
-
-@pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
-def test_verifier_evaluates_each_form_once_per_occurrence(monkeypatch, p, dims, full):
-    v = random_variety(random.Random(22), Shape(p, dims), 2, full_support_only=full)
-    cert = find_subvariety(v)
-    seen = count_grid_evaluations(monkeypatch)
-    assert verify_certificate(v, cert).all_ok
-    assert seen == collections.Counter(
-        (f.shape, f.key()) for f in v.forms + cert.output.forms
-    )
 
 
 def test_bitmaps_are_built_afresh_after_the_finder_returns(monkeypatch):
@@ -665,18 +651,6 @@ def test_bitmaps_are_built_afresh_after_the_finder_returns(monkeypatch):
     mask = variety_bitmap(v)
     assert passes[built:] == [v.shape.total_points]
     assert mask.flags.writeable
-
-
-def test_verifier_builds_both_bitmaps_after_the_finder(monkeypatch):
-    # the output's raw defining list is the input's, so a verifier sharing a
-    # bitmap scope would build one bitmap for both
-    sh = Shape(2, (3,))
-    v = Variety(sh, (MultilinearForm(sh, (0,), [1, 0, 1]),))
-    cert = find_subvariety(v)
-    assert cert.output == v
-    passes = count_bitmap_passes(monkeypatch)
-    assert verify_certificate(v, cert).all_ok
-    assert passes == [sh.total_points] * 2
 
 
 def _int64_fiber_reference(v, res):

@@ -1,0 +1,177 @@
+"""The fiber-rank kernel: point counts and containment against brute force
+and bitmaps, its edge cases, and its independence from the evaluation code
+the finder uses."""
+
+import ast
+import dataclasses
+import inspect
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mlvariety import cli, construct, fibers, forms, variety
+from mlvariety.construct import codim_budget, find_subvariety, verify_certificate
+from mlvariety.fibers import count_and_contains, density, point_count
+from mlvariety.forms import MultilinearForm, Shape, zero_form
+from mlvariety.generators import random_form, random_support, random_variety
+from mlvariety.variety import Variety, variety_bitmap
+
+from helpers import brute_density, small_dims
+
+
+def _cylinder_variety(rng, shape, count):
+    """count random forms whose supports all omit the largest factor, the
+    one the kernel takes the fibers of; with one factor, no such form has
+    variables, so the variety is full."""
+    j = shape.dims.index(max(shape.dims))
+    others = [l for l in range(shape.k) if l != j]
+    forms_ = []
+    for _ in range(count if others else 0):
+        support = [others[t] for t in random_support(rng, len(others))]
+        forms_.append(random_form(rng, shape, support))
+    return Variety(shape, forms_)
+
+
+def _instances(p, seed):
+    """Random varieties with mixed supports, cylinder varieties and their
+    intersections, over arity 1 to 4."""
+    rng = random.Random(f"fibers/{p}/{seed}")
+    for k in (1, 2, 3, 4):
+        limit = max(4096, p**k)
+        dims = small_dims(rng, k, 6)
+        while Shape(p, dims).total_points > limit:
+            dims = tuple(max(n - 1, 1) for n in dims)
+        shape = Shape(p, dims)
+        v = random_variety(rng, shape, rng.randint(1, 3))
+        w = _cylinder_variety(rng, shape, rng.randint(1, 2))
+        yield v, w, Variety(shape, v.forms + w.forms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+@pytest.mark.parametrize("seed", range(4))
+def test_counts_and_containment_match_bitmaps(p, seed):
+    for v, w, both in _instances(p, seed):
+        masks = {id(x): variety_bitmap(x) for x in (v, w, both)}
+        for x in (v, w, both):
+            count = int(np.count_nonzero(masks[id(x)]))
+            assert point_count(x) == count
+            assert density(x) == Fraction(count, x.shape.total_points)
+            if x.shape.total_points <= 256:
+                assert density(x) == brute_density(x)
+        for big, small in ((v, w), (w, v), (v, both), (w, both), (both, v)):
+            escaped = masks[id(small)] & ~masks[id(big)]
+            assert count_and_contains(big, small) == (
+                int(np.count_nonzero(masks[id(big)])), not escaped.any()
+            )
+
+
+@pytest.mark.parametrize("dims", [(0,), (3,), (0, 0), (0, 3), (2, 0, 1), (1, 0, 2, 1)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_forms_and_zero_dimension_factors(p, dims):
+    shape = Shape(p, dims)
+    assert point_count(Variety.full(shape)) == shape.total_points
+    zero_only = Variety(shape, (zero_form(shape),))
+    assert point_count(zero_only) == shape.total_points
+    rng = random.Random(f"zero-dims/{p}/{dims}")
+    for _ in range(5):
+        v = random_variety(rng, shape, 3)
+        v = Variety(shape, v.forms + (zero_form(shape),))
+        count = int(np.count_nonzero(variety_bitmap(v)))
+        assert point_count(v) == count
+        assert count_and_contains(v, Variety.full(shape)) == (count, count == shape.total_points)
+        assert count_and_contains(Variety.full(shape), v) == (shape.total_points, True)
+
+
+def test_arity_one_counts_a_subspace():
+    shape = Shape(5, (3,))
+    forms_ = (MultilinearForm(shape, (0,), [1, 2, 0]), MultilinearForm(shape, (0,), [2, 4, 0]))
+    assert point_count(Variety(shape, forms_)) == 25
+    assert point_count(Variety(shape, forms_ + (MultilinearForm(shape, (0,), [0, 0, 1]),))) == 5
+
+
+def test_forms_without_the_fiber_factor_are_constants():
+    # factor 1 is the largest; x0[0] = 0 cuts half of factor 0 and the
+    # bilinear form counts ranks only over the x0 that survive
+    shape = Shape(2, (2, 3))
+    cylinder = MultilinearForm(shape, (0,), [1, 0])
+    bilinear = MultilinearForm(shape, (0, 1), [[1, 0, 0], [0, 1, 0]])
+    v = Variety(shape, (cylinder, bilinear))
+    # x0 = 00: rank 0, 8 points; x0 = 01: rank 1, 4 points
+    assert point_count(v) == 12
+    assert point_count(v) == int(np.count_nonzero(variety_bitmap(v)))
+
+
+def test_the_empty_marker_counts_zero_and_lies_in_everything():
+    shape = Shape(3, (2, 2))
+    v = random_variety(random.Random(5), shape, 2)
+    empty = Variety.empty(shape)
+    assert point_count(empty) == 0
+    assert density(empty) == 0
+    assert count_and_contains(v, empty) == (point_count(v), True)
+    assert count_and_contains(empty, empty) == (0, True)
+    # every other variety contains the origin, even the full one
+    assert count_and_contains(empty, v) == (0, False)
+    assert count_and_contains(empty, Variety.full(shape)) == (0, False)
+
+
+def test_verify_empty_input_holds_only_the_empty_output():
+    shape = Shape(2, (2, 2))
+    v = random_variety(random.Random(3), shape, 2, full_support_only=True)
+    cert = find_subvariety(v)
+    empty = Variety.empty(shape)
+    floor = codim_budget(2, 2, Fraction(1, shape.total_points))
+    check = construct.CertificateCheck
+    assert verify_certificate(empty, cert) == check(False, True, True, floor)
+    marker = dataclasses.replace(cert, output=empty)
+    assert verify_certificate(empty, marker) == check(True, False, False, floor)
+
+
+def test_shape_mismatch_reports_the_input_budget():
+    v = random_variety(random.Random(8), Shape(3, (2, 3)), 2, full_support_only=True)
+    cert = find_subvariety(random_variety(random.Random(8), Shape(3, (3, 2)), 1))
+    check = verify_certificate(v, cert)
+    assert check == construct.CertificateCheck(
+        False, False, False, codim_budget(2, 3, density(v))
+    )
+    assert density(v) != 1
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the verifier reached evaluation code of the finder")
+
+
+@pytest.mark.parametrize("p, dims", [(2, (4, 4)), (3, (2, 2, 1)), (2, (1, 2, 1, 2)), (5, (3,))])
+def test_verifier_reads_no_value_grid_form_evaluation_or_bitmap(monkeypatch, p, dims):
+    shape = Shape(p, dims)
+    cases = []
+    for seed in range(3):
+        v = random_variety(random.Random(seed), shape, 2)
+        cert = find_subvariety(v)
+        tampered = dataclasses.replace(cert, output=Variety.full(shape))
+        vmask = variety_bitmap(v)
+        c = Fraction(int(np.count_nonzero(vmask)), shape.total_points)
+        cases.append((v, cert, tampered, c, not vmask.all()))
+    for name in ("_value_grid", "eval_grid", "eval_form", "variety_bitmap"):
+        for module in (forms, variety, construct, cli, fibers):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _raise)
+    for v, cert, tampered, c, escapes in cases:
+        assert density(v) == c
+        assert verify_certificate(v, cert).all_ok
+        assert verify_certificate(v, tampered).containment_ok is not escapes
+
+
+def test_fibers_imports_no_evaluation_code():
+    tree = ast.parse(inspect.getsource(fibers))
+    imported = {
+        (node.level, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for level, _, name in imported if level} == {"budget", "all_vectors", "Variety"}
+    assert {module for level, module, _ in imported if level} == {None, "field", "variety"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(a.name.startswith("mlvariety") for a in node.names)]

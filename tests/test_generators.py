@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mlvariety.errors import PreconditionError
+from mlvariety.fibers import density
 from mlvariety.forms import Shape, bias, prank_lower_bound
 from mlvariety.generators import (
     planted_low_prank_form,
@@ -14,7 +15,7 @@ from mlvariety.generators import (
     random_subspace,
     random_variety,
 )
-from mlvariety.variety import density, variety_bitmap
+from mlvariety.variety import variety_bitmap
 
 from helpers import small_dims
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, variety
 from mlvariety.errors import PreconditionError
+from mlvariety.fibers import density
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, _grid_scope, zero_form
 from mlvariety.generators import random_point_subset, random_variety
 from mlvariety.variety import (
@@ -18,7 +19,6 @@ from mlvariety.variety import (
     _point_from_index,
     _point_index,
     conv_fill_check,
-    density,
     directional_convolution,
     intersect,
     iterated_conv_witness,
