@@ -32,14 +32,13 @@ from .errors import (
     EmptyVarietyError,
     PreconditionError,
 )
-from .field import all_vectors, vector_from_index
+from .field import all_vectors, batched_echelon, vector_from_index
 from .forms import (
     MultilinearForm,
     MultilinearMap,
-    _grid_scope,
     _scoped_cache,
     ceil_log,
-    eval_grid,
+    fiber_values,
 )
 from .monomial import Monomial
 from .variety import (
@@ -135,6 +134,161 @@ def codim_budget(arity: int, p: int, c: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Fibers: what the finder reads instead of bitmaps and value grids
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _System:
+    """The common zero set of some forms over the points x of a _Fibers:
+    alive where their constants vanish, the batched echelon basis of their
+    rows, its rank at each x, and the point count, the sum over alive x of
+    p**(n_j - rank)."""
+
+    alive: np.ndarray
+    basis: list
+    rank: np.ndarray
+    count: int
+
+
+class _Fibers:
+    """The fibers in factor j over the B points x of the factors `others`,
+    in enumeration order.  Every form is linear in factor j, so over x the
+    common zero set of some forms is ker M(x), where the rows of M(x) are
+    the forms whose support holds j, restricted to x, or nothing where a
+    form without j (a constant at x) is nonzero; it holds p**(n_j - rank)
+    points (Lovett 2019, "The analytic rank of tensors and its
+    applications").  Each distinct form's values (forms.fiber_values) are
+    built once, and so is each _System: a system of several lists of forms
+    extends the system of the lists before the last, and a form already in
+    it adds nothing, so a candidate with its target's forms costs no
+    elimination.  j is None only for the empty support, whose forms are all
+    zero.
+    """
+
+    def __init__(self, shape, j: int | None, others: tuple[int, ...]):
+        self.p, self.j, self.others = shape.p, j, others
+        self.n = 0 if j is None else shape.dims[j]
+        self.b = math.prod(shape.p ** shape.dims[l] for l in others)
+        budget.ensure(self.b, "fiber rows")
+        self._values: dict = {}
+        self._systems = {(): _System(
+            np.ones(self.b, dtype=bool), [], np.zeros(self.b, dtype=np.int64),
+            self.b * self.p**self.n,
+        )}
+
+    def values(self, forms) -> list[np.ndarray]:
+        fresh = {f.key(): f for f in forms if f.key() not in self._values}
+        self._values.update(zip(fresh, fiber_values(list(fresh.values()), self.j, self.others)))
+        return [self._values[f.key()] for f in forms]
+
+    def system(self, *lists) -> _System:
+        """The common zero set of the forms of the lists."""
+        key = ()
+        system = self._systems[key]
+        for forms in lists:
+            new = {f.key(): f for f in forms if not f.is_zero() and f.key() not in key}
+            key += tuple(new)
+            if key not in self._systems:
+                self._systems[key] = self._extend(system, list(new.values()))
+            system = self._systems[key]
+        return system
+
+    def _extend(self, system: _System, forms: list) -> _System:
+        alive, rows = system.alive.copy(), []
+        for values in self.values(forms):
+            if values.ndim == 2:
+                rows.append(values)
+            else:
+                alive &= values == 0
+        basis = batched_echelon(rows, self.p, system.basis)
+        rank = system.rank.copy()
+        for _, row in basis[len(system.basis):]:
+            rank += row.any(axis=1)
+        per_rank = np.bincount(rank[alive], minlength=1).tolist()
+        count = sum(m * self.p ** (self.n - r) for r, m in enumerate(per_rank) if m)
+        return _System(alive, basis, rank, count)
+
+    def count(self, *lists) -> int:
+        return self.system(*lists).count
+
+
+# Fibers built in the open finder scope, keyed by (shape, j, others); None
+# when no scope is open.
+_FIBERS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "mlvariety_fibers", default=None
+)
+
+
+def _fibers(shape, factors, j: int | None = None) -> _Fibers:
+    """The fibers in factor j, by default the largest of the factors (the
+    first among ties), over the others of them.  Inside the finder's scope
+    one _Fibers serves every call with the same shape and factors, so the
+    input's values and systems serve _solve and the direction j of
+    dense_columns, and the target's serve external_approx and _solve."""
+    if j is None:
+        j = max(factors, key=shape.dims.__getitem__, default=None)
+    key = (shape, j, tuple(l for l in factors if l != j))
+    scope = _FIBERS.get()
+    if scope is None:
+        return _Fibers(*key)
+    if key not in scope:
+        scope[key] = _Fibers(*key)
+    return scope[key]
+
+
+def _image_histogram(fib: _Fibers, components) -> np.ndarray:
+    """How often each value code of F_p^m is hit over the points (x, y) of
+    the fibers, for the m forms `components` whose supports all hold j:
+    sum over x of p**(n - rank M(x)) [code in image M(x)], where the value
+    at (x, y) is M(x) y, component 0 its most significant digit.
+
+    The image of M(x) is spanned by its columns at the pivots of the echelon
+    basis of its rows, and it is closed over the p**m codes one such column
+    at a time: adding a column v takes a set S to the union of S + a v over
+    a in F_p, p - 1 gathers of S shifted by v.  Each of its p**rank values
+    is hit p**(n - rank) times.  Charges the B * p**m cells of the image
+    masks.
+    """
+    p, m, b, n = fib.p, len(components), fib.b, fib.n
+    # the codes of the columns of M(x); none without a fiber factor
+    columns = np.zeros((b, n), dtype=np.intp)
+    if fib.j is not None:
+        for rows in fib.values(components):
+            columns *= p
+            columns += rows
+    system = fib.system(components)
+    size = p**m
+    budget.charge(b * size, "value images")
+    image = np.zeros((b, size), dtype=bool)
+    image[:, 0] = True
+    flat = image.reshape(-1)
+    digits = all_vectors(p, m).astype(np.intp)
+    at = np.arange(b)
+    cells = np.arange(0, b * size, size)[:, None]
+    back = np.empty((b, size), dtype=np.intp)
+    for pivot, _ in system.basis:
+        # where the pair is zero its pivot column still lies in the image
+        col = columns[at, pivot]
+        # back[x, u] is the flat cell of code u - col[x]
+        if p == 2:
+            np.bitwise_xor(np.arange(size), col[:, None], out=back)
+        else:
+            back[:] = 0
+            for f, v in enumerate(digits[col].T):
+                back *= p
+                digit = digits[:, f] - v[:, None]
+                back += digit - digit // p * p
+        back += cells
+        for _ in range(p - 1):
+            image |= flat.take(back)
+    del back
+    # the hits sum to B * p**n, exact in int64 below 2**63
+    weight = np.array([p ** (n - r) for r in range(min(len(system.basis), n) + 1)],
+                      dtype=np.int64 if b * p**n < 2**63 else object)
+    return weight[system.rank] @ image
+
+
+# ---------------------------------------------------------------------------
 # External approximation
 # ---------------------------------------------------------------------------
 
@@ -148,7 +302,6 @@ class ApproxResult:
     survivors_per_step: tuple[int, ...]
 
 
-@_grid_scope()
 def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     """Approximate {source = 0} externally by s functionals of the codomain.
 
@@ -162,20 +315,25 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     approximation error, which is counted and returned.
 
     Survival depends only on a point's value vector, so the greedy runs on a
-    histogram of vector ranks, with kills tabulated per occupied rank after
-    the budget admits the p**m * |G_S| "functional scan" each live step still
-    charges (the per-point price, kept until the transform of ROADMAP item 8a
-    sets what a step touches).
-    The functional table is built, and its budget checked, before any pass
-    over G_S, and the ranks are held in the narrowest unsigned type holding
-    p**m - 1 (one byte while p**m <= 256).
+    histogram of value codes over G_S, with kills tabulated per occupied
+    code after the budget admits the p**m * |G_S| "functional scan" each
+    live step still charges (the per-point price, kept until the transform
+    of ROADMAP item 8a sets what a step touches).  The histogram comes from
+    fibers, not from a pass over G_S: with j the largest support factor and
+    x running over the other support factors, the values at (x, y) are
+    M(x) y, so each value of the image of M(x) is hit p**(n_j - rank)
+    times (_image_histogram).  The functional table is built, and its
+    budget checked, before any fiber is.
 
     Each distinct chosen functional gives one form, which phi repeats where
     the greedy chose it again (once no survivor is left it keeps choosing the
-    zero functional).  Containment is checked on the value grids of the
-    distinct nonzero phi components themselves, each folded into the common
-    zero mask once, never on values derived from the chosen functionals; a
-    zero component vanishes everywhere, so it needs no grid.
+    zero functional).  Containment and the error are counted on the rows of
+    the distinct nonzero phi components themselves, built from their own
+    coefficient tensors, never from the chosen functionals: {source = 0}
+    lies in {phi = 0} exactly when the two intersect in |{source = 0}|
+    points, and the error is |{phi = 0}| minus that, times the points
+    outside the support.  A zero component vanishes everywhere, so it adds
+    no row.
     """
     if s < 0:
         raise PreconditionError("the number of functionals must be non-negative")
@@ -187,12 +345,9 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     outside_mult = shape.total_points // support_total
     # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
     functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2))
-    codes = np.zeros(support_total, dtype=np.min_scalar_type(p**m - 1))
-    for f in source.components:
-        codes *= p
-        codes += eval_grid(f).reshape(-1)
-    source_zero = codes == 0
-    hist = np.bincount(codes)
+    fib = _fibers(shape, source.support)
+    hist = _image_histogram(fib, source.components)
+    source_zero_count = int(hist[0])
     occupied = np.flatnonzero(hist)
     hist = hist[occupied]
     alive = occupied != 0
@@ -222,13 +377,10 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
         for best in dict.fromkeys(chosen)
     }
     phi = MultilinearMap(shape, source.support, [built[best] for best in chosen])
-    phi_zero = np.ones(support_total, dtype=bool)
-    for f in dict.fromkeys(built.values()):
-        if not f.is_zero():
-            phi_zero &= eval_grid(f).reshape(-1) == 0
-    if bool(np.any(source_zero & ~phi_zero)):
+    both = fib.count(source.components, built.values())
+    if both != source_zero_count:
         raise ConstructionError("containment of the source zero set failed")
-    error_count = int(np.count_nonzero(phi_zero & ~source_zero)) * outside_mult
+    error_count = (fib.count(built.values()) - both) * outside_mult
     cap = Fraction(shape.total_points, p**s)
     if error_count > cap:
         raise ConstructionError(
@@ -280,35 +432,45 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     pre-check, the offsets with last offset 0 most of the rest in a
     vectorized first-row pass, and only what is left is scanned in full.
     The first base point without a witness is named in the error.
-    All of this is verified exhaustively before returning.  Called from the
-    finder, it reads the input's bitmap from the grid scope, where _solve
-    built it, so one bitmap serves a sub-problem and all its directions.
+    All of this is verified exhaustively before returning.
+
+    Nothing here is |G|-sized.  The input is read from its fibers in the
+    direction (_Fibers) over the points x of the other factors: the fiber
+    over x holds p**(n - rank M(x)) points where x is alive and none
+    elsewhere, c is their mean, and the slice at t is the alive x with
+    M(x) t = 0.  Only the base is a bitmap, over the |G|/|G_i| points of
+    the other factors, for the filling scan.
     """
     shape = v.shape
     if shape.k < 2:
         raise PreconditionError("dense fiber extraction needs at least two factors")
     if not 0 <= direction < shape.k:
         raise PreconditionError("direction outside the shape")
-    p = shape.p
-    vmask = variety_bitmap(v)
     if v.is_empty:
         raise EmptyVarietyError("dense fiber extraction needs a nonempty variety")
-    total = shape.total_points
-    c = Fraction(int(np.count_nonzero(vmask)), total)
+    p = shape.p
+    n = shape.dims[direction]
+    fib = _fibers(shape, range(shape.k), direction)
+    system = fib.system(v.forms)
+    alive, basis, rank = system.alive, system.basis, system.rank
+    c = Fraction(system.count, shape.total_points)
     c_prime, fiber_floor = _fiber_constants(p, c, shape.k)
-    direction_size = shape.group_sizes[direction]
-    other_total = total // direction_size
-    # A fiber count is at most direction_size, exact in the narrowest type
-    # holding it.
-    fiber_counts = vmask.view(np.uint8).sum(
-        axis=direction, dtype=np.min_scalar_type(direction_size)
-    )
-    fiber_sparse = fiber_counts <= math.floor(c_prime * direction_size)
+    direction_size = p**n
+    other_total = fib.b
+    # the fiber over an alive x holds p**(n - rank) points, so it is sparse
+    # where the rank is one of these; every slice below holds only alive x
+    sparse_limit = math.floor(c_prime * direction_size)
+    sparse_rank = np.array([p ** (n - r) <= sparse_limit for r in range(min(len(basis), n) + 1)])
+    fiber_sparse = sparse_rank[rank]
     # b / other_total > 2 c' / c exactly when the integer b exceeds this floor
     bad_limit = math.floor(c_prime * (2 * other_total / c))
 
     for t in range(direction_size):
-        u_mask = np.take(vmask, t, axis=direction)
+        slice_point = vector_from_index(p, n, t)
+        u_mask = alive.copy()
+        if t:  # M(x) 0 = 0, so the slice at 0 is every alive x
+            for _, row in basis:
+                u_mask &= row.astype(np.int64) @ slice_point % p == 0
         if Fraction(int(np.count_nonzero(u_mask)), other_total) < c / 2:
             continue
         b_count = int(np.count_nonzero(u_mask & fiber_sparse))
@@ -318,15 +480,15 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
         raise ConstructionError(
             "no qualifying slice found; the averaging identity forbids this"
         )
-    slice_point = vector_from_index(p, shape.dims[direction], t)
     u_var = slice_variety(v, [direction], [slice_point])
     sub_cert = find_subvariety(u_var)
     base = sub_cert.output
     base_mask = variety_bitmap(base)
+    u_mask = u_mask.reshape(base_mask.shape)
     if bool(np.any(base_mask & ~u_mask)):
         raise ConstructionError("base variety escaped its slice")
     r_base = sub_cert.output_codim
-    bad_mask = u_mask & fiber_sparse
+    bad_mask = u_mask & fiber_sparse.reshape(base_mask.shape)
     bad_in_base = int(np.count_nonzero(bad_mask & base_mask))
     cap = bad_set_cap(base.shape, r_base)
     if bad_in_base > cap:
@@ -343,7 +505,8 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     floor_points = fiber_floor * direction_size
     clamped = floor_points < 1
     fiber_floor_count = math.ceil(floor_points)
-    min_fiber_count = int(fiber_counts[base_mask].min())
+    # every base point is alive, inside the slice
+    min_fiber_count = p ** (n - int(rank.reshape(base_mask.shape)[base_mask].max()))
     if min_fiber_count < fiber_floor_count:
         raise ConstructionError(
             f"measured fiber minimum {min_fiber_count} fell below the certified "
@@ -393,7 +556,6 @@ _SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 )
 
 
-@_grid_scope()
 def find_subvariety(v: Variety) -> SubvarietyCertificate:
     """Extract a nonempty subvariety whose codimension fits the budget line.
 
@@ -407,18 +569,24 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     cylinder-constrained target; verify the resulting variety equals the
     target point by point and is contained in the input.
 
-    The whole extraction, recursion included, runs in one grid scope, so
-    each distinct form is evaluated once and each distinct variety's bitmap
-    is built once (the input's serves _solve and every direction, and a
-    candidate whose canonical forms equal its target's reuses the target's),
-    and in one memo scope, so each distinct sub-problem (shape and raw
-    defining list) is solved once: the recursion slices the same sub-variety
-    along many paths.  A hit returns the stored grid, bitmap or certificate
-    and charges nothing: its passes already ran once under the same budget,
-    so the certificate and every refusal are those of a solve without
-    either cache.  Both scopes close on return or on a raise.
+    Every count and comparison of the input, the target and the candidate
+    is read from their fibers in the largest factor j (_Fibers): c is the
+    mean fiber size, and A lies inside B exactly when |A & B| = |A|, each
+    count a sum of p**(n_j - rank) over the points of the other factors.
+    So the finder builds no |G|-sized array at any level: its largest are
+    the |G|/|G_i| base bitmaps of dense_columns and the fiber rows, B * n_j
+    entries per form (B = |G|/|G_j|), and it charges those.  Only the
+    functional scan of external_approx is still priced per point of G.
+
+    The recursion runs in one memo scope, so each distinct sub-problem
+    (shape and raw defining list) is solved once: the recursion slices the
+    same sub-variety along many paths.  It runs in one fiber scope too,
+    which holds each _Fibers built (_fibers).  A hit in either returns what
+    is stored and charges nothing: its passes already ran once under the
+    same budget, so the certificate and every refusal are those of a solve
+    without them.  Both scopes close on return or on a raise.
     """
-    with _scoped_cache(_SOLVED):
+    with _scoped_cache(_SOLVED), _scoped_cache(_FIBERS):
         solved = _SOLVED.get()
         key = _variety_key(v)
         if key not in solved:
@@ -426,20 +594,48 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
         return solved[key]
 
 
+def _first_escape(inner: Variety, outer: Variety) -> tuple[tuple[int, ...], ...]:
+    """The first point of inner outside outer, in enumeration order.
+
+    Read from the fibers in the last factor: x then runs over the other
+    factors in enumeration order, so the point is the first y of the first
+    x whose fiber in inner leaves its fiber in outer.
+    """
+    shape = inner.shape
+    p, j = shape.p, shape.k - 1
+    fib = _fibers(shape, range(shape.k), j)
+    own = fib.system(inner.forms)
+    both = fib.system(inner.forms, outer.forms)
+    leaves = own.alive & (~both.alive | (both.rank > own.rank))
+    x = int(np.argmax(leaves))
+    ys = all_vectors(p, shape.dims[j]).astype(np.int64)
+
+    def vanishing(basis):
+        zero = np.ones(len(ys), dtype=bool)
+        for _, row in basis:
+            zero &= ys @ row[x] % p == 0
+        return zero
+
+    outside = ~vanishing(both.basis) if both.alive[x] else True
+    y = int(np.argmax(vanishing(own.basis) & outside))
+    idx = np.unravel_index(x, [p ** shape.dims[l] for l in range(j)]) + (y,)
+    return _point_from_index(shape, idx)
+
+
 def _solve(v: Variety) -> SubvarietyCertificate:
     shape = v.shape
     p = shape.p
-    vmask = variety_bitmap(v)
     if v.is_empty:
         raise EmptyVarietyError("the subvariety finder needs a nonempty variety")
     total = shape.total_points
-    c = Fraction(int(np.count_nonzero(vmask)), total)
+    fib = _fibers(shape, range(shape.k))
+    v_count = fib.count(v.forms)
+    c = Fraction(v_count, total)
     bud = codim_budget(shape.k, p, c)
 
     if shape.k == 1:
         canon = v.canonical()
-        out_mask = variety_bitmap(canon)
-        if not np.array_equal(out_mask, vmask):
+        if not fib.count(canon.forms) == fib.count(v.forms, canon.forms) == v_count:
             raise ConstructionError("echelonized defining forms changed the zero set")
         codim = len(canon.forms)
         if c != Fraction(1, p**codim):
@@ -470,7 +666,6 @@ def _solve(v: Variety) -> SubvarietyCertificate:
         )
     cylinders = Variety(shape, embedded).canonical()
     target = Variety(shape, v.forms + cylinders.forms).canonical()
-    target_mask = variety_bitmap(target)
 
     level = _level_constants(p, c, shape.k, r_max, max(shape.dims))
 
@@ -482,14 +677,13 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     candidate = Variety(
         shape, tuple(approx.phi.components) + cylinders.forms
     ).canonical()
-    candidate_mask = variety_bitmap(candidate)
 
-    if bool(np.any(target_mask & ~candidate_mask)):
+    shared = fib.count(target.forms, candidate.forms)
+    if shared != fib.count(target.forms):
         raise ConstructionError("approximation lost a point of its target")
-    extra = candidate_mask & ~target_mask
-    extra_count = int(np.count_nonzero(extra))
+    extra_count = fib.count(candidate.forms) - shared
     if extra_count:
-        point = _point_from_index(shape, np.argwhere(extra)[0])
+        point = _first_escape(candidate, target)
         raise ApproxMismatchError(
             f"approximation strictly exceeds its target at {point} "
             f"({extra_count} extra points)",
@@ -498,7 +692,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             extra_floor=level["c_double_prime"]**shape.k * total,
         )
 
-    if bool(np.any(candidate_mask & ~vmask)):
+    if fib.count(candidate.forms, v.forms) != fib.count(candidate.forms):
         raise ConstructionError("the extracted subvariety escaped the input")
     codim = len(candidate.forms)
     if codim > bud:
@@ -548,9 +742,10 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
     Flags: (a) the output is contained in the input pointwise, (b) the
     output is nonempty, (c) the claimed codimension matches the output's
     deduplicated form count and fits the budget for the input's density,
-    priced at one point when the input has none.  Failures are flags, not
-    exceptions; a shape mismatch fails all three and still reports the
-    input's budget.  The point count and the containment come from the
+    priced at one point when the input has none, and the certificate's own
+    top-level claims hold: its input density is the input's exact density
+    and its budget is that budget.  Failures are flags, not exceptions; a
+    shape mismatch fails all three and still reports the input's budget.  The point count and the containment come from the
     fiber ranks of ``fibers``, which builds no value grid or bitmap, so the
     check shares no evaluation kernel with the finder and also runs on
     shapes whose |G| is past the point budget.
@@ -568,5 +763,7 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
         not out.is_empty
         and cert.output_codim == len(out.canonical().forms)
         and cert.output_codim <= bud
+        and cert.input_density == Fraction(count, v.shape.total_points)
+        and cert.budget == bud
     )
     return CertificateCheck(contained, not out.is_empty, codim_ok, bud)

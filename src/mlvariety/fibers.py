@@ -12,19 +12,21 @@ fiber is empty wherever one of them is nonzero.  Hence
 the identity behind analytic rank, bias = E_x p ** -rank (Lovett 2019, "The
 analytic rank of tensors and its applications").  V' lies inside V exactly
 when, at every x where the constants of V' vanish, those of V vanish too and
-every row of M_V(x) reduces to zero against a basis of the rows of M_V'(x).
+every row of M_V(x) lies in the span of the rows of M_V'(x).
 The empty marker has no points and lies inside every variety; every other
 variety contains the origin.
 
 This is the verifier's evaluation kernel.  It builds no value grid and no
 bitmap, and it imports no evaluation code from ``forms``, ``variety`` or
 ``construct``: rows are contractions of the coefficient tensors against the
-vector tables of ``field``, and ranks come from one Gaussian elimination
-vectorized over x.  A certificate is thus checked by a computation that
-shares nothing with the one that built it but the data types and those
-tables.  Building the rows of a form charges its B * n_j entries (B for a
-form without j) to the work counter; the budget admits B and the total
-before anything is built.
+vector tables of ``field``, and ranks come from ``field.batched_echelon``,
+one Gaussian elimination vectorized over x.  The finder reads the same
+identity from rows of its own (``forms.fiber_values``), so a certificate is
+checked by a computation that shares nothing with the one that built it but
+the data types, those tables and that elimination, which is field
+arithmetic, not form evaluation.  Building the rows of a form charges its
+B * n_j entries (B for a form without j) to the work counter; the budget
+admits B and the total before anything is built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import budget
-from .field import all_vectors
+from .field import all_vectors, batched_echelon
 from .variety import Variety
 
 
@@ -113,40 +115,10 @@ def _systems(varieties: list[Variety]) -> list[tuple[np.ndarray, list[np.ndarray
     return out
 
 
-def _reduce(row: np.ndarray, basis: list, p: int) -> np.ndarray:
-    """The row at every x minus its multiples of the basis rows, in order."""
-    at = np.arange(len(row))
-    for pivot, brow in basis:
-        coef = row[at, pivot]
-        if p == 2:
-            row = row ^ (brow & coef[:, None])
-        else:
-            step = (p - coef).astype(np.uint16)[:, None] * brow
-            row = ((row + step) % p).astype(np.uint8)
-    return row
-
-
-def _echelon(rows: list[np.ndarray], p: int) -> list:
-    """A basis of the rows' span at every x: (pivot, row) pairs, the row
-    reduced against those before it and scaled to a 1 in its pivot column,
-    or zero where it was dependent.  So _reduce clears every pivot."""
-    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint16)
-    basis = []
-    for row in rows:
-        row = _reduce(row, basis, p)
-        pivot = (row != 0).argmax(axis=1)
-        if p > 2:
-            lead = inverse[row[np.arange(len(row)), pivot]]
-            row = (row * lead[:, None] % p).astype(np.uint8)
-        basis.append((pivot, row))
-    return basis
-
-
 def _count(alive: np.ndarray, rows: list[np.ndarray], p: int, n: int) -> int:
-    basis = _echelon(rows, p)
     rank = np.zeros(len(alive), dtype=np.int64)
-    for pivot, row in basis:
-        rank += row[np.arange(len(row)), pivot] != 0
+    for _, row in batched_echelon(rows, p):
+        rank += row.any(axis=1)
     per_rank = np.bincount(rank[alive], minlength=len(rows) + 1)
     return sum(m * p ** (n - r) for r, m in enumerate(per_rank.tolist()) if m)
 
@@ -173,8 +145,10 @@ def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
         return 0, False
     p = v.shape.p
     (alive, rows), (sub_alive, sub_rows) = _systems([v, sub])
-    sub_basis = _echelon(sub_rows, p)
+    # a row of V outside the span of sub's rows at x adds a nonzero pair
+    sub_basis = batched_echelon(sub_rows, p)
+    added = batched_echelon(rows, p, sub_basis)[len(sub_basis):]
     escaped = sub_alive & ~alive
-    for row in rows:
-        escaped |= sub_alive & _reduce(row, sub_basis, p).any(axis=1)
+    for _, row in added:
+        escaped |= sub_alive & row.any(axis=1)
     return _count(alive, rows, p, max(v.shape.dims)), not escaped.any()

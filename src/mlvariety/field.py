@@ -158,6 +158,64 @@ def rref(rows, p: int, width: int | None = None) -> np.ndarray:
     return a[:pivot_row].astype(np.uint8)
 
 
+def batched_echelon(rows, p: int, basis=()) -> list:
+    """Echelon bases of many row spaces over F_p at once, one per x.
+
+    Each row is a (B, n) uint8 array whose row x belongs to system x.  The
+    result extends `basis`, an earlier result for the same systems, by one
+    (pivot, row) pair per given row: the row reduced against every pair
+    before it and scaled to a 1 in its pivot column, its last nonzero one,
+    where it is independent of them, zero where it is not.  So the rank of
+    system x is the number of pairs nonzero at x, a row lies in the span of
+    `basis` at x exactly when its pair is zero there, and at each x the
+    columns at the pivots of the nonzero pairs span the column space (on
+    those columns the pairs are triangular with a unit diagonal).
+
+    The work runs on (n, B) copies, whose ops run along x (the layout rows
+    built from value grids already have), and each pair clears its pivot
+    column from all the rows after it in one step; the returned rows are
+    (B, n) views of those copies.  XOR does the arithmetic at p = 2.
+    """
+    out = list(basis)
+    if not len(rows):
+        return out
+    rest = np.array([np.asarray(row).T for row in rows], dtype=np.uint8)
+    count, n, b = rest.shape
+    flat = rest.reshape(-1)
+    # the flat cell of column 0 of system x in row k
+    cells = np.arange(0, count * n * b, n * b)[:, None] + np.arange(b)
+    columns = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    if p > 2:
+        inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint8)
+        # a residue plus p times a residue stays below p**2
+        wide = np.min_scalar_type(p * p - 1)
+
+    def reduced(t):
+        # numpy divides by a constant far faster than it takes a remainder
+        return (t - t // p * p).astype(np.uint8)
+
+    def clear(pivot, brow, k):
+        # subtract from the rows from k on their pivot entries times brow
+        coef = flat.take(cells[k:] + pivot * b)[:, None, :]
+        if p == 2:
+            rest[k:] ^= brow & coef
+        else:
+            rest[k:] = reduced(rest[k:] + (p - coef).astype(wide) * brow)
+
+    for pivot, brow in basis:
+        clear(pivot, brow.T, 0)
+    for k in range(count):
+        row = rest[k]
+        # the last nonzero column, by a max over the columns (0 where none)
+        pivot = ((row != 0) * columns).max(axis=0).astype(np.intp)
+        if p > 2:
+            row = reduced(row * inverse.take(flat.take(cells[k] + pivot * b)).astype(wide))
+        out.append((pivot, row.T))
+        if k + 1 < count:
+            clear(pivot, row, k + 1)
+    return out
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Row space in reduced echelon form: nonzero rows, pivots strictly

@@ -196,9 +196,10 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
     narrowest unsigned type holding n (p-1)**2, and each factor is reduced
     mod p once.  At p = 2 the copies are grown by XOR, which is addition
     mod 2 on {0, 1}, so values never leave {0, 1}: there is no reduction
-    pass, and the peak memory is about one uint8 grid.
+    pass, and the peak memory is about one uint8 grid.  Axes of coeffs after
+    the first len(axis_dims) are kept, in front of the value axes.  The
+    callers charge the points they build.
     """
-    budget.charge(math.prod(p**n for n in axis_dims), "evaluation grid")
     grow = np.bitwise_xor if p == 2 else np.add
     t = np.asarray(coeffs, dtype=np.int64) % p
     for n in axis_dims:
@@ -258,16 +259,63 @@ def eval_grid(form: MultilinearForm) -> np.ndarray:
     scope also holds the variety bitmaps built from these grids, so a
     repeated bitmap reaches no grid at all.
     """
+    p = form.shape.p
     dims = [form.shape.dims[j] for j in form.support]
     grids = _GRIDS.get()
-    if grids is None:
-        return _value_grid(form.shape.p, dims, form.coeffs)
     key = (form.shape, form.key())
-    grid = grids.get(key)
-    if grid is None:
-        grid = grids[key] = _value_grid(form.shape.p, dims, form.coeffs)
+    if grids is not None and key in grids:
+        return grids[key]
+    budget.charge(math.prod(p**n for n in dims), "evaluation grid")
+    grid = _value_grid(p, dims, form.coeffs)
+    if grids is not None:
         grid.setflags(write=False)
+        grids[key] = grid
     return grid
+
+
+def fiber_values(forms: Sequence[MultilinearForm], j: int,
+                 others: Sequence[int]) -> list[np.ndarray]:
+    """Each form over the points x of the factors `others`, listed in
+    enumeration order, with factor j left free: the (B, n_j) rows of M(x),
+    the linear form in factor j the form restricts to at x, when its
+    support holds j, else its (B,) values, constants at x.  B is the
+    product of the group sizes of `others`, and every support lies inside
+    `others` and j.
+
+    The forms that share a support are one stack and one _value_grid call,
+    over the support factors other than j, with the stack and j's
+    coefficient axes kept; the factors of `others` outside the support are
+    broadcast.  Rows are views whose entries lie contiguously along x.  The budget admits B, then the B * n_j entries of each form
+    with j and the B of each other form are charged, before anything is
+    built.
+    """
+    if not forms:
+        return []
+    shape = forms[0].shape
+    p, dims = shape.p, shape.dims
+    b = math.prod(p ** dims[l] for l in others)
+    budget.ensure(b, "fiber rows")
+    budget.charge(sum(b * (dims[j] if j in f.support else 1) for f in forms), "fiber rows")
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, f in enumerate(forms):
+        groups.setdefault(f.support, []).append(pos)
+    out: list = [None] * len(forms)
+    for support, members in groups.items():
+        rest = [l for l in support if l != j]
+        t = np.moveaxis(np.stack([forms[pos].coeffs for pos in members]), 0, -1)
+        tail = []
+        if j in support:
+            t = np.moveaxis(t, support.index(j), -1)
+            tail = [dims[j]]
+        # (stack, [n_j,] value axes of rest), the rows contiguous along x
+        grid = _value_grid(p, [dims[l] for l in rest], t)
+        lead = [len(members)] + tail
+        grown = lead + [p ** dims[l] if l in rest else 1 for l in others]
+        full = lead + [p ** dims[l] for l in others]
+        grid = np.broadcast_to(grid.reshape(grown), full).reshape(lead + [b])
+        for pos, values in zip(members, grid):
+            out[pos] = values.T
+    return out
 
 
 def slice_form(form: MultilinearForm, factors: Iterable[int], coords) -> MultilinearForm:
@@ -276,6 +324,11 @@ def slice_form(form: MultilinearForm, factors: Iterable[int], coords) -> Multili
     The result keeps the ambient shape with support shrunk to the remaining
     factors.  Slicing away the whole support is rejected; use eval_form.
     """
+    return MultilinearForm(form.shape, *_sliced(form, factors, coords))
+
+
+def _sliced(form: MultilinearForm, factors: Iterable[int], coords):
+    """(remaining support, coefficient tensor) of slice_form's result."""
     factors = tuple(sorted({int(j) for j in factors}))
     if not set(factors) <= set(form.support):
         raise PreconditionError(
@@ -287,16 +340,13 @@ def slice_form(form: MultilinearForm, factors: Iterable[int], coords) -> Multili
     coords = tuple(coords)
     if len(coords) != len(factors):
         raise PreconditionError("one coordinate vector per sliced factor")
-    fixed = {
-        j: as_coords(x, form.shape.p, form.shape.dims[j])
-        for j, x in zip(factors, coords)
-    }
+    p = form.shape.p
     t = form.coeffs.astype(np.int64)
-    for j in sorted(factors, reverse=True):
-        axis = form.support.index(j)
-        vec = np.asarray(fixed[j], dtype=np.int64)
-        t = np.tensordot(t, vec, axes=([axis], [0])) % form.shape.p
-    return MultilinearForm(form.shape, remaining, t)
+    # the last factors first, so the axes of the earlier ones stay in place
+    for j, x in sorted(zip(factors, coords), reverse=True):
+        vec = np.asarray(as_coords(x, p, form.shape.dims[j]), dtype=np.int64)
+        t = np.moveaxis(t, form.support.index(j), -1) @ vec % p
+    return remaining, t
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +371,7 @@ def bias(form: MultilinearForm) -> Fraction:
     kernel = None
     for i in range(form.shape.dims[form.support[-1]]):
         component = np.take(form.coeffs, i, axis=last_axis)
+        budget.charge(outer_total, "evaluation grid")
         g = _value_grid(p, outer_dims, component) == 0
         kernel = g if kernel is None else (kernel & g)
     count = int(np.count_nonzero(kernel))

@@ -72,7 +72,22 @@ def _log2_bracket(b: int, i: int) -> tuple[int, int]:
 
 
 def _log_sign(powers) -> int:
-    """Sign of log(prod b**x) for (b, x) pairs with integers b >= 1."""
+    """Sign of log(prod b**x) for (b, x) pairs with integers b >= 1.
+
+    log2 b lies in [L - 1, L), L the bit length of b, so the sum lies in
+    [lo, hi] for the brackets below, which settle most signs before any
+    base is split.
+    """
+    lo = hi = 0
+    for b, x in powers:
+        if x and b > 1:
+            length = b.bit_length()
+            lo += x * (length - 1 if x > 0 else length)
+            hi += x * (length if x > 0 else length - 1)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
     two, basis = _split_powers(powers)
     if not basis:
         return (two > 0) - (two < 0)

@@ -26,10 +26,10 @@ from .forms import (
     _GRIDS,
     MultilinearForm,
     Shape,
+    _sliced,
     coerce_point,
     eval_form,
     eval_grid,
-    slice_form,
 )
 
 
@@ -178,10 +178,10 @@ def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
             if eval_form(f, point) != 0:
                 return Variety.empty(reduced)
             continue
-        g = slice_form(f, hit, tuple(fixed[j] for j in hit)) if hit else f
-        out.append(
-            MultilinearForm(reduced, tuple(position[j] for j in g.support), g.coeffs)
+        support, coeffs = (
+            _sliced(f, hit, tuple(fixed[j] for j in hit)) if hit else (f.support, f.coeffs)
         )
+        out.append(MultilinearForm(reduced, tuple(position[j] for j in support), coeffs))
     return Variety(reduced, out)
 
 

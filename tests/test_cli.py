@@ -355,7 +355,9 @@ def test_non_boolean_empty_flag_is_an_input_error(dot_files, tmp_path, capsys, v
 def test_verify_empty_input_keeps_the_density_floor(dot_files, tmp_path, capsys):
     """An empty-marker input has no points; the verifier still prices its
     budget at one point (density 1/16 here) and reports the flags, rather
-    than rejecting the zero density as a precondition failure."""
+    than rejecting the zero density as a precondition failure.  The
+    certificate claims its own input's density 5/8, not 0, so the
+    codimension flag is false."""
     _, var_path = dot_files
     cert_path = tmp_path / "cert.json"
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
@@ -372,14 +374,37 @@ def test_verify_empty_input_keeps_the_density_floor(dot_files, tmp_path, capsys)
         "--format", "json",
     ]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out) == {
-        "containment": False, "nonempty": True, "codim": True, "budget": 93,
+        "containment": False, "nonempty": True, "codim": False, "budget": 93,
     }
+
+
+def test_forged_top_level_claims_are_a_verify_exit(dot_files, tmp_path, capsys):
+    """A certificate whose input density and budget were edited fails the
+    codimension flag, even though its output is the finder's."""
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    assert (obj["input_density"], obj["budget"]) == ("5/8", 45)
+    for forged in ({"input_density": "1/1000", "budget": 0}, {"input_density": "1/1000"},
+                   {"budget": 0}, {"budget": 46}):
+        cert_path.write_text(json.dumps({**obj, **forged}))
+        capsys.readouterr()
+        assert main([
+            "verify", "--input", str(var_path), "--certificate", str(cert_path),
+            "--format", "json",
+        ]) == EXIT_VERIFY
+        assert json.loads(capsys.readouterr().out) == {
+            "containment": True, "nonempty": True, "codim": False, "budget": 45,
+        }
 
 
 def test_huge_shape_is_a_budget_exit(tmp_path, capsys):
     """|G| = 2**20001 has more digits than Python converts to str; the
-    refusals name a power-of-two bound instead of raising.  density counts
-    by fiber ranks over the B = 2 points of the small factor, so it answers."""
+    refusals name a power-of-two bound instead of raising: find-sub's fiber
+    rows in factor 1 run over the 2**20000 points of factor 0, conv-check's
+    bitmap over all of G.  density counts by fiber ranks over the B = 2
+    points of the small factor, so it answers."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({
         "format_version": "1",
@@ -391,7 +416,8 @@ def test_huge_shape_is_a_budget_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("points, over the budget of 16777216") == 2
     if hasattr(sys, "get_int_max_str_digits"):
-        assert err.count("needs at least 2^20001 points") == 2
+        assert "fiber rows needs at least 2^20000 points" in err
+        assert "variety bitmap needs at least 2^20001 points" in err
     assert main(["density", "--input", str(path)]) == EXIT_OK
     assert capsys.readouterr().out == "density: 1\n"
 
@@ -436,7 +462,7 @@ def test_verify_and_density_past_the_point_budget(tmp_path, capsys, p, dims):
         "format_version": "4",
         "input_density": frac_to_str(c),
         "output_codim": len(out.forms),
-        "budget": 0,
+        "budget": codim_budget(2, p, c),
         "output": variety_to_obj(out),
         "ledger": [],
     }))
@@ -955,10 +981,11 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
 
 
 def test_sweep_row_over_the_budget(tmp_path):
-    # each 6x6 variety's bitmap alone is 4,096 points, over a 3,000 budget:
-    # the rows record the refusal and the sweep itself succeeds.  The
-    # density column, counted by fiber ranks at 64 entries per form and
-    # fiber coordinate, fits the budget, and its points stay on the row
+    # the finder reads fiber rows of 64 entries per form and fiber
+    # coordinate, but the functional scan of variety 0's two full-support
+    # forms is 2**2 * 4,096 points, over a 3,000 budget: its row records the
+    # refusal, with the points charged before it, and the sweep itself
+    # succeeds.  Variety 1 has no full-support form, so it needs no scan
     out = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--p", "2", "--dims", "6,6", "--gen", "random-forms",
@@ -967,8 +994,8 @@ def test_sweep_row_over_the_budget(tmp_path):
     lines = out.read_text().splitlines()
     assert '"budget":3000' in lines[0]
     assert lines[2:] == [
-        "0,2,2,6x6,,,,,budget_exceeded,768",
-        "1,2,2,6x6,,,,,budget_exceeded,448",
+        "0,2,2,6x6,,,,,budget_exceeded,3200",
+        "1,2,2,6x6,1/4,2.0,2,61,ok,2636",
     ]
 
 

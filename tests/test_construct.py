@@ -48,7 +48,6 @@ from helpers import (
     brute_external_approx,
     constant_shift_tables,
     count_bitmap_passes,
-    count_grid_evaluations,
     enumerate_points,
     miss_every_memo_lookup,
     monomial_value,
@@ -169,30 +168,40 @@ def test_approx_empty_codomain(p, s):
 def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkeypatch):
     """Once no survivor is left the greedy repeats the zero functional.  Each
     distinct functional gives one form object, the containment check
-    evaluates each distinct nonzero component once, the zero component
-    needs no grid, a grid equal to a source grid charges nothing, and the
-    error count is the brute-force count of points where phi vanishes and
-    the source does not."""
+    builds the fiber rows of each distinct nonzero component once, the zero
+    component needs no rows, rows equal to a source component's are not
+    built again, and the error count is the brute-force count of points
+    where phi vanishes and the source does not.  The charges are the rows,
+    B * n_j entries per form, the B * p**m image cells and the scan."""
     sh = Shape(p, dims)
     source = random_map(random.Random(18), sh, 2)
     calls = []
+    original = construct.fiber_values
 
-    def counting(f):
-        calls.append(f.key())
-        return forms.eval_grid(f)
+    def counting(forms_, j, others):
+        calls.extend(f.key() for f in forms_)
+        return original(forms_, j, others)
 
-    monkeypatch.setattr(construct, "eval_grid", counting)
+    monkeypatch.setattr(construct, "fiber_values", counting)
     s = 6
     budget.reset_work()
     res = external_approx(source, s)
     folded = calls[source.codomain_dim :]
     assert any(f.is_zero() for f in res.phi.components)
     assert len({id(f) for f in res.phi.components}) == len(set(res.phi.components))
-    assert len(folded) == len(set(folded)) < s
-    assert set(folded) == {f.key() for f in res.phi.components if not f.is_zero()}
+    assert len(calls) == len(set(calls))
+    assert calls[: source.codomain_dim] == [f.key() for f in source.components]
+    nonzero = {f.key() for f in res.phi.components if not f.is_zero()}
+    assert len(nonzero) < s
+    assert set(folded) == nonzero - set(calls[: source.codomain_dim])
     live = 1 + sum(1 for n in res.survivors_per_step[:-1] if n)
     scan = p**source.codomain_dim * sh.total_points
-    assert budget.work_points() == len(set(calls)) * sh.total_points + live * scan
+    j = max(source.support, key=sh.dims.__getitem__)
+    b = sh.total_points // p ** (sh.dims[j] + sum(
+        n for l, n in enumerate(sh.dims) if l not in source.support
+    ))
+    rows = len(calls) * b * sh.dims[j]
+    assert budget.work_points() == rows + b * p**source.codomain_dim + live * scan
     expected = sum(
         1
         for point in enumerate_points(sh)
@@ -356,16 +365,18 @@ def test_approx_matches_the_pointwise_histogram_where_codes_widen(
 
 def test_approx_refuses_the_functional_table_before_any_grid(monkeypatch):
     """A codomain whose p**m vectors are over the budget is refused before
-    a single value grid is evaluated, however small the grids are."""
+    a single value grid (here, of fiber rows) is evaluated, however small
+    the grids are."""
     sh = Shape(2, (1, 1))
     source = random_map(random.Random(32), sh, 7)
     calls = []
+    original = forms._value_grid
 
-    def counting(f):
-        calls.append(f.key())
-        return forms.eval_grid(f)
+    def counting(p, axis_dims, coeffs):
+        calls.append(p)
+        return original(p, axis_dims, coeffs)
 
-    monkeypatch.setattr(construct, "eval_grid", counting)
+    monkeypatch.setattr(forms, "_value_grid", counting)
     budget.set_point_budget(2**7 - 1)
     with pytest.raises(budget.BudgetExceededError, match="vector table"):
         external_approx(source, 1)
@@ -636,10 +647,21 @@ def test_forced_epsilon_overshoot_diagnostic(monkeypatch):
 
 @pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
 def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
+    # the fiber rows of each form are built once per shape and fiber factor,
+    # and the scope that shares them closes with the call
     v = random_variety(random.Random(21), Shape(p, dims), 2, full_support_only=full)
-    seen = count_grid_evaluations(monkeypatch)
+    seen = collections.Counter()
+    original = construct.fiber_values
+
+    def counting(forms_, j, others):
+        seen.update((f.shape, f.key(), j) for f in forms_)
+        return original(forms_, j, others)
+
+    monkeypatch.setattr(construct, "fiber_values", counting)
     find_subvariety(v)
     assert seen and max(seen.values()) == 1
+    assert {f.key() for f in v.forms} <= {key for _, key, _ in seen}
+    assert construct._FIBERS.get() is None
     assert forms._GRIDS.get() is None
 
 
@@ -698,10 +720,12 @@ def test_finder_reads_base_codims_from_certificates(monkeypatch, p, dims):
 
 
 def test_grid_scope_closes_when_the_finder_raises(monkeypatch):
+    # the finder opens no grid scope, and its fiber scope closes on a raise
     approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError):
         find_subvariety(dot_variety(2, 2))
     assert forms._GRIDS.get() is None
+    assert construct._FIBERS.get() is None
 
 
 def test_memo_scope_closes_on_return_and_on_raise(monkeypatch):
@@ -834,7 +858,7 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     budget.reset_work()
     cert = find_subvariety(v)
     assert counts == {"_solve": 7, "dense_columns": 27}
-    assert budget.work_points() == 4982
+    assert budget.work_points() == 5754
     assert len(cert.ledger) == 8660
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger

@@ -4,9 +4,10 @@ Each run contributes its argv, exit code, stdout, stderr, the bytes of the
 file it wrote (if any) and the work counter.  The runs cover find-sub then
 verify, conv-check, approx, rank, density and one sweep per generator, over
 p in {2, 3, 5} and arity 1 to 5, with exits 2, 3, 4 and 5 among them, and
-one verify and one density on a variety whose |G| is past the point budget.  A
-refactor that keeps every output byte-identical keeps GOLDEN_SHA256; a
-change meant to alter an output re-pins it from the failure message.
+two verifies and one density on a variety whose |G| is past the point
+budget.  A refactor that keeps every output byte-identical keeps
+GOLDEN_SHA256; a change meant to alter an output re-pins it from the
+failure message.
 
     PYTHONPATH=src python tests/test_golden_outputs.py DIR
 
@@ -31,7 +32,7 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "1eac767374e040a4a7092e951e197af52fba91fe27bd4e5d1a0ab3bac140d97d"
+GOLDEN_SHA256 = "b8cf5bedbd749a980aa231c36662afd1c6952e6ecab39ca262c9cb777ef0e736"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
@@ -65,19 +66,21 @@ def _write_inputs():
     put("map_p2.json", map_to_obj(random_map(random.Random(51), Shape(2, (2, 2)), 2)))
     put("map_p3.json", map_to_obj(random_map(random.Random(52), Shape(3, (1, 2)), 2)))
     Path("broken.json").write_text("{not json")
-    # |G| = 2**28, past the default budget.  The certificate's output is the
+    # |G| = 2**28, past the default budget.  The certificates' output is the
     # input's canonical forms; its density was counted separately, one
-    # 2-row rank over F_2 per point of factor 1
+    # 2-row rank over F_2 per point of factor 1.  The first claims the
+    # budget 0, the second the budget of that density
     wide = random_variety(random.Random(61), Shape(2, (14, 14)), 2, full_support_only=True)
     put("wide_p2_1414.json", variety_to_obj(wide))
-    put("cert_wide_p2_1414.json", {
-        "format_version": "4",
-        "input_density": "16389/65536",
-        "output_codim": 2,
-        "budget": 0,
-        "output": variety_to_obj(wide.canonical()),
-        "ledger": [],
-    })
+    for name, claimed in (("cert_wide_p2_1414.json", 0), ("cert_wide_budget_p2_1414.json", 61)):
+        put(name, {
+            "format_version": "4",
+            "input_density": "16389/65536",
+            "output_codim": 2,
+            "budget": claimed,
+            "output": variety_to_obj(wide.canonical()),
+            "ledger": [],
+        })
 
 
 def _runs():
@@ -111,6 +114,8 @@ def _runs():
     yield ["find-sub", "--input", "p2_k2.json", "--budget", "10"]
     yield ["density", "--input", "broken.json"]
     yield ["verify", "--input", "wide_p2_1414.json", "--certificate", "cert_wide_p2_1414.json"]
+    yield ["verify", "--input", "wide_p2_1414.json", "--certificate",
+           "cert_wide_budget_p2_1414.json"]
     yield ["density", "--input", "wide_p2_1414.json", "--format", "json"]
 
 

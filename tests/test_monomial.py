@@ -6,7 +6,7 @@ import pytest
 
 from mlvariety.errors import PreconditionError
 from mlvariety.forms import ceil_log
-from mlvariety.monomial import Monomial
+from mlvariety.monomial import Monomial, _log_sign
 
 from helpers import monomial_value
 
@@ -135,3 +135,17 @@ def test_monomials_of_different_levels_do_not_combine():
             a < b
         with pytest.raises(PreconditionError):
             a * b
+
+
+def test_log_sign_matches_the_exact_product():
+    """The bit-length brackets that settle most signs before any base is
+    split agree with the exact product, powers of two and ties included."""
+    rng = random.Random(11)
+    for _ in range(3000):
+        powers = [(rng.choice([1, 2, 3, 4, 6, 8, 9, 10, 27, 32, 1 + rng.randrange(200)]),
+                   rng.randrange(-7, 8)) for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.2:
+            b, x = powers[0]
+            powers.append((b, -x))
+        product = math.prod(Fraction(b) ** x for b, x in powers)
+        assert _log_sign(powers) == _sign(product - 1), powers
