@@ -33,7 +33,6 @@ from .construct import (
 from .errors import InputFormatError, PreconditionError, ZeroBiasError
 from .forms import (
     Shape,
-    _grid_scope,
     analytic_rank,
     bias,
     partition_rank_search,
@@ -60,7 +59,7 @@ from .jsonio import (
     variety_from_obj,
 )
 from .fibers import density
-from .variety import Variety, bad_set_cap, conv_fill_check, variety_bitmap
+from .variety import Variety, _grid_scope, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0
 EXIT_PARSE = 2

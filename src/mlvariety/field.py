@@ -94,9 +94,40 @@ all_vectors.cache_info = _vector_table.cache_info
 all_vectors.cache_clear = _vector_table.cache_clear
 
 
+def shift_rows(p: int, n: int, shifts, cells=slice(None)) -> np.ndarray:
+    """Rows of the translation tables of F_p^n for an array of shifts:
+    entry [..., c] is the rank of (vector cells[c]) + (vector shifts[...]),
+    an int64 array of shape shifts.shape + the shape of the ranks that
+    `cells` selects (all p**n of them by default; an int selects one).
+
+    At p = 2 a translation by u flips the bits of the rank where u has
+    ones, so a row is the cell ranks XOR u.  Otherwise the digits of the
+    two vectors, read from the vector table, are added with one
+    conditional subtraction of p each and ranked again, so besides the
+    result it holds two uint8 digit arrays.  The point budget is checked
+    on every call.
+    """
+    budget.ensure(p**n, "translation table")
+    shifts = np.asarray(shifts, dtype=np.int64)
+    ranks = np.arange(p**n, dtype=np.int64)[cells]
+    if p == 2:
+        return np.bitwise_xor.outer(shifts, ranks)
+    table = all_vectors(p, n)
+    at_cells, at_shifts = table[ranks], table[shifts]
+    out = np.zeros(shifts.shape + ranks.shape, dtype=np.int64)
+    for t in range(n):
+        digit = np.asarray(np.add.outer(at_shifts[..., t], at_cells[..., t]))
+        # digit - p wraps above digit unless digit >= p
+        np.minimum(digit, digit - p, out=digit)
+        out *= p
+        out += digit
+    return out
+
+
 def shift_permutation(p: int, n: int, shift: int) -> np.ndarray:
     """Index permutation of F_p^n realizing v -> v + u, where u is the
-    vector of rank `shift`: entry t is the rank of (vector t) + u.
+    vector of rank `shift`: entry t is the rank of (vector t) + u.  This
+    is shift_rows' one-row case, memoized.
 
     Memoized like all_vectors, with the point budget checked on every call;
     cache_info and cache_clear are the memo's.
@@ -107,14 +138,7 @@ def shift_permutation(p: int, n: int, shift: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _shift_table(p: int, n: int, shift: int) -> np.ndarray:
-    if p == 2:
-        # adding u over F_2 flips the bits of the rank where u has ones
-        perm = np.arange(2**n, dtype=np.int64) ^ shift
-    else:
-        table = all_vectors(p, n).astype(np.int64)
-        moved = (table + table[shift]) % p
-        powers = np.array([p ** (n - 1 - t) for t in range(n)], dtype=np.int64)
-        perm = moved @ powers if n else np.zeros(1, dtype=np.int64)
+    perm = shift_rows(p, n, shift)
     perm.setflags(write=False)
     return perm
 

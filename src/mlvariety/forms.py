@@ -219,14 +219,6 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
     return t.astype(np.uint8, copy=False)
 
 
-# Arrays already computed in the open grid scope: value grids keyed by
-# (shape, form key), and variety bitmaps (variety.variety_bitmap) keyed by
-# (shape, empty marker, raw form keys); None when no scope is open.
-_GRIDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "mlvariety_grids", default=None
-)
-
-
 @contextlib.contextmanager
 def _scoped_cache(var: contextvars.ContextVar):
     """Give the context variable an empty dict for the duration of the block.
@@ -244,33 +236,13 @@ def _scoped_cache(var: contextvars.ContextVar):
         var.reset(token)
 
 
-def _grid_scope():
-    """Memoize eval_grid and variety.variety_bitmap for the duration of the
-    block."""
-    return _scoped_cache(_GRIDS)
-
-
 def eval_grid(form: MultilinearForm) -> np.ndarray:
-    """Values of the form at every point of its support product group.
-
-    Inside a grid scope each distinct form is evaluated once and later calls
-    return the same read-only array.  A hit evaluates nothing and charges
-    nothing; the budget it would check already admitted the same grid.  The
-    scope also holds the variety bitmaps built from these grids, so a
-    repeated bitmap reaches no grid at all.
-    """
+    """Values of the form at every point of its support product group,
+    charged as many points."""
     p = form.shape.p
     dims = [form.shape.dims[j] for j in form.support]
-    grids = _GRIDS.get()
-    key = (form.shape, form.key())
-    if grids is not None and key in grids:
-        return grids[key]
     budget.charge(math.prod(p**n for n in dims), "evaluation grid")
-    grid = _value_grid(p, dims, form.coeffs)
-    if grids is not None:
-        grid.setflags(write=False)
-        grids[key] = grid
-    return grid
+    return _value_grid(p, dims, form.coeffs)
 
 
 def fiber_values(forms: Sequence[MultilinearForm], j: int,

@@ -133,6 +133,5 @@ def random_point_subset(
     while len(chosen) < count:
         chosen.add(rng.randrange(len(pool)))
     out = np.zeros(shape.group_sizes, dtype=bool)
-    for i in sorted(chosen):
-        out[tuple(int(t) for t in pool[i])] = True
+    out[tuple(pool[list(chosen)].T)] = True
     return PointSet(shape, out)

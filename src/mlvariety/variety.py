@@ -12,6 +12,7 @@ representable empty set.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,11 +22,11 @@ import numpy as np
 
 from . import budget
 from .errors import PreconditionError
-from .field import all_vectors, rref, shift_permutation, vector_from_index, vector_index
+from .field import all_vectors, rref, shift_permutation, shift_rows, vector_from_index, vector_index
 from .forms import (
-    _GRIDS,
     MultilinearForm,
     Shape,
+    _scoped_cache,
     _sliced,
     coerce_point,
     eval_form,
@@ -104,16 +105,27 @@ def _variety_key(v: Variety) -> tuple:
     # Key of a variety in the open scopes: of its bitmap here, of its
     # certificate in the finder's sub-problem memo.  The raw defining list,
     # not canonical(): the finder reads the raw list, and lists with one
-    # canonical form are not known to give one certificate.  Three fields,
-    # so never equal to a two-field value-grid key in the same scope dict.
+    # canonical form are not known to give one certificate.
     return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
+
+
+# Variety bitmaps built in the open grid scope, keyed by _variety_key; None
+# when no scope is open.
+_GRIDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "mlvariety_grids", default=None
+)
+
+
+def _grid_scope():
+    """Memoize variety_bitmap for the duration of the block."""
+    return _scoped_cache(_GRIDS)
 
 
 def variety_bitmap(v: Variety) -> np.ndarray:
     """Boolean membership array with one axis per factor, indexed by vector
     rank in enumeration order.
 
-    Inside a grid scope (forms._grid_scope) each distinct variety (shape,
+    Inside a grid scope (_grid_scope) each distinct variety (shape,
     empty marker and raw defining list) is built once and later calls
     return the same read-only array.  A hit builds nothing and charges
     nothing; its first build already passed the same budget in the same
@@ -309,17 +321,45 @@ def iterated_conv_witness(allowed: PointSet, point) -> Parallelepiped | None:
     )
 
 
+def _flat_strides(shape: Shape) -> np.ndarray:
+    """(k,) int64: how far one rank in each factor moves a flat cell of the
+    group in C order."""
+    sizes = shape.group_sizes
+    return np.array([math.prod(sizes[i + 1:]) for i in range(shape.k)], dtype=np.int64)
+
+
+def _corners_allowed(allowed: np.ndarray, cells: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(N,) bool: True at the rows whose 2**k corners all lie in `allowed`,
+    where the corner of row r for a subset T of directions is the flat cell
+    cells[r] plus steps[r, i] for each direction i in T.  `cells` is
+    updated in place.
+
+    Each corner is one flat gather on `allowed` for all rows.  The subsets
+    are walked in Gray-code order, so each corner's cells are the previous
+    corner's plus or minus one direction's steps.
+    """
+    flat = allowed.reshape(-1)
+    ok = flat.take(cells)
+    for subset in range(1, 2 ** steps.shape[1]):
+        # the bit that flips between the Gray codes of subset - 1 and subset
+        i = (subset & -subset).bit_length() - 1
+        if (subset ^ subset >> 1) >> i & 1:
+            cells += steps[:, i]
+        else:
+            cells -= steps[:, i]
+        ok &= flat.take(cells)
+    return ok
+
+
 def _zero_offset_hits(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """(N,) bool: True where the all-zero offset tuple is a witness at that
     row of `bases`.  Its corner for a subset T of directions is the base
-    with the coordinates outside T set to rank 0, so one gather per subset
-    checks that corner at every row."""
-    hits = np.ones(len(bases), dtype=bool)
-    for subset in range(2**shape.k):
-        hits &= allowed[
-            tuple(bases[:, i] if subset >> i & 1 else 0 for i in range(shape.k))
-        ]
-    return hits
+    with the coordinates outside T set to rank 0, whose flat cell is the
+    sum of the base's flat steps in the directions of T, so one flat gather
+    per subset (_corners_allowed) checks that corner at every row."""
+    return _corners_allowed(
+        allowed, np.zeros(len(bases), dtype=np.int64), bases * _flat_strides(shape)
+    )
 
 
 def _first_row_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -333,32 +373,27 @@ def _first_row_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> 
     a set with a translate of itself, so they commute with that AND: each
     base needs one row, the AND of those two rows of `allowed`, reduced by
     its own shifts in one flat gather per direction for a whole chunk of
-    bases.  A chunk is |G_k| bases, so besides one axis-reversed copy of
-    `allowed` it holds |G| row cells and as many int64 gather indices.
+    bases.  The translations of a chunk come from one field.shift_rows call
+    per direction: cell 0 of each base's table in the last direction, whole
+    rows in the others.  A chunk is |G_k| bases, so besides one
+    axis-reversed copy of `allowed` it holds |G| row cells and as many int64
+    gather indices.
     """
     rev = np.ascontiguousarray(allowed.T)
     chunk = rev.shape[0]
     row_cells = shape.total_points // chunk
     offsets = np.full(bases.shape, -1, dtype=np.int64)
-
-    def translated(n, ts, cells):
-        # those cells of each base's shift table, each distinct table looked
-        # up once
-        distinct, inverse = np.unique(ts, return_inverse=True)
-        perms = [shift_permutation(shape.p, n, t)[cells] for t in distinct.tolist()]
-        return np.array(perms)[inverse]
-
     within = np.arange(row_cells).reshape(rev.shape[1:])
     for start in range(0, len(bases), chunk):
         part = bases[start:start + chunk]
-        rows = rev[0] & rev[translated(shape.dims[-1], part[:, -1], 0)]
+        rows = rev[0] & rev[shift_rows(shape.p, shape.dims[-1], part[:, -1], 0)]
         for i in range(shape.k - 1):
             # direction i is axis k-1-i of rev and of `rows`, and the
             # directions below it are the axes after it, so moving its rank
             # from r to entry r of the shift table moves a flat cell by the
             # difference times their size
             n = shape.group_sizes[i]
-            step = translated(shape.dims[i], part[:, i], slice(None))
+            step = shift_rows(shape.p, shape.dims[i], part[:, i])
             step -= np.arange(n)
             step *= math.prod(shape.group_sizes[:i])
             step += np.arange(0, rows.size, row_cells)[:, None]
@@ -386,20 +421,26 @@ def _scan_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.nd
     combination of the directions processed so far.  Rows sharing their
     first k-1 ranks are adjacent, so the rounds for directions 0..k-2 run
     once per prefix and only the last direction's round runs once per base.
+    The translations come from field.shift_rows: one row per prefix, and
+    the last direction's rows for up to |G|/|G_k| bases per call, so a call
+    holds at most |G| int64 cells.
     """
     k = shape.k
     rev = allowed.T.copy()
     flat = np.full(len(bases), -1, dtype=np.int64)
     new_prefix = np.ones(len(bases), dtype=bool)
     new_prefix[1:] = (bases[1:, :-1] != bases[:-1, :-1]).any(axis=1)
-    starts = np.flatnonzero(new_prefix).tolist()
+    cuts = new_prefix.copy()
+    cuts[::shape.total_points // shape.group_sizes[-1]] = True
+    starts = np.flatnonzero(cuts).tolist()
     for start, end in zip(starts, [*starts[1:], len(bases)]):
-        shared = rev
-        for i, t in enumerate(bases[start, :-1].tolist()):
-            perm = shift_permutation(shape.p, shape.dims[i], t)
-            shared = shared & np.take(shared, perm, axis=k - 1 - i)
-        for row, t in enumerate(bases[start:end, -1].tolist(), start):
-            perm = shift_permutation(shape.p, shape.dims[-1], t)
+        if new_prefix[start]:
+            shared = rev
+            for i, t in enumerate(bases[start, :-1].tolist()):
+                perm = shift_rows(shape.p, shape.dims[i], t)
+                shared = shared & np.take(shared, perm, axis=k - 1 - i)
+        perms = shift_rows(shape.p, shape.dims[-1], bases[start:end, -1])
+        for row, perm in enumerate(perms, start):
             out = (shared & shared[perm]).reshape(-1)
             first = int(out.argmax())
             if out[first]:
@@ -419,8 +460,9 @@ def _fill_scan(shape: Shape, bases: np.ndarray, allowed: np.ndarray, what: str):
 
     "First" is reversed lexicographic order, last direction compared first,
     and three tiers find it, each taking only the rows the one before left:
-    - the zero-offset pre-check (_zero_offset_hits, 2**k gathers for all
-      rows at once): the all-zero offset tuple is the minimum of the order;
+    - the zero-offset pre-check (_zero_offset_hits, 2**k flat gathers for
+      all rows at once): the all-zero offset tuple is the minimum of the
+      order;
     - the first-row pass (_first_row_offsets): offsets with last offset 0
       come before all others, and finding them reads one row of |G|/|G_k|
       cells per base, in chunks of |G| cells;
@@ -470,9 +512,12 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     witnesses with last offset 0 at most of the other points, and only the
     points left after both go to the full scan.  Every witness's corners are
     re-checked against the bad set before it counts, in one vectorized pass
-    over all witnessed bases: ranks are decoded through the vector table,
-    each base is added to its offsets mod p, and the sums are ranked again,
-    so the re-check does not depend on the shift tables the search uses.
+    over all witnessed bases: in each direction one take on the transposed
+    vector table (field.all_vectors) decodes the base ranks and one the
+    offset ranks, the digits are added with a conditional subtraction of p
+    and ranked again, and the 2**k corners are flat gathers on `allowed`.
+    It calls no translation kernel, so it does not depend on the shift
+    tables the search uses.
     """
     shape = v.shape
     if bad.shape != shape:
@@ -492,25 +537,23 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
     offsets = _fill_scan(shape, bases, allowed, "filling check")
     checked = len(bases)
     witnessed = offsets[:, 0] >= 0
-    failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())
-    bases, offsets = bases[witnessed], offsets[witnessed]
-    moved = []
+    failures = ()
+    if not witnessed.all():
+        failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())
+        bases, offsets = bases[witnessed], offsets[witnessed]
+    strides = _flat_strides(shape)
+    steps = np.empty_like(offsets)
     for i, n in enumerate(shape.dims):
-        table = all_vectors(shape.p, n)
-        coords = table[bases[:, i]]
-        coords += table[offsets[:, i]]
-        coords %= shape.p
-        rank = np.zeros(len(coords), dtype=np.int64)
-        for c in range(n):
-            rank *= shape.p
-            rank += coords[:, c]
-        moved.append(rank)
-    for subset in range(2**shape.k):
-        corner = tuple(
-            moved[i] if subset >> i & 1 else offsets[:, i] for i in range(shape.k)
-        )
-        if not allowed[corner].all():
-            raise PreconditionError("witness corner escaped the allowed set")
+        # the digits of base + offset in direction i, one row per coordinate;
+        # in uint8, digits - p wraps above digits unless digits >= p
+        table = np.ascontiguousarray(all_vectors(shape.p, n).T)
+        digits = table.take(bases[:, i], axis=1)
+        digits += table.take(offsets[:, i], axis=1)
+        np.minimum(digits, digits - shape.p, out=digits)
+        moved = shape.p ** np.arange(n - 1, -1, -1, dtype=np.int64) @ digits
+        steps[:, i] = (moved - offsets[:, i]) * strides[i]
+    if not _corners_allowed(allowed, offsets @ strides, steps).all():
+        raise PreconditionError("witness corner escaped the allowed set")
     return ConvFillReport(
         codim=r,
         bad_size=bad.size,

@@ -13,7 +13,7 @@ search with both of its bounds moved out of the way, one counts the
 library's own value-grid evaluations and one its bitmap passes, for the
 grid-cache tests, one makes every lookup in the finder's sub-problem memo
 miss, for the memo oracle, one switches off the witness search's zero-offset
-pre-check and one its first-row pass, one replaces its translation tables,
+pre-check and one its first-row pass, two replace its translation tables,
 and one starves the finder's external approximation of functionals, for the
 failure paths.
 """
@@ -318,6 +318,18 @@ def skip_first_row_pass(monkeypatch):
     )
 
 
+def replace_shift_tables(monkeypatch, table):
+    """Make every translation table the witness search reads equal
+    table(p, n), whatever the shift: the batched kernel's rows, or the
+    cells of them it asks for, are copies of that one table."""
+    monkeypatch.setattr(
+        variety, "shift_rows",
+        lambda p, n, shifts, cells=slice(None): np.add.outer(
+            np.zeros(np.shape(shifts), dtype=np.int64), table(p, n)[cells]
+        ),
+    )
+
+
 def constant_shift_tables(monkeypatch, rank):
     """Make every translation the witness search uses land on the vector of
     the given rank, so a set missing that rank leaves no witness anywhere.
@@ -326,9 +338,7 @@ def constant_shift_tables(monkeypatch, rank):
     pre-check uses no translation table and would still find real
     witnesses, so it is made to accept no base."""
     skip_zero_offset_precheck(monkeypatch)
-    monkeypatch.setattr(
-        variety, "shift_permutation", lambda p, n, t: np.full(p**n, rank, dtype=np.int64)
-    )
+    replace_shift_tables(monkeypatch, lambda p, n: np.full(p**n, rank, dtype=np.int64))
 
 
 def approximate_with_no_functionals(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import budget, construct, forms
+from mlvariety import budget, construct, forms, variety
 from mlvariety.construct import (
     _fiber_constants,
     _level_constants,
@@ -662,7 +662,7 @@ def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     assert seen and max(seen.values()) == 1
     assert {f.key() for f in v.forms} <= {key for _, key, _ in seen}
     assert construct._FIBERS.get() is None
-    assert forms._GRIDS.get() is None
+    assert variety._GRIDS.get() is None
 
 
 def test_bitmaps_are_built_afresh_after_the_finder_returns(monkeypatch):
@@ -724,7 +724,7 @@ def test_grid_scope_closes_when_the_finder_raises(monkeypatch):
     approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError):
         find_subvariety(dot_variety(2, 2))
-    assert forms._GRIDS.get() is None
+    assert variety._GRIDS.get() is None
     assert construct._FIBERS.get() is None
 
 

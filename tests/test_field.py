@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mlvariety.field import (
     echelonize,
     rref,
     shift_permutation,
+    shift_rows,
     validate_prime,
     vector_from_index,
     vector_index,
@@ -128,6 +130,54 @@ def test_shift_permutation_p2_matches_the_generic_formula(n):
         perm = shift_permutation(2, n, t)
         assert not perm.flags.writeable
         assert perm.tolist() == (((table + table[t]) % 2) @ powers).tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+@pytest.mark.parametrize("n", range(5))
+def test_shift_rows_match_shift_permutation_and_vector_addition(p, n):
+    size = p**n
+    gen = np.random.default_rng(100 * p + n)
+    shifts = gen.integers(size, size=(2, 2))
+    cells = gen.integers(size, size=7)
+    vectors = list(itertools.product(range(p), repeat=n))
+    rank = {v: t for t, v in enumerate(vectors)}
+    rows = shift_rows(p, n, shifts)
+    subset = shift_rows(p, n, shifts, cells)
+    first = shift_rows(p, n, shifts, 0)
+    assert rows.dtype == subset.dtype == first.dtype == np.int64
+    assert rows.shape == (2, 2, size) and subset.shape == (2, 2, 7) and first.shape == (2, 2)
+    for t, row, part, cell0 in zip(
+        shifts.reshape(-1).tolist(), rows.reshape(-1, size), subset.reshape(-1, 7),
+        first.reshape(-1).tolist(),
+    ):
+        want = [rank[tuple((a + b) % p for a, b in zip(v, vectors[t]))] for v in vectors]
+        assert row.tolist() == want
+        assert np.array_equal(row, shift_permutation(p, n, t))
+        assert part.tolist() == [want[c] for c in cells.tolist()]
+        assert cell0 == want[0]
+
+
+def test_shift_rows_refuse_over_budget():
+    budget.set_point_budget(100)
+    with pytest.raises(BudgetExceededError, match="translation table needs 4096 points"):
+        shift_rows(2, 12, [5], 0)
+    with pytest.raises(BudgetExceededError, match="translation table needs 729 points"):
+        shift_rows(3, 6, [5], [0, 1])
+
+
+@pytest.mark.parametrize("p, n", [(2, 9), (3, 6)])
+def test_shift_rows_hold_about_their_result(p, n):
+    # every shift's whole row, as the first-row pass asks for a chunk
+    shifts = np.arange(p**n)
+    all_vectors(p, n)
+    tracemalloc.start()
+    try:
+        rows = shift_rows(p, n, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == 8 * p ** (2 * n)
+    assert peak < 1.5 * rows.nbytes
 
 
 def test_echelonize_duplicate_rows():

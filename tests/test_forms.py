@@ -1,6 +1,5 @@
 import itertools
 import random
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -200,51 +199,6 @@ def test_value_grid_peak_memory_stays_near_the_grid():
         tracemalloc.stop()
     assert grid.nbytes == 2**22
     assert peak < 2 * grid.nbytes
-
-
-def test_grid_scope_returns_one_read_only_grid_per_form():
-    f = random_form(random.Random(12), Shape(3, (2, 2)))
-    with forms._grid_scope():
-        first = eval_grid(f)
-        again = eval_grid(MultilinearForm(f.shape, f.support, f.coeffs))
-        assert again is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 1
-    assert eval_grid(f) is not first
-    assert np.array_equal(eval_grid(f), first)
-
-
-def test_grid_scope_hit_charges_nothing():
-    f = random_form(random.Random(13), Shape(2, (3, 2)))
-    budget.reset_work()
-    with forms._grid_scope():
-        first = eval_grid(f)
-        assert budget.work_points() == 2**5
-        assert eval_grid(f) is first
-        assert budget.work_points() == 2**5
-
-
-def test_grid_scope_nests_into_the_outer_scope_and_closes():
-    f = random_form(random.Random(14), Shape(2, (2, 2)))
-    assert forms._GRIDS.get() is None
-    with forms._grid_scope():
-        with forms._grid_scope():
-            inner = eval_grid(f)
-        assert eval_grid(f) is inner
-    assert forms._GRIDS.get() is None
-
-
-def test_grid_scope_is_per_thread():
-    f = random_form(random.Random(15), Shape(2, (2, 2)))
-    seen = []
-    with forms._grid_scope():
-        eval_grid(f)
-        worker = threading.Thread(target=lambda: seen.append(forms._GRIDS.get()))
-        worker.start()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert seen == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,27 @@ def test_random_point_subset_counts_and_containment():
         random_point_subset(rng, sh, mask, -1)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_random_point_subset_places_the_points_it_always_drew(seed):
+    rng = random.Random(seed)
+    sh = Shape(rng.choice([2, 3]), small_dims(rng, rng.randrange(1, 4), 6))
+    mask = variety_bitmap(random_variety(rng, sh, rng.randrange(3)))
+    count = rng.randrange(int(np.count_nonzero(mask)) + 1)
+    # the per-point placement of earlier releases, on a copy of the stream
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    pool = np.argwhere(mask)
+    chosen = set()
+    while len(chosen) < count:
+        chosen.add(twin.randrange(len(pool)))
+    want = np.zeros(sh.group_sizes, dtype=bool)
+    for i in sorted(chosen):
+        want[tuple(int(t) for t in pool[i])] = True
+    got = random_point_subset(rng, sh, mask, count)
+    assert np.array_equal(got.mask, want)
+    assert rng.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda rng: random_subspace(rng, 2, 2, 3), "subspace dimension out of range",
                  id="subspace-over-ambient"),

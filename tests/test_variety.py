@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from mlvariety import budget, variety
 from mlvariety.errors import PreconditionError
 from mlvariety.fibers import density
-from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, _grid_scope, zero_form
+from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
 from mlvariety.generators import random_point_subset, random_variety
 from mlvariety.variety import (
     Parallelepiped,
     PointSet,
     Variety,
     _fill_scan,
+    _grid_scope,
     _point_from_index,
     _point_index,
     conv_fill_check,
@@ -34,6 +36,7 @@ from helpers import (
     brute_first_witness,
     constant_shift_tables,
     enumerate_points,
+    replace_shift_tables,
     skip_first_row_pass,
     skip_zero_offset_precheck,
     small_dims,
@@ -196,6 +199,28 @@ def test_bitmap_is_built_once_per_grid_scope():
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0, 0] = True
     assert fresh[0].flags.writeable
+
+
+def test_grid_scope_nests_into_the_outer_scope_and_closes():
+    v = random_variety(random.Random(14), Shape(2, (2, 2)), 2)
+    assert variety._GRIDS.get() is None
+    with _grid_scope():
+        with _grid_scope():
+            inner = variety_bitmap(v)
+        assert variety_bitmap(v) is inner
+    assert variety._GRIDS.get() is None
+
+
+def test_grid_scope_is_per_thread():
+    v = random_variety(random.Random(15), Shape(2, (2, 2)), 2)
+    seen = []
+    with _grid_scope():
+        variety_bitmap(v)
+        worker = threading.Thread(target=lambda: seen.append(variety._GRIDS.get()))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen == [None]
 
 
 def test_variety_points_in_lex_order():
@@ -439,7 +464,7 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables(monkeypatch):
     assert conv_fill_check(w, bad).success
     # a search whose translations are all the identity accepts the offset
     # (0,0,0) at base (0,0,1), whose shifted corner (0,0,1) is bad
-    monkeypatch.setattr(variety, "shift_permutation", lambda p, n, t: np.arange(p**n))
+    replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
     with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad)
 
@@ -454,9 +479,36 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables_p3_k2(monkeypat
     # with identity translations the search accepts the zero offsets at the
     # base ((0,0),(2,2)), whose corner shifted in direction 1 is bad; the
     # re-check must rank that corner in base 3 to see it
-    monkeypatch.setattr(variety, "shift_permutation", lambda p, n, t: np.arange(p**n))
+    replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
     with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad)
+
+
+@pytest.mark.parametrize("p, dims", [
+    (2, (3,)), (3, (0,)), (3, (2, 1)), (2, (0, 2)), (2, (1, 2, 1)), (5, (1, 0, 1)),
+    (2, (1, 1, 1, 1)), (3, (1, 0, 1, 1)),
+])
+def test_flat_corner_gathers_match_tuple_indexing(p, dims):
+    sh = Shape(p, dims)
+    gen = np.random.default_rng(sum(dims) + 10 * p + len(dims))
+    allowed = gen.random(sh.group_sizes) < 0.9
+    # the zero offset is a witness at base 0 and none at the last base
+    allowed.flat[0], allowed.flat[-1] = True, sh.total_points == 1
+    bases = np.argwhere(np.ones(sh.group_sizes, dtype=bool))
+    offsets = gen.integers(sh.group_sizes, size=bases.shape)
+    moved = gen.integers(sh.group_sizes, size=bases.shape)
+    subsets = range(2**sh.k)
+
+    def picked(high, low, r, subset):
+        return tuple(int(high[r, i] if subset >> i & 1 else low[r, i]) for i in range(sh.k))
+
+    zero = np.zeros_like(bases)
+    want_hits = [all(allowed[picked(bases, zero, r, s)] for s in subsets) for r in range(len(bases))]
+    want = [all(allowed[picked(moved, offsets, r, s)] for s in subsets) for r in range(len(bases))]
+    strides = variety._flat_strides(sh)
+    assert variety._zero_offset_hits(sh, bases, allowed).tolist() == want_hits
+    got = variety._corners_allowed(allowed, offsets @ strides, (moved - offsets) * strides)
+    assert got.tolist() == want
 
 
 def test_conv_fill_reports_every_point_without_a_witness(monkeypatch):
