@@ -226,6 +226,14 @@ def cmd_conv_check(args) -> int:
 
 def cmd_approx(args) -> int:
     source = map_from_obj(load_json(args.input))
+    # The error cap p**-s |G| is p**e in lowest terms.  Whether it has more
+    # digits than Python writes (its default limit where the limit is off)
+    # is decided exactly, with no power of p past that limit: 2**|e| alone
+    # has more once |e| > 4 * limit.
+    p, e = source.shape.p, sum(source.shape.dims) - args.s
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if args.s >= 0 and (abs(e) > 4 * limit or p ** abs(e) >= 10**limit):
+        raise BudgetExceededError(f"error cap {p}^{e} is too long to write")
     result = external_approx(source, args.s)
     lines = [
         f"functionals: {args.s}",

@@ -32,7 +32,7 @@ from .errors import (
     EmptyVarietyError,
     PreconditionError,
 )
-from .field import all_vectors, batched_echelon, vector_from_index
+from .field import all_vectors, batched_echelon, shift_rows, vector_from_index
 from .forms import (
     MultilinearForm,
     MultilinearMap,
@@ -245,9 +245,10 @@ def _image_histogram(fib: _Fibers, components) -> np.ndarray:
     The image of M(x) is spanned by its columns at the pivots of the echelon
     basis of its rows, and it is closed over the p**m codes one such column
     at a time: adding a column v takes a set S to the union of S + a v over
-    a in F_p, p - 1 gathers of S shifted by v.  Each of its p**rank values
-    is hit p**(n - rank) times.  Charges the B * p**m cells of the image
-    masks.
+    a in F_p, which p - 1 gathers of S shifted by v reach.  The shifted
+    codes come from one field.shift_rows call per pivot, freed before the
+    next.  Each of its p**rank values is hit p**(n - rank) times.  Charges
+    the B * p**m cells of the image masks.
     """
     p, m, b, n = fib.p, len(components), fib.b, fib.n
     # the codes of the columns of M(x); none without a fiber factor
@@ -262,26 +263,16 @@ def _image_histogram(fib: _Fibers, components) -> np.ndarray:
     image = np.zeros((b, size), dtype=bool)
     image[:, 0] = True
     flat = image.reshape(-1)
-    digits = all_vectors(p, m).astype(np.intp)
     at = np.arange(b)
     cells = np.arange(0, b * size, size)[:, None]
-    back = np.empty((b, size), dtype=np.intp)
     for pivot, _ in system.basis:
-        # where the pair is zero its pivot column still lies in the image
-        col = columns[at, pivot]
-        # back[x, u] is the flat cell of code u - col[x]
-        if p == 2:
-            np.bitwise_xor(np.arange(size), col[:, None], out=back)
-        else:
-            back[:] = 0
-            for f, v in enumerate(digits[col].T):
-                back *= p
-                digit = digits[:, f] - v[:, None]
-                back += digit - digit // p * p
-        back += cells
+        # where the pair is zero its pivot column still lies in the image;
+        # ahead[x, u] is the flat cell of code u + col[x]
+        ahead = shift_rows(p, m, columns[at, pivot])
+        ahead += cells
         for _ in range(p - 1):
-            image |= flat.take(back)
-    del back
+            image |= flat.take(ahead)
+        del ahead
     # the hits sum to B * p**n, exact in int64 below 2**63
     weight = np.array([p ** (n - r) for r in range(min(len(system.basis), n) + 1)],
                       dtype=np.int64 if b * p**n < 2**63 else object)
@@ -745,10 +736,11 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
     priced at one point when the input has none, and the certificate's own
     top-level claims hold: its input density is the input's exact density
     and its budget is that budget.  Failures are flags, not exceptions; a
-    shape mismatch fails all three and still reports the input's budget.  The point count and the containment come from the
-    fiber ranks of ``fibers``, which builds no value grid or bitmap, so the
-    check shares no evaluation kernel with the finder and also runs on
-    shapes whose |G| is past the point budget.
+    shape mismatch fails all three and still reports the input's budget.
+    The point count and the containment come from the fiber ranks of
+    ``fibers``, which builds no value grid or bitmap, so the check shares
+    no evaluation kernel with the finder and also runs on shapes whose |G|
+    is past the point budget.
     """
     out = cert.output
     same_shape = out.shape == v.shape

@@ -94,22 +94,24 @@ all_vectors.cache_info = _vector_table.cache_info
 all_vectors.cache_clear = _vector_table.cache_clear
 
 
-def shift_rows(p: int, n: int, shifts, cells=slice(None)) -> np.ndarray:
+def shift_rows(p: int, n: int, shifts, cells=None) -> np.ndarray:
     """Rows of the translation tables of F_p^n for an array of shifts:
     entry [..., c] is the rank of (vector cells[c]) + (vector shifts[...]),
-    an int64 array of shape shifts.shape + the shape of the ranks that
-    `cells` selects (all p**n of them by default; an int selects one).
+    an int64 array of shape shifts.shape + cells' shape.  `cells`, an int
+    or an array of ranks used as given, defaults to all p**n of them.  The
+    filling scan, the finder's value images and the partition-rank search
+    all translate here.
 
     At p = 2 a translation by u flips the bits of the rank where u has
     ones, so a row is the cell ranks XOR u.  Otherwise the digits of the
-    two vectors, read from the vector table, are added with one
+    two vectors, read from the memoized vector table, are added with one
     conditional subtraction of p each and ranked again, so besides the
     result it holds two uint8 digit arrays.  The point budget is checked
     on every call.
     """
     budget.ensure(p**n, "translation table")
     shifts = np.asarray(shifts, dtype=np.int64)
-    ranks = np.arange(p**n, dtype=np.int64)[cells]
+    ranks = np.asarray(np.arange(p**n) if cells is None else cells, dtype=np.int64)
     if p == 2:
         return np.bitwise_xor.outer(shifts, ranks)
     table = all_vectors(p, n)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError, ZeroBiasError
-from .field import all_vectors, as_coords, rref, validate_prime
+from .field import all_vectors, as_coords, rref, shift_rows, validate_prime
 
 
 @dataclass(frozen=True)
@@ -257,9 +257,9 @@ def fiber_values(forms: Sequence[MultilinearForm], j: int,
     The forms that share a support are one stack and one _value_grid call,
     over the support factors other than j, with the stack and j's
     coefficient axes kept; the factors of `others` outside the support are
-    broadcast.  Rows are views whose entries lie contiguously along x.  The budget admits B, then the B * n_j entries of each form
-    with j and the B of each other form are charged, before anything is
-    built.
+    broadcast.  Rows are views whose entries lie contiguously along x.
+    The budget admits B, then the B * n_j entries of each form with j and
+    the B of each other form are charged, before anything is built.
     """
     if not forms:
         return []
@@ -484,10 +484,12 @@ def partition_rank_search(form: MultilinearForm, b: Fraction) -> int | tuple[int
     search runs over the whole coefficient-tensor space: sums of r
     factorizable tensors are exactly the points at distance r from zero in
     the Cayley graph generated by the factorizable tensors, so the graph
-    distance of the target is its partition rank.  Layers are expanded only
-    for distances below the upper bound, which is returned if the target has
-    not appeared by then.  When the space times the generator count exceeds
-    the point budget, the interval (lower, upper) is returned instead.
+    distance of the target is its partition rank.  A layer's images are its
+    frontier translated by every generator, one field.shift_rows call.
+    Layers are expanded only for distances below the upper bound, which is
+    returned if the target has not appeared by then.  When the space times
+    the generator count exceeds the point budget, the interval (lower,
+    upper) is returned instead.
     """
     if form.is_zero():
         return 0
@@ -519,13 +521,7 @@ def partition_rank_search(form: MultilinearForm, b: Fraction) -> int | tuple[int
     visited[0] = True
     frontier = np.array([0], dtype=np.int64)
     for dist in range(1, upper):
-        if p == 2:
-            images = frontier[:, None] ^ gen_codes[None, :]
-        else:
-            digits = (frontier[:, None] // powers[None, :]) % p
-            summed = (digits[:, None, :] + gens[None, :, :]) % p
-            images = summed.reshape(-1, entry_count) @ powers
-        images = np.unique(images.reshape(-1))
+        images = np.unique(shift_rows(p, entry_count, frontier, gen_codes))
         fresh = images[~visited[images]]
         if target in fresh:
             return dist

@@ -262,19 +262,18 @@ def _point_index(shape: Shape, point) -> tuple[int, ...]:
 
 def directional_convolution(s: PointSet, direction: int, point) -> Fraction:
     """Exact value of the direction-i convolution of the set indicator:
-    the fraction of y in that factor with both translated points inside."""
+    the fraction of y in that factor with both translated points inside.
+    Only the line through the point in that direction is read and
+    translated, and its p**n_i points are charged."""
     shape = s.shape
     idx = _point_index(shape, point)
     if not 0 <= direction < shape.k:
         raise PreconditionError("direction outside the shape")
     n = shape.dims[direction]
     perm = shift_permutation(shape.p, n, idx[direction])
-    budget.charge(shape.total_points, "directional convolution")
-    both = s.mask & np.take(s.mask, perm, axis=direction)
-    sel = tuple(
-        slice(None) if i == direction else idx[i] for i in range(shape.k)
-    )
-    return Fraction(int(np.count_nonzero(both[sel])), shape.p**n)
+    budget.charge(shape.p**n, "directional convolution")
+    line = s.mask[tuple(slice(None) if i == direction else t for i, t in enumerate(idx))]
+    return Fraction(int(np.count_nonzero(line & line[perm])), shape.p**n)
 
 
 @dataclass(frozen=True)

@@ -784,6 +784,22 @@ def test_approx_over_budget_refuses_before_the_kill_table(tmp_path, capsys):
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("s, code", [(14000, EXIT_OK), (20000, EXIT_BUDGET), (10**9, EXIT_BUDGET)])
+def test_approx_refuses_a_cap_too_long_to_write(tmp_path, capsys, s, code):
+    # the cap 2**(4 - s) has 4,214 digits at s = 14000, past Python's 4,300
+    # at s = 20000; the refusal comes before any greedy step or power of p
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [2, 2], "support": [1, 2],
+        "codomain_dim": 2, "components": [[1, 0, 0, 0], [0, 0, 0, 1]],
+    }))
+    start = time.perf_counter()
+    assert main(["approx", "--input", str(path), "--s", str(s)]) == code
+    assert time.perf_counter() - start < 1
+    refusal = f"budget exceeded: error cap 2^{4 - s} is too long to write\n"
+    assert capsys.readouterr().err == ("" if code == EXIT_OK else refusal)
+
+
 def test_approx_empty_codomain_output(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({

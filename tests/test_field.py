@@ -180,6 +180,20 @@ def test_shift_rows_hold_about_their_result(p, n):
     assert peak < 1.5 * rows.nbytes
 
 
+def test_shift_rows_of_a_few_cells_hold_about_their_result():
+    # cell ranks are used as given: no table of all 2**24 ranks is built
+    shifts = np.array([0, 5, 2**24 - 1])
+    cells = np.array([0, 1, 7, 2**23, 2**24 - 1])
+    tracemalloc.start()
+    try:
+        rows = shift_rows(2, 24, shifts, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.tolist() == [[c ^ t for c in cells.tolist()] for t in shifts.tolist()]
+    assert peak < 4096
+
+
 def test_echelonize_duplicate_rows():
     s = echelonize([(1, 1), (1, 1)], 2, 2)
     assert s.rank == 1

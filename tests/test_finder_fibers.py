@@ -90,7 +90,7 @@ def test_fibers_match_brute_force_and_bitmaps(p, seed):
                 assert np.array_equal(u_mask, moved[:, t])
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
 @pytest.mark.parametrize("seed", range(3))
 def test_image_histogram_matches_bincount(p, seed):
     rng = random.Random(f"finder-histogram/{p}/{seed}")

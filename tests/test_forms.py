@@ -416,6 +416,21 @@ def test_search_agrees_with_matrix_rank_on_every_2x2_form(p):
         assert searched_rank(f)[0] == brute_rank_mod(f.coeffs.tolist(), p)
 
 
+def test_search_agrees_with_matrix_rank_on_sampled_2x2_forms_mod7():
+    # digit sums up to 12 in the search's translations, on seeded samples
+    rng = random.Random("search-mod7")
+    ranks = set()
+    for trial in range(12):
+        a, b, c, d = (rng.randrange(7) for _ in range(4))
+        # every third form is an outer product, of rank at most 1
+        coeffs = [a * c, a * d, b * c, b * d] if trial % 3 == 0 else [a, b, c, d]
+        f = MultilinearForm(Shape(7, (2, 2)), (0, 1), coeffs)
+        rank = brute_rank_mod(f.coeffs.tolist(), 7)
+        assert searched_rank(f)[0] == rank
+        ranks.add(rank)
+    assert ranks == {1, 2}
+
+
 def test_search_rank_interval_over_budget():
     # e000 + e111: bias 5/8 bounds the rank below by 1, the flattenings by 2
     t = np.zeros((2, 2, 2), dtype=int)

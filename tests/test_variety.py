@@ -387,6 +387,19 @@ def test_directional_conv_subspace_line():
     assert directional_convolution(s, 0, ((1, 0, 0),)) == 0
 
 
+def test_directional_conv_reads_and_charges_one_line():
+    # at (2,(4,4)) the line through a point holds 16 of the 256 points
+    sh = Shape(2, (4, 4))
+    mask = np.random.default_rng(3).random(sh.group_sizes) < 0.5
+    s = PointSet(sh, mask)
+    point = _point_from_index(sh, (5, 9))
+    want = Fraction(int(np.count_nonzero(mask[:, 9] & mask[[t ^ 5 for t in range(16)], 9])), 16)
+    budget.set_point_budget(64)
+    budget.reset_work()
+    assert directional_convolution(s, 0, point) == want
+    assert budget.work_points() == 16
+
+
 def test_witness_full_space_zero_offsets():
     sh = Shape(2, (1, 1))
     full = PointSet(sh, np.ones(sh.group_sizes, dtype=bool))
