@@ -59,7 +59,7 @@ from .jsonio import (
     variety_from_obj,
 )
 from .fibers import density
-from .variety import Variety, _grid_scope, bad_set_cap, conv_fill_check, variety_bitmap
+from .variety import Variety, _capped_bad_size, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -194,16 +194,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if check.all_ok else EXIT_VERIFY
 
 
-@_grid_scope()
 def cmd_conv_check(args) -> int:
     v = variety_from_obj(load_json(args.input))
     rng = random.Random(args.seed)
     mask = variety_bitmap(v)
-    cap = bad_set_cap(v.shape, v.codim)
-    allowed = min(int(cap), int(np.count_nonzero(mask)))
+    codim = v.codim
+    size = int(np.count_nonzero(mask))
+    allowed = min(int(bad_set_cap(v.shape, codim)), size)
     count = allowed if args.bad_count is None else args.bad_count
+    if count <= size:
+        # an over-cap count is refused before it is drawn; a count above |V|
+        # gets the sampler's refusal
+        _capped_bad_size(v.shape, codim, count)
     bad = random_point_subset(rng, v.shape, mask, count)
-    report = conv_fill_check(v, bad)
+    report = conv_fill_check(v, bad, mask, codim)
     lines = [
         f"codim: {report.codim}",
         f"bad_size: {report.bad_size} (cap {report.bad_cap})",

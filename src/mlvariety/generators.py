@@ -123,15 +123,17 @@ def random_variety(
 def random_point_subset(
     rng: random.Random, shape: Shape, mask: np.ndarray, count: int
 ) -> PointSet:
-    """count distinct points sampled from the masked set."""
+    """count distinct points sampled from the masked set: draws of
+    rng.randrange over the set's flat cells in C order until count distinct
+    ones are drawn."""
     if count < 0:
         raise PreconditionError(f"cannot sample a negative number of points ({count})")
-    pool = np.argwhere(np.asarray(mask, dtype=bool))
+    pool = np.flatnonzero(mask)
     if count > len(pool):
         raise PreconditionError(f"cannot sample {count} points from {len(pool)}")
     chosen: set[int] = set()
     while len(chosen) < count:
         chosen.add(rng.randrange(len(pool)))
     out = np.zeros(shape.group_sizes, dtype=bool)
-    out[tuple(pool[list(chosen)].T)] = True
+    out.reshape(-1)[pool[list(chosen)]] = True
     return PointSet(shape, out)

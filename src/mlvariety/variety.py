@@ -12,7 +12,6 @@ representable empty set.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +25,6 @@ from .field import all_vectors, rref, shift_permutation, shift_rows, vector_from
 from .forms import (
     MultilinearForm,
     Shape,
-    _scoped_cache,
     _sliced,
     coerce_point,
     eval_form,
@@ -102,39 +100,16 @@ def membership(v: Variety, point) -> bool:
 
 
 def _variety_key(v: Variety) -> tuple:
-    # Key of a variety in the open scopes: of its bitmap here, of its
-    # certificate in the finder's sub-problem memo.  The raw defining list,
-    # not canonical(): the finder reads the raw list, and lists with one
-    # canonical form are not known to give one certificate.
+    # Key of a variety's certificate in the finder's sub-problem memo.  The
+    # raw defining list, not canonical(): the finder reads the raw list, and
+    # lists with one canonical form are not known to give one certificate.
     return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
-
-
-# Variety bitmaps built in the open grid scope, keyed by _variety_key; None
-# when no scope is open.
-_GRIDS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "mlvariety_grids", default=None
-)
-
-
-def _grid_scope():
-    """Memoize variety_bitmap for the duration of the block."""
-    return _scoped_cache(_GRIDS)
 
 
 def variety_bitmap(v: Variety) -> np.ndarray:
     """Boolean membership array with one axis per factor, indexed by vector
-    rank in enumeration order.
-
-    Inside a grid scope (_grid_scope) each distinct variety (shape,
-    empty marker and raw defining list) is built once and later calls
-    return the same read-only array.  A hit builds nothing and charges
-    nothing; its first build already passed the same budget in the same
-    scope.  Outside a scope every call builds and charges afresh.
-    """
-    memo = _GRIDS.get()
-    key = _variety_key(v)
-    if memo is not None and key in memo:
-        return memo[key]
+    rank in enumeration order.  Every call builds and charges afresh, so a
+    caller that needs the bitmap twice passes the one it built."""
     budget.charge(v.shape.total_points, "variety bitmap")
     # the empty marker carries no forms
     out = np.full(v.shape.group_sizes, not v.is_empty)
@@ -144,9 +119,6 @@ def variety_bitmap(v: Variety) -> np.ndarray:
         for pos, j in enumerate(f.support):
             grown[j] = g.shape[pos]
         out &= g.reshape(grown)
-    if memo is not None:
-        out.setflags(write=False)
-        memo[key] = out
     return out
 
 
@@ -487,6 +459,18 @@ def bad_set_cap(shape: Shape, codim: int) -> Fraction:
     return Fraction(shape.total_points, 2 ** (2 * shape.k) * shape.p ** (shape.k * codim))
 
 
+def _capped_bad_size(shape: Shape, codim: int, size: int) -> Fraction:
+    """bad_set_cap(shape, codim), after refusing a bad set of `size` points
+    above it."""
+    cap = bad_set_cap(shape, codim)
+    if size > cap:
+        raise PreconditionError(
+            f"bad set of size {size} exceeds the allowed {cap} "
+            f"(k={shape.k}, codim={codim}, |G|={shape.total_points})"
+        )
+    return cap
+
+
 @dataclass(frozen=True)
 class ConvFillReport:
     """Outcome of checking the filling property at every variety point."""
@@ -500,39 +484,35 @@ class ConvFillReport:
     success: bool
 
 
-def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
-    """Demand a parallelepiped witness at every point of the variety.
+def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> ConvFillReport:
+    """Demand a parallelepiped witness at every point of the variety, given
+    its bitmap (variety_bitmap(v)) and representation codimension (v.codim)
+    as the caller already holds them.
 
     Preconditions (rejected with a diagnostic when violated): the bad set
-    lies inside the variety and within bad_set_cap of the representation
-    codimension.  The witnesses at all points come from one search, which
-    dense_columns shares (_fill_scan): a pre-check accepts the zero offset
-    wherever all its corners are allowed, a first-row pass finds the
-    witnesses with last offset 0 at most of the other points, and only the
-    points left after both go to the full scan.  Every witness's corners are
-    re-checked against the bad set before it counts, in one vectorized pass
-    over all witnessed bases: in each direction one take on the transposed
-    vector table (field.all_vectors) decodes the base ranks and one the
-    offset ranks, the digits are added with a conditional subtraction of p
-    and ranked again, and the 2**k corners are flat gathers on `allowed`.
-    It calls no translation kernel, so it does not depend on the shift
-    tables the search uses.
+    lies inside the variety and within bad_set_cap of the codimension.  The
+    witnesses at all points come from one search, which dense_columns
+    shares (_fill_scan): a pre-check accepts the zero offset wherever all
+    its corners are allowed, a first-row pass finds the witnesses with last
+    offset 0 at most of the other points, and only the points left after
+    both go to the full scan.  Every witness's corners are re-checked
+    against the bad set before it counts, in one vectorized pass over all
+    witnessed bases.  A zero offset in direction i leaves the base's rank
+    there, so only the rows with a nonzero offset in direction i are
+    decoded, with one take each for base and offset ranks on the transposed
+    vector table (field.all_vectors), added with a conditional subtraction
+    of p and ranked again.  The 2**k corners of every row are flat gathers
+    on `allowed`.  The re-check calls no translation kernel, so it does not
+    depend on the shift tables the search uses.
     """
     shape = v.shape
     if bad.shape != shape:
         raise PreconditionError("bad set must live on the variety's shape")
-    wmask = variety_bitmap(v)
-    if bool(np.any(bad.mask & ~wmask)):
+    if bool(np.any(bad.mask & ~mask)):
         raise PreconditionError("bad set must be a subset of the variety")
-    allowed = wmask & ~bad.mask
-    r = v.codim
-    cap = bad_set_cap(shape, r)
-    if bad.size > cap:
-        raise PreconditionError(
-            f"bad set of size {bad.size} exceeds the allowed {cap} "
-            f"(k={shape.k}, codim={r}, |G|={shape.total_points})"
-        )
-    bases = np.argwhere(wmask)
+    allowed = mask & ~bad.mask
+    cap = _capped_bad_size(shape, codim, bad.size)
+    bases = np.argwhere(mask)
     offsets = _fill_scan(shape, bases, allowed, "filling check")
     checked = len(bases)
     witnessed = offsets[:, 0] >= 0
@@ -541,20 +521,22 @@ def conv_fill_check(v: Variety, bad: PointSet) -> ConvFillReport:
         failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())
         bases, offsets = bases[witnessed], offsets[witnessed]
     strides = _flat_strides(shape)
-    steps = np.empty_like(offsets)
+    steps = bases * strides
     for i, n in enumerate(shape.dims):
-        # the digits of base + offset in direction i, one row per coordinate;
-        # in uint8, digits - p wraps above digits unless digits >= p
+        # the digits of base + offset in direction i at the rows it moves,
+        # one row per coordinate; in uint8, digits - p wraps above digits
+        # unless digits >= p
+        rows = np.flatnonzero(offsets[:, i])
         table = np.ascontiguousarray(all_vectors(shape.p, n).T)
-        digits = table.take(bases[:, i], axis=1)
-        digits += table.take(offsets[:, i], axis=1)
+        digits = table.take(bases[rows, i], axis=1)
+        digits += table.take(offsets[rows, i], axis=1)
         np.minimum(digits, digits - shape.p, out=digits)
         moved = shape.p ** np.arange(n - 1, -1, -1, dtype=np.int64) @ digits
-        steps[:, i] = (moved - offsets[:, i]) * strides[i]
+        steps[rows, i] = (moved - offsets[rows, i]) * strides[i]
     if not _corners_allowed(allowed, offsets @ strides, steps).all():
         raise PreconditionError("witness corner escaped the allowed set")
     return ConvFillReport(
-        codim=r,
+        codim=codim,
         bad_size=bad.size,
         bad_cap=cap,
         checked=checked,

@@ -281,7 +281,7 @@ def count_grid_evaluations(monkeypatch):
 
 def count_bitmap_passes(monkeypatch):
     """List of the points charged by every variety bitmap that is built,
-    in order; a bitmap served from the grid scope adds nothing."""
+    in order."""
     passes = []
     original = budget.charge
 

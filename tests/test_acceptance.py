@@ -139,7 +139,7 @@ def test_acceptance_filling_witnesses():
         )
         allowed = min(int(cap), int(np.count_nonzero(mask)))
         bad = random_point_subset(rng, sh, mask, rng.randrange(allowed + 1))
-        report = conv_fill_check(w, bad)
+        report = conv_fill_check(w, bad, mask, w.codim)
         assert report.success, (w, bad.size, report.failures[:3])
         assert report.corners_checked == report.checked * 2**sh.k
     _report("filling witnesses", 100, started)
@@ -239,7 +239,7 @@ def test_acceptance_negative_controls(monkeypatch):
         Shape(2, (3,)), [((0, 0, 1),), ((0, 1, 0),), ((1, 0, 0),)]
     )
     with pytest.raises(PreconditionError):
-        conv_fill_check(full, oversized)
+        conv_fill_check(full, oversized, variety_bitmap(full), full.codim)
 
     approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError) as excinfo:

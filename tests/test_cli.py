@@ -567,13 +567,34 @@ def test_conv_check_evaluates_each_form_once(tmp_path, monkeypatch):
 
 
 def test_conv_check_builds_one_bitmap(tmp_path, monkeypatch):
-    # the bitmap that draws the bad set is the one conv_fill_check checks
+    # the bitmap and codimension that draw the bad set are the ones
+    # conv_fill_check checks against
     second = {"p": 2, "k": 2, "dims": [2, 2], "support": [2], "coeffs": [1, 1]}
     path = tmp_path / "variety.json"
     path.write_text(json.dumps({**DOT_VARIETY, "forms": [DOT_FORM, second]}))
     passes = count_bitmap_passes(monkeypatch)
+    canonical = Variety.canonical
+    calls = []
+    monkeypatch.setattr(Variety, "canonical", lambda v: calls.append(v) or canonical(v))
     assert main(["conv-check", "--input", str(path)]) == EXIT_OK
     assert passes == [16]
+    assert len(calls) == 1
+
+
+def test_conv_check_refuses_an_over_cap_count_before_drawing_it(tmp_path, capsys):
+    # |V| is above 262,000 here, so the count passes the sampler's own
+    # check, and drawing that many points would take seconds
+    v = random_variety(random.Random(100), Shape(2, (10, 10)), 2, full_support_only=True)
+    assert int(np.count_nonzero(variety_bitmap(v))) >= 262000
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    start = time.perf_counter()
+    assert main(["conv-check", "--input", str(path), "--bad-count", "262000"]) == EXIT_PRECONDITION
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "precondition violated: bad set of size 262000 exceeds the allowed 4096 "
+        "(k=2, codim=2, |G|=1048576)\n"
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import budget, construct, forms, variety
+from mlvariety import budget, construct, forms
 from mlvariety.construct import (
     _fiber_constants,
     _level_constants,
@@ -662,7 +662,6 @@ def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     assert seen and max(seen.values()) == 1
     assert {f.key() for f in v.forms} <= {key for _, key, _ in seen}
     assert construct._FIBERS.get() is None
-    assert variety._GRIDS.get() is None
 
 
 def test_bitmaps_are_built_afresh_after_the_finder_returns(monkeypatch):
@@ -720,11 +719,10 @@ def test_finder_reads_base_codims_from_certificates(monkeypatch, p, dims):
 
 
 def test_grid_scope_closes_when_the_finder_raises(monkeypatch):
-    # the finder opens no grid scope, and its fiber scope closes on a raise
+    # the finder's fiber scope closes on a raise
     approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError):
         find_subvariety(dot_variety(2, 2))
-    assert variety._GRIDS.get() is None
     assert construct._FIBERS.get() is None
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,6 @@ from mlvariety.variety import (
     PointSet,
     Variety,
     _fill_scan,
-    _grid_scope,
     _point_from_index,
     _point_index,
     conv_fill_check,
@@ -178,49 +176,6 @@ def test_density_matches_bruteforce(seed):
     sh = Shape(p, small_dims(rng, k, 5))
     v = random_variety(rng, sh, rng.randrange(3))
     assert density(v) == brute_density(v)
-
-
-def test_bitmap_is_built_once_per_grid_scope():
-    sh = Shape(3, (2, 1, 2))
-
-    def varieties():
-        # new but equal objects on every call
-        return [random_variety(random.Random(61), sh, 2), Variety.full(sh), Variety.empty(sh)]
-
-    fresh = [variety_bitmap(v) for v in varieties()]
-    budget.reset_work()
-    with _grid_scope():
-        first = [variety_bitmap(v) for v in varieties()]
-        charged = budget.work_points()
-        again = [variety_bitmap(v) for v in varieties()]
-        assert budget.work_points() == charged > 0
-    for a, b, want in zip(first, again, fresh):
-        assert b is a and np.array_equal(a, want)
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0, 0] = True
-    assert fresh[0].flags.writeable
-
-
-def test_grid_scope_nests_into_the_outer_scope_and_closes():
-    v = random_variety(random.Random(14), Shape(2, (2, 2)), 2)
-    assert variety._GRIDS.get() is None
-    with _grid_scope():
-        with _grid_scope():
-            inner = variety_bitmap(v)
-        assert variety_bitmap(v) is inner
-    assert variety._GRIDS.get() is None
-
-
-def test_grid_scope_is_per_thread():
-    v = random_variety(random.Random(15), Shape(2, (2, 2)), 2)
-    seen = []
-    with _grid_scope():
-        variety_bitmap(v)
-        worker = threading.Thread(target=lambda: seen.append(variety._GRIDS.get()))
-        worker.start()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert seen == [None]
 
 
 def test_variety_points_in_lex_order():
@@ -426,10 +381,10 @@ def test_witness_requires_bad_inside():
     w = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
     outside = PointSet.from_points(sh, [((1,), (1,))])
     with pytest.raises(PreconditionError, match="bad set must be a subset of the variety"):
-        conv_fill_check(w, outside)
+        conv_fill_check(w, outside, variety_bitmap(w), w.codim)
     other_shape = PointSet.empty(Shape(2, (1, 2)))
     with pytest.raises(PreconditionError, match="bad set must live on the variety's shape"):
-        conv_fill_check(w, other_shape)
+        conv_fill_check(w, other_shape, variety_bitmap(w), w.codim)
 
 
 def test_witness_every_point_dot_variety():
@@ -449,7 +404,7 @@ def test_witness_every_point_dot_variety():
 def test_conv_fill_empty_bad_set():
     sh = Shape(2, (2, 1))
     w = Variety(sh, (MultilinearForm(sh, (0, 1), [[1], [0]]),))
-    report = conv_fill_check(w, PointSet.empty(sh))
+    report = conv_fill_check(w, PointSet.empty(sh), variety_bitmap(w), w.codim)
     assert report.success
     assert report.checked == int(np.count_nonzero(variety_bitmap(w)))
 
@@ -458,7 +413,7 @@ def test_conv_fill_full_space_two_bad_points():
     sh = Shape(2, (3,))
     w = Variety.full(sh)
     bad = PointSet.from_points(sh, [((0, 0, 1),), ((1, 1, 1),)])
-    report = conv_fill_check(w, bad)
+    report = conv_fill_check(w, bad, variety_bitmap(w), w.codim)
     assert report.success and report.bad_cap == 2
 
 
@@ -467,26 +422,26 @@ def test_conv_fill_rejects_oversized_bad_set():
     w = Variety.full(sh)
     bad = PointSet.from_points(sh, [((0, 0, 1),), ((1, 1, 1),), ((1, 0, 0),)])
     with pytest.raises(PreconditionError):
-        conv_fill_check(w, bad)
+        conv_fill_check(w, bad, variety_bitmap(w), w.codim)
 
 
 def test_conv_fill_corner_recheck_is_independent_of_shift_tables(monkeypatch):
     sh = Shape(2, (3,))
     w = Variety.full(sh)
     bad = PointSet.from_points(sh, [((0, 0, 1),), ((1, 1, 1),)])
-    assert conv_fill_check(w, bad).success
+    assert conv_fill_check(w, bad, variety_bitmap(w), w.codim).success
     # a search whose translations are all the identity accepts the offset
     # (0,0,0) at base (0,0,1), whose shifted corner (0,0,1) is bad
     replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
     with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
-        conv_fill_check(w, bad)
+        conv_fill_check(w, bad, variety_bitmap(w), w.codim)
 
 
 def test_conv_fill_corner_recheck_is_independent_of_shift_tables_p3_k2(monkeypatch):
     sh = Shape(3, (2, 2))
     w = Variety.full(sh)
     bad = PointSet.from_points(sh, [((0, 0), (2, 2)), ((2, 2), (0, 0))])
-    report = conv_fill_check(w, bad)
+    report = conv_fill_check(w, bad, variety_bitmap(w), w.codim)
     assert report.success
     assert report.corners_checked == sh.total_points * 4
     # with identity translations the search accepts the zero offsets at the
@@ -494,7 +449,29 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables_p3_k2(monkeypat
     # re-check must rank that corner in base 3 to see it
     replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
     with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
-        conv_fill_check(w, bad)
+        conv_fill_check(w, bad, variety_bitmap(w), w.codim)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 1, 2)])
+def test_conv_fill_corner_recheck_ranks_the_moved_digits_p3(monkeypatch, dims):
+    # bad: the origin, which fails every base's zero-offset pre-check, and
+    # the point with (0,2) in factor 0 and zeros elsewhere
+    sh = Shape(3, dims)
+    w = Variety.full(sh)
+    zeros = tuple((0,) * n for n in dims[1:])
+    bad = PointSet.from_points(sh, [((0, 0),) + zeros, ((0, 2),) + zeros])
+    mask = variety_bitmap(w)
+    assert conv_fill_check(w, bad, mask, 0).success
+    # with identity translations the search accepts offset (0,1) in
+    # direction 0 and zero offsets in the others at every base; at a base
+    # with (0,1) in factor 0 the corner shifted in direction 0 alone is
+    # (0,1) + (0,1) = (0,2), bad, which only digits added mod 3 and ranked
+    # in base 3 reach
+    replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
+    offsets = _fill_scan(sh, np.argwhere(mask), mask & ~bad.mask, "test scan")
+    assert (offsets == [1] + [0] * (sh.k - 1)).all()
+    with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
+        conv_fill_check(w, bad, mask, 0)
 
 
 @pytest.mark.parametrize("p, dims", [
@@ -529,7 +506,7 @@ def test_conv_fill_reports_every_point_without_a_witness(monkeypatch):
     sh = Shape(2, (2, 2))
     w = Variety(sh, (MultilinearForm(sh, (0,), [0, 1]),))
     constant_shift_tables(monkeypatch, 1)
-    report = conv_fill_check(w, PointSet.empty(sh))
+    report = conv_fill_check(w, PointSet.empty(sh), variety_bitmap(w), w.codim)
     assert not report.success
     assert report.failures == tuple(variety_points(w))
     assert report.checked == len(report.failures) == 8
@@ -686,7 +663,7 @@ def test_full_variety_takes_the_zero_offset_without_a_scan(monkeypatch, p, dims)
     mask = np.ones(sh.group_sizes, dtype=bool)
     offsets = _fill_scan(sh, np.argwhere(mask), mask, "test scan")
     assert len(offsets) == sh.total_points and not offsets.any()
-    report = conv_fill_check(Variety.full(sh), PointSet.empty(sh))
+    report = conv_fill_check(Variety.full(sh), PointSet.empty(sh), mask, 0)
     assert report.success and report.checked == sh.total_points
     assert report.corners_checked == sh.total_points * 2**sh.k
     assert scanned == []
@@ -711,7 +688,7 @@ def test_conv_fill_property_on_seeded_instances(seed):
     cap = Fraction(sh.total_points, 2 ** (2 * k) * sh.p ** (k * r))
     count = min(int(cap), int(np.count_nonzero(mask)))
     bad = random_point_subset(rng, sh, mask, rng.randrange(count + 1))
-    report = conv_fill_check(w, bad)
+    report = conv_fill_check(w, bad, mask, r)
     assert report.success
 
 
