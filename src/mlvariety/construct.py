@@ -13,10 +13,13 @@ L = ceil(log_p 1/density) for fixed arity and p.  budget_line evaluates the
 construction's own ledger formulas (_level_constants) at p = 2, c = 2**-L and
 over-approximates the rest by integers (log_p 2 <= 1, L(c/2) <= L(c) + 1), so
 an achieved codimension above the budget line is a bug, never bad luck.
+budget_line, codim_budget and a level's ledger arithmetic are memoized: they
+hold exact values, never points, so no charge or refusal depends on them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
@@ -36,7 +39,6 @@ from .field import all_vectors, batched_echelon, shift_rows, vector_from_index
 from .forms import (
     MultilinearForm,
     MultilinearMap,
-    _scoped_cache,
     ceil_log,
     fiber_values,
 )
@@ -56,12 +58,32 @@ from .variety import (
 # Codimension budget
 # ---------------------------------------------------------------------------
 
+# Entries kept by each memo of a level's exact ledger arithmetic, whose
+# signatures recur across directions, formless sub-levels and instances.
+_LEDGER_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
 def _fiber_constants(p: int, c: Fraction, arity: int) -> tuple[Monomial, Monomial]:
     """(c', fiber floor) of a level, by the formulas of _level_constants."""
     k = arity - 1
     big_k = arity_constant(k)
     c_prime = Monomial(Fraction(1, 2 ** (2 * k + 1)), p, c, -2 * k * big_k, k * big_k + 1)
     return c_prime, c_prime ** (2**k)
+
+
+@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
+def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int, b: int) -> tuple:
+    """(sparse_limit, bad_limit, fiber_floor_count, clamped) of dense_columns
+    at a level whose fibers lie in F_p^n over b points x."""
+    c_prime, fiber_floor = _fiber_constants(p, c, arity)
+    # the fiber over an alive x holds p**(n - rank) points: sparse when at most this
+    sparse_limit = math.floor(c_prime * p**n)
+    # b_count / b > 2 c' / c exactly when the integer b_count exceeds this floor
+    bad_limit = math.floor(c_prime * (2 * b / c))
+    # the fiber floor in points, rounded up, and clamped when below one point
+    floor_points = fiber_floor * p**n
+    return sparse_limit, bad_limit, math.ceil(floor_points), floor_points < 1
 
 
 def _level_constants(p: int, c: Fraction, arity: int, r: int, max_dim: int | None) -> dict:
@@ -77,7 +99,15 @@ def _level_constants(p: int, c: Fraction, arity: int, r: int, max_dim: int | Non
                        None never clamps
       epsilon        = c_double_prime ** arity / 2
       s              = ceil(log_p 1/epsilon)
+
+    The items are memoized per signature (_level_items); each call returns
+    a fresh dict of them, so no caller can change what later calls read.
     """
+    return dict(_level_items(p, c, arity, r, max_dim))
+
+
+@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
+def _level_items(p: int, c: Fraction, arity: int, r: int, max_dim: int | None) -> tuple:
     c_prime, fiber_floor = _fiber_constants(p, c, arity)
     c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(arity - 1) * arity * r)
     clamped = False
@@ -87,8 +117,8 @@ def _level_constants(p: int, c: Fraction, arity: int, r: int, max_dim: int | Non
         if clamped:
             c_dd = one_point
     eps = c_dd**arity * Fraction(1, 2)
-    return {"c_prime": c_prime, "c_double_prime": c_dd, "epsilon": eps,
-            "s": eps.ceil_log_inverse(), "clamped": clamped}
+    return (("c_prime", c_prime), ("c_double_prime", c_dd), ("epsilon", eps),
+            ("s", eps.ceil_log_inverse()), ("clamped", clamped))
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +154,7 @@ def arity_constant(arity: int) -> int:
     return slope + intercept
 
 
+@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
 def codim_budget(arity: int, p: int, c: Fraction) -> int:
     """Certified codimension budget for a variety of the given density."""
     c = Fraction(c)
@@ -210,6 +241,23 @@ class _Fibers:
 
     def count(self, *lists) -> int:
         return self.system(*lists).count
+
+
+@contextlib.contextmanager
+def _scoped_cache(var: contextvars.ContextVar):
+    """Give the context variable an empty dict for the duration of the block.
+
+    Opens a scope only when none is open in this context, so nested calls
+    share the outermost one; the dict is dropped when that scope closes.
+    """
+    if var.get() is not None:
+        yield
+        return
+    token = var.set({})
+    try:
+        yield
+    finally:
+        var.reset(token)
 
 
 # Fibers built in the open finder scope, keyed by (shape, j, others); None
@@ -348,15 +396,15 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     kills = np.remainder(kills, p, out=kills) == 0
     chosen = []
     per_step = []
-    for _ in range(s):
-        if alive.any():
-            budget.charge(p**m * support_total, "functional scan")
-            best = int(np.argmin((kills & alive) @ hist))
-            alive &= kills[best]
-        else:
-            best = 0
+    while len(chosen) < s and alive.any():
+        budget.charge(p**m * support_total, "functional scan")
+        best = int(np.argmin((kills & alive) @ hist))
+        alive &= kills[best]
         chosen.append(best)
         per_step.append(int(hist[alive].sum()))
+    # once nothing survives, every later step chooses 0 and leaves 0
+    chosen += [0] * (s - len(chosen))
+    per_step += [0] * (s - len(per_step))
     stacked = np.array(
         [f.coeffs for f in source.components], dtype=np.int64
     ).reshape(m, *support_dims)
@@ -390,7 +438,7 @@ class DenseColumnsResult:
 
     base lives on the factors other than `direction`; every point of it has
     at least fiber_floor_count points of the input variety in its fiber, the
-    level's fiber floor (_fiber_constants) times the fiber size, rounded up.
+    level's fiber floor times the fiber size, rounded up (_fiber_thresholds).
     min_fiber_count is the exhaustively measured minimum.  clamped records
     the desk-scale regime where the floor fell below one point and
     nonemptiness is the operative guarantee.
@@ -430,7 +478,8 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     over x holds p**(n - rank M(x)) points where x is alive and none
     elsewhere, c is their mean, and the slice at t is the alive x with
     M(x) t = 0.  Only the base is a bitmap, over the |G|/|G_i| points of
-    the other factors, for the filling scan.
+    the other factors, for the filling scan.  The integer thresholds come
+    from _fiber_thresholds, memoized per (p, c, arity, n, B).
     """
     shape = v.shape
     if shape.k < 2:
@@ -445,16 +494,14 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     system = fib.system(v.forms)
     alive, basis, rank = system.alive, system.basis, system.rank
     c = Fraction(system.count, shape.total_points)
-    c_prime, fiber_floor = _fiber_constants(p, c, shape.k)
     direction_size = p**n
     other_total = fib.b
-    # the fiber over an alive x holds p**(n - rank) points, so it is sparse
-    # where the rank is one of these; every slice below holds only alive x
-    sparse_limit = math.floor(c_prime * direction_size)
+    sparse_limit, bad_limit, fiber_floor_count, clamped = _fiber_thresholds(
+        p, c, shape.k, n, other_total
+    )
+    # the ranks of sparse fibers; every slice below holds only alive x
     sparse_rank = np.array([p ** (n - r) <= sparse_limit for r in range(min(len(basis), n) + 1)])
     fiber_sparse = sparse_rank[rank]
-    # b / other_total > 2 c' / c exactly when the integer b exceeds this floor
-    bad_limit = math.floor(c_prime * (2 * other_total / c))
 
     for t in range(direction_size):
         slice_point = vector_from_index(p, n, t)
@@ -493,9 +540,6 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     if len(unfilled):
         point = _point_from_index(base.shape, unfilled[0])
         raise ConstructionError(f"no filling witness at base point {point}")
-    floor_points = fiber_floor * direction_size
-    clamped = floor_points < 1
-    fiber_floor_count = math.ceil(floor_points)
     # every base point is alive, inside the slice
     min_fiber_count = p ** (n - int(rank.reshape(base_mask.shape)[base_mask].max()))
     if min_fiber_count < fiber_floor_count:

@@ -9,8 +9,6 @@ analytic rank, never in a decision.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,23 +215,6 @@ def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
             q *= p
             t -= q
     return t.astype(np.uint8, copy=False)
-
-
-@contextlib.contextmanager
-def _scoped_cache(var: contextvars.ContextVar):
-    """Give the context variable an empty dict for the duration of the block.
-
-    Opens a scope only when none is open in this context, so nested calls
-    share the outermost one; the dict is dropped when that scope closes.
-    """
-    if var.get() is not None:
-        yield
-        return
-    token = var.set({})
-    try:
-        yield
-    finally:
-        var.reset(token)
 
 
 def eval_grid(form: MultilinearForm) -> np.ndarray:

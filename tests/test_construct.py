@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mlvariety import budget, construct, forms
 from mlvariety.construct import (
     _fiber_constants,
+    _fiber_thresholds,
     _level_constants,
     arity_constant,
     budget_line,
@@ -130,6 +132,81 @@ def test_codim_budget_rejects_bad_density():
         codim_budget(2, 2, Fraction(3, 2))
 
 
+# The process-wide memos of a level's exact ledger arithmetic.
+_LEDGER_MEMOS = (_fiber_constants, _fiber_thresholds, construct._level_items, codim_budget)
+
+
+def _clear_ledger_memos():
+    for memo in _LEDGER_MEMOS:
+        memo.cache_clear()
+
+
+def _ledger_memo_hits():
+    return sum(memo.cache_info().hits for memo in _LEDGER_MEMOS)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
+    # each signature is asked twice, a miss and then a hit, and both answers
+    # must be the value of the uncached function, whose own calls to
+    # _fiber_constants are uncached too
+    _clear_ledger_memos()
+    signatures = [
+        (c, r, max_dim, n, b)
+        for c in (Fraction(1), Fraction(3, 4), Fraction(1, p), Fraction(7, p**3))
+        for r in (0, 1, 3)
+        for max_dim in (None, 3)
+        for n, b in ((1, 1), (3, p**2))
+    ]
+    cached = [
+        [(codim_budget(arity, p, c), _fiber_constants(p, c, arity),
+          _fiber_thresholds(p, c, arity, n, b), _level_constants(p, c, arity, r, max_dim))
+         for c, r, max_dim, n, b in signatures]
+        for _ in range(2)
+    ]
+    assert all(memo.cache_info().hits for memo in _LEDGER_MEMOS)
+    monkeypatch.setattr(construct, "_fiber_constants", _fiber_constants.__wrapped__)
+    fresh = [
+        (codim_budget.__wrapped__(arity, p, c), _fiber_constants.__wrapped__(p, c, arity),
+         _fiber_thresholds.__wrapped__(p, c, arity, n, b),
+         dict(construct._level_items.__wrapped__(p, c, arity, r, max_dim)))
+        for c, r, max_dim, n, b in signatures
+    ]
+    assert cached[0] == cached[1] == fresh
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fiber_thresholds_are_the_floors_of_the_written_out_constants(p, arity):
+    # c' and the fiber floor as exact rationals, from the formulas of
+    # _level_constants, which the low arities keep small
+    k = arity - 1
+    big_k = arity_constant(k)
+    for c in (Fraction(1), Fraction(3, 4), Fraction(1, p), Fraction(7, p**3)):
+        c_prime = c ** (k * big_k + 1) / (2 ** (2 * k + 1) * p ** (2 * k * big_k))
+        floor_points = c_prime ** (2**k)
+        for n in (1, 2, 5):
+            for b in (1, 6, p**4):
+                floor_points_n = floor_points * p**n
+                assert _fiber_thresholds(p, c, arity, n, b) == (
+                    math.floor(c_prime * p**n),
+                    math.floor(2 * c_prime * b / c),
+                    math.ceil(floor_points_n),
+                    floor_points_n < 1,
+                )
+
+
+def test_level_constants_returns_a_fresh_dict():
+    signature = (3, Fraction(1, 3), 3, 1, 4)
+    first = _level_constants(*signature)
+    expected = dict(first)
+    first["s"] = -1
+    first["extra"] = 0
+    del first["c_prime"]
+    assert _level_constants(*signature) == expected
+
+
 # ---------------------------------------------------------------------------
 # External approximation
 # ---------------------------------------------------------------------------
@@ -209,6 +286,28 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
         and any(brute_eval(f, point) for f in source.components)
     )
     assert res.error_count == expected
+
+
+@pytest.mark.parametrize("p, dims", [(2, (3, 3)), (3, (2, 1, 1))])
+def test_approx_steps_after_the_last_survivor_add_zeros_and_charge_nothing(p, dims):
+    """Past the step that leaves no survivor, a longer run appends the zero
+    form and a survivor count of 0 per step, has the same error count and
+    charges exactly what the run stopping at that step charges."""
+    source = random_map(random.Random(19), Shape(p, dims), 2)
+    s = 40
+    budget.reset_work()
+    long = external_approx(source, s)
+    long_points = budget.work_points()
+    live = long.survivors_per_step.index(0) + 1
+    assert live < s // 2
+    budget.reset_work()
+    short = external_approx(source, live)
+    assert budget.work_points() == long_points
+    assert long.survivors_per_step == short.survivors_per_step + (0,) * (s - live)
+    assert long.phi.components[:live] == short.phi.components
+    assert all(f.is_zero() and f.support == source.support
+               for f in long.phi.components[live:])
+    assert long.error_count == short.error_count
 
 
 def test_approx_pair_of_products():
@@ -848,6 +947,27 @@ def test_memo_keeps_the_largest_pass(monkeypatch):
         largest.append(0)
         find_subvariety(v)
     assert largest == memoized
+
+
+@pytest.mark.parametrize("p, dims", [(2, (10, 10)), (3, (4, 3, 3)), (3, (2, 2, 2, 2))])
+def test_finder_output_does_not_depend_on_the_ledger_memos(p, dims):
+    # the same certificate and charge with every ledger memo cleared and
+    # with the memos warmed by other instances of the shape, which the
+    # warmed find then hits more often
+    sh = Shape(p, dims)
+    v = random_variety(random.Random(27), sh, 2, full_support_only=True)
+    outcomes, hits = [], []
+    for warm in (False, True):
+        _clear_ledger_memos()
+        if warm:
+            for seed in range(3):
+                find_subvariety(random_variety(random.Random(seed), sh, 2, full_support_only=True))
+        before = _ledger_memo_hits()
+        _, obj, points = _finder_outcome(v)
+        hits.append(_ledger_memo_hits() - before)
+        outcomes.append((json.dumps(obj), points))
+    assert hits[1] > hits[0]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
