@@ -18,7 +18,7 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError, ZeroBiasError
-from .field import all_vectors, as_coords, rref, shift_rows, validate_prime
+from .field import all_vectors, as_coords, batched_echelon, rref, shift_rows, validate_prime
 
 
 @dataclass(frozen=True)
@@ -307,28 +307,27 @@ def _sliced(form: MultilinearForm, factors: Iterable[int], coords):
 # ---------------------------------------------------------------------------
 
 def bias(form: MultilinearForm) -> Fraction:
-    """Exact bias of a multilinear form, as a rational in [0, 1].
-
-    For each assignment of the support variables except the last support
-    factor, the inner average of the root-of-unity phase over that factor is
-    1 when the induced linear form vanishes identically and 0 otherwise.  So
-    the bias equals the fraction of outer assignments whose induced linear
-    form is zero, which we count exactly, one coefficient slice at a time.
+    """Exact bias of a multilinear form, as a rational in [0, 1]: the mean of
+    p**-rank S(z) (Lovett 2019), where a and b are the two largest support
+    factors, z runs over the B' points of the other support factors and
+    S(z) is the n_a x n_b matrix of the form at z.  Row i of every S(z) is
+    the fiber row in b of the slice at x_a = e_i (fiber_values, B' * n_a *
+    n_b entries), and one batched elimination ranks them all.  A zero form
+    has bias 1, a nonzero form on one factor bias 0.
     """
     if form.is_zero():
         return Fraction(1)
-    p = form.shape.p
-    last_axis = len(form.support) - 1
-    outer_dims = [form.shape.dims[j] for j in form.support[:-1]]
-    outer_total = p ** sum(outer_dims)
-    kernel = None
-    for i in range(form.shape.dims[form.support[-1]]):
-        component = np.take(form.coeffs, i, axis=last_axis)
-        budget.charge(outer_total, "evaluation grid")
-        g = _value_grid(p, outer_dims, component) == 0
-        kernel = g if kernel is None else (kernel & g)
-    count = int(np.count_nonzero(kernel))
-    return Fraction(count, outer_total)
+    if len(form.support) < 2:
+        return Fraction(0)
+    shape, support = form.shape, form.support
+    a, b = sorted(support, key=shape.dims.__getitem__)[-2:]
+    rest = tuple(l for l in support if l != a)
+    slices = [MultilinearForm(shape, rest, np.take(form.coeffs, i, axis=support.index(a)))
+              for i in range(shape.dims[a])]
+    rows = fiber_values(slices, b, [l for l in rest if l != b])
+    rank = sum(row.any(axis=1) for _, row in batched_echelon(rows, shape.p))
+    per_rank = np.bincount(rank).tolist()
+    return sum(Fraction(m, shape.p**r) for r, m in enumerate(per_rank)) / len(rank)
 
 
 def analytic_rank(b: Fraction, p: int) -> float:
@@ -375,25 +374,21 @@ def zero_fiber_identity_check(form: MultilinearForm, b: Fraction) -> ZeroFiberRe
     """Check |{x : induced linear form at x is 0}| == b * |outer group|.
 
     The outer group is the product of all factors except the last support
-    factor.  The left side is counted from the full value grid (a fiber is
-    zero iff the form vanishes at every point of that factor); b is the
-    form's bias as the kernel count bias(form) gives it, and exact equality
-    is required.
+    factor j.  The left side counts the zero rows of the fiber rows in j
+    over the other support factors (fiber_values, B * n_j entries), scaled
+    by the factors outside the support.  b is the form's bias as bias(form)
+    gives it, from slice-matrix ranks, and exact equality is required.
     """
     if form.shape.k < 2:
         raise PreconditionError("the identity needs at least two factors")
-    p = form.shape.p
     sizes = form.shape.group_sizes
     if form.is_zero():
-        j = form.shape.k - 1
-        outer = math.prod(sizes[:j] + sizes[j + 1 :])
-        return ZeroFiberReport(j, outer, outer, Fraction(outer), True)
+        outer = math.prod(sizes[:-1])
+        return ZeroFiberReport(form.shape.k - 1, outer, outer, Fraction(outer), True)
     j = form.support[-1]
     outer = math.prod(sizes[l] for l in range(form.shape.k) if l != j)
-    grid = eval_grid(form)
-    fiber_zero = (grid == 0).all(axis=len(form.support) - 1)
-    support_outer = math.prod(p ** form.shape.dims[l] for l in form.support[:-1])
-    count = int(np.count_nonzero(fiber_zero)) * (outer // support_outer)
+    (rows,) = fiber_values([form], j, form.support[:-1])
+    count = (len(rows) - int(np.count_nonzero(rows.any(axis=1)))) * (outer // len(rows))
     expected = b * outer
     return ZeroFiberReport(j, count, outer, expected, expected == count)
 
@@ -458,19 +453,20 @@ def _factorizable_tensors(shape: Shape, support: tuple[int, ...]) -> np.ndarray:
 def partition_rank_search(form: MultilinearForm, b: Fraction) -> int | tuple[int, int]:
     """Least number of factorizable summands equal to the form of bias b.
 
-    b is the form's bias as the kernel count bias(form) gives it.  The rank
-    lies between the bias lower bound prank_lower_bound(b, p) and the
-    flattening rank matricization_rank_bound(form); when the two meet, that
-    value is returned and nothing is searched.  Otherwise a breadth-first
-    search runs over the whole coefficient-tensor space: sums of r
-    factorizable tensors are exactly the points at distance r from zero in
-    the Cayley graph generated by the factorizable tensors, so the graph
-    distance of the target is its partition rank.  A layer's images are its
-    frontier translated by every generator, one field.shift_rows call.
-    Layers are expanded only for distances below the upper bound, which is
-    returned if the target has not appeared by then.  When the space times
-    the generator count exceeds the point budget, the interval (lower,
-    upper) is returned instead.
+    b is the form's bias as bias(form) gives it.  The rank lies between the
+    bias lower bound prank_lower_bound(b, p) and the flattening rank
+    matricization_rank_bound(form); when the two meet, that value is
+    returned and nothing is searched.  Otherwise a breadth-first search runs
+    over the whole coefficient-tensor space: sums of r factorizable tensors
+    are exactly the points at distance r from zero in the Cayley graph
+    generated by the factorizable tensors, so the graph distance of the
+    target is its partition rank.  A layer's images are its frontier
+    translated by every generator, one field.shift_rows call.  Layers are
+    expanded only for distances below the upper bound, which is returned if
+    the target has not appeared by then.  The space is charged once and each
+    layer's frontier times generators as it is expanded; the interval
+    (lower, upper) is returned where the space, the generator table or the
+    next layer would pass the point budget.
     """
     if form.is_zero():
         return 0
@@ -490,10 +486,10 @@ def partition_rank_search(form: MultilinearForm, b: Fraction) -> int | tuple[int
         // (p - 1)
         for left, right in _splits(support)
     )
-    if space * max(gen_estimate, 1) > budget.point_budget():
+    if max(space, gen_estimate * entry_count) > budget.point_budget():
         return (lower, upper)
     gens = _factorizable_tensors(form.shape, support)
-    budget.charge(space * max(len(gens), 1), "partition rank search")
+    budget.charge(space, "partition rank search")
     powers = np.array([p ** (entry_count - 1 - t) for t in range(entry_count)],
                       dtype=np.int64)
     target = int(form.coeffs.reshape(-1).astype(np.int64) @ powers)
@@ -502,6 +498,9 @@ def partition_rank_search(form: MultilinearForm, b: Fraction) -> int | tuple[int
     visited[0] = True
     frontier = np.array([0], dtype=np.int64)
     for dist in range(1, upper):
+        if len(frontier) * len(gens) > budget.point_budget():
+            return (lower, upper)
+        budget.charge(len(frontier) * len(gens), "partition rank search")
         images = np.unique(shift_rows(p, entry_count, frontier, gen_codes))
         fresh = images[~visited[images]]
         if target in fresh:

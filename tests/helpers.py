@@ -7,21 +7,25 @@ membership, row reduction in a different style, brute-force witness search,
 ledger monomials written out as rationals, the external-approximation
 greedy on a value-vector histogram counted point by point, and subspace
 membership, points and annihilators for the tests that plant subspaces, and
-the partition-rank generators built one product form at a time.  Tests
-compare library results against these.  One helper runs the partition-rank
-search with both of its bounds moved out of the way, one counts the
-library's own value-grid evaluations and one its bitmap passes, for the
-grid-cache tests, one makes every lookup in the finder's sub-problem memo
-miss, for the memo oracle, one switches off the witness search's zero-offset
-pre-check and one its first-row pass, two replace its translation tables,
-and one starves the finder's external approximation of functionals, for the
-failure paths.
+the partition-rank generators built one product form at a time.  Three
+more count by another formula on the library's own kernels: the bias from
+value grids per coefficient slice, zero fibers from the value grid over
+the support, and point counts from the biases of the forms' combinations
+(the dual count).  Tests compare library results against these.  One
+helper runs the partition-rank search with both of its bounds moved out
+of the way, one counts the library's own value-grid evaluations and one
+its bitmap passes, for the grid-cache tests, one makes every lookup in the
+finder's sub-problem memo miss, for the memo oracle, one switches off the
+witness search's zero-offset pre-check and one its first-row pass, two
+replace its translation tables, and one starves the finder's external
+approximation of functionals, for the failure paths.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 import sys
 import unittest.mock
 from fractions import Fraction
@@ -70,6 +74,50 @@ def brute_bias(form) -> Fraction:
     nonzero = counts[1:]
     assert all(c == nonzero[0] for c in nonzero), "nonzero values must be equidistributed"
     return Fraction(counts[0] - (nonzero[0] if nonzero else 0), total)
+
+
+def grid_bias(form) -> Fraction:
+    """Bias as the share of points of the support factors but the last at
+    which the induced linear form in the last vanishes: one value grid per
+    coefficient slice of the last factor, the grids' zero sets ANDed."""
+    if form.is_zero():
+        return Fraction(1)
+    p = form.shape.p
+    outer_dims = [form.shape.dims[j] for j in form.support[:-1]]
+    kernel = None
+    for i in range(form.shape.dims[form.support[-1]]):
+        component = np.take(form.coeffs, i, axis=len(form.support) - 1)
+        g = forms._value_grid(p, outer_dims, component) == 0
+        kernel = g if kernel is None else (kernel & g)
+    return Fraction(int(np.count_nonzero(kernel)), p ** sum(outer_dims))
+
+
+def grid_zero_fiber_count(form) -> int:
+    """The zero-fiber count of zero_fiber_identity_check for a nonzero form,
+    from its value grid over the support: a fiber is zero where the form
+    vanishes at every point of the last support factor, and each zero one
+    is scaled by the group of the factors outside the support."""
+    sizes = form.shape.group_sizes
+    j = form.support[-1]
+    outer = math.prod(sizes[l] for l in range(form.shape.k) if l != j)
+    fiber_zero = (forms.eval_grid(form) == 0).all(axis=len(form.support) - 1)
+    return int(np.count_nonzero(fiber_zero)) * (outer // fiber_zero.size)
+
+
+def dual_count(v) -> int:
+    """|V| = p**-m |G| sum over lambda in F_p^m of bias(lambda . f) for a
+    variety whose m forms share one support (Lovett 2019): [f = 0] is the
+    average of the phases of the combinations lambda . f, and each phase
+    averages to the combination's bias."""
+    shape, p = v.shape, v.shape.p
+    support = v.forms[0].support
+    total = Fraction(0)
+    for lam in itertools.product(range(p), repeat=len(v.forms)):
+        coeffs = sum(a * f.coeffs.astype(np.int64) for a, f in zip(lam, v.forms))
+        total += forms.bias(MultilinearForm(shape, support, coeffs))
+    count = total * shape.total_points / p ** len(v.forms)
+    assert count.denominator == 1
+    return int(count)
 
 
 def monomial_value(m) -> Fraction:

@@ -762,6 +762,17 @@ def test_rank_counts_outer_groups_past_the_budget(tmp_path, capsys, shape):
     assert "zero_fiber_identity: holds" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("dims", [(14, 14), (10, 10, 10)])
+def test_rank_reaches_full_support_forms_past_the_value_grid(tmp_path, capsys, dims):
+    """A value grid over the support would need 2**28 or 2**30 points; the
+    bias reads slice-matrix ranks and the identity fiber rows instead."""
+    form = random_form(random.Random(71), Shape(2, dims))
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_obj(form)))
+    assert main(["rank", "--input", str(path)]) == EXIT_OK
+    assert "zero_fiber_identity: holds" in capsys.readouterr().out
+
+
 def test_approx_harness(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({

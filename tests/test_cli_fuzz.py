@@ -29,7 +29,9 @@ TARGETS = [
     (["conv-check", "--input", "{}"], "p2_k2.json"),
     (["approx", "--input", "{}", "--s", "2"], "map_p2.json"),
     (["approx", "--input", "{}", "--s", "1", "--format", "json"], "map_p3.json"),
+    (["rank", "--input", "{}"], "form_p2.json"),
     (["rank", "--input", "{}"], "form_p3.json"),
+    (["rank", "--input", "{}", "--format", "json"], "form_p5.json"),
 ]
 
 EDGE_RUNS = [
@@ -44,6 +46,8 @@ EDGE_RUNS = [
     ["conv-check", "--input", "p2_k2.json", "--budget", "1"],
     ["approx", "--input", "map_p2.json", "--s", "1", "--budget", "1"],
     ["rank", "--input", "form_p2.json", "--budget", "1"],
+    ["rank", "--input", "zero_dim_factor.json"],
+    ["rank", "--input", "wide_outer.json"],
     ["density", "--input", "p3_k3.json", "--budget", "1"],
     ["sweep", "--p", "2", "--dims", "2,2", "--logdensities", "0,1", "--budget", "1"],
 ]
@@ -75,6 +79,14 @@ def _run(argv) -> int:
 def test_cli_returns_a_documented_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_inputs()
+    # a form beside a factor of dimension 0, and one on a single factor
+    # beside an outer group of 2**30 points
+    Path("zero_dim_factor.json").write_text(json.dumps({
+        "p": 3, "k": 3, "dims": [2, 0, 2], "support": [1, 3], "coeffs": [1, 2, 0, 1],
+    }))
+    Path("wide_outer.json").write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [30, 3], "support": [2], "coeffs": [1, 0, 1],
+    }))
     for stem in ("p2_k2", "p3_k3"):
         assert _run(["find-sub", "--input", f"{stem}.json", "--output", f"cert_{stem}.json"]) == 0
     for argv in EDGE_RUNS:

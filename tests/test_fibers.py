@@ -18,7 +18,7 @@ from mlvariety.forms import MultilinearForm, Shape, zero_form
 from mlvariety.generators import random_form, random_support, random_variety
 from mlvariety.variety import Variety, variety_bitmap
 
-from helpers import brute_density, small_dims
+from helpers import brute_density, dual_count, small_dims
 
 
 def _cylinder_variety(rng, shape, count):
@@ -65,6 +65,24 @@ def test_counts_and_containment_match_bitmaps(p, seed):
             assert count_and_contains(big, small) == (
                 int(np.count_nonzero(masks[id(big)])), not escaped.any()
             )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_count_matches_both_fiber_counts(p, seed):
+    """p**-m |G| times the sum of the biases of the combinations of m forms
+    of one support, a count from slice-matrix ranks, against the verifier's
+    fiber ranks and the finder's fibers, on each same-support family of the
+    battery's varieties."""
+    for _, _, both in _instances(p, seed):
+        families = {}
+        for f in both.forms:
+            families.setdefault(f.support, []).append(f)
+        for family in families.values():
+            v = Variety(both.shape, family)
+            count = point_count(v)
+            assert dual_count(v) == count
+            assert construct._fibers(v.shape, range(v.shape.k)).count(v.forms) == count
 
 
 @pytest.mark.parametrize("dims", [(0,), (3,), (0, 0), (0, 3), (2, 0, 1), (1, 0, 2, 1)])

@@ -34,6 +34,8 @@ from helpers import (
     brute_rank_mod,
     enumerate_points,
     factorizable_tensors_by_products,
+    grid_bias,
+    grid_zero_fiber_count,
     searched_rank,
     small_dims,
 )
@@ -291,6 +293,55 @@ def test_bias_matches_value_distribution_p17(dims, support):
     assert bias(f) == brute_bias(f)
 
 
+def _grid_oracle_battery(p):
+    """Seeded forms over F_p at arity 1 to 4: random ones with random
+    supports, planted low partition rank, zero and single-factor ones, on
+    shapes of which every third has a factor of dimension 0."""
+    rng = random.Random(f"grid-oracle/{p}")
+    for k in (1, 2, 3, 4):
+        for trial in range(6):
+            dims = list(small_dims(rng, k, max(k, {2: 8, 3: 6, 5: 5, 17: 3}[p])))
+            if trial % 3 == 2:
+                dims[rng.randrange(k)] = 0
+            sh = Shape(p, dims)
+            yield random_form(rng, sh, random_support(rng, k))
+            yield zero_form(sh)
+            yield random_form(rng, sh, (rng.randrange(k),))
+            if k >= 2 and 0 not in dims:
+                yield planted_low_prank_form(rng, sh, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_bias_and_zero_fibers_match_the_grid_oracles(p):
+    """Slice-matrix ranks against the per-slice grid count of the bias, and
+    zero fiber rows against the zero fibers of the value grid."""
+    for f in _grid_oracle_battery(p):
+        b = bias(f)
+        assert b == grid_bias(f), f
+        if f.shape.k >= 2 and not f.is_zero():
+            rep = zero_fiber_identity_check(f, b)
+            assert rep.zero_fiber_count == grid_zero_fiber_count(f), f
+            assert rep.holds
+
+
+def test_bias_charges_the_slice_matrices_past_the_grids_reach():
+    # B' = 2**14 points z of factor 0, each a 16 x 16 matrix; a value grid
+    # per coefficient slice would need 2**30 points, past the default budget
+    f = random_form(random.Random(17), Shape(2, (14, 16, 16)))
+    budget.reset_work()
+    bias(f)
+    assert budget.work_points() == 2**14 * 16 * 16
+
+
+def test_zero_fiber_identity_charges_the_fiber_rows():
+    # B = 3**2 * 3 points of factors 0 and 1, rows of n_j = 2 entries
+    f = random_form(random.Random(18), Shape(3, (2, 1, 1, 2)), (0, 1, 3))
+    b = bias(f)
+    budget.reset_work()
+    assert zero_fiber_identity_check(f, b).holds
+    assert budget.work_points() == 3**3 * 2
+
+
 def test_analytic_rank_examples():
     assert analytic_rank(bias(zero_form(Shape(2, (1, 1)))), 2) == 0.0
     f = MultilinearForm(Shape(2, (1, 1)), (0, 1), [[1]])
@@ -450,9 +501,22 @@ def test_search_finds_a_rank_below_the_flattening_bound():
     f = MultilinearForm(Shape(2, (2, 2, 2, 2)), (0, 1, 2, 3), t)
     b = bias(f)
     assert (prank_lower_bound(b, 2), matricization_rank_bound(f)) == (1, 2)
-    assert partition_rank_search(f, b) == (1, 2)
-    budget.set_point_budget(2**28)
+    # the 2**16 space once, then one layer of 2,601 generator images
+    budget.reset_work()
     assert partition_rank_search(f, b) == 1
+    assert budget.work_points() == 2**16 + 2601
+    budget.set_point_budget(2**16 - 1)
+    assert partition_rank_search(f, b) == (1, 2)
+
+
+def test_search_returns_the_interval_before_a_layer_past_the_budget():
+    # the identity at (2,(2,2)), searched with its bounds moved to (0, 3):
+    # a space of 16, 9 generators, and a second layer of 9 * 9 images
+    f = MultilinearForm(Shape(2, (2, 2)), (0, 1), np.eye(2, dtype=int))
+    budget.set_point_budget(81)
+    assert searched_rank(f) == (2, 16 + 9 + 81)
+    budget.set_point_budget(80)
+    assert searched_rank(f)[0] == (0, 3)
 
 
 def test_search_stops_where_the_bounds_meet():

@@ -32,7 +32,7 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "b8cf5bedbd749a980aa231c36662afd1c6952e6ecab39ca262c9cb777ef0e736"
+GOLDEN_SHA256 = "8dbe703f81391598fdf9aafdab397a58a8d5a2769352d7b70215b95a6d903ba7"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
