@@ -19,12 +19,12 @@ hold exact values, never points, so no charge or refusal depends on them.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .variety import (
     Variety,
     _fill_scan,
     _point_from_index,
-    _variety_key,
     bad_set_cap,
     slice_variety,
     variety_bitmap,
@@ -86,7 +85,9 @@ def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int, b: int) -> tuple:
     return sparse_limit, bad_limit, math.ceil(floor_points), floor_points < 1
 
 
-def _level_constants(p: int, c: Fraction, arity: int, r: int, max_dim: int | None) -> dict:
+@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
+def _level_constants(p: int, c: Fraction, arity: int, r: int,
+                     max_dim: int | None) -> MappingProxyType:
     """The ledger constants of a level of density c over F_p, keyed by their
     ledger names: the one specification dense_columns, the finder and
     budget_line read.  With k = arity - 1, K = K(k) and r the largest base
@@ -100,14 +101,9 @@ def _level_constants(p: int, c: Fraction, arity: int, r: int, max_dim: int | Non
       epsilon        = c_double_prime ** arity / 2
       s              = ceil(log_p 1/epsilon)
 
-    The items are memoized per signature (_level_items); each call returns
-    a fresh dict of them, so no caller can change what later calls read.
+    Memoized per signature.  The mapping is read-only, so no caller can
+    change what later calls read.
     """
-    return dict(_level_items(p, c, arity, r, max_dim))
-
-
-@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
-def _level_items(p: int, c: Fraction, arity: int, r: int, max_dim: int | None) -> tuple:
     c_prime, fiber_floor = _fiber_constants(p, c, arity)
     c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(arity - 1) * arity * r)
     clamped = False
@@ -117,8 +113,8 @@ def _level_items(p: int, c: Fraction, arity: int, r: int, max_dim: int | None) -
         if clamped:
             c_dd = one_point
     eps = c_dd**arity * Fraction(1, 2)
-    return (("c_prime", c_prime), ("c_double_prime", c_dd), ("epsilon", eps),
-            ("s", eps.ceil_log_inverse()), ("clamped", clamped))
+    return MappingProxyType({"c_prime": c_prime, "c_double_prime": c_dd, "epsilon": eps,
+                             "s": eps.ceil_log_inverse(), "clamped": clamped})
 
 
 @lru_cache(maxsize=None)
@@ -243,45 +239,27 @@ class _Fibers:
         return self.system(*lists).count
 
 
-@contextlib.contextmanager
-def _scoped_cache(var: contextvars.ContextVar):
-    """Give the context variable an empty dict for the duration of the block.
-
-    Opens a scope only when none is open in this context, so nested calls
-    share the outermost one; the dict is dropped when that scope closes.
-    """
-    if var.get() is not None:
-        yield
-        return
-    token = var.set({})
-    try:
-        yield
-    finally:
-        var.reset(token)
-
-
-# Fibers built in the open finder scope, keyed by (shape, j, others); None
-# when no scope is open.
-_FIBERS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "mlvariety_fibers", default=None
+# The open finder scope: (certificates by _variety_key, _Fibers by
+# (shape, j, others)) while a find runs in this context; None otherwise.
+_SCOPE: contextvars.ContextVar[tuple[dict, dict] | None] = contextvars.ContextVar(
+    "mlvariety_finder_scope", default=None
 )
 
 
 def _fibers(shape, factors, j: int | None = None) -> _Fibers:
     """The fibers in factor j, by default the largest of the factors (the
-    first among ties), over the others of them.  Inside the finder's scope
-    one _Fibers serves every call with the same shape and factors, so the
-    input's values and systems serve _solve and the direction j of
+    first among ties), over the others of them.  While a find runs, one
+    _Fibers serves every call with the same shape and factors (_SCOPE), so
+    the input's values and systems serve _solve and the direction j of
     dense_columns, and the target's serve external_approx and _solve."""
     if j is None:
         j = max(factors, key=shape.dims.__getitem__, default=None)
     key = (shape, j, tuple(l for l in factors if l != j))
-    scope = _FIBERS.get()
-    if scope is None:
-        return _Fibers(*key)
-    if key not in scope:
-        scope[key] = _Fibers(*key)
-    return scope[key]
+    scope = _SCOPE.get()
+    built = {} if scope is None else scope[1]
+    if key not in built:
+        built[key] = _Fibers(*key)
+    return built[key]
 
 
 def _image_histogram(fib: _Fibers, components) -> np.ndarray:
@@ -355,9 +333,9 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
 
     Survival depends only on a point's value vector, so the greedy runs on a
     histogram of value codes over G_S, with kills tabulated per occupied
-    code after the budget admits the p**m * |G_S| "functional scan" each
-    live step still charges (the per-point price, kept until the transform
-    of ROADMAP item 8a sets what a step touches).  The histogram comes from
+    code.  Each live step reads that p**m x (occupied codes) table, and it
+    is charged per live step as the "functional scan", after the budget
+    admits it and before the table is built.  The histogram comes from
     fibers, not from a pass over G_S: with j the largest support factor and
     x running over the other support factors, the values at (x, y) are
     M(x) y, so each value of the image of M(x) is hit p**(n_j - rank)
@@ -380,8 +358,7 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     p = shape.p
     m = source.codomain_dim
     support_dims = tuple(shape.dims[j] for j in source.support)
-    support_total = p ** sum(support_dims)
-    outside_mult = shape.total_points // support_total
+    outside_mult = shape.total_points // p ** sum(support_dims)
     # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
     functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2))
     fib = _fibers(shape, source.support)
@@ -391,13 +368,13 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     hist = hist[occupied]
     alive = occupied != 0
     if s and alive.any():
-        budget.ensure(p**m * support_total, "functional scan")
+        budget.ensure(p**m * len(occupied), "functional scan")
     kills = functionals @ functionals[occupied].T
     kills = np.remainder(kills, p, out=kills) == 0
     chosen = []
     per_step = []
     while len(chosen) < s and alive.any():
-        budget.charge(p**m * support_total, "functional scan")
+        budget.charge(p**m * len(occupied), "functional scan")
         best = int(np.argmin((kills & alive) @ hist))
         alive &= kills[best]
         chosen.append(best)
@@ -584,11 +561,11 @@ def _ledger_record(arity: int, c: Fraction, **extra) -> dict:
     return record
 
 
-# Sub-problems solved in the open finder scope: subproblem key ->
-# certificate; None when no scope is open.
-_SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "mlvariety_solved", default=None
-)
+def _variety_key(v: Variety) -> tuple:
+    # Key of a variety's certificate in the finder's sub-problem memo.  The
+    # raw defining list, not canonical(): the finder reads the raw list, and
+    # lists with one canonical form are not known to give one certificate.
+    return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
 
 
 def find_subvariety(v: Variety) -> SubvarietyCertificate:
@@ -610,23 +587,29 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     count a sum of p**(n_j - rank) over the points of the other factors.
     So the finder builds no |G|-sized array at any level: its largest are
     the |G|/|G_i| base bitmaps of dense_columns and the fiber rows, B * n_j
-    entries per form (B = |G|/|G_j|), and it charges those.  Only the
-    functional scan of external_approx is still priced per point of G.
+    entries per form (B = |G|/|G_j|), and it charges those, with the
+    p**m x (occupied value codes) kill table of external_approx per live
+    greedy step.
 
-    The recursion runs in one memo scope, so each distinct sub-problem
-    (shape and raw defining list) is solved once: the recursion slices the
-    same sub-variety along many paths.  It runs in one fiber scope too,
-    which holds each _Fibers built (_fibers).  A hit in either returns what
-    is stored and charges nothing: its passes already ran once under the
-    same budget, so the certificate and every refusal are those of a solve
-    without them.  Both scopes close on return or on a raise.
+    The outermost call opens one scope (_SCOPE), the calling thread's own,
+    which the recursion shares and which closes on return or on a raise.
+    It holds the sub-problem memo, so each distinct sub-problem (shape and
+    raw defining list) is solved once, though the recursion slices it along
+    many paths, and each _Fibers built (_fibers).  A hit in either returns
+    what is stored and charges nothing: its passes already ran once under
+    the same budget, so the certificate and every refusal are those of a
+    solve without them.
     """
-    with _scoped_cache(_SOLVED), _scoped_cache(_FIBERS):
-        solved = _SOLVED.get()
+    token = _SCOPE.set(({}, {})) if _SCOPE.get() is None else None
+    try:
+        solved = _SCOPE.get()[0]
         key = _variety_key(v)
         if key not in solved:
             solved[key] = _solve(v)
         return solved[key]
+    finally:
+        if token is not None:
+            _SCOPE.reset(token)
 
 
 def _first_escape(inner: Variety, outer: Variety) -> tuple[tuple[int, ...], ...]:

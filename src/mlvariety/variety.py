@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import budget
-from .errors import PreconditionError
+from .errors import ConstructionError, PreconditionError
 from .field import all_vectors, rref, shift_permutation, shift_rows, vector_from_index, vector_index
 from .forms import (
     MultilinearForm,
@@ -97,13 +97,6 @@ def membership(v: Variety, point) -> bool:
     if v.is_empty:
         return False
     return all(eval_form(f, pt) == 0 for f in v.forms)
-
-
-def _variety_key(v: Variety) -> tuple:
-    # Key of a variety's certificate in the finder's sub-problem memo.  The
-    # raw defining list, not canonical(): the finder reads the raw list, and
-    # lists with one canonical form are not known to give one certificate.
-    return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
 
 
 def variety_bitmap(v: Variety) -> np.ndarray:
@@ -503,7 +496,8 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
     vector table (field.all_vectors), added with a conditional subtraction
     of p and ranked again.  The 2**k corners of every row are flat gathers
     on `allowed`.  The re-check calls no translation kernel, so it does not
-    depend on the shift tables the search uses.
+    depend on the shift tables the search uses.  A corner it finds outside
+    `allowed` is the search's fault, not the input's: ConstructionError.
     """
     shape = v.shape
     if bad.shape != shape:
@@ -534,7 +528,7 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
         moved = shape.p ** np.arange(n - 1, -1, -1, dtype=np.int64) @ digits
         steps[rows, i] = (moved - offsets[rows, i]) * strides[i]
     if not _corners_allowed(allowed, offsets @ strides, steps).all():
-        raise PreconditionError("witness corner escaped the allowed set")
+        raise ConstructionError("witness corner escaped the allowed set")
     return ConvFillReport(
         codim=codim,
         bad_size=bad.size,

@@ -37,7 +37,7 @@ from mlvariety.jsonio import (
     frac_to_str,
     variety_to_obj,
 )
-from mlvariety.variety import Variety, _point_from_index, variety_bitmap
+from mlvariety.variety import PointSet, Variety, _point_from_index, variety_bitmap
 
 from helpers import (
     annihilator,
@@ -46,6 +46,7 @@ from helpers import (
     count_bitmap_passes,
     count_grid_evaluations,
     monomial_value,
+    replace_shift_tables,
     skip_first_row_pass,
 )
 
@@ -625,6 +626,23 @@ def test_conv_check_at_the_benchmark_shape_needs_no_full_scan(tmp_path, monkeypa
     assert json.loads(capsys.readouterr().out) == report
 
 
+def test_conv_check_corner_escape_is_a_construction_failure(tmp_path, monkeypatch, capsys):
+    # with identity translations the search accepts offset (0,1) in factor
+    # 0, whose corner (0,2) at bases with (0,1) there is bad: the re-check
+    # catches a fault of the search, not of the input, so the exit is 5
+    sh = Shape(3, (2, 2))
+    zeros = ((0, 0),)
+    bad = PointSet.from_points(sh, [((0, 0),) + zeros, ((0, 2),) + zeros])
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(Variety.full(sh))))
+    replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
+    monkeypatch.setattr(cli, "random_point_subset", lambda rng, shape, mask, count: bad)
+    assert main(["conv-check", "--input", str(path)]) == EXIT_VERIFY
+    assert capsys.readouterr().err == (
+        "verification failure: witness corner escaped the allowed set\n"
+    )
+
+
 def test_conv_check_rejects_negative_bad_count(dot_files):
     _, var_path = dot_files
     with pytest.raises(SystemExit) as exc:
@@ -792,8 +810,9 @@ def test_approx_harness(tmp_path, capsys):
 
 
 def test_approx_over_budget_refuses_before_the_kill_table(tmp_path, capsys):
-    """p**m * |G_S| = 2**24 is one over the budget: the refusal comes before
-    the p**m x (occupied codes) kill table, some 10 MB here, is built."""
+    """The functional scan reads the p**m x (occupied codes) kill table,
+    4,096 x 2,503 = 10,252,288 cells here, one over the budget: the refusal
+    comes before that table, some 10 MB, is built."""
     rng = random.Random(0)
     path = tmp_path / "map.json"
     path.write_text(json.dumps({
@@ -804,16 +823,51 @@ def test_approx_over_budget_refuses_before_the_kill_table(tmp_path, capsys):
     tracemalloc.start()
     try:
         code = main([
-            "approx", "--input", str(path), "--s", "1", "--budget", str(2**24 - 1),
+            "approx", "--input", str(path), "--s", "1", "--budget", "10252287",
         ])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == EXIT_BUDGET
-    assert "functional scan needs 16777216 points, over the budget of 16777215" in (
+    assert "functional scan needs 10252288 points, over the budget of 10252287" in (
         capsys.readouterr().err
     )
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("p, dims", [(2, (14, 14)), (3, (10, 10)), (2, (16, 16))])
+def test_find_sub_on_two_forms_fits_the_default_budget(tmp_path, capsys, p, dims):
+    # 2 full-support forms with |G| from 2**28 to 3**20: each live scan step
+    # reads a p**2 x (at most p**2 occupied codes) kill table, and the fiber
+    # rows fit the budget
+    v = random_variety(random.Random(61), Shape(p, dims), 2, full_support_only=True)
+    path, cert = tmp_path / "variety.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    assert main(["find-sub", "--input", str(path), "--format", "json",
+                 "--output", str(cert)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--certificate", str(cert)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "containment: True\nnonempty: True\ncodim_within_budget: True\n"
+    )
+
+
+def test_find_sub_on_many_forms_refuses_at_the_kill_table(tmp_path, capsys):
+    # the coordinate products x_i y_j for i < 2 and all j, 16 forms at
+    # (2,(4,8)): the scan would read 2**16 functionals x 766 occupied codes
+    sh = Shape(2, (4, 8))
+    products = []
+    for i in range(2):
+        for j in range(8):
+            coeffs = np.zeros((4, 8), dtype=int)
+            coeffs[i, j] = 1
+            products.append(MultilinearForm(sh, (0, 1), coeffs))
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(Variety(sh, tuple(products)))))
+    assert main(["find-sub", "--input", str(path)]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "budget exceeded: functional scan needs 50200576 points, over the budget of 16777216\n"
+    )
 
 
 @pytest.mark.parametrize("s, code", [(14000, EXIT_OK), (20000, EXIT_BUDGET), (10**9, EXIT_BUDGET)])
@@ -1029,20 +1083,21 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
 
 
 def test_sweep_row_over_the_budget(tmp_path):
-    # the finder reads fiber rows of 64 entries per form and fiber
-    # coordinate, but the functional scan of variety 0's two full-support
-    # forms is 2**2 * 4,096 points, over a 3,000 budget: its row records the
-    # refusal, with the points charged before it, and the sweep itself
-    # succeeds.  Variety 1 has no full-support form, so it needs no scan
+    # fiber rows hold 64 entries per form and fiber coordinate.  Variety 0
+    # passes its density (768 points) and its extraction (2,464 points), but
+    # its verification reads the rows of 2 input and 2 output forms, 1,536
+    # entries, over a 1,000 budget: its row records the refusal, with the
+    # points charged before it, and the sweep itself succeeds.  Variety 1's
+    # largest pass is its verification's 896 entries
     out = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--p", "2", "--dims", "6,6", "--gen", "random-forms",
-        "--count", "2", "--budget", "3000", "--output", str(out),
+        "--count", "2", "--budget", "1000", "--output", str(out),
     ]) == EXIT_OK
     lines = out.read_text().splitlines()
-    assert '"budget":3000' in lines[0]
+    assert '"budget":1000' in lines[0]
     assert lines[2:] == [
-        "0,2,2,6x6,,,,,budget_exceeded,3200",
+        "0,2,2,6x6,,,,,budget_exceeded,3232",
         "1,2,2,6x6,1/4,2.0,2,61,ok,2636",
     ]
 

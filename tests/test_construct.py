@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -133,7 +134,7 @@ def test_codim_budget_rejects_bad_density():
 
 
 # The process-wide memos of a level's exact ledger arithmetic.
-_LEDGER_MEMOS = (_fiber_constants, _fiber_thresholds, construct._level_items, codim_budget)
+_LEDGER_MEMOS = (_fiber_constants, _fiber_thresholds, _level_constants, codim_budget)
 
 
 def _clear_ledger_memos():
@@ -170,7 +171,7 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
     fresh = [
         (codim_budget.__wrapped__(arity, p, c), _fiber_constants.__wrapped__(p, c, arity),
          _fiber_thresholds.__wrapped__(p, c, arity, n, b),
-         dict(construct._level_items.__wrapped__(p, c, arity, r, max_dim)))
+         _level_constants.__wrapped__(p, c, arity, r, max_dim))
         for c, r, max_dim, n, b in signatures
     ]
     assert cached[0] == cached[1] == fresh
@@ -197,14 +198,17 @@ def test_fiber_thresholds_are_the_floors_of_the_written_out_constants(p, arity):
                 )
 
 
-def test_level_constants_returns_a_fresh_dict():
+def test_level_constants_are_read_only():
     signature = (3, Fraction(1, 3), 3, 1, 4)
     first = _level_constants(*signature)
     expected = dict(first)
-    first["s"] = -1
-    first["extra"] = 0
-    del first["c_prime"]
-    assert _level_constants(*signature) == expected
+    with pytest.raises(TypeError):
+        first["s"] = -1
+    with pytest.raises(TypeError):
+        first["extra"] = 0
+    with pytest.raises(TypeError):
+        del first["c_prime"]
+    assert dict(_level_constants(*signature)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,8 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     component needs no rows, rows equal to a source component's are not
     built again, and the error count is the brute-force count of points
     where phi vanishes and the source does not.  The charges are the rows,
-    B * n_j entries per form, the B * p**m image cells and the scan."""
+    B * n_j entries per form, the B * p**m image cells and, per live step,
+    the p**m x (occupied value codes) kill table the scan reads."""
     sh = Shape(p, dims)
     source = random_map(random.Random(18), sh, 2)
     calls = []
@@ -272,7 +277,9 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     assert len(nonzero) < s
     assert set(folded) == nonzero - set(calls[: source.codomain_dim])
     live = 1 + sum(1 for n in res.survivors_per_step[:-1] if n)
-    scan = p**source.codomain_dim * sh.total_points
+    occupied = {tuple(brute_eval(f, point) for f in source.components)
+                for point in enumerate_points(sh)}
+    scan = p**source.codomain_dim * len(occupied)
     j = max(source.support, key=sh.dims.__getitem__)
     b = sh.total_points // p ** (sh.dims[j] + sum(
         n for l, n in enumerate(sh.dims) if l not in source.support
@@ -760,7 +767,7 @@ def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     find_subvariety(v)
     assert seen and max(seen.values()) == 1
     assert {f.key() for f in v.forms} <= {key for _, key, _ in seen}
-    assert construct._FIBERS.get() is None
+    assert construct._SCOPE.get() is None
 
 
 def test_bitmaps_are_built_afresh_after_the_finder_returns(monkeypatch):
@@ -822,16 +829,48 @@ def test_grid_scope_closes_when_the_finder_raises(monkeypatch):
     approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError):
         find_subvariety(dot_variety(2, 2))
-    assert construct._FIBERS.get() is None
+    assert construct._SCOPE.get() is None
 
 
 def test_memo_scope_closes_on_return_and_on_raise(monkeypatch):
     find_subvariety(dot_variety(2, 2))
-    assert construct._SOLVED.get() is None
+    assert construct._SCOPE.get() is None
     approximate_with_no_functionals(monkeypatch)
     with pytest.raises(ApproxMismatchError):
         find_subvariety(dot_variety(2, 2))
-    assert construct._SOLVED.get() is None
+    assert construct._SCOPE.get() is None
+
+
+def test_finder_scope_belongs_to_the_calling_thread(monkeypatch):
+    # while one thread's find is paused inside the finder, a second thread
+    # sees no scope, and its own find returns what a lone call returns
+    v = random_variety(random.Random(21), Shape(2, (4, 4)), 2, full_support_only=True)
+    w = dot_variety(2, 2)
+    lone_v, lone_w = find_subvariety(v), find_subvariety(w)
+    paused, resume = threading.Event(), threading.Event()
+    seen, results = [], []
+    original = construct._solve
+
+    def pausing(u):
+        if not seen and threading.current_thread() is not threading.main_thread():
+            seen.append(construct._SCOPE.get())
+            paused.set()
+            assert resume.wait(timeout=60)
+        return original(u)
+
+    monkeypatch.setattr(construct, "_solve", pausing)
+    worker = threading.Thread(target=lambda: results.append(find_subvariety(v)))
+    worker.start()
+    try:
+        assert paused.wait(timeout=60)
+        assert construct._SCOPE.get() is None
+        assert find_subvariety(w) == lone_w
+        assert construct._SCOPE.get() is None
+        assert construct._variety_key(w) not in seen[0][0]
+    finally:
+        resume.set()
+        worker.join(timeout=60)
+    assert results == [lone_v]
 
 
 def test_back_to_back_finder_calls_charge_alike():
@@ -976,7 +1015,10 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     budget.reset_work()
     cert = find_subvariety(v)
     assert counts == {"_solve": 7, "dense_columns": 27}
-    assert budget.work_points() == 5754
+    # 448 fiber-row entries, 768 bitmap points, 4,092 filling points, 190
+    # image cells and one live scan step at the top level, which reads the
+    # 2 x 2 kill table of its one form's two value codes
+    assert budget.work_points() == 448 + 768 + 4092 + 190 + 4
     assert len(cert.ledger) == 8660
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger

@@ -3,9 +3,9 @@
 Each run contributes its argv, exit code, stdout, stderr, the bytes of the
 file it wrote (if any) and the work counter.  The runs cover find-sub then
 verify, conv-check, approx, rank, density and one sweep per generator, over
-p in {2, 3, 5} and arity 1 to 5, with exits 2, 3, 4 and 5 among them, and
-two verifies and one density on a variety whose |G| is past the point
-budget.  A refactor that keeps every output byte-identical keeps
+p in {2, 3, 5} and arity 1 to 5, with exits 2, 3, 4 and 5 among them, two
+verifies and one density on a variety whose |G| is past the point budget,
+and a find-sub then verify whose certificate has no clamped level.  A refactor that keeps every output byte-identical keeps
 GOLDEN_SHA256; a change meant to alter an output re-pins it from the
 failure message.
 
@@ -32,7 +32,7 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "8dbe703f81391598fdf9aafdab397a58a8d5a2769352d7b70215b95a6d903ba7"
+GOLDEN_SHA256 = "53414375269ef6d26ebbbd44f93ccf13a9283ebcfafc90228601300bbd27942c"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
@@ -81,6 +81,10 @@ def _write_inputs():
             "output": variety_to_obj(wide.canonical()),
             "ledger": [],
         })
+    # |G| = 2**36: the first certificate with no clamped level, found and
+    # verified at a budget that admits its 18,874,368 fiber-row entries
+    deep = random_variety(random.Random(61), Shape(2, (18, 18)), 2, full_support_only=True)
+    put("unclamped_p2_1818.json", variety_to_obj(deep))
 
 
 def _runs():
@@ -117,6 +121,10 @@ def _runs():
     yield ["verify", "--input", "wide_p2_1414.json", "--certificate",
            "cert_wide_budget_p2_1414.json"]
     yield ["density", "--input", "wide_p2_1414.json", "--format", "json"]
+    yield ["find-sub", "--input", "unclamped_p2_1818.json", "--format", "json",
+           "--output", "cert_unclamped_p2_1818.json", "--budget", "33554432"]
+    yield ["verify", "--input", "unclamped_p2_1818.json", "--certificate",
+           "cert_unclamped_p2_1818.json", "--budget", "33554432"]
 
 
 def golden_records():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, variety
-from mlvariety.errors import PreconditionError
+from mlvariety.errors import ConstructionError, PreconditionError
 from mlvariety.fibers import density
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
 from mlvariety.generators import random_point_subset, random_variety
@@ -433,7 +433,7 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables(monkeypatch):
     # a search whose translations are all the identity accepts the offset
     # (0,0,0) at base (0,0,1), whose shifted corner (0,0,1) is bad
     replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
-    with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
+    with pytest.raises(ConstructionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad, variety_bitmap(w), w.codim)
 
 
@@ -448,7 +448,7 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables_p3_k2(monkeypat
     # base ((0,0),(2,2)), whose corner shifted in direction 1 is bad; the
     # re-check must rank that corner in base 3 to see it
     replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
-    with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
+    with pytest.raises(ConstructionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad, variety_bitmap(w), w.codim)
 
 
@@ -470,7 +470,7 @@ def test_conv_fill_corner_recheck_ranks_the_moved_digits_p3(monkeypatch, dims):
     replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
     offsets = _fill_scan(sh, np.argwhere(mask), mask & ~bad.mask, "test scan")
     assert (offsets == [1] + [0] * (sh.k - 1)).all()
-    with pytest.raises(PreconditionError, match="witness corner escaped the allowed set"):
+    with pytest.raises(ConstructionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad, mask, 0)
 
 
