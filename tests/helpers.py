@@ -310,6 +310,17 @@ def small_dims(rng, k: int, total: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def coordinate_products(shape, w: int):
+    """The forms x_i y_j for i < w and every j on a two-factor shape: their
+    variety is {x_1 = ... = x_w = 0} union {y = 0}."""
+    products = []
+    for i, j in itertools.product(range(w), range(shape.dims[1])):
+        coeffs = np.zeros(shape.dims, dtype=int)
+        coeffs[i, j] = 1
+        products.append(MultilinearForm(shape, (0, 1), coeffs))
+    return products
+
+
 def count_grid_evaluations(monkeypatch):
     """Counter of (shape, form key) over every evaluation that reaches
     forms._value_grid from eval_grid."""

@@ -43,6 +43,7 @@ from helpers import (
     annihilator,
     brute_eval,
     constant_shift_tables,
+    coordinate_products,
     count_bitmap_passes,
     count_grid_evaluations,
     monomial_value,
@@ -856,14 +857,8 @@ def test_find_sub_on_many_forms_refuses_at_the_kill_table(tmp_path, capsys):
     # the coordinate products x_i y_j for i < 2 and all j, 16 forms at
     # (2,(4,8)): the scan would read 2**16 functionals x 766 occupied codes
     sh = Shape(2, (4, 8))
-    products = []
-    for i in range(2):
-        for j in range(8):
-            coeffs = np.zeros((4, 8), dtype=int)
-            coeffs[i, j] = 1
-            products.append(MultilinearForm(sh, (0, 1), coeffs))
     path = tmp_path / "variety.json"
-    path.write_text(json.dumps(variety_to_obj(Variety(sh, tuple(products)))))
+    path.write_text(json.dumps(variety_to_obj(Variety(sh, coordinate_products(sh, 2)))))
     assert main(["find-sub", "--input", str(path)]) == EXIT_BUDGET
     assert capsys.readouterr().err == (
         "budget exceeded: functional scan needs 50200576 points, over the budget of 16777216\n"

@@ -24,7 +24,7 @@ from mlvariety.forms import MultilinearForm, Shape, eval_grid, zero_form
 from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.variety import Variety, variety_bitmap
 
-from helpers import brute_eval, small_dims
+from helpers import brute_eval, coordinate_products, small_dims
 
 
 def _battery(p, seed):
@@ -141,12 +141,7 @@ def test_dense_columns_takes_a_nonzero_slice():
     skip its zero slice, whose fiber-sparse points are too many; the slice,
     the bad count and the fiber minimum are the bitmap's."""
     shape = Shape(2, (4, 9))
-    forms_ = []
-    for i, j in itertools.product(range(2), range(9)):
-        coeffs = np.zeros(shape.dims, dtype=int)
-        coeffs[i, j] = 1
-        forms_.append(MultilinearForm(shape, (0, 1), coeffs))
-    v = Variety(shape, forms_)
+    v = Variety(shape, coordinate_products(shape, 2))
     res = dense_columns(v, 1)
     assert res.slice_point == vector_from_index(2, 9, 1)
     mask = variety_bitmap(v)
