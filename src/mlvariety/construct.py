@@ -277,8 +277,8 @@ def _image_histogram(fib: _Fibers, components) -> np.ndarray:
     the B * p**m cells of the image masks.
     """
     p, m, b, n = fib.p, len(components), fib.b, fib.n
-    # the codes of the columns of M(x); none without a fiber factor
-    columns = np.zeros((b, n), dtype=np.intp)
+    # the codes of the columns of M(x), in the narrowest type; none without j
+    columns = np.zeros((b, n), dtype=np.min_scalar_type(p**m - 1))
     if fib.j is not None:
         for rows in fib.values(components):
             columns *= p
@@ -303,6 +303,22 @@ def _image_histogram(fib: _Fibers, components) -> np.ndarray:
     weight = np.array([p ** (n - r) for r in range(min(len(system.basis), n) + 1)],
                       dtype=np.int64 if b * p**n < 2**63 else object)
     return weight[system.rank] @ image
+
+
+def _zero_counts(live: np.ndarray, p: int, m: int) -> np.ndarray:
+    """Z[u] = sum over v of live[v] [u . v = 0] for every code u of F_p^m,
+    exact in live's dtype: the F_p Walsh-Hadamard transform (O'Donnell
+    2014, ch. 1).  z[code, r] counts by partial dot product r mod p; each
+    of m passes takes the leading digit v_i off the code and appends u_i,
+    entry (u_i, r) summing entry (v_i, r - u_i v_i mod p) over v_i."""
+    d = np.arange(p)
+    back = (d - np.multiply.outer(d, d)[:, :, None]) % p  # [v, u, r]: r - u v
+    z = np.zeros((live.size, p), dtype=live.dtype)
+    z[:, 0] = live
+    for _ in range(m):
+        z = z.reshape(p, -1, p)
+        z = sum(z[v].take(back[v], axis=1) for v in range(p)).reshape(-1, p)
+    return z[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +347,12 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     steps at most p**-s |G| survivors remain; those are exactly the
     approximation error, which is counted and returned.
 
-    Survival depends only on a point's value vector, so the greedy runs on a
-    histogram of value codes over G_S, with kills tabulated per occupied
-    code.  Each live step reads that p**m x (occupied codes) table, and it
-    is charged per live step as the "functional scan", after the budget
-    admits it and before the table is built.  The histogram comes from
-    fibers, not from a pass over G_S: with j the largest support factor and
-    x running over the other support factors, the values at (x, y) are
-    M(x) y, so each value of the image of M(x) is hit p**(n_j - rank)
-    times (_image_histogram).  The functional table is built, and its
-    budget checked, before any fiber is.
+    Survival depends only on a point's value vector, so the greedy runs on
+    the histogram of value codes over G_S, read from fibers, not from a
+    pass over G_S (_image_histogram).  Each live step scores every
+    functional with one transform of the survivors' histogram
+    (_zero_counts), charged as the "functional scan" of its m * p**(m+1)
+    cells; the budget admits that figure before any fiber is built.
 
     Each distinct chosen functional gives one form, which phi repeats where
     the greedy chose it again (once no survivor is left it keeps choosing the
@@ -360,28 +372,25 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     support_dims = tuple(shape.dims[j] for j in source.support)
     outside_mult = shape.total_points // p ** sum(support_dims)
     # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
-    functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2))
+    functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2), copy=False)
+    scan = m * p ** (m + 1)
+    if s and not all(f.is_zero() for f in source.components):
+        budget.ensure(scan, "functional scan")
     fib = _fibers(shape, source.support)
-    hist = _image_histogram(fib, source.components)
-    source_zero_count = int(hist[0])
-    occupied = np.flatnonzero(hist)
-    hist = hist[occupied]
-    alive = occupied != 0
-    if s and alive.any():
-        budget.ensure(p**m * len(occupied), "functional scan")
-    kills = functionals @ functionals[occupied].T
-    kills = np.remainder(kills, p, out=kills) == 0
-    chosen = []
-    per_step = []
-    while len(chosen) < s and alive.any():
-        budget.charge(p**m * len(occupied), "functional scan")
-        best = int(np.argmin((kills & alive) @ hist))
-        alive &= kills[best]
-        chosen.append(best)
-        per_step.append(int(hist[alive].sum()))
+    live = _image_histogram(fib, source.components)
+    source_zero_count = int(live[0])
+    # the survivors' value codes: nonzero, and killed by every choice so far
+    live[0] = 0
     # once nothing survives, every later step chooses 0 and leaves 0
-    chosen += [0] * (s - len(chosen))
-    per_step += [0] * (s - len(per_step))
+    chosen = [0] * s
+    per_step = [0] * s
+    for step in range(s):
+        if not live.any():
+            break
+        budget.charge(scan, "functional scan")
+        chosen[step] = best = int(np.argmin(_zero_counts(live, p, m)))
+        live[functionals @ functionals[best] % p != 0] = 0
+        per_step[step] = int(live.sum())
     stacked = np.array(
         [f.coeffs for f in source.components], dtype=np.int64
     ).reshape(m, *support_dims)
@@ -472,9 +481,8 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     alive, basis, rank = system.alive, system.basis, system.rank
     c = Fraction(system.count, shape.total_points)
     direction_size = p**n
-    other_total = fib.b
     sparse_limit, bad_limit, fiber_floor_count, clamped = _fiber_thresholds(
-        p, c, shape.k, n, other_total
+        p, c, shape.k, n, fib.b
     )
     # the ranks of sparse fibers; every slice below holds only alive x
     sparse_rank = np.array([p ** (n - r) <= sparse_limit for r in range(min(len(basis), n) + 1)])
@@ -486,7 +494,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
         if t:  # M(x) 0 = 0, so the slice at 0 is every alive x
             for _, row in basis:
                 u_mask &= row.astype(np.int64) @ slice_point % p == 0
-        if Fraction(int(np.count_nonzero(u_mask)), other_total) < c / 2:
+        if Fraction(int(np.count_nonzero(u_mask)), fib.b) < c / 2:
             continue
         b_count = int(np.count_nonzero(u_mask & fiber_sparse))
         if b_count <= bad_limit:
@@ -588,8 +596,7 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     So the finder builds no |G|-sized array at any level: its largest are
     the |G|/|G_i| base bitmaps of dense_columns and the fiber rows, B * n_j
     entries per form (B = |G|/|G_j|), and it charges those, with the
-    p**m x (occupied value codes) kill table of external_approx per live
-    greedy step.
+    m * p**(m+1) transformed cells of external_approx per live greedy step.
 
     The outermost call opens one scope (_SCOPE), the calling thread's own,
     which the recursion shares and which closes on return or on a raise.
@@ -645,10 +652,9 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     p = shape.p
     if v.is_empty:
         raise EmptyVarietyError("the subvariety finder needs a nonempty variety")
-    total = shape.total_points
     fib = _fibers(shape, range(shape.k))
     v_count = fib.count(v.forms)
-    c = Fraction(v_count, total)
+    c = Fraction(v_count, shape.total_points)
     bud = codim_budget(shape.k, p, c)
 
     if shape.k == 1:
@@ -707,7 +713,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             f"({extra_count} extra points)",
             point=point,
             extra_count=extra_count,
-            extra_floor=level["c_double_prime"]**shape.k * total,
+            extra_floor=level["c_double_prime"]**shape.k * shape.total_points,
         )
 
     if fib.count(candidate.forms, v.forms) != fib.count(candidate.forms):

@@ -80,12 +80,10 @@ def all_vectors(p: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _vector_table(p: int, n: int) -> np.ndarray:
-    if n == 0:
-        arr = np.zeros((1, 0), dtype=np.uint8)
-    else:
-        r = np.arange(p**n, dtype=np.int64)
-        cols = [(r // p ** (n - 1 - t)) % p for t in range(n)]
-        arr = np.stack(cols, axis=1).astype(np.uint8)
+    arr = np.empty((p**n, n), dtype=np.uint8)
+    for t in range(n):
+        # digit t steps through the residues in runs of p**(n - 1 - t)
+        arr[:, t].reshape(p**t, p, -1)[:] = np.arange(p, dtype=np.uint8)[:, None]
     arr.setflags(write=False)
     return arr
 

@@ -407,13 +407,9 @@ def matricization_rank_bound(form: MultilinearForm) -> int:
     """
     if form.is_zero():
         return 0
-    best = None
-    p = form.shape.p
-    for axis in range(len(form.support)):
-        mat = np.moveaxis(form.coeffs, axis, 0).reshape(form.coeffs.shape[axis], -1)
-        r = rref(mat.tolist(), p).shape[0]
-        best = r if best is None else min(best, r)
-    return int(best)
+    t = form.coeffs
+    flattenings = (np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1) for axis in range(t.ndim))
+    return min(len(rref(mat.tolist(), form.shape.p)) for mat in flattenings)
 
 
 def _splits(support: tuple[int, ...]):

@@ -4,7 +4,6 @@ import json
 import random
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -810,10 +809,10 @@ def test_approx_harness(tmp_path, capsys):
     assert len(saved["phi"]["components"]) == 2
 
 
-def test_approx_over_budget_refuses_before_the_kill_table(tmp_path, capsys):
-    """The functional scan reads the p**m x (occupied codes) kill table,
-    4,096 x 2,503 = 10,252,288 cells here, one over the budget: the refusal
-    comes before that table, some 10 MB, is built."""
+def test_approx_over_budget_refuses_before_the_fibers(tmp_path, capsys):
+    """Each live greedy step transforms m * p**(m+1) = 12 * 2**13 = 98,304
+    cells here: at one below that the refusal comes before any fiber row
+    or value image, and at that budget the value images refuse next."""
     rng = random.Random(0)
     path = tmp_path / "map.json"
     path.write_text(json.dumps({
@@ -821,19 +820,12 @@ def test_approx_over_budget_refuses_before_the_kill_table(tmp_path, capsys):
         "codomain_dim": 12,
         "components": [[rng.randrange(2) for _ in range(36)] for _ in range(12)],
     }))
-    tracemalloc.start()
-    try:
-        code = main([
-            "approx", "--input", str(path), "--s", "1", "--budget", "10252287",
-        ])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_BUDGET
-    assert "functional scan needs 10252288 points, over the budget of 10252287" in (
-        capsys.readouterr().err
-    )
-    assert peak < 4 << 20
+    budget.reset_work()
+    assert main(["approx", "--input", str(path), "--s", "1", "--budget", "98303"]) == EXIT_BUDGET
+    assert "functional scan needs 98304 points, over the budget of 98303" in capsys.readouterr().err
+    assert budget.work_points() == 0
+    assert main(["approx", "--input", str(path), "--s", "1", "--budget", "98304"]) == EXIT_BUDGET
+    assert "value images needs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p, dims", [(2, (14, 14)), (3, (10, 10)), (2, (16, 16))])
@@ -853,16 +845,42 @@ def test_find_sub_on_two_forms_fits_the_default_budget(tmp_path, capsys, p, dims
     )
 
 
-def test_find_sub_on_many_forms_refuses_at_the_kill_table(tmp_path, capsys):
-    # the coordinate products x_i y_j for i < 2 and all j, 16 forms at
-    # (2,(4,8)): the scan would read 2**16 functionals x 766 occupied codes
-    sh = Shape(2, (4, 8))
+def _coordinate_products_file(tmp_path, dims):
+    # the coordinate products x_i y_j for i < 2 and all j
+    sh = Shape(2, dims)
     path = tmp_path / "variety.json"
     path.write_text(json.dumps(variety_to_obj(Variety(sh, coordinate_products(sh, 2)))))
+    return path
+
+
+def test_find_sub_on_many_forms_fits_the_default_budget(tmp_path, capsys):
+    # 16 forms at (2,(4,8)): each live step transforms 16 * 2**17 cells
+    path, cert = _coordinate_products_file(tmp_path, (4, 8)), tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(path), "--output", str(cert)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--certificate", str(cert)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "containment: True\nnonempty: True\ncodim_within_budget: True\n"
+    )
+
+
+def test_find_sub_on_many_forms_refuses_at_the_functional_scan(tmp_path, capsys, monkeypatch):
+    # 20 forms at (2,(4,10)): the transform needs 20 * 2**21 cells, refused
+    # before the value images of the 20-form source are charged
+    path = _coordinate_products_file(tmp_path, (4, 10))
+    charged = []
+    original = budget.charge
+
+    def recording(points, what):
+        charged.append(what)
+        original(points, what)
+
+    monkeypatch.setattr(budget, "charge", recording)
     assert main(["find-sub", "--input", str(path)]) == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        "budget exceeded: functional scan needs 50200576 points, over the budget of 16777216\n"
+        "budget exceeded: functional scan needs 41943040 points, over the budget of 16777216\n"
     )
+    assert "fiber rows" in charged and "value images" not in charged
 
 
 @pytest.mark.parametrize("s, code", [(14000, EXIT_OK), (20000, EXIT_BUDGET), (10**9, EXIT_BUDGET)])

@@ -254,7 +254,7 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     built again, and the error count is the brute-force count of points
     where phi vanishes and the source does not.  The charges are the rows,
     B * n_j entries per form, the B * p**m image cells and, per live step,
-    the p**m x (occupied value codes) kill table the scan reads."""
+    the m * p**(m+1) cells the functional scan transforms."""
     sh = Shape(p, dims)
     source = random_map(random.Random(18), sh, 2)
     calls = []
@@ -277,9 +277,7 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     assert len(nonzero) < s
     assert set(folded) == nonzero - set(calls[: source.codomain_dim])
     live = 1 + sum(1 for n in res.survivors_per_step[:-1] if n)
-    occupied = {tuple(brute_eval(f, point) for f in source.components)
-                for point in enumerate_points(sh)}
-    scan = p**source.codomain_dim * len(occupied)
+    scan = source.codomain_dim * p ** (source.codomain_dim + 1)
     j = max(source.support, key=sh.dims.__getitem__)
     b = sh.total_points // p ** (sh.dims[j] + sum(
         n for l, n in enumerate(sh.dims) if l not in source.support
@@ -467,6 +465,29 @@ def test_approx_matches_the_pointwise_histogram_where_codes_widen(
     assert res.survivors_per_step == per_step
     assert res.error_count == error_count
     assert [f.key() for f in res.phi.components] == keys
+
+
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_zero_counts_equal_the_kill_table_product(p, m):
+    """Z[u] = sum over v of live[v] [u . v = 0], for every code u, equals
+    the brute-force p**m x (live codes) kill table times the live counts,
+    on int64 counts and on object counts past 2**63.  Object input stops
+    at 17**3 codes: at 17**4 the transform alone takes seconds."""
+    rng = np.random.default_rng(p * 10 + m)
+    codes = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64).reshape(p**m, m)
+    at = rng.choice(len(codes), size=min(len(codes), 64), replace=False)
+    counts = rng.integers(0, 1000, size=len(at))
+    kills = codes @ codes[at].T % p == 0
+    expected = (kills.astype(np.int64) @ counts).tolist()
+    for dtype, scale in ((np.int64, 1), (object, 2**70)):
+        if dtype is object and len(codes) > 17**3:
+            continue
+        live = np.zeros(len(codes), dtype=dtype)
+        live[at] = counts.astype(dtype) * scale
+        z = construct._zero_counts(live, p, m)
+        assert z.dtype == live.dtype
+        assert z.tolist() == [n * scale for n in expected]
 
 
 def test_approx_refuses_the_functional_table_before_any_grid(monkeypatch):
@@ -1016,8 +1037,8 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     cert = find_subvariety(v)
     assert counts == {"_solve": 7, "dense_columns": 27}
     # 448 fiber-row entries, 768 bitmap points, 4,092 filling points, 190
-    # image cells and one live scan step at the top level, which reads the
-    # 2 x 2 kill table of its one form's two value codes
+    # image cells and one live scan step at the top level, which transforms
+    # m * p**(m+1) = 4 cells for its one form
     assert budget.work_points() == 448 + 768 + 4092 + 190 + 4
     assert len(cert.ledger) == 8660
     again = certificate_from_obj(certificate_to_obj(cert))

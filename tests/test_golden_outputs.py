@@ -5,9 +5,11 @@ file it wrote (if any) and the work counter.  The runs cover find-sub then
 verify, conv-check, approx, rank, density and one sweep per generator, over
 p in {2, 3, 5} and arity 1 to 5, with exits 2, 3, 4 and 5 among them, two
 verifies and one density on a variety whose |G| is past the point budget,
-and a find-sub then verify whose certificate has no clamped level.  A refactor that keeps every output byte-identical keeps
-GOLDEN_SHA256; a change meant to alter an output re-pins it from the
-failure message.
+a find-sub then verify whose certificate has no clamped level, and a
+find-sub then verify on 16 forms, where the external approximation
+shortens the defining list.  A refactor that keeps every output
+byte-identical keeps GOLDEN_SHA256; a change meant to alter an output
+re-pins it from the failure message.
 
     PYTHONPATH=src python tests/test_golden_outputs.py DIR
 
@@ -32,7 +34,9 @@ from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
-GOLDEN_SHA256 = "53414375269ef6d26ebbbd44f93ccf13a9283ebcfafc90228601300bbd27942c"
+from helpers import coordinate_products
+
+GOLDEN_SHA256 = "08c806a2995a59b9594a6051ded229cafd9dbbcc919bd742acefe54c9accd7c9"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
@@ -85,6 +89,9 @@ def _write_inputs():
     # verified at a budget that admits its 18,874,368 fiber-row entries
     deep = random_variety(random.Random(61), Shape(2, (18, 18)), 2, full_support_only=True)
     put("unclamped_p2_1818.json", variety_to_obj(deep))
+    # the coordinate products x_i y_j for i < 2, whose zero set 8 forms cut out
+    products = Shape(2, (4, 8))
+    put("products_p2_48.json", variety_to_obj(Variety(products, coordinate_products(products, 2))))
 
 
 def _runs():
@@ -125,6 +132,9 @@ def _runs():
            "--output", "cert_unclamped_p2_1818.json", "--budget", "33554432"]
     yield ["verify", "--input", "unclamped_p2_1818.json", "--certificate",
            "cert_unclamped_p2_1818.json", "--budget", "33554432"]
+    yield ["find-sub", "--input", "products_p2_48.json", "--format", "json",
+           "--output", "cert_products_p2_48.json"]
+    yield ["verify", "--input", "products_p2_48.json", "--certificate", "cert_products_p2_48.json"]
 
 
 def golden_records():
