@@ -30,13 +30,12 @@ from .errors import (
     PreconditionError,
     ZeroBiasError,
 )
-from .fibers import density
+from .fibers import ZeroFiberReport, density, zero_fiber_identity_check
 from .field import Subspace, echelonize
 from .forms import (
     MultilinearForm,
     MultilinearMap,
     Shape,
-    ZeroFiberReport,
     analytic_rank,
     bias,
     ceil_log,
@@ -46,7 +45,6 @@ from .forms import (
     prank_lower_bound,
     product_form,
     slice_form,
-    zero_fiber_identity_check,
     zero_form,
 )
 from .variety import (

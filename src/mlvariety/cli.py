@@ -31,14 +31,7 @@ from .construct import (
     verify_certificate,
 )
 from .errors import InputFormatError, PreconditionError, ZeroBiasError
-from .forms import (
-    Shape,
-    analytic_rank,
-    bias,
-    partition_rank_search,
-    prank_lower_bound,
-    zero_fiber_identity_check,
-)
+from .forms import Shape, analytic_rank, bias, partition_rank_search, prank_lower_bound
 from .generators import (
     RNG_ID,
     planted_low_prank_form,
@@ -58,7 +51,7 @@ from .jsonio import (
     map_to_obj,
     variety_from_obj,
 )
-from .fibers import density
+from .fibers import density, zero_fiber_identity_check
 from .variety import Variety, _capped_bad_size, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0

@@ -47,6 +47,7 @@ from .variety import (
     Variety,
     _fill_scan,
     _point_from_index,
+    _ranks,
     bad_set_cap,
     slice_variety,
     variety_bitmap,
@@ -452,11 +453,9 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     transfers fiber density from the slice to the whole base: the fiber over
     the base point contains the intersection of the 2**k corner fibers, each
     a subspace of density above c', so its density is at least c' ** 2**k.
-    The witnesses come from the same search conv_fill_check runs, over every
-    base point: the zero offset settles most base points in one vectorized
-    pre-check, the offsets with last offset 0 most of the rest in a
-    vectorized first-row pass, and only what is left is scanned in full.
-    The first base point without a witness is named in the error.
+    The witnesses come from the search conv_fill_check runs (_fill_scan),
+    at every base point; the first one without a witness is named in the
+    error.
     All of this is verified exhaustively before returning.
 
     Nothing here is |G|-sized.  The input is read from its fibers in the
@@ -519,7 +518,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
     allowed = base_mask & ~bad_mask
-    bases = np.argwhere(base_mask)
+    bases = _ranks(np.flatnonzero(base_mask), base_mask.shape)
     offsets = _fill_scan(base.shape, bases, allowed, "fiber filling")
     unfilled = bases[offsets[:, 0] < 0]
     if len(unfilled):

@@ -26,18 +26,22 @@ checked by a computation that shares nothing with the one that built it but
 the data types, those tables and that elimination, which is field
 arithmetic, not form evaluation.  Building the rows of a form charges its
 B * n_j entries (B for a form without j) to the work counter; the budget
-admits B and the total before anything is built.
+admits B and the total before anything is built.  `rank`'s zero fibers
+are counted here too, as a variety (zero_fiber_identity_check).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import budget
+from .errors import PreconditionError
 from .field import all_vectors, batched_echelon
+from .forms import MultilinearForm, Shape
 from .variety import Variety
 
 
@@ -152,3 +156,40 @@ def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
     for _, row in added:
         escaped |= sub_alive & row.any(axis=1)
     return _count(alive, rows, p, max(v.shape.dims)), not escaped.any()
+
+
+@dataclass(frozen=True)
+class ZeroFiberReport:
+    """Outcome of the zero-fiber counting identity."""
+
+    factor: int
+    zero_fiber_count: int
+    outer_points: int
+    expected: Fraction
+    holds: bool
+
+
+def zero_fiber_identity_check(form: MultilinearForm, b: Fraction) -> ZeroFiberReport:
+    """Check |{x in G_-j : f(x, .) = 0}| == b * |G_-j| exactly, for b =
+    bias(form) and j the last support factor (k - 1 for the zero form).
+
+    The left side is point_count of the variety of the n_j slices f(., e_i)
+    on the other support factors, times the group of the factors outside
+    the support.  At arity 2 both sides rank one matrix by different code.
+    At arity >= 3 point_count ranks matrices in j and the largest other
+    factor, the first among ties, and bias in the two largest factors, the
+    last among ties: at (2,(12,12,12)) factors 0 and 2 against 1 and 2.
+    """
+    shape, support = form.shape, form.support
+    if shape.k < 2:
+        raise PreconditionError("the identity needs at least two factors")
+    j = shape.k - 1 if form.is_zero() else support[-1]
+    outer = math.prod(shape.group_sizes) // shape.group_sizes[j]
+    # the zero form counts every x, a nonzero form on j alone none
+    count = outer if form.is_zero() else 0
+    if not form.is_zero() and len(support) > 1:
+        sub = Shape(shape.p, [shape.dims[l] for l in support[:-1]])
+        slices = [MultilinearForm(sub, range(sub.k), c) for c in np.moveaxis(form.coeffs, -1, 0)]
+        count = point_count(Variety(sub, slices)) * (outer // sub.total_points)
+    expected = b * outer
+    return ZeroFiberReport(j, count, outer, expected, expected == count)

@@ -359,40 +359,6 @@ def prank_lower_bound(b: Fraction, p: int) -> int:
     return ceil_log(p, 1 / b)
 
 
-@dataclass(frozen=True)
-class ZeroFiberReport:
-    """Outcome of the zero-fiber counting identity."""
-
-    factor: int
-    zero_fiber_count: int
-    outer_points: int
-    expected: Fraction
-    holds: bool
-
-
-def zero_fiber_identity_check(form: MultilinearForm, b: Fraction) -> ZeroFiberReport:
-    """Check |{x : induced linear form at x is 0}| == b * |outer group|.
-
-    The outer group is the product of all factors except the last support
-    factor j.  The left side counts the zero rows of the fiber rows in j
-    over the other support factors (fiber_values, B * n_j entries), scaled
-    by the factors outside the support.  b is the form's bias as bias(form)
-    gives it, from slice-matrix ranks, and exact equality is required.
-    """
-    if form.shape.k < 2:
-        raise PreconditionError("the identity needs at least two factors")
-    sizes = form.shape.group_sizes
-    if form.is_zero():
-        outer = math.prod(sizes[:-1])
-        return ZeroFiberReport(form.shape.k - 1, outer, outer, Fraction(outer), True)
-    j = form.support[-1]
-    outer = math.prod(sizes[l] for l in range(form.shape.k) if l != j)
-    (rows,) = fiber_values([form], j, form.support[:-1])
-    count = (len(rows) - int(np.count_nonzero(rows.any(axis=1)))) * (outer // len(rows))
-    expected = b * outer
-    return ZeroFiberReport(j, count, outer, expected, expected == count)
-
-
 # ---------------------------------------------------------------------------
 # Partition rank
 # ---------------------------------------------------------------------------

@@ -217,6 +217,12 @@ def _point_from_index(shape: Shape, idx) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _ranks(flat: np.ndarray, shape) -> np.ndarray:
+    """The (N, k) per-axis ranks of flat C-order cell indices into `shape`,
+    each axis's ranks contiguous, as np.argwhere lays them out."""
+    return np.stack(np.unravel_index(flat, shape)).T
+
+
 def _point_index(shape: Shape, point) -> tuple[int, ...]:
     return tuple(vector_index(shape.p, x) for x in coerce_point(shape, point))
 
@@ -272,8 +278,7 @@ def iterated_conv_witness(allowed: PointSet, point) -> Parallelepiped | None:
     outermost) is returned; equivalently, the offset tuple minimizing the
     reversed lexicographic order over the surviving offset mask.  This is
     the search conv_fill_check and dense_columns run (_fill_scan) at a
-    single base, charged k points: the zero offset, then the offsets with
-    last offset 0, and only then the full scan.
+    single base, charged k points.
     """
     shape = allowed.shape
     idx = _point_index(shape, point)
@@ -367,9 +372,7 @@ def _first_row_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> 
         out = rows.reshape(len(part), -1)
         first = out.argmax(axis=1)
         found = out[np.arange(len(part)), first]
-        offsets[start:start + chunk][found] = np.stack(
-            np.unravel_index(first[found], rev.shape)[::-1], axis=1
-        )
+        offsets[start:start + chunk][found] = _ranks(first[found], rev.shape)[:, ::-1]
     return offsets
 
 
@@ -411,7 +414,7 @@ def _scan_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.nd
                 flat[row] = first
     found = flat >= 0
     offsets = np.full(bases.shape, -1, dtype=np.int64)
-    offsets[found] = np.stack(np.unravel_index(flat[found], rev.shape)[::-1], axis=1)
+    offsets[found] = _ranks(flat[found], rev.shape)[:, ::-1]
     return offsets
 
 
@@ -484,20 +487,18 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
 
     Preconditions (rejected with a diagnostic when violated): the bad set
     lies inside the variety and within bad_set_cap of the codimension.  The
-    witnesses at all points come from one search, which dense_columns
-    shares (_fill_scan): a pre-check accepts the zero offset wherever all
-    its corners are allowed, a first-row pass finds the witnesses with last
-    offset 0 at most of the other points, and only the points left after
-    both go to the full scan.  Every witness's corners are re-checked
-    against the bad set before it counts, in one vectorized pass over all
-    witnessed bases.  A zero offset in direction i leaves the base's rank
-    there, so only the rows with a nonzero offset in direction i are
-    decoded, with one take each for base and offset ranks on the transposed
-    vector table (field.all_vectors), added with a conditional subtraction
-    of p and ranked again.  The 2**k corners of every row are flat gathers
-    on `allowed`.  The re-check calls no translation kernel, so it does not
-    depend on the shift tables the search uses.  A corner it finds outside
-    `allowed` is the search's fault, not the input's: ConstructionError.
+    witnesses at all points come from one search, which dense_columns shares
+    (_fill_scan), at the ranks of one flat index pass over the bitmap.  Every
+    witness's corners are re-checked against the bad set before it counts,
+    in one vectorized pass over all witnessed bases.  A zero offset in
+    direction i leaves the base's rank there, so only the rows with a
+    nonzero offset in direction i are decoded, with one take each for base
+    and offset ranks on the transposed vector table (field.all_vectors),
+    added with a conditional subtraction of p and ranked again.  The 2**k
+    corners of every row are flat gathers on `allowed`.  The re-check calls
+    no translation kernel, so it does not depend on the shift tables the
+    search uses.  A corner it finds outside `allowed` is the search's fault,
+    not the input's: ConstructionError.
     """
     shape = v.shape
     if bad.shape != shape:
@@ -506,7 +507,7 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
         raise PreconditionError("bad set must be a subset of the variety")
     allowed = mask & ~bad.mask
     cap = _capped_bad_size(shape, codim, bad.size)
-    bases = np.argwhere(mask)
+    bases = _ranks(np.flatnonzero(mask), mask.shape)
     offsets = _fill_scan(shape, bases, allowed, "filling check")
     checked = len(bases)
     witnessed = offsets[:, 0] >= 0

@@ -25,9 +25,8 @@ from mlvariety.forms import (
     bias,
     ceil_log,
     prank_lower_bound,
-    zero_fiber_identity_check,
 )
-from mlvariety.fibers import density
+from mlvariety.fibers import density, zero_fiber_identity_check
 from mlvariety.generators import (
     planted_low_prank_form,
     planted_product_variety,

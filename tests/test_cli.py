@@ -772,7 +772,7 @@ def test_rank_on_a_huge_zero_form_is_a_budget_exit(tmp_path, capsys):
     {"p": 2, "k": 2, "dims": [25, 1], "support": [1, 2], "coeffs": [0] * 25},
 ])
 def test_rank_counts_outer_groups_past_the_budget(tmp_path, capsys, shape):
-    """The zero-fiber count scales a grid over the support, so an outer
+    """The zero-fiber count scales a count over the support, so an outer
     group of 2**25 or 2**30 points is never enumerated and is not refused."""
     path = tmp_path / "form.json"
     path.write_text(json.dumps(shape))
@@ -783,12 +783,25 @@ def test_rank_counts_outer_groups_past_the_budget(tmp_path, capsys, shape):
 @pytest.mark.parametrize("dims", [(14, 14), (10, 10, 10)])
 def test_rank_reaches_full_support_forms_past_the_value_grid(tmp_path, capsys, dims):
     """A value grid over the support would need 2**28 or 2**30 points; the
-    bias reads slice-matrix ranks and the identity fiber rows instead."""
+    bias reads slice-matrix ranks and the identity point counts instead."""
     form = random_form(random.Random(71), Shape(2, dims))
     path = tmp_path / "form.json"
     path.write_text(json.dumps(form_to_obj(form)))
     assert main(["rank", "--input", str(path)]) == EXIT_OK
     assert "zero_fiber_identity: holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, dims, seed", [
+    (2, (20, 20), 71), (5, (5, 5, 5), 1), (2, (12, 12, 12), 1), (2, (14, 16, 16), 17),
+    (2, (30, 1), 3),
+])
+def test_rank_reaches_past_the_fiber_rows(tmp_path, capsys, p, dims, seed):
+    """B * n_j fiber rows of the zero fibers would need 2**21 to 2**30
+    entries, past the default budget; their count as a variety does not."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_obj(random_form(random.Random(seed), Shape(p, dims)))))
+    assert main(["rank", "--input", str(path), "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["zero_fiber_identity"]["holds"] is True
 
 
 def test_approx_harness(tmp_path, capsys):

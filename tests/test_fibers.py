@@ -11,10 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlvariety import cli, construct, fibers, forms, variety
+from mlvariety import budget, cli, construct, fibers, forms, variety
 from mlvariety.construct import codim_budget, find_subvariety, verify_certificate
-from mlvariety.fibers import count_and_contains, density, point_count
-from mlvariety.forms import MultilinearForm, Shape, zero_form
+from mlvariety.fibers import count_and_contains, density, point_count, zero_fiber_identity_check
+from mlvariety.forms import MultilinearForm, Shape, bias, zero_form
 from mlvariety.generators import random_form, random_support, random_variety
 from mlvariety.variety import Variety, variety_bitmap
 
@@ -182,6 +182,33 @@ def test_verifier_reads_no_value_grid_form_evaluation_or_bitmap(monkeypatch, p, 
         assert verify_certificate(v, tampered).containment_ok is not escapes
 
 
+@pytest.mark.parametrize("dims, count", [((3, 4, 1), 8), ((3, 4, 24), 67_108_864)])
+def test_zero_fiber_identity_charges_no_factor_outside_the_support(dims, count):
+    # of the 4 slices f(., e_i), linear forms on factor 0, one is zero: 3
+    # forms of 3 entries at the one point of no other factor, whatever the
+    # size of factor 2
+    f = random_form(random.Random(5), Shape(2, dims), (0, 1))
+    b = bias(f)
+    budget.reset_work()
+    rep = zero_fiber_identity_check(f, b)
+    assert budget.work_points() == 9
+    assert rep.holds and rep.zero_fiber_count == count
+
+
+@pytest.mark.parametrize("p, dims, seed", [
+    (2, (20, 20), 71), (5, (5, 5, 5), 1), (2, (12, 12, 12), 1), (2, (14, 16, 16), 17),
+    (2, (30, 1), 3),
+])
+def test_zero_fiber_identity_charges_no_more_than_the_bias(p, dims, seed):
+    f = random_form(random.Random(seed), Shape(p, dims))
+    budget.reset_work()
+    b = bias(f)
+    bias_points = budget.work_points()
+    budget.reset_work()
+    assert zero_fiber_identity_check(f, b).holds
+    assert budget.work_points() <= bias_points
+
+
 def test_fibers_imports_no_evaluation_code():
     tree = ast.parse(inspect.getsource(fibers))
     imported = {
@@ -190,9 +217,13 @@ def test_fibers_imports_no_evaluation_code():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    # from forms only the data types the zero-fiber identity builds
     assert {name for level, _, name in imported if level} == {
-        "budget", "all_vectors", "batched_echelon", "Variety"
+        "budget", "PreconditionError", "all_vectors", "batched_echelon",
+        "MultilinearForm", "Shape", "Variety",
     }
-    assert {module for level, module, _ in imported if level} == {None, "field", "variety"}
+    assert {module for level, module, _ in imported if level} == {
+        None, "errors", "field", "forms", "variety"
+    }
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                 and any(a.name.startswith("mlvariety") for a in node.names)]

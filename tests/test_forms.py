@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, forms
 from mlvariety.errors import PreconditionError, ZeroBiasError
+from mlvariety.fibers import zero_fiber_identity_check
 from mlvariety.forms import (
     MultilinearForm,
     MultilinearMap,
@@ -23,7 +24,6 @@ from mlvariety.forms import (
     prank_lower_bound,
     product_form,
     slice_form,
-    zero_fiber_identity_check,
     zero_form,
 )
 from mlvariety.generators import planted_low_prank_form, random_form, random_support
@@ -334,12 +334,14 @@ def test_bias_charges_the_slice_matrices_past_the_grids_reach():
 
 
 def test_zero_fiber_identity_charges_the_fiber_rows():
-    # B = 3**2 * 3 points of factors 0 and 1, rows of n_j = 2 entries
+    # the zero fibers are the variety of the n_3 = 2 slices f(., e_i) on
+    # Shape(3, (2, 1)): point_count reads B = 3 points of factor 1, rows of
+    # n_0 = 2 entries, for each of the 2 forms
     f = random_form(random.Random(18), Shape(3, (2, 1, 1, 2)), (0, 1, 3))
     b = bias(f)
     budget.reset_work()
     assert zero_fiber_identity_check(f, b).holds
-    assert budget.work_points() == 3**3 * 2
+    assert budget.work_points() == 2 * 3 * 2
 
 
 def test_analytic_rank_examples():

@@ -36,7 +36,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "08c806a2995a59b9594a6051ded229cafd9dbbcc919bd742acefe54c9accd7c9"
+GOLDEN_SHA256 = "096a042594bac2ddb2ded70a45a2a7a32fe8d57f4199295f8121dc76480c1bd1"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

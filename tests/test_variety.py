@@ -18,6 +18,7 @@ from mlvariety.variety import (
     _fill_scan,
     _point_from_index,
     _point_index,
+    _ranks,
     conv_fill_check,
     directional_convolution,
     intersect,
@@ -511,6 +512,16 @@ def test_conv_fill_reports_every_point_without_a_witness(monkeypatch):
     assert report.failures == tuple(variety_points(w))
     assert report.checked == len(report.failures) == 8
     assert report.corners_checked == 0
+
+
+@pytest.mark.parametrize("sizes", [(5,), (4, 8), (3, 1, 9), (2, 3, 1, 4), (1,), (1, 1)])
+@pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+def test_ranks_of_a_flat_index_pass_are_argwhere(sizes, share):
+    mask = np.random.default_rng(len(sizes)).random(sizes) < share
+    ranks = _ranks(np.flatnonzero(mask), mask.shape)
+    assert ranks.dtype == np.argwhere(mask).dtype
+    assert np.array_equal(ranks, np.argwhere(mask))
+    assert ranks.shape == (np.count_nonzero(mask), len(sizes))
 
 
 @pytest.mark.parametrize("p, dims, point_share", [
