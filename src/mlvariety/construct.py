@@ -35,7 +35,7 @@ from .errors import (
     EmptyVarietyError,
     PreconditionError,
 )
-from .field import all_vectors, batched_echelon, shift_rows, vector_from_index
+from .field import all_vectors, batched_echelon, vector_from_index
 from .forms import (
     MultilinearForm,
     MultilinearMap,
@@ -269,41 +269,40 @@ def _image_histogram(fib: _Fibers, components) -> np.ndarray:
     sum over x of p**(n - rank M(x)) [code in image M(x)], where the value
     at (x, y) is M(x) y, component 0 its most significant digit.
 
-    The image of M(x) is spanned by its columns at the pivots of the echelon
-    basis of its rows, and it is closed over the p**m codes one such column
-    at a time: adding a column v takes a set S to the union of S + a v over
-    a in F_p, which p - 1 gathers of S shifted by v reach.  The shifted
-    codes come from one field.shift_rows call per pivot, freed before the
-    next.  Each of its p**rank values is hit p**(n - rank) times.  Charges
-    the B * p**m cells of the image masks.
+    The points x are taken one rank r at a time.  At full rank m the image
+    is all of F_p^m.  Below it, the columns of M(x) at the pivots of its r
+    nonzero echelon pairs are a basis of it, so its p**r codes are M(x) y
+    for the y spread over those pivots; one bincount adds p**(n - r) to
+    each.  Charged before any code is built: the codes below full rank and
+    p**m cells per rank.
     """
     p, m, b, n = fib.p, len(components), fib.b, fib.n
-    # the codes of the columns of M(x), in the narrowest type; none without j
-    columns = np.zeros((b, n), dtype=np.min_scalar_type(p**m - 1))
-    if fib.j is not None:
-        for rows in fib.values(components):
-            columns *= p
-            columns += rows
+    # none without j, where every component is zero
+    values = fib.values(components) if fib.j is not None else []
     system = fib.system(components)
-    size = p**m
-    budget.charge(b * size, "value images")
-    image = np.zeros((b, size), dtype=bool)
-    image[:, 0] = True
-    flat = image.reshape(-1)
-    at = np.arange(b)
-    cells = np.arange(0, b * size, size)[:, None]
-    for pivot, _ in system.basis:
-        # where the pair is zero its pivot column still lies in the image;
-        # ahead[x, u] is the flat cell of code u + col[x]
-        ahead = shift_rows(p, m, columns[at, pivot])
-        ahead += cells
-        for _ in range(p - 1):
-            image |= flat.take(ahead)
-        del ahead
+    groups = [(r, count) for r, count in enumerate(np.bincount(system.rank).tolist()) if count]
+    budget.charge(sum(count * p**r for r, count in groups if r < m) + p**m * len(groups),
+                  "value images")
+    # (B, pairs) pivots and where each pair is nonzero
+    pivots = np.array([pivot for pivot, _ in system.basis], dtype=np.intp).reshape(-1, b).T
+    nonzero = np.array([row.any(axis=1) for _, row in system.basis], dtype=bool).reshape(-1, b).T
     # the hits sum to B * p**n, exact in int64 below 2**63
-    weight = np.array([p ** (n - r) for r in range(min(len(system.basis), n) + 1)],
-                      dtype=np.int64 if b * p**n < 2**63 else object)
-    return weight[system.rank] @ image
+    hist = np.zeros(p**m, dtype=np.int64 if b * p**n < 2**63 else object)
+    for r, count in groups:
+        if r == m:  # im M(x) is all of F_p^m
+            hist += count * p ** (n - m)
+            continue
+        at = np.flatnonzero(system.rank == r)
+        # the r pivots of each x, and F_p^r in the narrowest type of a dot product
+        cols = pivots[at][nonzero[at]].reshape(len(at), r)
+        wide = np.min_scalar_type(r * (p - 1) ** 2)
+        spread = all_vectors(p, r).T.astype(wide)
+        codes = np.zeros((len(at), p**r), dtype=np.min_scalar_type(p**m - 1))
+        for rows in values:
+            codes *= p
+            codes += rows[at[:, None], cols].astype(wide) @ spread % p
+        hist += np.bincount(codes.reshape(-1), minlength=p**m).astype(hist.dtype) * p ** (n - r)
+    return hist
 
 
 def _zero_counts(live: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -349,11 +348,12 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     approximation error, which is counted and returned.
 
     Survival depends only on a point's value vector, so the greedy runs on
-    the histogram of value codes over G_S, read from fibers, not from a
-    pass over G_S (_image_histogram).  Each live step scores every
-    functional with one transform of the survivors' histogram
-    (_zero_counts), charged as the "functional scan" of its m * p**(m+1)
-    cells; the budget admits that figure before any fiber is built.
+    the histogram of value codes over G_S, read from fibers by enumerating
+    each image M(x), not from a pass over G_S (_image_histogram).  Each live
+    step scores every functional with one transform of the survivors'
+    histogram (_zero_counts), whose m passes sum p terms into each of
+    p**(m+1) cells, charged as m * p**(m+2) points ("functional scan") and
+    admitted by the budget before any fiber is built.
 
     Each distinct chosen functional gives one form, which phi repeats where
     the greedy chose it again (once no survivor is left it keeps choosing the
@@ -374,7 +374,7 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
     outside_mult = shape.total_points // p ** sum(support_dims)
     # Dot products are at most m (p-1)^2, exact in the narrowest type holding it.
     functionals = all_vectors(p, m).astype(np.min_scalar_type(m * (p - 1) ** 2), copy=False)
-    scan = m * p ** (m + 1)
+    scan = m * p ** (m + 2)
     if s and not all(f.is_zero() for f in source.components):
         budget.ensure(scan, "functional scan")
     fib = _fibers(shape, source.support)
@@ -594,8 +594,8 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     count a sum of p**(n_j - rank) over the points of the other factors.
     So the finder builds no |G|-sized array at any level: its largest are
     the |G|/|G_i| base bitmaps of dense_columns and the fiber rows, B * n_j
-    entries per form (B = |G|/|G_j|), and it charges those, with the
-    m * p**(m+1) transformed cells of external_approx per live greedy step.
+    entries per form (B = |G|/|G_j|), and it charges those, with the value
+    images' codes and m * p**(m+2) scan terms per live greedy step.
 
     The outermost call opens one scope (_SCOPE), the calling thread's own,
     which the recursion shares and which closes on return or on a raise.

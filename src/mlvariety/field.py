@@ -97,8 +97,7 @@ def shift_rows(p: int, n: int, shifts, cells=None) -> np.ndarray:
     entry [..., c] is the rank of (vector cells[c]) + (vector shifts[...]),
     an int64 array of shape shifts.shape + cells' shape.  `cells`, an int
     or an array of ranks used as given, defaults to all p**n of them.  The
-    filling scan, the finder's value images and the partition-rank search
-    all translate here.
+    filling scan and the partition-rank search both translate here.
 
     At p = 2 a translation by u flips the bits of the rank where u has
     ones, so a row is the cell ranks XOR u.  Otherwise the digits of the

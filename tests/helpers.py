@@ -5,13 +5,15 @@ formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, brute-force witness search,
 ledger monomials written out as rationals, the external-approximation
-greedy on a value-vector histogram counted point by point, and subspace
-membership, points and annihilators for the tests that plant subspaces, and
-the partition-rank generators built one product form at a time.  Three
-more count by another formula on the library's own kernels: the bias from
-value grids per coefficient slice, zero fibers from the value grid over
-the support, and point counts from the biases of the forms' combinations
-(the dual count).  Tests compare library results against these.  One
+greedy on a value-vector histogram counted point by point, subspace
+membership, points and annihilators for the tests that plant subspaces,
+forms planted on a cylinder, and the partition-rank generators built one
+product form at a time.  Four more count by another formula on the
+library's own kernels: the bias from value grids per coefficient slice,
+zero fibers from the value grid over the support, point counts from the
+biases of the forms' combinations (the dual count), and the finder's
+value histogram by closing a B x p**m image mask under translations.
+Tests compare library results against these.  One
 helper runs the partition-rank search with both of its bounds moved out
 of the way, one counts the library's own value-grid evaluations and one
 its bitmap passes, for the grid-cache tests, one makes every lookup in the
@@ -33,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from mlvariety import budget, construct, forms, variety
-from mlvariety.field import echelonize
+from mlvariety.field import echelonize, shift_rows
 from mlvariety.forms import MultilinearForm, eval_form
 
 
@@ -319,6 +321,55 @@ def coordinate_products(shape, w: int):
         coeffs[i, j] = 1
         products.append(MultilinearForm(shape, (0, 1), coeffs))
     return products
+
+
+def planted_cylinder(rng, shape, m: int, w: int):
+    """m full-support forms f_i = sum over j < w of l_j(x_1) g_ij(x_2, ...),
+    with l_1, ..., l_w independent random linear forms on the first factor
+    and the g_ij random multilinear forms on the others: every f_i vanishes
+    on the codimension-w cylinder {l = 0}."""
+    p, dims = shape.p, shape.dims
+    while True:
+        ells = [[rng.randrange(p) for _ in range(dims[0])] for _ in range(w)]
+        if brute_rank_mod(ells, p) == w:
+            break
+    rest = dims[1:]
+    products = []
+    for _ in range(m):
+        coeffs = np.zeros(dims, dtype=np.int64)
+        for ell in ells:
+            g = np.array([rng.randrange(p) for _ in range(math.prod(rest))]).reshape(rest)
+            coeffs += np.multiply.outer(np.array(ell), g)
+        products.append(MultilinearForm(shape, tuple(range(shape.k)), coeffs % p))
+    return products
+
+
+def mask_image_histogram(fib, components):
+    """construct._image_histogram by closing a B x p**m mask: the image of
+    M(x) holds code 0 and is closed one pivot column v at a time, a set S
+    going to the union of S + a v over a in F_p, p - 1 gathers of S
+    shifted by v (field.shift_rows), and each code of it is hit
+    p**(n - rank M(x)) times."""
+    p, m, b, n = fib.p, len(components), fib.b, fib.n
+    # the codes of the columns of M(x); none without j
+    columns = np.zeros((b, n), dtype=np.int64)
+    if fib.j is not None:
+        for rows in fib.values(components):
+            columns = columns * p + rows
+    system = fib.system(components)
+    size = p**m
+    image = np.zeros((b, size), dtype=bool)
+    image[:, 0] = True
+    flat = image.reshape(-1)
+    cells = np.arange(0, b * size, size)[:, None]
+    for pivot, _ in system.basis:
+        # where the pair is zero its pivot column still lies in the image
+        ahead = shift_rows(p, m, columns[np.arange(b), pivot]) + cells
+        for _ in range(p - 1):
+            image |= flat.take(ahead)
+    weight = np.array([p ** (n - r) for r in range(len(system.basis) + 1)],
+                      dtype=np.int64 if b * p**n < 2**63 else object)
+    return weight[system.rank] @ image
 
 
 def count_grid_evaluations(monkeypatch):

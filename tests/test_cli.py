@@ -46,6 +46,7 @@ from helpers import (
     count_bitmap_passes,
     count_grid_evaluations,
     monomial_value,
+    planted_cylinder,
     replace_shift_tables,
     skip_first_row_pass,
 )
@@ -823,9 +824,11 @@ def test_approx_harness(tmp_path, capsys):
 
 
 def test_approx_over_budget_refuses_before_the_fibers(tmp_path, capsys):
-    """Each live greedy step transforms m * p**(m+1) = 12 * 2**13 = 98,304
-    cells here: at one below that the refusal comes before any fiber row
-    or value image, and at that budget the value images refuse next."""
+    """Each live greedy step sums p terms into each of m * p**(m+1) cells,
+    12 * 2**14 = 196,608 here: at one below that the refusal comes before
+    any fiber row or value image, and at that budget the approximation
+    runs, since the 64 images, of rank at most 6, hold at most 2**6 codes
+    each, far below the B * p**m = 262,144 cells of a 64 x 2**12 mask."""
     rng = random.Random(0)
     path = tmp_path / "map.json"
     path.write_text(json.dumps({
@@ -834,11 +837,11 @@ def test_approx_over_budget_refuses_before_the_fibers(tmp_path, capsys):
         "components": [[rng.randrange(2) for _ in range(36)] for _ in range(12)],
     }))
     budget.reset_work()
-    assert main(["approx", "--input", str(path), "--s", "1", "--budget", "98303"]) == EXIT_BUDGET
-    assert "functional scan needs 98304 points, over the budget of 98303" in capsys.readouterr().err
+    assert main(["approx", "--input", str(path), "--s", "1", "--budget", "196607"]) == EXIT_BUDGET
+    assert "functional scan needs 196608 points, over the budget of 196607" in capsys.readouterr().err
     assert budget.work_points() == 0
-    assert main(["approx", "--input", str(path), "--s", "1", "--budget", "98304"]) == EXIT_BUDGET
-    assert "value images needs" in capsys.readouterr().err
+    assert main(["approx", "--input", str(path), "--s", "1", "--budget", "196608"]) == EXIT_OK
+    assert "error_count:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("p, dims", [(2, (14, 14)), (3, (10, 10)), (2, (16, 16))])
@@ -878,8 +881,9 @@ def test_find_sub_on_many_forms_fits_the_default_budget(tmp_path, capsys):
 
 
 def test_find_sub_on_many_forms_refuses_at_the_functional_scan(tmp_path, capsys, monkeypatch):
-    # 20 forms at (2,(4,10)): the transform needs 20 * 2**21 cells, refused
-    # before the value images of the 20-form source are charged
+    # 20 forms at (2,(4,10)): the transform sums 2 terms into each of
+    # 20 * 2**21 cells, refused before the value images of the 20-form
+    # source are charged
     path = _coordinate_products_file(tmp_path, (4, 10))
     charged = []
     original = budget.charge
@@ -891,9 +895,26 @@ def test_find_sub_on_many_forms_refuses_at_the_functional_scan(tmp_path, capsys,
     monkeypatch.setattr(budget, "charge", recording)
     assert main(["find-sub", "--input", str(path)]) == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        "budget exceeded: functional scan needs 41943040 points, over the budget of 16777216\n"
+        "budget exceeded: functional scan needs 83886080 points, over the budget of 16777216\n"
     )
     assert "fiber rows" in charged and "value images" not in charged
+
+
+def test_find_sub_on_a_planted_cylinder_fits_the_default_budget(tmp_path, capsys):
+    # 8 forms f_i = sum over j < 2 of l_j(x_1) g_ij(x_2, x_3) at (3,(4,4,4)):
+    # at the top level the image over each of the 3**8 points of factors 1
+    # and 2 holds at most 3**4 codes, where a 3**8 x 3**8 image mask would
+    # need 43,046,721 cells
+    shape = Shape(3, (4, 4, 4))
+    v = Variety(shape, planted_cylinder(random.Random(0), shape, 8, 2))
+    path, cert = tmp_path / "variety.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    assert main(["find-sub", "--input", str(path), "--output", str(cert)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--certificate", str(cert)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "containment: True\nnonempty: True\ncodim_within_budget: True\n"
+    )
 
 
 @pytest.mark.parametrize("s, code", [(14000, EXIT_OK), (20000, EXIT_BUDGET), (10**9, EXIT_BUDGET)])
@@ -1110,7 +1131,7 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
 
 def test_sweep_row_over_the_budget(tmp_path):
     # fiber rows hold 64 entries per form and fiber coordinate.  Variety 0
-    # passes its density (768 points) and its extraction (2,464 points), but
+    # passes its density (768 points) and its extraction (2,257 points), but
     # its verification reads the rows of 2 input and 2 output forms, 1,536
     # entries, over a 1,000 budget: its row records the refusal, with the
     # points charged before it, and the sweep itself succeeds.  Variety 1's
@@ -1123,8 +1144,8 @@ def test_sweep_row_over_the_budget(tmp_path):
     lines = out.read_text().splitlines()
     assert '"budget":1000' in lines[0]
     assert lines[2:] == [
-        "0,2,2,6x6,,,,,budget_exceeded,3232",
-        "1,2,2,6x6,1/4,2.0,2,61,ok,2636",
+        "0,2,2,6x6,,,,,budget_exceeded,3025",
+        "1,2,2,6x6,1/4,2.0,2,61,ok,2573",
     ]
 
 

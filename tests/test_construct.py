@@ -253,8 +253,9 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     component needs no rows, rows equal to a source component's are not
     built again, and the error count is the brute-force count of points
     where phi vanishes and the source does not.  The charges are the rows,
-    B * n_j entries per form, the B * p**m image cells and, per live step,
-    the m * p**(m+1) cells the functional scan transforms."""
+    B * n_j entries per form, the p**rank(x) value-image codes of each x
+    below full rank m with p**m cells per rank present and, per live step,
+    the m * p**(m+1) cells the functional scan transforms, p terms each."""
     sh = Shape(p, dims)
     source = random_map(random.Random(18), sh, 2)
     calls = []
@@ -277,13 +278,17 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     assert len(nonzero) < s
     assert set(folded) == nonzero - set(calls[: source.codomain_dim])
     live = 1 + sum(1 for n in res.survivors_per_step[:-1] if n)
-    scan = source.codomain_dim * p ** (source.codomain_dim + 1)
+    m = source.codomain_dim
+    scan = m * p ** (m + 2)
     j = max(source.support, key=sh.dims.__getitem__)
     b = sh.total_points // p ** (sh.dims[j] + sum(
         n for l, n in enumerate(sh.dims) if l not in source.support
     ))
     rows = len(calls) * b * sh.dims[j]
-    assert budget.work_points() == rows + b * p**source.codomain_dim + live * scan
+    work = budget.work_points()
+    ranks = construct._fibers(sh, source.support).system(source.components).rank.tolist()
+    images = sum(p**r for r in ranks if r < m) + p**m * len(set(ranks))
+    assert work == rows + images + live * scan
     expected = sum(
         1
         for point in enumerate_points(sh)
@@ -1036,10 +1041,10 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     budget.reset_work()
     cert = find_subvariety(v)
     assert counts == {"_solve": 7, "dense_columns": 27}
-    # 448 fiber-row entries, 768 bitmap points, 4,092 filling points, 190
-    # image cells and one live scan step at the top level, which transforms
-    # m * p**(m+1) = 4 cells for its one form
-    assert budget.work_points() == 448 + 768 + 4092 + 190 + 4
+    # 448 fiber-row entries, 768 bitmap points, 4,092 filling points, 72
+    # value-image codes and cells and one live scan step at the top level,
+    # which sums p terms into each of m * p**(m+1) = 4 cells for its one form
+    assert budget.work_points() == 448 + 768 + 4092 + 72 + 8
     assert len(cert.ledger) == 8660
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger

@@ -24,7 +24,13 @@ from mlvariety.forms import MultilinearForm, Shape, eval_grid, zero_form
 from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.variety import Variety, variety_bitmap
 
-from helpers import brute_eval, coordinate_products, small_dims
+from helpers import (
+    brute_eval,
+    coordinate_products,
+    mask_image_histogram,
+    planted_cylinder,
+    small_dims,
+)
 
 
 def _battery(p, seed):
@@ -90,9 +96,9 @@ def test_fibers_match_brute_force_and_bitmaps(p, seed):
                 assert np.array_equal(u_mask, moved[:, t])
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 17])
-@pytest.mark.parametrize("seed", range(3))
-def test_image_histogram_matches_bincount(p, seed):
+def _random_maps(p, seed):
+    """(shape, support, components) of random maps over arity 1 to 3 with
+    up to 3 components, the first of them zero about half the time."""
     rng = random.Random(f"finder-histogram/{p}/{seed}")
     for k in (1, 2, 3):
         dims = small_dims(rng, k, 5)
@@ -104,12 +110,68 @@ def test_image_histogram_matches_bincount(p, seed):
             components = list(source.components)
             if m and rng.random() < 0.5:
                 components[0] = MultilinearForm(shape, source.support, components[0].coeffs * 0)
-            codes = np.zeros(p ** sum(shape.dims[l] for l in source.support), dtype=np.int64)
-            for f in components:
-                codes = codes * p + eval_grid(f).reshape(-1)
-            fib = construct._fibers(shape, source.support)
-            hist = _image_histogram(fib, components)
-            assert hist.tolist() == np.bincount(codes, minlength=p**m).tolist()
+            yield shape, source.support, components
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+@pytest.mark.parametrize("seed", range(3))
+def test_image_histogram_matches_bincount(p, seed):
+    for shape, support, components in _random_maps(p, seed):
+        codes = np.zeros(p ** sum(shape.dims[l] for l in support), dtype=np.int64)
+        for f in components:
+            codes = codes * p + eval_grid(f).reshape(-1)
+        fib = construct._fibers(shape, support)
+        hist = _image_histogram(fib, components)
+        assert hist.tolist() == np.bincount(codes, minlength=p ** len(components)).tolist()
+
+
+def _histogram_battery():
+    """The random maps of every prime and seed, the coordinate products at
+    (2,(3,5)) and (2,(4,8)), and cylinder-planted forms at (3,(3,3,3))."""
+    for p in (2, 3, 5, 17):
+        for seed in range(3):
+            yield from _random_maps(p, seed)
+    for dims in ((3, 5), (4, 8)):
+        shape = Shape(2, dims)
+        yield shape, (0, 1), coordinate_products(shape, 2)
+    shape = Shape(3, (3, 3, 3))
+    for seed, (m, w) in enumerate(itertools.product((4, 6), (1, 2))):
+        yield shape, (0, 1, 2), planted_cylinder(random.Random(seed), shape, m, w)
+
+
+def test_image_histogram_matches_the_mask_and_charges_its_codes(monkeypatch):
+    """The enumerated histogram equals the closure of the B x p**m image
+    mask, and the value images are charged the p**rank(x) codes of each x
+    below full rank m plus p**m per rank present."""
+    charged = []
+    original = budget.charge
+
+    def recording(points, what):
+        if what == "value images":
+            charged.append(points)
+        original(points, what)
+
+    monkeypatch.setattr(budget, "charge", recording)
+    for shape, support, components in _histogram_battery():
+        p, m = shape.p, len(components)
+        fib = construct._fibers(shape, support)
+        hist = _image_histogram(fib, components)
+        assert hist.tolist() == mask_image_histogram(fib, components).tolist()
+        ranks = fib.system(components).rank.tolist()
+        assert charged.pop() == sum(p**r for r in ranks if r < m) + p**m * len(set(ranks))
+
+
+def test_image_histogram_of_many_coordinate_products_charges_its_codes(monkeypatch):
+    """The 20 coordinate products x_i y_j, i < 2, at (2,(4,10)): over the 16
+    x of factor 0 the image of M(x) is 0 at the 4 x with x_0 = x_1 = 0 and
+    has rank 10 elsewhere, 4 + 12 * 2**10 = 12,292 codes and two passes of
+    2**20 cells, where the 16 x 2**20 mask took 16,777,216."""
+    charged = []
+    monkeypatch.setattr(budget, "charge", lambda points, what: charged.append((points, what)))
+    shape = Shape(2, (4, 10))
+    hist = _image_histogram(construct._fibers(shape, (0, 1)), coordinate_products(shape, 2))
+    assert charged[-1] == (12_292 + 2 * 2**20, "value images")
+    assert int(hist.sum()) == shape.total_points and int(hist[0]) == 4 * 2**10 + 12
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 17])

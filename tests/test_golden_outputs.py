@@ -36,7 +36,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "096a042594bac2ddb2ded70a45a2a7a32fe8d57f4199295f8121dc76480c1bd1"
+GOLDEN_SHA256 = "1441490a74350484f9463f22948e2de6548a979e63873cdf66a7f3865d81ebca"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
