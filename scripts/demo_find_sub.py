@@ -3,6 +3,8 @@
 
 Prints the input density, the achieved codimension against its budget, the
 per-level ledger constants, and the outcome of independent re-verification.
+A base case (arity 1, or density 1 at any arity) has no constants and prints
+its codimension only.
 Epsilon is printed in its exact monomial form coef * p^p_exp * (c)^c_exp, c
 the level density; the last walk is at arity 4.
 """
@@ -29,9 +31,9 @@ def show(v):
     print(f"achieved codim: {cert.output_codim}  budget: {cert.budget}")
     for record in cert.ledger:
         where = record["path"] or "root"
-        if record["arity"] == 1:
-            print(f"  [{where}] arity 1, c={frac_to_str(record['c'])}, "
-                  f"codim {record['codim_contribution']}")
+        if record["arity"] == 1 or record["c"] == 1:
+            print(f"  [{where}] arity {record['arity']}, c={frac_to_str(record['c'])}, "
+                  f"base case, codim {record['codim_contribution']}")
         else:
             print(f"  [{where}] arity {record['arity']}, c={frac_to_str(record['c'])}, "
                   f"r={record['r']}, s={record['s']}, "

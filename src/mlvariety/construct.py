@@ -578,6 +578,9 @@ def _variety_key(v: Variety) -> tuple:
 def find_subvariety(v: Variety) -> SubvarietyCertificate:
     """Extract a nonempty subvariety whose codimension fits the budget line.
 
+    Density 1, at any arity: every form is zero, and the output is the full
+    group at codimension 0, with one ledger record and no sub-levels.
+
     Arity 1: the input is a subspace; its echelonized defining forms are the
     output, with codimension exactly ceil(log_p 1/density).
 
@@ -655,6 +658,11 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     v_count = fib.count(v.forms)
     c = Fraction(v_count, shape.total_points)
     bud = codim_budget(shape.k, p, c)
+
+    if c == 1:
+        # Every form is zero: G is its own subvariety of codimension 0.
+        ledger = (_ledger_record(shape.k, c, codim_contribution=0),)
+        return SubvarietyCertificate(c, Variety(shape), 0, bud, ledger)
 
     if shape.k == 1:
         canon = v.canonical()

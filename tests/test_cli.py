@@ -403,18 +403,23 @@ def test_forged_top_level_claims_are_a_verify_exit(dot_files, tmp_path, capsys):
 
 def test_huge_shape_is_a_budget_exit(tmp_path, capsys):
     """|G| = 2**20001 has more digits than Python converts to str; the
-    refusals name a power-of-two bound instead of raising: find-sub's fiber
-    rows in factor 1 run over the 2**20000 points of factor 0, conv-check's
-    bitmap over all of G.  density counts by fiber ranks over the B = 2
-    points of the small factor, so it answers."""
+    refusals name a power-of-two bound instead of raising: with one form on
+    factor 2, find-sub's fiber rows in factor 1 run over the 2**20000 points
+    of factor 0, and conv-check's bitmap runs over all of G.  density counts
+    by fiber ranks over the B = 2 points of the small factor, so it answers,
+    and find-sub returns the full variety as its own base case."""
+    shape = {"p": 2, "k": 2, "dims": [20000, 1]}
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "format_version": "1",
-        "shape": {"p": 2, "k": 2, "dims": [20000, 1]},
-        "forms": [],
-    }))
-    for command in ("find-sub", "conv-check"):
-        assert main([command, "--input", str(path)]) == EXIT_BUDGET
+    path.write_text(json.dumps({"format_version": "1", "shape": shape, "forms": []}))
+    assert main(["find-sub", "--input", str(path)]) == EXIT_OK
+    bud = codim_budget(2, 2, Fraction(1))
+    assert capsys.readouterr().out == f"density=1 codim=0 budget={bud} verified=True\n"
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps({"format_version": "1", "shape": shape, "forms": [
+        {**shape, "support": [2], "coeffs": [1]}
+    ]}))
+    assert main(["find-sub", "--input", str(cut)]) == EXIT_BUDGET
+    assert main(["conv-check", "--input", str(path)]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert err.count("points, over the budget of 16777216") == 2
     if hasattr(sys, "get_int_max_str_digits"):

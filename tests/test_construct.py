@@ -600,6 +600,42 @@ def test_full_space_any_arity():
         assert density(cert.output) == 1
 
 
+_LEVEL_FIELDS = (
+    "r", "c_prime", "c_double_prime", "epsilon", "s", "cylinder_forms", "clamped", "directions",
+)
+
+
+def _base_case_inputs():
+    rng = random.Random(33)
+    for p in (2, 3, 5):
+        for k in range(1, 6):
+            sh = Shape(p, small_dims(rng, k, {2: 8, 3: 5, 5: 5}[p]))
+            zero = MultilinearForm(sh, tuple(range(k)), np.zeros(sh.dims, dtype=int))
+            yield "full", Variety.full(sh)
+            yield "full", Variety(sh, (zero,))
+            yield "forms", random_variety(rng, sh, rng.randrange(1, 3), full_support_only=True)
+
+
+def test_density_one_is_a_base_case_at_every_arity():
+    for kind, v in _base_case_inputs():
+        cert = find_subvariety(v)
+        assert verify_certificate(v, cert).all_ok
+        if kind == "full":
+            assert cert.input_density == 1
+            assert cert.output == Variety.full(v.shape)
+            assert cert.output_codim == 0
+            assert cert.budget == codim_budget(v.shape.k, v.shape.p, Fraction(1))
+            assert len(cert.ledger) == 1
+        leaves = [record["path"] for record in cert.ledger if record["c"] == 1]
+        for record in cert.ledger:
+            if record["c"] == 1:
+                assert record["codim_contribution"] == 0
+                assert all(record[name] is None for name in _LEVEL_FIELDS)
+            # a density-1 record is a leaf: no record lies below it
+            path = record["path"]
+            assert not any(path != leaf and (not leaf or path.startswith(leaf + "/")) for leaf in leaves)
+
+
 def test_dot_variety_certificate():
     v = dot_variety(2, 2)
     cert = find_subvariety(v)
@@ -1040,15 +1076,36 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     counts = _count_calls(monkeypatch, "_solve", "dense_columns")
     budget.reset_work()
     cert = find_subvariety(v)
-    assert counts == {"_solve": 7, "dense_columns": 27}
-    # 448 fiber-row entries, 768 bitmap points, 4,092 filling points, 72
+    # every slice at t = 0 zeroes the form, so each arity-6 sub-problem is
+    # the full group, one base case shared by the seven directions
+    assert counts == {"_solve": 2, "dense_columns": 7}
+    # 448 fiber-row entries, 448 bitmap points, 2,688 filling points, 67
     # value-image codes and cells and one live scan step at the top level,
     # which sums p terms into each of m * p**(m+1) = 4 cells for its one form
-    assert budget.work_points() == 448 + 768 + 4092 + 72 + 8
-    assert len(cert.ledger) == 8660
+    assert budget.work_points() == 448 + 448 + 2688 + 67 + 8
+    assert len(cert.ledger) == 8
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger
     assert verify_certificate(v, again).all_ok
+
+
+def test_memo_solves_repeated_sub_problems_with_forms_once(monkeypatch):
+    # the golden (2,(1,1,1,1,1)) input: its sub-problems keep forms below the
+    # top, and many paths slice down to the same ones
+    v = random_variety(random.Random(18), Shape(2, (1,) * 5), 1)
+    counts = _count_calls(monkeypatch, "_solve")
+    distinct = set()
+    finder = construct.find_subvariety
+
+    def keying(w):
+        distinct.add(construct._variety_key(w))
+        return finder(w)
+
+    monkeypatch.setattr(construct, "find_subvariety", keying)
+    cert = construct.find_subvariety(v)
+    assert counts["_solve"] == len(distinct) == 12 < len(cert.ledger) == 48
+    assert sum(record["c"] < 1 for record in cert.ledger) == 16
+    assert verify_certificate(v, cert).all_ok
 
 
 def test_base_case_random_subspaces():

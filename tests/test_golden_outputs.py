@@ -36,7 +36,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "1441490a74350484f9463f22948e2de6548a979e63873cdf66a7f3865d81ebca"
+GOLDEN_SHA256 = "1e10d4c2a881115366b36fb116ecf7ef8286fc003f0822c57b3218f82d6e0f7c"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
