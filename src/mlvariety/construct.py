@@ -186,11 +186,14 @@ class _Fibers:
     form without j (a constant at x) is nonzero; it holds p**(n_j - rank)
     points (Lovett 2019, "The analytic rank of tensors and its
     applications").  Each distinct form's values (forms.fiber_values) are
-    built once, and so is each _System: a system of several lists of forms
-    extends the system of the lists before the last, and a form already in
-    it adds nothing, so a candidate with its target's forms costs no
-    elimination.  j is None only for the empty support, whose forms are all
-    zero.
+    built once, and so is each _System, keyed by the set of its nonzero
+    forms' keys, so the same forms in any order share one: a system of
+    several lists of forms extends the system of the lists before the
+    last, and a form already in it adds nothing, so a candidate with its
+    target's forms costs no elimination.  Only the row order of a basis
+    depends on which list built it first; the alive points, the ranks, the
+    kernels and the pivot columns' span do not.  j is None only for the
+    empty support, whose forms are all zero.
     """
 
     def __init__(self, shape, j: int | None, others: tuple[int, ...]):
@@ -199,7 +202,7 @@ class _Fibers:
         self.b = math.prod(shape.p ** shape.dims[l] for l in others)
         budget.ensure(self.b, "fiber rows")
         self._values: dict = {}
-        self._systems = {(): _System(
+        self._systems = {frozenset(): _System(
             np.ones(self.b, dtype=bool), [], np.zeros(self.b, dtype=np.int64),
             self.b * self.p**self.n,
         )}
@@ -211,11 +214,11 @@ class _Fibers:
 
     def system(self, *lists) -> _System:
         """The common zero set of the forms of the lists."""
-        key = ()
+        key = frozenset()
         system = self._systems[key]
         for forms in lists:
             new = {f.key(): f for f in forms if not f.is_zero() and f.key() not in key}
-            key += tuple(new)
+            key = key.union(new)
             if key not in self._systems:
                 self._systems[key] = self._extend(system, list(new.values()))
             system = self._systems[key]
@@ -251,8 +254,9 @@ def _fibers(shape, factors, j: int | None = None) -> _Fibers:
     """The fibers in factor j, by default the largest of the factors (the
     first among ties), over the others of them.  While a find runs, one
     _Fibers serves every call with the same shape and factors (_SCOPE), so
-    the input's values and systems serve _solve and the direction j of
-    dense_columns, and the target's serve external_approx and _solve."""
+    the input's values and systems serve _solve, the direction j of
+    dense_columns and, where the target restates the input's canonical
+    list, external_approx."""
     if j is None:
         j = max(factors, key=shape.dims.__getitem__, default=None)
     key = (shape, j, tuple(l for l in factors if l != j))
@@ -569,9 +573,10 @@ def _ledger_record(arity: int, c: Fraction, **extra) -> dict:
 
 
 def _variety_key(v: Variety) -> tuple:
-    # Key of a variety's certificate in the finder's sub-problem memo.  The
-    # raw defining list, not canonical(): the finder reads the raw list, and
-    # lists with one canonical form are not known to give one certificate.
+    # Key of a variety's certificate in the finder's sub-problem memo: the
+    # raw defining list.  Lists with one canonical form give one certificate
+    # (the finder reads only the canonical list above arity 1), but keying
+    # by it would echelonize every sliced list before the memo is read.
     return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
 
 
@@ -591,6 +596,12 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     cylinder-constrained target; verify the resulting variety equals the
     target point by point and is contained in the input.
 
+    Above arity 1 the finder reads the input only as its canonical list
+    (Variety.canonical, the same zero set), so the certificate depends only
+    on the span of each same-support family of the input.  The target and
+    the source, echelonized restatements of that list and the cylinder
+    forms, read the input's own fiber system where a level adds no
+    cylinder form, and the candidate's system extends the target's.
     Every count and comparison of the input, the target and the candidate
     is read from their fibers in the largest factor j (_Fibers): c is the
     mean fiber size, and A lies inside B exactly when |A & B| = |A|, each
@@ -604,10 +615,10 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     which the recursion shares and which closes on return or on a raise.
     It holds the sub-problem memo, so each distinct sub-problem (shape and
     raw defining list) is solved once, though the recursion slices it along
-    many paths, and each _Fibers built (_fibers).  A hit in either returns
-    what is stored and charges nothing: its passes already ran once under
-    the same budget, so the certificate and every refusal are those of a
-    solve without them.
+    many paths, and each _Fibers built (_fibers), which builds each set of
+    forms' system once.  A hit in either returns what is stored and
+    charges nothing: its passes already ran once under the same budget, so
+    the certificate and every refusal are those of a solve without them.
     """
     token = _SCOPE.set(({}, {})) if _SCOPE.get() is None else None
     try:
@@ -654,6 +665,10 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     p = shape.p
     if v.is_empty:
         raise EmptyVarietyError("the subvariety finder needs a nonempty variety")
+    if shape.k > 1:
+        # every count, slice and list below reads the echelonized forms, so
+        # the target and the source can share the input's system
+        v = v.canonical()
     fib = _fibers(shape, range(shape.k))
     v_count = fib.count(v.forms)
     c = Fraction(v_count, shape.total_points)

@@ -19,10 +19,11 @@ variety contains the origin.
 This is the verifier's evaluation kernel.  It builds no value grid and no
 bitmap, and it imports no evaluation code from ``forms``, ``variety`` or
 ``construct``: rows are contractions of the coefficient tensors against the
-vector tables of ``field``, and ranks come from ``field.batched_echelon``,
-one Gaussian elimination vectorized over x.  The finder reads the same
-identity from rows of its own (``forms.fiber_values``), so a certificate is
-checked by a computation that shares nothing with the one that built it but
+vector tables of ``field``, each factor's table split in two halves whose
+uint8 residues are added without a ``% p`` pass (_contract), and ranks
+come from ``field.batched_echelon``, one Gaussian elimination vectorized
+over x.  The finder reads the same identity from rows of its own
+(``forms.fiber_values``), so a certificate is checked by a computation that shares nothing with the one that built it but
 the data types, those tables and that elimination, which is field
 arithmetic, not form evaluation.  Building the rows of a form charges its
 B * n_j entries (B for a form without j) to the work counter; the budget
@@ -52,12 +53,19 @@ def _contract(t: np.ndarray, p: int, n: int) -> np.ndarray:
     A vector is its first n//2 coordinates followed by the rest, so its
     contraction is the sum of the two halves' contractions against their
     own, much smaller tables: two small products and one broadcast sum.
+    The halves are residues in uint8, so the sum is reduced without a
+    division: XOR at p = 2, one conditional subtraction of p otherwise.
     """
     h = n // 2
     t = np.moveaxis(t, 1, -1).astype(np.int64)
     head = (t[..., :h] @ all_vectors(p, h).T % p).astype(np.uint8)
     tail = (t[..., h:] @ all_vectors(p, n - h).T % p).astype(np.uint8)
-    out = (head[..., :, None] + tail[..., None, :]) % p
+    if p == 2:
+        out = head[..., :, None] ^ tail[..., None, :]
+    else:
+        # the sum is below 2p - 1 <= 33, and out - p wraps above out unless out >= p
+        out = head[..., :, None] + tail[..., None, :]
+        np.minimum(out, out - p, out=out)
     return out.reshape(out.shape[:-2] + (-1,))
 
 

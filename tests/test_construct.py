@@ -49,11 +49,14 @@ from helpers import (
     approximate_with_no_functionals,
     brute_eval,
     brute_external_approx,
+    brute_rank_mod,
     constant_shift_tables,
+    coordinate_products,
     count_bitmap_passes,
     enumerate_points,
     miss_every_memo_lookup,
     monomial_value,
+    planted_cylinder,
     small_dims,
 )
 
@@ -816,7 +819,8 @@ def test_forced_epsilon_overshoot_diagnostic(monkeypatch):
 @pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
 def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     # the fiber rows of each form are built once per shape and fiber factor,
-    # and the scope that shares them closes with the call
+    # the finder reads the input's canonical forms in every factor, and the
+    # scope that shares them closes with the call
     v = random_variety(random.Random(21), Shape(p, dims), 2, full_support_only=full)
     seen = collections.Counter()
     original = construct.fiber_values
@@ -828,8 +832,88 @@ def test_find_subvariety_evaluates_each_form_once(monkeypatch, p, dims, full):
     monkeypatch.setattr(construct, "fiber_values", counting)
     find_subvariety(v)
     assert seen and max(seen.values()) == 1
-    assert {f.key() for f in v.forms} <= {key for _, key, _ in seen}
+    canon = v.canonical().forms
+    assert canon and all(seen[(v.shape, f.key(), j)] == 1
+                         for f in canon for j in range(v.shape.k))
     assert construct._SCOPE.get() is None
+
+
+@pytest.mark.parametrize("p, dims, builds, parent_builds", [
+    (2, (10, 10), 2, 4),
+    (3, (4, 3, 3), 3, 6),
+])
+def test_find_subvariety_builds_each_system_once(monkeypatch, p, dims, builds, parent_builds):
+    # the target and the source restate the input's canonical list, so they
+    # read its system; parent_builds is the count when each level rebuilt
+    # the system of every restatement in its raw order
+    v = random_variety(random.Random(0), Shape(p, dims), 2, full_support_only=True)
+    calls = []
+    original = construct._Fibers._extend
+
+    def counting(self, system, forms_):
+        calls.append(forms_)
+        return original(self, system, forms_)
+
+    monkeypatch.setattr(construct._Fibers, "_extend", counting)
+    find_subvariety(v)
+    assert len(calls) == builds < parent_builds
+
+
+def _span_restatements(rng, v):
+    """v's canonical list, its forms in reverse order, and each same-support
+    family replaced by a random invertible recombination of it with one
+    recombined form listed twice: three more lists with v's per-support
+    spans."""
+    p = v.shape.p
+    families = {}
+    for f in v.forms:
+        families.setdefault(f.support, []).append(f.coeffs)
+    mixed = []
+    for support, family in families.items():
+        while True:
+            a = [[rng.randrange(p) for _ in family] for _ in family]
+            if brute_rank_mod(a, p) == len(family):
+                break
+        coeffs = np.tensordot(np.array(a), np.array(family), axes=1) % p
+        recombined = [MultilinearForm(v.shape, support, c) for c in coeffs]
+        mixed += recombined + recombined[:1]
+    return [v.canonical(), Variety(v.shape, v.forms[::-1]), Variety(v.shape, mixed)]
+
+
+def _span_battery(p, seed):
+    """Random-support, full-support, planted-cylinder and coordinate-product
+    varieties over arity 1 to 4."""
+    rng = random.Random(f"spans/{p}/{seed}")
+    for k in (1, 2, 3, 4):
+        dims = small_dims(rng, k, 5)
+        while Shape(p, dims).total_points > max(250, p**k):
+            dims = tuple(max(n - 1, 1) for n in dims)
+        shape = Shape(p, dims)
+        yield rng, random_variety(rng, shape, rng.randint(1, 3))
+        yield rng, random_variety(rng, shape, rng.randint(1, 3), full_support_only=True)
+        if k >= 2:
+            yield rng, Variety(shape, planted_cylinder(rng, shape, 2, 1))
+        if k == 2:
+            yield rng, Variety(shape, coordinate_products(shape, 1))
+
+
+def _find_outcome(v):
+    try:
+        return certificate_to_obj(find_subvariety(v))
+    except ConstructionError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("memo", [True, False])
+def test_certificate_depends_only_on_the_per_support_spans(monkeypatch, p, seed, memo):
+    if not memo:
+        miss_every_memo_lookup(monkeypatch)
+    for rng, v in _span_battery(p, seed):
+        outcome = _find_outcome(v)
+        for other in _span_restatements(rng, v):
+            assert _find_outcome(other) == outcome
 
 
 def test_bitmaps_are_built_afresh_after_the_finder_returns(monkeypatch):

@@ -227,3 +227,17 @@ def test_fibers_imports_no_evaluation_code():
     }
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                 and any(a.name.startswith("mlvariety") for a in node.names)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_contract_matches_a_naive_contraction(p, n):
+    # nonzero coefficients make each half's contraction take every residue,
+    # so at p = 17 the half-sum reaches 2 * 16 = 32 before it is reduced
+    rng = np.random.default_rng(p * 10 + n)
+    t = rng.integers(1, p, size=(2, n, 2))
+    table = fibers.all_vectors(p, n).T.astype(np.int64)
+    naive = np.moveaxis(t, 1, -1) @ table % p
+    out = fibers._contract(t, p, n)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, naive)

@@ -36,7 +36,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "1e10d4c2a881115366b36fb116ecf7ef8286fc003f0822c57b3218f82d6e0f7c"
+GOLDEN_SHA256 = "4678753f30581452e394dcd485735f95e84905d28dcbfc05e3d238654a28c3f3"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

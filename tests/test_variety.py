@@ -10,7 +10,7 @@ from mlvariety import budget, variety
 from mlvariety.errors import ConstructionError, PreconditionError
 from mlvariety.fibers import density
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
-from mlvariety.generators import random_point_subset, random_variety
+from mlvariety.generators import random_form, random_point_subset, random_support, random_variety
 from mlvariety.variety import (
     Parallelepiped,
     PointSet,
@@ -312,6 +312,29 @@ def test_canonical_removes_scalar_multiples():
     g = MultilinearForm(sh, (0, 1), [[2], [1]])  # 2*f
     v = Variety(sh, (f, g))
     assert v.codim == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_keeps_the_zero_set(p, seed):
+    # a support family with a dependent form, a duplicate and the zero form,
+    # beside forms of random supports
+    rng = random.Random(f"canonical/{p}/{seed}")
+    for k in (1, 2, 3):
+        dims = small_dims(rng, k, 4)
+        while Shape(p, dims).total_points > 400:
+            dims = tuple(max(n - 1, 1) for n in dims)
+        shape = Shape(p, dims)
+        support = random_support(rng, k)
+        f, g = random_form(rng, shape, support), random_form(rng, shape, support)
+        a, b = rng.randrange(p), rng.randrange(p)
+        dependent = MultilinearForm(shape, support, (a * f.coeffs + b * g.coeffs) % p)
+        v = Variety(shape, (f, dependent, zero_form(shape), g, f)
+                    + random_variety(rng, shape, 2).forms)
+        canon = v.canonical()
+        assert len(canon.forms) < len(v.forms)
+        assert np.array_equal(variety_bitmap(canon), variety_bitmap(v))
+        assert brute_density(canon) == brute_density(v)
 
 
 def test_canonical_drops_zero_forms():
