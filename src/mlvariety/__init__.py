@@ -45,7 +45,6 @@ from .forms import (
     prank_lower_bound,
     product_form,
     slice_form,
-    zero_form,
 )
 from .variety import (
     ConvFillReport,
@@ -59,7 +58,6 @@ from .variety import (
     membership,
     slice_variety,
     variety_bitmap,
-    variety_points,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -310,7 +309,7 @@ def cmd_sweep(args) -> int:
             cert = find_subvariety(v)
             check = verify_certificate(v, cert)
             row["density"] = frac_to_str(c)
-            row["arank"] = repr(float(math.log(c.denominator / c.numerator, args.p)))
+            row["arank"] = repr(analytic_rank(c, args.p))
             row["achieved_codim"] = cert.output_codim
             row["budget"] = cert.budget
             row["status"] = "ok" if check.all_ok else "verify_failed"

@@ -255,8 +255,8 @@ def _fibers(shape, factors, j: int | None = None) -> _Fibers:
     first among ties), over the others of them.  While a find runs, one
     _Fibers serves every call with the same shape and factors (_SCOPE), so
     the input's values and systems serve _solve, the direction j of
-    dense_columns and, where the target restates the input's canonical
-    list, external_approx."""
+    dense_columns, external_approx, whose source is the input's
+    full-support forms, and the target, whose system extends the input's."""
     if j is None:
         j = max(factors, key=shape.dims.__getitem__, default=None)
     key = (shape, j, tuple(l for l in factors if l != j))
@@ -594,14 +594,19 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     constraints; approximate the input's full-support forms externally with
     enough functionals that the approximation cannot strictly exceed the
     cylinder-constrained target; verify the resulting variety equals the
-    target point by point and is contained in the input.
+    target point by point, which puts it inside the input, since the
+    target is the input cut by the cylinder constraints.
 
     Above arity 1 the finder reads the input only as its canonical list
     (Variety.canonical, the same zero set), so the certificate depends only
-    on the span of each same-support family of the input.  The target and
-    the source, echelonized restatements of that list and the cylinder
-    forms, read the input's own fiber system where a level adds no
-    cylinder form, and the candidate's system extends the target's.
+    on the span of each same-support family of the input.  A level
+    echelonizes only that input and its candidate.  The source is the
+    input's canonical full-support forms; the cylinder constraints are the
+    candidate's forms without full support, since no base form has full
+    support and every phi component has; the target is the input's forms
+    and those, with no elimination of its own.  So the source reads the
+    input's own fiber system, the target's system extends it, and the
+    count shared by target and candidate extends the target's.
     Every count and comparison of the input, the target and the candidate
     is read from their fibers in the largest factor j (_Fibers): c is the
     mean fiber size, and A lies inside B exactly when |A & B| = |A|, each
@@ -710,26 +715,24 @@ def _solve(v: Variety) -> SubvarietyCertificate:
                 "clamped": res.clamped,
             }
         )
-    cylinders = Variety(shape, embedded).canonical()
-    target = Variety(shape, v.forms + cylinders.forms).canonical()
-
     level = _level_constants(p, c, shape.k, r_max, max(shape.dims))
 
     full_support = tuple(range(shape.k))
-    full_forms = [f for f in target.forms if f.support == full_support]
+    full_forms = [f for f in v.forms if f.support == full_support]
     source = MultilinearMap(shape, full_support, full_forms)
     approx = external_approx(source, level["s"])
 
-    candidate = Variety(
-        shape, tuple(approx.phi.components) + cylinders.forms
-    ).canonical()
+    # no embedded form has full support and every phi component has, so the
+    # candidate's other forms are the echelonized cylinder constraints
+    candidate = Variety(shape, tuple(approx.phi.components) + tuple(embedded)).canonical()
+    cylinders = tuple(f for f in candidate.forms if f.support != full_support)
 
-    shared = fib.count(target.forms, candidate.forms)
-    if shared != fib.count(target.forms):
+    shared = fib.count(v.forms, cylinders, candidate.forms)
+    if shared != fib.count(v.forms, cylinders):
         raise ConstructionError("approximation lost a point of its target")
     extra_count = fib.count(candidate.forms) - shared
     if extra_count:
-        point = _first_escape(candidate, target)
+        point = _first_escape(candidate, Variety(shape, v.forms + cylinders))
         raise ApproxMismatchError(
             f"approximation strictly exceeds its target at {point} "
             f"({extra_count} extra points)",
@@ -738,8 +741,6 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             extra_floor=level["c_double_prime"]**shape.k * shape.total_points,
         )
 
-    if fib.count(candidate.forms, v.forms) != fib.count(candidate.forms):
-        raise ConstructionError("the extracted subvariety escaped the input")
     codim = len(candidate.forms)
     if codim > bud:
         raise ConstructionError(
@@ -752,7 +753,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             c,
             r=r_max,
             **level,
-            cylinder_forms=len(cylinders.forms),
+            cylinder_forms=len(cylinders),
             codim_contribution=codim,
             directions=direction_info,
         )

@@ -113,10 +113,6 @@ class MultilinearForm:
         )
 
 
-def zero_form(shape: Shape) -> MultilinearForm:
-    return MultilinearForm(shape, (), np.zeros((), dtype=np.uint8))
-
-
 def product_form(
     shape: Shape,
     left_support: Iterable[int],

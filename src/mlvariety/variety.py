@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -113,14 +113,6 @@ def variety_bitmap(v: Variety) -> np.ndarray:
             grown[j] = g.shape[pos]
         out &= g.reshape(grown)
     return out
-
-
-def variety_points(v: Variety) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Points of the variety in enumeration order."""
-    if v.is_empty:
-        return
-    for idx in np.argwhere(variety_bitmap(v)):
-        yield _point_from_index(v.shape, idx)
 
 
 def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:

@@ -13,14 +13,15 @@ library's own kernels: the bias from value grids per coefficient slice,
 zero fibers from the value grid over the support, point counts from the
 biases of the forms' combinations (the dual count), and the finder's
 value histogram by closing a B x p**m image mask under translations.
-Tests compare library results against these.  One
-helper runs the partition-rank search with both of its bounds moved out
-of the way, one counts the library's own value-grid evaluations and one
-its bitmap passes, for the grid-cache tests, one makes every lookup in the
-finder's sub-problem memo miss, for the memo oracle, one switches off the
-witness search's zero-offset pre-check and one its first-row pass, two
-replace its translation tables, and one starves the finder's external
-approximation of functionals, for the failure paths.
+Tests compare library results against these, and read a variety's points
+off its bitmap.  One helper runs the partition-rank search with both of
+its bounds moved out of the way, one counts the library's own value-grid
+evaluations and one its bitmap passes, for the grid-cache tests, one
+makes every lookup in the finder's sub-problem memo miss, for the memo
+oracle, one switches off the witness search's zero-offset pre-check and
+one its first-row pass, two replace its translation tables, and one
+starves the finder's external approximation of functionals, for the
+failure paths.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ def enumerate_points(shape):
         list(itertools.product(range(shape.p), repeat=n)) for n in shape.dims
     ]
     return itertools.product(*per_factor)
+
+
+def bitmap_points(v) -> list:
+    """The points of v in enumeration order, read off its bitmap."""
+    mask = variety.variety_bitmap(v)
+    return [variety._point_from_index(v.shape, idx) for idx in np.argwhere(mask)]
 
 
 def brute_eval(form, point) -> int:

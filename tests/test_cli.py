@@ -1183,3 +1183,16 @@ def test_sweep_at_arity_5(tmp_path):
     for cols in rows:
         assert cols[2] == "5" and cols[8] == "ok"
         assert int(cols[6]) <= int(cols[7])
+
+
+def test_sweep_reports_the_analytic_rank_below_the_float_range(tmp_path):
+    # 251 independent linear forms on F_17^251 leave one point: density
+    # 17**-251, whose reciprocal overflows a float
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--p", "17", "--dims", "251", "--gen", "random-forms",
+        "--count", "1", "--forms", "251", "--output", str(out),
+    ]) == EXIT_OK
+    cols = out.read_text().splitlines()[2].split(",")
+    assert cols[8] == "ok"
+    assert abs(float(cols[5]) - 251) < 1e-9

@@ -42,11 +42,12 @@ from mlvariety.generators import (
     random_variety,
 )
 from mlvariety.jsonio import certificate_from_obj, certificate_to_obj
-from mlvariety.variety import Variety, membership, variety_bitmap, variety_points
+from mlvariety.variety import Variety, membership, variety_bitmap
 
 from helpers import (
     annihilator,
     approximate_with_no_functionals,
+    bitmap_points,
     brute_eval,
     brute_external_approx,
     brute_rank_mod,
@@ -687,7 +688,7 @@ def test_finder_invariants_random_k2(seed):
     cert = find_subvariety(v)
     check = verify_certificate(v, cert)
     assert check.all_ok
-    for point in variety_points(cert.output):
+    for point in bitmap_points(cert.output):
         assert membership(v, point)
 
 
@@ -859,6 +860,32 @@ def test_find_subvariety_builds_each_system_once(monkeypatch, p, dims, builds, p
     assert len(calls) == builds < parent_builds
 
 
+@pytest.mark.parametrize("make, canonicals, parent_canonicals", [
+    *[(lambda seed=seed: random_variety(random.Random(seed), Shape(2, (10, 10)), 2,
+                                        full_support_only=True), 2, 4) for seed in range(4)],
+    (lambda: Variety(Shape(3, (2, 2, 2)),
+                     planted_cylinder(random.Random(0), Shape(3, (2, 2, 2)), 4, 1)), 3, 5),
+    # the golden (2,(1,1,1,1,1)) input, whose sub-levels keep forms
+    (lambda: random_variety(random.Random(18), Shape(2, (1,) * 5), 1), 17, 29),
+])
+def test_each_level_echelonizes_only_its_input_and_output(monkeypatch, make, canonicals,
+                                                          parent_canonicals):
+    # above arity 1 a level echelonizes its input and its candidate, and
+    # reads the cylinder forms off the candidate; parent_canonicals is the
+    # count when it also echelonized the cylinder forms and the target
+    v = make()
+    calls = []
+    original = Variety.canonical
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Variety, "canonical", counting)
+    find_subvariety(v)
+    assert len(calls) == canonicals < parent_canonicals
+
+
 def _span_restatements(rng, v):
     """v's canonical list, its forms in reverse order, and each same-support
     family replaced by a random invertible recombination of it with one
@@ -899,9 +926,15 @@ def _span_battery(p, seed):
 
 def _find_outcome(v):
     try:
-        return certificate_to_obj(find_subvariety(v))
+        cert = find_subvariety(v)
     except ConstructionError as exc:
         return type(exc).__name__, str(exc)
+    top = cert.ledger[0]
+    if top["cylinder_forms"] is not None:
+        # the cylinder forms are read off the output: its forms without full support
+        full = tuple(range(v.shape.k))
+        assert top["cylinder_forms"] == sum(f.support != full for f in cert.output.forms)
+    return certificate_to_obj(cert)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

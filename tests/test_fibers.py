@@ -14,7 +14,7 @@ import pytest
 from mlvariety import budget, cli, construct, fibers, forms, variety
 from mlvariety.construct import codim_budget, find_subvariety, verify_certificate
 from mlvariety.fibers import count_and_contains, density, point_count, zero_fiber_identity_check
-from mlvariety.forms import MultilinearForm, Shape, bias, zero_form
+from mlvariety.forms import MultilinearForm, Shape, bias
 from mlvariety.generators import random_form, random_support, random_variety
 from mlvariety.variety import Variety, variety_bitmap
 
@@ -90,12 +90,12 @@ def test_dual_count_matches_both_fiber_counts(p, seed):
 def test_zero_forms_and_zero_dimension_factors(p, dims):
     shape = Shape(p, dims)
     assert point_count(Variety.full(shape)) == shape.total_points
-    zero_only = Variety(shape, (zero_form(shape),))
+    zero_only = Variety(shape, (MultilinearForm(shape, (), 0),))
     assert point_count(zero_only) == shape.total_points
     rng = random.Random(f"zero-dims/{p}/{dims}")
     for _ in range(5):
         v = random_variety(rng, shape, 3)
-        v = Variety(shape, v.forms + (zero_form(shape),))
+        v = Variety(shape, v.forms + (MultilinearForm(shape, (), 0),))
         count = int(np.count_nonzero(variety_bitmap(v)))
         assert point_count(v) == count
         assert count_and_contains(v, Variety.full(shape)) == (count, count == shape.total_points)

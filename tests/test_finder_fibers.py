@@ -20,7 +20,7 @@ from mlvariety.construct import (
 )
 from mlvariety.errors import EmptyVarietyError
 from mlvariety.field import batched_echelon, rref, vector_from_index
-from mlvariety.forms import MultilinearForm, Shape, eval_grid, zero_form
+from mlvariety.forms import MultilinearForm, Shape, eval_grid
 from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.variety import Variety, variety_bitmap
 
@@ -44,8 +44,9 @@ def _battery(p, seed):
         for shape in (Shape(p, dims), Shape(p, dims[:-1] + (0,))):
             v = random_variety(rng, shape, rng.randint(1, 3))
             # a form on the first factor alone misses every other factor
-            first = random_form(rng, shape, [0]) if shape.dims[0] else zero_form(shape)
-            yield Variety(shape, v.forms + (zero_form(shape), first))
+            zero = MultilinearForm(shape, (), 0)
+            first = random_form(rng, shape, [0]) if shape.dims[0] else zero
+            yield Variety(shape, v.forms + (zero, first))
 
 
 def _others(shape, j):

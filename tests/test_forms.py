@@ -24,7 +24,6 @@ from mlvariety.forms import (
     prank_lower_bound,
     product_form,
     slice_form,
-    zero_form,
 )
 from mlvariety.generators import planted_low_prank_form, random_form, random_support
 
@@ -53,7 +52,7 @@ def rand_shape(rng, max_k=3, max_total=6) -> Shape:
 
 def test_empty_support_must_be_zero():
     sh = Shape(2, (1, 1))
-    assert zero_form(sh).is_zero()
+    assert MultilinearForm(sh, (), 0).is_zero()
     with pytest.raises(PreconditionError):
         MultilinearForm(sh, (), np.ones(()))
 
@@ -89,7 +88,7 @@ def test_forms_refuse_inputs_outside_their_contract(call, message):
 
 def test_eval_zero_form_anywhere():
     sh = Shape(3, (2, 1))
-    assert eval_form(zero_form(sh), ((1, 2), (2,))) == 0
+    assert eval_form(MultilinearForm(sh, (), 0), ((1, 2), (2,))) == 0
 
 
 def test_eval_single_monomial():
@@ -185,7 +184,7 @@ def test_eval_grid_matches_pointwise():
 
 
 def test_eval_grid_of_the_zero_form_is_one_zero():
-    grid = eval_grid(zero_form(Shape(3, (2, 1))))
+    grid = eval_grid(MultilinearForm(Shape(3, (2, 1)), (), 0))
     assert grid.shape == () and grid.dtype == np.uint8 and int(grid) == 0
 
 
@@ -259,7 +258,7 @@ def test_slice_eval_coherence_exhaustive(seed):
 # ---------------------------------------------------------------------------
 
 def test_bias_examples():
-    assert bias(zero_form(Shape(2, (1, 1)))) == 1
+    assert bias(MultilinearForm(Shape(2, (1, 1)), (), 0)) == 1
     f = MultilinearForm(Shape(2, (1, 1)), (0, 1), [[1]])
     assert bias(f) == Fraction(1, 2)
     g = MultilinearForm(Shape(2, (2, 2)), (0, 1), np.eye(2, dtype=int))
@@ -305,7 +304,7 @@ def _grid_oracle_battery(p):
                 dims[rng.randrange(k)] = 0
             sh = Shape(p, dims)
             yield random_form(rng, sh, random_support(rng, k))
-            yield zero_form(sh)
+            yield MultilinearForm(sh, (), 0)
             yield random_form(rng, sh, (rng.randrange(k),))
             if k >= 2 and 0 not in dims:
                 yield planted_low_prank_form(rng, sh, rng.randint(1, 3))
@@ -345,7 +344,7 @@ def test_zero_fiber_identity_charges_the_fiber_rows():
 
 
 def test_analytic_rank_examples():
-    assert analytic_rank(bias(zero_form(Shape(2, (1, 1)))), 2) == 0.0
+    assert analytic_rank(bias(MultilinearForm(Shape(2, (1, 1)), (), 0)), 2) == 0.0
     f = MultilinearForm(Shape(2, (1, 1)), (0, 1), [[1]])
     assert (analytic_rank(bias(f), f.shape.p), bias(f)) == (1.0, Fraction(1, 2))
     g = MultilinearForm(Shape(2, (2, 2)), (0, 1), np.eye(2, dtype=int))
@@ -353,7 +352,7 @@ def test_analytic_rank_examples():
 
 
 def test_zero_fiber_identity_examples():
-    z = zero_form(Shape(2, (1, 1)))
+    z = MultilinearForm(Shape(2, (1, 1)), (), 0)
     rep = zero_fiber_identity_check(z, bias(z))
     assert rep.holds and rep.zero_fiber_count == 2 and rep.expected == 2
     f = MultilinearForm(Shape(2, (1, 1)), (0, 1), [[1]])
@@ -392,7 +391,7 @@ def test_zero_fiber_identity_always_holds(seed):
 # ---------------------------------------------------------------------------
 
 def test_prank_lower_bound_examples():
-    assert prank_lower_bound(bias(zero_form(Shape(2, (1, 1)))), 2) == 0
+    assert prank_lower_bound(bias(MultilinearForm(Shape(2, (1, 1)), (), 0)), 2) == 0
     g = MultilinearForm(Shape(2, (2, 2)), (0, 1), np.eye(2, dtype=int))
     assert prank_lower_bound(bias(g), g.shape.p) == 2
     h = MultilinearForm(Shape(3, (1, 1)), (0, 1), [[1]])
@@ -433,7 +432,7 @@ def test_search_rank_examples():
 
 
 def test_search_rank_zero():
-    assert partition_rank_search(zero_form(Shape(2, (1, 1, 1))), Fraction(1)) == 0
+    assert partition_rank_search(MultilinearForm(Shape(2, (1, 1, 1)), (), 0), Fraction(1)) == 0
     zero = MultilinearForm(Shape(3, (2, 1, 2)), (0, 1, 2), np.zeros((2, 1, 2), dtype=int))
     assert matricization_rank_bound(zero) == 0
 

@@ -36,7 +36,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "4678753f30581452e394dcd485735f95e84905d28dcbfc05e3d238654a28c3f3"
+GOLDEN_SHA256 = "37270661a878a3ccb6e2e75fd8349dc6b3c51bacd4c9e223223fadb6427c82b3"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mlvariety import budget, variety
 from mlvariety.errors import ConstructionError, PreconditionError
 from mlvariety.fibers import density
-from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, zero_form
+from mlvariety.forms import MultilinearForm, MultilinearMap, Shape
 from mlvariety.generators import random_form, random_point_subset, random_support, random_variety
 from mlvariety.variety import (
     Parallelepiped,
@@ -26,10 +26,10 @@ from mlvariety.variety import (
     membership,
     slice_variety,
     variety_bitmap,
-    variety_points,
 )
 
 from helpers import (
+    bitmap_points,
     brute_density,
     brute_eval,
     brute_first_witness,
@@ -182,9 +182,8 @@ def test_density_matches_bruteforce(seed):
 def test_variety_points_in_lex_order():
     sh = Shape(2, (1, 1))
     v = Variety(sh, (MultilinearForm(sh, (0, 1), [[1]]),))
-    pts = list(variety_points(v))
-    assert pts == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
-    assert list(variety_points(Variety.empty(sh))) == []
+    assert bitmap_points(v) == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
+    assert bitmap_points(Variety.empty(sh)) == []
 
 
 def test_point_from_index_inverts_point_index():
@@ -329,7 +328,7 @@ def test_canonical_keeps_the_zero_set(p, seed):
         f, g = random_form(rng, shape, support), random_form(rng, shape, support)
         a, b = rng.randrange(p), rng.randrange(p)
         dependent = MultilinearForm(shape, support, (a * f.coeffs + b * g.coeffs) % p)
-        v = Variety(shape, (f, dependent, zero_form(shape), g, f)
+        v = Variety(shape, (f, dependent, MultilinearForm(shape, (), 0), g, f)
                     + random_variety(rng, shape, 2).forms)
         canon = v.canonical()
         assert len(canon.forms) < len(v.forms)
@@ -339,7 +338,7 @@ def test_canonical_keeps_the_zero_set(p, seed):
 
 def test_canonical_drops_zero_forms():
     sh = Shape(2, (1, 1))
-    v = Variety(sh, (zero_form(sh), MultilinearForm(sh, (0, 1), [[1]])))
+    v = Variety(sh, (MultilinearForm(sh, (), 0), MultilinearForm(sh, (0, 1), [[1]])))
     assert v.codim == 1
     empty = Variety.empty(sh)
     assert empty.canonical() is empty
@@ -417,7 +416,7 @@ def test_witness_every_point_dot_variety():
     mask = variety_bitmap(w)
     bad = random_point_subset(random.Random(5), sh, mask, 1)
     allowed = PointSet(sh, mask & ~bad.mask)
-    for point in variety_points(w):
+    for point in bitmap_points(w):
         got = iterated_conv_witness(allowed, point)
         assert got is not None
         for corner in got.corners():
@@ -532,7 +531,7 @@ def test_conv_fill_reports_every_point_without_a_witness(monkeypatch):
     constant_shift_tables(monkeypatch, 1)
     report = conv_fill_check(w, PointSet.empty(sh), variety_bitmap(w), w.codim)
     assert not report.success
-    assert report.failures == tuple(variety_points(w))
+    assert report.failures == tuple(bitmap_points(w))
     assert report.checked == len(report.failures) == 8
     assert report.corners_checked == 0
 
