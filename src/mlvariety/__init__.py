@@ -11,16 +11,10 @@ from .budget import (
 )
 from .construct import (
     ApproxResult,
-    CertificateCheck,
     DenseColumnsResult,
-    SubvarietyCertificate,
-    arity_constant,
-    budget_line,
-    codim_budget,
     dense_columns,
     external_approx,
     find_subvariety,
-    verify_certificate,
 )
 from .errors import (
     ApproxMismatchError,
@@ -30,7 +24,13 @@ from .errors import (
     PreconditionError,
     ZeroBiasError,
 )
-from .fibers import ZeroFiberReport, density, zero_fiber_identity_check
+from .fibers import (
+    CertificateCheck,
+    ZeroFiberReport,
+    density,
+    verify_certificate,
+    zero_fiber_identity_check,
+)
 from .field import Subspace, echelonize
 from .forms import (
     MultilinearForm,
@@ -46,6 +46,7 @@ from .forms import (
     product_form,
     slice_form,
 )
+from .ledger import SubvarietyCertificate, arity_constant, budget_line, codim_budget
 from .variety import (
     ConvFillReport,
     Parallelepiped,

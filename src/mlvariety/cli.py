@@ -23,13 +23,8 @@ import numpy as np
 
 from . import budget
 from .budget import BudgetExceededError
-from .construct import (
-    ConstructionError,
-    external_approx,
-    find_subvariety,
-    verify_certificate,
-)
-from .errors import InputFormatError, PreconditionError, ZeroBiasError
+from .construct import external_approx, find_subvariety
+from .errors import ConstructionError, InputFormatError, PreconditionError, ZeroBiasError
 from .forms import Shape, analytic_rank, bias, partition_rank_search, prank_lower_bound
 from .generators import (
     RNG_ID,
@@ -50,7 +45,7 @@ from .jsonio import (
     map_to_obj,
     variety_from_obj,
 )
-from .fibers import density, zero_fiber_identity_check
+from .fibers import density, verify_certificate, zero_fiber_identity_check
 from .variety import Variety, _capped_bad_size, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0

@@ -16,19 +16,19 @@ every row of M_V(x) lies in the span of the rows of M_V'(x).
 The empty marker has no points and lies inside every variety; every other
 variety contains the origin.
 
-This is the verifier's evaluation kernel.  It builds no value grid and no
-bitmap, and it imports no evaluation code from ``forms``, ``variety`` or
-``construct``: rows are contractions of the coefficient tensors against the
-vector tables of ``field``, each factor's table split in two halves whose
-uint8 residues are added without a ``% p`` pass (_contract), and ranks
-come from ``field.batched_echelon``, one Gaussian elimination vectorized
-over x.  The finder reads the same identity from rows of its own
-(``forms.fiber_values``), so a certificate is checked by a computation that shares nothing with the one that built it but
-the data types, those tables and that elimination, which is field
-arithmetic, not form evaluation.  Building the rows of a form charges its
-B * n_j entries (B for a form without j) to the work counter; the budget
-admits B and the total before anything is built.  `rank`'s zero fibers
-are counted here too, as a variety (zero_fiber_identity_check).
+This is the verifier's evaluation kernel, and verify_certificate is here.
+It builds no value grid and no bitmap, and it imports no evaluation code
+from ``forms``, ``variety`` or ``construct``: rows are contractions of the
+coefficient tensors against the vector tables of ``field``, each factor's
+table split in two halves whose uint8 residues are added without a ``% p``
+pass (_contract), and ranks come from ``field.batched_echelon``, one
+Gaussian elimination vectorized over x.  The finder reads the same identity
+from rows of its own (``forms.fiber_values``); besides the data types and
+those tables, that elimination is the one computation the two share, field
+arithmetic checked against ``field.rref`` at every x (test_finder_fibers).
+Building the rows of a form charges its B * n_j entries (B for a form
+without j) to the work counter; the budget admits B and the total before
+anything is built.  zero_fiber_identity_check counts `rank`'s zero fibers.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from . import budget
 from .errors import PreconditionError
 from .field import all_vectors, batched_echelon
 from .forms import MultilinearForm, Shape
+from .ledger import SubvarietyCertificate, codim_budget
 from .variety import Variety
 
 
@@ -164,6 +165,54 @@ def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
     for _, row in added:
         escaped |= sub_alive & row.any(axis=1)
     return _count(alive, rows, p, max(v.shape.dims)), not escaped.any()
+
+
+@dataclass(frozen=True)
+class CertificateCheck:
+    """Three-flag report from re-checking a certificate against its input."""
+
+    containment_ok: bool
+    nonempty_ok: bool
+    codim_ok: bool
+    budget: int
+
+    @property
+    def all_ok(self) -> bool:
+        return self.containment_ok and self.nonempty_ok and self.codim_ok
+
+
+def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCheck:
+    """Re-check a certificate, independent of how it was built.
+
+    Flags: (a) the output is contained in the input pointwise, (b) the
+    output is nonempty, (c) the claimed codimension matches the output's
+    deduplicated form count and fits the budget for the input's density,
+    priced at one point when the input has none, and the certificate's own
+    top-level claims hold: its input density is the input's exact density
+    and its budget is that budget.  Failures are flags, not exceptions; a
+    shape mismatch fails all three and still reports the input's budget.
+    The point count and the containment come from the fiber ranks of
+    ``fibers``, which builds no value grid or bitmap, so the check shares
+    no evaluation kernel with the finder and also runs on shapes whose |G|
+    is past the point budget.
+    """
+    out = cert.output
+    same_shape = out.shape == v.shape
+    if same_shape:
+        count, contained = count_and_contains(v, out)
+    else:
+        count, contained = point_count(v), False
+    bud = codim_budget(v.shape.k, v.shape.p, Fraction(max(count, 1), v.shape.total_points))
+    if not same_shape:
+        return CertificateCheck(False, False, False, bud)
+    codim_ok = (
+        not out.is_empty
+        and cert.output_codim == len(out.canonical().forms)
+        and cert.output_codim <= bud
+        and cert.input_density == Fraction(count, v.shape.total_points)
+        and cert.budget == bud
+    )
+    return CertificateCheck(contained, not out.is_empty, codim_ok, bud)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .construct import SubvarietyCertificate
 from .errors import InputFormatError, PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
+from .ledger import SubvarietyCertificate
 from .monomial import Monomial
 from .variety import Variety
 

@@ -12,12 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlvariety.construct import (
-    codim_budget,
-    external_approx,
-    find_subvariety,
-    verify_certificate,
-)
+from mlvariety.construct import external_approx, find_subvariety
 from mlvariety.errors import ApproxMismatchError, PreconditionError
 from mlvariety.forms import (
     MultilinearForm,
@@ -26,7 +21,7 @@ from mlvariety.forms import (
     ceil_log,
     prank_lower_bound,
 )
-from mlvariety.fibers import density, zero_fiber_identity_check
+from mlvariety.fibers import density, verify_certificate, zero_fiber_identity_check
 from mlvariety.generators import (
     planted_low_prank_form,
     planted_product_variety,
@@ -37,6 +32,7 @@ from mlvariety.generators import (
     random_support,
     random_variety,
 )
+from mlvariety.ledger import codim_budget
 from mlvariety.variety import (
     PointSet,
     Variety,

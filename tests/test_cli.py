@@ -20,7 +20,7 @@ from mlvariety.cli import (
     main,
 )
 
-from mlvariety.construct import codim_budget, find_subvariety
+from mlvariety.construct import find_subvariety
 from mlvariety.field import echelonize
 from mlvariety.forms import MultilinearForm, Shape, product_form
 from mlvariety.generators import (
@@ -36,6 +36,7 @@ from mlvariety.jsonio import (
     frac_to_str,
     variety_to_obj,
 )
+from mlvariety.ledger import codim_budget
 from mlvariety.variety import PointSet, Variety, _point_from_index, variety_bitmap
 
 from helpers import (

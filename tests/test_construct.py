@@ -11,26 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import budget, construct, forms
-from mlvariety.construct import (
-    _fiber_constants,
-    _fiber_thresholds,
-    _level_constants,
-    arity_constant,
-    budget_line,
-    codim_budget,
-    dense_columns,
-    external_approx,
-    find_subvariety,
-    verify_certificate,
-)
+from mlvariety import budget, construct, forms, ledger
+from mlvariety.construct import dense_columns, external_approx, find_subvariety
 from mlvariety.errors import (
     ApproxMismatchError,
     ConstructionError,
     EmptyVarietyError,
     PreconditionError,
 )
-from mlvariety.fibers import density
+from mlvariety.fibers import density, verify_certificate
 from mlvariety.field import echelonize, vector_from_index
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, ceil_log
 from mlvariety.monomial import Monomial
@@ -42,6 +31,14 @@ from mlvariety.generators import (
     random_variety,
 )
 from mlvariety.jsonio import certificate_from_obj, certificate_to_obj
+from mlvariety.ledger import (
+    _fiber_constants,
+    _fiber_thresholds,
+    _level_constants,
+    arity_constant,
+    budget_line,
+    codim_budget,
+)
 from mlvariety.variety import Variety, membership, variety_bitmap
 
 from helpers import (
@@ -171,7 +168,7 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
         for _ in range(2)
     ]
     assert all(memo.cache_info().hits for memo in _LEDGER_MEMOS)
-    monkeypatch.setattr(construct, "_fiber_constants", _fiber_constants.__wrapped__)
+    monkeypatch.setattr(ledger, "_fiber_constants", _fiber_constants.__wrapped__)
     fresh = [
         (codim_budget.__wrapped__(arity, p, c), _fiber_constants.__wrapped__(p, c, arity),
          _fiber_thresholds.__wrapped__(p, c, arity, n, b),

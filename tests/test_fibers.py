@@ -1,24 +1,36 @@
 """The fiber-rank kernel: point counts and containment against brute force
 and bitmaps, its edge cases, and its independence from the evaluation code
-the finder uses."""
+the finder uses; the verifier's and the ledger's independence from the
+finder."""
 
 import ast
 import dataclasses
 import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlvariety import budget, cli, construct, fibers, forms, variety
-from mlvariety.construct import codim_budget, find_subvariety, verify_certificate
-from mlvariety.fibers import count_and_contains, density, point_count, zero_fiber_identity_check
+import mlvariety
+from mlvariety import budget, cli, construct, fibers, forms, ledger, variety
+from mlvariety.construct import find_subvariety
+from mlvariety.fibers import (
+    count_and_contains,
+    density,
+    point_count,
+    verify_certificate,
+    zero_fiber_identity_check,
+)
 from mlvariety.forms import MultilinearForm, Shape, bias
 from mlvariety.generators import random_form, random_support, random_variety
+from mlvariety.ledger import codim_budget
 from mlvariety.variety import Variety, variety_bitmap
 
 from helpers import brute_density, dual_count, small_dims
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _cylinder_variety(rng, shape, count):
@@ -140,7 +152,7 @@ def test_verify_empty_input_holds_only_the_empty_output():
     cert = find_subvariety(v)
     empty = Variety.empty(shape)
     floor = codim_budget(2, 2, Fraction(1, shape.total_points))
-    check = construct.CertificateCheck
+    check = fibers.CertificateCheck
     # the certificate claims its own input's density, not 0
     assert verify_certificate(empty, cert) == check(False, True, False, floor)
     marker = dataclasses.replace(cert, output=empty)
@@ -151,7 +163,7 @@ def test_shape_mismatch_reports_the_input_budget():
     v = random_variety(random.Random(8), Shape(3, (2, 3)), 2, full_support_only=True)
     cert = find_subvariety(random_variety(random.Random(8), Shape(3, (3, 2)), 1))
     check = verify_certificate(v, cert)
-    assert check == construct.CertificateCheck(
+    assert check == fibers.CertificateCheck(
         False, False, False, codim_budget(2, 3, density(v))
     )
     assert density(v) != 1
@@ -217,16 +229,99 @@ def test_fibers_imports_no_evaluation_code():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    # from forms only the data types the zero-fiber identity builds
+    # from forms only the data types the zero-fiber identity builds, and
+    # from ledger only the certificate type and the budget the verifier reads
     assert {name for level, _, name in imported if level} == {
         "budget", "PreconditionError", "all_vectors", "batched_echelon",
-        "MultilinearForm", "Shape", "Variety",
+        "MultilinearForm", "Shape", "Variety", "SubvarietyCertificate", "codim_budget",
     }
     assert {module for level, module, _ in imported if level} == {
-        None, "errors", "field", "forms", "variety"
+        None, "errors", "field", "forms", "ledger", "variety"
     }
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                 and any(a.name.startswith("mlvariety") for a in node.names)]
+
+
+
+def _relative_imports(path):
+    """(module, name) of each relative import in a file; the module is None
+    in ``from . import name``."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+def test_import_graph_keeps_the_ledger_and_the_verifier_off_the_finder():
+    graph = {path.stem: _relative_imports(path)
+             for path in (ROOT / "src" / "mlvariety").glob("*.py")}
+    assert graph["ledger"] == {
+        ("monomial", "Monomial"), ("errors", "PreconditionError"), ("forms", "ceil_log"),
+    }
+    # only cli and the package root import the finder: neither fibers, the
+    # verifier's module, nor jsonio
+    importers = {module for module, edges in graph.items()
+                 if any("construct" in edge for edge in edges)}
+    assert importers == {"cli", "__init__"}
+    # a name construct imports is imported from its own home, never through
+    # construct, by the package and its scripts
+    reimported = {name for _, name in graph["construct"]}
+    for path in [*(ROOT / "src" / "mlvariety").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("construct", "mlvariety.construct"):
+                assert not {alias.name for alias in node.names} & reimported, path.name
+
+
+# The names the package root exports, modules aside.
+ROOT_EXPORTS = {
+    "ApproxMismatchError", "ApproxResult", "BudgetExceededError", "CertificateCheck",
+    "ConstructionError", "ConvFillReport", "DenseColumnsResult", "EmptyVarietyError",
+    "InputFormatError", "MultilinearForm", "MultilinearMap", "Parallelepiped", "PointSet",
+    "PreconditionError", "Shape", "Subspace", "SubvarietyCertificate", "Variety",
+    "ZeroBiasError", "ZeroFiberReport", "analytic_rank", "arity_constant", "bias",
+    "budget_line", "ceil_log", "codim_budget", "conv_fill_check", "dense_columns", "density",
+    "directional_convolution", "echelonize", "eval_form", "external_approx",
+    "find_subvariety", "intersect", "iterated_conv_witness", "matricization_rank_bound",
+    "membership", "partition_rank_search", "point_budget", "prank_lower_bound",
+    "product_form", "reset_work", "set_point_budget", "slice_form", "slice_variety",
+    "variety_bitmap", "verify_certificate", "work_points", "zero_fiber_identity_check",
+}
+
+
+def test_root_exports_the_ledger_and_the_verifier_from_their_homes():
+    for home, names in (
+        (ledger, ("SubvarietyCertificate", "arity_constant", "budget_line", "codim_budget")),
+        (fibers, ("CertificateCheck", "verify_certificate")),
+    ):
+        for name in names:
+            assert getattr(mlvariety, name) is getattr(home, name)
+    assert {name for name, value in vars(mlvariety).items()
+            if not name.startswith("_") and not inspect.ismodule(value)} == ROOT_EXPORTS
+
+
+@pytest.mark.parametrize("p, dims", [
+    (p, dims)
+    for p, ladder in (
+        (2, [(3,), (2, 3), (2, 2, 1), (1, 2, 1, 2)]),
+        (3, [(2,), (2, 2), (2, 1, 1), (1, 1, 1, 1)]),
+        (5, [(2,), (1, 2), (1, 1, 1), (1, 1, 1, 1)]),
+    )
+    for dims in ladder
+])
+def test_verifier_calls_no_construct_function(monkeypatch, p, dims):
+    shape = Shape(p, dims)
+    cases = []
+    for seed in range(3):
+        v = random_variety(random.Random(seed), shape, 2)
+        cert = find_subvariety(v)
+        cases += [(v, cert), (v, dataclasses.replace(cert, output=Variety.full(shape)))]
+    expected = [fibers.verify_certificate(v, cert) for v, cert in cases]
+    for name, value in vars(construct).items():
+        if inspect.isfunction(value) and value.__module__ == construct.__name__:
+            monkeypatch.setattr(construct, name, _raise)
+    assert [fibers.verify_certificate(v, cert) for v, cert in cases] == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 17])

@@ -13,7 +13,6 @@ import pytest
 from mlvariety import budget, construct, fibers
 from mlvariety.construct import (
     _Fibers,
-    _fiber_constants,
     _image_histogram,
     dense_columns,
     find_subvariety,
@@ -22,6 +21,7 @@ from mlvariety.errors import EmptyVarietyError
 from mlvariety.field import batched_echelon, rref, vector_from_index
 from mlvariety.forms import MultilinearForm, Shape, eval_grid
 from mlvariety.generators import random_form, random_map, random_variety
+from mlvariety.ledger import _fiber_constants
 from mlvariety.variety import Variety, variety_bitmap
 
 from helpers import (

@@ -29,3 +29,25 @@ def test_run_sweep_is_byte_identical_and_within_budget(monkeypatch, tmp_path):
     for cols in rows:
         assert cols[8] == "ok"
         assert int(cols[6]) <= int(cols[7])
+
+
+def test_src_lines_kinds_sum_to_each_module_and_to_the_total(capsys, tmp_path):
+    script = runpy.run_path(str(ROOT / "scripts" / "src_lines.py"))
+    # a blank line counts as docstring inside a docstring, as code inside
+    # any other string
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Doc.\n\nMore."""\n\n# note\nx = 1  # trailing\ny = """a\n\nb"""\n')
+    assert script["count_lines"](sample) == {"code": 4, "docstring": 3, "comment": 1, "blank": 1}
+    modules = sorted(script["PACKAGE"].glob("*.py"))
+    assert modules
+    total = 0
+    for path in modules:
+        counts = script["count_lines"](path)
+        assert set(counts) == set(script["KINDS"])
+        assert sum(counts.values()) == len(path.read_text().splitlines())
+        total += sum(counts.values())
+    script["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(modules) + 2
+    assert lines[-1].split()[0] == "total"
+    assert int(lines[-1].split()[-1].replace(",", "")) == total
