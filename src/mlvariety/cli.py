@@ -223,7 +223,7 @@ def cmd_approx(args) -> int:
     # has more once |e| > 4 * limit.
     p, e = source.shape.p, sum(source.shape.dims) - args.s
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if args.s >= 0 and (abs(e) > 4 * limit or p ** abs(e) >= 10**limit):
+    if abs(e) > 4 * limit or p ** abs(e) >= 10**limit:
         raise BudgetExceededError(f"error cap {p}^{e} is too long to write")
     result = external_approx(source, args.s)
     lines = [
@@ -300,11 +300,10 @@ def cmd_sweep(args) -> int:
         budget.reset_work()
         try:
             v = _sweep_variety(args.gen, random.Random(seed), shape, param)
-            c = density(v)
             cert = find_subvariety(v)
             check = verify_certificate(v, cert)
-            row["density"] = frac_to_str(c)
-            row["arank"] = repr(analytic_rank(c, args.p))
+            row["density"] = frac_to_str(cert.input_density)
+            row["arank"] = repr(analytic_rank(cert.input_density, args.p))
             row["achieved_codim"] = cert.output_codim
             row["budget"] = cert.budget
             row["status"] = "ok" if check.all_ok else "verify_failed"
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("bad_count", "count", "forms", "terms"):
+    for name in ("bad_count", "count", "forms", "s", "terms"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             flag = "--" + name.replace("_", "-")

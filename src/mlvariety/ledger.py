@@ -20,6 +20,7 @@ from types import MappingProxyType
 from .errors import PreconditionError
 from .forms import ceil_log
 from .monomial import Monomial
+from .variety import Variety
 
 
 # Entries kept by each memo of a level's exact ledger arithmetic, whose

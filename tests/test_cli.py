@@ -1,10 +1,13 @@
 import argparse
 import dataclasses
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from mlvariety.cli import (
 )
 
 from mlvariety.construct import find_subvariety
+from mlvariety.fibers import density
 from mlvariety.field import echelonize
 from mlvariety.forms import MultilinearForm, Shape, product_form
 from mlvariety.generators import (
@@ -939,6 +943,18 @@ def test_approx_refuses_a_cap_too_long_to_write(tmp_path, capsys, s, code):
     assert capsys.readouterr().err == ("" if code == EXIT_OK else refusal)
 
 
+def test_approx_refuses_a_negative_s_as_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [2, 2], "support": [1, 2],
+        "codomain_dim": 2, "components": [[1, 0, 0, 0], [0, 0, 0, 1]],
+    }))
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", "--input", str(path), "--s", "-1"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--s must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_approx_empty_codomain_output(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({
@@ -1137,11 +1153,11 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
 
 def test_sweep_row_over_the_budget(tmp_path):
     # fiber rows hold 64 entries per form and fiber coordinate.  Variety 0
-    # passes its density (768 points) and its extraction (2,257 points), but
-    # its verification reads the rows of 2 input and 2 output forms, 1,536
-    # entries, over a 1,000 budget: its row records the refusal, with the
-    # points charged before it, and the sweep itself succeeds.  Variety 1's
-    # largest pass is its verification's 896 entries
+    # passes its extraction (2,257 points), but its verification reads the
+    # rows of 2 input and 2 output forms, 1,536 entries, over a 1,000
+    # budget: its row records the refusal, with the points the extraction
+    # charged before it, and the sweep itself succeeds.  Variety 1's largest
+    # pass is its verification's 896 entries
     out = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--p", "2", "--dims", "6,6", "--gen", "random-forms",
@@ -1150,9 +1166,50 @@ def test_sweep_row_over_the_budget(tmp_path):
     lines = out.read_text().splitlines()
     assert '"budget":1000' in lines[0]
     assert lines[2:] == [
-        "0,2,2,6x6,,,,,budget_exceeded,3025",
-        "1,2,2,6x6,1/4,2.0,2,61,ok,2573",
+        "0,2,2,6x6,,,,,budget_exceeded,2257",
+        "1,2,2,6x6,1/4,2.0,2,61,ok,2125",
     ]
+
+
+@pytest.mark.parametrize("flags, params", [
+    (["--dims", "3,3", "--gen", "product", "--logdensities", "0,1,3,5", "--seed", "2718"],
+     [0, 1, 3, 5]),
+    (["--dims", "4,4", "--gen", "random-forms", "--count", "3", "--forms", "2", "--seed", "5"],
+     [2, 2, 2]),
+    (["--dims", "2,2,2", "--gen", "low-prank", "--count", "3", "--terms", "1", "--seed", "3"],
+     [1, 1, 1]),
+])
+def test_sweep_row_costs_what_find_sub_costs(tmp_path, capsys, flags, params):
+    # a row runs the extraction and its check, no third count of |V|: its
+    # cost_points is find-sub's work counter on the row's variety, and its
+    # density column is the certificate's, which the verifier re-counted
+    assert main(["sweep", "--p", "2"] + flags) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert len(rows) == len(params)
+    shape = Shape(2, tuple(int(n) for n in rows[0][3].split("x")))
+    path = tmp_path / "variety.json"
+    for cols, param in zip(rows, params):
+        assert cols[8] == "ok"
+        gen = flags[flags.index("--gen") + 1]
+        v = cli._sweep_variety(gen, random.Random(int(cols[0])), shape, param)
+        assert cols[4] == frac_to_str(density(v))
+        path.write_text(json.dumps(variety_to_obj(v)))
+        budget.reset_work()
+        assert main(["find-sub", "--input", str(path)]) == EXIT_OK
+        assert int(cols[9]) == budget.work_points()
+
+
+def test_module_entry_point_runs_the_command_line(capsys):
+    argv = ["sweep", "--p", "2", "--dims", "2,2", "--gen", "product", "--logdensities", "0,1,2"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    run = subprocess.run([sys.executable, "-m", "mlvariety.cli"] + argv,
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, expected, "")
 
 
 def test_sweep_low_prank_generator(tmp_path):

@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import inspect
 import random
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,6 +260,7 @@ def test_import_graph_keeps_the_ledger_and_the_verifier_off_the_finder():
              for path in (ROOT / "src" / "mlvariety").glob("*.py")}
     assert graph["ledger"] == {
         ("monomial", "Monomial"), ("errors", "PreconditionError"), ("forms", "ceil_log"),
+        ("variety", "Variety"),
     }
     # only cli and the package root import the finder: neither fibers, the
     # verifier's module, nor jsonio
@@ -272,6 +274,10 @@ def test_import_graph_keeps_the_ledger_and_the_verifier_off_the_finder():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module in ("construct", "mlvariety.construct"):
                 assert not {alias.name for alias in node.names} & reimported, path.name
+
+
+def test_certificate_annotations_resolve():
+    assert typing.get_type_hints(ledger.SubvarietyCertificate)["output"] is Variety
 
 
 # The names the package root exports, modules aside.

@@ -36,7 +36,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "37270661a878a3ccb6e2e75fd8349dc6b3c51bacd4c9e223223fadb6427c82b3"
+GOLDEN_SHA256 = "979bf8dd18f2e9844df1b0c7d6759da91db3b43df9fafe7562763eb05c040c60"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [
