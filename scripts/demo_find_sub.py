@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end demo: build a variety, extract a certified subvariety, verify.
 
-Prints the input density, the achieved codimension against its budget, the
-per-level ledger constants, and the outcome of independent re-verification.
-A base case (arity 1, or density 1 at any arity) has no constants and prints
-its codimension only.
+Prints the input density from the certificate (re-counted by the verifier),
+the achieved codimension against its budget, the per-level ledger constants,
+and the outcome of independent re-verification.  A leaf (arity 1, or density
+1 at any arity), whose canonical input list is its output, has no constants
+and prints its codimension only.
 Epsilon is printed in its exact monomial form coef * p^p_exp * (c)^c_exp, c
 the level density; the last walk is at arity 4.
 """
@@ -13,7 +14,6 @@ import random
 
 from mlvariety import (
     Shape,
-    density,
     find_subvariety,
     verify_certificate,
 )
@@ -27,7 +27,7 @@ def show(v):
     cert = find_subvariety(v)
     check = verify_certificate(v, cert)
     print(f"shape: p={v.shape.p} dims={v.shape.dims}")
-    print(f"density: {frac_to_str(density(v))}")
+    print(f"density: {frac_to_str(cert.input_density)}")
     print(f"achieved codim: {cert.output_codim}  budget: {cert.budget}")
     for record in cert.ledger:
         where = record["path"] or "root"

@@ -443,21 +443,25 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
 def _variety_key(v: Variety) -> tuple:
     # Key of a variety's certificate in the finder's sub-problem memo: the
     # raw defining list.  Lists with one canonical form give one certificate
-    # (the finder reads only the canonical list above arity 1), but keying
-    # by it would echelonize every sliced list before the memo is read.
+    # (the finder reads only the canonical list), but keying by it would
+    # echelonize every sliced list before the memo is read.
     return (v.shape, v.is_empty, tuple(f.key() for f in v.forms))
 
 
 def find_subvariety(v: Variety) -> SubvarietyCertificate:
     """Extract a nonempty subvariety whose codimension fits the budget line.
 
-    Density 1, at any arity: every form is zero, and the output is the full
-    group at codimension 0, with one ledger record and no sub-levels.
+    Each level reads its input only as its canonical list (Variety.canonical,
+    the same zero set), so the certificate depends only on the span of each
+    same-support family of the input.
 
-    Arity 1: the input is a subspace; its echelonized defining forms are the
-    output, with codimension exactly ceil(log_p 1/density).
+    Leaf (arity 1, or density 1 at any arity): the input is a subspace, and
+    its canonical list, checked to count the same points as the raw one,
+    is the output, at codimension log_p 1/density, with one ledger record
+    and no sub-levels.  At density 1 every form is zero, so the output is
+    the full group at codimension 0.
 
-    Higher arity: for every direction, extract a dense-fiber base variety;
+    Otherwise: for every direction, extract a dense-fiber base variety;
     pool every base-defining form by the directions it avoids into cylinder
     constraints; approximate the input's full-support forms externally with
     enough functionals that the approximation cannot strictly exceed the
@@ -465,14 +469,11 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     target point by point, which puts it inside the input, since the
     target is the input cut by the cylinder constraints.
 
-    Above arity 1 the finder reads the input only as its canonical list
-    (Variety.canonical, the same zero set), so the certificate depends only
-    on the span of each same-support family of the input.  A level
-    echelonizes only that input and its candidate.  The source is the
-    input's canonical full-support forms; the cylinder constraints are the
-    candidate's forms without full support, since no base form has full
-    support and every phi component has; the target is the input's forms
-    and those, with no elimination of its own.  So the source reads the
+    Such a level echelonizes only its input and its candidate.  The source
+    is the input's canonical full-support forms; the cylinder constraints
+    are the candidate's forms without full support, since no base form has
+    full support and every phi component has; the target is the input's
+    forms and those, with no elimination of its own.  So the source reads the
     input's own fiber system, the target's system extends it, and the
     count shared by target and candidate extends the target's.
     Every count and comparison of the input, the target and the candidate
@@ -505,64 +506,32 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
             _SCOPE.reset(token)
 
 
-def _first_escape(inner: Variety, outer: Variety) -> tuple[tuple[int, ...], ...]:
-    """The first point of inner outside outer, in enumeration order.
-
-    Read from the fibers in the last factor: x then runs over the other
-    factors in enumeration order, so the point is the first y of the first
-    x whose fiber in inner leaves its fiber in outer.
-    """
-    shape = inner.shape
-    p, j = shape.p, shape.k - 1
-    fib = _fibers(shape, range(shape.k), j)
-    own = fib.system(inner.forms)
-    both = fib.system(inner.forms, outer.forms)
-    leaves = own.alive & (~both.alive | (both.rank > own.rank))
-    x = int(np.argmax(leaves))
-    ys = all_vectors(p, shape.dims[j]).astype(np.int64)
-
-    def vanishing(basis):
-        zero = np.ones(len(ys), dtype=bool)
-        for _, row in basis:
-            zero &= ys @ row[x] % p == 0
-        return zero
-
-    outside = ~vanishing(both.basis) if both.alive[x] else True
-    y = int(np.argmax(vanishing(own.basis) & outside))
-    idx = np.unravel_index(x, [p ** shape.dims[l] for l in range(j)]) + (y,)
-    return _point_from_index(shape, idx)
-
-
 def _solve(v: Variety) -> SubvarietyCertificate:
     shape = v.shape
     p = shape.p
     if v.is_empty:
         raise EmptyVarietyError("the subvariety finder needs a nonempty variety")
-    if shape.k > 1:
-        # every count, slice and list below reads the echelonized forms, so
-        # the target and the source can share the input's system
-        v = v.canonical()
+    # every count, slice and list below but the leaf's check reads the
+    # echelonized forms, so the target and the source can share the input's
+    # system
+    raw, v = v, v.canonical()
     fib = _fibers(shape, range(shape.k))
     v_count = fib.count(v.forms)
     c = Fraction(v_count, shape.total_points)
     bud = codim_budget(shape.k, p, c)
 
-    if c == 1:
-        # Every form is zero: G is its own subvariety of codimension 0.
-        ledger = (_ledger_record(shape.k, c, codim_contribution=0),)
-        return SubvarietyCertificate(c, Variety(shape), 0, bud, ledger)
-
-    if shape.k == 1:
-        canon = v.canonical()
-        if not fib.count(canon.forms) == fib.count(v.forms, canon.forms) == v_count:
+    if c == 1 or shape.k == 1:
+        # A subspace, its own output: G (no forms) at density 1, the input
+        # at arity 1.
+        if not fib.count(raw.forms) == fib.count(raw.forms, v.forms) == v_count:
             raise ConstructionError("echelonized defining forms changed the zero set")
-        codim = len(canon.forms)
+        codim = len(v.forms)
         if c != Fraction(1, p**codim):
             raise ConstructionError(
                 f"subspace density {c} does not match codimension {codim}"
             )
-        ledger = (_ledger_record(1, c, codim_contribution=codim),)
-        return SubvarietyCertificate(c, canon, codim, bud, ledger)
+        ledger = (_ledger_record(shape.k, c, codim_contribution=codim),)
+        return SubvarietyCertificate(c, v, codim, bud, ledger)
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
     r_max = max(res.base_certificate.output_codim for res in results)
@@ -600,11 +569,8 @@ def _solve(v: Variety) -> SubvarietyCertificate:
         raise ConstructionError("approximation lost a point of its target")
     extra_count = fib.count(candidate.forms) - shared
     if extra_count:
-        point = _first_escape(candidate, Variety(shape, v.forms + cylinders))
         raise ApproxMismatchError(
-            f"approximation strictly exceeds its target at {point} "
-            f"({extra_count} extra points)",
-            point=point,
+            f"approximation strictly exceeds its target by {extra_count} points",
             extra_count=extra_count,
             extra_floor=level["c_double_prime"]**shape.k * shape.total_points,
         )

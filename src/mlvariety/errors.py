@@ -36,14 +36,14 @@ class ConstructionError(RuntimeError):
 class ApproxMismatchError(ConstructionError):
     """The approximating variety strictly exceeded its target.
 
-    Carries the first offending point, the exact number of extra points and
-    the lower bound that number must satisfy whenever a mismatch occurs.
-    Unreachable for correct code; the tests reach it by fault injection,
-    running the external approximation with no functionals.
+    Carries the exact number of extra points, read off the counts that
+    found the mismatch, and the lower bound that number must satisfy
+    whenever a mismatch occurs.  Unreachable for correct code; the tests
+    reach it by fault injection, running the external approximation with
+    no functionals.
     """
 
-    def __init__(self, message, point, extra_count, extra_floor):
+    def __init__(self, message, extra_count, extra_floor):
         super().__init__(message)
-        self.point = point
         self.extra_count = extra_count
         self.extra_floor = extra_floor

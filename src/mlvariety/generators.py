@@ -97,9 +97,11 @@ def planted_low_prank_form(rng: random.Random, shape: Shape, r: int) -> Multilin
             math.prod(shape.dims[j] for j in left))]
         gamma = [rng.randrange(shape.p) for _ in range(
             math.prod(shape.dims[j] for j in right))]
-        if not any(beta):
+        # a side with no coefficients (a factor of dimension 0) makes the
+        # term zero; every other side gets a nonzero entry
+        if beta and not any(beta):
             beta[rng.randrange(len(beta))] = 1 + rng.randrange(shape.p - 1)
-        if not any(gamma):
+        if gamma and not any(gamma):
             gamma[rng.randrange(len(gamma))] = 1 + rng.randrange(shape.p - 1)
         term = product_form(shape, left, beta, right, gamma)
         acc = (acc + term.coeffs.astype(np.int64)) % shape.p

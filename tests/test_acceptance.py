@@ -240,6 +240,7 @@ def test_acceptance_negative_controls(monkeypatch):
     with pytest.raises(ApproxMismatchError) as excinfo:
         find_subvariety(v)
     err = excinfo.value
+    assert err.extra_count == 6  # |G| - |V| = 16 - 10
     assert err.extra_count >= err.extra_floor
-    assert err.point is not None
+    assert str(err) == "approximation strictly exceeds its target by 6 points"
     _report("negative controls", 4, started)

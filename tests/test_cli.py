@@ -1227,6 +1227,19 @@ def test_sweep_low_prank_generator(tmp_path):
         assert 2 * int(num) >= int(den or 1)
 
 
+@pytest.mark.parametrize("dims", ["0,2", "2,0", "0,1,2", "3,0,2"])
+def test_sweep_low_prank_beside_a_factor_of_dimension_0(tmp_path, dims):
+    # the only form on such a shape is zero, of partition rank 0: each row
+    # is a density-1 ok row
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--p", "2", "--dims", dims, "--gen", "low-prank",
+        "--count", "2", "--output", str(out),
+    ]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [cols[4:7] + cols[8:] for cols in rows] == [["1", "0.0", "0", "ok", "0"]] * 2
+
+
 def test_sweep_at_arity_5(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--p", "2", "--dims", "2,2,2,2,2", "--gen", "random-forms",

@@ -50,6 +50,16 @@ EDGE_RUNS = [
     ["rank", "--input", "wide_outer.json"],
     ["density", "--input", "p3_k3.json", "--budget", "1"],
     ["sweep", "--p", "2", "--dims", "2,2", "--logdensities", "0,1", "--budget", "1"],
+    # every command, and each generator, beside a factor of dimension 0
+    ["find-sub", "--input", "zero_dim_variety.json", "--output", "cert_zero_dim.json"],
+    ["verify", "--input", "zero_dim_variety.json", "--certificate", "cert_zero_dim.json"],
+    ["density", "--input", "zero_dim_variety.json"],
+    ["conv-check", "--input", "zero_dim_variety.json"],
+    ["approx", "--input", "zero_dim_map.json", "--s", "1"],
+    ["sweep", "--p", "2", "--dims", "0,2", "--gen", "product", "--logdensities", "0,1"],
+    ["sweep", "--p", "3", "--dims", "2,0,1", "--gen", "random-forms", "--count", "2"],
+    ["sweep", "--p", "2", "--dims", "0,2", "--gen", "low-prank", "--count", "2"],
+    ["sweep", "--p", "3", "--dims", "3,0,2", "--gen", "low-prank", "--count", "2"],
 ]
 
 
@@ -79,10 +89,21 @@ def _run(argv) -> int:
 def test_cli_returns_a_documented_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_inputs()
-    # a form beside a factor of dimension 0, and one on a single factor
-    # beside an outer group of 2**30 points
+    # a form, a variety and a map beside a factor of dimension 0, and a form
+    # on a single factor beside an outer group of 2**30 points
     Path("zero_dim_factor.json").write_text(json.dumps({
         "p": 3, "k": 3, "dims": [2, 0, 2], "support": [1, 3], "coeffs": [1, 2, 0, 1],
+    }))
+    shape = {"p": 3, "k": 3, "dims": [2, 0, 2]}
+    Path("zero_dim_variety.json").write_text(json.dumps({
+        "format_version": "4", "shape": shape, "forms": [
+            {**shape, "support": [1, 2, 3], "coeffs": []},
+            {**shape, "support": [3], "coeffs": [1, 2]},
+        ],
+    }))
+    Path("zero_dim_map.json").write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [0, 2], "support": [1, 2], "codomain_dim": 2,
+        "components": [[], []],
     }))
     Path("wide_outer.json").write_text(json.dumps({
         "p": 2, "k": 2, "dims": [30, 3], "support": [2], "coeffs": [1, 0, 1],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import budget, construct, forms, ledger
+from mlvariety import budget, construct, field, forms, ledger, variety
 from mlvariety.construct import dense_columns, external_approx, find_subvariety
 from mlvariety.errors import (
     ApproxMismatchError,
@@ -811,7 +811,7 @@ def test_forced_epsilon_overshoot_diagnostic(monkeypatch):
     err = exc.value
     assert err.extra_count == 6  # |G| - |V| = 16 - 10
     assert err.extra_count >= err.extra_floor
-    assert err.point is not None
+    assert str(err) == "approximation strictly exceeds its target by 6 points"
 
 
 @pytest.mark.parametrize("p, dims, full", [(2, (4, 4), True), (3, (2, 2, 1), False)])
@@ -861,26 +861,56 @@ def test_find_subvariety_builds_each_system_once(monkeypatch, p, dims, builds, p
     *[(lambda seed=seed: random_variety(random.Random(seed), Shape(2, (10, 10)), 2,
                                         full_support_only=True), 2, 4) for seed in range(4)],
     (lambda: Variety(Shape(3, (2, 2, 2)),
-                     planted_cylinder(random.Random(0), Shape(3, (2, 2, 2)), 4, 1)), 3, 5),
+                     planted_cylinder(random.Random(0), Shape(3, (2, 2, 2)), 4, 1)), 2, 5),
     # the golden (2,(1,1,1,1,1)) input, whose sub-levels keep forms
-    (lambda: random_variety(random.Random(18), Shape(2, (1,) * 5), 1), 17, 29),
+    (lambda: random_variety(random.Random(18), Shape(2, (1,) * 5), 1), 12, 29),
 ])
 def test_each_level_echelonizes_only_its_input_and_output(monkeypatch, make, canonicals,
                                                           parent_canonicals):
-    # above arity 1 a level echelonizes its input and its candidate, and
-    # reads the cylinder forms off the candidate; parent_canonicals is the
-    # count when it also echelonized the cylinder forms and the target
+    # every level reads its input's canonical list once, and a level above
+    # the leaf echelonizes its candidate too, reading the cylinder forms off
+    # it.  canonicals counts the reads of lists with a nonzero form; the
+    # other reads, of density-1 levels, drop every form and run no
+    # elimination.  parent_canonicals counts every read when a level also
+    # echelonized the cylinder forms and the target
     v = make()
-    calls = []
-    original = Variety.canonical
+    calls, eliminations, levels = [], [], []
+    original, original_rref, original_solve = Variety.canonical, field.rref, construct._solve
 
     def counting(self):
         calls.append(self)
         return original(self)
 
+    def counting_rref(*args, **kwargs):
+        eliminations.append(args)
+        return original_rref(*args, **kwargs)
+
+    def solving(u):
+        cert = original_solve(u)
+        levels.append(cert.ledger[0]["cylinder_forms"] is not None)
+        return cert
+
     monkeypatch.setattr(Variety, "canonical", counting)
+    for module in (field, forms, variety):
+        monkeypatch.setattr(module, "rref", counting_rref)
+    monkeypatch.setattr(construct, "_solve", solving)
     find_subvariety(v)
-    assert len(calls) == canonicals < parent_canonicals
+    assert len(calls) == len(levels) + sum(levels) < parent_canonicals
+    families = [{f.support for f in u.forms if not f.is_zero()} for u in calls]
+    assert sum(map(bool, families)) == canonicals
+    # field.rref runs once per same-support family of those lists, so the
+    # all-zero reads add none
+    assert len(eliminations) == sum(map(len, families))
+
+
+def test_a_leaf_refuses_a_canonical_list_with_another_zero_set(monkeypatch):
+    # a canonical list that drops every form reads as density 1: the leaf's
+    # count of the raw list refuses it
+    v = random_variety(random.Random(0), Shape(2, (3, 3)), 2, full_support_only=True)
+    assert density(v) < 1
+    monkeypatch.setattr(Variety, "canonical", lambda self: Variety(self.shape))
+    with pytest.raises(ConstructionError, match="echelonized defining forms changed the zero set"):
+        find_subvariety(v)
 
 
 def _span_restatements(rng, v):
