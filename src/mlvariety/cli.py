@@ -43,6 +43,7 @@ from .jsonio import (
     load_json,
     map_from_obj,
     map_to_obj,
+    read_json,
     variety_from_obj,
 )
 from .fibers import density, verify_certificate, zero_fiber_identity_check
@@ -84,11 +85,12 @@ def _verified(check) -> dict:
     }
 
 
-def _file_config(command: str, path: str) -> dict:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _file_config(command: str, data: bytes) -> dict:
+    """The config block of an output file; data are the input's bytes as
+    they were parsed."""
     return {
         "command": command,
-        "input_sha256": digest,
+        "input_sha256": hashlib.sha256(data).hexdigest(),
         "budget": budget.point_budget(),
         "format_version": FORMAT_VERSION,
     }
@@ -152,10 +154,11 @@ def cmd_density(args) -> int:
 
 
 def cmd_find_sub(args) -> int:
-    v = variety_from_obj(load_json(args.input))
+    wire, data = read_json(args.input)
+    v = variety_from_obj(wire)
     cert = find_subvariety(v)
     check = verify_certificate(v, cert)
-    obj = certificate_to_obj(cert, config=_file_config("find-sub", args.input))
+    obj = certificate_to_obj(cert, config=_file_config("find-sub", data))
     obj["verified"] = _verified(check)
     if args.output:
         dump_json(obj, args.output)
@@ -216,7 +219,8 @@ def cmd_conv_check(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    source = map_from_obj(load_json(args.input))
+    wire, data = read_json(args.input)
+    source = map_from_obj(wire)
     # The error cap p**-s |G| is p**e in lowest terms.  Whether it has more
     # digits than Python writes (its default limit where the limit is off)
     # is decided exactly, with no power of p past that limit: 2**|e| alone
@@ -239,7 +243,7 @@ def cmd_approx(args) -> int:
     }
     if args.output:
         payload = dict(obj)
-        payload["config"] = _file_config("approx", args.input)
+        payload["config"] = _file_config("approx", data)
         dump_json(payload, args.output)
     _emit(args, lines, obj)
     return EXIT_OK

@@ -159,8 +159,7 @@ def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
     p = v.shape.p
     (alive, rows), (sub_alive, sub_rows) = _systems([v, sub])
     # a row of V outside the span of sub's rows at x adds a nonzero pair
-    sub_basis = batched_echelon(sub_rows, p)
-    added = batched_echelon(rows, p, sub_basis)[len(sub_basis):]
+    added = batched_echelon(sub_rows + rows, p)[len(sub_rows):]
     escaped = sub_alive & ~alive
     for _, row in added:
         escaped |= sub_alive & row.any(axis=1)

@@ -23,6 +23,9 @@ from . import budget
 from .errors import PreconditionError
 
 MAX_PRIME = 17
+# The largest sum of factor dimensions a shape may have: |G| = p**sum is
+# never enumerated near it, but it bounds every power of p a count forms.
+MAX_DIM_SUM = 1 << 16
 
 
 def validate_prime(p: int) -> int:

@@ -9,8 +9,9 @@ analytic rank, never in a decision.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -18,12 +19,25 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError, ZeroBiasError
-from .field import all_vectors, as_coords, batched_echelon, rref, shift_rows, validate_prime
+from .field import (
+    MAX_DIM_SUM,
+    all_vectors,
+    as_coords,
+    batched_echelon,
+    rref,
+    shift_rows,
+    validate_prime,
+)
 
 
 @dataclass(frozen=True)
 class Shape:
-    """The ambient product group: k factors F_p^{n_1} x ... x F_p^{n_k}."""
+    """The ambient product group: k factors F_p^{n_1} x ... x F_p^{n_k}.
+
+    k and the group sizes are computed on first use and kept; a shape
+    whose dimensions sum past MAX_DIM_SUM is refused before any power of p
+    is formed.
+    """
 
     p: int
     dims: tuple[int, ...]
@@ -35,16 +49,20 @@ class Shape:
             raise PreconditionError("a shape needs at least one factor")
         if any(n < 0 for n in self.dims):
             raise PreconditionError("factor dimensions must be non-negative")
+        if sum(self.dims) > MAX_DIM_SUM:
+            raise PreconditionError(
+                f"factor dimensions sum to {sum(self.dims)}, over the limit of {MAX_DIM_SUM}"
+            )
 
-    @property
+    @functools.cached_property
     def k(self) -> int:
         return len(self.dims)
 
-    @property
+    @functools.cached_property
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(self.p**n for n in self.dims)
 
-    @property
+    @functools.cached_property
     def total_points(self) -> int:
         return self.p ** sum(self.dims)
 
@@ -63,12 +81,15 @@ class MultilinearForm:
 
     Entries are reduced mod p.  Empty support is allowed only for the
     canonical zero form; a form in zero variables is identically zero by
-    convention.
+    convention.  The coefficients are read-only, so the key and the zero
+    flag are computed once, at construction.
     """
 
     shape: Shape
     support: tuple[int, ...]
     coeffs: np.ndarray
+    _key: tuple = field(init=False, repr=False)
+    _zero: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         support = tuple(sorted({int(j) for j in self.support}))
@@ -84,27 +105,30 @@ class MultilinearForm:
                 )
             arr = arr.reshape(expected)
         arr = (arr % self.shape.p).astype(np.uint8)
-        if not support and arr.any():
+        zero = not arr.any()
+        if not support and not zero:
             raise PreconditionError("empty-support forms must be identically zero")
         arr.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_key", (support, arr.tobytes()))
+        object.__setattr__(self, "_zero", zero)
 
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        return self._zero
 
     def key(self) -> tuple:
-        return (self.support, self.coeffs.tobytes())
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultilinearForm)
             and self.shape == other.shape
-            and self.key() == other.key()
+            and self._key == other._key
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.key()))
+        return hash((self.shape, self._key))
 
     def __repr__(self) -> str:
         return (

@@ -4,9 +4,11 @@ Round trips are bit exact: coefficients are flat integer arrays in
 lexicographic order with the first support factor outermost, support indices
 are 1-based on the wire, and rationals are "numerator/denominator" strings.
 
-Readers accept only JSON integers where the format has integers, and only
-true or false for a variety's optional "empty" flag: anything else there
-raises TypeError instead of being truncated or coerced.  A rational that is
+Files are UTF-8, and read_json returns the bytes it parsed with the value,
+so a caller hashes what it read.  Readers accept only JSON integers where
+the format has integers, and only true or false for a variety's optional
+"empty" flag: anything else there raises TypeError instead of being
+truncated or coerced.  A rational that is
 not such a string, or has a zero denominator, raises InputFormatError, and so
 does a certificate ledger that is not an array of objects.
 
@@ -73,6 +75,10 @@ def _int(value, what: str) -> int:
 
 
 def _ints(values, what: str) -> list[int]:
+    """values as a list, when every entry is a JSON integer; the entries
+    are read one by one only to name the first that is not."""
+    if set(map(type, values)) <= {int}:
+        return list(values)
     return [_int(x, what) for x in values]
 
 
@@ -87,7 +93,7 @@ def form_to_obj(form: MultilinearForm) -> dict:
     return {
         **shape_to_obj(form.shape),
         "support": [j + 1 for j in form.support],
-        "coeffs": [int(c) for c in form.coeffs.reshape(-1)],
+        "coeffs": form.coeffs.reshape(-1).tolist(),
     }
 
 
@@ -102,8 +108,12 @@ def form_from_obj(obj, shape: Shape | None = None) -> MultilinearForm:
 
 
 def _coeff_array(values, p: int) -> np.ndarray:
-    # reduced before the int64 conversion, so huge integers cannot overflow it
-    return np.array([c % p for c in _ints(values, "coeffs")], dtype=np.int64)
+    # the form reduces mod p; an entry past int64 is reduced here, first
+    values = _ints(values, "coeffs")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([c % p for c in values], dtype=np.int64)
 
 
 def map_to_obj(m: MultilinearMap) -> dict:
@@ -111,7 +121,7 @@ def map_to_obj(m: MultilinearMap) -> dict:
         **shape_to_obj(m.shape),
         "support": [j + 1 for j in m.support],
         "codomain_dim": m.codomain_dim,
-        "components": [[int(c) for c in f.coeffs.reshape(-1)] for f in m.components],
+        "components": [f.coeffs.reshape(-1).tolist() for f in m.components],
     }
 
 
@@ -239,5 +249,16 @@ def dump_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def read_json(path) -> tuple[object, bytes]:
+    """The JSON value in a UTF-8 file and the bytes it was parsed from,
+    read once.  Bytes that are not UTF-8 raise InputFormatError."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8: {exc}") from None
+    return json.loads(text), data
+
+
 def load_json(path):
-    return json.loads(Path(path).read_text())
+    return read_json(path)[0]

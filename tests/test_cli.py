@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -1121,6 +1122,66 @@ def test_non_integer_input_is_an_input_error(tmp_path, capsys, field, value):
     assert main(["density", "--input", str(var_path)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.count("input error:") == 2
+
+
+def test_huge_dimension_sum_is_a_precondition_exit(tmp_path, capsys):
+    """A factor dimension of 10**30 is refused as a bad shape when the
+    input is read, before any power of p is formed, by every command."""
+    dims = [10**30, 1]
+    shape = {"p": 2, "k": 2, "dims": dims}
+    files = {
+        "form": {**shape, "support": [2], "coeffs": [1]},
+        "variety": {"format_version": "4", "shape": shape, "forms": []},
+        "map": {**shape, "support": [2], "codomain_dim": 1, "components": [[1]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    cert = tmp_path / "cert.json"
+    runs = [
+        ["rank", "--input", str(tmp_path / "form.json")],
+        ["density", "--input", str(tmp_path / "variety.json")],
+        ["find-sub", "--input", str(tmp_path / "variety.json"), "--output", str(cert)],
+        ["verify", "--input", str(tmp_path / "variety.json"),
+         "--certificate", str(tmp_path / "variety.json")],
+        ["conv-check", "--input", str(tmp_path / "variety.json")],
+        ["approx", "--input", str(tmp_path / "map.json"), "--s", "1"],
+        ["sweep", "--dims", ",".join(map(str, dims)), "--logdensities", "1"],
+    ]
+    for argv in runs:
+        start = time.perf_counter()
+        assert main(argv) == EXIT_PRECONDITION, argv
+        assert time.perf_counter() - start < 1, argv
+    err = capsys.readouterr().err
+    assert err.count("precondition violated: factor dimensions sum to") == len(runs)
+    assert not cert.exists()
+
+
+def test_output_config_hashes_the_input_bytes(dot_files, tmp_path):
+    """input_sha256 names the bytes the command parsed: written here with
+    spacing and a trailing newline that a re-serialization would drop."""
+    _, var_path = dot_files
+    var_path.write_text(json.dumps(DOT_VARIETY, indent=3) + "\n\n")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(" " + json.dumps({
+        "p": 2, "k": 2, "dims": [2, 2], "support": [1, 2],
+        "codomain_dim": 1, "components": [[1, 0, 0, 1]],
+    }))
+    for argv, path in [
+        (["find-sub", "--input", str(var_path)], var_path),
+        (["approx", "--input", str(map_path), "--s", "1"], map_path),
+    ]:
+        out = tmp_path / "out.json"
+        assert main([*argv, "--output", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        assert config["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": 2, "k": 1, "dims": [1], "support": [1], "coeffs": [1], "\xe9": 0}')
+    assert main(["rank", "--input", str(path)]) == EXIT_PARSE
+    assert main(["find-sub", "--input", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.count("is not UTF-8") == 2
 
 
 def test_huge_coefficients_reduce_mod_p(tmp_path, capsys):

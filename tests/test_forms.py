@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, forms
 from mlvariety.errors import PreconditionError, ZeroBiasError
+from mlvariety.field import MAX_DIM_SUM
 from mlvariety.fibers import zero_fiber_identity_check
 from mlvariety.forms import (
     MultilinearForm,
@@ -25,7 +28,17 @@ from mlvariety.forms import (
     product_form,
     slice_form,
 )
-from mlvariety.generators import planted_low_prank_form, random_form, random_support
+from mlvariety.construct import find_subvariety
+from mlvariety.generators import (
+    planted_low_prank_form,
+    planted_product_variety,
+    random_form,
+    random_map,
+    random_support,
+    random_variety,
+)
+from mlvariety.jsonio import map_from_obj, map_to_obj, variety_from_obj, variety_to_obj
+from mlvariety.variety import Variety, slice_variety
 
 from helpers import (
     brute_bias,
@@ -599,3 +612,79 @@ def test_product_form_matches_manual_outer():
         ) % 3
         g_val = (2 * point[1][0]) % 3
         assert eval_form(f, point) == (b_val * g_val) % 3
+
+
+# ---------------------------------------------------------------------------
+# Facts computed once
+# ---------------------------------------------------------------------------
+
+def _built_forms(monkeypatch, p, k, seed):
+    """Every form the finder, slicing, canonical lists, the generators and
+    the JSON readers construct on one small instance."""
+    built = []
+    post_init = MultilinearForm.__post_init__
+
+    def record(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(MultilinearForm, "__post_init__", record)
+    rng = random.Random(seed)
+    sh = Shape(p, small_dims(rng, k, 4 if p == 2 else k + 1))
+    v = random_variety(rng, sh, rng.randrange(1, 3))
+    product = planted_product_variety(rng, sh, [1] + [0] * (k - 1))[0]
+    zero = Variety(sh, [MultilinearForm(sh, range(k), np.zeros(sh.dims, dtype=int))])
+    for w in (v, product, zero):
+        find_subvariety(w)
+        w.canonical()
+        variety_from_obj(json.loads(json.dumps(variety_to_obj(w))))
+        if k > 1:
+            slice_variety(w, [0], [[rng.randrange(p) for _ in range(sh.dims[0])]])
+    map_from_obj(map_to_obj(random_map(rng, sh, 2)))
+    if k > 1:
+        planted_low_prank_form(rng, sh, 1)
+    return built
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_key_and_zero_flag_match_the_coefficients(monkeypatch, p, k):
+    built = []
+    for seed in range(3):
+        built += _built_forms(monkeypatch, p, k, seed)
+    assert any(f.is_zero() for f in built) and not all(f.is_zero() for f in built)
+    for f in built:
+        assert f.key() == (f.support, f.coeffs.tobytes())
+        assert f.is_zero() == (not f.coeffs.any())
+        twin = MultilinearForm(f.shape, f.support, f.coeffs.copy())
+        assert twin == f and hash(twin) == hash(f)
+
+
+def test_coefficients_stay_read_only():
+    f = MultilinearForm(Shape(3, (2, 2)), (0, 1), [[1, 2], [0, 1]])
+    with pytest.raises(ValueError):
+        f.coeffs[0, 0] = 0
+    with pytest.raises(ValueError):
+        f.coeffs.reshape(-1)[0] = 0
+    assert f.key() == ((0, 1), bytes([1, 2, 0, 1])) and not f.is_zero()
+
+
+def test_shape_sizes_are_kept_without_changing_its_value():
+    sh = Shape(3, [2, 1])
+    fresh = Shape(3, (2, 1))
+    assert (sh.k, sh.group_sizes, sh.total_points) == (2, (9, 3), 27)
+    # a shape whose sizes were read is the same value as one whose were not
+    assert sh == fresh and hash(sh) == hash(fresh) == hash((3, (2, 1)))
+    assert repr(sh) == repr(fresh) == "Shape(p=3, dims=(2, 1))"
+    assert sh != Shape(3, (1, 2)) and sh != Shape(2, (2, 1))
+    wider = dataclasses.replace(sh, dims=(1, 1, 3))
+    assert (wider.k, wider.group_sizes, wider.total_points) == (3, (3, 3, 27), 243)
+    assert (sh.k, sh.group_sizes, sh.total_points) == (2, (9, 3), 27)
+
+
+def test_shape_refuses_a_dimension_sum_past_the_limit():
+    assert Shape(2, (MAX_DIM_SUM - 1, 1)).k == 2
+    with pytest.raises(PreconditionError, match="over the limit"):
+        Shape(2, (MAX_DIM_SUM, 1))
+    with pytest.raises(PreconditionError, match="over the limit"):
+        Shape(17, (10**30,))

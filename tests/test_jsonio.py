@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from mlvariety.jsonio import (
     form_to_obj,
     map_from_obj,
     map_to_obj,
+    shape_to_obj,
     variety_from_obj,
     variety_to_obj,
 )
@@ -114,3 +116,43 @@ def test_form_shape_mismatch_detected():
 def test_wire_counts_must_agree_with_their_lists(read, obj, message):
     with pytest.raises(PreconditionError, match=message):
         read(obj)
+
+
+def _wire_object(kind):
+    """A variety, a map or a certificate on the wire, its reader, and the
+    object holding the integer lists of its first form."""
+    sh = Shape(3, (2, 2))
+    v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
+    if kind == "variety":
+        obj = variety_to_obj(v)
+        return variety_from_obj, obj, obj["forms"][0]
+    if kind == "certificate":
+        obj = certificate_to_obj(find_subvariety(v))
+        return certificate_from_obj, obj, obj["output"]["forms"][0]
+    obj = map_to_obj(random_map(random.Random(3), sh, 2))
+    return map_from_obj, obj, {**obj, "coeffs": obj["components"][0]}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, None, "1"])
+@pytest.mark.parametrize("what", ["coeffs", "dims", "support"])
+@pytest.mark.parametrize("kind", ["variety", "map", "certificate"])
+def test_integer_lists_name_the_entry_that_is_not_an_integer(kind, what, bad):
+    read, obj, lists = _wire_object(kind)
+    # the second entry, after a good one
+    lists[what][1] = bad
+    with pytest.raises(TypeError, match=re.escape(f"{what} must be a JSON integer, got {bad!r}")):
+        read(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_out_of_range_coefficients_reduce_mod_p(p):
+    wire = [2**80 + 1, -1, 2**70, 1]
+    small = [-1, -p - 2, 7, 0]
+    sh = Shape(p, (2, 2))
+    for values in (wire, small):
+        expected = np.array([c % p for c in values]).reshape(2, 2)
+        form = {**shape_to_obj(sh), "support": [1, 2], "coeffs": values}
+        v = variety_from_obj({"shape": shape_to_obj(sh), "forms": [form]})
+        assert v.forms[0].coeffs.tolist() == expected.tolist()
+        m = map_from_obj({**shape_to_obj(sh), "support": [1, 2], "components": [values, values]})
+        assert [f.coeffs.tolist() for f in m.components] == [expected.tolist()] * 2
