@@ -38,6 +38,7 @@ from .jsonio import (
     certificate_from_obj,
     certificate_to_obj,
     dump_json,
+    dumps,
     form_from_obj,
     frac_to_str,
     load_json,
@@ -71,7 +72,7 @@ SWEEP_COLUMNS = (
 
 def _emit(args, human_lines, obj):
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        print(dumps(obj))
     else:
         for line in human_lines:
             print(line)

@@ -81,8 +81,9 @@ class MultilinearForm:
 
     Entries are reduced mod p.  Empty support is allowed only for the
     canonical zero form; a form in zero variables is identically zero by
-    convention.  The coefficients are read-only, so the key and the zero
-    flag are computed once, at construction.
+    convention.  The coefficients are a read-only view, which cannot be
+    made writeable again, so the key and the zero flag are computed once,
+    at construction.
     """
 
     shape: Shape
@@ -110,7 +111,7 @@ class MultilinearForm:
             raise PreconditionError("empty-support forms must be identically zero")
         arr.setflags(write=False)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", arr.view())
         object.__setattr__(self, "_key", (support, arr.tobytes()))
         object.__setattr__(self, "_zero", zero)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,52 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
     )
 
 
+def dumps(obj) -> str:
+    """The text of json.dumps(obj, indent=2), joined in one pass.
+
+    Dicts (str keys only), lists, tuples, str, exact ints, None and the
+    bools are written here, and a list of exact ints in one join; every
+    other value (a float, say) is handed to json.dumps.  On Python 3.10
+    and 3.11, json.dumps with an indent leaves the C encoder and resumes a
+    generator per value.
+    """
+    return _indented(obj, "\n")
+
+
+def _indented(obj, newline: str) -> str:
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _indented(value, inner)
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_indented(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)
+
+
 def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(dumps(obj) + "\n")
 
 
 def read_json(path) -> tuple[object, bytes]:

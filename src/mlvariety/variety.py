@@ -21,7 +21,15 @@ import numpy as np
 
 from . import budget
 from .errors import ConstructionError, PreconditionError
-from .field import all_vectors, rref, shift_permutation, shift_rows, vector_from_index, vector_index
+from .field import (
+    all_vectors,
+    as_coords,
+    rref,
+    shift_permutation,
+    shift_rows,
+    vector_from_index,
+    vector_index,
+)
 from .forms import (
     MultilinearForm,
     Shape,
@@ -118,8 +126,10 @@ def variety_bitmap(v: Variety) -> np.ndarray:
 def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
     """Fiber over a fixed partial point, as a variety on the other factors.
 
-    Forms are partially evaluated.  A form supported entirely inside the
-    fixed factors becomes a constant: zero constants are dropped, a nonzero
+    Forms are partially evaluated.  A form that holds a factor fixed at the
+    zero vector vanishes on the slice, by multilinearity, and is dropped
+    without being contracted.  A form supported entirely inside the fixed
+    factors becomes a constant: zero constants are dropped, a nonzero
     constant makes the slice the canonical empty variety.
     """
     factors = tuple(sorted({int(j) for j in factors}))
@@ -130,7 +140,8 @@ def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
         raise PreconditionError("slice factors outside the shape")
     if len(factors) >= v.shape.k:
         raise PreconditionError("slicing away every factor leaves no ambient group")
-    fixed = {j: x for j, x in zip(factors, coords)}
+    fixed = {j: as_coords(x, v.shape.p, v.shape.dims[j]) for j, x in zip(factors, coords)}
+    zero = {j for j, x in fixed.items() if not any(x)}
     remaining = [j for j in range(v.shape.k) if j not in fixed]
     reduced = Shape(v.shape.p, tuple(v.shape.dims[j] for j in remaining))
     if v.is_empty:
@@ -138,12 +149,11 @@ def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
     position = {j: t for t, j in enumerate(remaining)}
     out = []
     for f in v.forms:
-        hit = [j for j in factors if j in f.support]
-        if set(f.support) <= set(factors):
-            point = [
-                fixed[j] if j in fixed else (0,) * v.shape.dims[j]
-                for j in range(v.shape.k)
-            ]
+        hit = [j for j in f.support if j in fixed]
+        if zero.intersection(hit):  # f(..., 0, ...) = 0
+            continue
+        if len(hit) == len(f.support):
+            point = [fixed.get(j, (0,) * n) for j, n in enumerate(v.shape.dims)]
             if eval_form(f, point) != 0:
                 return Variety.empty(reduced)
             continue

@@ -21,7 +21,9 @@ makes every lookup in the finder's sub-problem memo miss, for the memo
 oracle, one switches off the witness search's zero-offset pre-check and
 one its first-row pass, two replace its translation tables, and one
 starves the finder's external approximation of functionals, for the
-failure paths.
+failure paths.  A reference slice contracts every form, the zero-coordinate
+ones included, and one helper puts it in the finder's place, for the
+zero-slice oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import numpy as np
 
 from mlvariety import budget, construct, forms, variety
 from mlvariety.field import echelonize, shift_rows
-from mlvariety.forms import MultilinearForm, eval_form
+from mlvariety.forms import MultilinearForm, Shape, eval_form, slice_form
+from mlvariety.variety import Variety
 
 
 def enumerate_points(shape):
@@ -464,3 +467,41 @@ def approximate_with_no_functionals(monkeypatch):
     target cut out by a full-support form."""
     original = construct.external_approx
     monkeypatch.setattr(construct, "external_approx", lambda source, s: original(source, 0))
+
+
+def contracting_slice(v, factors, coords):
+    """slice_variety with every form contracted at the fixed vectors: a form
+    that holds a factor fixed at zero is kept as the zero form it slices to,
+    and only a form supported inside the fixed factors is evaluated, its
+    zero constants dropped and a nonzero one giving the empty variety."""
+    fixed = dict(zip(sorted(factors), coords))
+    remaining = [j for j in range(v.shape.k) if j not in fixed]
+    reduced = Shape(v.shape.p, tuple(v.shape.dims[j] for j in remaining))
+    if v.is_empty:
+        return Variety.empty(reduced)
+    out = []
+    for f in v.forms:
+        hit = [j for j in f.support if j in fixed]
+        if len(hit) == len(f.support):
+            point = [fixed.get(j, (0,) * n) for j, n in enumerate(v.shape.dims)]
+            if eval_form(f, point):
+                return Variety.empty(reduced)
+            continue
+        g = slice_form(f, hit, [fixed[j] for j in hit]) if hit else f
+        support = tuple(remaining.index(j) for j in g.support)
+        out.append(MultilinearForm(reduced, support, g.coeffs))
+    return Variety(reduced, out)
+
+
+def slice_by_contracting(monkeypatch):
+    """Make the finder slice with contracting_slice, and return the list of
+    (forms it kept, forms slice_variety keeps) over every slice it takes."""
+    kept = []
+
+    def contracting(v, factors, coords):
+        out = contracting_slice(v, factors, coords)
+        kept.append((len(out.forms), len(variety.slice_variety(v, factors, coords).forms)))
+        return out
+
+    monkeypatch.setattr(construct, "slice_variety", contracting)
+    return kept

@@ -55,6 +55,7 @@ from helpers import (
     miss_every_memo_lookup,
     monomial_value,
     planted_cylinder,
+    slice_by_contracting,
     small_dims,
 )
 
@@ -1247,9 +1248,50 @@ def test_memo_solves_repeated_sub_problems_with_forms_once(monkeypatch):
 
     monkeypatch.setattr(construct, "find_subvariety", keying)
     cert = construct.find_subvariety(v)
-    assert counts["_solve"] == len(distinct) == 12 < len(cert.ledger) == 48
+    assert counts["_solve"] == len(distinct) == 10 < len(cert.ledger) == 48
     assert sum(record["c"] < 1 for record in cert.ledger) == 16
     assert verify_certificate(v, cert).all_ok
+
+
+def _zero_slice_oracle_inputs():
+    rng = random.Random(40)
+    for p in (2, 3, 5):
+        for k in range(2, 6 if p < 5 else 5):
+            dims = small_dims(rng, k, k + 2)
+            while Shape(p, dims).total_points > 2000:
+                dims = tuple(max(n - 1, 1) for n in dims)
+            for full in (False, True):
+                yield random_variety(rng, Shape(p, dims), rng.randint(1, 3), full_support_only=full)
+    # inputs on which a contracting slice misses the memo
+    yield random_variety(random.Random(2), Shape(2, (2, 2, 2, 2)), 3)
+    yield random_variety(random.Random(2), Shape(2, (1, 1, 2, 1, 2)), 3)
+
+
+def _charged_outcome(v):
+    budget.reset_work()
+    try:
+        outcome = certificate_to_obj(find_subvariety(v))
+    except ConstructionError as exc:
+        outcome = type(exc).__name__, str(exc)
+    return outcome, budget.work_points()
+
+
+def test_zero_slice_drops_only_what_a_contracting_slice_keeps_as_zero(monkeypatch):
+    # a slice that contracts the forms holding a factor fixed at zero keeps
+    # them as zero forms, which every level's canonical list drops: the same
+    # certificates, but sub-problems that differ only by zero forms are
+    # solved twice, so it never charges less
+    inputs = list(_zero_slice_oracle_inputs())
+    dropping = [_charged_outcome(v) for v in inputs]
+    kept = slice_by_contracting(monkeypatch)
+    lower = []
+    for v, (outcome, points) in zip(inputs, dropping):
+        again, again_points = _charged_outcome(v)
+        assert again == outcome
+        assert points <= again_points
+        lower.append(points < again_points)
+    assert any(contracted > dropped for contracted, dropped in kept)
+    assert any(lower)
 
 
 def test_base_case_random_subspaces():

@@ -9,7 +9,9 @@ a find-sub then verify whose certificate has no clamped level, and a
 find-sub then verify on 16 forms, where the external approximation
 shortens the defining list.  A refactor that keeps every output
 byte-identical keeps GOLDEN_SHA256; a change meant to alter an output
-re-pins it from the failure message.
+re-pins it from the failure message.  A second test re-reads each JSON
+file and JSON stdout the runs write and checks that jsonio.dumps and
+json.dumps with indent=2 both write it back to the same text.
 
     PYTHONPATH=src python tests/test_golden_outputs.py DIR
 
@@ -31,7 +33,7 @@ from mlvariety import budget
 from mlvariety.cli import main
 from mlvariety.forms import Shape
 from mlvariety.generators import random_form, random_map, random_variety
-from mlvariety.jsonio import form_to_obj, map_to_obj, variety_to_obj
+from mlvariety.jsonio import dumps, form_to_obj, map_to_obj, variety_to_obj
 from mlvariety.variety import Variety
 
 from helpers import coordinate_products
@@ -167,6 +169,24 @@ def test_golden_outputs(tmp_path, monkeypatch):
         digest.update(line.encode())
     assert codes == {0, 2, 3, 4, 5}
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_golden_json_outputs_redump_to_the_same_bytes(tmp_path, monkeypatch):
+    # every JSON file and JSON stdout the runs write is the text dumps and
+    # json.dumps with indent=2 give for the value it holds, one newline after
+    monkeypatch.chdir(tmp_path)
+    texts = []
+    for line in golden_records():
+        record = json.loads(line)
+        argv = record["argv"]
+        if "--format" in argv and argv[argv.index("--format") + 1] == "json" and record["stdout"]:
+            texts.append(record["stdout"])
+        if "--output" in argv and argv[argv.index("--output") + 1].endswith(".json"):
+            texts.append(record["file"])
+    assert len(texts) == 28
+    for text in texts:
+        value = json.loads(text)
+        assert dumps(value) + "\n" == json.dumps(value, indent=2) + "\n" == text
 
 
 if __name__ == "__main__":

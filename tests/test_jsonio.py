@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlvariety.construct import find_subvariety
 from mlvariety.errors import PreconditionError
@@ -14,6 +15,7 @@ from mlvariety.generators import random_form, random_map, random_support, random
 from mlvariety.jsonio import (
     certificate_from_obj,
     certificate_to_obj,
+    dumps,
     form_from_obj,
     form_to_obj,
     map_from_obj,
@@ -156,3 +158,34 @@ def test_out_of_range_coefficients_reduce_mod_p(p):
         assert v.forms[0].coeffs.tolist() == expected.tolist()
         m = map_from_obj({**shape_to_obj(sh), "support": [1, 2], "components": [values, values]})
         assert [f.coeffs.tolist() for f in m.components] == [expected.tolist()] * 2
+
+
+_STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r", "é€", "\U0001f600", "\u2028"]),
+)
+_SCALARS = st.one_of(
+    _STRINGS,
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+        # the one-join path for lists of exact ints
+        st.lists(st.integers(-(2**80), 2**80), max_size=5),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_dumps_writes_the_text_of_json_dumps_with_indent_2(value):
+    assert dumps(value) == json.dumps(value, indent=2)

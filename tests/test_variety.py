@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, variety
 from mlvariety.errors import ConstructionError, PreconditionError
+from mlvariety.field import vector_index
 from mlvariety.fibers import density
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape
 from mlvariety.generators import random_form, random_point_subset, random_support, random_variety
@@ -116,6 +117,20 @@ def test_value_types_are_frozen_normalized_dataclasses(build):
     # TypeError from the slotted class rebuild, later versions as AttributeError
     with pytest.raises((AttributeError, TypeError)):
         value.extra = 1
+
+
+def test_form_coefficients_cannot_be_made_writeable():
+    # the key and the zero flag are computed once, so no write may reach
+    # the coefficients after construction
+    sh = Shape(2, (2, 2))
+    f = MultilinearForm(sh, (0, 1), np.eye(2, dtype=int))
+    key = f.key()
+    with pytest.raises(ValueError):
+        f.coeffs.setflags(write=True)
+    with pytest.raises(ValueError):
+        f.coeffs[0, 0] = 0
+    assert f.key() == key and not f.is_zero()
+    assert f.coeffs.tolist() == [[1, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +269,83 @@ def test_slice_codim_does_not_grow(seed):
     if sliced.is_empty:
         return
     assert sliced.codim <= v.codim
+
+
+_SH22 = Shape(2, (2, 2))
+
+
+@pytest.mark.parametrize("v", [
+    pytest.param(Variety(_SH22, (MultilinearForm(_SH22, (1,), [1, 0]),)), id="form-avoids-factor"),
+    pytest.param(Variety(_SH22, (MultilinearForm(_SH22, (0,), [1, 0]),)), id="form-holds-factor"),
+    pytest.param(Variety.full(_SH22), id="full"),
+    pytest.param(Variety.empty(_SH22), id="empty"),
+])
+@pytest.mark.parametrize("x", [(0, 0, 0), (5,)])
+def test_slice_refuses_a_coordinate_vector_of_another_dimension(v, x):
+    with pytest.raises(PreconditionError, match="dimension mismatch"):
+        slice_variety(v, (0,), (x,))
+
+
+def _zero_slice_battery(rng):
+    """Random-support, partial-support and full-support varieties over
+    p in {2, 3, 5} and arity 2 to 4."""
+    for p in (2, 3, 5):
+        for k in (2, 3, 4):
+            dims = small_dims(rng, k, 6)
+            while Shape(p, dims).total_points > 1000:
+                dims = tuple(max(n - 1, 1) for n in dims)
+            sh = Shape(p, dims)
+            count = rng.randint(1, 3)
+            yield random_variety(rng, sh, count)
+            yield random_variety(rng, sh, count, full_support_only=True)
+            partial = []
+            for _ in range(count):
+                support = random_support(rng, k)
+                while len(support) == k:
+                    support = random_support(rng, k)
+                partial.append(random_form(rng, sh, support))
+            yield Variety(sh, partial)
+
+
+def _zero_coords(rng, p, n):
+    # multiples of p: the zero vector once reduced
+    return tuple(p * rng.randrange(-1, 3) for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slice_at_a_zero_coordinate_is_the_bitmap_restriction(seed):
+    rng = random.Random(f"zero-slice/{seed}")
+    for v in _zero_slice_battery(rng):
+        sh = v.shape
+        mask = variety_bitmap(v)
+        for factor in range(sh.k):
+            zero = _zero_coords(rng, sh.p, sh.dims[factor])
+            sliced = slice_variety(v, (factor,), (zero,))
+            assert np.array_equal(variety_bitmap(sliced), mask.take(0, axis=factor))
+            # only the forms that avoid the factor are left, as they were
+            remaining = [j for j in range(sh.k) if j != factor]
+            assert [f.key() for f in sliced.forms] == [
+                (tuple(remaining.index(j) for j in f.support), f.coeffs.tobytes())
+                for f in v.forms
+                if factor not in f.support
+            ]
+        if sh.k < 3:
+            continue
+        # a zero coordinate beside a nonzero one
+        a, b = rng.sample(range(sh.k), 2)
+        fixed = {
+            a: _zero_coords(rng, sh.p, sh.dims[a]),
+            b: tuple(rng.randrange(sh.p) for _ in range(sh.dims[b])),
+        }
+        sliced = slice_variety(v, sorted(fixed), [fixed[j] for j in sorted(fixed)])
+        at = [slice(None)] * sh.k
+        at[a], at[b] = 0, vector_index(sh.p, fixed[b])
+        assert np.array_equal(variety_bitmap(sliced), mask[tuple(at)])
+        if not sliced.is_empty:
+            zeroed = {j for j, x in fixed.items() if not any(c % sh.p for c in x)}
+            assert len(sliced.forms) == sum(
+                not zeroed & set(f.support) and not set(f.support) <= {a, b} for f in v.forms
+            )
 
 
 # ---------------------------------------------------------------------------
