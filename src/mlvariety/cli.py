@@ -5,7 +5,8 @@ Exit codes:
     0  success (and, for find-sub/verify/conv-check, every flag true)
     2  parse or input-format error (also argparse usage errors)
     3  precondition violated (empty variety, oversized bad set, bad shapes)
-    4  enumeration budget exceeded
+    4  enumeration budget exceeded, or memory ran out under the point budget
+       in force (the stderr line names it)
     5  verification or construction failure
 """
 
@@ -423,6 +424,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"out of memory at point budget {budget.point_budget()}: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -192,12 +192,38 @@ class MultilinearMap:
 
 def eval_form(form: MultilinearForm, point) -> int:
     """Contract the coefficient tensor with the point's support coordinates."""
-    pt = coerce_point(form.shape, point)
-    t = form.coeffs.astype(np.int64)
-    for j in form.support:
-        x = np.asarray(pt[j], dtype=np.int64)
-        t = np.tensordot(t, x, axes=([0], [0])) % form.shape.p
-    return int(t)
+    return int(_contracted(form, dict(enumerate(coerce_point(form.shape, point))))[1])
+
+
+def _fixed_vectors(shape: Shape, factors: Iterable[int], coords) -> dict:
+    """A partial point as {factor: reduced vector}, in factor order.
+
+    Each factor pairs with the vector given next to it.  A count mismatch,
+    a factor outside the shape and a factor given twice are refused.
+    """
+    factors = tuple(int(j) for j in factors)
+    coords = tuple(coords)
+    if len(coords) != len(factors):
+        raise PreconditionError("one coordinate vector per sliced factor")
+    if any(j < 0 or j >= shape.k for j in factors):
+        raise PreconditionError("slice factors outside the shape")
+    if len(set(factors)) != len(factors):
+        raise PreconditionError(f"slice factors {factors} name a factor twice")
+    return {j: as_coords(x, shape.p, shape.dims[j])
+            for j, x in sorted(zip(factors, coords))}
+
+
+def _contracted(form: MultilinearForm, fixed: dict):
+    """(remaining support, coefficient tensor) of the form with the support
+    factors that `fixed` names fixed at their reduced vectors; the tensor is
+    0-d, the form's value, when every support factor is fixed."""
+    t = form.coeffs
+    # the last axes first, so the axes of the earlier ones stay in place
+    for axis in range(len(form.support) - 1, -1, -1):
+        x = fixed.get(form.support[axis])
+        if x is not None:
+            t = np.moveaxis(t, axis, -1) @ np.asarray(x, dtype=np.int64) % form.shape.p
+    return tuple(j for j in form.support if j not in fixed), t
 
 
 def _value_grid(p: int, axis_dims: Sequence[int], coeffs) -> np.ndarray:
@@ -293,34 +319,20 @@ def fiber_values(forms: Sequence[MultilinearForm], j: int,
 
 
 def slice_form(form: MultilinearForm, factors: Iterable[int], coords) -> MultilinearForm:
-    """Partial evaluation: fix the given support factors at the given vectors.
+    """Partial evaluation: fix the given support factors at the given vectors,
+    each factor at the vector given next to it (_fixed_vectors).
 
     The result keeps the ambient shape with support shrunk to the remaining
     factors.  Slicing away the whole support is rejected; use eval_form.
     """
-    return MultilinearForm(form.shape, *_sliced(form, factors, coords))
-
-
-def _sliced(form: MultilinearForm, factors: Iterable[int], coords):
-    """(remaining support, coefficient tensor) of slice_form's result."""
-    factors = tuple(sorted({int(j) for j in factors}))
-    if not set(factors) <= set(form.support):
+    fixed = _fixed_vectors(form.shape, factors, coords)
+    if not fixed.keys() <= set(form.support):
         raise PreconditionError(
-            f"slice factors {factors} must lie inside the support {form.support}"
+            f"slice factors {tuple(fixed)} must lie inside the support {form.support}"
         )
-    remaining = tuple(j for j in form.support if j not in factors)
-    if not remaining:
+    if len(fixed) == len(form.support):
         raise PreconditionError("slicing away the whole support; use eval_form")
-    coords = tuple(coords)
-    if len(coords) != len(factors):
-        raise PreconditionError("one coordinate vector per sliced factor")
-    p = form.shape.p
-    t = form.coeffs.astype(np.int64)
-    # the last factors first, so the axes of the earlier ones stay in place
-    for j, x in sorted(zip(factors, coords), reverse=True):
-        vec = np.asarray(as_coords(x, p, form.shape.dims[j]), dtype=np.int64)
-        t = np.moveaxis(t, form.support.index(j), -1) @ vec % p
-    return remaining, t
+    return MultilinearForm(form.shape, *_contracted(form, fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ Files are UTF-8, and read_json returns the bytes it parsed with the value,
 so a caller hashes what it read.  Readers accept only JSON integers where
 the format has integers, and only true or false for a variety's optional
 "empty" flag: anything else there raises TypeError instead of being
-truncated or coerced.  A rational that is
+truncated or coerced.  A variety flagged "empty": true lists no forms: the
+writer puts "forms": [] beside the flag, and a non-empty "forms" there
+raises InputFormatError, in variety files and certificate outputs alike.
+A rational that is
 not such a string, or has a zero denominator, raises InputFormatError, and so
 does a certificate ledger that is not an array of objects.
 
@@ -154,10 +157,12 @@ def variety_from_obj(obj) -> Variety:
     empty = obj.get("empty", False)
     if type(empty) is not bool:
         raise TypeError(f"empty must be a JSON boolean, got {empty!r:.60}")
+    forms = obj.get("forms", [])
     if empty:
+        if forms:
+            raise InputFormatError(f"a variety flagged empty lists forms: {forms!r:.60}")
         return Variety.empty(shape)
-    forms = [form_from_obj(f, shape) for f in obj.get("forms", [])]
-    return Variety(shape, forms)
+    return Variety(shape, [form_from_obj(f, shape) for f in forms])
 
 
 def _monomial_to_obj(m: Monomial, p: int, c: str) -> dict:

@@ -23,7 +23,6 @@ from . import budget
 from .errors import ConstructionError, PreconditionError
 from .field import (
     all_vectors,
-    as_coords,
     rref,
     shift_permutation,
     shift_rows,
@@ -33,9 +32,9 @@ from .field import (
 from .forms import (
     MultilinearForm,
     Shape,
-    _sliced,
+    _contracted,
+    _fixed_vectors,
     coerce_point,
-    eval_form,
     eval_grid,
 )
 
@@ -101,10 +100,10 @@ class Variety:
 
 def membership(v: Variety, point) -> bool:
     """True iff every defining form vanishes at the point."""
-    pt = coerce_point(v.shape, point)
+    pt = dict(enumerate(coerce_point(v.shape, point)))
     if v.is_empty:
         return False
-    return all(eval_form(f, pt) == 0 for f in v.forms)
+    return all(_contracted(f, pt)[1] == 0 for f in v.forms)
 
 
 def variety_bitmap(v: Variety) -> np.ndarray:
@@ -126,21 +125,16 @@ def variety_bitmap(v: Variety) -> np.ndarray:
 def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
     """Fiber over a fixed partial point, as a variety on the other factors.
 
-    Forms are partially evaluated.  A form that holds a factor fixed at the
+    Forms are partially evaluated (forms._contracted), each factor fixed at
+    the vector given next to it.  A form that holds a factor fixed at the
     zero vector vanishes on the slice, by multilinearity, and is dropped
     without being contracted.  A form supported entirely inside the fixed
     factors becomes a constant: zero constants are dropped, a nonzero
     constant makes the slice the canonical empty variety.
     """
-    factors = tuple(sorted({int(j) for j in factors}))
-    coords = tuple(coords)
-    if len(coords) != len(factors):
-        raise PreconditionError("one coordinate vector per sliced factor")
-    if any(j < 0 or j >= v.shape.k for j in factors):
-        raise PreconditionError("slice factors outside the shape")
-    if len(factors) >= v.shape.k:
+    fixed = _fixed_vectors(v.shape, factors, coords)
+    if len(fixed) >= v.shape.k:
         raise PreconditionError("slicing away every factor leaves no ambient group")
-    fixed = {j: as_coords(x, v.shape.p, v.shape.dims[j]) for j, x in zip(factors, coords)}
     zero = {j for j, x in fixed.items() if not any(x)}
     remaining = [j for j in range(v.shape.k) if j not in fixed]
     reduced = Shape(v.shape.p, tuple(v.shape.dims[j] for j in remaining))
@@ -149,17 +143,13 @@ def slice_variety(v: Variety, factors: Iterable[int], coords) -> Variety:
     position = {j: t for t, j in enumerate(remaining)}
     out = []
     for f in v.forms:
-        hit = [j for j in f.support if j in fixed]
-        if zero.intersection(hit):  # f(..., 0, ...) = 0
+        if zero.intersection(f.support):  # f(..., 0, ...) = 0
             continue
-        if len(hit) == len(f.support):
-            point = [fixed.get(j, (0,) * n) for j, n in enumerate(v.shape.dims)]
-            if eval_form(f, point) != 0:
+        support, coeffs = _contracted(f, fixed)
+        if not support:
+            if coeffs:
                 return Variety.empty(reduced)
             continue
-        support, coeffs = (
-            _sliced(f, hit, tuple(fixed[j] for j in hit)) if hit else (f.support, f.coeffs)
-        )
         out.append(MultilinearForm(reduced, tuple(position[j] for j in support), coeffs))
     return Variety(reduced, out)
 

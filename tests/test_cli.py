@@ -450,6 +450,51 @@ def test_density_over_a_fiber_enumeration_past_the_budget(tmp_path, capsys):
     )
 
 
+def test_running_out_of_memory_is_a_budget_exit(tmp_path):
+    # a child lowers its own address-space limit to its size after import
+    # plus 256 MiB, then runs density under a 2**30 point budget on two
+    # forms at (2,(22,22)): the fiber rows alone take 2 x 22 x 2**22 bytes
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("the child reads its size from /proc/self/statm")
+    v = random_variety(random.Random("oom"), Shape(2, (22, 22)), 2, full_support_only=True)
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    child = (
+        "import resource, sys\n"
+        "from mlvariety import cli\n"
+        "with open('/proc/self/statm') as f:\n"
+        "    size = int(f.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = size + 256 * 2**20\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    soft = min(soft, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    run = subprocess.run(
+        [sys.executable, "-c", child, "density", "--budget", "1073741824", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == EXIT_BUDGET, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.startswith("out of memory at point budget 1073741824: ")
+    assert run.stderr.count("\n") == 1
+
+
+def test_density_refuses_an_empty_flag_beside_forms(tmp_path, capsys):
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps({**DOT_VARIETY, "empty": True}))
+    assert main(["density", "--input", str(path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: a variety flagged empty lists forms: ")
+
+
 def _planted_products(p, dims):
     """Two product forms l_i(x) m_i(y) with l_1, l_2 independent and m_1, m_2
     independent: the zero set is {l_1 = 0 or m_1 = 0} and {l_2 = 0 or m_2 =

@@ -185,7 +185,7 @@ def test_verifier_reads_no_value_grid_form_evaluation_or_bitmap(monkeypatch, p, 
         vmask = variety_bitmap(v)
         c = Fraction(int(np.count_nonzero(vmask)), shape.total_points)
         cases.append((v, cert, tampered, c, not vmask.all()))
-    for name in ("_value_grid", "eval_grid", "eval_form", "variety_bitmap"):
+    for name in ("_value_grid", "eval_grid", "eval_form", "_contracted", "variety_bitmap"):
         for module in (forms, variety, construct, cli, fibers):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _raise)

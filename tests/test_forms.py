@@ -248,6 +248,24 @@ def test_slice_outside_support_rejected():
         slice_form(f, (2,), ((1,),))
 
 
+def test_slice_refuses_a_factor_given_twice():
+    f = MultilinearForm(Shape(2, (1, 1, 1)), (0, 1, 2), [[[1]]])
+    with pytest.raises(PreconditionError, match=r"slice factors \(1, 1\) name a factor twice"):
+        slice_form(f, (1, 1), ((1,), (0,)))
+
+
+def test_slice_pairs_each_factor_with_the_vector_given_next_to_it():
+    rng = random.Random("slice-form-order")
+    sh = Shape(3, (1, 2, 3))
+    f = random_form(rng, sh)
+    x0, x2 = (2,), (1, 0, 2)
+    g = slice_form(f, (2, 0), (x2, x0))
+    assert g == slice_form(f, (0, 2), (x0, x2))
+    assert g.support == (1,)
+    for y in itertools.product(range(3), repeat=2):
+        assert eval_form(g, ((0,), y, (0, 0, 0))) == eval_form(f, (x0, y, x2))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_slice_eval_coherence_exhaustive(seed):

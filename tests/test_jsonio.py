@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlvariety.construct import find_subvariety
-from mlvariety.errors import PreconditionError
+from mlvariety.errors import InputFormatError, PreconditionError
 from mlvariety.forms import MultilinearForm, Shape
 from mlvariety.generators import random_form, random_map, random_support, random_variety
 from mlvariety.jsonio import (
@@ -87,6 +87,26 @@ def test_certificate_roundtrip():
     assert obj["format_version"] == "4"
     assert obj["ledger"][0]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
     assert monomial_value(again.ledger[0]["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
+
+
+def _flag_empty_beside_a_form(obj: dict) -> dict:
+    """A copy of a variety object flagged empty that still lists a form."""
+    shape = Shape(obj["shape"]["p"], tuple(obj["shape"]["dims"]))
+    form = MultilinearForm(shape, (0,), [1] + [0] * (shape.dims[0] - 1))
+    return {**obj, "empty": True, "forms": [form_to_obj(form)]}
+
+
+def test_an_empty_flag_beside_forms_is_refused_by_both_readers():
+    sh = Shape(2, (2, 2))
+    v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
+    with pytest.raises(InputFormatError, match="a variety flagged empty lists forms"):
+        variety_from_obj(_flag_empty_beside_a_form(variety_to_obj(v)))
+    obj = certificate_to_obj(find_subvariety(v))
+    obj["output"] = _flag_empty_beside_a_form(obj["output"])
+    with pytest.raises(InputFormatError, match="a variety flagged empty lists forms"):
+        certificate_from_obj(obj)
+    # the writer puts an empty list beside the flag, which reads back
+    assert variety_to_obj(Variety.empty(sh))["forms"] == []
 
 
 def test_certificate_refuses_a_monomial_off_its_record_level():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -346,6 +347,58 @@ def test_slice_at_a_zero_coordinate_is_the_bitmap_restriction(seed):
             assert len(sliced.forms) == sum(
                 not zeroed & set(f.support) and not set(f.support) <= {a, b} for f in v.forms
             )
+
+
+def _order_battery(rng):
+    """Varieties of 1 to 3 random forms over p in {2, 3} and arity 3 to 4,
+    whose factor dimensions are not all equal, three per (p, arity)."""
+    for p in (2, 3):
+        for k in (3, 4):
+            for _ in range(3):
+                dims = (1,) * k
+                while len(set(dims)) == 1 or Shape(p, dims).total_points > 1000:
+                    dims = tuple(rng.randint(1, 3) for _ in range(k))
+                yield random_variety(rng, Shape(p, dims), rng.randint(1, 3))
+
+
+def test_slice_in_any_factor_order_is_the_bitmap_restriction():
+    rng = random.Random("slice-order")
+    cases = 0
+    for v in _order_battery(rng):
+        sh = v.shape
+        mask = variety_bitmap(v)
+        for size in (2, 3):
+            if size >= sh.k:
+                continue
+            for factors in itertools.permutations(range(sh.k), size):
+                # unreduced coordinates, each factor's vector next to it
+                coords = [tuple(rng.randrange(-sh.p, 2 * sh.p) for _ in range(sh.dims[j]))
+                          for j in factors]
+                sliced = slice_variety(v, factors, coords)
+                at = [slice(None)] * sh.k
+                for j, x in zip(factors, coords):
+                    at[j] = vector_index(sh.p, x)
+                assert np.array_equal(variety_bitmap(sliced), mask[tuple(at)]), (
+                    v.forms, factors, coords
+                )
+                cases += 1
+    assert cases == 252
+
+
+def test_a_slice_does_not_depend_on_the_order_of_its_factors():
+    # factor 0 at 1 and factor 1 at 0 leave x_0 = 1 on no point
+    sh = Shape(2, (1, 1, 1))
+    v = Variety(sh, (MultilinearForm(sh, (0,), [1]),))
+    assert slice_variety(v, (1, 0), ((0,), (1,))).is_empty
+    assert slice_variety(v, (0, 1), ((1,), (0,))).is_empty
+
+
+@pytest.mark.parametrize("coords", [((1,), (1,)), ((1,), (0,))])
+def test_slice_variety_refuses_a_factor_given_twice(coords):
+    sh = Shape(2, (1, 1, 1))
+    v = Variety(sh, (MultilinearForm(sh, (0, 2), [[1]]),))
+    with pytest.raises(PreconditionError, match=r"slice factors \(0, 0\) name a factor twice"):
+        slice_variety(v, (0, 0), coords)
 
 
 # ---------------------------------------------------------------------------
