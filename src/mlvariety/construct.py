@@ -45,7 +45,6 @@ from .variety import (
     _ranks,
     bad_set_cap,
     slice_variety,
-    variety_bitmap,
 )
 
 
@@ -315,17 +314,19 @@ def external_approx(source: MultilinearMap, s: int) -> ApproxResult:
 class DenseColumnsResult:
     """A base variety all of whose fibers in one direction are dense.
 
-    base lives on the factors other than `direction`; every point of it has
-    at least fiber_floor_count points of the input variety in its fiber, the
-    level's fiber floor times the fiber size, rounded up (_fiber_thresholds).
-    min_fiber_count is the exhaustively measured minimum.  clamped records
-    the desk-scale regime where the floor fell below one point and
-    nonemptiness is the operative guarantee.
+    The base is base_certificate.output, on the factors other than
+    `direction`; lifted is its forms in the input's shape, each support
+    factor renamed to the input factor it stands for.  Every point of the
+    base has at least fiber_floor_count points of the input variety in its
+    fiber, the level's fiber floor times the fiber size, rounded up
+    (_fiber_thresholds).  min_fiber_count is the exhaustively measured
+    minimum.  clamped records the desk-scale regime where the floor fell
+    below one point and nonemptiness is the operative guarantee.
     """
 
     direction: int
     slice_point: tuple[int, ...]
-    base: Variety
+    lifted: tuple[MultilinearForm, ...]
     base_certificate: "SubvarietyCertificate"
     bad_count: int
     fiber_floor_count: int
@@ -354,9 +355,12 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     direction (_Fibers) over the points x of the other factors: the fiber
     over x holds p**(n - rank M(x)) points where x is alive and none
     elsewhere, c is their mean, and the slice at t is the alive x with
-    M(x) t = 0.  Only the base is a bitmap, over the |G|/|G_i| points of
-    the other factors, for the filling scan.  The integer thresholds come
-    from _fiber_thresholds, memoized per (p, c, arity, n, B).
+    M(x) t = 0.  The base is read from the same fibers: its lifted forms
+    avoid the direction, so they are constants at x, and the base is the x
+    where they all vanish.  The slice, the sparse fibers, the base and the
+    bad set are (B,) vectors over x; only the mask the filling scan takes is
+    reshaped to the base's group.  The integer thresholds come from
+    _fiber_thresholds, memoized per (p, c, arity, n, B).
     """
     shape = v.shape
     if shape.k < 2:
@@ -396,28 +400,30 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
         )
     u_var = slice_variety(v, [direction], [slice_point])
     sub_cert = find_subvariety(u_var)
-    base = sub_cert.output
-    base_mask = variety_bitmap(base)
-    u_mask = u_mask.reshape(base_mask.shape)
-    if bool(np.any(base_mask & ~u_mask)):
+    base_shape = sub_cert.output.shape
+    lifted = tuple(
+        MultilinearForm(shape, tuple(fib.others[l] for l in f.support), f.coeffs)
+        for f in sub_cert.output.forms
+    )
+    base = fib.system(lifted).alive
+    if bool(np.any(base & ~u_mask)):
         raise ConstructionError("base variety escaped its slice")
-    r_base = sub_cert.output_codim
-    bad_mask = u_mask & fiber_sparse.reshape(base_mask.shape)
-    bad_in_base = int(np.count_nonzero(bad_mask & base_mask))
-    cap = bad_set_cap(base.shape, r_base)
+    bad = u_mask & fiber_sparse
+    bad_in_base = int(np.count_nonzero(bad & base))
+    cap = bad_set_cap(base_shape, sub_cert.output_codim)
     if bad_in_base > cap:
         raise ConstructionError(
             f"bad set of size {bad_in_base} exceeds the filling cap {cap}"
         )
-    allowed = base_mask & ~bad_mask
-    bases = _ranks(np.flatnonzero(base_mask), base_mask.shape)
-    offsets = _fill_scan(base.shape, bases, allowed, "fiber filling")
+    bases = _ranks(np.flatnonzero(base), base_shape.group_sizes)
+    allowed = (base & ~bad).reshape(base_shape.group_sizes)
+    offsets = _fill_scan(base_shape, bases, allowed, "fiber filling")
     unfilled = bases[offsets[:, 0] < 0]
     if len(unfilled):
-        point = _point_from_index(base.shape, unfilled[0])
+        point = _point_from_index(base_shape, unfilled[0])
         raise ConstructionError(f"no filling witness at base point {point}")
     # every base point is alive, inside the slice
-    min_fiber_count = p ** (n - int(rank.reshape(base_mask.shape)[base_mask].max()))
+    min_fiber_count = p ** (n - int(rank[base].max()))
     if min_fiber_count < fiber_floor_count:
         raise ConstructionError(
             f"measured fiber minimum {min_fiber_count} fell below the certified "
@@ -426,7 +432,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     return DenseColumnsResult(
         direction=direction,
         slice_point=slice_point,
-        base=base,
+        lifted=lifted,
         base_certificate=sub_cert,
         bad_count=b_count,
         fiber_floor_count=fiber_floor_count,
@@ -480,10 +486,11 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
     is read from their fibers in the largest factor j (_Fibers): c is the
     mean fiber size, and A lies inside B exactly when |A & B| = |A|, each
     count a sum of p**(n_j - rank) over the points of the other factors.
-    So the finder builds no |G|-sized array at any level: its largest are
-    the |G|/|G_i| base bitmaps of dense_columns and the fiber rows, B * n_j
-    entries per form (B = |G|/|G_j|), and it charges those, with the value
-    images' codes and m * p**(m+2) scan terms per live greedy step.
+    So the finder builds no |G|-sized array, value grid or bitmap at any
+    level: every variety it reads, each base of dense_columns too, is read
+    from fiber rows, B * n_j entries per form with j and B per other form
+    (B = |G|/|G_j|), and it charges those, with the value images' codes and
+    m * p**(m+2) scan terms per live greedy step.
 
     The outermost call opens one scope (_SCOPE), the calling thread's own,
     which the recursion shares and which closes on return or on a raise.
@@ -536,22 +543,16 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
     r_max = max(res.base_certificate.output_codim for res in results)
 
-    embedded: list[MultilinearForm] = []
-    direction_info = []
-    for i, res in enumerate(results):
-        remaining = [j for j in range(shape.k) if j != i]
-        for f in res.base.forms:
-            support_full = tuple(remaining[j] for j in f.support)
-            embedded.append(MultilinearForm(shape, support_full, f.coeffs))
-        direction_info.append(
-            {
-                "direction": i,
-                "slice_point": list(res.slice_point),
-                "base_codim": res.base_certificate.output_codim,
-                "min_fiber_density": res.min_fiber_density,
-                "clamped": res.clamped,
-            }
-        )
+    direction_info = [
+        {
+            "direction": res.direction,
+            "slice_point": list(res.slice_point),
+            "base_codim": res.base_certificate.output_codim,
+            "min_fiber_density": res.min_fiber_density,
+            "clamped": res.clamped,
+        }
+        for res in results
+    ]
     level = _level_constants(p, c, shape.k, r_max, max(shape.dims))
 
     full_support = tuple(range(shape.k))
@@ -559,9 +560,10 @@ def _solve(v: Variety) -> SubvarietyCertificate:
     source = MultilinearMap(shape, full_support, full_forms)
     approx = external_approx(source, level["s"])
 
-    # no embedded form has full support and every phi component has, so the
-    # candidate's other forms are the echelonized cylinder constraints
-    candidate = Variety(shape, tuple(approx.phi.components) + tuple(embedded)).canonical()
+    # no lifted base form has full support and every phi component has, so
+    # the candidate's other forms are the echelonized cylinder constraints
+    lifted = tuple(f for res in results for f in res.lifted)
+    candidate = Variety(shape, tuple(approx.phi.components) + lifted).canonical()
     cylinders = tuple(f for f in candidate.forms if f.support != full_support)
 
     shared = fib.count(v.forms, cylinders, candidate.forms)

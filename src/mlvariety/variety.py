@@ -24,7 +24,6 @@ from .errors import ConstructionError, PreconditionError
 from .field import (
     all_vectors,
     rref,
-    shift_permutation,
     shift_rows,
     vector_from_index,
     vector_index,
@@ -227,13 +226,14 @@ def directional_convolution(s: PointSet, direction: int, point) -> Fraction:
     """Exact value of the direction-i convolution of the set indicator:
     the fraction of y in that factor with both translated points inside.
     Only the line through the point in that direction is read and
-    translated, and its p**n_i points are charged."""
+    translated (field.shift_rows, which keeps no table), and its p**n_i
+    points are charged."""
     shape = s.shape
     idx = _point_index(shape, point)
     if not 0 <= direction < shape.k:
         raise PreconditionError("direction outside the shape")
     n = shape.dims[direction]
-    perm = shift_permutation(shape.p, n, idx[direction])
+    perm = shift_rows(shape.p, n, idx[direction])
     budget.charge(shape.p**n, "directional convolution")
     line = s.mask[tuple(slice(None) if i == direction else t for i, t in enumerate(idx))]
     return Fraction(int(np.count_nonzero(line & line[perm])), shape.p**n)

@@ -474,7 +474,7 @@ def contracting_slice(v, factors, coords):
     that holds a factor fixed at zero is kept as the zero form it slices to,
     and only a form supported inside the fixed factors is evaluated, its
     zero constants dropped and a nonzero one giving the empty variety."""
-    fixed = dict(zip(sorted(factors), coords))
+    fixed = dict(zip(factors, coords))
     remaining = [j for j in range(v.shape.k) if j not in fixed]
     reduced = Shape(v.shape.p, tuple(v.shape.dims[j] for j in remaining))
     if v.is_empty:

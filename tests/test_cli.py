@@ -1259,7 +1259,7 @@ def test_sweep_rows_bounded_by_budget(tmp_path):
 
 def test_sweep_row_over_the_budget(tmp_path):
     # fiber rows hold 64 entries per form and fiber coordinate.  Variety 0
-    # passes its extraction (2,257 points), but its verification reads the
+    # passes its extraction (2,129 points), but its verification reads the
     # rows of 2 input and 2 output forms, 1,536 entries, over a 1,000
     # budget: its row records the refusal, with the points the extraction
     # charged before it, and the sweep itself succeeds.  Variety 1's largest
@@ -1272,8 +1272,8 @@ def test_sweep_row_over_the_budget(tmp_path):
     lines = out.read_text().splitlines()
     assert '"budget":1000' in lines[0]
     assert lines[2:] == [
-        "0,2,2,6x6,,,,,budget_exceeded,2257",
-        "1,2,2,6x6,1/4,2.0,2,61,ok,2125",
+        "0,2,2,6x6,,,,,budget_exceeded,2129",
+        "1,2,2,6x6,1/4,2.0,2,61,ok,1869",
     ]
 
 

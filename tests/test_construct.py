@@ -525,7 +525,7 @@ def test_dense_columns_full_space():
     sh = Shape(2, (2, 2))
     res = dense_columns(Variety.full(sh), direction=1)
     assert res.slice_point == (0, 0)
-    assert res.base.codim == 0
+    assert res.lifted == ()
     assert res.min_fiber_density == 1
     assert res.bad_count == 0
 
@@ -536,7 +536,7 @@ def test_dense_columns_dot_variety():
     # every base point's fiber meets the certified floor, re-measured here
     mask = variety_bitmap(v)
     fibers = mask.sum(axis=res.direction)
-    base_mask = variety_bitmap(res.base)
+    base_mask = variety_bitmap(res.base_certificate.output)
     assert int(fibers[base_mask].min()) == res.min_fiber_count
     assert res.min_fiber_count >= res.fiber_floor_count
     assert res.clamped  # thresholds fall below one point at this scale
@@ -546,7 +546,7 @@ def test_dense_columns_direction_zero():
     v = dot_variety(2, 2)
     res = dense_columns(v, direction=0)
     assert res.direction == 0
-    assert res.base.shape.dims == (2,)
+    assert res.base_certificate.output.shape.dims == (2,)
 
 
 @pytest.mark.parametrize("dims, direction, message", [
@@ -1002,7 +1002,7 @@ def _int64_fiber_reference(v, res):
             if bad <= math.floor(c_prime * (2 * other / c)):
                 break
     assert vector_from_index(v.shape.p, v.shape.dims[0], t) == res.slice_point
-    return int(counts[variety_bitmap(res.base)].min()), bad
+    return int(counts[variety_bitmap(res.base_certificate.output)].min()), bad
 
 
 @pytest.mark.parametrize("p, dims", [(2, (8, 1)), (3, (5, 1))])
@@ -1224,10 +1224,11 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     # every slice at t = 0 zeroes the form, so each arity-6 sub-problem is
     # the full group, one base case shared by the seven directions
     assert counts == {"_solve": 2, "dense_columns": 7}
-    # 448 fiber-row entries, 448 bitmap points, 2,688 filling points, 67
-    # value-image codes and cells and one live scan step at the top level,
-    # which sums p terms into each of m * p**(m+1) = 4 cells for its one form
-    assert budget.work_points() == 448 + 448 + 2688 + 67 + 8
+    # 448 fiber-row entries, 2,688 filling points, 67 value-image codes and
+    # cells and one live scan step at the top level, which sums p terms into
+    # each of m * p**(m+1) = 4 cells for its one form; each base is the full
+    # group, whose fiber system is built before any row, so it costs nothing
+    assert budget.work_points() == 448 + 2688 + 67 + 8
     assert len(cert.ledger) == 8
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlvariety import budget, construct, fibers
+from mlvariety import budget, construct, fibers, forms, variety
 from mlvariety.construct import (
     _Fibers,
     _image_histogram,
@@ -213,7 +213,7 @@ def test_dense_columns_takes_a_nonzero_slice():
     c_prime, _ = _fiber_constants(2, c, 2)
     sparse = counts <= math.floor(c_prime * 2**9)
     assert res.bad_count == int(np.count_nonzero(mask[:, 1] & sparse))
-    assert res.min_fiber_count == counts[variety_bitmap(res.base)].min()
+    assert res.min_fiber_count == counts[variety_bitmap(res.base_certificate.output)].min()
 
 
 def test_the_empty_marker_reaches_no_fiber():
@@ -257,3 +257,64 @@ def test_finder_calls_no_fibers_function(monkeypatch, p, dims):
         if inspect.isfunction(value) and value.__module__ == fibers.__name__:
             monkeypatch.setattr(fibers, name, _raise)
     assert [find_subvariety(v) for v in inputs] == expected
+
+
+def _base_battery():
+    """Full-support, partial-support and cylinder-planted varieties at p in
+    {2, 3} and arity 2 to 4, two of each kind per (p, arity), and two whose
+    base in direction 2 is smaller than its slice: coordinate products
+    x_0 y_j on factors 0 and 1, whose own base in direction 1 is taken at a
+    nonzero slice (test_dense_columns_takes_a_nonzero_slice)."""
+    for p, dims in ((2, (1, 7, 1)), (3, (1, 6, 1))):
+        shape = Shape(p, dims)
+        yield Variety(shape, [MultilinearForm(shape, (0, 1), f.coeffs)
+                              for f in coordinate_products(Shape(p, dims[:2]), 1)])
+    rng = random.Random("finder-bases")
+    for p in (2, 3):
+        for k in (2, 3, 4):
+            for _ in range(2):
+                shape = Shape(p, small_dims(rng, k, 6 if p == 2 else k + 1))
+                yield random_variety(rng, shape, 2, full_support_only=True)
+                partial = [random_form(rng, shape, tuple(sorted(rng.sample(range(k), size))))
+                           for size in (1, k - 1)]
+                yield Variety(shape, partial)
+                yield Variety(shape, planted_cylinder(rng, shape, 2, 1))
+
+
+def _no_bitmap_or_grid(*args, **kwargs):
+    raise AssertionError("the finder built a bitmap or a value grid")
+
+
+def test_finder_builds_no_bitmap_and_no_value_grid(monkeypatch):
+    inputs = list(_base_battery())
+    expected = [find_subvariety(v) for v in inputs]
+    for name in ("variety_bitmap", "eval_grid"):
+        for module in (forms, variety, construct):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _no_bitmap_or_grid)
+    assert [find_subvariety(v) for v in inputs] == expected
+
+
+def test_dense_columns_reads_the_base_bitmap_from_its_fibers(monkeypatch):
+    """The base points the filling scan starts from are those of the base's
+    bitmap, its allowed set lies inside them, and the lifted forms cut out
+    that bitmap times the direction's factor."""
+    scans = []
+    original = construct._fill_scan
+
+    def recording(shape, bases, allowed, what):
+        scans.append((bases, allowed))
+        return original(shape, bases, allowed, what)
+
+    monkeypatch.setattr(construct, "_fill_scan", recording)
+    for v in _base_battery():
+        for direction in range(v.shape.k):
+            res = dense_columns(v, direction)
+            # the base's own recursion scans first
+            bases, allowed = scans[-1]
+            base = variety_bitmap(res.base_certificate.output)
+            assert np.array_equal(bases, np.argwhere(base))
+            assert not (allowed & ~base).any()
+            lifted = variety_bitmap(Variety(v.shape, res.lifted))
+            assert np.array_equal(lifted, np.broadcast_to(np.expand_dims(base, direction),
+                                                          lifted.shape))

@@ -38,7 +38,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "979bf8dd18f2e9844df1b0c7d6759da91db3b43df9fafe7562763eb05c040c60"
+GOLDEN_SHA256 = "62ecebc1959319d87775962f610a76fc438decb4d7409049cb99cc79fe9eb84e"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

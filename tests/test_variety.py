@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlvariety import budget, variety
 from mlvariety.errors import ConstructionError, PreconditionError
-from mlvariety.field import vector_index
+from mlvariety.field import shift_permutation, vector_index
 from mlvariety.fibers import density
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape
 from mlvariety.generators import random_form, random_point_subset, random_support, random_variety
@@ -36,6 +36,7 @@ from helpers import (
     brute_eval,
     brute_first_witness,
     constant_shift_tables,
+    contracting_slice,
     enumerate_points,
     replace_shift_tables,
     skip_first_row_pass,
@@ -393,6 +394,22 @@ def test_a_slice_does_not_depend_on_the_order_of_its_factors():
     assert slice_variety(v, (0, 1), ((1,), (0,))).is_empty
 
 
+def test_the_contracting_reference_slice_pairs_each_factor_with_its_vector():
+    # probe H in both orders, then every order of two fixed factors of the
+    # order battery, against slice_variety
+    sh = Shape(2, (1, 1, 1))
+    v = Variety(sh, (MultilinearForm(sh, (0,), [1]),))
+    for factors, coords in (((1, 0), ((0,), (1,))), ((0, 1), ((1,), (0,)))):
+        assert contracting_slice(v, factors, coords) == slice_variety(v, factors, coords)
+    rng = random.Random("reference-slice-order")
+    for v in _order_battery(rng):
+        for factors in itertools.permutations(range(v.shape.k), 2):
+            coords = [tuple(rng.randrange(v.shape.p) for _ in range(v.shape.dims[j]))
+                      for j in factors]
+            assert np.array_equal(variety_bitmap(contracting_slice(v, factors, coords)),
+                                  variety_bitmap(slice_variety(v, factors, coords)))
+
+
 @pytest.mark.parametrize("coords", [((1,), (1,)), ((1,), (0,))])
 def test_slice_variety_refuses_a_factor_given_twice(coords):
     sh = Shape(2, (1, 1, 1))
@@ -521,6 +538,26 @@ def test_directional_conv_reads_and_charges_one_line():
     budget.reset_work()
     assert directional_convolution(s, 0, point) == want
     assert budget.work_points() == 16
+
+
+@pytest.mark.parametrize("p, dims", [(2, (3, 4)), (3, (2, 3))])
+def test_directional_convolution_keeps_no_translation_table(p, dims):
+    # every point in both directions, against the count of y with both
+    # points inside, leaves the translation memo empty
+    sh = Shape(p, dims)
+    rng = random.Random(f"conv/{p}")
+    mask = np.array([rng.randrange(2) for _ in range(sh.total_points)], dtype=bool)
+    s = PointSet(sh, mask.reshape(sh.group_sizes))
+    shift_permutation.cache_clear()
+    for point in enumerate_points(sh):
+        for i, n in enumerate(dims):
+            both = 0
+            for y in itertools.product(range(p), repeat=n):
+                moved = tuple((a + b) % p for a, b in zip(y, point[i]))
+                both += (s.contains(point[:i] + (y,) + point[i + 1:])
+                         and s.contains(point[:i] + (moved,) + point[i + 1:]))
+            assert directional_convolution(s, i, point) == Fraction(both, p**n)
+    assert shift_permutation.cache_info().currsize == 0
 
 
 def test_witness_full_space_zero_offsets():
