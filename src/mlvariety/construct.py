@@ -348,7 +348,9 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     a subspace of density above c', so its density is at least c' ** 2**k.
     The witnesses come from the search conv_fill_check runs (_fill_scan),
     at every base point; the first one without a witness is named in the
-    error.
+    error.  A base point's zero-offset corners lie in the base variety, so
+    only a bad corner sends a base point past the pre-check to the row
+    pass.
     All of this is verified exhaustively before returning.
 
     Nothing here is |G|-sized.  The input is read from its fibers in the

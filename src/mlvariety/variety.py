@@ -270,7 +270,8 @@ def iterated_conv_witness(allowed: PointSet, point) -> Parallelepiped | None:
     outermost) is returned; equivalently, the offset tuple minimizing the
     reversed lexicographic order over the surviving offset mask.  This is
     the search conv_fill_check and dense_columns run (_fill_scan) at a
-    single base, charged k points.
+    single base, charged k points: the zero-offset pre-check, then the row
+    pass until a row of offsets holds a witness.
     """
     shape = allowed.shape
     idx = _point_index(shape, point)
@@ -323,22 +324,51 @@ def _zero_offset_hits(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> n
     )
 
 
-def _first_row_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """_fill_scan's offsets at the rows of `bases` whose first witness has
-    last offset 0, -1 throughout at the other rows.
+def _row_steps(shape: Shape, part: np.ndarray, row_cells: int) -> list[np.ndarray]:
+    """The row pass's gather steps for the bases of `part`, whose rows of
+    row_cells cells lie one after another: for each direction i < k-1, a
+    (len(part), ...) int64 array which, added to the flat index of each
+    cell within a row, gives the flat cell that the base's translation in
+    direction i brings to that cell."""
+    steps = []
+    for i in range(shape.k - 1):
+        # direction i is axis k-1-i of the rows, and the directions below
+        # it are the axes after it, so moving its rank from t to entry t of
+        # the shift table moves a flat cell by the difference times their
+        # size
+        n = shape.group_sizes[i]
+        step = shift_rows(shape.p, shape.dims[i], part[:, i])
+        step -= np.arange(n)
+        step *= math.prod(shape.group_sizes[:i])
+        step += np.arange(0, len(part) * row_cells, row_cells)[:, None]
+        grown = [len(part)] + [1] * (shape.k - 1)
+        grown[shape.k - 1 - i] = n
+        steps.append(step.reshape(grown))
+    return steps
 
-    In the axis-reversed layout of _scan_offsets those witnesses fill the
-    first row (last offset 0), which comes before every other row in C
-    order, and the last direction's round ANDs that row with row 0 + x_last
-    only.  The rounds for directions 0..k-2 act within a row, and each ANDs
-    a set with a translate of itself, so they commute with that AND: each
-    base needs one row, the AND of those two rows of `allowed`, reduced by
-    its own shifts in one flat gather per direction for a whole chunk of
-    bases.  The translations of a chunk come from one field.shift_rows call
-    per direction: cell 0 of each base's table in the last direction, whole
-    rows in the others.  A chunk is |G_k| bases, so besides one
-    axis-reversed copy of `allowed` it holds |G| row cells and as many int64
-    gather indices.
+
+def _row_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """_fill_scan's offsets at the rows of `bases`, -1 throughout where
+    there is no witness, found one row of offsets at a time.
+
+    The search runs on one copy of `allowed` with its axes reversed, where
+    the tie-break order is C order: row r (last offset r) comes before every
+    later row, and a base's first witness in a row is one argmax over it.
+    The last direction's round ANDs row r with row r + x_last only.  The
+    rounds for directions 0..k-2 act within a row, and each ANDs a set with
+    a translate of itself, so they commute with that AND: a base's row-r
+    witnesses are the AND of those two rows of `allowed`, reduced by its
+    own shifts in one flat gather per direction (_row_steps).  A base moves
+    on to row r + 1 only while it has no witness, so a base without one
+    reads every row, |G| cells in all.
+
+    Bases go through in chunks of |G_k|.  The gather steps of a chunk's
+    remaining bases are built once, and again only after a row settles one
+    of them, from one field.shift_rows call per direction (whole rows of
+    the tables); each row adds one call for the last direction, cell r of
+    each base's table.  Besides one axis-reversed copy of `allowed`, a
+    chunk holds at most |G| row cells, as many int64 gather indices, and
+    |G_i| int64 steps per base in each direction i < k-1.
     """
     rev = np.ascontiguousarray(allowed.T)
     chunk = rev.shape[0]
@@ -346,67 +376,23 @@ def _first_row_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> 
     offsets = np.full(bases.shape, -1, dtype=np.int64)
     within = np.arange(row_cells).reshape(rev.shape[1:])
     for start in range(0, len(bases), chunk):
-        part = bases[start:start + chunk]
-        rows = rev[0] & rev[shift_rows(shape.p, shape.dims[-1], part[:, -1], 0)]
-        for i in range(shape.k - 1):
-            # direction i is axis k-1-i of rev and of `rows`, and the
-            # directions below it are the axes after it, so moving its rank
-            # from r to entry r of the shift table moves a flat cell by the
-            # difference times their size
-            n = shape.group_sizes[i]
-            step = shift_rows(shape.p, shape.dims[i], part[:, i])
-            step -= np.arange(n)
-            step *= math.prod(shape.group_sizes[:i])
-            step += np.arange(0, rows.size, row_cells)[:, None]
-            grown = [len(part)] + [1] * (shape.k - 1)
-            grown[shape.k - 1 - i] = n
-            rows &= rows.reshape(-1)[step.reshape(grown) + within]
-        out = rows.reshape(len(part), -1)
-        first = out.argmax(axis=1)
-        found = out[np.arange(len(part)), first]
-        offsets[start:start + chunk][found] = _ranks(first[found], rev.shape)[:, ::-1]
-    return offsets
-
-
-def _scan_offsets(shape: Shape, bases: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """_fill_scan's offsets by a full search over the offset tuples,
-    quadratic in |allowed|.
-
-    The search runs on one copy of `allowed` with its axes reversed, where
-    the tie-break order is C order, so the first witness is one argmax over
-    the flattened offset mask, and a shift in the last direction (axis 0)
-    gathers whole rows.  After the round for a direction, the surviving
-    offsets have both the plain and the shifted corner in the set for every
-    combination of the directions processed so far.  Rows sharing their
-    first k-1 ranks are adjacent, so the rounds for directions 0..k-2 run
-    once per prefix and only the last direction's round runs once per base.
-    The translations come from field.shift_rows: one row per prefix, and
-    the last direction's rows for up to |G|/|G_k| bases per call, so a call
-    holds at most |G| int64 cells.
-    """
-    k = shape.k
-    rev = allowed.T.copy()
-    flat = np.full(len(bases), -1, dtype=np.int64)
-    new_prefix = np.ones(len(bases), dtype=bool)
-    new_prefix[1:] = (bases[1:, :-1] != bases[:-1, :-1]).any(axis=1)
-    cuts = new_prefix.copy()
-    cuts[::shape.total_points // shape.group_sizes[-1]] = True
-    starts = np.flatnonzero(cuts).tolist()
-    for start, end in zip(starts, [*starts[1:], len(bases)]):
-        if new_prefix[start]:
-            shared = rev
-            for i, t in enumerate(bases[start, :-1].tolist()):
-                perm = shift_rows(shape.p, shape.dims[i], t)
-                shared = shared & np.take(shared, perm, axis=k - 1 - i)
-        perms = shift_rows(shape.p, shape.dims[-1], bases[start:end, -1])
-        for row, perm in enumerate(perms, start):
-            out = (shared & shared[perm]).reshape(-1)
-            first = int(out.argmax())
-            if out[first]:
-                flat[row] = first
-    found = flat >= 0
-    offsets = np.full(bases.shape, -1, dtype=np.int64)
-    offsets[found] = _ranks(flat[found], rev.shape)[:, ::-1]
+        live = np.arange(start, min(start + chunk, len(bases)))
+        part = bases[live]
+        steps = _row_steps(shape, part, row_cells)
+        for r in range(chunk):
+            rows = rev[r] & rev[shift_rows(shape.p, shape.dims[-1], part[:, -1], r)]
+            for step in steps:
+                rows &= rows.reshape(-1).take(step + within)
+            out = rows.reshape(len(part), -1)
+            first = out.argmax(axis=1)
+            found = out[np.arange(len(part)), first]
+            if found.any():
+                offsets[live[found]] = _ranks(first[found] + r * row_cells, rev.shape)[:, ::-1]
+                live = live[~found]
+                if not len(live):
+                    break
+                part = bases[live]
+                steps = _row_steps(shape, part, row_cells)
     return offsets
 
 
@@ -418,26 +404,24 @@ def _fill_scan(shape: Shape, bases: np.ndarray, allowed: np.ndarray, what: str):
     fewer.
 
     "First" is reversed lexicographic order, last direction compared first,
-    and three tiers find it, each taking only the rows the one before left:
+    and two tiers find it:
     - the zero-offset pre-check (_zero_offset_hits, 2**k flat gathers for
       all rows at once): the all-zero offset tuple is the minimum of the
       order;
-    - the first-row pass (_first_row_offsets): offsets with last offset 0
-      come before all others, and finding them reads one row of |G|/|G_k|
-      cells per base, in chunks of |G| cells;
-    - the quadratic scan (_scan_offsets), over all |G| offsets per base.
+    - the row pass (_row_offsets) on the bases it rejects, which reads one
+      row of |G|/|G_k| offsets per base at a time, last offset 0 first, and
+      stops at a base's first row holding a witness.
     On 40 seeded 2-form varieties at (2,(7,7)) with conv-check's default
-    bad set, the pre-check settled 95.8% of the points, the first-row pass
-    all the others, and the scan none.
+    bad set, the pre-check settled 95.8% of the points and row 0 all the
+    others.  At arity 1 row 0 holds only the zero offset, so every base the
+    pre-check rejects reads later rows.  A base without a witness reads all
+    |G| offsets.
     """
     budget.charge(len(bases) * shape.k, what)
     offsets = np.zeros(bases.shape, dtype=np.int64)
     rest = np.flatnonzero(~_zero_offset_hits(shape, bases, allowed))
     if len(rest):
-        offsets[rest] = _first_row_offsets(shape, bases[rest], allowed)
-        rest = rest[offsets[rest, 0] < 0]
-    if len(rest):
-        offsets[rest] = _scan_offsets(shape, bases[rest], allowed)
+        offsets[rest] = _row_offsets(shape, bases[rest], allowed)
     return offsets
 
 
@@ -477,12 +461,17 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
     its bitmap (variety_bitmap(v)) and representation codimension (v.codim)
     as the caller already holds them.
 
-    Preconditions (rejected with a diagnostic when violated): the bad set
-    lies inside the variety and within bad_set_cap of the codimension.  The
-    witnesses at all points come from one search, which dense_columns shares
-    (_fill_scan), at the ranks of one flat index pass over the bitmap.  Every
-    witness's corners are re-checked against the bad set before it counts,
-    in one vectorized pass over all witnessed bases.  A zero offset in
+    Preconditions (rejected with a diagnostic when violated): the bitmap
+    is a bool array of the shape's group sizes, the codimension a
+    non-negative int, and the bad set lies inside the variety and within
+    bad_set_cap of the codimension.  The witnesses at all points come from
+    one search, which dense_columns shares (_fill_scan), at the ranks of one
+    flat index pass over the bitmap.  Every point's zero-offset corners lie
+    in the variety, since a form vanishes where a factor of its support is
+    zero and takes its value at the point elsewhere, so the pre-check
+    rejects only points with a bad corner, and the row pass takes those.
+    Every witness's corners are re-checked against the bad set before it
+    counts, in one vectorized pass over all witnessed bases.  A zero offset in
     direction i leaves the base's rank there, so only the rows with a
     nonzero offset in direction i are decoded, with one take each for base
     and offset ranks on the transposed vector table (field.all_vectors),
@@ -493,6 +482,14 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
     not the input's: ConstructionError.
     """
     shape = v.shape
+    if not (
+        isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape.group_sizes
+    ):
+        raise PreconditionError(
+            f"the variety's bitmap must be a bool array of shape {shape.group_sizes}"
+        )
+    if not isinstance(codim, int) or codim < 0:
+        raise PreconditionError(f"codimension must be a non-negative int, not {codim!r}")
     if bad.shape != shape:
         raise PreconditionError("bad set must live on the variety's shape")
     if bool(np.any(bad.mask & ~mask)):

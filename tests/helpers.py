@@ -8,22 +8,23 @@ ledger monomials written out as rationals, the external-approximation
 greedy on a value-vector histogram counted point by point, subspace
 membership, points and annihilators for the tests that plant subspaces,
 forms planted on a cylinder, and the partition-rank generators built one
-product form at a time.  Four more count by another formula on the
+product form at a time.  Five more count by another formula on the
 library's own kernels: the bias from value grids per coefficient slice,
 zero fibers from the value grid over the support, point counts from the
 biases of the forms' combinations (the dual count), and the finder's
-value histogram by closing a B x p**m image mask under translations.
-Tests compare library results against these, and read a variety's points
-off its bitmap.  One helper runs the partition-rank search with both of
-its bounds moved out of the way, one counts the library's own value-grid
+value histogram by closing a B x p**m image mask under translations,
+and the witness search's offsets by a full quadratic scan.  Tests compare
+library results against these, and read a variety's points off its
+bitmap.  One helper runs the partition-rank search with both of its
+bounds moved out of the way, one counts the library's own value-grid
 evaluations and one its bitmap passes, for the grid-cache tests, one
 makes every lookup in the finder's sub-problem memo miss, for the memo
-oracle, one switches off the witness search's zero-offset pre-check and
-one its first-row pass, two replace its translation tables, and one
-starves the finder's external approximation of functionals, for the
-failure paths.  A reference slice contracts every form, the zero-coordinate
-ones included, and one helper puts it in the finder's place, for the
-zero-slice oracle.
+oracle, one switches off the witness search's zero-offset pre-check, one
+counts the bases its row pass reads at each row, two replace its
+translation tables, and one starves the finder's external approximation
+of functionals, for the failure paths.  A reference slice contracts every
+form, the zero-coordinate ones included, and one helper puts it in the
+finder's place, for the zero-slice oracle.
 """
 
 from __future__ import annotations
@@ -310,6 +311,36 @@ def brute_first_witness(shape, allowed, base):
     return min(found, key=lambda offsets: offsets[::-1], default=None)
 
 
+def scan_offsets(shape, bases, allowed):
+    """The witness search's offsets (variety._fill_scan) by a full search
+    over the offset tuples, quadratic in |allowed|, for the no-witness
+    floods where a brute-force search is too slow.
+
+    It runs on one copy of `allowed` with its axes reversed, where the
+    tie-break order is C order, so the first witness is one argmax over the
+    flattened offset mask.  After the round for a direction, the surviving
+    offsets have both the plain and the shifted corner in the set for every
+    combination of the directions processed so far.  The rounds for
+    directions 0..k-2 are shared by the bases of one prefix; only the last
+    direction's round runs once per base.
+    """
+    k = shape.k
+    rev = allowed.T.copy()
+    offsets = np.full(bases.shape, -1, dtype=np.int64)
+    shared, prefix = None, None
+    for row, base in enumerate(bases.tolist()):
+        if base[:-1] != prefix:
+            prefix, shared = base[:-1], rev
+            for i, t in enumerate(prefix):
+                perm = shift_rows(shape.p, shape.dims[i], t)
+                shared = shared & np.take(shared, perm, axis=k - 1 - i)
+        out = (shared & shared[shift_rows(shape.p, shape.dims[-1], base[-1])]).reshape(-1)
+        first = int(out.argmax())
+        if out[first]:
+            offsets[row] = np.unravel_index(first, rev.shape)[::-1]
+    return offsets
+
+
 def small_dims(rng, k: int, total: int) -> tuple[int, ...]:
     """k dimensions, each at least 1, summing to at most total."""
     dims = []
@@ -422,20 +453,28 @@ def miss_every_memo_lookup(monkeypatch):
 
 def skip_zero_offset_precheck(monkeypatch):
     """Make the witness search's zero-offset pre-check accept no base, so
-    every base goes to the full scan."""
+    every base goes to the row pass."""
     monkeypatch.setattr(
         variety, "_zero_offset_hits",
         lambda shape, bases, allowed: np.zeros(len(bases), dtype=bool),
     )
 
 
-def skip_first_row_pass(monkeypatch):
-    """Make the witness search's first-row pass settle no base, so every
-    base the zero-offset pre-check rejects goes to the full scan."""
-    monkeypatch.setattr(
-        variety, "_first_row_offsets",
-        lambda shape, bases, allowed: np.full(bases.shape, -1, dtype=np.int64),
-    )
+def count_row_pass_bases(monkeypatch):
+    """Counter from each row r of the witness search's row pass to the
+    bases that read it, over all chunks: a row's last-direction translation
+    (cell r of each base's table) is the one shift_rows call in the
+    variety module that names a cell."""
+    read = collections.Counter()
+    original = variety.shift_rows
+
+    def recording(p, n, shifts, cells=None):
+        if cells is not None:
+            read[int(cells)] += np.size(shifts)
+        return original(p, n, shifts, cells)
+
+    monkeypatch.setattr(variety, "shift_rows", recording)
+    return read
 
 
 def replace_shift_tables(monkeypatch, table):
@@ -453,10 +492,10 @@ def replace_shift_tables(monkeypatch, table):
 def constant_shift_tables(monkeypatch, rank):
     """Make every translation the witness search uses land on the vector of
     the given rank, so a set missing that rank leaves no witness anywhere.
-    The first-row pass and the full scan both take their translations from
-    these tables, the last direction's 0 + x_last included.  The zero-offset
-    pre-check uses no translation table and would still find real
-    witnesses, so it is made to accept no base."""
+    The row pass takes all its translations from these tables, the last
+    direction's r + x_last included.  The zero-offset pre-check uses no
+    translation table and would still find real witnesses, so it is made
+    to accept no base."""
     skip_zero_offset_precheck(monkeypatch)
     replace_shift_tables(monkeypatch, lambda p, n: np.full(p**n, rank, dtype=np.int64))
 

@@ -51,10 +51,11 @@ from helpers import (
     coordinate_products,
     count_bitmap_passes,
     count_grid_evaluations,
+    count_row_pass_bases,
     monomial_value,
     planted_cylinder,
     replace_shift_tables,
-    skip_first_row_pass,
+    scan_offsets,
 )
 
 DOT_FORM = {"p": 2, "k": 2, "dims": [2, 2], "support": [1, 2], "coeffs": [1, 0, 0, 1]}
@@ -658,29 +659,40 @@ def test_conv_check_refuses_an_over_cap_count_before_drawing_it(tmp_path, capsys
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_conv_check_at_the_benchmark_shape_needs_no_full_scan(tmp_path, monkeypatch, capsys, seed):
     # 2 full-support forms at (2,(7,7)) with the default 64-point bad set:
-    # the first-row pass settles every base the zero-offset pre-check
+    # row 0 of the row pass settles every base the zero-offset pre-check
     # rejects, and the report is the one the full scan gives
     v = random_variety(random.Random(seed), Shape(2, (7, 7)), 2, full_support_only=True)
     path = tmp_path / "variety.json"
     path.write_text(json.dumps(variety_to_obj(v)))
     argv = ["conv-check", "--input", str(path), "--seed", str(seed), "--format", "json"]
-    passed, scanned = [], []
-
-    def recording(original, seen):
-        def tier(shape, bases, allowed):
-            seen.append(len(bases))
-            return original(shape, bases, allowed)
-        return tier
-
     with monkeypatch.context() as m:
-        m.setattr(variety, "_first_row_offsets", recording(variety._first_row_offsets, passed))
-        m.setattr(variety, "_scan_offsets", recording(variety._scan_offsets, scanned))
+        read = count_row_pass_bases(m)
         assert main(argv) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["bad_size"] == 64 and sum(passed) > 0 and scanned == []
-    skip_first_row_pass(monkeypatch)
+    assert report["bad_size"] == 64 and list(read) == [0] and read[0] > 0
+    monkeypatch.setattr(variety, "_row_offsets", scan_offsets)
     assert main(argv) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == report
+
+
+def test_conv_check_on_a_line_reads_few_rows(tmp_path, monkeypatch, capsys):
+    # one form at (2,(16,)) with the default 8,192-point bad set: at arity 1
+    # the pre-check tests only the zero offset, so every base it rejects
+    # goes to the row pass, and each stops at its first row with a witness,
+    # a few dozen rows in at most out of 65,536
+    v = random_variety(random.Random(0), Shape(2, (16,)), 1)
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    read = count_row_pass_bases(monkeypatch)
+    assert main(["conv-check", "--input", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "codim: 1\n"
+        "bad_size: 8192 (cap 8192)\n"
+        "points_checked: 32768\n"
+        "corners_checked: 65536\n"
+        "success: True\n"
+    )
+    assert read[0] > 0 and max(read) < 64
 
 
 def test_conv_check_corner_escape_is_a_construction_failure(tmp_path, monkeypatch, capsys):

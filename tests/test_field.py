@@ -167,7 +167,7 @@ def test_shift_rows_refuse_over_budget():
 
 @pytest.mark.parametrize("p, n", [(2, 9), (3, 6)])
 def test_shift_rows_hold_about_their_result(p, n):
-    # every shift's whole row, as the first-row pass asks for a chunk
+    # every shift's whole row, as the row pass asks for a chunk
     shifts = np.arange(p**n)
     all_vectors(p, n)
     tracemalloc.start()

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -12,7 +13,13 @@ from mlvariety.errors import ConstructionError, PreconditionError
 from mlvariety.field import shift_permutation, vector_index
 from mlvariety.fibers import density
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape
-from mlvariety.generators import random_form, random_point_subset, random_support, random_variety
+from mlvariety.generators import (
+    planted_product_variety,
+    random_form,
+    random_point_subset,
+    random_support,
+    random_variety,
+)
 from mlvariety.variety import (
     Parallelepiped,
     PointSet,
@@ -37,9 +44,11 @@ from helpers import (
     brute_first_witness,
     constant_shift_tables,
     contracting_slice,
+    count_row_pass_bases,
     enumerate_points,
+    planted_cylinder,
     replace_shift_tables,
-    skip_first_row_pass,
+    scan_offsets,
     skip_zero_offset_precheck,
     small_dims,
 )
@@ -592,6 +601,27 @@ def test_witness_requires_bad_inside():
         conv_fill_check(w, other_shape, variety_bitmap(w), w.codim)
 
 
+@pytest.mark.parametrize("mask_of", [
+    pytest.param(lambda mask: mask[:1], id="a-slice-of-the-bitmap"),
+    pytest.param(lambda mask: mask.astype(np.uint8), id="a-uint8-bitmap"),
+])
+def test_conv_fill_refuses_a_bitmap_it_cannot_check_every_point_of(mask_of):
+    # a (1, 8) slice broadcasts against the bad set, and the check would
+    # report success on the points of its one row
+    sh = Shape(2, (3, 3))
+    w = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(3, dtype=int)),))
+    with pytest.raises(PreconditionError, match=r"bool array of shape \(8, 8\)"):
+        conv_fill_check(w, PointSet.empty(sh), mask_of(variety_bitmap(w)), w.codim)
+
+
+@pytest.mark.parametrize("codim", [-1, 1.0, "1"])
+def test_conv_fill_refuses_a_codimension_that_is_not_a_non_negative_int(codim):
+    sh = Shape(2, (3, 3))
+    w = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(3, dtype=int)),))
+    with pytest.raises(PreconditionError, match="codimension must be a non-negative int"):
+        conv_fill_check(w, PointSet.empty(sh), variety_bitmap(w), codim)
+
+
 def test_witness_every_point_dot_variety():
     sh = Shape(2, (3, 3))
     w = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(3, dtype=int)),))
@@ -814,8 +844,9 @@ def test_zero_offset_precheck_is_only_a_shortcut(monkeypatch, p, dims):
     (2, (1, 2, 1)), (3, (1, 1, 1)), (2, (1, 1, 1, 1)),
 ])
 def test_first_row_pass_is_only_a_shortcut(monkeypatch, p, dims):
-    # the pass finds exactly the first witnesses whose last offset is 0, and
-    # switching it off changes no row
+    # row 0 of the row pass settles exactly the bases whose first witness
+    # has last offset 0, and a base reads row r only while the rows before
+    # it hold no witness there
     sh = Shape(p, dims)
     rng = random.Random(f"first row {p}{dims}")
     zero = tuple((0,) * n for n in dims)
@@ -829,29 +860,28 @@ def test_first_row_pass_is_only_a_shortcut(monkeypatch, p, dims):
             _point_from_index(sh, idx) for idx in np.argwhere(allowed).tolist()
         }
         bases = np.argwhere(points).astype(np.int64)
-        first_row = variety._first_row_offsets(sh, bases, allowed)
-        with_pass = _fill_scan(sh, bases, allowed, "test scan")
         with monkeypatch.context() as m:
-            skip_first_row_pass(m)
-            without = _fill_scan(sh, bases, allowed, "test scan")
-        assert with_pass.dtype == without.dtype == np.int64
-        assert np.array_equal(with_pass, without)
-        for idx, row, offs in zip(bases.tolist(), first_row.tolist(), with_pass.tolist()):
+            read = count_row_pass_bases(m)
+            offsets = _fill_scan(sh, bases, allowed, "test scan")
+        assert offsets.dtype == np.int64
+        # the last row each base of the row pass reads
+        last_rows = []
+        for idx, offs in zip(bases.tolist(), offsets.tolist()):
             brute = brute_first_witness(sh, allowed_points, _point_from_index(sh, idx))
-            if brute is not None and not any(brute[-1]):
-                assert _point_from_index(sh, row) == brute
-            else:
-                assert row == [-1] * sh.k
             if brute is None:
                 assert offs == [-1] * sh.k
+                last_rows.append(sh.group_sizes[-1] - 1)
             else:
                 assert _point_from_index(sh, offs) == brute
+                if brute != zero:
+                    last_rows.append(offs[-1])
             kinds.add(
                 "no witness" if brute is None else "zero offset" if brute == zero
-                else "first row" if not any(brute[-1]) else "full scan"
+                else "first row" if not offs[-1] else "later row"
             )
+        assert read == collections.Counter(r for last in last_rows for r in range(last + 1))
     # at arity 1 the only offset with last offset 0 is the zero offset
-    assert kinds == {"zero offset", "first row", "full scan", "no witness"} - (
+    assert kinds == {"zero offset", "first row", "later row", "no witness"} - (
         {"first row"} if sh.k == 1 else set()
     )
 
@@ -859,29 +889,55 @@ def test_first_row_pass_is_only_a_shortcut(monkeypatch, p, dims):
 @pytest.mark.parametrize("p, dims", [(2, (6, 6)), (3, (3, 3)), (2, (2, 2, 2, 2))])
 def test_no_witness_flood_matches_the_full_scan(p, dims):
     # sets with at most a tenth of the points allowed: almost no base has a
-    # witness, so most bases pass through every tier
+    # witness, so most bases read every row of the row pass
     sh = Shape(p, dims)
     rng = np.random.default_rng(sh.total_points)
     for share in (0.01, 0.05, 0.1):
         allowed = rng.random(sh.group_sizes) < share
         bases = np.argwhere(rng.random(sh.group_sizes) < 0.5)
         offsets = _fill_scan(sh, bases, allowed, "test scan")
-        assert np.array_equal(offsets, variety._scan_offsets(sh, bases, allowed))
+        assert np.array_equal(offsets, scan_offsets(sh, bases, allowed))
         assert np.count_nonzero(offsets[:, 0] < 0) > len(bases) // 2
 
 
 @pytest.mark.parametrize("p, dims", [(2, (3, 3)), (3, (2, 1, 1)), (5, (1, 1))])
 def test_full_variety_takes_the_zero_offset_without_a_scan(monkeypatch, p, dims):
+    # the pre-check settles every base, so the row pass never runs
     sh = Shape(p, dims)
-    scanned = []
-    monkeypatch.setattr(variety, "_scan_offsets", lambda *args: scanned.append(args))
+    passes = []
+    monkeypatch.setattr(variety, "_row_offsets", lambda *args: passes.append(args))
     mask = np.ones(sh.group_sizes, dtype=bool)
     offsets = _fill_scan(sh, np.argwhere(mask), mask, "test scan")
     assert len(offsets) == sh.total_points and not offsets.any()
     report = conv_fill_check(Variety.full(sh), PointSet.empty(sh), mask, 0)
     assert report.success and report.checked == sh.total_points
     assert report.corners_checked == sh.total_points * 2**sh.k
-    assert scanned == []
+    assert passes == []
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_zero_offset_corners_of_a_variety_point_stay_in_the_variety(seed):
+    # a zero-offset corner sets some coordinates of the point to zero: a
+    # form whose support holds a zeroed factor vanishes there, and any other
+    # form takes its value at the point, so the pre-check accepts every
+    # point of V when nothing is bad
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5))
+    k = rng.randint(1, 4)
+    sh = Shape(p, small_dims(rng, k, {2: 8, 3: 6, 5: 4}[p]))
+    kind = rng.choice(("random", "partial support", "planted"))
+    if kind == "random":
+        v = random_variety(rng, sh, rng.randint(1, 3), full_support_only=True)
+    elif kind == "partial support":
+        supports = [random_support(rng, k) for _ in range(rng.randint(1, 3))]
+        v = Variety(sh, [random_form(rng, sh, support) for support in supports])
+    elif k >= 2 and rng.randrange(2):
+        v = Variety(sh, planted_cylinder(rng, sh, rng.randint(1, 2), 1))
+    else:
+        v = planted_product_variety(rng, sh, [rng.randint(0, n) for n in sh.dims])[0]
+    mask = variety_bitmap(v)
+    assert variety._zero_offset_hits(sh, np.argwhere(mask), mask).all()
 
 
 @given(st.integers(0, 2**32 - 1))
