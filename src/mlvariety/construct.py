@@ -25,7 +25,7 @@ from .errors import (
     EmptyVarietyError,
     PreconditionError,
 )
-from .field import all_vectors, batched_echelon, vector_from_index
+from .field import Echelon, all_vectors, batched_echelon, vector_from_index
 from .forms import (
     MultilinearForm,
     MultilinearMap,
@@ -55,13 +55,12 @@ from .variety import (
 @dataclass(frozen=True)
 class _System:
     """The common zero set of some forms over the points x of a _Fibers:
-    alive where their constants vanish, the batched echelon basis of their
-    rows, its rank at each x, and the point count, the sum over alive x of
-    p**(n_j - rank)."""
+    alive where their constants vanish, the echelon record of their rows
+    (field.batched_echelon), which holds the rank at each x, and the point
+    count, the sum over alive x of p**(n_j - rank)."""
 
     alive: np.ndarray
-    basis: list
-    rank: np.ndarray
+    basis: Echelon
     count: int
 
 
@@ -72,14 +71,15 @@ class _Fibers:
     the forms whose support holds j, restricted to x, or nothing where a
     form without j (a constant at x) is nonzero; it holds p**(n_j - rank)
     points (Lovett 2019, "The analytic rank of tensors and its
-    applications").  Each distinct form's values (forms.fiber_values) are
-    built once, and so is each _System, keyed by the set of its nonzero
-    forms' keys, so the same forms in any order share one: a system of
-    several lists of forms extends the system of the lists before the
-    last, and a form already in it adds nothing, so a candidate with its
-    target's forms costs no elimination.  Only the row order of a basis
-    depends on which list built it first; the alive points, the ranks, the
-    kernels and the pivot columns' span do not.  j is None only for the
+    applications").  Each distinct form's values (forms.fiber_values), its
+    (n_j, B) row or its (B,) constants, are built once, and so is each
+    _System, keyed by the set of its nonzero forms' keys, so the same
+    forms in any order share one: a system of several lists of forms
+    extends the system of the lists before the last, and a form already
+    in it adds nothing, so a candidate with its target's forms costs no
+    elimination.  Only the row order of a basis depends on which list
+    built it first; the alive points, the ranks, the kernels and the pivot
+    columns' span do not.  j is None only for the
     empty support, whose forms are all zero.
     """
 
@@ -90,7 +90,8 @@ class _Fibers:
         budget.ensure(self.b, "fiber rows")
         self._values: dict = {}
         self._systems = {frozenset(): _System(
-            np.ones(self.b, dtype=bool), [], np.zeros(self.b, dtype=np.int64),
+            np.ones(self.b, dtype=bool),
+            batched_echelon(np.zeros((0, self.n, self.b), dtype=np.uint8), self.p),
             self.b * self.p**self.n,
         )}
 
@@ -119,12 +120,9 @@ class _Fibers:
             else:
                 alive &= values == 0
         basis = batched_echelon(rows, self.p, system.basis)
-        rank = system.rank.copy()
-        for _, row in basis[len(system.basis):]:
-            rank += row.any(axis=1)
-        per_rank = np.bincount(rank[alive], minlength=1).tolist()
+        per_rank = np.bincount(basis.rank[alive], minlength=1).tolist()
         count = sum(m * self.p ** (self.n - r) for r, m in enumerate(per_rank) if m)
-        return _System(alive, basis, rank, count)
+        return _System(alive, basis, count)
 
     def count(self, *lists) -> int:
         return self.system(*lists).count
@@ -160,38 +158,36 @@ def _image_histogram(fib: _Fibers, components) -> np.ndarray:
     sum over x of p**(n - rank M(x)) [code in image M(x)], where the value
     at (x, y) is M(x) y, component 0 its most significant digit.
 
-    The points x are taken one rank r at a time.  At full rank m the image
-    is all of F_p^m.  Below it, the columns of M(x) at the pivots of its r
-    nonzero echelon pairs are a basis of it, so its p**r codes are M(x) y
-    for the y spread over those pivots; one bincount adds p**(n - r) to
-    each.  Charged before any code is built: the codes below full rank and
-    p**m cells per rank.
+    The points x are taken one rank r at a time, read from the echelon
+    record of the components' system.  At full rank m the image is all of
+    F_p^m.  Below it, the columns of M(x) at the pivots of its r nonzero
+    echelon pairs, the record's pivots where it is nonzero, are a basis of
+    it, so its p**r codes are M(x) y for the y spread over those pivots; one
+    bincount adds p**(n - r) to each.  Charged before any code is built:
+    the codes below full rank and p**m cells per rank.
     """
     p, m, b, n = fib.p, len(components), fib.b, fib.n
     # none without j, where every component is zero
     values = fib.values(components) if fib.j is not None else []
-    system = fib.system(components)
-    groups = [(r, count) for r, count in enumerate(np.bincount(system.rank).tolist()) if count]
+    basis = fib.system(components).basis
+    groups = [(r, count) for r, count in enumerate(np.bincount(basis.rank).tolist()) if count]
     budget.charge(sum(count * p**r for r, count in groups if r < m) + p**m * len(groups),
                   "value images")
-    # (B, pairs) pivots and where each pair is nonzero
-    pivots = np.array([pivot for pivot, _ in system.basis], dtype=np.intp).reshape(-1, b).T
-    nonzero = np.array([row.any(axis=1) for _, row in system.basis], dtype=bool).reshape(-1, b).T
     # the hits sum to B * p**n, exact in int64 below 2**63
     hist = np.zeros(p**m, dtype=np.int64 if b * p**n < 2**63 else object)
     for r, count in groups:
         if r == m:  # im M(x) is all of F_p^m
             hist += count * p ** (n - m)
             continue
-        at = np.flatnonzero(system.rank == r)
+        at = np.flatnonzero(basis.rank == r)
         # the r pivots of each x, and F_p^r in the narrowest type of a dot product
-        cols = pivots[at][nonzero[at]].reshape(len(at), r)
+        cols = basis.pivots.T[at][basis.nonzero.T[at]].reshape(len(at), r)
         wide = np.min_scalar_type(r * (p - 1) ** 2)
         spread = all_vectors(p, r).T.astype(wide)
         codes = np.zeros((len(at), p**r), dtype=np.min_scalar_type(p**m - 1))
         for rows in values:
             codes *= p
-            codes += rows[at[:, None], cols].astype(wide) @ spread % p
+            codes += rows[cols, at[:, None]].astype(wide) @ spread % p
         hist += np.bincount(codes.reshape(-1), minlength=p**m).astype(hist.dtype) * p ** (n - r)
     return hist
 
@@ -359,10 +355,12 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     elsewhere, c is their mean, and the slice at t is the alive x with
     M(x) t = 0.  The base is read from the same fibers: its lifted forms
     avoid the direction, so they are constants at x, and the base is the x
-    where they all vanish.  The slice, the sparse fibers, the base and the
-    bad set are (B,) vectors over x; only the mask the filling scan takes is
-    reshaped to the base's group.  The integer thresholds come from
-    _fiber_thresholds, memoized per (p, c, arity, n, B).
+    where they all vanish.  A slice is tested against all the basis rows of
+    the fibers' echelon record in one product.  The slice, the sparse
+    fibers, the base and the bad set are (B,) vectors over x; only the mask
+    the filling scan takes is reshaped to the base's group.  The integer
+    thresholds come from _fiber_thresholds, memoized per (p, c, arity, n,
+    B).
     """
     shape = v.shape
     if shape.k < 2:
@@ -375,22 +373,21 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     n = shape.dims[direction]
     fib = _fibers(shape, range(shape.k), direction)
     system = fib.system(v.forms)
-    alive, basis, rank = system.alive, system.basis, system.rank
+    alive, basis, rank = system.alive, system.basis, system.basis.rank
     c = Fraction(system.count, shape.total_points)
     direction_size = p**n
     sparse_limit, bad_limit, fiber_floor_count, clamped = _fiber_thresholds(
         p, c, shape.k, n, fib.b
     )
     # the ranks of sparse fibers; every slice below holds only alive x
-    sparse_rank = np.array([p ** (n - r) <= sparse_limit for r in range(min(len(basis), n) + 1)])
+    sparse_rank = np.array([p ** (n - r) <= sparse_limit for r in range(n + 1)])
     fiber_sparse = sparse_rank[rank]
 
     for t in range(direction_size):
         slice_point = vector_from_index(p, n, t)
         u_mask = alive.copy()
         if t:  # M(x) 0 = 0, so the slice at 0 is every alive x
-            for _, row in basis:
-                u_mask &= row.astype(np.int64) @ slice_point % p == 0
+            u_mask &= (np.array(slice_point) @ basis.rows % p == 0).all(axis=0)
         if Fraction(int(np.count_nonzero(u_mask)), fib.b) < c / 2:
             continue
         b_count = int(np.count_nonzero(u_mask & fiber_sparse))

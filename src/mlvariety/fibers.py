@@ -21,11 +21,14 @@ It builds no value grid and no bitmap, and it imports no evaluation code
 from ``forms``, ``variety`` or ``construct``: rows are contractions of the
 coefficient tensors against the vector tables of ``field``, each factor's
 table split in two halves whose uint8 residues are added without a ``% p``
-pass (_contract), and ranks come from ``field.batched_echelon``, one
-Gaussian elimination vectorized over x.  The finder reads the same identity
-from rows of its own (``forms.fiber_values``); besides the data types and
-those tables, that elimination is the one computation the two share, field
-arithmetic checked against ``field.rref`` at every x (test_finder_fibers).
+pass (_contract), built as ``field``'s (n_j, B) rows with x along the last
+axis.  Ranks come from the echelon record of ``field.batched_echelon``, one
+Gaussian elimination vectorized over x, and a row of M_V(x) lies in the
+span of M_V'(x) exactly where its ``field.residual`` against that record is
+zero.  The finder reads the same identity from rows of its own
+(``forms.fiber_values``); besides the data types and those tables, that
+elimination is the one computation the two share, field arithmetic checked
+against ``field.rref`` at every x (test_finder_fibers).
 Building the rows of a form charges its B * n_j entries (B for a form
 without j) to the work counter; the budget admits B and the total before
 anything is built.  zero_fiber_identity_check counts `rank`'s zero fibers.
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import budget
 from .errors import PreconditionError
-from .field import all_vectors, batched_echelon
+from .field import all_vectors, batched_echelon, residual
 from .forms import MultilinearForm, Shape
 from .ledger import SubvarietyCertificate, codim_budget
 from .variety import Variety
@@ -74,11 +77,14 @@ def _stack_values(shape, support: tuple[int, ...], coeffs: np.ndarray, j: int,
                   others: list[int]) -> np.ndarray:
     """Forms of one support over the points x of the factors other than j,
     from their stacked coefficient tensors (F, *support dims): shape
-    (F, B, n_j), the rows of M(x), when the support contains j, else (F, B),
+    (F, n_j, B), the rows of M(x) with x along the last axis, the layout
+    field.batched_echelon takes, when the support contains j, else (F, B),
     the constants.
 
-    The support factors other than j are contracted in order, and factors
-    outside the support are broadcast.
+    The j axis is moved last and the support factors other than j are
+    contracted in order, each appending its vector axis, so the j axis
+    ends up in front of all of them; factors outside the support are
+    broadcast.
     """
     p, dims = shape.p, shape.dims
     rest = [l for l in support if l != j]
@@ -87,22 +93,18 @@ def _stack_values(shape, support: tuple[int, ...], coeffs: np.ndarray, j: int,
         t = np.moveaxis(t, 1 + support.index(j), -1)
     for l in rest:
         t = _contract(t, p, dims[l])
-    tail = []
-    if j in support:
-        # the j axis was left in front of the vector axes
-        t = np.moveaxis(t, 1, -1)
-        tail = [dims[j]]
+    lead = [len(t)] + ([dims[j]] if j in support else [])
     grown = [p ** dims[l] if l in rest else 1 for l in others]
     full = [p ** dims[l] for l in others]
-    t = np.broadcast_to(t.reshape([len(t)] + grown + tail), [len(t)] + full + tail)
-    return t.reshape([len(t), math.prod(full)] + tail)
+    t = np.broadcast_to(t.reshape(lead + grown), lead + full)
+    return t.reshape(lead + [math.prod(full)])
 
 
-def _systems(varieties: list[Variety]) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+def _systems(varieties: list[Variety]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(alive, rows) of each variety, none of them the empty marker: alive[x]
-    when its constants vanish at x, rows its M(x) as (B, n_j) arrays.  The
-    forms of all the varieties that share a support are contracted as one
-    stack."""
+    when its constants vanish at x, rows the (count, n_j, B) stack of its
+    rows of M(x).  The forms of all the varieties that share a support are
+    contracted as one stack."""
     shape = varieties[0].shape
     p, dims = shape.p, shape.dims
     j = dims.index(max(dims))
@@ -125,13 +127,12 @@ def _systems(varieties: list[Variety]) -> list[tuple[np.ndarray, list[np.ndarray
                 rows.append(values)
             else:
                 alive &= values == 0
-    return out
+    return [(alive, np.array(rows, dtype=np.uint8).reshape(len(rows), dims[j], b))
+            for alive, rows in out]
 
 
-def _count(alive: np.ndarray, rows: list[np.ndarray], p: int, n: int) -> int:
-    rank = np.zeros(len(alive), dtype=np.int64)
-    for _, row in batched_echelon(rows, p):
-        rank += row.any(axis=1)
+def _count(alive: np.ndarray, rows: np.ndarray, p: int, n: int) -> int:
+    rank = batched_echelon(rows, p).rank
     per_rank = np.bincount(rank[alive], minlength=len(rows) + 1)
     return sum(m * p ** (n - r) for r, m in enumerate(per_rank.tolist()) if m)
 
@@ -151,18 +152,18 @@ def density(v: Variety) -> Fraction:
 
 def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
     """(|V|, whether sub lies inside V), from one build of both varieties'
-    rows.  The varieties must share their shape."""
+    rows.  The varieties must share their shape.  sub escapes V at an x
+    where its constants vanish and either a constant of V does not or a
+    row of M_V(x) leaves a nonzero residual against the echelon basis of
+    M_sub(x) (field.residual), so lies outside that basis's span."""
     if sub.is_empty:
         return point_count(v), True
     if v.is_empty:
         return 0, False
     p = v.shape.p
     (alive, rows), (sub_alive, sub_rows) = _systems([v, sub])
-    # a row of V outside the span of sub's rows at x adds a nonzero pair
-    added = batched_echelon(sub_rows + rows, p)[len(sub_rows):]
-    escaped = sub_alive & ~alive
-    for _, row in added:
-        escaped |= sub_alive & row.any(axis=1)
+    outside = residual(rows, p, batched_echelon(sub_rows, p)).any(axis=(0, 1))
+    escaped = sub_alive & (~alive | outside)
     return _count(alive, rows, p, max(v.shape.dims)), not escaped.any()
 
 

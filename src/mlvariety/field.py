@@ -1,5 +1,8 @@
 """Prime-field substrate: vectors as plain tuples of residues, echelon-form
-subspaces, and fast lexicographic enumeration of F_p^n at desk scale.
+subspaces, fast lexicographic enumeration of F_p^n at desk scale, and the
+one format of fiber rows, (n, B) uint8 arrays with x along the last axis,
+with their batched echelon record (Echelon), which only this module builds
+and reduces against.
 
 Enumeration order is part of the contract: vectors are listed in lexicographic
 order with the last coordinate varying fastest, and every "first point found"
@@ -184,62 +187,91 @@ def rref(rows, p: int, width: int | None = None) -> np.ndarray:
     return a[:pivot_row].astype(np.uint8)
 
 
-def batched_echelon(rows, p: int, basis=()) -> list:
+@dataclass(frozen=True)
+class Echelon:
+    """Echelon bases of many row spaces over F_p, one for each of B points
+    x, kept as P pairs (batched_echelon): `rows`, a (P, n, B) uint8 array
+    whose pair k is the (n, B) row k with x along the last axis, and, each
+    a (P, B) array, `pivots`, the pivot column of each pair at each x (0
+    where the pair is zero), and `nonzero`, where the pair is nonzero.
+    `rank`, a (B,) array, counts the pairs nonzero at each x.
+    """
+
+    rows: np.ndarray
+    pivots: np.ndarray
+    nonzero: np.ndarray
+    rank: np.ndarray
+
+
+def _reduced(t: np.ndarray, p: int) -> np.ndarray:
+    # numpy divides by a constant far faster than it takes a remainder
+    return (t - t // p * p).astype(np.uint8)
+
+
+def _clear(rest: np.ndarray, pivot: np.ndarray, brow: np.ndarray, p: int) -> None:
+    """Subtract in place from each (n, B) row of the contiguous (m, n, B)
+    array rest its entry in the pivot column at each x times brow, along x;
+    XOR does the arithmetic at p = 2."""
+    m, n, b = rest.shape
+    coef = rest.reshape(m, n * b).take(pivot * b + np.arange(b), axis=1)[:, None, :]
+    if p == 2:
+        rest ^= brow & coef
+    else:
+        # a residue plus p times a residue stays below p**2
+        rest[:] = _reduced(rest + (p - coef).astype(np.min_scalar_type(p * p - 1)) * brow, p)
+
+
+def batched_echelon(rows, p: int, basis: Echelon | None = None) -> Echelon:
     """Echelon bases of many row spaces over F_p at once, one per x.
 
-    Each row is a (B, n) uint8 array whose row x belongs to system x.  The
-    result extends `basis`, an earlier result for the same systems, by one
-    (pivot, row) pair per given row: the row reduced against every pair
-    before it and scaled to a 1 in its pivot column, its last nonzero one,
-    where it is independent of them, zero where it is not.  So the rank of
-    system x is the number of pairs nonzero at x, a row lies in the span of
-    `basis` at x exactly when its pair is zero there, and at each x the
-    columns at the pivots of the nonzero pairs span the column space (on
-    those columns the pairs are triangular with a unit diagonal).
-
-    The work runs on (n, B) copies, whose ops run along x (the layout rows
-    built from value grids already have), and each pair clears its pivot
-    column from all the rows after it in one step; the returned rows are
-    (B, n) views of those copies.  XOR does the arithmetic at p = 2.
+    Each row is an (n, B) uint8 array, the layout rows built from value
+    grids have, whose column x belongs to system x, or `rows` is their
+    (count, n, B) stack, which alone gives n and B when there are neither
+    rows nor a basis.  The result extends `basis`, an earlier result for
+    the same systems, by one pair per given row: its residual against
+    `basis` reduced against every pair before it and scaled to a 1 in its
+    pivot column, its last nonzero one, where it is independent of them,
+    zero where it is not.  So the rank at x counts the pairs nonzero there,
+    and at each x the columns at the pivots of the nonzero pairs span the
+    column space (on those columns the pairs are triangular with a unit
+    diagonal).  Each pair clears its pivot column from all the rows after
+    it in one step.
     """
-    out = list(basis)
-    if not len(rows):
-        return out
-    rest = np.array([np.asarray(row).T for row in rows], dtype=np.uint8)
+    rest = np.array(rows, dtype=np.uint8) if basis is None else residual(rows, p, basis)
     count, n, b = rest.shape
-    flat = rest.reshape(-1)
-    # the flat cell of column 0 of system x in row k
-    cells = np.arange(0, count * n * b, n * b)[:, None] + np.arange(b)
+    pivots = np.zeros((count, b), dtype=np.intp)
+    nonzero = np.zeros((count, b), dtype=bool)
     columns = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     if p > 2:
         inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint8)
-        # a residue plus p times a residue stays below p**2
-        wide = np.min_scalar_type(p * p - 1)
-
-    def reduced(t):
-        # numpy divides by a constant far faster than it takes a remainder
-        return (t - t // p * p).astype(np.uint8)
-
-    def clear(pivot, brow, k):
-        # subtract from the rows from k on their pivot entries times brow
-        coef = flat.take(cells[k:] + pivot * b)[:, None, :]
-        if p == 2:
-            rest[k:] ^= brow & coef
-        else:
-            rest[k:] = reduced(rest[k:] + (p - coef).astype(wide) * brow)
-
-    for pivot, brow in basis:
-        clear(pivot, brow.T, 0)
     for k in range(count):
         row = rest[k]
+        marks = row != 0
+        nonzero[k] = marks.any(axis=0)
         # the last nonzero column, by a max over the columns (0 where none)
-        pivot = ((row != 0) * columns).max(axis=0).astype(np.intp)
+        pivots[k] = (marks * columns).max(axis=0)
         if p > 2:
-            row = reduced(row * inverse.take(flat.take(cells[k] + pivot * b)).astype(wide))
-        out.append((pivot, row.T))
+            lead = inverse.take(row[pivots[k], np.arange(b)])
+            row[:] = _reduced(row * lead.astype(np.min_scalar_type(p * p - 1)), p)
         if k + 1 < count:
-            clear(pivot, row, k + 1)
-    return out
+            _clear(rest[k + 1:], pivots[k], row, p)
+    if basis is not None:
+        rest = np.concatenate([basis.rows, rest])
+        pivots = np.concatenate([basis.pivots, pivots])
+        nonzero = np.concatenate([basis.nonzero, nonzero])
+    return Echelon(rest, pivots, nonzero, nonzero.sum(axis=0))
+
+
+def residual(rows, p: int, basis: Echelon) -> np.ndarray:
+    """The (count, n, B) stack of the given (n, B) rows, each reduced
+    against the pairs of `basis` in order, the clearing batched_echelon
+    starts an extension with.  A row's residual is zero at x exactly where
+    the row lies in the span of the basis there: it is zero at every pivot,
+    and the only element of that span zero at every pivot is zero."""
+    rest = np.array(rows, dtype=np.uint8).reshape((len(rows),) + basis.rows.shape[1:])
+    for pivot, brow in zip(basis.pivots, basis.rows):
+        _clear(rest, pivot, brow, p)
+    return rest
 
 
 @dataclass(frozen=True)

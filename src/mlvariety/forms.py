@@ -276,11 +276,11 @@ def eval_grid(form: MultilinearForm) -> np.ndarray:
 def fiber_values(forms: Sequence[MultilinearForm], j: int,
                  others: Sequence[int]) -> list[np.ndarray]:
     """Each form over the points x of the factors `others`, listed in
-    enumeration order, with factor j left free: the (B, n_j) rows of M(x),
-    the linear form in factor j the form restricts to at x, when its
-    support holds j, else its (B,) values, constants at x.  B is the
-    product of the group sizes of `others`, and every support lies inside
-    `others` and j.
+    enumeration order, with factor j left free: when its support holds j,
+    its (n_j, B) row of M(x), whose column x is the linear form in factor
+    j the form restricts to at x, the layout field.batched_echelon takes;
+    else its (B,) values, constants at x.  B is the product of the group
+    sizes of `others`, and every support lies inside `others` and j.
 
     The forms that share a support are one stack and one _value_grid call,
     over the support factors other than j, with the stack and j's
@@ -314,7 +314,7 @@ def fiber_values(forms: Sequence[MultilinearForm], j: int,
         full = lead + [p ** dims[l] for l in others]
         grid = np.broadcast_to(grid.reshape(grown), full).reshape(lead + [b])
         for pos, values in zip(members, grid):
-            out[pos] = values.T
+            out[pos] = values
     return out
 
 
@@ -358,7 +358,7 @@ def bias(form: MultilinearForm) -> Fraction:
     slices = [MultilinearForm(shape, rest, np.take(form.coeffs, i, axis=support.index(a)))
               for i in range(shape.dims[a])]
     rows = fiber_values(slices, b, [l for l in rest if l != b])
-    rank = sum(row.any(axis=1) for _, row in batched_echelon(rows, shape.p))
+    rank = batched_echelon(rows, shape.p).rank
     per_rank = np.bincount(rank).tolist()
     return sum(Fraction(m, shape.p**r) for r, m in enumerate(per_rank)) / len(rank)
 

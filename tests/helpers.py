@@ -392,25 +392,25 @@ def mask_image_histogram(fib, components):
     shifted by v (field.shift_rows), and each code of it is hit
     p**(n - rank M(x)) times."""
     p, m, b, n = fib.p, len(components), fib.b, fib.n
-    # the codes of the columns of M(x); none without j
-    columns = np.zeros((b, n), dtype=np.int64)
+    # the codes of the columns of M(x), (n, B); none without j
+    columns = np.zeros((n, b), dtype=np.int64)
     if fib.j is not None:
         for rows in fib.values(components):
             columns = columns * p + rows
-    system = fib.system(components)
+    basis = fib.system(components).basis
     size = p**m
     image = np.zeros((b, size), dtype=bool)
     image[:, 0] = True
     flat = image.reshape(-1)
     cells = np.arange(0, b * size, size)[:, None]
-    for pivot, _ in system.basis:
+    for pivot in basis.pivots:
         # where the pair is zero its pivot column still lies in the image
-        ahead = shift_rows(p, m, columns[np.arange(b), pivot]) + cells
+        ahead = shift_rows(p, m, columns[pivot, np.arange(b)]) + cells
         for _ in range(p - 1):
             image |= flat.take(ahead)
-    weight = np.array([p ** (n - r) for r in range(len(system.basis) + 1)],
+    weight = np.array([p ** (n - r) for r in range(len(basis.pivots) + 1)],
                       dtype=np.int64 if b * p**n < 2**63 else object)
-    return weight[system.rank] @ image
+    return weight[basis.rank] @ image
 
 
 def count_grid_evaluations(monkeypatch):

@@ -288,7 +288,7 @@ def test_approx_repeated_components_are_charged_and_counted_once(p, dims, monkey
     ))
     rows = len(calls) * b * sh.dims[j]
     work = budget.work_points()
-    ranks = construct._fibers(sh, source.support).system(source.components).rank.tolist()
+    ranks = construct._fibers(sh, source.support).system(source.components).basis.rank.tolist()
     images = sum(p**r for r in ranks if r < m) + p**m * len(set(ranks))
     assert work == rows + images + live * scan
     expected = sum(

@@ -6,6 +6,7 @@ finder."""
 import ast
 import dataclasses
 import inspect
+import itertools
 import random
 import typing
 from fractions import Fraction
@@ -29,7 +30,7 @@ from mlvariety.generators import random_form, random_support, random_variety
 from mlvariety.ledger import codim_budget
 from mlvariety.variety import Variety, variety_bitmap
 
-from helpers import brute_density, dual_count, small_dims
+from helpers import brute_density, brute_eval, dual_count, small_dims
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,7 +234,7 @@ def test_fibers_imports_no_evaluation_code():
     # from forms only the data types the zero-fiber identity builds, and
     # from ledger only the certificate type and the budget the verifier reads
     assert {name for level, _, name in imported if level} == {
-        "budget", "PreconditionError", "all_vectors", "batched_echelon",
+        "budget", "PreconditionError", "all_vectors", "batched_echelon", "residual",
         "MultilinearForm", "Shape", "Variety", "SubvarietyCertificate", "codim_budget",
     }
     assert {module for level, module, _ in imported if level} == {
@@ -342,3 +343,36 @@ def test_contract_matches_a_naive_contraction(p, n):
     out = fibers._contract(t, p, n)
     assert out.dtype == np.uint8
     assert np.array_equal(out, naive)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_stack_values_match_fiber_values_and_brute_force(p):
+    """The verifier's rows and constants entry by entry, at every x and for
+    every j, inside and outside each support: counts and containment alone
+    miss an x permutation that both varieties share."""
+    rng = random.Random(f"stack-values/{p}")
+    for k in (1, 2, 3, 4):
+        dims = small_dims(rng, k, 6)
+        while Shape(p, dims).total_points > max(300, p**k):
+            dims = tuple(max(n - 1, 1) for n in dims)
+        shape = Shape(p, dims)
+        # the full support, one without the last factor and a random one
+        supports = (tuple(range(k)), tuple(range(k - 1)), random_support(rng, k))
+        for support in dict.fromkeys(s for s in supports if s):
+            zero = MultilinearForm(shape, support, np.zeros([dims[l] for l in support], int))
+            stack = [random_form(rng, shape, support), zero]
+            coeffs = np.stack([f.coeffs for f in stack])
+            for j in range(k):
+                others = [l for l in range(k) if l != j]
+                got = fibers._stack_values(shape, support, coeffs, j, others)
+                assert np.array_equal(got, np.stack(forms.fiber_values(stack, j, others)))
+                points = itertools.product(*[fibers.all_vectors(p, dims[l]) for l in others])
+                for x, xs in enumerate(points):
+                    point = dict(zip(others, (v.tolist() for v in xs)))
+                    # factor j at each unit vector, or at zero for the constants
+                    units = np.eye(dims[j], dtype=int) if j in support else np.zeros((1, dims[j]))
+                    for c, unit in enumerate(units.astype(int).tolist()):
+                        point[j] = unit
+                        full = [point[l] for l in range(k)]
+                        expected = [brute_eval(f, full) for f in stack]
+                        assert (got[:, c, x] if j in support else got[:, x]).tolist() == expected

@@ -18,7 +18,7 @@ from mlvariety.construct import (
     find_subvariety,
 )
 from mlvariety.errors import EmptyVarietyError
-from mlvariety.field import batched_echelon, rref, vector_from_index
+from mlvariety.field import batched_echelon, residual, rref, vector_from_index
 from mlvariety.forms import MultilinearForm, Shape, eval_grid
 from mlvariety.generators import random_form, random_map, random_variety
 from mlvariety.ledger import _fiber_constants
@@ -83,17 +83,17 @@ def test_fibers_match_brute_force_and_bitmaps(p, seed):
                     for c in range(n):
                         point[j] = tuple(int(i == c) for i in range(n))
                         full = tuple(point[l] for l in range(shape.k))
-                        assert values[x, c] == brute_eval(f, full)
+                        assert values[c, x] == brute_eval(f, full)
             system = fib.system(v.forms)
             assert system.count == int(np.count_nonzero(mask))
             moved = np.moveaxis(mask, j, -1).reshape(fib.b, -1)
-            counts = np.where(system.alive, p ** (n - system.rank), 0)
+            counts = np.where(system.alive, p ** (n - system.basis.rank), 0)
             assert np.array_equal(counts, moved.sum(axis=1))
             for t in range(p**n):
                 slice_point = vector_from_index(p, n, t)
                 u_mask = system.alive.copy()
-                for _, row in system.basis:
-                    u_mask &= row.astype(np.int64) @ slice_point % p == 0
+                for row in system.basis.rows:
+                    u_mask &= np.array(slice_point) @ row.astype(np.int64) % p == 0
                 assert np.array_equal(u_mask, moved[:, t])
 
 
@@ -158,7 +158,7 @@ def test_image_histogram_matches_the_mask_and_charges_its_codes(monkeypatch):
         fib = construct._fibers(shape, support)
         hist = _image_histogram(fib, components)
         assert hist.tolist() == mask_image_histogram(fib, components).tolist()
-        ranks = fib.system(components).rank.tolist()
+        ranks = fib.system(components).basis.rank.tolist()
         assert charged.pop() == sum(p**r for r in ranks if r < m) + p**m * len(set(ranks))
 
 
@@ -175,28 +175,71 @@ def test_image_histogram_of_many_coordinate_products_charges_its_codes(monkeypat
     assert int(hist.sum()) == shape.total_points and int(hist[0]) == 4 * 2**10 + 12
 
 
+def _rref_rank(rows, x, p, n):
+    """The rref rank of the given (n, B) rows at x."""
+    return len(rref([row[:, x].tolist() for row in rows], p, width=n))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 17])
 def test_batched_echelon_matches_rref_at_every_x(p):
     rng = np.random.default_rng(p)
     for trial in range(30):
         b, n = int(rng.integers(1, 40)), int(rng.integers(1, 5))
         first, second = int(rng.integers(0, 3)), int(rng.integers(0, 4))
-        # some rows are transposed views, as value grids give them
+        # some rows are not contiguous along x
         grids = rng.integers(0, p, (first + second, n, b)) * (rng.random((1, 1, b)) < 0.7)
-        rows = [g.astype(np.uint8).T if i % 2 else np.ascontiguousarray(g.astype(np.uint8).T)
+        rows = [g.astype(np.uint8) if i % 2 else np.asfortranarray(g.astype(np.uint8))
                 for i, g in enumerate(grids)]
-        basis = batched_echelon(rows[:first], p)
+        basis = batched_echelon(np.array(rows[:first]).reshape(first, n, b), p)
         both = batched_echelon(rows[first:], p, basis)
-        assert both[:first] == basis
+        for extended, kept in zip((both.rows, both.pivots, both.nonzero),
+                                  (basis.rows, basis.pivots, basis.nonzero)):
+            assert np.array_equal(extended[:first], kept)
         for x in range(b):
-            for pairs, count in ((basis, first), (both, first + second)):
-                given = rref([r[x].tolist() for r in rows[:count]], p, width=n)
-                nonzero = [row[x] for pivot, row in pairs if row[x].any()]
-                assert len(nonzero) == len(given)
-                assert np.array_equal(rref([r.tolist() for r in nonzero], p, width=n), given)
-                for pivot, row in pairs:
-                    if row[x].any():
-                        assert row[x, pivot[x]] == 1 and not row[x, pivot[x] + 1:].any()
+            for record, count in ((basis, first), (both, first + second)):
+                assert record.rank[x] == _rref_rank(rows[:count], x, p, n)
+                flags = [bool(row[:, x].any()) for row in record.rows]
+                assert record.nonzero[:, x].tolist() == flags
+                nonzero = [row[:, x].tolist() for row in record.rows[record.nonzero[:, x]]]
+                assert np.array_equal(rref(nonzero, p, width=n),
+                                      rref([r[:, x].tolist() for r in rows[:count]], p, width=n))
+                for row, pivot in zip(record.rows[record.nonzero[:, x]],
+                                      record.pivots[record.nonzero[:, x], x]):
+                    assert row[pivot, x] == 1 and not row[pivot + 1:, x].any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_residual_is_zero_exactly_where_a_row_joins_the_span(p):
+    """A row's residual against a record is zero at x exactly when the row
+    leaves the rref rank of the basis rows at x unchanged: over B = 1 and
+    n = 1, zero, repeated and dependent rows, an empty basis and no rows."""
+    rng = np.random.default_rng(100 + p)
+    for trial in range(40):
+        b, n = (1, 1) if trial < 4 else (int(rng.integers(1, 30)), int(rng.integers(1, 5)))
+        zero = np.zeros((n, b), dtype=np.uint8)
+
+        def rows(count):
+            return list(rng.integers(0, p, (count, n, b)).astype(np.uint8))
+
+        def combination(pool):
+            return (sum(int(rng.integers(0, p)) * row.astype(np.int64) for row in pool) % p
+                    ).astype(np.uint8)
+
+        given = rows(int(rng.integers(0, 4)))
+        if given and trial % 2:
+            # a zero, a repeated and a dependent basis row
+            given += [zero, given[0], combination(given)]
+        # zero, repeated and dependent rows, none at all on every fifth trial
+        tested = [zero, *given[:1], combination([zero, *given]), *rows(int(rng.integers(0, 3)))]
+        if trial % 5 == 0:
+            tested = []
+        basis = batched_echelon(np.array(given, dtype=np.uint8).reshape(len(given), n, b), p)
+        out = residual(np.array(tested, dtype=np.uint8).reshape(len(tested), n, b), p, basis)
+        assert out.shape == (len(tested), n, b)
+        for row, rest in zip(tested, out):
+            for x in range(b):
+                joins = _rref_rank([*given, row], x, p, n) == _rref_rank(given, x, p, n)
+                assert (not rest[:, x].any()) == joins
 
 
 def test_dense_columns_takes_a_nonzero_slice():
