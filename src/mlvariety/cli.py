@@ -3,7 +3,7 @@ filling and approximation harnesses, and deterministic sweep tables.
 
 Exit codes:
     0  success (and, for find-sub/verify/conv-check, every flag true)
-    2  parse or input-format error (also argparse usage errors)
+    2  input-format error, raised only by the readers (also usage errors)
     3  precondition violated (empty variety, oversized bad set, bad shapes)
     4  enumeration budget exceeded, or memory ran out under the point budget
        in force (the stderr line names it)
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
                 "sweep output is csv" if sweep else "csv output applies to the sweep command only"
             )
         return args.func(args)
-    except (json.JSONDecodeError, InputFormatError, KeyError, TypeError, OSError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:

@@ -5,15 +5,12 @@ lexicographic order with the first support factor outermost, support indices
 are 1-based on the wire, and rationals are "numerator/denominator" strings.
 
 Files are UTF-8, and read_json returns the bytes it parsed with the value,
-so a caller hashes what it read.  Readers accept only JSON integers where
-the format has integers, and only true or false for a variety's optional
-"empty" flag: anything else there raises TypeError instead of being
-truncated or coerced.  A variety flagged "empty": true lists no forms: the
-writer puts "forms": [] beside the flag, and a non-empty "forms" there
-raises InputFormatError, in variety files and certificate outputs alike.
-A rational that is
-not such a string, or has a zero denominator, raises InputFormatError, and so
-does a certificate ledger that is not an array of objects.
+so a caller hashes what it read.  A malformed wire value raises
+InputFormatError: a missing key, a value of another JSON type (an integer
+is never a bool, a float or a string, and "empty" is only true or false;
+nothing is truncated or coerced), a rational that is not such a string or
+has a zero denominator, and a variety flagged "empty": true that lists
+forms (the writer puts "forms": [] beside the flag).
 
 Since format version "3" the ledger constants c_prime, c_double_prime and
 epsilon are exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
@@ -46,6 +43,7 @@ from .variety import Variety
 
 FORMAT_VERSION = "4"
 _READABLE_VERSIONS = ("1", "2", "3", "4")
+_JSON_TYPES = {int: "integer", bool: "boolean", list: "array", dict: "object"}
 
 
 def frac_to_str(fr: Fraction) -> str:
@@ -72,24 +70,31 @@ def shape_to_obj(shape: Shape) -> dict:
     return {"p": shape.p, "k": shape.k, "dims": list(shape.dims)}
 
 
-def _int(value, what: str) -> int:
-    if type(value) is not int:
-        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
+def _typed(value, kind: type, what: str):
+    """value, if its type is exactly kind (so an int is never a bool)."""
+    if type(value) is not kind:
+        raise InputFormatError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r:.60}")
     return value
 
 
+def _field(obj, key: str, kind: type | None = None):
+    """obj[key] from a JSON object obj, of JSON type kind unless kind is None."""
+    if key not in _typed(obj, dict, f"the value holding {key!r}"):
+        raise InputFormatError(f"missing key {key!r} in {obj!r:.60}")
+    return obj[key] if kind is None else _typed(obj[key], kind, key)
+
+
 def _ints(values, what: str) -> list[int]:
-    """values as a list, when every entry is a JSON integer; the entries
-    are read one by one only to name the first that is not."""
-    if set(map(type, values)) <= {int}:
-        return list(values)
-    return [_int(x, what) for x in values]
+    """values, a JSON array of integers; entries are read one by one only to name a bad one."""
+    if set(map(type, _typed(values, list, what))) <= {int}:
+        return values
+    return [_typed(x, int, what) for x in values]
 
 
 def shape_from_obj(obj) -> Shape:
-    shape = Shape(_int(obj["p"], "p"), tuple(_ints(obj["dims"], "dims")))
-    if "k" in obj and _int(obj["k"], "k") != shape.k:
-        raise PreconditionError(f"k={obj['k']} does not match {len(obj['dims'])} dims")
+    shape = Shape(_field(obj, "p", int), tuple(_ints(_field(obj, "dims"), "dims")))
+    if "k" in obj and _field(obj, "k", int) != shape.k:
+        raise PreconditionError(f"k={obj['k']} does not match {shape.k} dims")
     return shape
 
 
@@ -105,10 +110,10 @@ def form_from_obj(obj, shape: Shape | None = None) -> MultilinearForm:
     found = shape_from_obj(obj)
     if shape is not None and found != shape:
         raise PreconditionError("form shape does not match the enclosing shape")
-    support = tuple(j - 1 for j in _ints(obj["support"], "support"))
+    support = tuple(j - 1 for j in _ints(_field(obj, "support"), "support"))
     if any(j < 0 for j in support):
         raise PreconditionError("support indices are 1-based")
-    return MultilinearForm(found, support, _coeff_array(obj["coeffs"], found.p))
+    return MultilinearForm(found, support, _coeff_array(_field(obj, "coeffs"), found.p))
 
 
 def _coeff_array(values, p: int) -> np.ndarray:
@@ -131,12 +136,12 @@ def map_to_obj(m: MultilinearMap) -> dict:
 
 def map_from_obj(obj) -> MultilinearMap:
     shape = shape_from_obj(obj)
-    support = tuple(j - 1 for j in _ints(obj["support"], "support"))
+    support = tuple(j - 1 for j in _ints(_field(obj, "support"), "support"))
     comps = [
         MultilinearForm(shape, support, _coeff_array(row, shape.p))
-        for row in obj["components"]
+        for row in _field(obj, "components", list)
     ]
-    if "codomain_dim" in obj and _int(obj["codomain_dim"], "codomain_dim") != len(comps):
+    if "codomain_dim" in obj and _field(obj, "codomain_dim", int) != len(comps):
         raise PreconditionError("codomain_dim does not match the component count")
     return MultilinearMap(shape, support, comps)
 
@@ -153,11 +158,9 @@ def variety_to_obj(v: Variety) -> dict:
 
 
 def variety_from_obj(obj) -> Variety:
-    shape = shape_from_obj(obj["shape"])
-    empty = obj.get("empty", False)
-    if type(empty) is not bool:
-        raise TypeError(f"empty must be a JSON boolean, got {empty!r:.60}")
-    forms = obj.get("forms", [])
+    shape = shape_from_obj(_field(obj, "shape", dict))
+    empty = _typed(obj.get("empty", False), bool, "empty")
+    forms = _typed(obj.get("forms", []), list, "forms")
     if empty:
         if forms:
             raise InputFormatError(f"a variety flagged empty lists forms: {forms!r:.60}")
@@ -181,25 +184,22 @@ def _positive(text) -> Fraction:
 
 
 def _monomial_from_obj(obj, p: int, c: Fraction) -> Monomial:
-    if not isinstance(obj, dict):
-        raise InputFormatError(f"expected a monomial object, got {obj!r:.60}")
     return Monomial(
-        _positive(obj["coef"]), p, c, _int(obj["p_exp"], "p_exp"), _int(obj["c_exp"], "c_exp")
+        _positive(_field(obj, "coef")), p, c, _field(obj, "p_exp", int), _field(obj, "c_exp", int)
     )
 
 
 def _convert_ledger_record(record: dict, rational, monomial) -> dict:
     """Copy of a ledger record with rational applied to c and the fiber
     densities, and monomial(value, converted c) to the ledger constants."""
-    out = dict(record)
-    out["c"] = rational(record["c"])
+    out = {**record, "c": rational(_field(record, "c"))}
     for key in ("c_prime", "c_double_prime", "epsilon"):
         if out.get(key) is not None:
             out[key] = monomial(out[key], out["c"])
     if out.get("directions") is not None:
         out["directions"] = [
-            {**d, "min_fiber_density": rational(d["min_fiber_density"])}
-            for d in out["directions"]
+            dict(d, min_fiber_density=rational(_field(d, "min_fiber_density")))
+            for d in _field(out, "directions", list)
         ]
     return out
 
@@ -226,25 +226,24 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
 
 
 def certificate_from_obj(obj) -> SubvarietyCertificate:
-    version = obj["format_version"]
+    version = _field(obj, "format_version")
     if version not in _READABLE_VERSIONS:
         raise InputFormatError(f"unknown certificate format_version {version!r:.60}")
-    output = variety_from_obj(obj["output"])
-    ledger = obj["ledger"]
-    if not isinstance(ledger, list) or not all(isinstance(r, dict) for r in ledger):
+    output = variety_from_obj(_field(obj, "output", dict))
+    ledger = _field(obj, "ledger")
+    if type(ledger) is not list or not all(type(r) is dict for r in ledger):
         raise InputFormatError(f"ledger must be a JSON array of objects, got {ledger!r:.60}")
-    p = output.shape.p
-    if version in ("1", "2"):
-        def monomial(value, c):
-            return Monomial(_positive(value), p, c)
-    else:
-        def monomial(value, c):
-            return _monomial_from_obj(value, p, c)
+
+    def monomial(value, c):
+        if version in ("1", "2"):
+            return Monomial(_positive(value), output.shape.p, c)
+        return _monomial_from_obj(value, output.shape.p, c)
+
     return SubvarietyCertificate(
-        input_density=frac_from_str(obj["input_density"]),
+        input_density=frac_from_str(_field(obj, "input_density")),
         output=output,
-        output_codim=_int(obj["output_codim"], "output_codim"),
-        budget=_int(obj["budget"], "budget"),
+        output_codim=_field(obj, "output_codim", int),
+        budget=_field(obj, "budget", int),
         ledger=tuple(
             _convert_ledger_record(r, frac_from_str, monomial) for r in ledger
         ),
@@ -301,13 +300,14 @@ def dump_json(obj, path) -> None:
 
 def read_json(path) -> tuple[object, bytes]:
     """The JSON value in a UTF-8 file and the bytes it was parsed from,
-    read once.  Bytes that are not UTF-8 raise InputFormatError."""
+    read once.  Bytes that are not UTF-8 JSON within Python's limits raise InputFormatError."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode()
+        return json.loads(data.decode()), data
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path} is not UTF-8: {exc}") from None
-    return json.loads(text), data
+    except (ValueError, RecursionError) as exc:  # bad JSON, or past the digit limit or the stack
+        raise InputFormatError(str(exc)) from None
 
 
 def load_json(path):

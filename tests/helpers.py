@@ -7,6 +7,8 @@ membership, row reduction in a different style, brute-force witness search,
 ledger monomials written out as rationals, the external-approximation
 greedy on a value-vector histogram counted point by point, subspace
 membership, points and annihilators for the tests that plant subspaces,
+every canonical variety of a small shape (one reduced echelon basis per
+support family),
 forms planted on a cylinder, and the partition-rank generators built one
 product form at a time.  Five more count by another formula on the
 library's own kernels: the bias from value grids per coefficient slice,
@@ -383,6 +385,39 @@ def planted_cylinder(rng, shape, m: int, w: int):
             coeffs += np.multiply.outer(np.array(ell), g)
         products.append(MultilinearForm(shape, tuple(range(shape.k)), coeffs % p))
     return products
+
+
+def reduced_echelon_matrices(p: int, n: int):
+    """Every reduced row echelon matrix over F_p with n columns and no zero
+    row, once each, so one per subspace of F_p^n."""
+    for rank in range(n + 1):
+        for pivots in itertools.combinations(range(n), rank):
+            free = [(i, j) for i, col in enumerate(pivots)
+                    for j in range(col + 1, n) if j not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                m = np.zeros((rank, n), dtype=np.int64)
+                m[range(rank), pivots] = 1
+                for (i, j), x in zip(free, values):
+                    m[i, j] = x
+                yield m
+
+
+def canonical_varieties(shape):
+    """Every canonical variety of shape once: one reduced echelon basis of a
+    subspace of each nonempty support's coefficient space, the supports in
+    the order Variety.canonical sorts them.  The empty support is left out,
+    since a nonzero constant form cuts out the empty set."""
+    families = []
+    for support in sorted(
+        s for r in range(1, shape.k + 1) for s in itertools.combinations(range(shape.k), r)
+    ):
+        width = math.prod(shape.dims[j] for j in support)
+        families.append([
+            [MultilinearForm(shape, support, row) for row in m]
+            for m in reduced_echelon_matrices(shape.p, width)
+        ])
+    for choice in itertools.product(*families):
+        yield Variety(shape, tuple(f for forms in choice for f in forms))
 
 
 def mask_image_histogram(fib, components):

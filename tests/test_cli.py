@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlvariety import budget, cli, forms, variety
+from mlvariety import budget, cli, construct, forms, variety
 from mlvariety.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -101,6 +101,36 @@ def test_rank_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["rank", "--input", str(path)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError])
+def test_a_fault_past_the_readers_is_not_an_input_error(dot_files, tmp_path, monkeypatch, fault):
+    """Exit 2 belongs to the readers: the same exception raised inside the
+    finder or the verifier ends the call as a traceback."""
+    _, var_path = dot_files
+    cert_path = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+
+    def raising(*args):
+        raise fault("injected")
+
+    monkeypatch.setattr(construct, "_solve", raising)
+    with pytest.raises(fault, match="injected"):
+        main(["find-sub", "--input", str(var_path)])
+    monkeypatch.setattr(cli, "verify_certificate", raising)
+    with pytest.raises(fault, match="injected"):
+        main(["verify", "--input", str(var_path), "--certificate", str(cert_path)])
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000 + "]" * 100000])
+def test_json_python_cannot_hold_is_an_input_error(tmp_path, capsys, text):
+    """An integer past Python's digit limit, or nesting past its stack,
+    raises from json.loads as ValueError or RecursionError, not as a
+    decoding error; the reader turns both into input errors."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["density", "--input", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_rank_json_format(dot_files, capsys):

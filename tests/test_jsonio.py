@@ -162,7 +162,75 @@ def test_integer_lists_name_the_entry_that_is_not_an_integer(kind, what, bad):
     read, obj, lists = _wire_object(kind)
     # the second entry, after a good one
     lists[what][1] = bad
-    with pytest.raises(TypeError, match=re.escape(f"{what} must be a JSON integer, got {bad!r}")):
+    with pytest.raises(
+        InputFormatError, match=re.escape(f"{what} must be a JSON integer, got {bad!r}")
+    ):
+        read(json.loads(json.dumps(obj)))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("kind, path, key", [
+    ("variety", (), "shape"),
+    ("variety", ("shape",), "p"),
+    ("variety", ("shape",), "dims"),
+    ("variety", ("forms", 0), "p"),
+    ("variety", ("forms", 0), "dims"),
+    ("variety", ("forms", 0), "support"),
+    ("variety", ("forms", 0), "coeffs"),
+    ("map", (), "p"),
+    ("map", (), "dims"),
+    ("map", (), "support"),
+    ("map", (), "components"),
+    ("certificate", (), "format_version"),
+    ("certificate", (), "output"),
+    ("certificate", (), "ledger"),
+    ("certificate", (), "input_density"),
+    ("certificate", (), "output_codim"),
+    ("certificate", (), "budget"),
+    ("certificate", ("output",), "shape"),
+    ("certificate", ("output", "forms", 0), "coeffs"),
+    ("certificate", ("ledger", 0), "c"),
+    ("certificate", ("ledger", 0, "epsilon"), "coef"),
+    ("certificate", ("ledger", 0, "epsilon"), "p_exp"),
+    ("certificate", ("ledger", 0, "directions", 0), "min_fiber_density"),
+])
+def test_a_missing_required_key_is_named(kind, path, key):
+    read, obj, _ = _wire_object(kind)
+    del _at(obj, path)[key]
+    with pytest.raises(InputFormatError, match=re.escape(f"missing key {key!r}")):
+        read(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("variety", ("shape",), [3, 2, 2], "shape must be a JSON object, got [3, 2, 2]"),
+    ("variety", ("shape", "dims"), "22", "dims must be a JSON array, got '22'"),
+    ("variety", ("forms",), "f", "forms must be a JSON array, got 'f'"),
+    ("variety", ("forms", 0), [1], "the value holding 'p' must be a JSON object, got [1]"),
+    ("variety", ("forms", 0, "support"), "12", "support must be a JSON array, got '12'"),
+    ("variety", ("forms", 0, "coeffs"), "1001", "coeffs must be a JSON array, got '1001'"),
+    ("map", ("dims",), "22", "dims must be a JSON array, got '22'"),
+    ("map", ("components",), "c", "components must be a JSON array, got 'c'"),
+    ("map", ("components", 0), "1001", "coeffs must be a JSON array, got '1001'"),
+    ("certificate", ("output",), [], "output must be a JSON object, got []"),
+    ("certificate", ("ledger",), "l", "ledger must be a JSON array of objects, got 'l'"),
+    ("certificate", ("ledger", 0), [], "ledger must be a JSON array of objects"),
+    ("certificate", ("ledger", 0, "epsilon"), [],
+     "the value holding 'coef' must be a JSON object, got []"),
+    ("certificate", ("ledger", 0, "directions"), "x", "directions must be a JSON array, got 'x'"),
+    ("certificate", ("ledger", 0, "directions", 0), [1],
+     "the value holding 'min_fiber_density' must be a JSON object, got [1]"),
+])
+def test_a_value_of_another_json_type_is_named(kind, path, value, message):
+    """An object where the format has a list, or a list (or a string) where
+    it has an object; a string is never read as a list of its characters."""
+    read, obj, _ = _wire_object(kind)
+    _at(obj, path[:-1])[path[-1]] = value
+    with pytest.raises(InputFormatError, match=re.escape(message)):
         read(json.loads(json.dumps(obj)))
 
 
