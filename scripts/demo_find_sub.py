@@ -2,8 +2,9 @@
 """End-to-end demo: build a variety, extract a certified subvariety, verify.
 
 Prints the input density from the certificate (re-counted by the verifier),
-the achieved codimension against its budget, the per-level ledger constants,
-and the outcome of independent re-verification.  A leaf (arity 1, or density
+the achieved codimension against its budget, the per-level ledger constants
+(one record per path from the top, by ledger_paths; the certificate stores
+each distinct level once), and the outcome of independent re-verification.  A leaf (arity 1, or density
 1 at any arity), whose canonical input list is its output, has no constants
 and prints its codimension only.
 Epsilon is printed in its exact monomial form coef * p^p_exp * (c)^c_exp, c
@@ -19,6 +20,7 @@ from mlvariety import (
 )
 from mlvariety.generators import random_variety
 from mlvariety.jsonio import frac_to_str
+from mlvariety.ledger import ledger_paths
 
 SEED = 99
 
@@ -29,7 +31,7 @@ def show(v):
     print(f"shape: p={v.shape.p} dims={v.shape.dims}")
     print(f"density: {frac_to_str(cert.input_density)}")
     print(f"achieved codim: {cert.output_codim}  budget: {cert.budget}")
-    for record in cert.ledger:
+    for record in ledger_paths(cert.ledger):
         where = record["path"] or "root"
         if record["arity"] == 1 or record["c"] == 1:
             print(f"  [{where}] arity {record['arity']}, c={frac_to_str(record['c'])}, "

@@ -536,7 +536,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             raise ConstructionError(
                 f"subspace density {c} does not match codimension {codim}"
             )
-        ledger = (_ledger_record(shape.k, c, codim_contribution=codim),)
+        ledger = _ledger_record(shape.k, c, codim_contribution=codim)
         return SubvarietyCertificate(c, v, codim, bud, ledger)
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
@@ -582,19 +582,10 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             f"achieved codimension {codim} exceeds the budget {bud}"
         )
 
-    ledger = [
-        _ledger_record(
-            shape.k,
-            c,
-            r=r_max,
-            **level,
-            cylinder_forms=len(cylinders),
-            codim_contribution=codim,
-            directions=direction_info,
-        )
-    ]
-    for i, res in enumerate(results):
-        for record in res.base_certificate.ledger:
-            path = f"{i}/{record['path']}" if record["path"] else f"{i}"
-            ledger.append({**record, "path": path})
-    return SubvarietyCertificate(c, candidate, codim, bud, tuple(ledger))
+    # each sub-level's record is its base certificate's, shared, not copied
+    ledger = _ledger_record(
+        shape.k, c, r=r_max, **level, cylinder_forms=len(cylinders),
+        codim_contribution=codim, directions=direction_info,
+        children=tuple(res.base_certificate.ledger for res in results),
+    )
+    return SubvarietyCertificate(c, candidate, codim, bud, ledger)

@@ -12,17 +12,20 @@ nothing is truncated or coerced), a rational that is not such a string or
 has a zero denominator, and a variety flagged "empty": true that lists
 forms (the writer puts "forms": [] beside the flag).
 
-Since format version "3" the ledger constants c_prime, c_double_prime and
-epsilon are exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
-q * p**a * c**e with c the record's own "c" and p the output's field; the
-coef must be a positive rational string.  Versions "1" and "2" wrote them as
-rational strings and still read, each as a monomial with that coef and zero
-exponents.  Version "2" dropped an always-true flag from certificates;
-version "1" certificates still read, the flag ignored.  FORMAT_VERSION is
-shared: variety files and the sweep CSV header carry it too.  Version "4"
-keeps the layout of "3" and marks the sweep's cost_points, which from "4"
-on count each enumerating pass once, when it runs, and nothing for a cache
-hit.
+Since format version "5" the ledger lists each distinct level once, the
+top last: a node is a level's record plus "children", the indices of its
+sub-levels' nodes, one per direction and each below its own, so the ledger
+has no cycle.  Equal nodes are written once, whatever paths reach them.
+Versions "1" to "4" wrote one record per path, "" at the top and P/i below
+P in direction i, and still read; a duplicate, missing or unreachable path
+is refused.  Since "3" the ledger constants c_prime, c_double_prime and
+epsilon are exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the
+number q * p**a * c**e with c the record's own "c" and p the output's field,
+q a positive rational string; "1" and "2" wrote them as rational strings,
+read with zero exponents, and "1" wrote an always-true flag, ignored.  "4"
+marked the sweep's cost_points, which count each enumerating pass once,
+when it runs, and nothing for a cache hit.  FORMAT_VERSION is shared:
+variety files and the sweep CSV header carry it too.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ import numpy as np
 
 from .errors import InputFormatError, PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
-from .ledger import SubvarietyCertificate
+from .ledger import SubvarietyCertificate, child_path
 from .monomial import Monomial
 from .variety import Variety
 
-FORMAT_VERSION = "4"
-_READABLE_VERSIONS = ("1", "2", "3", "4")
-_JSON_TYPES = {int: "integer", bool: "boolean", list: "array", dict: "object"}
+FORMAT_VERSION = "5"
+_READABLE_VERSIONS = ("1", "2", "3", "4", "5")
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", list: "array", dict: "object"}
 
 
 def frac_to_str(fr: Fraction) -> str:
@@ -106,14 +109,18 @@ def form_to_obj(form: MultilinearForm) -> dict:
     }
 
 
+def _support(obj) -> tuple[int, ...]:
+    support = tuple(j - 1 for j in _ints(_field(obj, "support"), "support"))
+    if any(j < 0 for j in support):
+        raise PreconditionError("support indices are 1-based")
+    return support
+
+
 def form_from_obj(obj, shape: Shape | None = None) -> MultilinearForm:
     found = shape_from_obj(obj)
     if shape is not None and found != shape:
         raise PreconditionError("form shape does not match the enclosing shape")
-    support = tuple(j - 1 for j in _ints(_field(obj, "support"), "support"))
-    if any(j < 0 for j in support):
-        raise PreconditionError("support indices are 1-based")
-    return MultilinearForm(found, support, _coeff_array(_field(obj, "coeffs"), found.p))
+    return MultilinearForm(found, _support(obj), _coeff_array(_field(obj, "coeffs"), found.p))
 
 
 def _coeff_array(values, p: int) -> np.ndarray:
@@ -136,7 +143,7 @@ def map_to_obj(m: MultilinearMap) -> dict:
 
 def map_from_obj(obj) -> MultilinearMap:
     shape = shape_from_obj(obj)
-    support = tuple(j - 1 for j in _ints(_field(obj, "support"), "support"))
+    support = _support(obj)
     comps = [
         MultilinearForm(shape, support, _coeff_array(row, shape.p))
         for row in _field(obj, "components", list)
@@ -204,6 +211,49 @@ def _convert_ledger_record(record: dict, rational, monomial) -> dict:
     return out
 
 
+def _ledger_nodes(top: dict, rational, monomial) -> list[dict]:
+    """The wire ledger of top: its distinct nodes, each once, children first."""
+    index, done = {}, {}
+
+    def visit(record: dict) -> int:
+        # a record the memo shares is walked once; equal nodes share an index
+        if id(record) not in done:
+            node = _convert_ledger_record(record, rational, monomial)
+            node["children"] = [visit(child) for child in record["children"]]
+            done[id(record)] = index.setdefault(json.dumps(node), (len(index), node))[0]
+        return done[id(record)]
+
+    visit(top)
+    return [node for _, node in index.values()]
+
+
+def _ledger_tree(nodes: list[dict]) -> dict | None:
+    """The top record of a wire ledger; each child index lies below its node's own."""
+    records = []
+    for i, node in enumerate(nodes):
+        children = _ints(_field(node, "children"), "children")
+        if not all(0 <= j < i for j in children):
+            raise InputFormatError(f"ledger node {i} lists a child not below {i}: {children!r:.60}")
+        records.append({**node, "children": tuple(records[j] for j in children)})
+    return records[-1] if records else None
+
+
+def _tree_from_paths(records: list[dict]) -> dict | None:
+    """The top record of a version "1" to "4" ledger, one record per path."""
+    paths = [_field(record, "path", str) for record in records]
+    tree = {}
+    # a child's path is longer than its parent's, so it is built first
+    for path, record in sorted(zip(paths, records), key=lambda item: -len(item[0])):
+        del record["path"]
+        kids = [child_path(path, i) for i in range(len(record.get("directions") or ()))]
+        if not set(kids) <= tree.keys():
+            raise InputFormatError(f"ledger path {path!r:.60} lacks a child in {kids!r:.60}")
+        tree[path] = {**record, "children": tuple(map(tree.pop, kids))}
+    if len(set(paths)) < len(paths) or list(tree) not in ([], [""]):
+        raise InputFormatError(f"ledger paths {sorted(paths)!r:.60} do not make one tree")
+    return tree.get("")
+
+
 def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) -> dict:
     p = cert.output.shape.p
 
@@ -216,9 +266,7 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
         "output_codim": cert.output_codim,
         "budget": cert.budget,
         "output": variety_to_obj(cert.output),
-        "ledger": [
-            _convert_ledger_record(r, frac_to_str, monomial) for r in cert.ledger
-        ],
+        "ledger": _ledger_nodes(cert.ledger, frac_to_str, monomial) if cert.ledger else [],
     }
     if config is not None:
         out["config"] = config
@@ -233,6 +281,7 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
     ledger = _field(obj, "ledger")
     if type(ledger) is not list or not all(type(r) is dict for r in ledger):
         raise InputFormatError(f"ledger must be a JSON array of objects, got {ledger!r:.60}")
+    read_ledger = _ledger_tree if version == FORMAT_VERSION else _tree_from_paths
 
     def monomial(value, c):
         if version in ("1", "2"):
@@ -244,9 +293,7 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
         output=output,
         output_codim=_field(obj, "output_codim", int),
         budget=_field(obj, "budget", int),
-        ledger=tuple(
-            _convert_ledger_record(r, frac_from_str, monomial) for r in ledger
-        ),
+        ledger=read_ledger([_convert_ledger_record(r, frac_from_str, monomial) for r in ledger]),
     )
 
 

@@ -128,19 +128,33 @@ def codim_budget(arity: int, p: int, c: Fraction) -> int:
 
 @dataclass(frozen=True)
 class SubvarietyCertificate:
-    """Machine-checkable record of a subvariety extraction."""
+    """Machine-checkable record of a subvariety extraction.  Its ledger is
+    the top level's record, its sub-levels' records its "children" (or None)."""
 
     input_density: Fraction
     output: Variety
     output_codim: int
     budget: int
-    ledger: tuple[dict, ...]
+    ledger: dict | None
 
 
-def _ledger_record(arity: int, c: Fraction, **extra) -> dict:
-    record = dict.fromkeys((
-        "path", "arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
-        "cylinder_forms", "codim_contribution", "clamped", "directions",
-    ))
-    record.update(path="", arity=arity, c=c, **extra)
-    return record
+def _ledger_record(arity: int, c: Fraction, children: tuple = (), **extra) -> dict:
+    keys = ("arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
+            "cylinder_forms", "codim_contribution", "clamped", "directions", "children")
+    return dict(dict.fromkeys(keys), arity=arity, c=c, children=children, **extra)
+
+
+def child_path(path: str, i: int) -> str:
+    """The path of the sub-level in direction i of the level at path."""
+    return f"{path}/{i}" if path else f"{i}"
+
+
+def ledger_paths(record: dict | None, path: str = "") -> list[dict]:
+    """The ledger below record as one record per path, parent first: each a
+    copy with its "path" ("" at the top) in place of its "children"."""
+    if record is None:
+        return []
+    flat = [{"path": path, **{k: v for k, v in record.items() if k != "children"}}]
+    for i, child in enumerate(record["children"]):
+        flat += ledger_paths(child, child_path(path, i))
+    return flat

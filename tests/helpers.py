@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the defining
 formulas, without touching the library's vectorized paths: plain-Python
 evaluation, bias from the full value distribution, density by point-by-point
 membership, row reduction in a different style, brute-force witness search,
-ledger monomials written out as rationals, the external-approximation
+ledger monomials written out as rationals, a certificate written in the
+one-record-per-path ledger of format versions 1 to 4, the external-approximation
 greedy on a value-vector histogram counted point by point, subspace
 membership, points and annihilators for the tests that plant subspaces,
 every canonical variety of a small shape (one reduced echelon basis per
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import math
 import sys
 import unittest.mock
@@ -43,6 +45,8 @@ import numpy as np
 from mlvariety import budget, construct, forms, variety
 from mlvariety.field import echelonize, shift_rows
 from mlvariety.forms import MultilinearForm, Shape, eval_form, slice_form
+from mlvariety.jsonio import _convert_ledger_record, certificate_from_obj
+from mlvariety.ledger import ledger_paths
 from mlvariety.variety import Variety
 
 
@@ -139,6 +143,27 @@ def monomial_value(m) -> Fraction:
     """The exact rational coef * p**p_exp * c**c_exp of a ledger monomial;
     only for the small exponents of low arities."""
     return m.coef * Fraction(m.p) ** m.p_exp * m.c**m.c_exp
+
+
+def legacy_certificate(obj, version: str) -> dict:
+    """A copy of a certificate object in format version 1 to 4: its ledger
+    one record per path, from ledger_paths, and in "1" and "2" every ledger
+    monomial written as the rational string it equals."""
+    legacy = json.loads(json.dumps(obj))
+    legacy["format_version"] = version
+    if version == "1":
+        legacy["containment_verified"] = True
+
+    def monomial(m, c):
+        if version in ("1", "2"):
+            return str(monomial_value(m))
+        return {"coef": str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
+
+    legacy["ledger"] = [
+        _convert_ledger_record(record, str, monomial)
+        for record in ledger_paths(certificate_from_obj(obj).ledger)
+    ]
+    return legacy
 
 
 def brute_density(variety) -> Fraction:

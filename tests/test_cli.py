@@ -41,7 +41,8 @@ from mlvariety.jsonio import (
     frac_to_str,
     variety_to_obj,
 )
-from mlvariety.ledger import codim_budget
+from mlvariety.ledger import codim_budget, ledger_paths
+from mlvariety.monomial import Monomial
 from mlvariety.variety import PointSet, Variety, _point_from_index, variety_bitmap
 
 from helpers import (
@@ -52,6 +53,7 @@ from helpers import (
     count_bitmap_passes,
     count_grid_evaluations,
     count_row_pass_bases,
+    legacy_certificate,
     monomial_value,
     planted_cylinder,
     replace_shift_tables,
@@ -250,7 +252,7 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "verified=True" in summary
     obj = json.loads(cert_path.read_text())
-    assert obj["format_version"] == "4"
+    assert obj["format_version"] == "5"
     assert "containment_verified" not in obj
     assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
     assert obj["config"]["command"] == "find-sub"
@@ -260,19 +262,12 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     ]) == EXIT_OK
 
 
-def _as_legacy_certificate(obj, version):
-    """A format-1 or format-2 copy of a certificate object: every ledger
-    monomial written as the rational string it equals."""
-    legacy = json.loads(json.dumps(obj))
-    legacy["format_version"] = version
-    if version == "1":
-        legacy["containment_verified"] = True
-    ledger = certificate_from_obj(obj).ledger
-    for record, read in zip(legacy["ledger"], ledger):
-        for key in ("c_prime", "c_double_prime", "epsilon"):
-            if record[key] is not None:
-                record[key] = str(monomial_value(read[key]))
-    return legacy
+def _valued_paths(cert):
+    """ledger_paths of cert with each ledger monomial replaced by its value."""
+    return [
+        {key: monomial_value(x) if isinstance(x, Monomial) else x for key, x in record.items()}
+        for record in ledger_paths(cert.ledger)
+    ]
 
 
 def test_verify_reads_format_1_certificate(dot_files, tmp_path):
@@ -281,30 +276,44 @@ def test_verify_reads_format_1_certificate(dot_files, tmp_path):
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
     obj = json.loads(cert_path.read_text())
     for version in ("1", "2"):
-        legacy = _as_legacy_certificate(obj, version)
+        legacy = legacy_certificate(obj, version)
+        assert [record["path"] for record in legacy["ledger"]] == ["", "0", "1"]
         assert legacy["ledger"][0]["c_prime"] == "25/2048"
         cert_path.write_text(json.dumps(legacy))
         assert main([
             "verify", "--input", str(var_path), "--certificate", str(cert_path),
         ]) == EXIT_OK
         read = certificate_from_obj(legacy)
-        assert certificate_to_obj(read)["ledger"][0]["c_prime"] == {
+        assert _valued_paths(read) == _valued_paths(certificate_from_obj(obj))
+        assert certificate_to_obj(read)["ledger"][-1]["c_prime"] == {
             "coef": "25/2048", "p_exp": 0, "c_exp": 0,
         }
 
 
-def test_verify_reads_format_3_certificate(dot_files, tmp_path):
-    # "4" changed what cost_points counts, not the certificate layout
+def test_verify_reads_format_3_certificate(dot_files, tmp_path, capsys):
+    # "3" and "4" have the monomials of "5" and the ledger one record per path
     _, var_path = dot_files
     cert_path = tmp_path / "cert.json"
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
     obj = json.loads(cert_path.read_text())
-    relabeled = {**obj, "format_version": "3"}
-    assert certificate_from_obj(relabeled) == certificate_from_obj(obj)
-    cert_path.write_text(json.dumps(relabeled))
+    for version in ("3", "4"):
+        legacy = legacy_certificate(obj, version)
+        assert [record["path"] for record in legacy["ledger"]] == ["", "0", "1"]
+        read = certificate_from_obj(legacy)
+        assert read == certificate_from_obj(obj)
+        assert ledger_paths(read.ledger) == ledger_paths(certificate_from_obj(obj).ledger)
+        cert_path.write_text(json.dumps(legacy))
+        assert main([
+            "verify", "--input", str(var_path), "--certificate", str(cert_path),
+        ]) == EXIT_OK
+    # a path written twice is refused, though every other path is there
+    legacy["ledger"].append(legacy["ledger"][-1])
+    cert_path.write_text(json.dumps(legacy))
+    capsys.readouterr()
     assert main([
         "verify", "--input", str(var_path), "--certificate", str(cert_path),
-    ]) == EXIT_OK
+    ]) == EXIT_PARSE
+    assert "ledger paths ['', '0', '1', '1'] do not make one tree" in capsys.readouterr().err
 
 
 def test_find_sub_empty_variety_distinct_exit(tmp_path):
@@ -753,8 +762,8 @@ def test_conv_check_rejects_negative_bad_count(dot_files):
     (["input_density"], "abc"),
     (["input_density"], "1/0"),
     (["input_density"], 0.25),
-    (["ledger", 0, "c_prime", "coef"], "1/2/3"),
-    (["ledger", 0, "directions", 0, "min_fiber_density"], "3/0"),
+    (["ledger", -1, "c_prime", "coef"], "1/2/3"),
+    (["ledger", -1, "directions", 0, "min_fiber_density"], "3/0"),
     (["ledger"], ["ab"]),
     (["ledger"], {"ab": 1}),
     (["ledger"], "xy"),
@@ -790,9 +799,9 @@ def test_arity_4_certificate_round_trip(tmp_path, capsys):
     var_path, cert_path = _arity_4_files(tmp_path)
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
     obj = json.loads(cert_path.read_text())
-    assert obj["format_version"] == "4"
+    assert obj["format_version"] == "5"
     assert obj["verified"] == {"containment": True, "nonempty": True, "codim": True}
-    root = obj["ledger"][0]
+    root = obj["ledger"][-1]
     assert root["arity"] == 4
     for key in ("c_prime", "c_double_prime", "epsilon"):
         assert set(root[key]) == {"coef", "p_exp", "c_exp"}
@@ -825,9 +834,9 @@ def test_malformed_monomial_in_certificate_is_an_input_error(dot_files, tmp_path
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
     obj = json.loads(cert_path.read_text())
     if key is None:
-        obj["ledger"][0]["epsilon"] = value
+        obj["ledger"][-1]["epsilon"] = value
     else:
-        obj["ledger"][0]["epsilon"][key] = value
+        obj["ledger"][-1]["epsilon"][key] = value
     cert_path.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main([
@@ -836,7 +845,7 @@ def test_malformed_monomial_in_certificate_is_an_input_error(dot_files, tmp_path
     assert "input error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [None, "5", 3])
+@pytest.mark.parametrize("version", [None, "6", 3])
 def test_unknown_certificate_version_is_an_input_error(dot_files, tmp_path, capsys, version):
     _, var_path = dot_files
     cert_path = tmp_path / "cert.json"
@@ -1029,6 +1038,18 @@ def test_approx_refuses_a_cap_too_long_to_write(tmp_path, capsys, s, code):
     assert time.perf_counter() - start < 1
     refusal = f"budget exceeded: error cap 2^{4 - s} is too long to write\n"
     assert capsys.readouterr().err == ("" if code == EXIT_OK else refusal)
+
+
+@pytest.mark.parametrize("command, obj", [
+    (["rank"], {"p": 2, "k": 2, "dims": [2, 2], "support": [0, 2], "coeffs": [1, 0, 0, 1]}),
+    (["approx", "--s", "1"], {"p": 2, "k": 2, "dims": [2, 2], "support": [0, 2],
+                              "codomain_dim": 1, "components": [[1, 0, 0, 1]]}),
+])
+def test_a_zero_support_index_is_refused_for_forms_and_maps(tmp_path, capsys, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([command[0], "--input", str(path), *command[1:]]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "precondition violated: support indices are 1-based\n"
 
 
 def test_approx_refuses_a_negative_s_as_a_usage_error(tmp_path, capsys):
@@ -1396,7 +1417,7 @@ def test_sweep_at_arity_5(tmp_path):
     assert main(args + ["--output", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().splitlines()
-    assert lines[0].startswith("# mlvariety-sweep format=4 ")
+    assert lines[0].startswith("# mlvariety-sweep format=5 ")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 3
     for cols in rows:

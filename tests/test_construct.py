@@ -30,7 +30,7 @@ from mlvariety.generators import (
     random_subspace,
     random_variety,
 )
-from mlvariety.jsonio import certificate_from_obj, certificate_to_obj
+from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, dumps
 from mlvariety.ledger import (
     _fiber_constants,
     _fiber_thresholds,
@@ -38,6 +38,7 @@ from mlvariety.ledger import (
     arity_constant,
     budget_line,
     codim_budget,
+    ledger_paths,
 )
 from mlvariety.variety import Variety, membership, variety_bitmap
 
@@ -627,9 +628,10 @@ def test_density_one_is_a_base_case_at_every_arity():
             assert cert.output == Variety.full(v.shape)
             assert cert.output_codim == 0
             assert cert.budget == codim_budget(v.shape.k, v.shape.p, Fraction(1))
-            assert len(cert.ledger) == 1
-        leaves = [record["path"] for record in cert.ledger if record["c"] == 1]
-        for record in cert.ledger:
+            assert cert.ledger["children"] == ()
+        records = ledger_paths(cert.ledger)
+        leaves = [record["path"] for record in records if record["c"] == 1]
+        for record in records:
             if record["c"] == 1:
                 assert record["codim_contribution"] == 0
                 assert all(record[name] is None for name in _LEVEL_FIELDS)
@@ -668,13 +670,13 @@ def test_finder_deterministic_certificates():
 def test_ledger_records_levels():
     v = dot_variety(2, 2)
     cert = find_subvariety(v)
-    root = cert.ledger[0]
+    root = cert.ledger
     assert root["arity"] == 2
     assert root["c"] == Fraction(5, 8)
     assert monomial_value(root["c_prime"]) == Fraction(25, 2048)
     assert root["epsilon"] is not None
-    child_paths = {r["path"] for r in cert.ledger[1:]}
-    assert child_paths == {"0", "1"}
+    assert [r["path"] for r in ledger_paths(root)] == ["", "0", "1"]
+    assert [r["arity"] for r in root["children"]] == [1, 1]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -695,7 +697,7 @@ def test_finder_at_arity_4_and_5(p, dims):
     v = random_variety(random.Random(5), Shape(p, dims), 2, full_support_only=True)
     cert = find_subvariety(v)
     assert verify_certificate(v, cert).all_ok
-    root = cert.ledger[0]
+    root = cert.ledger
     k = len(dims) - 1
     big_k = arity_constant(k)
     assert (root["c_prime"].p_exp, root["c_prime"].c_exp) == (-2 * k * big_k, k * big_k + 1)
@@ -710,7 +712,7 @@ def test_ledger_constants_satisfy_their_relations():
     sh = Shape(2, (3, 2))
     v = random_variety(rng, sh, 2)
     cert = find_subvariety(v)
-    root = cert.ledger[0]
+    root = cert.ledger
     c = root["c"]
     k_lower = root["arity"] - 1
     big_k = arity_constant(k_lower)
@@ -888,7 +890,7 @@ def test_each_level_echelonizes_only_its_input_and_output(monkeypatch, make, can
 
     def solving(u):
         cert = original_solve(u)
-        levels.append(cert.ledger[0]["cylinder_forms"] is not None)
+        levels.append(cert.ledger["cylinder_forms"] is not None)
         return cert
 
     monkeypatch.setattr(Variety, "canonical", counting)
@@ -957,7 +959,7 @@ def _find_outcome(v):
         cert = find_subvariety(v)
     except ConstructionError as exc:
         return type(exc).__name__, str(exc)
-    top = cert.ledger[0]
+    top = cert.ledger
     if top["cylinder_forms"] is not None:
         # the cylinder forms are read off the output: its forms without full support
         full = tuple(range(v.shape.k))
@@ -1229,7 +1231,9 @@ def test_factorial_recursion_solves_each_sub_problem_once(monkeypatch):
     # each of m * p**(m+1) = 4 cells for its one form; each base is the full
     # group, whose fiber system is built before any row, so it costs nothing
     assert budget.work_points() == 448 + 2688 + 67 + 8
-    assert len(cert.ledger) == 8
+    assert len(ledger_paths(cert.ledger)) == 8
+    # the top level and the one full-group leaf its seven directions share
+    assert len(certificate_to_obj(cert)["ledger"]) == 2
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again.ledger == cert.ledger
     assert verify_certificate(v, again).all_ok
@@ -1249,9 +1253,24 @@ def test_memo_solves_repeated_sub_problems_with_forms_once(monkeypatch):
 
     monkeypatch.setattr(construct, "find_subvariety", keying)
     cert = construct.find_subvariety(v)
-    assert counts["_solve"] == len(distinct) == 10 < len(cert.ledger) == 48
-    assert sum(record["c"] < 1 for record in cert.ledger) == 16
+    paths = ledger_paths(cert.ledger)
+    assert counts["_solve"] == len(distinct) == 10 < len(paths) == 48
+    assert sum(record["c"] < 1 for record in paths) == 16
+    assert len(certificate_to_obj(cert)["ledger"]) <= 10
     assert verify_certificate(v, cert).all_ok
+
+
+def test_certificate_writes_each_distinct_sub_problem_once(monkeypatch):
+    # a deep arity-9 instance whose 31 distinct sub-problems lie on 7,828
+    # paths: the certificate grows with the sub-problems, not the paths
+    v = random_variety(random.Random(5), Shape(2, (1,) * 9), 3)
+    counts = _count_calls(monkeypatch, "_solve")
+    cert = find_subvariety(v)
+    obj = certificate_to_obj(cert)
+    assert len(obj["ledger"]) <= counts["_solve"] == 31
+    assert len(ledger_paths(cert.ledger)) == 7828
+    assert len(dumps(obj)) < 64 * 1024
+    assert certificate_from_obj(json.loads(dumps(obj))) == cert
 
 
 def _zero_slice_oracle_inputs():

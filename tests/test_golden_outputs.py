@@ -38,7 +38,7 @@ from mlvariety.variety import Variety
 
 from helpers import coordinate_products
 
-GOLDEN_SHA256 = "62ecebc1959319d87775962f610a76fc438decb4d7409049cb99cc79fe9eb84e"
+GOLDEN_SHA256 = "3a635eebd36bef033c109dce9a15dd6d419cae693e542186d64bd6a0b2dcffd2"
 
 # (file stem, p, dims, forms, seed) for the varieties find-sub extracts from
 VARIETIES = [

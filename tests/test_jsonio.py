@@ -26,7 +26,7 @@ from mlvariety.jsonio import (
 )
 from mlvariety.variety import Variety
 
-from helpers import monomial_value, small_dims
+from helpers import legacy_certificate, monomial_value, small_dims
 
 
 def test_form_roundtrip_bit_exact():
@@ -84,9 +84,12 @@ def test_certificate_roundtrip():
     assert again == cert
     assert certificate_to_obj(again) == obj
     # c' = c**2 / (2**3 p**2) at arity 2, written as a monomial in c = 5/8
-    assert obj["format_version"] == "4"
-    assert obj["ledger"][0]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
-    assert monomial_value(again.ledger[0]["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
+    assert obj["format_version"] == "5"
+    assert obj["ledger"][-1]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
+    assert monomial_value(again.ledger["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
+    # an empty ledger reads in every version, as no record
+    for version in "12345":
+        assert certificate_from_obj({**obj, "format_version": version, "ledger": []}).ledger is None
 
 
 def _flag_empty_beside_a_form(obj: dict) -> dict:
@@ -115,10 +118,10 @@ def test_certificate_refuses_a_monomial_off_its_record_level():
     sh = Shape(2, (2, 2))
     v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
     cert = find_subvariety(v)
-    root = dict(cert.ledger[0])
+    root = dict(cert.ledger)
     root["c_prime"] = dataclasses.replace(root["c_prime"], c=Fraction(1, 2))
     with pytest.raises(ValueError, match="level"):
-        certificate_to_obj(dataclasses.replace(cert, ledger=(root,) + cert.ledger[1:]))
+        certificate_to_obj(dataclasses.replace(cert, ledger=root))
 
 
 def test_form_shape_mismatch_detected():
@@ -142,14 +145,18 @@ def test_wire_counts_must_agree_with_their_lists(read, obj, message):
 
 def _wire_object(kind):
     """A variety, a map or a certificate on the wire, its reader, and the
-    object holding the integer lists of its first form."""
+    object holding the integer lists of its first form.  A certificate's
+    ledger has two nodes, a leaf and the top; in format "4" it has the
+    paths "", "0" and "1"."""
     sh = Shape(3, (2, 2))
     v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
     if kind == "variety":
         obj = variety_to_obj(v)
         return variety_from_obj, obj, obj["forms"][0]
-    if kind == "certificate":
+    if kind.startswith("certificate"):
         obj = certificate_to_obj(find_subvariety(v))
+        if kind == "certificate-v4":
+            obj = legacy_certificate(obj, "4")
         return certificate_from_obj, obj, obj["output"]["forms"][0]
     obj = map_to_obj(random_map(random.Random(3), sh, 2))
     return map_from_obj, obj, {**obj, "coeffs": obj["components"][0]}
@@ -195,9 +202,11 @@ def _at(obj, path):
     ("certificate", ("output",), "shape"),
     ("certificate", ("output", "forms", 0), "coeffs"),
     ("certificate", ("ledger", 0), "c"),
-    ("certificate", ("ledger", 0, "epsilon"), "coef"),
-    ("certificate", ("ledger", 0, "epsilon"), "p_exp"),
-    ("certificate", ("ledger", 0, "directions", 0), "min_fiber_density"),
+    ("certificate", ("ledger", -1, "epsilon"), "coef"),
+    ("certificate", ("ledger", -1, "epsilon"), "p_exp"),
+    ("certificate", ("ledger", -1, "directions", 0), "min_fiber_density"),
+    ("certificate", ("ledger", -1), "children"),
+    ("certificate-v4", ("ledger", 0), "path"),
 ])
 def test_a_missing_required_key_is_named(kind, path, key):
     read, obj, _ = _wire_object(kind)
@@ -222,12 +231,24 @@ def test_a_missing_required_key_is_named(kind, path, key):
     ("certificate", ("ledger", 0, "epsilon"), [],
      "the value holding 'coef' must be a JSON object, got []"),
     ("certificate", ("ledger", 0, "directions"), "x", "directions must be a JSON array, got 'x'"),
-    ("certificate", ("ledger", 0, "directions", 0), [1],
+    ("certificate", ("ledger", -1, "directions", 0), [1],
      "the value holding 'min_fiber_density' must be a JSON object, got [1]"),
+    ("certificate", ("ledger", -1, "children"), "00", "children must be a JSON array, got '00'"),
+    ("certificate", ("ledger", -1, "children"), [0, 1.5],
+     "children must be a JSON integer, got 1.5"),
+    ("certificate", ("ledger", -1, "children"), [0, 1],
+     "ledger node 1 lists a child not below 1: [0, 1]"),
+    ("certificate", ("ledger", -1, "children"), [-1, 0],
+     "ledger node 1 lists a child not below 1: [-1, 0]"),
+    ("certificate-v4", ("ledger", 0, "path"), 0, "path must be a JSON string, got 0"),
+    ("certificate-v4", ("ledger", 1, "path"), "9", "ledger path '' lacks a child in ['0', '1']"),
+    ("certificate-v4", ("ledger", 0, "directions"), [],
+     "ledger paths ['', '0', '1'] do not make one tree"),
 ])
 def test_a_value_of_another_json_type_is_named(kind, path, value, message):
     """An object where the format has a list, or a list (or a string) where
-    it has an object; a string is never read as a list of its characters."""
+    it has an object; a string is never read as a list of its characters.
+    So too a ledger whose child indices or paths do not make a tree."""
     read, obj, _ = _wire_object(kind)
     _at(obj, path[:-1])[path[-1]] = value
     with pytest.raises(InputFormatError, match=re.escape(message)):
