@@ -346,7 +346,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     at every base point; the first one without a witness is named in the
     error.  A base point's zero-offset corners lie in the base variety, so
     only a bad corner sends a base point past the pre-check to the row
-    pass.
+    pass, whose witnesses the search re-checks before returning them.
     All of this is verified exhaustively before returning.
 
     Nothing here is |G|-sized.  The input is read from its fibers in the

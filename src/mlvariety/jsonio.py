@@ -16,6 +16,9 @@ Since format version "5" the ledger lists each distinct level once, the
 top last: a node is a level's record plus "children", the indices of its
 sub-levels' nodes, one per direction and each below its own, so the ledger
 has no cycle.  Equal nodes are written once, whatever paths reach them.
+The reader refuses a ledger that is not one tree: a node whose children do
+not number its directions (0 when they are null), or a node other than the
+top that is no node's child.
 Versions "1" to "4" wrote one record per path, "" at the top and P/i below
 P in direction i, and still read; a duplicate, missing or unreachable path
 is refused.  Since "3" the ledger constants c_prime, c_double_prime and
@@ -228,13 +231,21 @@ def _ledger_nodes(top: dict, rational, monomial) -> list[dict]:
 
 
 def _ledger_tree(nodes: list[dict]) -> dict | None:
-    """The top record of a wire ledger; each child index lies below its node's own."""
-    records = []
+    """The top record of a wire ledger, which must be one tree: each node
+    lists one child per direction, each child index lies below its node's
+    own, and every node but the top (the last) is some node's child."""
+    records, reached = [], set()
     for i, node in enumerate(nodes):
         children = _ints(_field(node, "children"), "children")
         if not all(0 <= j < i for j in children):
             raise InputFormatError(f"ledger node {i} lists a child not below {i}: {children!r:.60}")
+        if len(children) != len(node.get("directions") or ()):
+            raise InputFormatError(f"ledger node {i} does not list one child per direction")
+        reached.update(children)
         records.append({**node, "children": tuple(records[j] for j in children)})
+    stray = sorted(set(range(len(nodes) - 1)) - reached)
+    if stray:
+        raise InputFormatError(f"ledger node {stray[0]} is neither the top nor a child")
     return records[-1] if records else None
 
 

@@ -271,7 +271,7 @@ def iterated_conv_witness(allowed: PointSet, point) -> Parallelepiped | None:
     reversed lexicographic order over the surviving offset mask.  This is
     the search conv_fill_check and dense_columns run (_fill_scan) at a
     single base, charged k points: the zero-offset pre-check, then the row
-    pass until a row of offsets holds a witness.
+    pass until a row holds a witness, which the search re-checks.
     """
     shape = allowed.shape
     idx = _point_index(shape, point)
@@ -406,8 +406,8 @@ def _fill_scan(shape: Shape, bases: np.ndarray, allowed: np.ndarray, what: str):
     "First" is reversed lexicographic order, last direction compared first,
     and two tiers find it:
     - the zero-offset pre-check (_zero_offset_hits, 2**k flat gathers for
-      all rows at once): the all-zero offset tuple is the minimum of the
-      order;
+      all rows at once, which check its witnesses' corners): the all-zero
+      offset tuple is the minimum of the order;
     - the row pass (_row_offsets) on the bases it rejects, which reads one
       row of |G|/|G_k| offsets per base at a time, last offset 0 first, and
       stops at a base's first row holding a witness.
@@ -416,12 +416,38 @@ def _fill_scan(shape: Shape, bases: np.ndarray, allowed: np.ndarray, what: str):
     others.  At arity 1 row 0 holds only the zero offset, so every base the
     pre-check rejects reads later rows.  A base without a witness reads all
     |G| offsets.
+
+    The row pass's witnesses, the only ones read off field.shift_rows
+    tables, are re-checked here for every caller: at the rows with a
+    nonzero offset in direction i, base and offset ranks are decoded by one
+    take each on the transposed vector table (field.all_vectors), added
+    with a conditional subtraction of p and ranked again, and every row's
+    2**k corners are flat gathers on `allowed`.  A corner outside it is
+    the search's fault, not the caller's: ConstructionError.
     """
     budget.charge(len(bases) * shape.k, what)
     offsets = np.zeros(bases.shape, dtype=np.int64)
     rest = np.flatnonzero(~_zero_offset_hits(shape, bases, allowed))
-    if len(rest):
-        offsets[rest] = _row_offsets(shape, bases[rest], allowed)
+    if not len(rest):
+        return offsets
+    offsets[rest] = found = _row_offsets(shape, bases[rest], allowed)
+    hit = found[:, 0] >= 0
+    base, found = bases[rest[hit]], found[hit]
+    strides = _flat_strides(shape)
+    steps = base * strides
+    for i, n in enumerate(shape.dims):
+        # the digits of base + offset in direction i at the rows it moves,
+        # one row per coordinate; in uint8, digits - p wraps above digits
+        # unless digits >= p
+        rows = np.flatnonzero(found[:, i])
+        table = np.ascontiguousarray(all_vectors(shape.p, n).T)
+        digits = table.take(base[rows, i], axis=1)
+        digits += table.take(found[rows, i], axis=1)
+        np.minimum(digits, digits - shape.p, out=digits)
+        moved = shape.p ** np.arange(n - 1, -1, -1, dtype=np.int64) @ digits
+        steps[rows, i] = (moved - found[rows, i]) * strides[i]
+    if not _corners_allowed(allowed, found @ strides, steps).all():
+        raise ConstructionError("witness corner escaped the allowed set")
     return offsets
 
 
@@ -470,16 +496,8 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
     in the variety, since a form vanishes where a factor of its support is
     zero and takes its value at the point elsewhere, so the pre-check
     rejects only points with a bad corner, and the row pass takes those.
-    Every witness's corners are re-checked against the bad set before it
-    counts, in one vectorized pass over all witnessed bases.  A zero offset in
-    direction i leaves the base's rank there, so only the rows with a
-    nonzero offset in direction i are decoded, with one take each for base
-    and offset ranks on the transposed vector table (field.all_vectors),
-    added with a conditional subtraction of p and ranked again.  The 2**k
-    corners of every row are flat gathers on `allowed`.  The re-check calls
-    no translation kernel, so it does not depend on the shift tables the
-    search uses.  A corner it finds outside `allowed` is the search's fault,
-    not the input's: ConstructionError.
+    The search re-checks the row pass's witnesses, and corners_checked
+    counts the 2**k corners of every witnessed point.
     """
     shape = v.shape
     if not (
@@ -498,33 +516,14 @@ def conv_fill_check(v: Variety, bad: PointSet, mask: np.ndarray, codim: int) -> 
     cap = _capped_bad_size(shape, codim, bad.size)
     bases = _ranks(np.flatnonzero(mask), mask.shape)
     offsets = _fill_scan(shape, bases, allowed, "filling check")
-    checked = len(bases)
     witnessed = offsets[:, 0] >= 0
-    failures = ()
-    if not witnessed.all():
-        failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())
-        bases, offsets = bases[witnessed], offsets[witnessed]
-    strides = _flat_strides(shape)
-    steps = bases * strides
-    for i, n in enumerate(shape.dims):
-        # the digits of base + offset in direction i at the rows it moves,
-        # one row per coordinate; in uint8, digits - p wraps above digits
-        # unless digits >= p
-        rows = np.flatnonzero(offsets[:, i])
-        table = np.ascontiguousarray(all_vectors(shape.p, n).T)
-        digits = table.take(bases[rows, i], axis=1)
-        digits += table.take(offsets[rows, i], axis=1)
-        np.minimum(digits, digits - shape.p, out=digits)
-        moved = shape.p ** np.arange(n - 1, -1, -1, dtype=np.int64) @ digits
-        steps[rows, i] = (moved - offsets[rows, i]) * strides[i]
-    if not _corners_allowed(allowed, offsets @ strides, steps).all():
-        raise ConstructionError("witness corner escaped the allowed set")
+    failures = tuple(_point_from_index(shape, idx) for idx in bases[~witnessed].tolist())
     return ConvFillReport(
         codim=codim,
         bad_size=bad.size,
         bad_cap=cap,
-        checked=checked,
-        corners_checked=len(offsets) * 2**shape.k,
+        checked=len(bases),
+        corners_checked=int(np.count_nonzero(witnessed)) * 2**shape.k,
         failures=failures,
         success=not failures,
     )

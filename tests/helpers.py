@@ -427,11 +427,12 @@ def reduced_echelon_matrices(p: int, n: int):
                 yield m
 
 
-def canonical_varieties(shape):
-    """Every canonical variety of shape once: one reduced echelon basis of a
-    subspace of each nonempty support's coefficient space, the supports in
-    the order Variety.canonical sorts them.  The empty support is left out,
-    since a nonzero constant form cuts out the empty set."""
+def canonical_varieties(shape, max_codim=math.inf):
+    """Every canonical variety of shape with at most max_codim forms in all,
+    once: one reduced echelon basis of a subspace of each nonempty
+    support's coefficient space, the supports in the order
+    Variety.canonical sorts them.  The empty support is left out, since a
+    nonzero constant form cuts out the empty set."""
     families = []
     for support in sorted(
         s for r in range(1, shape.k + 1) for s in itertools.combinations(range(shape.k), r)
@@ -441,8 +442,19 @@ def canonical_varieties(shape):
             [MultilinearForm(shape, support, row) for row in m]
             for m in reduced_echelon_matrices(shape.p, width)
         ])
-    for choice in itertools.product(*families):
-        yield Variety(shape, tuple(f for forms in choice for f in forms))
+
+    def choices(i, room):
+        # the bases of families i, i+1, ... in product order, room forms at most
+        if i == len(families):
+            yield ()
+            return
+        for forms in families[i]:
+            if len(forms) <= room:
+                for rest in choices(i + 1, room - len(forms)):
+                    yield (*forms, *rest)
+
+    for forms in choices(0, max_codim):
+        yield Variety(shape, forms)
 
 
 def mask_image_histogram(fib, components):

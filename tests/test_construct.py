@@ -57,6 +57,7 @@ from helpers import (
     monomial_value,
     planted_cylinder,
     slice_by_contracting,
+    skip_zero_offset_precheck,
     small_dims,
 )
 
@@ -573,6 +574,20 @@ def test_dense_columns_names_the_first_base_point_without_a_witness(monkeypatch)
     v = Variety(sh, (MultilinearForm(sh, (0,), [0, 1]),))
     constant_shift_tables(monkeypatch, 1)
     with pytest.raises(ConstructionError, match=r"no filling witness at base point \(\(0, 0\),\)$"):
+        dense_columns(v, direction=1)
+
+
+def test_dense_columns_rechecks_the_row_pass(monkeypatch):
+    # x_0[1] = 0; the base inside the slice is {x_0[1] = 0}, ranks 0 and 2,
+    # and a row pass that gives every base the offset of rank 1, outside
+    # the base, is caught by the search
+    sh = Shape(2, (2, 2))
+    v = Variety(sh, (MultilinearForm(sh, (0,), [0, 1]),))
+    skip_zero_offset_precheck(monkeypatch)
+    monkeypatch.setattr(
+        variety, "_row_offsets", lambda shape, bases, allowed: np.ones_like(bases)
+    )
+    with pytest.raises(ConstructionError, match="witness corner escaped the allowed set"):
         dense_columns(v, direction=1)
 
 

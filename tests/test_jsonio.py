@@ -244,11 +244,19 @@ def test_a_missing_required_key_is_named(kind, path, key):
     ("certificate-v4", ("ledger", 1, "path"), "9", "ledger path '' lacks a child in ['0', '1']"),
     ("certificate-v4", ("ledger", 0, "directions"), [],
      "ledger paths ['', '0', '1'] do not make one tree"),
+    ("certificate", ("ledger", -1, "children"), [0],
+     "ledger node 1 does not list one child per direction"),
+    ("certificate", ("ledger", -1, "directions"), None,
+     "ledger node 1 does not list one child per direction"),
+    # a top with no sub-levels leaves the old leaf no node's child
+    ("certificate", ("ledger", -1), {"c": "1", "children": []},
+     "ledger node 0 is neither the top nor a child"),
 ])
 def test_a_value_of_another_json_type_is_named(kind, path, value, message):
     """An object where the format has a list, or a list (or a string) where
     it has an object; a string is never read as a list of its characters.
-    So too a ledger whose child indices or paths do not make a tree."""
+    So too a ledger whose child indices, child counts or paths do not make
+    one tree."""
     read, obj, _ = _wire_object(kind)
     _at(obj, path[:-1])[path[-1]] = value
     with pytest.raises(InputFormatError, match=re.escape(message)):

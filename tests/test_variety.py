@@ -672,6 +672,36 @@ def test_conv_fill_corner_recheck_is_independent_of_shift_tables(monkeypatch):
         conv_fill_check(w, bad, variety_bitmap(w), w.codim)
 
 
+def test_iterated_conv_witness_rechecks_the_row_pass(monkeypatch):
+    sh = Shape(2, (3,))
+    bad = PointSet.from_points(sh, [((0, 0, 1),), ((1, 1, 1),)])
+    allowed = PointSet(sh, ~bad.mask)
+    # the bad (0,0,1) fails the pre-check at base (0,0,1), and identity
+    # translations make the row pass accept the offset (0,0,0) there, whose
+    # shifted corner is (0,0,1)
+    replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
+    with pytest.raises(ConstructionError, match="witness corner escaped the allowed set"):
+        iterated_conv_witness(allowed, ((0, 0, 1),))
+
+
+def test_conv_fill_checks_pre_check_witnesses_once(monkeypatch):
+    # the pre-check settles every point of the full space, so its own
+    # corner pass is the only one
+    sh = Shape(2, (2, 2))
+    passes = []
+    original = variety._corners_allowed
+
+    def recording(allowed, cells, steps):
+        passes.append(len(cells))
+        return original(allowed, cells, steps)
+
+    monkeypatch.setattr(variety, "_corners_allowed", recording)
+    w = Variety.full(sh)
+    report = conv_fill_check(w, PointSet.empty(sh), variety_bitmap(w), 0)
+    assert report.success and report.corners_checked == sh.total_points * 4
+    assert passes == [sh.total_points]
+
+
 def test_conv_fill_corner_recheck_is_independent_of_shift_tables_p3_k2(monkeypatch):
     sh = Shape(3, (2, 2))
     w = Variety.full(sh)
@@ -697,13 +727,13 @@ def test_conv_fill_corner_recheck_ranks_the_moved_digits_p3(monkeypatch, dims):
     bad = PointSet.from_points(sh, [((0, 0),) + zeros, ((0, 2),) + zeros])
     mask = variety_bitmap(w)
     assert conv_fill_check(w, bad, mask, 0).success
-    # with identity translations the search accepts offset (0,1) in
-    # direction 0 and zero offsets in the others at every base; at a base
-    # with (0,1) in factor 0 the corner shifted in direction 0 alone is
-    # (0,1) + (0,1) = (0,2), bad, which only digits added mod 3 and ranked
-    # in base 3 reach
+    # with identity translations the row pass, which the bad origin sends
+    # every base to, accepts offset (0,1) in direction 0 and zero offsets in
+    # the others at every base; at a base with (0,1) in factor 0 the corner
+    # shifted in direction 0 alone is (0,1) + (0,1) = (0,2), bad, which only
+    # digits added mod 3 and ranked in base 3 reach
     replace_shift_tables(monkeypatch, lambda p, n: np.arange(p**n))
-    offsets = _fill_scan(sh, np.argwhere(mask), mask & ~bad.mask, "test scan")
+    offsets = variety._row_offsets(sh, np.argwhere(mask), mask & ~bad.mask)
     assert (offsets == [1] + [0] * (sh.k - 1)).all()
     with pytest.raises(ConstructionError, match="witness corner escaped the allowed set"):
         conv_fill_check(w, bad, mask, 0)
