@@ -3,10 +3,10 @@
 
 Prints the input density from the certificate (re-counted by the verifier),
 the achieved codimension against its budget, the per-level ledger constants
-(one record per path from the top, by ledger_paths; the certificate stores
-each distinct level once), and the outcome of independent re-verification.  A leaf (arity 1, or density
-1 at any arity), whose canonical input list is its output, has no constants
-and prints its codimension only.
+(one node per path from the top, by ledger_paths; the certificate stores
+each distinct level once), and the outcome of independent re-verification.
+A leaf (arity 1, or density 1 at any arity), whose canonical input list is
+its output, has no level and prints its codimension only.
 Epsilon is printed in its exact monomial form coef * p^p_exp * (c)^c_exp, c
 the level density; the last walk is at arity 4.
 """
@@ -31,15 +31,15 @@ def show(v):
     print(f"shape: p={v.shape.p} dims={v.shape.dims}")
     print(f"density: {frac_to_str(cert.input_density)}")
     print(f"achieved codim: {cert.output_codim}  budget: {cert.budget}")
-    for record in ledger_paths(cert.ledger):
-        where = record["path"] or "root"
-        if record["arity"] == 1 or record["c"] == 1:
-            print(f"  [{where}] arity {record['arity']}, c={frac_to_str(record['c'])}, "
-                  f"base case, codim {record['codim_contribution']}")
+    for path, node in ledger_paths(cert.ledger):
+        where = path or "root"
+        if node.level is None:
+            print(f"  [{where}] arity {node.arity}, c={frac_to_str(node.c)}, "
+                  f"base case, codim {node.codim_contribution}")
         else:
-            print(f"  [{where}] arity {record['arity']}, c={frac_to_str(record['c'])}, "
-                  f"r={record['r']}, s={record['s']}, "
-                  f"eps={record['epsilon']}")
+            print(f"  [{where}] arity {node.arity}, c={frac_to_str(node.c)}, "
+                  f"r={node.level.r}, s={node.level.constants.s}, "
+                  f"eps={node.level.constants.epsilon}")
     print(f"verified: containment={check.containment_ok} "
           f"nonempty={check.nonempty_ok} codim={check.codim_ok}")
     print()

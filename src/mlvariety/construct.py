@@ -32,9 +32,11 @@ from .forms import (
     fiber_values,
 )
 from .ledger import (
+    Direction,
+    Level,
+    Node,
     SubvarietyCertificate,
     _fiber_thresholds,
-    _ledger_record,
     _level_constants,
     codim_budget,
 )
@@ -462,7 +464,7 @@ def find_subvariety(v: Variety) -> SubvarietyCertificate:
 
     Leaf (arity 1, or density 1 at any arity): the input is a subspace, and
     its canonical list, checked to count the same points as the raw one,
-    is the output, at codimension log_p 1/density, with one ledger record
+    is the output, at codimension log_p 1/density, with one ledger node
     and no sub-levels.  At density 1 every form is zero, so the output is
     the full group at codimension 0.
 
@@ -536,28 +538,16 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             raise ConstructionError(
                 f"subspace density {c} does not match codimension {codim}"
             )
-        ledger = _ledger_record(shape.k, c, codim_contribution=codim)
-        return SubvarietyCertificate(c, v, codim, bud, ledger)
+        return SubvarietyCertificate(c, v, codim, bud, Node(shape.k, c, codim, None, ()))
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
     r_max = max(res.base_certificate.output_codim for res in results)
-
-    direction_info = [
-        {
-            "direction": res.direction,
-            "slice_point": list(res.slice_point),
-            "base_codim": res.base_certificate.output_codim,
-            "min_fiber_density": res.min_fiber_density,
-            "clamped": res.clamped,
-        }
-        for res in results
-    ]
     level = _level_constants(p, c, shape.k, r_max, max(shape.dims))
 
     full_support = tuple(range(shape.k))
     full_forms = [f for f in v.forms if f.support == full_support]
     source = MultilinearMap(shape, full_support, full_forms)
-    approx = external_approx(source, level["s"])
+    approx = external_approx(source, level.s)
 
     # no lifted base form has full support and every phi component has, so
     # the candidate's other forms are the echelonized cylinder constraints
@@ -573,7 +563,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
         raise ApproxMismatchError(
             f"approximation strictly exceeds its target by {extra_count} points",
             extra_count=extra_count,
-            extra_floor=level["c_double_prime"]**shape.k * shape.total_points,
+            extra_floor=level.c_double_prime**shape.k * shape.total_points,
         )
 
     codim = len(candidate.forms)
@@ -582,10 +572,12 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             f"achieved codimension {codim} exceeds the budget {bud}"
         )
 
-    # each sub-level's record is its base certificate's, shared, not copied
-    ledger = _ledger_record(
-        shape.k, c, r=r_max, **level, cylinder_forms=len(cylinders),
-        codim_contribution=codim, directions=direction_info,
-        children=tuple(res.base_certificate.ledger for res in results),
+    directions = tuple(
+        Direction(res.direction, res.slice_point, res.base_certificate.output_codim,
+                  res.min_fiber_density, res.clamped)
+        for res in results
     )
+    # each sub-level's node is its base certificate's, shared, not copied
+    ledger = Node(shape.k, c, codim, Level(r_max, level, len(cylinders), directions),
+                  tuple(res.base_certificate.ledger for res in results))
     return SubvarietyCertificate(c, candidate, codim, bud, ledger)

@@ -18,14 +18,17 @@ sub-levels' nodes, one per direction and each below its own, so the ledger
 has no cycle.  Equal nodes are written once, whatever paths reach them.
 The reader refuses a ledger that is not one tree: a node whose children do
 not number its directions (0 when they are null), or a node other than the
-top that is no node's child.
+top that is no node's child.  Then one node reader reads each field with
+its type: no unknown key, level fields all null (a leaf) or all set, arity
+at least 1, each direction below it and slice_point entries in 0..p-1.
 Versions "1" to "4" wrote one record per path, "" at the top and P/i below
-P in direction i, and still read; a duplicate, missing or unreachable path
-is refused.  Since "3" the ledger constants c_prime, c_double_prime and
-epsilon are exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the
-number q * p**a * c**e with c the record's own "c" and p the output's field,
-q a positive rational string; "1" and "2" wrote them as rational strings,
-read with zero exponents, and "1" wrote an always-true flag, ignored.  "4"
+P in direction i, and still read, through the same checks once the paths
+are rebuilt as nodes; a duplicate, missing or unreachable path is refused.
+Since "3" the ledger constants c_prime, c_double_prime and epsilon are
+exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
+q * p**a * c**e with c the record's own "c" and p the output's field, q a
+positive rational string; "1" and "2" wrote them as rational strings, read
+with zero exponents, and "1" wrote an always-true flag, ignored.  "4"
 marked the sweep's cost_points, which count each enumerating pass once,
 when it runs, and nothing for a cache hit.  FORMAT_VERSION is shared:
 variety files and the sweep CSV header carry it too.
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import InputFormatError, PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
-from .ledger import SubvarietyCertificate, child_path
+from .ledger import Direction, Level, LevelConstants, Node, SubvarietyCertificate, child_path
 from .monomial import Monomial
 from .variety import Variety
 
@@ -193,91 +196,157 @@ def _positive(text) -> Fraction:
     return value
 
 
-def _monomial_from_obj(obj, p: int, c: Fraction) -> Monomial:
-    return Monomial(
-        _positive(_field(obj, "coef")), p, c, _field(obj, "p_exp", int), _field(obj, "c_exp", int)
-    )
+# A ledger node's wire keys in the order the writer puts them, its level
+# fields in the order the reader reads them, and a direction's keys.
+_NODE_KEYS = ("arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
+              "cylinder_forms", "codim_contribution", "clamped", "directions", "children")
+_LEVEL_KEYS = ("r", "c_prime", "c_double_prime", "epsilon", "s", "cylinder_forms", "clamped",
+               "directions")
+_DIRECTION_KEYS = ("direction", "slice_point", "base_codim", "min_fiber_density", "clamped")
 
 
-def _convert_ledger_record(record: dict, rational, monomial) -> dict:
-    """Copy of a ledger record with rational applied to c and the fiber
-    densities, and monomial(value, converted c) to the ledger constants."""
-    out = {**record, "c": rational(_field(record, "c"))}
-    for key in ("c_prime", "c_double_prime", "epsilon"):
-        if out.get(key) is not None:
-            out[key] = monomial(out[key], out["c"])
-    if out.get("directions") is not None:
-        out["directions"] = [
-            dict(d, min_fiber_density=rational(_field(d, "min_fiber_density")))
-            for d in _field(out, "directions", list)
-        ]
-    return out
+def _node_to_obj(node: Node, p: int, children: list[int]) -> dict:
+    """The wire object of node over its sub-levels' indices; a leaf's level fields are null."""
+    c = frac_to_str(node.c)
+    obj = dict(dict.fromkeys(_NODE_KEYS), arity=node.arity, c=c,
+               codim_contribution=node.codim_contribution, children=children)
+    if node.level is not None:
+        level, k = node.level, node.level.constants
+        obj.update(
+            r=level.r, c_prime=_monomial_to_obj(k.c_prime, p, c),
+            c_double_prime=_monomial_to_obj(k.c_double_prime, p, c),
+            epsilon=_monomial_to_obj(k.epsilon, p, c), s=k.s,
+            cylinder_forms=level.cylinder_forms, clamped=k.clamped,
+            directions=[
+                {"direction": d.direction, "slice_point": list(d.slice_point),
+                 "base_codim": d.base_codim,
+                 "min_fiber_density": frac_to_str(d.min_fiber_density), "clamped": d.clamped}
+                for d in level.directions
+            ],
+        )
+    return obj
 
 
-def _ledger_nodes(top: dict, rational, monomial) -> list[dict]:
+def _ledger_nodes(top: Node, p: int) -> list[dict]:
     """The wire ledger of top: its distinct nodes, each once, children first."""
     index, done = {}, {}
 
-    def visit(record: dict) -> int:
-        # a record the memo shares is walked once; equal nodes share an index
-        if id(record) not in done:
-            node = _convert_ledger_record(record, rational, monomial)
-            node["children"] = [visit(child) for child in record["children"]]
-            done[id(record)] = index.setdefault(json.dumps(node), (len(index), node))[0]
-        return done[id(record)]
+    def visit(node: Node) -> int:
+        # a node the memo shares is walked once; equal nodes share an index
+        if id(node) not in done:
+            obj = _node_to_obj(node, p, [visit(child) for child in node.children])
+            done[id(node)] = index.setdefault(json.dumps(obj), (len(index), obj))[0]
+        return done[id(node)]
 
     visit(top)
-    return [node for _, node in index.values()]
+    return [obj for _, obj in index.values()]
 
 
-def _ledger_tree(nodes: list[dict]) -> dict | None:
-    """The top record of a wire ledger, which must be one tree: each node
+def _known(obj: dict, keys: tuple, what: str) -> None:
+    unknown = obj.keys() - set(keys)
+    if unknown:
+        raise InputFormatError(f"unknown key {min(unknown)!r:.60} in a {what}")
+
+
+def _directions(obj: dict) -> list:
+    directions = obj.get("directions")
+    return [] if directions is None else _typed(directions, list, "directions")
+
+
+def _direction_from_obj(obj, arity: int, p: int) -> Direction:
+    # the density first, so a direction that is no object is named by it
+    density = frac_from_str(_field(obj, "min_fiber_density"))
+    _known(obj, _DIRECTION_KEYS, "direction")
+    direction = _field(obj, "direction", int)
+    if not 0 <= direction < arity:
+        raise InputFormatError(f"direction {direction} is not below the arity {arity}")
+    point = tuple(_ints(_field(obj, "slice_point"), "slice_point"))
+    if not all(0 <= t < p for t in point):
+        raise InputFormatError(f"slice_point entries must lie in 0..{p - 1}, got {point!r:.60}")
+    return Direction(direction, point, _field(obj, "base_codim", int), density,
+                     _field(obj, "clamped", bool))
+
+
+def _node_from_obj(obj: dict, children: tuple, p: int, legacy: bool) -> Node:
+    """The Node of a wire node over its sub-levels' Nodes, each field read
+    with its type; the level fields are all null (a leaf) or all set."""
+    _known(obj, _NODE_KEYS, "ledger node")
+    arity = _field(obj, "arity", int)
+    if arity < 1:
+        raise InputFormatError(f"arity must be at least 1, got {arity}")
+    c = frac_from_str(_field(obj, "c"))
+
+    def read(key):
+        value = _field(obj, key)
+        if value is None:
+            return None
+        if key == "directions":
+            return tuple(_direction_from_obj(d, arity, p) for d in value)
+        if key in ("c_prime", "c_double_prime", "epsilon"):
+            if legacy:
+                return Monomial(_positive(value), p, c)
+            return Monomial(_positive(_field(value, "coef")), p, c,
+                            _field(value, "p_exp", int), _field(value, "c_exp", int))
+        return _typed(value, bool if key == "clamped" else int, key)
+
+    values = [read(key) for key in _LEVEL_KEYS]
+    nulls = [key for key, value in zip(_LEVEL_KEYS, values) if value is None]
+    if 0 < len(nulls) < len(values):
+        raise InputFormatError(f"ledger level field {nulls[0]!r} is null beside set ones")
+    r, c_prime, c_dd, epsilon, s, cylinders, clamped, directions = values
+    constants = LevelConstants(c_prime, c_dd, epsilon, s, clamped)
+    level = None if nulls else Level(r, constants, cylinders, directions)
+    return Node(arity, c, _field(obj, "codim_contribution", int), level, children)
+
+
+def _ledger_tree(nodes: list[dict], p: int, legacy: bool) -> Node | None:
+    """The top Node of a wire ledger, which must be one tree: each node
     lists one child per direction, each child index lies below its node's
-    own, and every node but the top (the last) is some node's child."""
-    records, reached = [], set()
-    for i, node in enumerate(nodes):
-        children = _ints(_field(node, "children"), "children")
+    own, and every node but the top (the last) is some node's child.  The
+    whole tree is checked before any node's fields are read."""
+    reached = set()
+    for i, obj in enumerate(nodes):
+        children = _ints(_field(obj, "children"), "children")
         if not all(0 <= j < i for j in children):
             raise InputFormatError(f"ledger node {i} lists a child not below {i}: {children!r:.60}")
-        if len(children) != len(node.get("directions") or ()):
+        if len(children) != len(_directions(obj)):
             raise InputFormatError(f"ledger node {i} does not list one child per direction")
         reached.update(children)
-        records.append({**node, "children": tuple(records[j] for j in children)})
     stray = sorted(set(range(len(nodes) - 1)) - reached)
     if stray:
         raise InputFormatError(f"ledger node {stray[0]} is neither the top nor a child")
-    return records[-1] if records else None
+    built = []
+    for obj in nodes:
+        built.append(_node_from_obj(obj, tuple(built[j] for j in obj["children"]), p, legacy))
+    return built[-1] if built else None
 
 
-def _tree_from_paths(records: list[dict]) -> dict | None:
-    """The top record of a version "1" to "4" ledger, one record per path."""
+def _nodes_from_paths(records: list[dict]) -> list[dict]:
+    """The wire nodes of a version "1" to "4" ledger, one record per path,
+    children first: copies of the records, sub-level indices for paths."""
     paths = [_field(record, "path", str) for record in records]
-    tree = {}
-    # a child's path is longer than its parent's, so it is built first
+    nodes, index = [], {}
+    # a child's path is longer than its parent's, so it is listed first
     for path, record in sorted(zip(paths, records), key=lambda item: -len(item[0])):
-        del record["path"]
-        kids = [child_path(path, i) for i in range(len(record.get("directions") or ()))]
-        if not set(kids) <= tree.keys():
+        kids = [child_path(path, i) for i in range(len(_directions(record)))]
+        if not set(kids) <= index.keys():
             raise InputFormatError(f"ledger path {path!r:.60} lacks a child in {kids!r:.60}")
-        tree[path] = {**record, "children": tuple(map(tree.pop, kids))}
-    if len(set(paths)) < len(paths) or list(tree) not in ([], [""]):
+        node = {key: value for key, value in record.items() if key != "path"}
+        nodes.append({**node, "children": [index.pop(kid) for kid in kids]})
+        index[path] = len(nodes) - 1
+    if len(set(paths)) < len(paths) or list(index) not in ([], [""]):
         raise InputFormatError(f"ledger paths {sorted(paths)!r:.60} do not make one tree")
-    return tree.get("")
+    return nodes
 
 
 def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) -> dict:
-    p = cert.output.shape.p
-
-    def monomial(m, c):
-        return _monomial_to_obj(m, p, c)
-
     out = {
         "format_version": FORMAT_VERSION,
         "input_density": frac_to_str(cert.input_density),
         "output_codim": cert.output_codim,
         "budget": cert.budget,
         "output": variety_to_obj(cert.output),
-        "ledger": _ledger_nodes(cert.ledger, frac_to_str, monomial) if cert.ledger else [],
+        "ledger": _ledger_nodes(cert.ledger, cert.output.shape.p) if cert.ledger else [],
     }
     if config is not None:
         out["config"] = config
@@ -292,19 +361,13 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
     ledger = _field(obj, "ledger")
     if type(ledger) is not list or not all(type(r) is dict for r in ledger):
         raise InputFormatError(f"ledger must be a JSON array of objects, got {ledger!r:.60}")
-    read_ledger = _ledger_tree if version == FORMAT_VERSION else _tree_from_paths
-
-    def monomial(value, c):
-        if version in ("1", "2"):
-            return Monomial(_positive(value), output.shape.p, c)
-        return _monomial_from_obj(value, output.shape.p, c)
-
+    nodes = ledger if version == FORMAT_VERSION else _nodes_from_paths(ledger)
     return SubvarietyCertificate(
         input_density=frac_from_str(_field(obj, "input_density")),
         output=output,
         output_codim=_field(obj, "output_codim", int),
         budget=_field(obj, "budget", int),
-        ledger=read_ledger([_convert_ledger_record(r, frac_from_str, monomial) for r in ledger]),
+        ledger=_ledger_tree(nodes, output.shape.p, version in ("1", "2")),
     )
 
 

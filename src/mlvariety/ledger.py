@@ -1,5 +1,8 @@
 """A subvariety certificate and the exact formulas of its ledger and budget.
 
+The ledger is a tree of frozen Nodes, one per level of the induction over
+arity, each with one child per direction and, above a leaf, a Level.
+
 Budget tracking note.  The codimension budget is affine in
 L = ceil(log_p 1/density) for fixed arity and p.  budget_line evaluates the
 construction's own ledger formulas (_level_constants) at p = 2, c = 2**-L and
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .errors import PreconditionError
 from .forms import ceil_log
@@ -51,13 +53,21 @@ def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int, b: int) -> tuple:
     return sparse_limit, bad_limit, math.ceil(floor_points), floor_points < 1
 
 
+@dataclass(frozen=True)
+class LevelConstants:
+    c_prime: Monomial
+    c_double_prime: Monomial
+    epsilon: Monomial
+    s: int
+    clamped: bool
+
+
 @lru_cache(maxsize=_LEDGER_MEMO_SIZE)
 def _level_constants(p: int, c: Fraction, arity: int, r: int,
-                     max_dim: int | None) -> MappingProxyType:
-    """The ledger constants of a level of density c over F_p, keyed by their
-    ledger names: the one specification dense_columns, the finder and
-    budget_line read.  With k = arity - 1, K = K(k) and r the largest base
-    codimension:
+                     max_dim: int | None) -> LevelConstants:
+    """The ledger constants of a level of density c over F_p, as a frozen
+    record: the one specification dense_columns, the finder and budget_line
+    read.  With k = arity - 1, K = K(k) and r the largest base codimension:
 
       c_prime        = c ** (kK+1) / (2 ** (2k+1) * p ** (2kK))
       fiber floor    = c_prime ** 2**k
@@ -67,8 +77,8 @@ def _level_constants(p: int, c: Fraction, arity: int, r: int,
       epsilon        = c_double_prime ** arity / 2
       s              = ceil(log_p 1/epsilon)
 
-    Memoized per signature.  The mapping is read-only, so no caller can
-    change what later calls read.
+    Memoized per signature.  The record is frozen, so no caller can change
+    what later calls read.
     """
     c_prime, fiber_floor = _fiber_constants(p, c, arity)
     c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(arity - 1) * arity * r)
@@ -79,8 +89,7 @@ def _level_constants(p: int, c: Fraction, arity: int, r: int,
         if clamped:
             c_dd = one_point
     eps = c_dd**arity * Fraction(1, 2)
-    return MappingProxyType({"c_prime": c_prime, "c_double_prime": c_dd, "epsilon": eps,
-                             "s": eps.ceil_log_inverse(), "clamped": clamped})
+    return LevelConstants(c_prime, c_dd, eps, eps.ceil_log_inverse(), clamped)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +112,7 @@ def budget_line(arity: int) -> tuple[int, int]:
 
     def final_codim(log_inv_c: int) -> int:
         r = slope * (log_inv_c + 1) + intercept
-        s = _level_constants(2, Fraction(1, 2**log_inv_c), arity, r, None)["s"]
+        s = _level_constants(2, Fraction(1, 2**log_inv_c), arity, r, None).s
         return s + arity**2 * r
 
     at_zero = final_codim(0)
@@ -127,21 +136,44 @@ def codim_budget(arity: int, p: int, c: Fraction) -> int:
 
 
 @dataclass(frozen=True)
+class Direction:
+    direction: int
+    slice_point: tuple[int, ...]
+    base_codim: int
+    min_fiber_density: Fraction
+    clamped: bool
+
+
+@dataclass(frozen=True)
+class Level:
+    r: int
+    constants: LevelConstants
+    cylinder_forms: int
+    directions: tuple[Direction, ...]
+
+
+@dataclass(frozen=True)
+class Node:
+    """A ledger level; level is None at a leaf.  Sub-problems solved once
+    share one Node, so hashing or comparing Nodes walks every path."""
+
+    arity: int
+    c: Fraction
+    codim_contribution: int
+    level: Level | None
+    children: tuple[Node, ...]
+
+
+@dataclass(frozen=True)
 class SubvarietyCertificate:
-    """Machine-checkable record of a subvariety extraction.  Its ledger is
-    the top level's record, its sub-levels' records its "children" (or None)."""
+    """Machine-checkable record of a subvariety extraction; its ledger is
+    the top level's Node."""
 
     input_density: Fraction
     output: Variety
     output_codim: int
     budget: int
-    ledger: dict | None
-
-
-def _ledger_record(arity: int, c: Fraction, children: tuple = (), **extra) -> dict:
-    keys = ("arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
-            "cylinder_forms", "codim_contribution", "clamped", "directions", "children")
-    return dict(dict.fromkeys(keys), arity=arity, c=c, children=children, **extra)
+    ledger: Node | None
 
 
 def child_path(path: str, i: int) -> str:
@@ -149,12 +181,12 @@ def child_path(path: str, i: int) -> str:
     return f"{path}/{i}" if path else f"{i}"
 
 
-def ledger_paths(record: dict | None, path: str = "") -> list[dict]:
-    """The ledger below record as one record per path, parent first: each a
-    copy with its "path" ("" at the top) in place of its "children"."""
-    if record is None:
+def ledger_paths(node: Node | None, path: str = "") -> list[tuple[str, Node]]:
+    """The ledger below node as (path, node) pairs, one per path, parent
+    first: "" at the top, P/i below P in direction i."""
+    if node is None:
         return []
-    flat = [{"path": path, **{k: v for k, v in record.items() if k != "children"}}]
-    for i, child in enumerate(record["children"]):
-        flat += ledger_paths(child, child_path(path, i))
-    return flat
+    pairs = [(path, node)]
+    for i, child in enumerate(node.children):
+        pairs += ledger_paths(child, child_path(path, i))
+    return pairs

@@ -45,8 +45,6 @@ import numpy as np
 from mlvariety import budget, construct, forms, variety
 from mlvariety.field import echelonize, shift_rows
 from mlvariety.forms import MultilinearForm, Shape, eval_form, slice_form
-from mlvariety.jsonio import _convert_ledger_record, certificate_from_obj
-from mlvariety.ledger import ledger_paths
 from mlvariety.variety import Variety
 
 
@@ -147,22 +145,29 @@ def monomial_value(m) -> Fraction:
 
 def legacy_certificate(obj, version: str) -> dict:
     """A copy of a certificate object in format version 1 to 4: its ledger
-    one record per path, from ledger_paths, and in "1" and "2" every ledger
-    monomial written as the rational string it equals."""
+    one record per path, parent first, "" at the top and P/i below P in
+    direction i, each its v5 node with "path" in place of "children", and in
+    "1" and "2" every ledger monomial written as the rational string it
+    equals."""
     legacy = json.loads(json.dumps(obj))
     legacy["format_version"] = version
     if version == "1":
         legacy["containment_verified"] = True
+    nodes, p = legacy["ledger"], Fraction(obj["output"]["shape"]["p"])
 
-    def monomial(m, c):
-        if version in ("1", "2"):
-            return str(monomial_value(m))
-        return {"coef": str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
+    def records(i, path):
+        record = {"path": path, **nodes[i]}
+        children = record.pop("children")
+        for key in ("c_prime", "c_double_prime", "epsilon"):
+            m = record[key]
+            if version in ("1", "2") and m is not None:
+                value = Fraction(m["coef"]) * p ** m["p_exp"] * Fraction(record["c"]) ** m["c_exp"]
+                record[key] = str(value)
+        yield record
+        for d, j in enumerate(children):
+            yield from records(j, f"{path}/{d}" if path else f"{d}")
 
-    legacy["ledger"] = [
-        _convert_ledger_record(record, str, monomial)
-        for record in ledger_paths(certificate_from_obj(obj).ledger)
-    ]
+    legacy["ledger"] = list(records(len(nodes) - 1, "")) if nodes else []
     return legacy
 
 

@@ -42,7 +42,6 @@ from mlvariety.jsonio import (
     variety_to_obj,
 )
 from mlvariety.ledger import codim_budget, ledger_paths
-from mlvariety.monomial import Monomial
 from mlvariety.variety import PointSet, Variety, _point_from_index, variety_bitmap
 
 from helpers import (
@@ -263,11 +262,18 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
 
 
 def _valued_paths(cert):
-    """ledger_paths of cert with each ledger monomial replaced by its value."""
-    return [
-        {key: monomial_value(x) if isinstance(x, Monomial) else x for key, x in record.items()}
-        for record in ledger_paths(cert.ledger)
-    ]
+    """ledger_paths of cert with each level's constants as values, its
+    monomials replaced by the rationals they equal."""
+    valued = []
+    for path, node in ledger_paths(cert.ledger):
+        level = node.level
+        if level is not None:
+            k = level.constants
+            level = (level.r, monomial_value(k.c_prime), monomial_value(k.c_double_prime),
+                     monomial_value(k.epsilon), k.s, k.clamped, level.cylinder_forms,
+                     level.directions)
+        valued.append((path, node.arity, node.c, node.codim_contribution, level))
+    return valued
 
 
 def test_verify_reads_format_1_certificate(dot_files, tmp_path):
@@ -843,6 +849,75 @@ def test_malformed_monomial_in_certificate_is_an_input_error(dot_files, tmp_path
         "verify", "--input", str(var_path), "--certificate", str(cert_path),
     ]) == EXIT_PARSE
     assert "input error:" in capsys.readouterr().err
+
+
+def _forged_certificate(tmp_path, forge):
+    """The variety and certificate files of two full-support (3,(4,3,3))
+    forms (seed 1), the certificate's wire object edited by forge."""
+    v = random_variety(random.Random(1), Shape(3, (4, 3, 3)), 2, full_support_only=True)
+    var_path, cert_path = tmp_path / "variety.json", tmp_path / "cert.json"
+    var_path.write_text(json.dumps(variety_to_obj(v)))
+    assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
+    obj = json.loads(cert_path.read_text())
+    forge(obj["ledger"][-1], obj["ledger"])
+    cert_path.write_text(json.dumps(obj))
+    return var_path, cert_path
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda top, _: top.update(r="abc"), "r must be a JSON integer, got 'abc'"),
+    (lambda top, _: top.update(r=True), "r must be a JSON integer, got True"),
+    (lambda top, _: top.update(s=[1]), "s must be a JSON integer, got [1]"),
+    (lambda top, _: top.update(cylinder_forms={"n": 1}),
+     "cylinder_forms must be a JSON integer, got {'n': 1}"),
+    (lambda top, _: top.update(clamped="yes"), "clamped must be a JSON boolean, got 'yes'"),
+    (lambda top, _: top.update(arity=-4), "arity must be at least 1, got -4"),
+    (lambda top, _: top.update(epsilon=None),
+     "ledger level field 'epsilon' is null beside set ones"),
+    (lambda top, _: top.update(codim_contribution=1.5),
+     "codim_contribution must be a JSON integer, got 1.5"),
+    (lambda top, _: top["directions"][0].update(slice_point="zzz"),
+     "slice_point must be a JSON array, got 'zzz'"),
+    (lambda top, _: top["directions"][0].update(slice_point=[0, 3, 0, 0]),
+     "slice_point entries must lie in 0..2, got (0, 3, 0, 0)"),
+    (lambda top, _: top["directions"][1].update(direction=17),
+     "direction 17 is not below the arity 3"),
+    (lambda top, _: top.update(extra=1), "unknown key 'extra' in a ledger node"),
+    (lambda top, _: top["directions"][0].update(extra=1), "unknown key 'extra' in a direction"),
+], ids=["r-string", "r-bool", "s-array", "cylinder_forms-object", "clamped-string",
+        "arity-negative", "epsilon-null", "codim_contribution-float", "slice_point-string",
+        "slice_point-past-p", "direction-past-arity", "unknown-node-key",
+        "unknown-direction-key"])
+def test_a_ledger_field_of_the_wrong_type_is_named(tmp_path, capsys, forge, message):
+    var_path, cert_path = _forged_certificate(tmp_path, forge)
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def _found_line_forgery(top, _):
+    top.update(c_prime={"coef": "7", "p_exp": 5, "c_exp": 0}, s=0, r=99)
+
+
+@pytest.mark.xfail(reason="item 2b: verify does not replay the ledger", strict=True)
+@pytest.mark.parametrize("forge", [
+    lambda top, _: top.update(c="0"),
+    lambda top, _: top.update(c="1/3"),
+    lambda top, _: top.update(r=99),
+    lambda top, _: top.update(codim_contribution=0),
+    lambda top, _: top.update(s=0),
+    lambda top, _: top.update(clamped=not top["clamped"]),
+    lambda top, ledger: ledger[0].update(c="1/1024"),
+    _found_line_forgery,
+], ids=["c-0", "c-one-third", "r-99", "codim_contribution-0", "s-0", "clamped-flipped",
+        "first-node-c", "c_prime-s-r"])
+def test_a_ledger_value_that_contradicts_its_formulas_fails_verify(tmp_path, forge):
+    var_path, cert_path = _forged_certificate(tmp_path, forge)
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) in (EXIT_PARSE, EXIT_VERIFY)
 
 
 @pytest.mark.parametrize("version", [None, "6", 3])

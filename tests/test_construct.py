@@ -109,7 +109,7 @@ def test_level_constants_stay_under_the_budget_line(p, arity):
             top = codim_budget(arity - 1, p, c / 2)
             for r in sorted({0, 1, top // 2, top}):
                 for max_dim in (None, 1, 3):
-                    s = _level_constants(p, c, arity, r, max_dim)["s"]
+                    s = _level_constants(p, c, arity, r, max_dim).s
                     assert s + arity**2 * r <= codim_budget(arity, p, c)
 
 
@@ -205,14 +205,14 @@ def test_fiber_thresholds_are_the_floors_of_the_written_out_constants(p, arity):
 def test_level_constants_are_read_only():
     signature = (3, Fraction(1, 3), 3, 1, 4)
     first = _level_constants(*signature)
-    expected = dict(first)
-    with pytest.raises(TypeError):
-        first["s"] = -1
-    with pytest.raises(TypeError):
-        first["extra"] = 0
-    with pytest.raises(TypeError):
-        del first["c_prime"]
-    assert dict(_level_constants(*signature)) == expected
+    expected = dataclasses.replace(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.s = -1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.extra = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del first.c_prime
+    assert _level_constants(*signature) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +618,6 @@ def test_full_space_any_arity():
         assert density(cert.output) == 1
 
 
-_LEVEL_FIELDS = (
-    "r", "c_prime", "c_double_prime", "epsilon", "s", "cylinder_forms", "clamped", "directions",
-)
-
-
 def _base_case_inputs():
     rng = random.Random(33)
     for p in (2, 3, 5):
@@ -643,15 +638,14 @@ def test_density_one_is_a_base_case_at_every_arity():
             assert cert.output == Variety.full(v.shape)
             assert cert.output_codim == 0
             assert cert.budget == codim_budget(v.shape.k, v.shape.p, Fraction(1))
-            assert cert.ledger["children"] == ()
+            assert cert.ledger.children == ()
         records = ledger_paths(cert.ledger)
-        leaves = [record["path"] for record in records if record["c"] == 1]
-        for record in records:
-            if record["c"] == 1:
-                assert record["codim_contribution"] == 0
-                assert all(record[name] is None for name in _LEVEL_FIELDS)
-            # a density-1 record is a leaf: no record lies below it
-            path = record["path"]
+        leaves = [path for path, node in records if node.c == 1]
+        for path, node in records:
+            if node.c == 1:
+                assert node.codim_contribution == 0
+                assert node.level is None
+            # a density-1 node is a leaf: no node lies below it
             assert not any(path != leaf and (not leaf or path.startswith(leaf + "/")) for leaf in leaves)
 
 
@@ -686,12 +680,11 @@ def test_ledger_records_levels():
     v = dot_variety(2, 2)
     cert = find_subvariety(v)
     root = cert.ledger
-    assert root["arity"] == 2
-    assert root["c"] == Fraction(5, 8)
-    assert monomial_value(root["c_prime"]) == Fraction(25, 2048)
-    assert root["epsilon"] is not None
-    assert [r["path"] for r in ledger_paths(root)] == ["", "0", "1"]
-    assert [r["arity"] for r in root["children"]] == [1, 1]
+    assert root.arity == 2
+    assert root.c == Fraction(5, 8)
+    assert monomial_value(root.level.constants.c_prime) == Fraction(25, 2048)
+    assert [path for path, _ in ledger_paths(root)] == ["", "0", "1"]
+    assert [child.arity for child in root.children] == [1, 1]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -712,14 +705,14 @@ def test_finder_at_arity_4_and_5(p, dims):
     v = random_variety(random.Random(5), Shape(p, dims), 2, full_support_only=True)
     cert = find_subvariety(v)
     assert verify_certificate(v, cert).all_ok
-    root = cert.ledger
+    root = cert.ledger.level.constants
     k = len(dims) - 1
     big_k = arity_constant(k)
-    assert (root["c_prime"].p_exp, root["c_prime"].c_exp) == (-2 * k * big_k, k * big_k + 1)
+    assert (root.c_prime.p_exp, root.c_prime.c_exp) == (-2 * k * big_k, k * big_k + 1)
     # at desk scale c'' is clamped to one point of the largest factor
-    assert root["clamped"]
-    assert root["c_double_prime"] == Monomial(Fraction(1), p, root["c"], p_exp=-max(dims))
-    assert root["s"] == ceil_log(p, 2 * p ** (max(dims) * len(dims)))
+    assert root.clamped
+    assert root.c_double_prime == Monomial(Fraction(1), p, cert.ledger.c, p_exp=-max(dims))
+    assert root.s == ceil_log(p, 2 * p ** (max(dims) * len(dims)))
 
 
 def test_ledger_constants_satisfy_their_relations():
@@ -728,18 +721,19 @@ def test_ledger_constants_satisfy_their_relations():
     v = random_variety(rng, sh, 2)
     cert = find_subvariety(v)
     root = cert.ledger
-    c = root["c"]
-    k_lower = root["arity"] - 1
+    constants = root.level.constants
+    c = root.c
+    k_lower = root.arity - 1
     big_k = arity_constant(k_lower)
     expected_cp = (
         Fraction(1, 2 ** (2 * k_lower + 1) * sh.p ** (2 * k_lower * big_k))
         * c ** (k_lower * big_k + 1)
     )
-    assert monomial_value(root["c_prime"]) == expected_cp
-    eps = monomial_value(root["epsilon"])
-    assert eps == monomial_value(root["c_double_prime"]) ** root["arity"] / 2
-    assert root["s"] == ceil_log(sh.p, 1 / eps)
-    assert root["codim_contribution"] == cert.output_codim
+    assert monomial_value(constants.c_prime) == expected_cp
+    eps = monomial_value(constants.epsilon)
+    assert eps == monomial_value(constants.c_double_prime) ** root.arity / 2
+    assert constants.s == ceil_log(sh.p, 1 / eps)
+    assert root.codim_contribution == cert.output_codim
 
 
 def test_dense_columns_picks_first_qualifying_slice():
@@ -905,7 +899,7 @@ def test_each_level_echelonizes_only_its_input_and_output(monkeypatch, make, can
 
     def solving(u):
         cert = original_solve(u)
-        levels.append(cert.ledger["cylinder_forms"] is not None)
+        levels.append(cert.ledger.level is not None)
         return cert
 
     monkeypatch.setattr(Variety, "canonical", counting)
@@ -974,11 +968,11 @@ def _find_outcome(v):
         cert = find_subvariety(v)
     except ConstructionError as exc:
         return type(exc).__name__, str(exc)
-    top = cert.ledger
-    if top["cylinder_forms"] is not None:
+    level = cert.ledger.level
+    if level is not None:
         # the cylinder forms are read off the output: its forms without full support
         full = tuple(range(v.shape.k))
-        assert top["cylinder_forms"] == sum(f.support != full for f in cert.output.forms)
+        assert level.cylinder_forms == sum(f.support != full for f in cert.output.forms)
     return certificate_to_obj(cert)
 
 
@@ -1270,7 +1264,7 @@ def test_memo_solves_repeated_sub_problems_with_forms_once(monkeypatch):
     cert = construct.find_subvariety(v)
     paths = ledger_paths(cert.ledger)
     assert counts["_solve"] == len(distinct) == 10 < len(paths) == 48
-    assert sum(record["c"] < 1 for record in paths) == 16
+    assert sum(node.c < 1 for _, node in paths) == 16
     assert len(certificate_to_obj(cert)["ledger"]) <= 10
     assert verify_certificate(v, cert).all_ok
 

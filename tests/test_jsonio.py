@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import random
@@ -86,10 +87,21 @@ def test_certificate_roundtrip():
     # c' = c**2 / (2**3 p**2) at arity 2, written as a monomial in c = 5/8
     assert obj["format_version"] == "5"
     assert obj["ledger"][-1]["c_prime"] == {"coef": "1/8", "p_exp": -2, "c_exp": 2}
-    assert monomial_value(again.ledger["c_prime"]) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
+    assert monomial_value(again.ledger.level.constants.c_prime) == Fraction(5, 8) ** 2 / (2**3 * 2**2)
     # an empty ledger reads in every version, as no record
     for version in "12345":
         assert certificate_from_obj({**obj, "format_version": version, "ledger": []}).ledger is None
+
+
+@pytest.mark.parametrize("version", ["5", "4"])
+def test_certificate_reader_leaves_its_argument_unchanged(version):
+    v = random_variety(random.Random(18), Shape(2, (1,) * 5), 1)
+    obj = certificate_to_obj(find_subvariety(v))
+    if version == "4":
+        obj = legacy_certificate(obj, version)
+    before = copy.deepcopy(obj)
+    certificate_from_obj(obj)
+    assert obj == before
 
 
 def _flag_empty_beside_a_form(obj: dict) -> dict:
@@ -118,10 +130,11 @@ def test_certificate_refuses_a_monomial_off_its_record_level():
     sh = Shape(2, (2, 2))
     v = Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(2, dtype=int)),))
     cert = find_subvariety(v)
-    root = dict(cert.ledger)
-    root["c_prime"] = dataclasses.replace(root["c_prime"], c=Fraction(1, 2))
+    level = cert.ledger.level
+    off = dataclasses.replace(level.constants.c_prime, c=Fraction(1, 2))
+    level = dataclasses.replace(level, constants=dataclasses.replace(level.constants, c_prime=off))
     with pytest.raises(ValueError, match="level"):
-        certificate_to_obj(dataclasses.replace(cert, ledger=root))
+        certificate_to_obj(dataclasses.replace(cert, ledger=dataclasses.replace(cert.ledger, level=level)))
 
 
 def test_form_shape_mismatch_detected():
