@@ -33,13 +33,12 @@ def show(v):
     print(f"achieved codim: {cert.output_codim}  budget: {cert.budget}")
     for path, node in ledger_paths(cert.ledger):
         where = path or "root"
-        if node.level is None:
+        if not node.slices:
             print(f"  [{where}] arity {node.arity}, c={frac_to_str(node.c)}, "
                   f"base case, codim {node.codim_contribution}")
         else:
             print(f"  [{where}] arity {node.arity}, c={frac_to_str(node.c)}, "
-                  f"r={node.level.r}, s={node.level.constants.s}, "
-                  f"eps={node.level.constants.epsilon}")
+                  f"r={node.r}, s={node.constants.s}, eps={node.constants.epsilon}")
     print(f"verified: containment={check.containment_ok} "
           f"nonempty={check.nonempty_ok} codim={check.codim_ok}")
     print()

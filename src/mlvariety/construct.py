@@ -5,8 +5,8 @@ recursive subvariety finder with certificate emission.
 Every guarantee that the construction relies on is re-checked exhaustively at
 desk scale before a certificate is emitted: slice quality, filling witnesses,
 fiber floors, and the final set equality between the approximating variety
-and its target.  Certificates carry a ledger of the exact constants used at
-each recursion level so an auditor can replay the accounting.
+and its target.  Certificates carry a ledger of what each recursion level
+chose, from which ledger.Node derives the exact constants it used.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .forms import (
     fiber_values,
 )
 from .ledger import (
-    Direction,
-    Level,
     Node,
     SubvarietyCertificate,
     _fiber_thresholds,
@@ -318,8 +316,7 @@ class DenseColumnsResult:
     base has at least fiber_floor_count points of the input variety in its
     fiber, the level's fiber floor times the fiber size, rounded up
     (_fiber_thresholds).  min_fiber_count is the exhaustively measured
-    minimum.  clamped records the desk-scale regime where the floor fell
-    below one point and nonemptiness is the operative guarantee.
+    minimum.
     """
 
     direction: int
@@ -330,7 +327,6 @@ class DenseColumnsResult:
     fiber_floor_count: int
     min_fiber_count: int
     min_fiber_density: Fraction
-    clamped: bool
 
 
 def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
@@ -378,7 +374,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     alive, basis, rank = system.alive, system.basis, system.basis.rank
     c = Fraction(system.count, shape.total_points)
     direction_size = p**n
-    sparse_limit, bad_limit, fiber_floor_count, clamped = _fiber_thresholds(
+    sparse_limit, bad_limit, fiber_floor_count, _ = _fiber_thresholds(
         p, c, shape.k, n, fib.b
     )
     # the ranks of sparse fibers; every slice below holds only alive x
@@ -439,7 +435,6 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
         fiber_floor_count=fiber_floor_count,
         min_fiber_count=min_fiber_count,
         min_fiber_density=Fraction(min_fiber_count, direction_size),
-        clamped=clamped,
     )
 
 
@@ -538,7 +533,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             raise ConstructionError(
                 f"subspace density {c} does not match codimension {codim}"
             )
-        return SubvarietyCertificate(c, v, codim, bud, Node(shape.k, c, codim, None, ()))
+        return SubvarietyCertificate(c, v, codim, bud, Node(p, shape.k, c, codim, None, (), ()))
 
     results = [dense_columns(v, direction=i) for i in range(shape.k)]
     r_max = max(res.base_certificate.output_codim for res in results)
@@ -572,12 +567,8 @@ def _solve(v: Variety) -> SubvarietyCertificate:
             f"achieved codimension {codim} exceeds the budget {bud}"
         )
 
-    directions = tuple(
-        Direction(res.direction, res.slice_point, res.base_certificate.output_codim,
-                  res.min_fiber_density, res.clamped)
-        for res in results
-    )
     # each sub-level's node is its base certificate's, shared, not copied
-    ledger = Node(shape.k, c, codim, Level(r_max, level, len(cylinders), directions),
+    ledger = Node(p, shape.k, c, codim, len(cylinders),
+                  tuple((res.slice_point, res.min_fiber_density) for res in results),
                   tuple(res.base_certificate.ledger for res in results))
     return SubvarietyCertificate(c, candidate, codim, bud, ledger)

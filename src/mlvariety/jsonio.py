@@ -16,19 +16,22 @@ Since format version "5" the ledger lists each distinct level once, the
 top last: a node is a level's record plus "children", the indices of its
 sub-levels' nodes, one per direction and each below its own, so the ledger
 has no cycle.  Equal nodes are written once, whatever paths reach them.
+The writer writes each field a ledger.Node derives from its properties.
 The reader refuses a ledger that is not one tree: a node whose children do
 not number its directions (0 when they are null), or a node other than the
 top that is no node's child.  Then one node reader reads each field with
 its type: no unknown key, level fields all null (a leaf) or all set, arity
 at least 1, each direction below it and slice_point entries in 0..p-1.
+Then each node must fit its tree, and last be what the writer writes for
+it, so a derived field off its formula is refused, by name.
 Versions "1" to "4" wrote one record per path, "" at the top and P/i below
 P in direction i, and still read, through the same checks once the paths
 are rebuilt as nodes; a duplicate, missing or unreachable path is refused.
 Since "3" the ledger constants c_prime, c_double_prime and epsilon are
 exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
 q * p**a * c**e with c the record's own "c" and p the output's field, q a
-positive rational string; "1" and "2" wrote them as rational strings, read
-with zero exponents, and "1" wrote an always-true flag, ignored.  "4"
+positive rational string; "1" and "2" wrote them as rational strings, each
+compared by value, and "1" wrote an always-true flag, ignored.  "4"
 marked the sweep's cost_points, which count each enumerating pass once,
 when it runs, and nothing for a cache hit.  FORMAT_VERSION is shared:
 variety files and the sweep CSV header carry it too.
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import InputFormatError, PreconditionError
 from .forms import MultilinearForm, MultilinearMap, Shape
-from .ledger import Direction, Level, LevelConstants, Node, SubvarietyCertificate, child_path
+from .ledger import Node, SubvarietyCertificate, child_path
 from .monomial import Monomial
 from .variety import Variety
 
@@ -88,7 +91,9 @@ def _typed(value, kind: type, what: str):
 
 def _field(obj, key: str, kind: type | None = None):
     """obj[key] from a JSON object obj, of JSON type kind unless kind is None."""
-    if key not in _typed(obj, dict, f"the value holding {key!r}"):
+    if type(obj) is not dict:
+        _typed(obj, dict, f"the value holding {key!r}")
+    if key not in obj:
         raise InputFormatError(f"missing key {key!r} in {obj!r:.60}")
     return obj[key] if kind is None else _typed(obj[key], kind, key)
 
@@ -181,11 +186,9 @@ def variety_from_obj(obj) -> Variety:
     return Variety(shape, [form_from_obj(f, shape) for f in forms])
 
 
-def _monomial_to_obj(m: Monomial, p: int, c: str) -> dict:
+def _monomial_to_obj(m: Monomial) -> dict:
     """The wire object of m.  Its level is not written: the reader takes p
-    from the output and c from the record, so m must be at that level."""
-    if (m.p, frac_to_str(m.c)) != (p, c):
-        raise ValueError(f"a monomial at level ({m.p}, {m.c}) in a record at level ({p}, {c})")
+    from the output and c from the node, the level m is derived at."""
     return {"coef": frac_to_str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
 
 
@@ -197,44 +200,44 @@ def _positive(text) -> Fraction:
 
 
 # A ledger node's wire keys in the order the writer puts them, its level
-# fields in the order the reader reads them, and a direction's keys.
+# fields in the order the reader reads them, its monomials and a direction's keys.
 _NODE_KEYS = ("arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
               "cylinder_forms", "codim_contribution", "clamped", "directions", "children")
 _LEVEL_KEYS = ("r", "c_prime", "c_double_prime", "epsilon", "s", "cylinder_forms", "clamped",
                "directions")
+_MONOMIALS = ("c_prime", "c_double_prime", "epsilon")
 _DIRECTION_KEYS = ("direction", "slice_point", "base_codim", "min_fiber_density", "clamped")
 
 
-def _node_to_obj(node: Node, p: int, children: list[int]) -> dict:
-    """The wire object of node over its sub-levels' indices; a leaf's level fields are null."""
-    c = frac_to_str(node.c)
-    obj = dict(dict.fromkeys(_NODE_KEYS), arity=node.arity, c=c,
+def _node_to_obj(node: Node, children: list[int]) -> dict:
+    """The wire object of node over its sub-levels' indices, its derived
+    fields read off node's properties; a leaf's level fields are null."""
+    obj = dict(dict.fromkeys(_NODE_KEYS), arity=node.arity, c=frac_to_str(node.c),
                codim_contribution=node.codim_contribution, children=children)
-    if node.level is not None:
-        level, k = node.level, node.level.constants
+    if node.slices:
+        k = node.constants
         obj.update(
-            r=level.r, c_prime=_monomial_to_obj(k.c_prime, p, c),
-            c_double_prime=_monomial_to_obj(k.c_double_prime, p, c),
-            epsilon=_monomial_to_obj(k.epsilon, p, c), s=k.s,
-            cylinder_forms=level.cylinder_forms, clamped=k.clamped,
+            {key: _monomial_to_obj(getattr(k, key)) for key in _MONOMIALS},
+            r=node.r, s=k.s, cylinder_forms=node.cylinder_forms, clamped=k.clamped,
             directions=[
-                {"direction": d.direction, "slice_point": list(d.slice_point),
-                 "base_codim": d.base_codim,
-                 "min_fiber_density": frac_to_str(d.min_fiber_density), "clamped": d.clamped}
-                for d in level.directions
+                {"direction": i, "slice_point": list(point),
+                 "base_codim": child.codim_contribution,
+                 "min_fiber_density": frac_to_str(density), "clamped": clamped}
+                for i, ((point, density), child, clamped)
+                in enumerate(zip(node.slices, node.children, node.clamped))
             ],
         )
     return obj
 
 
-def _ledger_nodes(top: Node, p: int) -> list[dict]:
+def _ledger_nodes(top: Node) -> list[dict]:
     """The wire ledger of top: its distinct nodes, each once, children first."""
     index, done = {}, {}
 
     def visit(node: Node) -> int:
         # a node the memo shares is walked once; equal nodes share an index
         if id(node) not in done:
-            obj = _node_to_obj(node, p, [visit(child) for child in node.children])
+            obj = _node_to_obj(node, [visit(child) for child in node.children])
             done[id(node)] = index.setdefault(json.dumps(obj), (len(index), obj))[0]
         return done[id(node)]
 
@@ -253,8 +256,8 @@ def _directions(obj: dict) -> list:
     return [] if directions is None else _typed(directions, list, "directions")
 
 
-def _direction_from_obj(obj, arity: int, p: int) -> Direction:
-    # the density first, so a direction that is no object is named by it
+def _direction_from_obj(obj, arity: int, p: int) -> tuple:
+    # each field is read with its type; the density first, so a direction that is no object is named by it
     density = frac_from_str(_field(obj, "min_fiber_density"))
     _known(obj, _DIRECTION_KEYS, "direction")
     direction = _field(obj, "direction", int)
@@ -263,13 +266,16 @@ def _direction_from_obj(obj, arity: int, p: int) -> Direction:
     point = tuple(_ints(_field(obj, "slice_point"), "slice_point"))
     if not all(0 <= t < p for t in point):
         raise InputFormatError(f"slice_point entries must lie in 0..{p - 1}, got {point!r:.60}")
-    return Direction(direction, point, _field(obj, "base_codim", int), density,
-                     _field(obj, "clamped", bool))
+    _field(obj, "base_codim", int)
+    _field(obj, "clamped", bool)
+    return point, density
 
 
-def _node_from_obj(obj: dict, children: tuple, p: int, legacy: bool) -> Node:
-    """The Node of a wire node over its sub-levels' Nodes, each field read
-    with its type; the level fields are all null (a leaf) or all set."""
+def _node_from_obj(obj: dict, children: tuple, p: int, legacy: bool, i: int) -> Node:
+    """The Node of wire node i over its sub-levels' Nodes, each field read
+    with its type; then, before anything is derived, c in (0, 1], a
+    level's directions one per factor, each sub-level one arity lower on
+    its dims without that factor, and a leaf's c p**-codim_contribution."""
     _known(obj, _NODE_KEYS, "ledger node")
     arity = _field(obj, "arity", int)
     if arity < 1:
@@ -282,28 +288,71 @@ def _node_from_obj(obj: dict, children: tuple, p: int, legacy: bool) -> Node:
             return None
         if key == "directions":
             return tuple(_direction_from_obj(d, arity, p) for d in value)
-        if key in ("c_prime", "c_double_prime", "epsilon"):
-            if legacy:
-                return Monomial(_positive(value), p, c)
-            return Monomial(_positive(_field(value, "coef")), p, c,
-                            _field(value, "p_exp", int), _field(value, "c_exp", int))
-        return _typed(value, bool if key == "clamped" else int, key)
+        if key not in _MONOMIALS:
+            return _typed(value, bool if key == "clamped" else int, key)
+        if legacy:
+            return _positive(value)
+        _positive(_field(value, "coef"))
+        _field(value, "p_exp", int)
+        _field(value, "c_exp", int)
+        return value
 
     values = [read(key) for key in _LEVEL_KEYS]
     nulls = [key for key, value in zip(_LEVEL_KEYS, values) if value is None]
     if 0 < len(nulls) < len(values):
         raise InputFormatError(f"ledger level field {nulls[0]!r} is null beside set ones")
-    r, c_prime, c_dd, epsilon, s, cylinders, clamped, directions = values
-    constants = LevelConstants(c_prime, c_dd, epsilon, s, clamped)
-    level = None if nulls else Level(r, constants, cylinders, directions)
-    return Node(arity, c, _field(obj, "codim_contribution", int), level, children)
+    codim = _field(obj, "codim_contribution", int)
+    if not 0 < c <= 1:
+        raise InputFormatError(f"ledger node {i}: c {frac_to_str(c)} is not in (0, 1]")
+    *_, cylinders, _, directions = values
+    slices = directions or ()
+    if not nulls and not slices:
+        raise InputFormatError(f"ledger node {i} sets level fields but no directions")
+    if slices and len(slices) != arity:
+        raise InputFormatError(f"ledger node {i} has {len(slices)} directions at arity {arity}")
+    node = Node(p, arity, c, codim, cylinders, slices, children)
+    for d, child in enumerate(children):
+        dims = node.dims[:d] + node.dims[d + 1:]
+        _fit(child, arity - 1, dims, f"ledger node {i}'s sub-level {d}")
+    # p**codim is formed only up to the size of c's denominator, which it exceeds there
+    if not slices and not (0 <= codim <= c.denominator.bit_length() and c * p**codim == 1):
+        raise InputFormatError(f"ledger leaf {i}: c {frac_to_str(c)} is not p**-codim_contribution")
+    return node
 
 
-def _ledger_tree(nodes: list[dict], p: int, legacy: bool) -> Node | None:
+def _fit(node: Node, arity: int, dims: tuple, what: str) -> None:
+    """Refuse node unless it has this arity and, if a level, these dims."""
+    if node.arity != arity or node.slices and node.dims != dims:
+        raise InputFormatError(f"{what} has arity {node.arity} and dims {node.dims}, not {arity} "
+                               f"and {dims}")
+
+
+def _refuse_restated(obj: dict, node: Node, i: int, legacy: bool) -> None:
+    """Refuse wire node i unless it is what the writer writes for its Node;
+    versions "1" and "2" wrote the monomials as rationals, compared by value."""
+    written = _node_to_obj(node, obj["children"])
+    if legacy and node.slices:
+        for key in _MONOMIALS:
+            m = getattr(node.constants, key)
+            if m <= Fraction(obj[key]) <= m:
+                written[key] = obj[key]
+    if written == obj:
+        return
+    key = next(key for key in written if written[key] != obj[key])
+    wire, value = obj[key], written[key]
+    if key == "directions":
+        d, name = next((d, name) for d, (got, want) in enumerate(zip(wire, value))
+                       for name in want if got[name] != want[name])
+        key, wire, value = f"directions[{d}].{name}", wire[d][name], value[d][name]
+    raise InputFormatError(f"ledger node {i}: {key} {wire!r:.60} is not the derived {value!r:.60}")
+
+
+def _ledger_tree(nodes: list[dict], shape, legacy: bool) -> Node | None:
     """The top Node of a wire ledger, which must be one tree: each node
     lists one child per direction, each child index lies below its node's
     own, and every node but the top (the last) is some node's child.  The
-    whole tree is checked before any node's fields are read."""
+    whole tree is checked before any node's fields are read, and every
+    node's fit and the top's, the output's shape, before any derived field."""
     reached = set()
     for i, obj in enumerate(nodes):
         children = _ints(_field(obj, "children"), "children")
@@ -315,10 +364,16 @@ def _ledger_tree(nodes: list[dict], p: int, legacy: bool) -> Node | None:
     stray = sorted(set(range(len(nodes) - 1)) - reached)
     if stray:
         raise InputFormatError(f"ledger node {stray[0]} is neither the top nor a child")
+    if not nodes:
+        return None
     built = []
-    for obj in nodes:
-        built.append(_node_from_obj(obj, tuple(built[j] for j in obj["children"]), p, legacy))
-    return built[-1] if built else None
+    for i, obj in enumerate(nodes):
+        kids = tuple(built[j] for j in obj["children"])
+        built.append(_node_from_obj(obj, kids, shape.p, legacy, i))
+    _fit(built[-1], shape.k, shape.dims, "the ledger's top")
+    for i, (obj, node) in enumerate(zip(nodes, built)):
+        _refuse_restated(obj, node, i, legacy)
+    return built[-1]
 
 
 def _nodes_from_paths(records: list[dict]) -> list[dict]:
@@ -346,7 +401,7 @@ def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) 
         "output_codim": cert.output_codim,
         "budget": cert.budget,
         "output": variety_to_obj(cert.output),
-        "ledger": _ledger_nodes(cert.ledger, cert.output.shape.p) if cert.ledger else [],
+        "ledger": _ledger_nodes(cert.ledger) if cert.ledger else [],
     }
     if config is not None:
         out["config"] = config
@@ -367,7 +422,7 @@ def certificate_from_obj(obj) -> SubvarietyCertificate:
         output=output,
         output_codim=_field(obj, "output_codim", int),
         budget=_field(obj, "budget", int),
-        ledger=_ledger_tree(nodes, output.shape.p, version in ("1", "2")),
+        ledger=_ledger_tree(nodes, output.shape, version in ("1", "2")),
     )
 
 

@@ -1,7 +1,8 @@
 """A subvariety certificate and the exact formulas of its ledger and budget.
 
 The ledger is a tree of frozen Nodes, one per level of the induction over
-arity, each with one child per direction and, above a leaf, a Level.
+arity, each with one child per direction and deriving what the formulas
+below give, so it cannot disagree with them.
 
 Budget tracking note.  The codimension budget is affine in
 L = ceil(log_p 1/density) for fixed arity and p.  budget_line evaluates the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import PreconditionError
 from .forms import ceil_log
@@ -135,33 +136,46 @@ def codim_budget(arity: int, p: int, c: Fraction) -> int:
     return slope * ceil_log(p, 1 / c) + intercept
 
 
-@dataclass(frozen=True)
-class Direction:
-    direction: int
-    slice_point: tuple[int, ...]
-    base_codim: int
-    min_fiber_density: Fraction
-    clamped: bool
-
-
-@dataclass(frozen=True)
-class Level:
-    r: int
-    constants: LevelConstants
-    cylinder_forms: int
-    directions: tuple[Direction, ...]
+@lru_cache(maxsize=_LEDGER_MEMO_SIZE)
+def _clamps(p: int, c: Fraction, arity: int, dims: tuple[int, ...]) -> tuple[bool, ...]:
+    """One flag per direction of a level with these dims: whether its
+    fiber floor falls below one point (_fiber_thresholds)."""
+    return tuple(_fiber_thresholds(p, c, arity, n, p ** (sum(dims) - n))[3] for n in dims)
 
 
 @dataclass(frozen=True)
 class Node:
-    """A ledger level; level is None at a leaf.  Sub-problems solved once
-    share one Node, so hashing or comparing Nodes walks every path."""
+    """A ledger level as the finder chose or measured it, with one
+    (slice_point, min_fiber_density) pair and one sub-level per direction;
+    a leaf (arity 1, or density 1) has none and cylinder_forms None.  A
+    level derives r, dims (its slice points' lengths), constants and one
+    clamp per direction.  No shape is stored, so leaves of different
+    shapes can be equal.  Sub-problems solved once share one Node, so
+    hashing or comparing Nodes walks every path."""
 
+    p: int
     arity: int
     c: Fraction
     codim_contribution: int
-    level: Level | None
+    cylinder_forms: int | None
+    slices: tuple[tuple[tuple[int, ...], Fraction], ...]
     children: tuple[Node, ...]
+
+    @cached_property
+    def r(self) -> int:
+        return max(child.codim_contribution for child in self.children)
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(len(point) for point, _ in self.slices)
+
+    @cached_property
+    def constants(self) -> LevelConstants:
+        return _level_constants(self.p, self.c, self.arity, self.r, max(self.dims))
+
+    @cached_property
+    def clamped(self) -> tuple[bool, ...]:
+        return _clamps(self.p, self.c, self.arity, self.dims)
 
 
 @dataclass(frozen=True)

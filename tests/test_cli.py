@@ -53,7 +53,6 @@ from helpers import (
     count_grid_evaluations,
     count_row_pass_bases,
     legacy_certificate,
-    monomial_value,
     planted_cylinder,
     replace_shift_tables,
     scan_offsets,
@@ -261,22 +260,7 @@ def test_find_sub_writes_verified_certificate(dot_files, tmp_path, capsys):
     ]) == EXIT_OK
 
 
-def _valued_paths(cert):
-    """ledger_paths of cert with each level's constants as values, its
-    monomials replaced by the rationals they equal."""
-    valued = []
-    for path, node in ledger_paths(cert.ledger):
-        level = node.level
-        if level is not None:
-            k = level.constants
-            level = (level.r, monomial_value(k.c_prime), monomial_value(k.c_double_prime),
-                     monomial_value(k.epsilon), k.s, k.clamped, level.cylinder_forms,
-                     level.directions)
-        valued.append((path, node.arity, node.c, node.codim_contribution, level))
-    return valued
-
-
-def test_verify_reads_format_1_certificate(dot_files, tmp_path):
+def test_verify_reads_format_1_certificate(dot_files, tmp_path, capsys):
     _, var_path = dot_files
     cert_path = tmp_path / "cert.json"
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
@@ -289,11 +273,20 @@ def test_verify_reads_format_1_certificate(dot_files, tmp_path):
         assert main([
             "verify", "--input", str(var_path), "--certificate", str(cert_path),
         ]) == EXIT_OK
+        # each monomial, written as the rational it equals, is derived again
         read = certificate_from_obj(legacy)
-        assert _valued_paths(read) == _valued_paths(certificate_from_obj(obj))
-        assert certificate_to_obj(read)["ledger"][-1]["c_prime"] == {
-            "coef": "25/2048", "p_exp": 0, "c_exp": 0,
-        }
+        assert read == certificate_from_obj(obj)
+        assert certificate_to_obj(read)["ledger"] == obj["ledger"]
+    # a rational off its monomial's value is refused; the top is the last node rebuilt
+    legacy = legacy_certificate(obj, "1")
+    legacy["ledger"][0]["c_prime"] = "25/2047"
+    cert_path.write_text(json.dumps(legacy))
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    message = capsys.readouterr().err
+    assert message.startswith("input error: ledger node 2: c_prime '25/2047' is not the derived")
 
 
 def test_verify_reads_format_3_certificate(dot_files, tmp_path, capsys):
@@ -901,18 +894,56 @@ def _found_line_forgery(top, _):
     top.update(c_prime={"coef": "7", "p_exp": 5, "c_exp": 0}, s=0, r=99)
 
 
-@pytest.mark.xfail(reason="item 2b: verify does not replay the ledger", strict=True)
+def _swap_direction_indices(top, _):
+    first, second = top["directions"][:2]
+    first["direction"], second["direction"] = second["direction"], first["direction"]
+
+
+def _level_fields_on_a_leaf(top, ledger):
+    ledger[0].update({key: top[key] for key in top if key not in ("arity", "c", "children")},
+                     directions=[])
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda top, _: top.update(c="0"), "ledger node 1: c 0 is not in (0, 1]"),
+    (lambda top, _: top.update(c="3/2"), "ledger node 1: c 3/2 is not in (0, 1]"),
+    (lambda top, _: top.update(r=99), "ledger node 1: r 99 is not the derived 0"),
+    (lambda top, _: top.update(s=0), "ledger node 1: s 0 is not the derived 13"),
+    (lambda top, _: top.update(clamped=not top["clamped"]),
+     "ledger node 1: clamped False is not the derived True"),
+    (lambda top, ledger: ledger[0].update(c="1/1024"),
+     "ledger leaf 0: c 1/1024 is not p**-codim_contribution"),
+    (_found_line_forgery, "ledger node 1: r 99 is not the derived 0"),
+    (_swap_direction_indices, "ledger node 1: directions[0].direction 1 is not the derived 0"),
+    (lambda top, _: top["directions"][2].update(base_codim=1),
+     "ledger node 1: directions[2].base_codim 1 is not the derived 0"),
+    (lambda top, _: top["directions"][1].update(clamped=False),
+     "ledger node 1: directions[1].clamped False is not the derived True"),
+    (_level_fields_on_a_leaf, "ledger node 0 sets level fields but no directions"),
+    (lambda top, _: top.update(directions=top["directions"][:2], children=[0, 0]),
+     "ledger node 1 has 2 directions at arity 3"),
+    (lambda top, ledger: ledger[0].update(arity=1),
+     "ledger node 1's sub-level 0 has arity 1 and dims (), not 2 and (3, 3)"),
+    (lambda top, _: top["directions"][0]["slice_point"].append(0),
+     "the ledger's top has arity 3 and dims (5, 3, 3), not 3 and (4, 3, 3)"),
+], ids=["c-0", "c-three-halves", "r-99", "s-0", "clamped-flipped", "first-node-c",
+        "c_prime-s-r", "direction-swapped", "base_codim-changed", "direction-clamp-flipped",
+        "level-fields-on-a-leaf", "directions-short-of-the-arity", "child-arity",
+        "top-dims"])
+def test_a_ledger_value_off_its_formulas_or_its_tree_is_named(tmp_path, capsys, forge, message):
+    var_path, cert_path = _forged_certificate(tmp_path, forge)
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.xfail(reason="item 2b: verify does not replay the chosen facts", strict=True)
 @pytest.mark.parametrize("forge", [
-    lambda top, _: top.update(c="0"),
     lambda top, _: top.update(c="1/3"),
-    lambda top, _: top.update(r=99),
     lambda top, _: top.update(codim_contribution=0),
-    lambda top, _: top.update(s=0),
-    lambda top, _: top.update(clamped=not top["clamped"]),
-    lambda top, ledger: ledger[0].update(c="1/1024"),
-    _found_line_forgery,
-], ids=["c-0", "c-one-third", "r-99", "codim_contribution-0", "s-0", "clamped-flipped",
-        "first-node-c", "c_prime-s-r"])
+], ids=["c-one-third", "codim_contribution-0"])
 def test_a_ledger_value_that_contradicts_its_formulas_fails_verify(tmp_path, forge):
     var_path, cert_path = _forged_certificate(tmp_path, forge)
     assert main([

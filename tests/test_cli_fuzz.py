@@ -2,8 +2,10 @@
 certificates find-sub writes for them, each with a field or two swapped for
 an odd value or dropped, and the edge values of the numeric flags.  Every
 run must return a documented exit code (0, 2, 3, 4 or 5) and never raise.
+A second fuzz edits one ledger field at a time.
 """
 
+import copy
 import json
 import random
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 from mlvariety.cli import main
 
+from test_cli import _forged_certificate
 from test_golden_outputs import _write_inputs
 
 ODD = [None, True, False, -1, 0, 2, 10**30, 1.5, "1/0", "x", "", [], {}, [[1, 2]], [0] * 40]
@@ -120,3 +123,56 @@ def test_cli_returns_a_documented_exit_code(tmp_path, monkeypatch):
             obj = _mutated(rng, obj)
         Path("mutated.json").write_text(json.dumps(obj))
         _run([arg.replace("{}", "mutated.json") for arg in argv])
+
+
+# Values for one ledger field: zero and past-one densities, a huge integer
+# and a monomial with huge exponents, besides the odd values and each
+# field's neighbours (_nearby)
+LEDGER_ODD = ODD + ["0", "3/2", "1/3", {"coef": "1", "p_exp": 10**40, "c_exp": -10**40}]
+
+# The ledger fields a node stores rather than derives; the finder chose or
+# measured them, and no formula fixes them (besides the slice points)
+STORED = {"c", "codim_contribution", "cylinder_forms", "min_fiber_density"}
+
+
+def _paths(value, path=()):
+    """The path of value and of everything below it, parent first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
+        value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+def _nearby(value) -> list:
+    if type(value) is bool:
+        return [not value]
+    if type(value) is int:
+        return [value - 1, value + 1]
+    return []
+
+
+def test_single_ledger_field_edits_end_in_exit_0_2_or_5(tmp_path):
+    """200 edits of one field of the (3,(4,3,3)) seed-1 certificate's ledger,
+    each node, direction, monomial, slice point or child index among them.
+    verify refuses (2) or fails (5) every edit that changes a derived field
+    or breaks the tree; only a stored field or a slice point may verify."""
+    var_path, cert_path = _forged_certificate(tmp_path, lambda top, ledger: None)
+    obj = json.loads(cert_path.read_text())
+    paths = [("ledger",) + path for path in _paths(obj["ledger"]) if path]
+    rng = random.Random("ledger-fuzz")
+    codes = []
+    for _ in range(200):
+        path = rng.choice(paths)
+        forged = copy.deepcopy(obj)
+        target = forged
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = rng.choice(LEDGER_ODD + _nearby(target[path[-1]]))
+        cert_path.write_text(json.dumps(forged))
+        code = _run(["verify", "--input", str(var_path), "--certificate", str(cert_path)])
+        assert code in (0, 2, 5), path
+        if code == 0:
+            assert forged == obj or path[-1] in STORED or path[-2] == "slice_point", path
+        codes.append(code)
+    assert codes.count(2) > 100

@@ -32,6 +32,7 @@ from mlvariety.generators import (
 )
 from mlvariety.jsonio import certificate_from_obj, certificate_to_obj, dumps
 from mlvariety.ledger import (
+    _clamps,
     _fiber_constants,
     _fiber_thresholds,
     _level_constants,
@@ -138,7 +139,7 @@ def test_codim_budget_rejects_bad_density():
 
 
 # The process-wide memos of a level's exact ledger arithmetic.
-_LEDGER_MEMOS = (_fiber_constants, _fiber_thresholds, _level_constants, codim_budget)
+_LEDGER_MEMOS = (_fiber_constants, _fiber_thresholds, _level_constants, _clamps, codim_budget)
 
 
 def _clear_ledger_memos():
@@ -155,7 +156,7 @@ def _ledger_memo_hits():
 def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
     # each signature is asked twice, a miss and then a hit, and both answers
     # must be the value of the uncached function, whose own calls to
-    # _fiber_constants are uncached too
+    # _fiber_constants and _fiber_thresholds are uncached too
     _clear_ledger_memos()
     signatures = [
         (c, r, max_dim, n, b)
@@ -166,16 +167,19 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
     ]
     cached = [
         [(codim_budget(arity, p, c), _fiber_constants(p, c, arity),
-          _fiber_thresholds(p, c, arity, n, b), _level_constants(p, c, arity, r, max_dim))
+          _fiber_thresholds(p, c, arity, n, b), _level_constants(p, c, arity, r, max_dim),
+          _clamps(p, c, arity, (n, 2)))
          for c, r, max_dim, n, b in signatures]
         for _ in range(2)
     ]
     assert all(memo.cache_info().hits for memo in _LEDGER_MEMOS)
     monkeypatch.setattr(ledger, "_fiber_constants", _fiber_constants.__wrapped__)
+    monkeypatch.setattr(ledger, "_fiber_thresholds", _fiber_thresholds.__wrapped__)
     fresh = [
         (codim_budget.__wrapped__(arity, p, c), _fiber_constants.__wrapped__(p, c, arity),
          _fiber_thresholds.__wrapped__(p, c, arity, n, b),
-         _level_constants.__wrapped__(p, c, arity, r, max_dim))
+         _level_constants.__wrapped__(p, c, arity, r, max_dim),
+         _clamps.__wrapped__(p, c, arity, (n, 2)))
         for c, r, max_dim, n, b in signatures
     ]
     assert cached[0] == cached[1] == fresh
@@ -541,7 +545,8 @@ def test_dense_columns_dot_variety():
     base_mask = variety_bitmap(res.base_certificate.output)
     assert int(fibers[base_mask].min()) == res.min_fiber_count
     assert res.min_fiber_count >= res.fiber_floor_count
-    assert res.clamped  # thresholds fall below one point at this scale
+    # thresholds fall below one point at this scale
+    assert find_subvariety(v).ledger.clamped[res.direction]
 
 
 def test_dense_columns_direction_zero():
@@ -644,7 +649,7 @@ def test_density_one_is_a_base_case_at_every_arity():
         for path, node in records:
             if node.c == 1:
                 assert node.codim_contribution == 0
-                assert node.level is None
+                assert not node.slices
             # a density-1 node is a leaf: no node lies below it
             assert not any(path != leaf and (not leaf or path.startswith(leaf + "/")) for leaf in leaves)
 
@@ -682,7 +687,7 @@ def test_ledger_records_levels():
     root = cert.ledger
     assert root.arity == 2
     assert root.c == Fraction(5, 8)
-    assert monomial_value(root.level.constants.c_prime) == Fraction(25, 2048)
+    assert monomial_value(root.constants.c_prime) == Fraction(25, 2048)
     assert [path for path, _ in ledger_paths(root)] == ["", "0", "1"]
     assert [child.arity for child in root.children] == [1, 1]
 
@@ -705,7 +710,7 @@ def test_finder_at_arity_4_and_5(p, dims):
     v = random_variety(random.Random(5), Shape(p, dims), 2, full_support_only=True)
     cert = find_subvariety(v)
     assert verify_certificate(v, cert).all_ok
-    root = cert.ledger.level.constants
+    root = cert.ledger.constants
     k = len(dims) - 1
     big_k = arity_constant(k)
     assert (root.c_prime.p_exp, root.c_prime.c_exp) == (-2 * k * big_k, k * big_k + 1)
@@ -721,7 +726,7 @@ def test_ledger_constants_satisfy_their_relations():
     v = random_variety(rng, sh, 2)
     cert = find_subvariety(v)
     root = cert.ledger
-    constants = root.level.constants
+    constants = root.constants
     c = root.c
     k_lower = root.arity - 1
     big_k = arity_constant(k_lower)
@@ -899,7 +904,7 @@ def test_each_level_echelonizes_only_its_input_and_output(monkeypatch, make, can
 
     def solving(u):
         cert = original_solve(u)
-        levels.append(cert.ledger.level is not None)
+        levels.append(bool(cert.ledger.slices))
         return cert
 
     monkeypatch.setattr(Variety, "canonical", counting)
@@ -968,11 +973,10 @@ def _find_outcome(v):
         cert = find_subvariety(v)
     except ConstructionError as exc:
         return type(exc).__name__, str(exc)
-    level = cert.ledger.level
-    if level is not None:
+    if cert.ledger.slices:
         # the cylinder forms are read off the output: its forms without full support
         full = tuple(range(v.shape.k))
-        assert level.cylinder_forms == sum(f.support != full for f in cert.output.forms)
+        assert cert.ledger.cylinder_forms == sum(f.support != full for f in cert.output.forms)
     return certificate_to_obj(cert)
 
 
@@ -1210,7 +1214,8 @@ def test_memo_keeps_the_largest_pass(monkeypatch):
 def test_finder_output_does_not_depend_on_the_ledger_memos(p, dims):
     # the same certificate and charge with every ledger memo cleared and
     # with the memos warmed by other instances of the shape, which the
-    # warmed find then hits more often
+    # warmed find then hits more often; the writer reads the memos too, so
+    # only the find's hits are counted
     sh = Shape(p, dims)
     v = random_variety(random.Random(27), sh, 2, full_support_only=True)
     outcomes, hits = [], []
@@ -1220,9 +1225,10 @@ def test_finder_output_does_not_depend_on_the_ledger_memos(p, dims):
             for seed in range(3):
                 find_subvariety(random_variety(random.Random(seed), sh, 2, full_support_only=True))
         before = _ledger_memo_hits()
-        _, obj, points = _finder_outcome(v)
+        budget.reset_work()
+        cert = find_subvariety(v)
         hits.append(_ledger_memo_hits() - before)
-        outcomes.append((json.dumps(obj), points))
+        outcomes.append((json.dumps(certificate_to_obj(cert)), budget.work_points()))
     assert hits[1] > hits[0]
     assert outcomes[0] == outcomes[1]
 

@@ -11,7 +11,8 @@ shortens the defining list.  A refactor that keeps every output
 byte-identical keeps GOLDEN_SHA256; a change meant to alter an output
 re-pins it from the failure message.  A second test re-reads each JSON
 file and JSON stdout the runs write and checks that jsonio.dumps and
-json.dumps with indent=2 both write it back to the same text.
+json.dumps with indent=2 both write it back to the same text, and a third
+that each certificate find-sub writes reads and re-writes to its own bytes.
 
     PYTHONPATH=src python tests/test_golden_outputs.py DIR
 
@@ -33,7 +34,14 @@ from mlvariety import budget
 from mlvariety.cli import main
 from mlvariety.forms import Shape
 from mlvariety.generators import random_form, random_map, random_variety
-from mlvariety.jsonio import dumps, form_to_obj, map_to_obj, variety_to_obj
+from mlvariety.jsonio import (
+    certificate_from_obj,
+    certificate_to_obj,
+    dumps,
+    form_to_obj,
+    map_to_obj,
+    variety_to_obj,
+)
 from mlvariety.variety import Variety
 
 from helpers import coordinate_products
@@ -187,6 +195,20 @@ def test_golden_json_outputs_redump_to_the_same_bytes(tmp_path, monkeypatch):
     for text in texts:
         value = json.loads(text)
         assert dumps(value) + "\n" == json.dumps(value, indent=2) + "\n" == text
+
+
+def test_golden_certificates_read_and_rewrite_to_the_same_bytes(tmp_path, monkeypatch):
+    # each certificate find-sub writes is the text of the certificate read
+    # from it, written with its config and verified blocks
+    monkeypatch.chdir(tmp_path)
+    texts = [record["file"] for record in map(json.loads, golden_records())
+             if record["argv"][0] == "find-sub" and "--output" in record["argv"]]
+    assert len(texts) == 10
+    for text in texts:
+        obj = json.loads(text)
+        again = certificate_to_obj(certificate_from_obj(obj), config=obj["config"])
+        again["verified"] = obj["verified"]
+        assert dumps(again) + "\n" == text
 
 
 if __name__ == "__main__":

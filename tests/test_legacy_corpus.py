@@ -1,14 +1,22 @@
 """The legacy corpus: certificates that the trees which defined each older
 format wrote (scripts/legacy_corpus.py), read by today's reader, accepted
-by `verify`, and equal in output to today's finder."""
+by `verify`, equal in output to today's finder, and read back equal once
+written in today's format."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from mlvariety.cli import EXIT_OK, main
 from mlvariety.construct import find_subvariety
-from mlvariety.jsonio import certificate_from_obj, load_json, variety_from_obj
+from mlvariety.jsonio import (
+    certificate_from_obj,
+    certificate_to_obj,
+    dumps,
+    load_json,
+    variety_from_obj,
+)
 from mlvariety.ledger import ledger_paths
 
 CORPUS = Path(__file__).resolve().parent / "data" / "legacy"
@@ -41,3 +49,9 @@ def test_a_legacy_certificate_reads_verifies_and_matches_todays_finder(path):
     elif name == "p3_433":
         # the trees before density-1 leaves wrote sub-levels below them
         assert (len(paths), len(ledger_paths(today.ledger))) == (10, 4)
+
+
+@pytest.mark.parametrize("path", CERTIFICATES, ids=lambda path: path.stem)
+def test_a_legacy_certificate_reads_back_equal_once_written(path):
+    cert = certificate_from_obj(load_json(path))
+    assert certificate_from_obj(json.loads(dumps(certificate_to_obj(cert)))) == cert
