@@ -19,7 +19,6 @@ from mlvariety import (
     verify_certificate,
 )
 from mlvariety.generators import random_variety
-from mlvariety.jsonio import frac_to_str
 from mlvariety.ledger import ledger_paths
 
 SEED = 99
@@ -29,15 +28,15 @@ def show(v):
     cert = find_subvariety(v)
     check = verify_certificate(v, cert)
     print(f"shape: p={v.shape.p} dims={v.shape.dims}")
-    print(f"density: {frac_to_str(cert.input_density)}")
+    print(f"density: {cert.input_density}")
     print(f"achieved codim: {cert.output_codim}  budget: {cert.budget}")
     for path, node in ledger_paths(cert.ledger):
         where = path or "root"
         if not node.slices:
-            print(f"  [{where}] arity {node.arity}, c={frac_to_str(node.c)}, "
+            print(f"  [{where}] arity {node.arity}, c={node.c}, "
                   f"base case, codim {node.codim_contribution}")
         else:
-            print(f"  [{where}] arity {node.arity}, c={frac_to_str(node.c)}, "
+            print(f"  [{where}] arity {node.arity}, c={node.c}, "
                   f"r={node.r}, s={node.constants.s}, eps={node.constants.epsilon}")
     print(f"verified: containment={check.containment_ok} "
           f"nonempty={check.nonempty_ok} codim={check.codim_ok}")

@@ -41,7 +41,6 @@ from .jsonio import (
     dump_json,
     dumps,
     form_from_obj,
-    frac_to_str,
     load_json,
     map_from_obj,
     map_to_obj,
@@ -105,8 +104,8 @@ def _file_config(command: str, data: bytes) -> dict:
 def cmd_rank(args) -> int:
     form = form_from_obj(load_json(args.input))
     b = bias(form)
-    report = {"bias": frac_to_str(b)}
-    lines = [f"bias: {frac_to_str(b)}"]
+    report = {"bias": str(b)}
+    lines = [f"bias: {b}"]
     try:
         report["analytic_rank"] = analytic_rank(b, form.shape.p)
         lines.append(f"analytic_rank: {report['analytic_rank']!r}")
@@ -129,7 +128,7 @@ def cmd_rank(args) -> int:
     if form.shape.k >= 2:
         zf = zero_fiber_identity_check(form, b)
         try:
-            count, expected = str(zf.zero_fiber_count), frac_to_str(zf.expected)
+            count, expected = str(zf.zero_fiber_count), str(zf.expected)
         except ValueError:  # past Python's int-to-str digit limit
             raise BudgetExceededError(
                 f"zero-fiber count over at least 2^{zf.outer_points.bit_length() - 1} "
@@ -151,7 +150,7 @@ def cmd_rank(args) -> int:
 def cmd_density(args) -> int:
     v = variety_from_obj(load_json(args.input))
     c = density(v)
-    _emit(args, [f"density: {frac_to_str(c)}"], {"density": frac_to_str(c)})
+    _emit(args, [f"density: {c}"], {"density": str(c)})
     return EXIT_OK
 
 
@@ -165,7 +164,7 @@ def cmd_find_sub(args) -> int:
     if args.output:
         dump_json(obj, args.output)
     summary = (
-        f"density={frac_to_str(cert.input_density)} codim={cert.output_codim} "
+        f"density={cert.input_density} codim={cert.output_codim} "
         f"budget={cert.budget} verified={check.all_ok}"
     )
     _emit(args, [summary], obj)
@@ -210,7 +209,7 @@ def cmd_conv_check(args) -> int:
     obj = {
         "codim": report.codim,
         "bad_size": report.bad_size,
-        "bad_cap": frac_to_str(report.bad_cap),
+        "bad_cap": str(report.bad_cap),
         "points_checked": report.checked,
         "corners_checked": report.corners_checked,
         "failures": [str(f) for f in report.failures],
@@ -239,7 +238,7 @@ def cmd_approx(args) -> int:
     obj = {
         "s": args.s,
         "error_count": result.error_count,
-        "error_cap": frac_to_str(result.error_cap),
+        "error_cap": str(result.error_cap),
         "survivors_per_step": list(result.survivors_per_step),
         "phi": map_to_obj(result.phi),
     }
@@ -308,7 +307,7 @@ def cmd_sweep(args) -> int:
             v = _sweep_variety(args.gen, random.Random(seed), shape, param)
             cert = find_subvariety(v)
             check = verify_certificate(v, cert)
-            row["density"] = frac_to_str(cert.input_density)
+            row["density"] = str(cert.input_density)
             row["arank"] = repr(analytic_rank(cert.input_density, args.p))
             row["achieved_codim"] = cert.output_codim
             row["budget"] = cert.budget

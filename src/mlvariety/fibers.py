@@ -188,9 +188,11 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
     output is nonempty, (c) the claimed codimension matches the output's
     deduplicated form count and fits the budget for the input's density,
     priced at one point when the input has none, and the certificate's own
-    top-level claims hold: its input density is the input's exact density
-    and its budget is that budget.  Failures are flags, not exceptions; a
-    shape mismatch fails all three and still reports the input's budget.
+    top-level claims hold: its input density is the input's exact density,
+    its budget is that budget, and its ledger's top (if any) has that
+    density as c and the claimed codimension as codim_contribution.
+    Failures are flags, not exceptions; a shape mismatch fails all three
+    and still reports the input's budget.
     The point count and the containment come from the fiber ranks of
     ``fibers``, which builds no value grid or bitmap, so the check shares
     no evaluation kernel with the finder and also runs on shapes whose |G|
@@ -211,6 +213,8 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
         and cert.output_codim <= bud
         and cert.input_density == Fraction(count, v.shape.total_points)
         and cert.budget == bud
+        and (cert.ledger is None or (cert.ledger.c, cert.ledger.codim_contribution)
+             == (cert.input_density, cert.output_codim))
     )
     return CertificateCheck(contained, not out.is_empty, codim_ok, bud)
 

@@ -19,11 +19,13 @@ has no cycle.  Equal nodes are written once, whatever paths reach them.
 The writer writes each field a ledger.Node derives from its properties.
 The reader refuses a ledger that is not one tree: a node whose children do
 not number its directions (0 when they are null), or a node other than the
-top that is no node's child.  Then one node reader reads each field with
-its type: no unknown key, level fields all null (a leaf) or all set, arity
-at least 1, each direction below it and slice_point entries in 0..p-1.
-Then each node must fit its tree, and last be what the writer writes for
-it, so a derived field off its formula is refused, by name.
+top that is no node's child.  Then it reads, with their types, only the
+facts a Node stores: arity (at least 1), c, codim_contribution, a level's
+cylinder_forms and each direction's slice_point (entries in 0..p-1) and
+min_fiber_density.  Each node must fit its tree, and last every other
+field must be exactly what the writer writes for the node, in the same
+JSON type (true is not 1, 1.0 is not 1) with keys in any order, so an
+unknown key or a derived field off its formula is refused, by its path.
 Versions "1" to "4" wrote one record per path, "" at the top and P/i below
 P in direction i, and still read, through the same checks once the paths
 are rebuilt as nodes; a duplicate, missing or unreachable path is refused.
@@ -56,10 +58,6 @@ from .variety import Variety
 FORMAT_VERSION = "5"
 _READABLE_VERSIONS = ("1", "2", "3", "4", "5")
 _JSON_TYPES = {int: "integer", bool: "boolean", str: "string", list: "array", dict: "object"}
-
-
-def frac_to_str(fr: Fraction) -> str:
-    return str(Fraction(fr))
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -189,30 +187,19 @@ def variety_from_obj(obj) -> Variety:
 def _monomial_to_obj(m: Monomial) -> dict:
     """The wire object of m.  Its level is not written: the reader takes p
     from the output and c from the node, the level m is derived at."""
-    return {"coef": frac_to_str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
+    return {"coef": str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
 
 
-def _positive(text) -> Fraction:
-    value = frac_from_str(text)
-    if value <= 0:
-        raise InputFormatError(f"a ledger constant must be positive, got {text!r:.60}")
-    return value
-
-
-# A ledger node's wire keys in the order the writer puts them, its level
-# fields in the order the reader reads them, its monomials and a direction's keys.
+# A ledger node's wire keys in the order the writer puts them, and its monomials.
 _NODE_KEYS = ("arity", "c", "r", "c_prime", "c_double_prime", "epsilon", "s",
               "cylinder_forms", "codim_contribution", "clamped", "directions", "children")
-_LEVEL_KEYS = ("r", "c_prime", "c_double_prime", "epsilon", "s", "cylinder_forms", "clamped",
-               "directions")
 _MONOMIALS = ("c_prime", "c_double_prime", "epsilon")
-_DIRECTION_KEYS = ("direction", "slice_point", "base_codim", "min_fiber_density", "clamped")
 
 
 def _node_to_obj(node: Node, children: list[int]) -> dict:
     """The wire object of node over its sub-levels' indices, its derived
     fields read off node's properties; a leaf's level fields are null."""
-    obj = dict(dict.fromkeys(_NODE_KEYS), arity=node.arity, c=frac_to_str(node.c),
+    obj = dict(dict.fromkeys(_NODE_KEYS), arity=node.arity, c=str(node.c),
                codim_contribution=node.codim_contribution, children=children)
     if node.slices:
         k = node.constants
@@ -222,7 +209,7 @@ def _node_to_obj(node: Node, children: list[int]) -> dict:
             directions=[
                 {"direction": i, "slice_point": list(point),
                  "base_codim": child.codim_contribution,
-                 "min_fiber_density": frac_to_str(density), "clamped": clamped}
+                 "min_fiber_density": str(density), "clamped": clamped}
                 for i, ((point, density), child, clamped)
                 in enumerate(zip(node.slices, node.children, node.clamped))
             ],
@@ -245,69 +232,34 @@ def _ledger_nodes(top: Node) -> list[dict]:
     return [obj for _, obj in index.values()]
 
 
-def _known(obj: dict, keys: tuple, what: str) -> None:
-    unknown = obj.keys() - set(keys)
-    if unknown:
-        raise InputFormatError(f"unknown key {min(unknown)!r:.60} in a {what}")
-
-
 def _directions(obj: dict) -> list:
     directions = obj.get("directions")
     return [] if directions is None else _typed(directions, list, "directions")
 
 
-def _direction_from_obj(obj, arity: int, p: int) -> tuple:
-    # each field is read with its type; the density first, so a direction that is no object is named by it
+def _direction_from_obj(obj, p: int) -> tuple:
+    # the density first, so a direction that is no object is named by it
     density = frac_from_str(_field(obj, "min_fiber_density"))
-    _known(obj, _DIRECTION_KEYS, "direction")
-    direction = _field(obj, "direction", int)
-    if not 0 <= direction < arity:
-        raise InputFormatError(f"direction {direction} is not below the arity {arity}")
     point = tuple(_ints(_field(obj, "slice_point"), "slice_point"))
     if not all(0 <= t < p for t in point):
         raise InputFormatError(f"slice_point entries must lie in 0..{p - 1}, got {point!r:.60}")
-    _field(obj, "base_codim", int)
-    _field(obj, "clamped", bool)
     return point, density
 
 
-def _node_from_obj(obj: dict, children: tuple, p: int, legacy: bool, i: int) -> Node:
-    """The Node of wire node i over its sub-levels' Nodes, each field read
-    with its type; then, before anything is derived, c in (0, 1], a
+def _node_from_obj(obj: dict, children: tuple, p: int, i: int) -> Node:
+    """The Node of wire node i over its sub-levels' Nodes, each stored fact
+    read with its type; then, before anything is derived, c in (0, 1], a
     level's directions one per factor, each sub-level one arity lower on
     its dims without that factor, and a leaf's c p**-codim_contribution."""
-    _known(obj, _NODE_KEYS, "ledger node")
     arity = _field(obj, "arity", int)
     if arity < 1:
         raise InputFormatError(f"arity must be at least 1, got {arity}")
     c = frac_from_str(_field(obj, "c"))
-
-    def read(key):
-        value = _field(obj, key)
-        if value is None:
-            return None
-        if key == "directions":
-            return tuple(_direction_from_obj(d, arity, p) for d in value)
-        if key not in _MONOMIALS:
-            return _typed(value, bool if key == "clamped" else int, key)
-        if legacy:
-            return _positive(value)
-        _positive(_field(value, "coef"))
-        _field(value, "p_exp", int)
-        _field(value, "c_exp", int)
-        return value
-
-    values = [read(key) for key in _LEVEL_KEYS]
-    nulls = [key for key, value in zip(_LEVEL_KEYS, values) if value is None]
-    if 0 < len(nulls) < len(values):
-        raise InputFormatError(f"ledger level field {nulls[0]!r} is null beside set ones")
+    slices = tuple(_direction_from_obj(d, p) for d in _directions(obj))
+    cylinders = _field(obj, "cylinder_forms", int) if slices else None
     codim = _field(obj, "codim_contribution", int)
     if not 0 < c <= 1:
-        raise InputFormatError(f"ledger node {i}: c {frac_to_str(c)} is not in (0, 1]")
-    *_, cylinders, _, directions = values
-    slices = directions or ()
-    if not nulls and not slices:
-        raise InputFormatError(f"ledger node {i} sets level fields but no directions")
+        raise InputFormatError(f"ledger node {i}: c {c} is not in (0, 1]")
     if slices and len(slices) != arity:
         raise InputFormatError(f"ledger node {i} has {len(slices)} directions at arity {arity}")
     node = Node(p, arity, c, codim, cylinders, slices, children)
@@ -316,7 +268,7 @@ def _node_from_obj(obj: dict, children: tuple, p: int, legacy: bool, i: int) -> 
         _fit(child, arity - 1, dims, f"ledger node {i}'s sub-level {d}")
     # p**codim is formed only up to the size of c's denominator, which it exceeds there
     if not slices and not (0 <= codim <= c.denominator.bit_length() and c * p**codim == 1):
-        raise InputFormatError(f"ledger leaf {i}: c {frac_to_str(c)} is not p**-codim_contribution")
+        raise InputFormatError(f"ledger leaf {i}: c {c} is not p**-codim_contribution")
     return node
 
 
@@ -327,6 +279,29 @@ def _fit(node: Node, arity: int, dims: tuple, what: str) -> None:
                                f"and {dims}")
 
 
+def _difference(got, want, path: str = "") -> str | None:
+    """Where the JSON value got first differs from want, or None: types
+    differ exactly as JSON's do (true is not 1, 1.0 is not 1), and an
+    object's keys may come in any order."""
+    kind = type(want)
+    if kind is dict and type(got) is dict:
+        where = f" in {path}" if path else ""
+        for key in want:
+            if key not in got:
+                return f"missing key {key!r}{where}"
+        for key in got:
+            if key not in want:
+                return f"unknown key {key!r:.60}{where}"
+        pairs = [(got[key], want[key], f"{path}.{key}" if path else key) for key in want]
+    elif kind is list and type(got) is list and len(got) == len(want):
+        pairs = [(g, w, f"{path}[{j}]") for j, (g, w) in enumerate(zip(got, want))]
+    elif type(got) is kind and got == want:
+        return None
+    else:
+        return f"{path} {got!r:.60} is not the derived {want!r:.60}"
+    return next(filter(None, (_difference(*pair) for pair in pairs)), None)
+
+
 def _refuse_restated(obj: dict, node: Node, i: int, legacy: bool) -> None:
     """Refuse wire node i unless it is what the writer writes for its Node;
     versions "1" and "2" wrote the monomials as rationals, compared by value."""
@@ -334,17 +309,12 @@ def _refuse_restated(obj: dict, node: Node, i: int, legacy: bool) -> None:
     if legacy and node.slices:
         for key in _MONOMIALS:
             m = getattr(node.constants, key)
-            if m <= Fraction(obj[key]) <= m:
+            if m <= frac_from_str(_field(obj, key)) <= m:
                 written[key] = obj[key]
-    if written == obj:
-        return
-    key = next(key for key in written if written[key] != obj[key])
-    wire, value = obj[key], written[key]
-    if key == "directions":
-        d, name = next((d, name) for d, (got, want) in enumerate(zip(wire, value))
-                       for name in want if got[name] != want[name])
-        key, wire, value = f"directions[{d}].{name}", wire[d][name], value[d][name]
-    raise InputFormatError(f"ledger node {i}: {key} {wire!r:.60} is not the derived {value!r:.60}")
+    # equal texts are equal JSON values; only a difference walks the node
+    difference = json.dumps(obj) != json.dumps(written) and _difference(obj, written)
+    if difference:
+        raise InputFormatError(f"ledger node {i}: {difference}")
 
 
 def _ledger_tree(nodes: list[dict], shape, legacy: bool) -> Node | None:
@@ -369,7 +339,7 @@ def _ledger_tree(nodes: list[dict], shape, legacy: bool) -> Node | None:
     built = []
     for i, obj in enumerate(nodes):
         kids = tuple(built[j] for j in obj["children"])
-        built.append(_node_from_obj(obj, kids, shape.p, legacy, i))
+        built.append(_node_from_obj(obj, kids, shape.p, i))
     _fit(built[-1], shape.k, shape.dims, "the ledger's top")
     for i, (obj, node) in enumerate(zip(nodes, built)):
         _refuse_restated(obj, node, i, legacy)
@@ -397,7 +367,7 @@ def _nodes_from_paths(records: list[dict]) -> list[dict]:
 def certificate_to_obj(cert: SubvarietyCertificate, config: dict | None = None) -> dict:
     out = {
         "format_version": FORMAT_VERSION,
-        "input_density": frac_to_str(cert.input_density),
+        "input_density": str(cert.input_density),
         "output_codim": cert.output_codim,
         "budget": cert.budget,
         "output": variety_to_obj(cert.output),

@@ -38,7 +38,6 @@ from mlvariety.jsonio import (
     certificate_from_obj,
     certificate_to_obj,
     form_to_obj,
-    frac_to_str,
     variety_to_obj,
 )
 from mlvariety.ledger import codim_budget, ledger_paths
@@ -557,7 +556,7 @@ def test_verify_and_density_past_the_point_budget(tmp_path, capsys, p, dims):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps({
         "format_version": "4",
-        "input_density": frac_to_str(c),
+        "input_density": str(c),
         "output_codim": len(out.forms),
         "budget": codim_budget(2, p, c),
         "output": variety_to_obj(out),
@@ -576,7 +575,7 @@ def test_verify_and_density_past_the_point_budget(tmp_path, capsys, p, dims):
     start = time.perf_counter()
     assert main(["density", "--input", str(var_path)]) == EXIT_OK
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().out == f"density: {frac_to_str(c)}\n"
+    assert capsys.readouterr().out == f"density: {c}\n"
 
 
 @pytest.mark.parametrize("dims", [(4,), (3, 3), (2, 2, 2), (1, 2, 2, 1)])
@@ -858,15 +857,16 @@ def _forged_certificate(tmp_path, forge):
 
 
 @pytest.mark.parametrize("forge, message", [
-    (lambda top, _: top.update(r="abc"), "r must be a JSON integer, got 'abc'"),
-    (lambda top, _: top.update(r=True), "r must be a JSON integer, got True"),
-    (lambda top, _: top.update(s=[1]), "s must be a JSON integer, got [1]"),
+    (lambda top, _: top.update(r="abc"), "ledger node 1: r 'abc' is not the derived 0"),
+    (lambda top, _: top.update(r=True), "ledger node 1: r True is not the derived 0"),
+    (lambda top, _: top.update(s=[1]), "ledger node 1: s [1] is not the derived 13"),
     (lambda top, _: top.update(cylinder_forms={"n": 1}),
      "cylinder_forms must be a JSON integer, got {'n': 1}"),
-    (lambda top, _: top.update(clamped="yes"), "clamped must be a JSON boolean, got 'yes'"),
+    (lambda top, _: top.update(clamped="yes"),
+     "ledger node 1: clamped 'yes' is not the derived True"),
     (lambda top, _: top.update(arity=-4), "arity must be at least 1, got -4"),
-    (lambda top, _: top.update(epsilon=None),
-     "ledger level field 'epsilon' is null beside set ones"),
+    (lambda top, _: top.update(epsilon=None), "ledger node 1: epsilon None is not the derived "
+     "{'coef': '1/2', 'p_exp': -12, 'c_exp': 0}"),
     (lambda top, _: top.update(codim_contribution=1.5),
      "codim_contribution must be a JSON integer, got 1.5"),
     (lambda top, _: top["directions"][0].update(slice_point="zzz"),
@@ -874,13 +874,30 @@ def _forged_certificate(tmp_path, forge):
     (lambda top, _: top["directions"][0].update(slice_point=[0, 3, 0, 0]),
      "slice_point entries must lie in 0..2, got (0, 3, 0, 0)"),
     (lambda top, _: top["directions"][1].update(direction=17),
-     "direction 17 is not below the arity 3"),
-    (lambda top, _: top.update(extra=1), "unknown key 'extra' in a ledger node"),
-    (lambda top, _: top["directions"][0].update(extra=1), "unknown key 'extra' in a direction"),
+     "ledger node 1: directions[1].direction 17 is not the derived 1"),
+    (lambda top, _: top.update(extra=1), "ledger node 1: unknown key 'extra'"),
+    (lambda top, _: top["directions"][0].update(extra=1),
+     "ledger node 1: unknown key 'extra' in directions[0]"),
+    # the JSON twin of a derived value, equal to it under Python's ==
+    (lambda top, _: top.update(r=0.0), "ledger node 1: r 0.0 is not the derived 0"),
+    (lambda top, _: top.update(s=13.0), "ledger node 1: s 13.0 is not the derived 13"),
+    (lambda top, _: top["directions"][2].update(base_codim=0.0),
+     "ledger node 1: directions[2].base_codim 0.0 is not the derived 0"),
+    (lambda top, _: top["directions"][1].update(direction=1.0),
+     "ledger node 1: directions[1].direction 1.0 is not the derived 1"),
+    (lambda top, _: top["epsilon"].update(p_exp=-12.0),
+     "ledger node 1: epsilon.p_exp -12.0 is not the derived -12"),
+    (lambda top, _: top.update(clamped=1), "ledger node 1: clamped 1 is not the derived True"),
+    (lambda top, _: top.update(clamped=0), "ledger node 1: clamped 0 is not the derived True"),
+    (lambda top, _: top["directions"][1].update(clamped=1),
+     "ledger node 1: directions[1].clamped 1 is not the derived True"),
+    (lambda top, _: top["directions"][1].update(clamped=0),
+     "ledger node 1: directions[1].clamped 0 is not the derived True"),
 ], ids=["r-string", "r-bool", "s-array", "cylinder_forms-object", "clamped-string",
         "arity-negative", "epsilon-null", "codim_contribution-float", "slice_point-string",
         "slice_point-past-p", "direction-past-arity", "unknown-node-key",
-        "unknown-direction-key"])
+        "unknown-direction-key", "r-float", "s-float", "base_codim-float", "direction-float",
+        "p_exp-float", "clamped-1", "clamped-0", "direction-clamped-1", "direction-clamped-0"])
 def test_a_ledger_field_of_the_wrong_type_is_named(tmp_path, capsys, forge, message):
     var_path, cert_path = _forged_certificate(tmp_path, forge)
     capsys.readouterr()
@@ -900,8 +917,9 @@ def _swap_direction_indices(top, _):
 
 
 def _level_fields_on_a_leaf(top, ledger):
-    ledger[0].update({key: top[key] for key in top if key not in ("arity", "c", "children")},
-                     directions=[])
+    # codim_contribution stays the leaf's own, so its c still fits it
+    kept = ("arity", "c", "codim_contribution", "children")
+    ledger[0].update({key: top[key] for key in top if key not in kept}, directions=[])
 
 
 @pytest.mark.parametrize("forge, message", [
@@ -919,7 +937,7 @@ def _level_fields_on_a_leaf(top, ledger):
      "ledger node 1: directions[2].base_codim 1 is not the derived 0"),
     (lambda top, _: top["directions"][1].update(clamped=False),
      "ledger node 1: directions[1].clamped False is not the derived True"),
-    (_level_fields_on_a_leaf, "ledger node 0 sets level fields but no directions"),
+    (_level_fields_on_a_leaf, "ledger node 0: r 0 is not the derived None"),
     (lambda top, _: top.update(directions=top["directions"][:2], children=[0, 0]),
      "ledger node 1 has 2 directions at arity 3"),
     (lambda top, ledger: ledger[0].update(arity=1),
@@ -939,16 +957,29 @@ def test_a_ledger_value_off_its_formulas_or_its_tree_is_named(tmp_path, capsys, 
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
-@pytest.mark.xfail(reason="item 2b: verify does not replay the chosen facts", strict=True)
 @pytest.mark.parametrize("forge", [
     lambda top, _: top.update(c="1/3"),
     lambda top, _: top.update(codim_contribution=0),
 ], ids=["c-one-third", "codim_contribution-0"])
 def test_a_ledger_value_that_contradicts_its_formulas_fails_verify(tmp_path, forge):
+    """A top whose c is not the input density, or whose codim_contribution
+    is not the output's codimension, reads (each is a stored fact) and
+    fails verify's codim flag."""
     var_path, cert_path = _forged_certificate(tmp_path, forge)
     assert main([
         "verify", "--input", str(var_path), "--certificate", str(cert_path),
-    ]) in (EXIT_PARSE, EXIT_VERIFY)
+    ]) == EXIT_VERIFY
+
+
+def test_a_certificate_with_its_keys_reordered_still_verifies(tmp_path, capsys):
+    """A ledger node whose keys come in another order than the writer's
+    differs from it only in its text: the walk finds no difference."""
+    var_path, cert_path = _forged_certificate(tmp_path, lambda top, _: None)
+    cert_path.write_text(json.dumps(json.loads(cert_path.read_text()), sort_keys=True))
+    capsys.readouterr()
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == EXIT_OK
 
 
 @pytest.mark.parametrize("version", [None, "6", 3])
@@ -1467,7 +1498,7 @@ def test_sweep_row_costs_what_find_sub_costs(tmp_path, capsys, flags, params):
         assert cols[8] == "ok"
         gen = flags[flags.index("--gen") + 1]
         v = cli._sweep_variety(gen, random.Random(int(cols[0])), shape, param)
-        assert cols[4] == frac_to_str(density(v))
+        assert cols[4] == str(density(v))
         path.write_text(json.dumps(variety_to_obj(v)))
         budget.reset_work()
         assert main(["find-sub", "--input", str(path)]) == EXIT_OK

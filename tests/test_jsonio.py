@@ -241,7 +241,7 @@ def test_a_missing_required_key_is_named(kind, path, key):
     ("certificate", ("ledger",), "l", "ledger must be a JSON array of objects, got 'l'"),
     ("certificate", ("ledger", 0), [], "ledger must be a JSON array of objects"),
     ("certificate", ("ledger", 0, "epsilon"), [],
-     "the value holding 'coef' must be a JSON object, got []"),
+     "ledger node 0: epsilon [] is not the derived None"),
     ("certificate", ("ledger", 0, "directions"), "x", "directions must be a JSON array, got 'x'"),
     ("certificate", ("ledger", -1, "directions", 0), [1],
      "the value holding 'min_fiber_density' must be a JSON object, got [1]"),
