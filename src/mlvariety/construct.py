@@ -34,6 +34,7 @@ from .forms import (
 from .ledger import (
     Node,
     SubvarietyCertificate,
+    _fiber_constants,
     _fiber_thresholds,
     _level_constants,
     codim_budget,
@@ -313,10 +314,9 @@ class DenseColumnsResult:
     The base is base_certificate.output, on the factors other than
     `direction`; lifted is its forms in the input's shape, each support
     factor renamed to the input factor it stands for.  Every point of the
-    base has at least fiber_floor_count points of the input variety in its
-    fiber, the level's fiber floor times the fiber size, rounded up
-    (_fiber_thresholds).  min_fiber_count is the exhaustively measured
-    minimum.
+    base has at least the level's fiber floor times the fiber size of
+    points of the input variety in its fiber (_fiber_constants).
+    min_fiber_count is the exhaustively measured minimum.
     """
 
     direction: int
@@ -324,7 +324,6 @@ class DenseColumnsResult:
     lifted: tuple[MultilinearForm, ...]
     base_certificate: "SubvarietyCertificate"
     bad_count: int
-    fiber_floor_count: int
     min_fiber_count: int
     min_fiber_density: Fraction
 
@@ -356,9 +355,10 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     where they all vanish.  A slice is tested against all the basis rows of
     the fibers' echelon record in one product.  The slice, the sparse
     fibers, the base and the bad set are (B,) vectors over x; only the mask
-    the filling scan takes is reshaped to the base's group.  The integer
-    thresholds come from _fiber_thresholds, memoized per (p, c, arity, n,
-    B).
+    the filling scan takes is reshaped to the base's group.  A fiber is
+    sparse when its rank reaches the sparse rank from _fiber_thresholds,
+    memoized per (p, c, arity, n, B), and the floor is checked at the
+    largest rank over the base, so no fiber threshold counts points.
     """
     shape = v.shape
     if shape.k < 2:
@@ -374,12 +374,9 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     alive, basis, rank = system.alive, system.basis, system.basis.rank
     c = Fraction(system.count, shape.total_points)
     direction_size = p**n
-    sparse_limit, bad_limit, fiber_floor_count, _ = _fiber_thresholds(
-        p, c, shape.k, n, fib.b
-    )
-    # the ranks of sparse fibers; every slice below holds only alive x
-    sparse_rank = np.array([p ** (n - r) <= sparse_limit for r in range(n + 1)])
-    fiber_sparse = sparse_rank[rank]
+    sparse_rank, bad_limit = _fiber_thresholds(p, c, shape.k, n, fib.b)
+    # every slice below holds only alive x
+    fiber_sparse = rank >= sparse_rank
 
     for t in range(direction_size):
         slice_point = vector_from_index(p, n, t)
@@ -420,11 +417,11 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
         point = _point_from_index(base_shape, unfilled[0])
         raise ConstructionError(f"no filling witness at base point {point}")
     # every base point is alive, inside the slice
-    min_fiber_count = p ** (n - int(rank[base].max()))
-    if min_fiber_count < fiber_floor_count:
+    max_rank = int(rank[base].max())
+    min_fiber_count = p ** (n - max_rank)
+    if _fiber_constants(p, c, shape.k)[1] * p**max_rank > 1:
         raise ConstructionError(
-            f"measured fiber minimum {min_fiber_count} fell below the certified "
-            f"floor {fiber_floor_count}"
+            f"measured fiber minimum {min_fiber_count} fell below the certified floor"
         )
     return DenseColumnsResult(
         direction=direction,
@@ -432,7 +429,6 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
         lifted=lifted,
         base_certificate=sub_cert,
         bad_count=b_count,
-        fiber_floor_count=fiber_floor_count,
         min_fiber_count=min_fiber_count,
         min_fiber_density=Fraction(min_fiber_count, direction_size),
     )

@@ -67,6 +67,14 @@ class Shape:
         return self.p ** sum(self.dims)
 
 
+def coerce_support(shape: Shape, support: Iterable[int]) -> tuple[int, ...]:
+    """The distinct factors of a support, sorted, refused outside the shape."""
+    support = tuple(sorted({int(j) for j in support}))
+    if any(j < 0 or j >= shape.k for j in support):
+        raise PreconditionError(f"support {support} outside factors of {shape}")
+    return support
+
+
 def coerce_point(shape: Shape, point) -> tuple[tuple[int, ...], ...]:
     """Validate and reduce a full point, one coordinate tuple per factor."""
     pt = tuple(point)
@@ -93,9 +101,7 @@ class MultilinearForm:
     _zero: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        support = tuple(sorted({int(j) for j in self.support}))
-        if any(j < 0 or j >= self.shape.k for j in support):
-            raise PreconditionError(f"support {support} outside factors of {self.shape}")
+        support = coerce_support(self.shape, self.support)
         expected = tuple(self.shape.dims[j] for j in support)
         arr = np.asarray(self.coeffs, dtype=np.int64)
         if arr.shape != expected:
@@ -146,8 +152,8 @@ def product_form(
     right_coeffs,
 ) -> MultilinearForm:
     """The form beta(x_I) * gamma(x_J) for disjoint supports I and J."""
-    left_support = tuple(sorted({int(j) for j in left_support}))
-    right_support = tuple(sorted({int(j) for j in right_support}))
+    left_support = coerce_support(shape, left_support)
+    right_support = coerce_support(shape, right_support)
     if set(left_support) & set(right_support):
         raise PreconditionError("product factors must use disjoint supports")
     if not left_support or not right_support:
@@ -365,6 +371,8 @@ def bias(form: MultilinearForm) -> Fraction:
 
 def analytic_rank(b: Fraction, p: int) -> float:
     """log_p of the reciprocal of a form's bias b over F_p."""
+    if p < 2:
+        raise PreconditionError(f"analytic rank needs p >= 2, got {p}")
     if b == 0:
         raise ZeroBiasError(
             "bias is zero (support is a single factor and the form is nonzero); "
@@ -375,6 +383,8 @@ def analytic_rank(b: Fraction, p: int) -> float:
 
 def ceil_log(p: int, value: Fraction | int) -> int:
     """Least t >= 0 with p**t >= value, by exact comparison."""
+    if p < 2:
+        raise PreconditionError(f"a logarithm needs a base of at least 2, got {p}")
     value = Fraction(value)
     t, power = 0, 1
     while power < value:

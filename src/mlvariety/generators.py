@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .field import Subspace, echelonize
-from .forms import MultilinearForm, MultilinearMap, Shape, product_form
+from .forms import MultilinearForm, MultilinearMap, Shape, coerce_support, product_form
 from .variety import PointSet, Variety
 
 RNG_ID = "python-random-mt19937"
@@ -27,7 +27,7 @@ def random_form(rng: random.Random, shape: Shape, support=None) -> MultilinearFo
     """Uniform coefficient tensor on the given support (full by default)."""
     if support is None:
         support = range(shape.k)
-    size = math.prod(shape.dims[j] for j in {int(j) for j in support})
+    size = math.prod(shape.dims[j] for j in coerce_support(shape, support))
     coeffs = [rng.randrange(shape.p) for _ in range(size)]
     return MultilinearForm(shape, support, coeffs)
 

@@ -41,17 +41,15 @@ def _fiber_constants(p: int, c: Fraction, arity: int) -> tuple[Monomial, Monomia
 
 
 @lru_cache(maxsize=_LEDGER_MEMO_SIZE)
-def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int, b: int) -> tuple:
-    """(sparse_limit, bad_limit, fiber_floor_count, clamped) of dense_columns
-    at a level whose fibers lie in F_p^n over b points x."""
-    c_prime, fiber_floor = _fiber_constants(p, c, arity)
-    # the fiber over an alive x holds p**(n - rank) points: sparse when at most this
-    sparse_limit = math.floor(c_prime * p**n)
+def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int, b: int) -> tuple[int, int]:
+    """(sparse_rank, bad_limit) of dense_columns at a level whose fibers
+    lie in F_p^n over b points x: a fiber of rank r holds p**(n - r) points,
+    sparse when at most c' * p**n, that is when r >= sparse_rank."""
+    c_prime, _ = _fiber_constants(p, c, arity)
+    # the least r with c' * p**r >= 1, or n + 1 when no r <= n has it
+    sparse_rank = c_prime.ceil_log_inverse() if c_prime * p**n >= 1 else n + 1
     # b_count / b > 2 c' / c exactly when the integer b_count exceeds this floor
-    bad_limit = math.floor(c_prime * (2 * b / c))
-    # the fiber floor in points, rounded up, and clamped when below one point
-    floor_points = fiber_floor * p**n
-    return sparse_limit, bad_limit, math.ceil(floor_points), floor_points < 1
+    return sparse_rank, math.floor(c_prime * (2 * b / c))
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,10 @@ def codim_budget(arity: int, p: int, c: Fraction) -> int:
 
 @lru_cache(maxsize=_LEDGER_MEMO_SIZE)
 def _clamps(p: int, c: Fraction, arity: int, dims: tuple[int, ...]) -> tuple[bool, ...]:
-    """One flag per direction of a level with these dims: whether its
-    fiber floor falls below one point (_fiber_thresholds)."""
-    return tuple(_fiber_thresholds(p, c, arity, n, p ** (sum(dims) - n))[3] for n in dims)
+    """One flag per direction of a level with these dims: whether the fiber
+    floor times p**n, n the direction's dimension, falls below one point."""
+    _, fiber_floor = _fiber_constants(p, c, arity)
+    return tuple(fiber_floor * p**n < 1 for n in dims)
 
 
 @dataclass(frozen=True)

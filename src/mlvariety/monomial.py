@@ -127,9 +127,9 @@ class Monomial:
 
     coef holds the powers of 2.  Monomials multiply with rationals and with
     monomials of the same level (same p and c), take integer powers, compare
-    exactly with rationals and same-level monomials, and support math.floor
-    and math.ceil.  Equality (==) is structural, as for the other records;
-    value comparisons use <, <=, > and >=.
+    exactly with rationals and same-level monomials, and support math.floor.
+    Equality (==) is structural, as for the other records; value
+    comparisons use <, <=, > and >=.
     """
 
     coef: Fraction
@@ -185,9 +185,6 @@ class Monomial:
 
     def __floor__(self) -> int:
         return _least(lambda t: self < t + 1)
-
-    def __ceil__(self) -> int:
-        return _least(lambda t: self <= t)
 
     def ceil_log_inverse(self) -> int:
         """Least t >= 0 with p**t >= 1/self, that is self * p**t >= 1."""

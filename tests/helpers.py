@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from mlvariety import budget, construct, forms, variety
+from mlvariety import budget, construct, forms, ledger, monomial, variety
 from mlvariety.field import echelonize, shift_rows
 from mlvariety.forms import MultilinearForm, Shape, eval_form, slice_form
 from mlvariety.variety import Variety
@@ -520,6 +520,28 @@ def count_bitmap_passes(monkeypatch):
 
     monkeypatch.setattr(budget, "charge", recording)
     return passes
+
+
+# The process-wide memos of a level's exact ledger arithmetic.
+LEDGER_MEMOS = (ledger._fiber_constants, ledger._fiber_thresholds, ledger._level_constants,
+                ledger._clamps, ledger.codim_budget)
+
+
+def count_log_signs(monkeypatch):
+    """List that gains one entry per exact sign decision of the ledger's
+    monomials (monomial._log_sign), the unit of their arithmetic's work.
+    The ledger's memos are emptied first, so no earlier call saves work."""
+    for memo in LEDGER_MEMOS:
+        memo.cache_clear()
+    calls = []
+    original = monomial._log_sign
+
+    def recording(powers):
+        calls.append(1)
+        return original(powers)
+
+    monkeypatch.setattr(monomial, "_log_sign", recording)
+    return calls
 
 
 def miss_every_memo_lookup(monkeypatch):

@@ -50,6 +50,7 @@ from helpers import (
     coordinate_products,
     count_bitmap_passes,
     count_grid_evaluations,
+    count_log_signs,
     count_row_pass_bases,
     legacy_certificate,
     planted_cylinder,
@@ -1159,6 +1160,43 @@ def test_find_sub_on_a_planted_cylinder_fits_the_default_budget(tmp_path, capsys
     assert capsys.readouterr().out == (
         "containment: True\nnonempty: True\ncodim_within_budget: True\n"
     )
+
+
+def test_find_sub_with_a_long_fiber_space_refuses_without_forming_its_powers(
+        tmp_path, capsys, monkeypatch):
+    # one form at (2,(300,1)): the thresholds of the 300-dimensional fibers
+    # are ranks, so the ledger arithmetic decides a few signs before the
+    # 2**300-point fibers are refused, not hundreds on 300-bit point counts
+    v = random_variety(random.Random(0), Shape(2, (300, 1)), 1, full_support_only=True)
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    calls = count_log_signs(monkeypatch)
+    assert main(["find-sub", "--input", str(path)]) == EXIT_BUDGET
+    assert len(calls) <= 100
+    assert "budget exceeded: fiber rows needs" in capsys.readouterr().err
+
+
+def test_verify_of_a_ledger_with_a_long_slice_point_clamps_without_powers(
+        tmp_path, capsys, monkeypatch):
+    # a crafted top over (2,(1,300)) at the non-dyadic c 5/8: its clamps
+    # compare the fiber floor with one point of each direction, never with
+    # a count over the 2**300 points of the other one, before r, null here,
+    # is refused
+    shape = Shape(2, (1, 300))
+    leaf = dict.fromkeys(["r", "c_prime", "c_double_prime", "epsilon", "s", "cylinder_forms",
+                          "clamped", "directions"])
+    leaf.update(arity=1, c="1", codim_contribution=0, children=[])
+    top = dict(leaf, arity=2, c="5/8", cylinder_forms=0, children=[0, 0], directions=[
+        {"slice_point": [0] * n, "min_fiber_density": "1"} for n in shape.dims])
+    cert = {"format_version": "5", "input_density": "1", "output_codim": 0, "budget": 0,
+            "output": variety_to_obj(Variety.full(shape)), "ledger": [leaf, top]}
+    path, cert_path = tmp_path / "variety.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(variety_to_obj(Variety.full(shape))))
+    cert_path.write_text(json.dumps(cert))
+    calls = count_log_signs(monkeypatch)
+    assert main(["verify", "--input", str(path), "--certificate", str(cert_path)]) == EXIT_PARSE
+    assert len(calls) <= 100
+    assert "ledger node 1: r None is not the derived 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("s, code", [(14000, EXIT_OK), (20000, EXIT_BUDGET), (10**9, EXIT_BUDGET)])

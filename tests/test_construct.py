@@ -44,6 +44,7 @@ from mlvariety.ledger import (
 from mlvariety.variety import Variety, membership, variety_bitmap
 
 from helpers import (
+    LEDGER_MEMOS,
     annihilator,
     approximate_with_no_functionals,
     bitmap_points,
@@ -53,6 +54,7 @@ from helpers import (
     constant_shift_tables,
     coordinate_products,
     count_bitmap_passes,
+    count_log_signs,
     enumerate_points,
     miss_every_memo_lookup,
     monomial_value,
@@ -138,17 +140,13 @@ def test_codim_budget_rejects_bad_density():
         codim_budget(2, 2, Fraction(3, 2))
 
 
-# The process-wide memos of a level's exact ledger arithmetic.
-_LEDGER_MEMOS = (_fiber_constants, _fiber_thresholds, _level_constants, _clamps, codim_budget)
-
-
 def _clear_ledger_memos():
-    for memo in _LEDGER_MEMOS:
+    for memo in LEDGER_MEMOS:
         memo.cache_clear()
 
 
 def _ledger_memo_hits():
-    return sum(memo.cache_info().hits for memo in _LEDGER_MEMOS)
+    return sum(memo.cache_info().hits for memo in LEDGER_MEMOS)
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4, 5])
@@ -172,7 +170,7 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
          for c, r, max_dim, n, b in signatures]
         for _ in range(2)
     ]
-    assert all(memo.cache_info().hits for memo in _LEDGER_MEMOS)
+    assert all(memo.cache_info().hits for memo in LEDGER_MEMOS)
     monkeypatch.setattr(ledger, "_fiber_constants", _fiber_constants.__wrapped__)
     monkeypatch.setattr(ledger, "_fiber_thresholds", _fiber_thresholds.__wrapped__)
     fresh = [
@@ -187,23 +185,31 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
 
 @pytest.mark.parametrize("arity", [2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_fiber_thresholds_are_the_floors_of_the_written_out_constants(p, arity):
+def test_fiber_thresholds_match_the_written_out_constants(p, arity):
     # c' and the fiber floor as exact rationals, from the formulas of
-    # _level_constants, which the low arities keep small
+    # _level_constants, which the low arities keep small: the sparse rank is
+    # the least r <= n with c' p**r >= 1 (n + 1 if none), the bad-count limit
+    # the floor of 2 c' b / c, and a direction clamps when floor * p**n < 1
     k = arity - 1
     big_k = arity_constant(k)
     for c in (Fraction(1), Fraction(3, 4), Fraction(1, p), Fraction(7, p**3)):
         c_prime = c ** (k * big_k + 1) / (2 ** (2 * k + 1) * p ** (2 * k * big_k))
-        floor_points = c_prime ** (2**k)
+        floor = c_prime ** (2**k)
         for n in (1, 2, 5):
+            sparse_rank = next((r for r in range(n + 1) if c_prime * p**r >= 1), n + 1)
             for b in (1, 6, p**4):
-                floor_points_n = floor_points * p**n
                 assert _fiber_thresholds(p, c, arity, n, b) == (
-                    math.floor(c_prime * p**n),
-                    math.floor(2 * c_prime * b / c),
-                    math.ceil(floor_points_n),
-                    floor_points_n < 1,
+                    sparse_rank, math.floor(2 * c_prime * b / c)
                 )
+            assert _clamps(p, c, arity, (n, 2)) == (floor * p**n < 1, floor * p**2 < 1)
+
+
+def test_clamps_compare_exponents_without_an_invented_base(monkeypatch):
+    # the floor against one point of each direction only: no comparison
+    # forms a count over the 2**300 points of the other direction
+    calls = count_log_signs(monkeypatch)
+    assert _clamps(2, Fraction(5, 8), 2, (1, 300)) == (True, False)
+    assert len(calls) <= 100
 
 
 def test_level_constants_are_read_only():
@@ -544,7 +550,8 @@ def test_dense_columns_dot_variety():
     fibers = mask.sum(axis=res.direction)
     base_mask = variety_bitmap(res.base_certificate.output)
     assert int(fibers[base_mask].min()) == res.min_fiber_count
-    assert res.min_fiber_count >= res.fiber_floor_count
+    _, floor = _fiber_constants(2, density(v), 2)
+    assert floor * 2**2 <= res.min_fiber_count
     # thresholds fall below one point at this scale
     assert find_subvariety(v).ledger.clamped[res.direction]
 

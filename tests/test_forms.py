@@ -19,6 +19,7 @@ from mlvariety.forms import (
     Shape,
     analytic_rank,
     bias,
+    ceil_log,
     coerce_point,
     eval_form,
     eval_grid,
@@ -38,6 +39,7 @@ from mlvariety.generators import (
     random_variety,
 )
 from mlvariety.jsonio import map_from_obj, map_to_obj, variety_from_obj, variety_to_obj
+from mlvariety.ledger import codim_budget
 from mlvariety.variety import Variety, slice_variety
 
 from helpers import (
@@ -382,6 +384,20 @@ def test_analytic_rank_examples():
     assert analytic_rank(bias(g), g.shape.p) == 2.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ceil_log(1, 2),
+    lambda: ceil_log(0, 2),
+    lambda: prank_lower_bound(Fraction(1, 2), 1),
+    lambda: codim_budget(2, 1, Fraction(1, 2)),
+    lambda: analytic_rank(Fraction(1, 2), 1),
+], ids=["ceil_log", "ceil_log-base-0", "prank_lower_bound", "codim_budget", "analytic_rank"])
+def test_rank_helpers_refuse_a_base_below_two(call):
+    # no power of a base below 2 ever reaches a value above 1: the search
+    # for one would never end, and log 1 is a zero divisor
+    with pytest.raises(PreconditionError):
+        call()
+
+
 def test_zero_fiber_identity_examples():
     z = MultilinearForm(Shape(2, (1, 1)), (), 0)
     rep = zero_fiber_identity_check(z, bias(z))
@@ -615,6 +631,12 @@ def test_map_requires_shared_support():
     b = MultilinearForm(sh, (0,), [1])
     with pytest.raises(PreconditionError):
         MultilinearMap(sh, (0, 1), (a, b))
+
+
+@pytest.mark.parametrize("left, right", [((0,), (5,)), ((2,), (1,)), ((-1,), (1,))])
+def test_product_form_refuses_a_support_outside_the_shape(left, right):
+    with pytest.raises(PreconditionError, match="outside factors"):
+        product_form(Shape(2, (2, 2)), left, [1, 0], right, [1, 0])
 
 
 def test_product_form_matches_manual_outer():

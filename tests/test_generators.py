@@ -115,3 +115,9 @@ def test_random_point_subset_places_the_points_it_always_drew(seed):
 def test_generators_refuse_impossible_plants(call, message):
     with pytest.raises(PreconditionError, match=message):
         call(random.Random(0))
+
+
+@pytest.mark.parametrize("support", [(3,), (0, 2), (-1,)])
+def test_random_form_refuses_a_support_outside_the_shape(support):
+    with pytest.raises(PreconditionError, match="outside factors"):
+        random_form(random.Random(0), Shape(2, (2, 2)), support)
