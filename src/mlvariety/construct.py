@@ -357,8 +357,9 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     fibers, the base and the bad set are (B,) vectors over x; only the mask
     the filling scan takes is reshaped to the base's group.  A fiber is
     sparse when its rank reaches the sparse rank from _fiber_thresholds,
-    memoized per (p, c, arity, n, B), and the floor is checked at the
-    largest rank over the base, so no fiber threshold counts points.
+    memoized per (p, c, arity, n, log_p B), a slice's bad count is compared
+    with the exact monomial limit, and the floor is checked at the largest
+    rank over the base, so no fiber threshold counts points.
     """
     shape = v.shape
     if shape.k < 2:
@@ -374,7 +375,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     alive, basis, rank = system.alive, system.basis, system.basis.rank
     c = Fraction(system.count, shape.total_points)
     direction_size = p**n
-    sparse_rank, bad_limit = _fiber_thresholds(p, c, shape.k, n, fib.b)
+    sparse_rank, bad_limit = _fiber_thresholds(p, c, shape.k, n, sum(shape.dims) - n)
     # every slice below holds only alive x
     fiber_sparse = rank >= sparse_rank
 
@@ -419,7 +420,7 @@ def dense_columns(v: Variety, direction: int) -> DenseColumnsResult:
     # every base point is alive, inside the slice
     max_rank = int(rank[base].max())
     min_fiber_count = p ** (n - max_rank)
-    if _fiber_constants(p, c, shape.k)[1] * p**max_rank > 1:
+    if _fiber_constants(p, c, shape.k)[1].times(p_exp=max_rank) > 1:
         raise ConstructionError(
             f"measured fiber minimum {min_fiber_count} fell below the certified floor"
         )
@@ -554,7 +555,7 @@ def _solve(v: Variety) -> SubvarietyCertificate:
         raise ApproxMismatchError(
             f"approximation strictly exceeds its target by {extra_count} points",
             extra_count=extra_count,
-            extra_floor=level.c_double_prime**shape.k * shape.total_points,
+            extra_floor=(level.c_double_prime**shape.k).times(p_exp=sum(shape.dims)),
         )
 
     codim = len(candidate.forms)

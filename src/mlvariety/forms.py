@@ -179,7 +179,7 @@ class MultilinearMap:
     components: tuple[MultilinearForm, ...]
 
     def __post_init__(self):
-        support = tuple(sorted({int(j) for j in self.support}))
+        support = coerce_support(self.shape, self.support)
         components = tuple(self.components)
         for f in components:
             if f.shape != self.shape or f.support != support:

@@ -32,11 +32,12 @@ are rebuilt as nodes; a duplicate, missing or unreachable path is refused.
 Since "3" the ledger constants c_prime, c_double_prime and epsilon are
 exact monomials {"coef": "q", "p_exp": a, "c_exp": e}, the number
 q * p**a * c**e with c the record's own "c" and p the output's field, q a
-positive rational string; "1" and "2" wrote them as rational strings, each
-compared by value, and "1" wrote an always-true flag, ignored.  "4"
-marked the sweep's cost_points, which count each enumerating pass once,
-when it runs, and nothing for a cache hit.  FORMAT_VERSION is shared:
-variety files and the sweep CSV header carry it too.
+power of 2 as a rational string ("1/8"); "1" and "2" wrote them as
+rational strings, each compared by value, and "1" wrote an always-true
+flag, ignored.  "4" marked the sweep's cost_points, which count each
+enumerating pass once, when it runs, and nothing for a cache hit.
+FORMAT_VERSION is shared: variety files and the sweep CSV header carry it
+too.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def variety_from_obj(obj) -> Variety:
 def _monomial_to_obj(m: Monomial) -> dict:
     """The wire object of m.  Its level is not written: the reader takes p
     from the output and c from the node, the level m is derived at."""
-    return {"coef": str(m.coef), "p_exp": m.p_exp, "c_exp": m.c_exp}
+    return {"coef": str(Fraction(2) ** m.two), "p_exp": m.p_exp, "c_exp": m.c_exp}
 
 
 # A ledger node's wire keys in the order the writer puts them, and its monomials.

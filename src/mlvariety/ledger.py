@@ -15,7 +15,6 @@ hold exact values, never points, so no charge or refusal depends on them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -36,20 +35,21 @@ def _fiber_constants(p: int, c: Fraction, arity: int) -> tuple[Monomial, Monomia
     """(c', fiber floor) of a level, by the formulas of _level_constants."""
     k = arity - 1
     big_k = arity_constant(k)
-    c_prime = Monomial(Fraction(1, 2 ** (2 * k + 1)), p, c, -2 * k * big_k, k * big_k + 1)
+    c_prime = Monomial(p, c, -(2 * k + 1), -2 * k * big_k, k * big_k + 1)
     return c_prime, c_prime ** (2**k)
 
 
 @lru_cache(maxsize=_LEDGER_MEMO_SIZE)
-def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int, b: int) -> tuple[int, int]:
+def _fiber_thresholds(p: int, c: Fraction, arity: int, n: int,
+                      m: int) -> tuple[int, Monomial]:
     """(sparse_rank, bad_limit) of dense_columns at a level whose fibers
-    lie in F_p^n over b points x: a fiber of rank r holds p**(n - r) points,
-    sparse when at most c' * p**n, that is when r >= sparse_rank."""
+    lie in F_p^n over b = p**m points x: a fiber of rank r holds p**(n - r)
+    points, sparse when at most c' * p**n, that is when r >= sparse_rank."""
     c_prime, _ = _fiber_constants(p, c, arity)
     # the least r with c' * p**r >= 1, or n + 1 when no r <= n has it
-    sparse_rank = c_prime.ceil_log_inverse() if c_prime * p**n >= 1 else n + 1
-    # b_count / b > 2 c' / c exactly when the integer b_count exceeds this floor
-    return sparse_rank, math.floor(c_prime * (2 * b / c))
+    sparse_rank = c_prime.ceil_log_inverse() if c_prime.times(p_exp=n) >= 1 else n + 1
+    # b_count / b > 2 c' / c exactly when b_count exceeds 2 c' p**m / c
+    return sparse_rank, c_prime.times(two=1, p_exp=m, c_exp=-1)
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,14 @@ def _level_constants(p: int, c: Fraction, arity: int, r: int,
     what later calls read.
     """
     c_prime, fiber_floor = _fiber_constants(p, c, arity)
-    c_dd = fiber_floor * Monomial(Fraction(1), p, c, p_exp=-(arity - 1) * arity * r)
+    c_dd = fiber_floor.times(p_exp=-(arity - 1) * arity * r)
     clamped = False
     if max_dim is not None:
-        one_point = Monomial(Fraction(1), p, c, p_exp=-max_dim)
+        one_point = Monomial(p, c, p_exp=-max_dim)
         clamped = c_dd < one_point
         if clamped:
             c_dd = one_point
-    eps = c_dd**arity * Fraction(1, 2)
+    eps = (c_dd**arity).times(-1)
     return LevelConstants(c_prime, c_dd, eps, eps.ceil_log_inverse(), clamped)
 
 
@@ -139,7 +139,7 @@ def _clamps(p: int, c: Fraction, arity: int, dims: tuple[int, ...]) -> tuple[boo
     """One flag per direction of a level with these dims: whether the fiber
     floor times p**n, n the direction's dimension, falls below one point."""
     _, fiber_floor = _fiber_constants(p, c, arity)
-    return tuple(fiber_floor * p**n < 1 for n in dims)
+    return tuple(fiber_floor.times(p_exp=n) < 1 for n in dims)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact monomials coef * p**p_exp * c**c_exp for the extraction ledger.
+"""Exact monomials 2**two * p**p_exp * c**c_exp for the extraction ledger.
 
 The ledger constants c', the fiber floor, c'' and epsilon are powers of the
 level density c whose exponents grow with the budget-line constant K (4,960
@@ -123,52 +123,44 @@ def _least(holds) -> int:
 
 @dataclass(frozen=True)
 class Monomial:
-    """The positive number coef * p**p_exp * c**c_exp, c the level density.
+    """The positive number 2**two * p**p_exp * c**c_exp, c the level density.
 
-    coef holds the powers of 2.  Monomials multiply with rationals and with
-    monomials of the same level (same p and c), take integer powers, compare
-    exactly with rationals and same-level monomials, and support math.floor.
-    Equality (==) is structural, as for the other records; value
-    comparisons use <, <=, > and >=.
+    Monomials multiply with monomials of the same level (same p and c),
+    scale by powers of 2, p and c (times), take integer powers, and compare
+    exactly with rationals and same-level monomials.  Equality (==) is
+    structural, as for the other records; value comparisons use <, <=, >
+    and >=.
     """
 
-    coef: Fraction
     p: int
     c: Fraction
+    two: int = 0
     p_exp: int = 0
     c_exp: int = 0
 
-    def _level(self, other: "Monomial") -> None:
+    def times(self, two: int = 0, p_exp: int = 0, c_exp: int = 0) -> "Monomial":
+        """self * 2**two * p**p_exp * c**c_exp."""
+        return Monomial(self.p, self.c, self.two + two, self.p_exp + p_exp, self.c_exp + c_exp)
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
         if (other.p, other.c) != (self.p, self.c):
             raise PreconditionError("monomials of different ledger levels do not combine")
-
-    def __mul__(self, other) -> "Monomial":
-        if isinstance(other, Monomial):
-            self._level(other)
-            return Monomial(
-                self.coef * other.coef, self.p, self.c,
-                self.p_exp + other.p_exp, self.c_exp + other.c_exp,
-            )
-        return Monomial(self.coef * other, self.p, self.c, self.p_exp, self.c_exp)
-
-    __rmul__ = __mul__
+        return self.times(other.two, other.p_exp, other.c_exp)
 
     def __pow__(self, n: int) -> "Monomial":
-        return Monomial(self.coef**n, self.p, self.c, self.p_exp * n, self.c_exp * n)
+        return Monomial(self.p, self.c, self.two * n, self.p_exp * n, self.c_exp * n)
 
     def _cmp(self, other) -> int:
         """Sign of self - other, other a same-level monomial or a rational."""
         if isinstance(other, Monomial):
-            self._level(other)
-            r, a, e = other.coef, self.p_exp - other.p_exp, self.c_exp - other.c_exp
+            m, r = self * other**-1, 1
         elif other <= 0:
             return 1
         else:
-            r, a, e = other, self.p_exp, self.c_exp
+            m, r = self, other
         return _log_sign([
-            (self.coef.numerator, 1), (self.coef.denominator, -1),
-            (r.numerator, -1), (r.denominator, 1), (self.p, a),
-            (self.c.numerator, e), (self.c.denominator, -e),
+            (2, m.two), (m.p, m.p_exp), (m.c.numerator, m.c_exp),
+            (m.c.denominator, -m.c_exp), (r.numerator, -1), (r.denominator, 1),
         ])
 
     def __lt__(self, other):
@@ -183,14 +175,9 @@ class Monomial:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __floor__(self) -> int:
-        return _least(lambda t: self < t + 1)
-
     def ceil_log_inverse(self) -> int:
         """Least t >= 0 with p**t >= 1/self, that is self * p**t >= 1."""
-        return _least(
-            lambda t: Monomial(self.coef, self.p, self.c, self.p_exp + t, self.c_exp) >= 1
-        )
+        return _least(lambda t: self.times(p_exp=t) >= 1)
 
     def __str__(self) -> str:
-        return f"{self.coef} * {self.p}^{self.p_exp} * ({self.c})^{self.c_exp}"
+        return f"2^{self.two} * {self.p}^{self.p_exp} * ({self.c})^{self.c_exp}"

@@ -138,9 +138,9 @@ def dual_count(v) -> int:
 
 
 def monomial_value(m) -> Fraction:
-    """The exact rational coef * p**p_exp * c**c_exp of a ledger monomial;
+    """The exact rational 2**two * p**p_exp * c**c_exp of a ledger monomial;
     only for the small exponents of low arities."""
-    return m.coef * Fraction(m.p) ** m.p_exp * m.c**m.c_exp
+    return Fraction(2) ** m.two * Fraction(m.p) ** m.p_exp * m.c**m.c_exp
 
 
 def legacy_certificate(obj, version: str) -> dict:

@@ -1227,6 +1227,22 @@ def test_a_zero_support_index_is_refused_for_forms_and_maps(tmp_path, capsys, co
     assert capsys.readouterr().err == "precondition violated: support indices are 1-based\n"
 
 
+@pytest.mark.parametrize("command, obj", [
+    (["rank"], {"p": 2, "k": 2, "dims": [2, 2], "support": [7], "coeffs": [1, 0]}),
+    (["approx", "--s", "1"], {"p": 2, "k": 2, "dims": [2, 2], "support": [7],
+                              "components": []}),
+])
+def test_a_support_index_past_the_shape_is_refused_for_forms_and_maps(tmp_path, capsys,
+                                                                       command, obj):
+    # a map with no components checks its support all the same
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([command[0], "--input", str(path), *command[1:]]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition violated: support (6,) outside factors of Shape(p=2, dims=(2, 2))\n"
+    )
+
+
 def test_approx_refuses_a_negative_s_as_a_usage_error(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps({

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlvariety import budget, construct, field, forms, ledger, variety
+from mlvariety import budget, construct, field, forms, ledger, monomial, variety
 from mlvariety.construct import dense_columns, external_approx, find_subvariety
 from mlvariety.errors import (
     ApproxMismatchError,
@@ -100,6 +100,32 @@ def test_budget_line_arity_two_frozen():
     assert budget_line(5) == (661704240, 1410441166)
 
 
+def test_budget_line_arity_sixteen_frozen():
+    # frozen from the rational-coefficient evaluation, which formed the
+    # fiber floor's coefficient 2**-(33 * 2**15) as an integer
+    assert budget_line(16) == (
+        1877072226340695669597200801398469728561163712933313243599680349667328,
+        3754470347737822448853421802837087785435749444371776581282950562054145,
+    )
+
+
+def test_budget_line_hands_no_long_base_to_the_sign_decisions(monkeypatch):
+    # the arity-12 fiber floor's coefficient is 2**-47104: kept as an
+    # exponent of 2, every base a sign decision sees stays within 64 bits
+    for memo in (*LEDGER_MEMOS, budget_line):
+        memo.cache_clear()
+    bases = []
+    original = monomial._log_sign
+
+    def recording(powers):
+        bases.extend(b for b, _ in powers)
+        return original(powers)
+
+    monkeypatch.setattr(monomial, "_log_sign", recording)
+    budget_line(12)
+    assert bases and max(b.bit_length() for b in bases) <= 64
+
+
 @pytest.mark.parametrize("arity", [2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_level_constants_stay_under_the_budget_line(p, arity):
@@ -157,17 +183,17 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
     # _fiber_constants and _fiber_thresholds are uncached too
     _clear_ledger_memos()
     signatures = [
-        (c, r, max_dim, n, b)
+        (c, r, max_dim, n, m)
         for c in (Fraction(1), Fraction(3, 4), Fraction(1, p), Fraction(7, p**3))
         for r in (0, 1, 3)
         for max_dim in (None, 3)
-        for n, b in ((1, 1), (3, p**2))
+        for n, m in ((1, 0), (3, 2))
     ]
     cached = [
         [(codim_budget(arity, p, c), _fiber_constants(p, c, arity),
-          _fiber_thresholds(p, c, arity, n, b), _level_constants(p, c, arity, r, max_dim),
+          _fiber_thresholds(p, c, arity, n, m), _level_constants(p, c, arity, r, max_dim),
           _clamps(p, c, arity, (n, 2)))
-         for c, r, max_dim, n, b in signatures]
+         for c, r, max_dim, n, m in signatures]
         for _ in range(2)
     ]
     assert all(memo.cache_info().hits for memo in LEDGER_MEMOS)
@@ -175,10 +201,10 @@ def test_ledger_memos_equal_their_uncached_functions(p, arity, monkeypatch):
     monkeypatch.setattr(ledger, "_fiber_thresholds", _fiber_thresholds.__wrapped__)
     fresh = [
         (codim_budget.__wrapped__(arity, p, c), _fiber_constants.__wrapped__(p, c, arity),
-         _fiber_thresholds.__wrapped__(p, c, arity, n, b),
+         _fiber_thresholds.__wrapped__(p, c, arity, n, m),
          _level_constants.__wrapped__(p, c, arity, r, max_dim),
          _clamps.__wrapped__(p, c, arity, (n, 2)))
-        for c, r, max_dim, n, b in signatures
+        for c, r, max_dim, n, m in signatures
     ]
     assert cached[0] == cached[1] == fresh
 
@@ -189,7 +215,9 @@ def test_fiber_thresholds_match_the_written_out_constants(p, arity):
     # c' and the fiber floor as exact rationals, from the formulas of
     # _level_constants, which the low arities keep small: the sparse rank is
     # the least r <= n with c' p**r >= 1 (n + 1 if none), the bad-count limit
-    # the floor of 2 c' b / c, and a direction clamps when floor * p**n < 1
+    # 2 c' b / c over b = p**m points, which an integer count is at most
+    # exactly when it is at most its floor, and a direction clamps when
+    # floor * p**n < 1
     k = arity - 1
     big_k = arity_constant(k)
     for c in (Fraction(1), Fraction(3, 4), Fraction(1, p), Fraction(7, p**3)):
@@ -197,10 +225,11 @@ def test_fiber_thresholds_match_the_written_out_constants(p, arity):
         floor = c_prime ** (2**k)
         for n in (1, 2, 5):
             sparse_rank = next((r for r in range(n + 1) if c_prime * p**r >= 1), n + 1)
-            for b in (1, 6, p**4):
-                assert _fiber_thresholds(p, c, arity, n, b) == (
-                    sparse_rank, math.floor(2 * c_prime * b / c)
-                )
+            for m in (0, 1, 4):
+                rank, limit = _fiber_thresholds(p, c, arity, n, m)
+                bound = 2 * c_prime * p**m / c
+                assert (rank, monomial_value(limit)) == (sparse_rank, bound)
+                assert math.floor(bound) <= limit < math.floor(bound) + 1
             assert _clamps(p, c, arity, (n, 2)) == (floor * p**n < 1, floor * p**2 < 1)
 
 
@@ -551,7 +580,7 @@ def test_dense_columns_dot_variety():
     base_mask = variety_bitmap(res.base_certificate.output)
     assert int(fibers[base_mask].min()) == res.min_fiber_count
     _, floor = _fiber_constants(2, density(v), 2)
-    assert floor * 2**2 <= res.min_fiber_count
+    assert floor.times(p_exp=2) <= res.min_fiber_count
     # thresholds fall below one point at this scale
     assert find_subvariety(v).ledger.clamped[res.direction]
 
@@ -723,7 +752,7 @@ def test_finder_at_arity_4_and_5(p, dims):
     assert (root.c_prime.p_exp, root.c_prime.c_exp) == (-2 * k * big_k, k * big_k + 1)
     # at desk scale c'' is clamped to one point of the largest factor
     assert root.clamped
-    assert root.c_double_prime == Monomial(Fraction(1), p, cert.ledger.c, p_exp=-max(dims))
+    assert root.c_double_prime == Monomial(p, cert.ledger.c, p_exp=-max(dims))
     assert root.s == ceil_log(p, 2 * p ** (max(dims) * len(dims)))
 
 
@@ -1016,7 +1045,7 @@ def _int64_fiber_reference(v, res):
     size, other = vmask.shape[0], vmask[0].size
     counts = vmask.sum(axis=0, dtype=np.int64)
     c = density(v)
-    c_prime, _ = _fiber_constants(v.shape.p, c, v.shape.k)
+    c_prime = monomial_value(_fiber_constants(v.shape.p, c, v.shape.k)[0])
     sparse = counts <= math.floor(c_prime * size)
     for t in range(size):
         if Fraction(int(np.count_nonzero(vmask[t])), other) >= c / 2:

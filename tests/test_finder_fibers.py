@@ -28,6 +28,7 @@ from helpers import (
     brute_eval,
     coordinate_products,
     mask_image_histogram,
+    monomial_value,
     planted_cylinder,
     small_dims,
 )
@@ -254,7 +255,7 @@ def test_dense_columns_takes_a_nonzero_slice():
     counts = mask.sum(axis=1)
     c = Fraction(int(mask.sum()), shape.total_points)
     c_prime, _ = _fiber_constants(2, c, 2)
-    sparse = counts <= math.floor(c_prime * 2**9)
+    sparse = counts <= math.floor(monomial_value(c_prime) * 2**9)
     assert res.bad_count == int(np.count_nonzero(mask[:, 1] & sparse))
     assert res.min_fiber_count == counts[variety_bitmap(res.base_certificate.output)].min()
 
