@@ -31,7 +31,6 @@ from .fibers import (
     verify_certificate,
     zero_fiber_identity_check,
 )
-from .field import Subspace, echelonize
 from .forms import (
     MultilinearForm,
     MultilinearMap,

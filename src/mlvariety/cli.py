@@ -48,6 +48,7 @@ from .jsonio import (
     variety_from_obj,
 )
 from .fibers import density, verify_certificate, zero_fiber_identity_check
+from .ledger import codim_budget
 from .variety import Variety, _capped_bad_size, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0
@@ -84,6 +85,19 @@ def _verified(check) -> dict:
         "nonempty": check.nonempty_ok,
         "codim": check.codim_ok,
     }
+
+
+def _ensure_writable(what: str, base: int, exp: int = 1) -> None:
+    """Refuse base**exp (base >= 0) when it has more decimal digits than
+    Python writes, with BudgetExceededError (exit 4)."""
+    # The limit is Python's int-to-str limit, its default where the limit is
+    # off.  The bit length decides first, so a short value forms no power of
+    # 10 and a long power is never formed: base**exp >= 2**(4 * limit) >
+    # 10**limit, and under 3 * limit bits a value has at most limit digits.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exp * (base.bit_length() - 1) >= 4 * limit or (
+            (value := base**exp).bit_length() > 3 * limit and value >= 10**limit):
+        raise BudgetExceededError(f"{what} is too long to write")
 
 
 def _file_config(command: str, data: bytes) -> dict:
@@ -158,6 +172,7 @@ def cmd_find_sub(args) -> int:
     wire, data = read_json(args.input)
     v = variety_from_obj(wire)
     cert = find_subvariety(v)
+    _ensure_writable("codimension budget", cert.budget)
     check = verify_certificate(v, cert)
     obj = certificate_to_obj(cert, config=_file_config("find-sub", data))
     obj["verified"] = _verified(check)
@@ -173,8 +188,12 @@ def cmd_find_sub(args) -> int:
 
 def cmd_verify(args) -> int:
     v = variety_from_obj(load_json(args.input))
+    # every budget of this arity is at least the one at density 1: when that
+    # one is too long, so is the certificate's, which would not even parse
+    _ensure_writable("codimension budget", codim_budget(v.shape.k, v.shape.p, 1))
     cert = certificate_from_obj(load_json(args.certificate))
     check = verify_certificate(v, cert)
+    _ensure_writable("codimension budget", check.budget)
     lines = [
         f"containment: {check.containment_ok}",
         f"nonempty: {check.nonempty_ok}",
@@ -222,14 +241,9 @@ def cmd_conv_check(args) -> int:
 def cmd_approx(args) -> int:
     wire, data = read_json(args.input)
     source = map_from_obj(wire)
-    # The error cap p**-s |G| is p**e in lowest terms.  Whether it has more
-    # digits than Python writes (its default limit where the limit is off)
-    # is decided exactly, with no power of p past that limit: 2**|e| alone
-    # has more once |e| > 4 * limit.
+    # the error cap p**-s |G| is p**e in lowest terms
     p, e = source.shape.p, sum(source.shape.dims) - args.s
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if abs(e) > 4 * limit or p ** abs(e) >= 10**limit:
-        raise BudgetExceededError(f"error cap {p}^{e} is too long to write")
+    _ensure_writable(f"error cap {p}^{e}", p, abs(e))
     result = external_approx(source, args.s)
     lines = [
         f"functionals: {args.s}",
@@ -306,6 +320,7 @@ def cmd_sweep(args) -> int:
         try:
             v = _sweep_variety(args.gen, random.Random(seed), shape, param)
             cert = find_subvariety(v)
+            _ensure_writable("codimension budget", cert.budget)
             check = verify_certificate(v, cert)
             row["density"] = str(cert.input_density)
             row["arank"] = repr(analytic_rank(cert.input_density, args.p))

@@ -1,5 +1,5 @@
-"""Prime-field substrate: vectors as plain tuples of residues, echelon-form
-subspaces, fast lexicographic enumeration of F_p^n at desk scale, and the
+"""Prime-field substrate: vectors as plain tuples of residues, reduced row
+echelon form, fast lexicographic enumeration of F_p^n at desk scale, and the
 one format of fiber rows, (n, B) uint8 arrays with x along the last axis,
 with their batched echelon record (Echelon), which only this module builds
 and reduces against.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ shift_permutation.cache_clear = _shift_table.cache_clear
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination and subspaces
+# Gaussian elimination
 # ---------------------------------------------------------------------------
 
 def rref(rows, p: int, width: int | None = None) -> np.ndarray:
@@ -272,42 +272,3 @@ def residual(rows, p: int, basis: Echelon) -> np.ndarray:
     for pivot, brow in zip(basis.pivots, basis.rows):
         _clear(rest, pivot, brow, p)
     return rest
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Row space in reduced echelon form: nonzero rows, pivots strictly
-    increasing, pivot columns cleared above and below."""
-
-    p: int
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        validate_prime(self.p)
-        basis = tuple(as_coords(row, self.p, self.ambient_dim) for row in self.basis)
-        object.__setattr__(self, "basis", basis)
-        pivots = []
-        for row in basis:
-            pivot = next((i for i, c in enumerate(row) if c), None)
-            if pivot is None or (pivots and pivot <= pivots[-1]):
-                raise PreconditionError("basis is not in reduced echelon form")
-            if row[pivot] != 1:
-                raise PreconditionError("pivot entries must be 1")
-            pivots.append(pivot)
-        for r, row in enumerate(basis):
-            for rr, col in enumerate(pivots):
-                if rr != r and row[col] != 0:
-                    raise PreconditionError("pivot columns must be cleared")
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-def echelonize(vectors: Iterable, p: int, ambient_dim: int) -> Subspace:
-    """Span of the given coordinate rows in F_p^ambient_dim, as a
-    reduced-echelon Subspace."""
-    validate_prime(p)
-    rows = [as_coords(v, p, ambient_dim) for v in vectors]
-    return Subspace(p, ambient_dim, tuple(rref(rows, p, width=ambient_dim)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .field import Subspace, echelonize
+from .field import rref, validate_prime
 from .forms import MultilinearForm, MultilinearMap, Shape, coerce_support, product_form
 from .variety import PointSet, Variety
 
@@ -46,19 +46,19 @@ def random_map(rng: random.Random, shape: Shape, codomain_dim: int) -> Multiline
     return MultilinearMap(shape, range(shape.k), comps)
 
 
-def random_subspace(rng: random.Random, p: int, n: int, dim: int) -> Subspace:
-    """A uniformly-seeded subspace of F_p^n of exactly the given dimension."""
+def random_subspace(rng: random.Random, p: int, n: int, dim: int) -> np.ndarray:
+    """A uniformly-seeded subspace of F_p^n of exactly the given dimension,
+    as the (dim, n) uint8 rows of its reduced echelon basis: uniform
+    candidate rows are drawn and kept while they raise the rank."""
     if not 0 <= dim <= n:
         raise PreconditionError("subspace dimension out of range")
+    validate_prime(p)
     rows: list[tuple[int, ...]] = []
-    current = echelonize(rows, p=p, ambient_dim=n)
-    while current.rank < dim:
+    while len(rows) < dim:
         candidate = tuple(rng.randrange(p) for _ in range(n))
-        attempt = echelonize(list(rows) + [candidate], p=p, ambient_dim=n)
-        if attempt.rank > current.rank:
+        if len(rref(rows + [candidate], p, width=n)) > len(rows):
             rows.append(candidate)
-            current = attempt
-    return current
+    return rref(rows, p, width=n)
 
 
 def planted_product_variety(
@@ -76,9 +76,8 @@ def planted_product_variety(
     for i, r in enumerate(codims):
         if not 0 <= r <= shape.dims[i]:
             raise PreconditionError(f"codimension {r} out of range for factor {i}")
-        cutting = random_subspace(rng, shape.p, shape.dims[i], r)
-        for row in cutting.basis:
-            forms.append(MultilinearForm(shape, (i,), np.array(row)))
+        for row in random_subspace(rng, shape.p, shape.dims[i], r):
+            forms.append(MultilinearForm(shape, (i,), row))
     return Variety(shape, forms), Fraction(1, shape.p ** sum(codims))
 
 

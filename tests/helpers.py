@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from mlvariety import budget, construct, forms, ledger, monomial, variety
-from mlvariety.field import echelonize, shift_rows
+from mlvariety.field import rref, shift_rows
 from mlvariety.forms import MultilinearForm, Shape, eval_form, slice_form
 from mlvariety.variety import Variety
 
@@ -280,43 +280,45 @@ def searched_rank(form):
     return rank, budget.work_points()
 
 
-def _pivots(s):
-    return [next(i for i, c in enumerate(row) if c) for row in s.basis]
+def _pivots(rows):
+    return [next(i for i, c in enumerate(row) if c) for row in rows]
 
 
-def subspace_contains(s, v) -> bool:
-    """True iff v reduces to zero against the echelon basis of s."""
-    coords = [int(c) % s.p for c in v]
-    for row, pivot in zip(s.basis, _pivots(s)):
+def subspace_contains(rows, p, n, v) -> bool:
+    """True iff v in F_p^n reduces to zero against the reduced echelon rows."""
+    coords = [int(c) % p for c in v]
+    assert len(coords) == n
+    for row, pivot in zip(rows, _pivots(rows)):
         coeff = coords[pivot]
         if coeff:
-            coords = [(x - coeff * c) % s.p for x, c in zip(coords, row)]
+            coords = [(x - coeff * int(c)) % p for x, c in zip(coords, row)]
     return not any(coords)
 
 
-def subspace_points(s):
-    """All p**rank points of s, one per combination of its basis rows."""
-    for combo in itertools.product(range(s.p), repeat=s.rank):
+def subspace_points(rows, p, n):
+    """All p**len(rows) points of the span of the rows in F_p^n, one per
+    combination of them."""
+    for combo in itertools.product(range(p), repeat=len(rows)):
         yield tuple(
-            sum(a * row[i] for a, row in zip(combo, s.basis)) % s.p
-            for i in range(s.ambient_dim)
+            sum(a * int(row[i]) for a, row in zip(combo, rows)) % p
+            for i in range(n)
         )
 
 
-def annihilator(s):
-    """Vectors w with w . v = 0 for every v in s; rank = ambient_dim - rank(s)."""
-    n, p = s.ambient_dim, s.p
-    pivots = _pivots(s)
-    rows = []
+def annihilator(rows, p, n):
+    """Reduced echelon rows of the vectors w with w . v = 0 for every v in
+    the span of the reduced echelon rows in F_p^n: n - len(rows) of them."""
+    pivots = _pivots(rows)
+    out = []
     for free in range(n):
         if free in pivots:
             continue
         w = [0] * n
         w[free] = 1
-        for row, pcol in zip(s.basis, pivots):
-            w[pcol] = -row[free] % p
-        rows.append(w)
-    return echelonize(rows, p=p, ambient_dim=n)
+        for row, pcol in zip(rows, pivots):
+            w[pcol] = -int(row[free]) % p
+        out.append(w)
+    return rref(out, p, width=n)
 
 
 def brute_first_witness(shape, allowed, base):

@@ -149,10 +149,7 @@ def test_acceptance_base_case():
         d = rng.randrange(n + 1)
         sub = random_subspace(rng, p, n, d)
         sh = Shape(p, (n,))
-        forms = [
-            MultilinearForm(sh, (0,), np.array(row))
-            for row in annihilator(sub).basis
-        ]
+        forms = [MultilinearForm(sh, (0,), row) for row in annihilator(sub, p, n)]
         v = Variety(sh, forms)
         c = density(v)
         cert = find_subvariety(v)

@@ -26,7 +26,7 @@ from mlvariety.cli import (
 
 from mlvariety.construct import find_subvariety
 from mlvariety.fibers import density
-from mlvariety.field import echelonize
+from mlvariety.field import rref
 from mlvariety.forms import MultilinearForm, Shape, product_form
 from mlvariety.generators import (
     planted_low_prank_form,
@@ -489,6 +489,14 @@ def test_density_over_a_fiber_enumeration_past_the_budget(tmp_path, capsys):
     )
 
 
+def _child_env() -> dict:
+    """This environment with the checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
 def test_running_out_of_memory_is_a_budget_exit(tmp_path):
     # a child lowers its own address-space limit to its size after import
     # plus 256 MiB, then runs density under a 2**30 point budget on two
@@ -511,13 +519,9 @@ def test_running_out_of_memory_is_a_budget_exit(tmp_path):
         "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
     run = subprocess.run(
         [sys.executable, "-c", child, "density", "--budget", "1073741824", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert run.returncode == EXIT_BUDGET, run.stderr
     assert run.stdout == ""
@@ -541,8 +545,8 @@ def _planted_products(p, dims):
     ((2p - 1) / p**2) ** 2 at every dims."""
     shape = Shape(p, dims)
     rng = random.Random(f"planted/{p}/{dims}")
-    ls = random_subspace(rng, p, dims[0], 2).basis
-    ms = random_subspace(rng, p, dims[1], 2).basis
+    ls = random_subspace(rng, p, dims[0], 2)
+    ms = random_subspace(rng, p, dims[1], 2)
     v = Variety(shape, [product_form(shape, (0,), l, (1,), m) for l, m in zip(ls, ms)])
     return v, Fraction(2 * p - 1, p**2) ** 2
 
@@ -595,7 +599,7 @@ def test_certificate_escaping_at_one_point_is_a_verify_exit(tmp_path, capsys, di
     lines = Variety(shape, [
         MultilinearForm(shape, (i,), row)
         for i, ai in enumerate(a)
-        for row in annihilator(echelonize([ai], 2, len(ai))).basis
+        for row in annihilator(rref([ai], 2, width=len(ai)), 2, len(ai))
     ])
     escaped = np.argwhere(variety_bitmap(lines) & ~variety_bitmap(v))
     assert [tuple(_point_from_index(shape, t)) for t in escaped] == [a]
@@ -1215,6 +1219,60 @@ def test_approx_refuses_a_cap_too_long_to_write(tmp_path, capsys, s, code):
     assert capsys.readouterr().err == ("" if code == EXIT_OK else refusal)
 
 
+@pytest.fixture
+def digit_limit():
+    """Sets Python's int-to-str digit limit for one test, restoring it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_a_budget_too_long_to_write_is_a_budget_exit(tmp_path, capsys, digit_limit):
+    """The one-point variety at arity 57 has a budget of 660 digits: past a
+    640-digit limit find-sub and verify refuse it in one stderr line, and a
+    sweep row is budget_exceeded."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(variety_to_obj(Variety.full(Shape(2, (0,) * 57)))))
+    cert = tmp_path / "cert.json"
+    assert main(["find-sub", "--input", str(path), "--output", str(cert)]) == EXIT_OK
+    assert len(str(codim_budget(57, 2, 1))) == 660
+    capsys.readouterr()
+    digit_limit(640)
+    for argv in (["find-sub", "--input", str(path)],
+                 ["verify", "--input", str(path), "--certificate", str(cert)]):
+        for fmt in ("text", "json"):
+            assert main([*argv, "--format", fmt]) == EXIT_BUDGET
+            assert capsys.readouterr() == (
+                "", "budget exceeded: codimension budget is too long to write\n")
+    assert main(["sweep", "--dims", ",".join(["0"] * 57), "--logdensities", "0"]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row == "0,2,57," + "x".join(["0"] * 57) + ",,,,,budget_exceeded,0"
+
+
+def test_verify_refuses_its_own_budget_when_too_long_to_write(tmp_path, capsys, digit_limit):
+    """At arity 60 the budget at density 1 has 724 digits and the one at
+    density 1/2 has 725: under a 724-digit limit a certificate claiming a
+    budget of 0 parses, and verify refuses the budget it would print."""
+    shape = Shape(2, (1,) + (0,) * 59)
+    v = Variety(shape, [MultilinearForm(shape, (0,), [1])])
+    assert [len(str(codim_budget(60, 2, c))) for c in (1, Fraction(1, 2))] == [724, 725]
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety_to_obj(v)))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "format_version": "4", "input_density": "1/2", "output_codim": 1, "budget": 0,
+        "output": variety_to_obj(v), "ledger": [],
+    }))
+    digit_limit(724)
+    argv = ["verify", "--input", str(path), "--certificate", str(cert), "--format", "json"]
+    assert main(argv) == EXIT_BUDGET
+    assert capsys.readouterr() == ("", "budget exceeded: codimension budget is too long to write\n")
+
+
 @pytest.mark.parametrize("command, obj", [
     (["rank"], {"p": 2, "k": 2, "dims": [2, 2], "support": [0, 2], "coeffs": [1, 0, 0, 1]}),
     (["approx", "--s", "1"], {"p": 2, "k": 2, "dims": [2, 2], "support": [0, 2],
@@ -1563,13 +1621,42 @@ def test_module_entry_point_runs_the_command_line(capsys):
     argv = ["sweep", "--p", "2", "--dims", "2,2", "--gen", "product", "--logdensities", "0,1,2"]
     assert main(argv) == EXIT_OK
     expected = capsys.readouterr().out
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
     run = subprocess.run([sys.executable, "-m", "mlvariety.cli"] + argv,
-                         capture_output=True, text=True, env=env, timeout=60)
+                         capture_output=True, text=True, env=_child_env(), timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize("variety, commands, timeout", [
+    # at arity 1 every point the zero-offset pre-check rejects needs a later
+    # row of offsets: a quadratic witness search runs past the timeout
+    pytest.param(lambda: random_variety(random.Random(0), Shape(2, (20,)), 1),
+                 [(["conv-check"], EXIT_OK)], 120, id="conv-check-line-20"),
+    # the p > 2 elimination and the verifier's containment check
+    pytest.param(lambda: random_variety(random.Random(0), Shape(3, (4, 3, 3)), 2,
+                                        full_support_only=True),
+                 [(["find-sub", "--output", "cert.json"], EXIT_OK),
+                  (["verify", "--certificate", "cert.json"], EXIT_OK)], 60, id="p3-find-verify"),
+    # over budget; the fiber thresholds are ranks, so no ledger comparison
+    # forms a 4000-bit point count, whose cost grows about as n**2.4
+    pytest.param(lambda: random_variety(random.Random(0), Shape(2, (4000, 1)), 1,
+                                        full_support_only=True),
+                 [(["find-sub"], EXIT_BUDGET)], 60, id="one-form-4000"),
+    # a leaf whose budget runs the ledger formulas at every arity up to 20,
+    # past the timeout if the arity-20 fiber floor's coefficient
+    # 2**-(39 * 2**19) is formed as an integer rather than kept as an exponent
+    pytest.param(lambda: Variety.full(Shape(2, (0,) * 20)), [(["find-sub"], EXIT_OK)], 60,
+                 id="one-point-arity-20"),
+])
+def test_module_entry_point_exits_within_its_timeout(tmp_path, variety, commands, timeout):
+    """Each command runs on the variety as `python -m mlvariety.cli`, in a
+    process of its own, and must exit with its code inside the timeout."""
+    (tmp_path / "variety.json").write_text(json.dumps(variety_to_obj(variety())))
+    for (command, *flags), code in commands:
+        run = subprocess.run(
+            [sys.executable, "-m", "mlvariety.cli", command, "--input", "variety.json", *flags],
+            capture_output=True, text=True, env=_child_env(), cwd=tmp_path, timeout=timeout,
+        )
+        assert run.returncode == code, run.stderr
 
 
 def test_sweep_low_prank_generator(tmp_path):

@@ -20,7 +20,7 @@ from mlvariety.errors import (
     PreconditionError,
 )
 from mlvariety.fibers import density, verify_certificate
-from mlvariety.field import echelonize, vector_from_index
+from mlvariety.field import rref, vector_from_index
 from mlvariety.forms import MultilinearForm, MultilinearMap, Shape, ceil_log
 from mlvariety.monomial import Monomial
 from mlvariety.generators import (
@@ -70,12 +70,9 @@ def dot_variety(p, n):
     return Variety(sh, (MultilinearForm(sh, (0, 1), np.eye(n, dtype=int)),))
 
 
-def subspace_variety(sub):
-    sh = Shape(sub.p, (sub.ambient_dim,))
-    forms = [
-        MultilinearForm(sh, (0,), np.array(row))
-        for row in annihilator(sub).basis
-    ]
+def subspace_variety(rows, p, n):
+    sh = Shape(p, (n,))
+    forms = [MultilinearForm(sh, (0,), row) for row in annihilator(rows, p, n)]
     return Variety(sh, forms)
 
 
@@ -642,8 +639,7 @@ def test_dense_columns_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_base_case_subspace():
-    sub = echelonize([(1, 1, 0), (0, 0, 1)], p=2, ambient_dim=3)
-    v = subspace_variety(sub)
+    v = subspace_variety(rref([(1, 1, 0), (0, 0, 1)], 2, width=3), 2, 3)
     assert density(v) == Fraction(1, 2)
     cert = find_subvariety(v)
     assert cert.output_codim == 1
@@ -1322,6 +1318,7 @@ def test_certificate_writes_each_distinct_sub_problem_once(monkeypatch):
     assert len(ledger_paths(cert.ledger)) == 7828
     assert len(dumps(obj)) < 64 * 1024
     assert certificate_from_obj(json.loads(dumps(obj))) == cert
+    assert verify_certificate(v, cert).all_ok
 
 
 def _zero_slice_oracle_inputs():
@@ -1371,8 +1368,7 @@ def test_base_case_random_subspaces():
         p = rng.choice([2, 3])
         n = rng.randrange(1, 6)
         d = rng.randrange(0, n + 1)
-        sub = random_subspace(rng, p, n, d)
-        v = subspace_variety(sub)
+        v = subspace_variety(random_subspace(rng, p, n, d), p, n)
         c = density(v)
         assert c == Fraction(1, p ** (n - d))
         cert = find_subvariety(v)

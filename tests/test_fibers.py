@@ -286,14 +286,14 @@ ROOT_EXPORTS = {
     "ApproxMismatchError", "ApproxResult", "BudgetExceededError", "CertificateCheck",
     "ConstructionError", "ConvFillReport", "DenseColumnsResult", "EmptyVarietyError",
     "InputFormatError", "MultilinearForm", "MultilinearMap", "Parallelepiped", "PointSet",
-    "PreconditionError", "Shape", "Subspace", "SubvarietyCertificate", "Variety",
-    "ZeroBiasError", "ZeroFiberReport", "analytic_rank", "arity_constant", "bias",
-    "budget_line", "ceil_log", "codim_budget", "conv_fill_check", "dense_columns", "density",
-    "directional_convolution", "echelonize", "eval_form", "external_approx",
-    "find_subvariety", "intersect", "iterated_conv_witness", "matricization_rank_bound",
-    "membership", "partition_rank_search", "point_budget", "prank_lower_bound",
-    "product_form", "reset_work", "set_point_budget", "slice_form", "slice_variety",
-    "variety_bitmap", "verify_certificate", "work_points", "zero_fiber_identity_check",
+    "PreconditionError", "Shape", "SubvarietyCertificate", "Variety", "ZeroBiasError",
+    "ZeroFiberReport", "analytic_rank", "arity_constant", "bias", "budget_line", "ceil_log",
+    "codim_budget", "conv_fill_check", "dense_columns", "density",
+    "directional_convolution", "eval_form", "external_approx", "find_subvariety",
+    "intersect", "iterated_conv_witness", "matricization_rank_bound", "membership",
+    "partition_rank_search", "point_budget", "prank_lower_bound", "product_form",
+    "reset_work", "set_point_budget", "slice_form", "slice_variety", "variety_bitmap",
+    "verify_certificate", "work_points", "zero_fiber_identity_check",
 }
 
 

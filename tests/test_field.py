@@ -10,10 +10,8 @@ from mlvariety import budget
 from mlvariety.budget import BudgetExceededError
 from mlvariety.errors import PreconditionError
 from mlvariety.field import (
-    Subspace,
     all_vectors,
     as_coords,
-    echelonize,
     rref,
     shift_permutation,
     shift_rows,
@@ -194,20 +192,29 @@ def test_shift_rows_of_a_few_cells_hold_about_their_result():
     assert peak < 4096
 
 
+def _is_reduced_echelon(rows) -> bool:
+    """Nonzero rows, pivots strictly increasing, each pivot 1 and alone in
+    its column."""
+    pivots = [next((i for i, c in enumerate(row) if c), None) for row in rows]
+    if None in pivots or pivots != sorted(set(pivots)):
+        return False
+    return all(row[col] == (r == rr) for r, row in enumerate(rows)
+               for rr, col in enumerate(pivots))
+
+
 def test_echelonize_duplicate_rows():
-    s = echelonize([(1, 1), (1, 1)], 2, 2)
-    assert s.rank == 1
-    assert s.basis[0] == (1, 1)
+    s = rref([(1, 1), (1, 1)], 2, width=2)
+    assert s.tolist() == [[1, 1]]
 
 
 def test_echelonize_empty():
-    s = echelonize([], p=2, ambient_dim=3)
-    assert s.rank == 0 and s.ambient_dim == 3
+    s = rref([], 2, width=3)
+    assert s.shape == (0, 3) and s.dtype == np.uint8
 
 
 def test_echelonize_dependent_triple():
     vecs = [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
-    assert echelonize(vecs, 2, 3).rank == 2
+    assert len(rref(vecs, 2, width=3)) == 2
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -217,18 +224,19 @@ def test_echelonize_idempotent_and_rank_oracle(seed):
     p = rng.choice([2, 3, 5])
     n = rng.randrange(1, 5)
     rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randrange(5))]
-    s = echelonize(rows, p=p, ambient_dim=n)
-    again = echelonize(s.basis, p=p, ambient_dim=n)
-    assert again == s
-    assert s.rank == brute_rank_mod(rows, p)
+    s = rref(rows, p, width=n)
+    assert s.shape == (len(s), n) and s.dtype == np.uint8
+    assert _is_reduced_echelon(s.tolist())
+    assert np.array_equal(rref(s, p, width=n), s)
+    assert len(s) == brute_rank_mod(rows, p)
 
 
 def test_subspace_contains_examples():
-    s = echelonize([(1, 1)], 2, 2)
-    assert subspace_contains(s, (0, 0))
-    assert not subspace_contains(s, (1, 0))
-    full = echelonize([(1, 0), (0, 1)], 2, 2)
-    assert subspace_contains(full, (1, 1))
+    s = rref([(1, 1)], 2, width=2)
+    assert subspace_contains(s, 2, 2, (0, 0))
+    assert not subspace_contains(s, 2, 2, (1, 0))
+    full = rref([(1, 0), (0, 1)], 2, width=2)
+    assert subspace_contains(full, 2, 2, (1, 1))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -238,12 +246,13 @@ def test_subspace_point_count_matches_rank(seed):
     p = rng.choice([2, 3])
     n = rng.randrange(1, 5)
     rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randrange(4))]
-    s = echelonize(rows, p=p, ambient_dim=n)
-    by_scan = sum(1 for v in itertools.product(range(p), repeat=n) if subspace_contains(s, v))
-    assert by_scan == p**s.rank
-    listed = set(subspace_points(s))
-    assert len(listed) == p**s.rank
-    assert all(subspace_contains(s, v) for v in listed)
+    s = rref(rows, p, width=n)
+    by_scan = sum(1 for v in itertools.product(range(p), repeat=n)
+                  if subspace_contains(s, p, n, v))
+    assert by_scan == p**len(s)
+    listed = set(subspace_points(s, p, n))
+    assert len(listed) == p**len(s)
+    assert all(subspace_contains(s, p, n, v) for v in listed)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -253,18 +262,9 @@ def test_annihilator_orthogonal_and_complementary(seed):
     p = rng.choice([2, 3])
     n = rng.randrange(1, 5)
     rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(rng.randrange(4))]
-    s = echelonize(rows, p=p, ambient_dim=n)
-    a = annihilator(s)
-    assert a.rank == n - s.rank
-    for w in a.basis:
-        for v in s.basis:
+    s = rref(rows, p, width=n)
+    a = annihilator(s, p, n)
+    assert len(a) == n - len(s)
+    for w in a.tolist():
+        for v in s.tolist():
             assert sum(x * y for x, y in zip(w, v)) % p == 0
-
-
-def test_subspace_rejects_non_echelon_basis():
-    with pytest.raises(PreconditionError):
-        Subspace(2, 2, ((0, 1), (1, 0)))
-    with pytest.raises(PreconditionError):
-        Subspace(3, 2, ((2, 1),))  # pivot not normalized
-    with pytest.raises(PreconditionError):
-        Subspace(2, 2, ((1, 1), (0, 1)))  # column not cleared

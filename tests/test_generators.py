@@ -26,7 +26,44 @@ def test_random_subspace_exact_dimension():
         p = rng.choice([2, 3])
         n = rng.randrange(1, 6)
         d = rng.randrange(0, n + 1)
-        assert random_subspace(rng, p, n, d).rank == d
+        assert random_subspace(rng, p, n, d).shape == (d, n)
+
+
+@pytest.mark.parametrize("p, seed, rows, after", [
+    (2, 0, [[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1]], 4240245955),
+    (2, 1, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]], 2988579416),
+    (3, 0, [[1, 0, 0, 0, 0], [0, 1, 0, 1, 2], [0, 0, 1, 0, 2]], 600203567),
+    (3, 1, [[1, 0, 0, 0, 0], [0, 1, 0, 2, 0], [0, 0, 1, 0, 1]], 1858720390),
+    (5, 0, [[1, 0, 0, 0, 1], [0, 1, 0, 4, 2], [0, 0, 1, 3, 4]], 600203567),
+    (5, 1, [[1, 0, 0, 3, 1], [0, 1, 0, 1, 1], [0, 0, 1, 2, 0]], 2608926326),
+])
+def test_random_subspace_draws_are_pinned(p, seed, rows, after):
+    """The reduced echelon rows of a planted subspace of F_p^5 and the next
+    32 bits of the stream are pinned: runs recorded under RNG_ID replay."""
+    rng = random.Random(seed)
+    sub = random_subspace(rng, p, 5, 3)
+    assert sub.dtype == np.uint8 and sub.tolist() == rows
+    assert rng.getrandbits(32) == after
+
+
+@pytest.mark.parametrize("p, seed, forms, after", [
+    (2, 0, [[1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]], 1210484339),
+    (2, 1, [[0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 1]], 121751464),
+    (3, 0, [[1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 2]], 3829653368),
+    (3, 1, [[0, 1, 0], [1, 0, 1, 1], [0, 1, 0, 1]], 403123852),
+    (5, 0, [[1, 1, 0], [1, 0, 2, 1], [0, 1, 1, 4]], 3829653368),
+    (5, 1, [[1, 4, 0], [1, 0, 4, 4], [0, 1, 3, 1]], 2095328386),
+])
+def test_planted_product_draws_are_pinned(p, seed, forms, after):
+    """The forms of a planted product at (p,(3,4)) with codimensions (1, 2),
+    one on factor 0 and two on factor 1, and the next 32 bits of the stream
+    are pinned: runs recorded under RNG_ID replay."""
+    rng = random.Random(seed)
+    v, c = planted_product_variety(rng, Shape(p, (3, 4)), (1, 2))
+    assert [f.support for f in v.forms] == [(0,), (1,), (1,)]
+    assert [f.coeffs.tolist() for f in v.forms] == forms
+    assert c == Fraction(1, p**3)
+    assert rng.getrandbits(32) == after
 
 
 def test_planted_product_density_is_exact():
