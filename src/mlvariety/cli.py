@@ -47,8 +47,7 @@ from .jsonio import (
     read_json,
     variety_from_obj,
 )
-from .fibers import density, verify_certificate, zero_fiber_identity_check
-from .ledger import codim_budget
+from .fibers import budget_for, density, point_count, verify_certificate, zero_fiber_identity_check
 from .variety import Variety, _capped_bad_size, bad_set_cap, conv_fill_check, variety_bitmap
 
 EXIT_OK = 0
@@ -88,13 +87,14 @@ def _verified(check) -> dict:
 
 
 def _ensure_writable(what: str, base: int, exp: int = 1) -> None:
-    """Refuse base**exp (base >= 0) when it has more decimal digits than
-    Python writes, with BudgetExceededError (exit 4)."""
-    # The limit is Python's int-to-str limit, its default where the limit is
-    # off.  The bit length decides first, so a short value forms no power of
-    # 10 and a long power is never formed: base**exp >= 2**(4 * limit) >
-    # 10**limit, and under 3 * limit bits a value has at most limit digits.
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    """BudgetExceededError (exit 4) when base**exp (base >= 0) is too long to write."""
+    # The limit is Python's int-to-str limit, or its default of 4,300 where
+    # the limit is off or (before Python 3.10.7) absent: approx allocates s
+    # entries per run, so its cap is what stops --s 10**9.  The bit length
+    # decides first, so a short value forms no power of 10 and a long power
+    # is never formed: base**exp >= 2**(4 * limit) > 10**limit, and under
+    # 3 * limit bits a value has at most limit digits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if exp * (base.bit_length() - 1) >= 4 * limit or (
             (value := base**exp).bit_length() > 3 * limit and value >= 10**limit):
         raise BudgetExceededError(f"{what} is too long to write")
@@ -141,13 +141,10 @@ def cmd_rank(args) -> int:
         lines.append("partition_rank: n/a (single-factor support)")
     if form.shape.k >= 2:
         zf = zero_fiber_identity_check(form, b)
-        try:
-            count, expected = str(zf.zero_fiber_count), str(zf.expected)
-        except ValueError:  # past Python's int-to-str digit limit
-            raise BudgetExceededError(
-                f"zero-fiber count over at least 2^{zf.outer_points.bit_length() - 1} "
-                "outer points is too long to write"
-            ) from None
+        outer_bits = zf.outer_points.bit_length() - 1
+        _ensure_writable(f"zero-fiber count over at least 2^{outer_bits} outer points",
+                         zf.zero_fiber_count)
+        count, expected = str(zf.zero_fiber_count), str(zf.expected)
         report["zero_fiber_identity"] = {
             "holds": zf.holds,
             "count": zf.zero_fiber_count,
@@ -188,10 +185,12 @@ def cmd_find_sub(args) -> int:
 
 def cmd_verify(args) -> int:
     v = variety_from_obj(load_json(args.input))
-    # every budget of this arity is at least the one at density 1: when that
-    # one is too long, so is the certificate's, which would not even parse
-    _ensure_writable("codimension budget", codim_budget(v.shape.k, v.shape.p, 1))
-    cert = certificate_from_obj(load_json(args.certificate))
+    try:
+        cert = certificate_from_obj(load_json(args.certificate))
+    except InputFormatError:
+        # a certificate holding a budget too long to write cannot be parsed
+        _ensure_writable("codimension budget", budget_for(v, point_count(v)))
+        raise
     check = verify_certificate(v, cert)
     _ensure_writable("codimension budget", check.budget)
     lines = [

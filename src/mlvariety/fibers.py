@@ -167,6 +167,11 @@ def count_and_contains(v: Variety, sub: Variety) -> tuple[int, bool]:
     return _count(alive, rows, p, max(v.shape.dims)), not escaped.any()
 
 
+def budget_for(v: Variety, count: int) -> int:
+    """The codimension budget for v at count points, priced at one if none."""
+    return codim_budget(v.shape.k, v.shape.p, Fraction(max(count, 1), v.shape.total_points))
+
+
 @dataclass(frozen=True)
 class CertificateCheck:
     """Three-flag report from re-checking a certificate against its input."""
@@ -204,7 +209,7 @@ def verify_certificate(v: Variety, cert: SubvarietyCertificate) -> CertificateCh
         count, contained = count_and_contains(v, out)
     else:
         count, contained = point_count(v), False
-    bud = codim_budget(v.shape.k, v.shape.p, Fraction(max(count, 1), v.shape.total_points))
+    bud = budget_for(v, count)
     if not same_shape:
         return CertificateCheck(False, False, False, bud)
     codim_ok = (

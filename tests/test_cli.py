@@ -848,10 +848,11 @@ def test_malformed_monomial_in_certificate_is_an_input_error(dot_files, tmp_path
     assert "input error:" in capsys.readouterr().err
 
 
-def _forged_certificate(tmp_path, forge):
+def _forged_certificate(tmp_path, forge, seed=1):
     """The variety and certificate files of two full-support (3,(4,3,3))
-    forms (seed 1), the certificate's wire object edited by forge."""
-    v = random_variety(random.Random(1), Shape(3, (4, 3, 3)), 2, full_support_only=True)
+    forms (seed 1 unless given), the certificate's wire object edited by
+    forge."""
+    v = random_variety(random.Random(seed), Shape(3, (4, 3, 3)), 2, full_support_only=True)
     var_path, cert_path = tmp_path / "variety.json", tmp_path / "cert.json"
     var_path.write_text(json.dumps(variety_to_obj(v)))
     assert main(["find-sub", "--input", str(var_path), "--output", str(cert_path)]) == EXIT_OK
@@ -974,6 +975,21 @@ def test_a_ledger_value_that_contradicts_its_formulas_fails_verify(tmp_path, for
     assert main([
         "verify", "--input", str(var_path), "--certificate", str(cert_path),
     ]) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("forge, code", [
+    (lambda top, _: top.update(r="abc"), EXIT_PARSE),
+    (lambda top, _: top.update(s=0), EXIT_PARSE),
+    (lambda top, _: top.update(clamped=1), EXIT_PARSE),
+    (lambda top, _: top.update(c="1/3"), EXIT_VERIFY),
+    (lambda top, _: None, EXIT_OK),
+], ids=["r-string", "s-0", "clamped-1", "c-one-third", "unforged"])
+def test_the_seed_0_certificate_forged_exits_as_the_seed_1_one(tmp_path, forge, code):
+    """The forgeries above, on the seed-0 (3,(4,3,3)) certificate."""
+    var_path, cert_path = _forged_certificate(tmp_path, forge, seed=0)
+    assert main([
+        "verify", "--input", str(var_path), "--certificate", str(cert_path),
+    ]) == code
 
 
 def test_a_certificate_with_its_keys_reordered_still_verifies(tmp_path, capsys):
@@ -1253,24 +1269,59 @@ def test_a_budget_too_long_to_write_is_a_budget_exit(tmp_path, capsys, digit_lim
     assert row == "0,2,57," + "x".join(["0"] * 57) + ",,,,,budget_exceeded,0"
 
 
-def test_verify_refuses_its_own_budget_when_too_long_to_write(tmp_path, capsys, digit_limit):
+@pytest.mark.parametrize("claimed", ["forged", "true"])
+def test_verify_refuses_its_own_budget_when_too_long_to_write(tmp_path, capsys, digit_limit,
+                                                              claimed):
     """At arity 60 the budget at density 1 has 724 digits and the one at
-    density 1/2 has 725: under a 724-digit limit a certificate claiming a
-    budget of 0 parses, and verify refuses the budget it would print."""
+    density 1/2 has 725: under a 724-digit limit verify refuses the budget
+    it would print, both when the certificate parses (it claims a budget of
+    0) and when it holds the true budget, which verifies at the default
+    limit and past 724 digits does not parse."""
     shape = Shape(2, (1,) + (0,) * 59)
     v = Variety(shape, [MultilinearForm(shape, (0,), [1])])
-    assert [len(str(codim_budget(60, 2, c))) for c in (1, Fraction(1, 2))] == [724, 725]
+    budget = codim_budget(60, 2, Fraction(1, 2))
+    assert [len(str(codim_budget(60, 2, 1))), len(str(budget))] == [724, 725]
     path = tmp_path / "variety.json"
     path.write_text(json.dumps(variety_to_obj(v)))
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({
-        "format_version": "4", "input_density": "1/2", "output_codim": 1, "budget": 0,
-        "output": variety_to_obj(v), "ledger": [],
+        "format_version": "5", "input_density": "1/2", "output_codim": 1,
+        "budget": 0 if claimed == "forged" else budget, "output": variety_to_obj(v),
+        "ledger": [],
     }))
-    digit_limit(724)
     argv = ["verify", "--input", str(path), "--certificate", str(cert), "--format", "json"]
+    assert main(argv) == (EXIT_VERIFY if claimed == "forged" else EXIT_OK)
+    capsys.readouterr()
+    digit_limit(724)
     assert main(argv) == EXIT_BUDGET
     assert capsys.readouterr() == ("", "budget exceeded: codimension budget is too long to write\n")
+
+
+@pytest.mark.parametrize("no_limit", ["limit-off", "no-limit-function"])
+def test_with_no_digit_limit_the_default_one_holds(tmp_path, capsys, monkeypatch, digit_limit,
+                                                   no_limit):
+    """With the limit off, or on a Python before 3.10.7 that has no
+    get_int_max_str_digits, the checks take Python's default of 4,300
+    digits: find-sub runs, and approx refuses an error cap of 6,020 digits
+    and rank a zero-fiber count of 6,021, as at the default limit."""
+    if no_limit == "limit-off":
+        digit_limit(0)
+    else:
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(variety_to_obj(Variety.full(Shape(2, (0,) * 3)))))
+    assert main(["find-sub", "--input", str(path)]) == EXIT_OK
+    path.write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [2, 2], "support": [1, 2],
+        "codomain_dim": 2, "components": [[1, 0, 0, 0], [0, 0, 0, 1]],
+    }))
+    capsys.readouterr()
+    assert main(["approx", "--input", str(path), "--s", "20000"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget exceeded: error cap 2^-19996 is too long to write\n"
+    path.write_text(json.dumps({
+        "p": 2, "k": 2, "dims": [20000, 1], "support": [1, 2], "coeffs": [0] * 20000,
+    }))
+    assert main(["rank", "--input", str(path)]) == EXIT_BUDGET
 
 
 @pytest.mark.parametrize("command, obj", [
